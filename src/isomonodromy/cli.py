@@ -582,39 +582,34 @@ def deform(spec_path, out_dir, tol, order, gamma, oracle):
             stokeses = []
             cells = []
             decay_rows = []
-            has_groups = any(len(g) > 1 for g in geo.groups)
+            in_group = np.array([[a != b and geo.same_group(a, b) for b in range(geo.n)]
+                                 for a in range(geo.n)])
             for i, u_pt in enumerate(path):
                 if i > 0:
                     state = transport(state, u_pt, tol=spec.tol)
                 sysi = state.system()
+                # one extraction without structural zeros: the u_c ordering
+                # skips the in-group pairs, and the reported C zeroes them
                 P, conn = connection_products(sysi, cut, tol=spec.tol,
-                                              N=spec.order, geometry=geo,
-                                              gamma=spec.gamma)
+                                              N=spec.order, gamma=spec.gamma)
                 sp = stokes_from_connection(P, ordering, sysi.lambda_prime)
-                conns.append(conn.C)
+                conns.append(np.where(in_group, 0.0, conn.C))
                 stokeses.append((sp.S_nu, sp.S_nu_plus_mu))
                 cells.append(bool(is_in_cell(state.u, geo)[0]))
                 ingroup_max = 0.0
-                if has_groups:
+                if in_group.any():
                     # structural zeros are vacuous here: measure the in-group
                     # entries honestly with the ordering at the instant u
-                    P2, _ = connection_products(sysi, cut, tol=spec.tol,
-                                                N=spec.order, geometry=None,
-                                                gamma=spec.gamma)
                     sp2 = stokes_from_connection(
-                        P2, Ordering(u_c=sysi.u, tau=geo.tau), sysi.lambda_prime
+                        P, Ordering(u_c=sysi.u, tau=geo.tau), sysi.lambda_prime
                     )
-                    for a in range(sysi.n):
-                        for b in range(sysi.n):
-                            if a != b and geo.same_group(a, b):
-                                ingroup_max = max(
-                                    ingroup_max,
-                                    abs(sp2.S_nu[a, b]),
-                                    abs(np.linalg.inv(sp2.S_nu_plus_mu)[a, b]),
-                                )
+                    ingroup_max = float(max(
+                        np.max(np.abs(sp2.S_nu[in_group])),
+                        np.max(np.abs(np.linalg.inv(sp2.S_nu_plus_mu)[in_group])),
+                    ))
                 for a in range(sysi.n):
                     for b in range(a + 1, sysi.n):
-                        if geo.same_group(a, b):
+                        if in_group[a, b]:
                             decay_rows.append(
                                 (i, a + 1, b + 1,
                                  float(abs(state.u[a] - state.u[b])),

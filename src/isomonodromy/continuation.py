@@ -1,10 +1,14 @@
 """Analytic continuation of Fuchsian solutions in the cut lambda-plane.
 
-Vector solutions are transported along pole-avoiding polylines with an
-adaptive high-order Runge-Kutta integrator; small positive loops at the
-poles yield monodromy matrices, whose k-th rows encode the connection
-coefficients c_jk through the projection
-gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
+The system is linear, so the whole selected-solution basis
+[Psi_0 ... Psi_{n-1}] is continued as one matrix (:func:`continue_basis`):
+each column once from its series zone down to a common deep point below
+every pole and cut, then the matrix once up the anti-cut ray of each pole
+to its base point.  A small positive loop of that matrix at u_j gives the
+monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
+whole row j of connection coefficients (:func:`connection_coefficients`)
+through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Transport runs on an
+adaptive high-order Runge-Kutta integrator.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .frobenius import (
 )
 
 DEFAULT_TOL = 1e-10
+# detour arc radius of plan_path, in units of the path clearance
+DETOUR_FACTOR = 1.5
 
 
 class StepFailure(RuntimeError):
@@ -101,11 +107,11 @@ def _segment_ray_intersect(a, b, base, e):
     return 1 if za.imag < 0 else -1
 
 
-def plan_path(start, end, poles, clearance=None, detour_factor=1.5):
+def plan_path(start, end, poles, clearance=None):
     """Straight segment from start to end with detour arcs around poles.
 
     Poles closer to the segment than the clearance are bypassed along an
-    arc of radius clearance * detour_factor on the side of the pole away
+    arc of radius clearance * DETOUR_FACTOR on the side of the pole away
     from the segment.
     """
     poles = np.asarray(poles, dtype=complex)
@@ -129,7 +135,7 @@ def plan_path(start, end, poles, clearance=None, detour_factor=1.5):
             return
         blockers.sort()
         _, p = blockers[0]
-        r = clearance * detour_factor
+        r = clearance * DETOUR_FACTOR
         # entry and exit points on the circle around p, arcs on the far side
         da = a - p
         db = b - p
@@ -155,14 +161,12 @@ def plan_path(start, end, poles, clearance=None, detour_factor=1.5):
     return Path(waypoints=out, clearance=clearance)
 
 
-def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL,
-                      dense=False):
+def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL):
     """Transport a vector (or matrix) solution along a path.
 
     ``path`` may be a :class:`Path` or a plain waypoint list starting at
-    ``start``.  Returns the value at the endpoint, or the pair
-    ``(value, interpolant)`` when ``dense`` is set (interpolant maps the
-    arclength parameter of the last segment chunk).
+    ``start``; repeated consecutive waypoints are skipped.  Returns the
+    value at the endpoint.
     """
     waypoints = path.waypoints if isinstance(path, Path) else list(path)
     if abs(waypoints[0] - start) > 1e-12:
@@ -171,6 +175,8 @@ def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL,
     shape = y.shape
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         seg = b - a
+        if seg == 0:
+            continue
 
         def rhs(t, yy):
             lam = a + t * seg
@@ -179,13 +185,11 @@ def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL,
 
         sol = solve_ivp(
             rhs, (0.0, 1.0), y.ravel(), method="DOP853",
-            rtol=max(tol, 1e-13), atol=1e-3 * tol, dense_output=dense,
+            rtol=max(tol, 1e-13), atol=1e-3 * tol,
         )
         if not sol.success:
             raise StepFailure(f"integrator failed on segment {a} -> {b}: {sol.message}")
         y = sol.y[:, -1].reshape(shape)
-    if dense:
-        return y, sol.sol
     return y
 
 
@@ -209,8 +213,7 @@ def ray_continuation(fs, k, seed_value, t0, t1, direction, tol=DEFAULT_TOL):
     return sol.sol
 
 
-def loop_at_pole(fs, j, base_value, base_point, radius=None, tol=DEFAULT_TOL,
-                 orientation=+1, arcs=8):
+def loop_at_pole(fs, j, base_value, base_point, tol=DEFAULT_TOL):
     """Continue a solution once around u_j on a circle through the base point.
 
     The base point must lie on the circle; returns the value back at the
@@ -228,8 +231,7 @@ def loop_at_pole(fs, j, base_value, base_point, radius=None, tol=DEFAULT_TOL,
         dlam = 1j * r * cmath.exp(1j * t)
         return (fs.rhs(lam) @ yy.reshape(shape) * dlam).ravel()
 
-    t_end = th0 + orientation * 2 * math.pi
-    sol = solve_ivp(rhs, (th0, t_end), y.ravel(), method="DOP853",
+    sol = solve_ivp(rhs, (th0, th0 + 2 * math.pi), y.ravel(), method="DOP853",
                     rtol=max(tol, 1e-13), atol=1e-3 * tol)
     if not sol.success:
         raise StepFailure(f"loop integration failed at pole {j}: {sol.message}")
@@ -241,10 +243,9 @@ def loop_at_pole(fs, j, base_value, base_point, radius=None, tol=DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def _anti_cut_point(fs, j, cut: CutPlane, frac=0.5):
-    """Point below u_j on the ray opposite to its cut, clear of other cuts."""
-    r = frac * _loop_radius(fs, j, cut)
-    return fs.u[j] - r * cut.direction(), r
+def _anti_cut_point(fs, j, cut: CutPlane):
+    """Base point below u_j on the ray opposite to its cut, clear of other cuts."""
+    return fs.u[j] - 0.5 * _loop_radius(fs, j, cut) * cut.direction()
 
 
 def _loop_radius(fs, j, cut: CutPlane):
@@ -270,43 +271,40 @@ def _depth_frame(fs, cut: CutPlane):
     return max(depths) - min(depths) + 2.0 * spread + 1.0
 
 
-def seed_point_and_value(fs, k, cut, sol=None, N=40, frac=0.5):
-    """Series-evaluated value of Psi_k at a point just below u_k."""
-    if sol is None:
-        sol = selected_solution(fs, k, cut, N)
-    p, _ = _anti_cut_point(fs, k, cut, frac=frac)
-    if abs(p - fs.u[k]) > sol.radius:
-        p = fs.u[k] + 0.5 * sol.radius * (p - fs.u[k]) / abs(p - fs.u[k])
-    return p, sol.selected_value(p, cut)
+def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_TOL):
+    """Carry the selected-solution basis to the anti-cut base point of poles.
 
+    Each Psi_k (series data ``sols[k]``) is continued once from its series
+    value at its own base point down the anti-cut ray of u_k and across to
+    the deep point u_0 - D e^{i eta}.  From there the matrix
+    [Psi_0 ... Psi_{n-1}] rises along the anti-cut ray of each u_j in
+    ``poles`` to its base point, where column j is set to
+    its series value rather than sent through the deep point and back.
 
-def transport_to_base(fs, k, j, cut, sol=None, tol=DEFAULT_TOL, N=40, base_frac=0.5):
-    """Continue Psi_k from its series zone to the anti-cut base point of u_j.
-
-    The route descends below the pole configuration, moves laterally, and
-    rises to the base point; vertical moves run along anti-cut rays and the
-    lateral move runs below every cut, so no cut of the plane is crossed.
+    The rays opposite to the cuts cross no cut and stay a loop radius away
+    from the other poles, and the lateral moves run in the half-plane
+    below every pole and cut, so all routes are homotopic in the cut plane.
+    Yields ``(j, base_j, Psi)`` lazily: the descent runs on the first
+    request and each ascent only when its pole is reached.
     """
-    start, val = seed_point_and_value(fs, k, cut, sol=sol, N=N)
-    base, _ = _anti_cut_point(fs, j, cut, frac=base_frac)
-    if k == j:
-        return base, val if abs(base - start) < 1e-15 else continue_solution(
-            fs, val, start, plan_path(start, base, fs.u, clearance=0.2 * _loop_radius(fs, j, cut)), tol=tol)
+    n = fs.n
     e = cut.direction()
-    D = _depth_frame(fs, cut)
-    low_k = fs.u[k] - D * e
-    low_j = fs.u[j] - D * e
-    clearance = 0.25 * min(_loop_radius(fs, k, cut), _loop_radius(fs, j, cut))
-    waypoints = [start]
-    for target in (low_k, low_j, base):
-        leg = plan_path(waypoints[-1], target, fs.u, clearance=clearance)
-        waypoints.extend(leg.waypoints[1:])
-    path = Path(waypoints=waypoints, clearance=clearance)
-    return base, continue_solution(fs, val, start, path, tol=tol)
+    depth = _depth_frame(fs, cut)
+    low = [fs.u[m] - depth * e for m in range(n)]
+    deep = low[0]
+    bases = [_anti_cut_point(fs, m, cut) for m in range(n)]
+    seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
+    Psi_deep = np.column_stack([
+        continue_solution(fs, seeds[m], bases[m], [bases[m], low[m], deep], tol=tol)
+        for m in range(n)
+    ])
+    for j in poles:
+        Psi = continue_solution(fs, Psi_deep, deep, [deep, low[j], bases[j]], tol=tol)
+        Psi[:, j] = seeds[j]
+        yield j, bases[j], Psi
 
 
-def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40,
-                     basis_sols=None):
+def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40):
     """Monodromy M_k of the selected-solution basis around a small loop at u_k.
 
     Expresses gamma_k Psi = Psi M_k: identity except row k, whose diagonal
@@ -316,15 +314,8 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40
     """
     if cut is None:
         cut = CutPlane(eta=_default_eta(fs))
-    n = fs.n
-    if basis_sols is None:
-        basis_sols = [selected_solution(fs, m, cut, N) for m in range(n)]
-    base, _ = _anti_cut_point(fs, k, cut)
-    cols = []
-    for m in range(n):
-        _, v = transport_to_base(fs, m, k, cut, sol=basis_sols[m], tol=tol, N=N)
-        cols.append(v)
-    Psi = np.column_stack(cols)
+    sols = [selected_solution(fs, m, cut, N) for m in range(fs.n)]
+    [(_, base, Psi)] = continue_basis(fs, cut, sols, (k,), tol=tol)
     cond = np.linalg.cond(Psi)
     if not np.isfinite(cond) or cond > 1e12:
         raise BasisSingular(
@@ -375,69 +366,55 @@ class ConnectionData:
 
 
 def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
-                            N=40, nu=0, geometry=None, sols=None, sing_sols=None):
+                            N=40, nu=0, geometry=None):
     """Extract the full matrix of connection coefficients at fixed u.
 
-    For each pair j != k the selected solution Psi_k is continued to a base
-    point near u_j and around a small positive loop; the loop difference is
-    projected onto Psi_j:  gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
-    Diagonal entries follow from the arithmetic class.  Entries across a
-    coalescing pair of ``geometry`` (if given) are structural zeros.
-    Raises :class:`IllConditioned` if a projection residual exceeds
-    tolerance relative to the continued solution.
+    The selected-solution basis is carried to a base point near each u_j
+    (:func:`continue_basis`) and around one small positive loop there; each
+    column of the loop difference is projected onto Psi_j:
+    gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
+    from the arithmetic class.  Entries across a coalescing pair of
+    ``geometry`` (if given) are structural zeros.  Raises
+    :class:`IllConditioned` if a projection residual exceeds tolerance
+    relative to the continued solution.
     """
     from .frobenius import singular_solution  # local import to avoid cycle noise
 
     n = fs.n
     classes = [fs.integer_class(m) for m in range(n)]
     alpha = np.array([alpha_factor(fs.lambda_prime[m], classes[m]) for m in range(n)])
-    C = np.zeros((n, n), dtype=complex)
+    C = np.diag([1.0 if c == "noninteger" else 0.0 for c in classes]).astype(complex)
     prov = np.full((n, n), "monodromy-projection", dtype=object)
+    np.fill_diagonal(prov, "diagonal-by-class")
     resid = np.zeros((n, n))
-    if sols is None:
-        sols = [selected_solution(fs, m, cut, N) for m in range(n)]
-    if sing_sols is None:
-        sing_sols = {}
-        for m in range(n):
-            if classes[m] == "negative_integer":
-                sing_sols[m] = singular_solution(fs, m, cut, N)
-    for m in range(n):
-        if classes[m] == "noninteger":
-            C[m, m] = 1.0
-        else:
-            C[m, m] = 0.0
-        prov[m, m] = "diagonal-by-class"
+    sols = [selected_solution(fs, m, cut, N) for m in range(n)]
     for j in range(n):
         degenerate_row = (
-            classes[j] == "negative_integer" and sing_sols[j].zero
+            classes[j] == "negative_integer" and singular_solution(fs, j, cut, N).zero
         )
-        base, _ = _anti_cut_point(fs, j, cut)
-        psi_j = sols[j].selected_value(base, cut)
         for k in range(n):
             if j == k:
                 continue
             if geometry is not None and geometry.same_group(j, k):
-                C[j, k] = 0.0
                 prov[j, k] = "zero-by-coalescence"
-                continue
-            if degenerate_row or sols[k].zero:
-                C[j, k] = 0.0
+            elif degenerate_row or sols[k].zero:
                 prov[j, k] = "zero-by-degenerate-singular"
-                continue
-            _, v = transport_to_base(fs, k, j, cut, sol=sols[k], tol=tol, N=N)
-            looped = loop_at_pole(fs, j, v, base, tol=tol)
-            diff = looped - v
-            denom = (psi_j.conj() @ psi_j).real
-            c = (psi_j.conj() @ diff) / denom / alpha[j]
-            r = np.linalg.norm(diff - alpha[j] * c * psi_j)
-            scale = max(np.linalg.norm(v), 1.0)
-            resid[j, k] = r / scale
-            if resid[j, k] > max(100 * tol, 1e-7):
-                raise IllConditioned(
-                    f"projection residual {resid[j, k]:.2e} for c[{j},{k}] "
-                    f"(condition of target {np.linalg.norm(psi_j):.2e})"
-                )
-            C[j, k] = c
+    projected = prov == "monodromy-projection"
+    rows = [j for j in range(n) if projected[j].any()]
+    for j, base, Psi in continue_basis(fs, cut, sols, rows, tol=tol):
+        diff = loop_at_pole(fs, j, Psi, base, tol=tol) - Psi
+        psi_j = Psi[:, j]
+        c = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha[j]
+        r = np.linalg.norm(diff - alpha[j] * np.outer(psi_j, c), axis=0)
+        scale = np.maximum(np.linalg.norm(Psi, axis=0), 1.0)
+        resid[j] = np.where(projected[j], r / scale, 0.0)
+        k = int(np.argmax(resid[j]))
+        if resid[j, k] > max(100 * tol, 1e-7):
+            raise IllConditioned(
+                f"projection residual {resid[j, k]:.2e} for c[{j},{k}] "
+                f"(condition of target {np.linalg.norm(psi_j):.2e})"
+            )
+        C[j, projected[j]] = c[projected[j]]
     return ConnectionData(C=C, alpha=alpha, nu=nu, eta=cut.eta,
                           provenance=prov, residuals=resid)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _cgamma
 
-from .model import COALESCE_TOL, INTEGER_TOL, SystemPair
+from .model import COALESCE_TOL, INTEGER_TOL, SystemPair, exponent_class, nearest_integer
 
 
 class ResonanceAmbiguity(ArithmeticError):
@@ -61,11 +61,7 @@ class FuchsianSystem:
         return 0.75 * self.min_gap(k)
 
     def integer_class(self, k, tol=INTEGER_TOL):
-        lp = self.lambda_prime[k]
-        r = round(lp.real)
-        if abs(lp.imag) < tol and abs(lp.real - r) < tol:
-            return "natural" if r >= 0 else "negative_integer"
-        return "noninteger"
+        return exponent_class(self.lambda_prime[k], tol)
 
 
 def build_fuchsian(system: SystemPair) -> FuchsianSystem:
@@ -648,15 +644,8 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
         Gl.append(Gnew)
         if has_res:
             Rl[l] = Rnew
-    gaps = [
-        int(round((T[i] - T[j]).real))
-        for i in range(n)
-        for j in range(n)
-        if abs((T[i] - T[j]).imag) < INTEGER_TOL
-        and abs((T[i] - T[j]).real - round((T[i] - T[j]).real)) < INTEGER_TOL
-        and round((T[i] - T[j]).real) > 0
-    ]
-    kappa = max(gaps) if gaps else 0
+    gaps = [nearest_integer(T[i] - T[j]) for i in range(n) for j in range(n)]
+    kappa = max([g for g in gaps if g is not None and g > 0], default=0)
     return LeveltData(
         group=group,
         T=np.diag(T),
@@ -683,10 +672,10 @@ def gamma_shift(system: SystemPair, gamma: float, tol=INTEGER_TOL) -> SystemPair
     A = system.A - gamma * np.eye(system.n)
     shifted = np.diag(A)
     for x in shifted:
-        if abs(x.imag) < tol and abs(x.real - round(x.real)) < tol:
+        if nearest_integer(x, tol) is not None:
             raise BadGamma(f"shifted diagonal entry {x} is integer within tolerance")
     for ev in np.linalg.eigvals(A):
-        if abs(ev.imag) < tol and abs(ev.real - round(ev.real)) < tol:
+        if nearest_integer(ev, tol) is not None:
             raise BadGamma(f"shifted eigenvalue {ev} is integer within tolerance")
     return SystemPair(A, system.u)
 
@@ -705,7 +694,5 @@ def pick_gamma(system: SystemPair, candidates=(0.3, 0.23, 0.41, 0.17, 0.37, 0.29
 
 def needs_gamma_shift(system: SystemPair, tol=INTEGER_TOL) -> bool:
     """True if some diagonal entry or eigenvalue of A is integer."""
-    for x in np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)]):
-        if abs(x.imag) < tol and abs(x.real - round(x.real)) < tol:
-            return True
-    return False
+    return any(nearest_integer(x, tol) is not None
+               for x in np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)]))

@@ -24,6 +24,22 @@ INTEGER_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 
 
+def nearest_integer(x, tol=INTEGER_TOL):
+    """The integer within ``tol`` of the complex number x, or None."""
+    x = complex(x)
+    r = round(x.real)
+    return r if abs(x.imag) < tol and abs(x.real - r) < tol else None
+
+
+def exponent_class(x, tol=INTEGER_TOL):
+    """Arithmetic class of an exponent: ``"noninteger"``, ``"natural"``
+    (integer >= 0) or ``"negative_integer"`` (integer <= -1)."""
+    r = nearest_integer(x, tol)
+    if r is None:
+        return "noninteger"
+    return "natural" if r >= 0 else "negative_integer"
+
+
 class NonAdmissibleError(ValueError):
     """Raised when a direction coincides with a Stokes ray mod pi."""
 
@@ -75,19 +91,8 @@ class SystemPair:
         return np.diag(self.A)
 
     def integer_classes(self, tol=INTEGER_TOL):
-        """Arithmetic class of each diagonal entry.
-
-        Returns a list of strings: ``"noninteger"``, ``"natural"``
-        (integer >= 0) or ``"negative_integer"`` (integer <= -1).
-        """
-        out = []
-        for lp in self.lambda_prime:
-            r = round(lp.real)
-            if abs(lp.imag) < tol and abs(lp.real - r) < tol:
-                out.append("natural" if r >= 0 else "negative_integer")
-            else:
-                out.append("noninteger")
-        return out
+        """Arithmetic class of each diagonal entry (see :func:`exponent_class`)."""
+        return [exponent_class(lp, tol) for lp in self.lambda_prime]
 
 
 def stokes_ray_directions(u, coalesce_tol=COALESCE_TOL):
@@ -159,19 +164,6 @@ class RayLabels:
         i = (mu - 1 + m) % mu
         k = (mu - 1 + m) // mu
         return self.basic[i] + k * math.pi
-
-    def rays_between(self, lo, hi):
-        """All labelled ray positions p with lo < p < hi, as (label, p) pairs."""
-        out = []
-        m = 0
-        while self.tau_nu(m) > lo:
-            m -= 1
-        while self.tau_nu(m) <= lo:
-            m += 1
-        while self.tau_nu(m) < hi:
-            out.append((m, self.tau_nu(m)))
-            m += 1
-        return out
 
 
 def label_rays(u_c, tau, tol=ANGLE_TOL):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import isomonodromy.continuation as continuation
 from isomonodromy.model import CutPlane, SystemPair
 from isomonodromy.frobenius import (
     analytic_basis,
@@ -11,16 +12,17 @@ from isomonodromy.frobenius import (
     selected_solution,
     singular_solution,
 )
+from isomonodromy.stokes import Ordering, stokes_from_connection
 from isomonodromy.continuation import (
     BasisSingular,
     Path,
     connection_coefficients,
     connection_products,
+    continue_basis,
     continue_solution,
     loop_at_pole,
     monodromy_matrix,
     plan_path,
-    transport_to_base,
     verify_connection_constancy,
 )
 
@@ -116,19 +118,23 @@ def test_monodromy_eigenvalue_structure(system_2x2):
         assert np.max(np.abs(np.array(ev) - np.array(expect))) < 1e-9
 
 
+def _basis_at_pole(fs, cut, j, tol=1e-13):
+    """Base point of u_j and the selected-solution basis there."""
+    sols = [selected_solution(fs, m, cut, 40) for m in range(fs.n)]
+    [(_, base, Psi)] = continue_basis(fs, cut, sols, (j,), tol=tol)
+    return base, Psi
+
+
 def _basis_at_big_base(fs, cut, radius, tol=1e-13):
     """Basis matrix at u_0 - radius e^{i eta}, reached without cut crossings.
 
-    Each column is brought to the standard base point of u_0 by the
+    The basis is brought to the standard base point of u_0 by the
     cut-safe production route and then slid outward along the anti-cut ray
     of u_0, which crosses no cuts for an admissible eta.
     """
     base_big = fs.u[0] - radius * cut.direction()
-    cols = []
-    for k in range(fs.n):
-        b0, v = transport_to_base(fs, k, 0, cut, tol=tol)
-        cols.append(continue_solution(fs, v, b0, [b0, base_big], tol=tol))
-    return base_big, np.column_stack(cols)
+    b0, Psi = _basis_at_pole(fs, cut, 0, tol=tol)
+    return base_big, continue_solution(fs, Psi, b0, [b0, base_big], tol=tol)
 
 
 def test_big_loop_matches_infinity_monodromy(system_2x2):
@@ -183,18 +189,41 @@ def test_connection_diagonal_identity_pattern():
     assert np.max(np.abs(off)) < 5e-12
 
 
+@pytest.mark.parametrize("u", [[0.0, 1.0], [0.0, 1.0, 0.4 + 0.9j]])
+def test_connection_solve_count(monkeypatch, u):
+    """All n(n-1) coefficients cost at most 5n - 2 ODE solves.
+
+    One basis continuation: 2n - 1 solves down (n rays to the low points
+    and n - 1 lateral moves to the deep point), 2n - 1 up (n - 1 lateral
+    moves and n rays to the base points) and n loops, one per pole.
+    """
+    n = len(u)
+    rng = np.random.default_rng(11)
+    A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    fs = build_fuchsian(SystemPair(A, u))
+    solve_ivp = continuation.solve_ivp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
+    assert np.sum(conn.provenance == "monodromy-projection") == n * (n - 1)
+    assert len(calls) <= 5 * n - 2
+
+
 def test_connection_series_matching_oracle(system_2x2):
     """c_12 from monodromy projection vs direct local-basis fit at u_1."""
     fs = build_fuchsian(system_2x2)
     cut = CutPlane(eta=ETA)
     conn = connection_coefficients(fs, cut, tol=1e-13)
     # continue Psi_2 to points near u_1 and fit against (Psi_1^{sing}, analytic basis)
-    from isomonodromy.continuation import seed_point_and_value, transport_to_base
-
-    sol2 = selected_solution(fs, 1, cut, 40)
     sol1 = selected_solution(fs, 0, cut, 40)
     basis1 = analytic_basis(fs, 0, N=40)
-    base, v = transport_to_base(fs, 1, 0, cut, sol=sol2, tol=1e-13)
+    base, Psi = _basis_at_pole(fs, cut, 0)
+    v = Psi[:, 1]
     samples = [base, fs.u[0] + 0.8 * (base - fs.u[0]), fs.u[0] + 1.3 * (base - fs.u[0])]
     vals = [v]
     for s in samples[1:]:
@@ -236,10 +265,8 @@ def test_connection_invariant_under_regular_completion():
     sng = singular_solution(fs, 0, N=40)
     assert not sng.zero
     sel0 = selected_solution(fs, 0, cut, 40)
-    sol1 = selected_solution(fs, 1, cut, 40)
-    from isomonodromy.continuation import transport_to_base
-
-    base, v = transport_to_base(fs, 1, 0, cut, sol=sol1, tol=1e-13)
+    base, Psi = _basis_at_pole(fs, cut, 0)
+    v = Psi[:, 1]
     x = base - fs.u[0]
 
     def fit_c(phi):
@@ -269,6 +296,30 @@ def test_connection_products_structural_zero(coalescing_geometry, vanishing_A_uc
     P, conn = connection_products(sp, cut, tol=1e-11, geometry=coalescing_geometry)
     assert conn.provenance[0][1] == "zero-by-coalescence"
     assert P[0, 1] == 0.0 and P[1, 0] == 0.0
+
+
+def test_connection_products_mask_only_in_group(coalescing_geometry, vanishing_A_uc):
+    """The coalescence mask zeroes the in-group products and nothing else.
+
+    Outside the groups the masked and unmasked products are bit-identical,
+    and the u^c ordering skips the in-group pairs, so both give the same
+    Stokes pair: one unmasked extraction serves both uses.
+    """
+    geo = coalescing_geometry
+    sp = SystemPair(vanishing_A_uc, [0.02, -0.02, 1.0])
+    cut = CutPlane(eta=geo.eta)
+    P_mask, _ = connection_products(sp, cut, tol=1e-11, geometry=geo)
+    P_full, _ = connection_products(sp, cut, tol=1e-11)
+    in_group = np.array([[a != b and geo.same_group(a, b) for b in range(sp.n)]
+                         for a in range(sp.n)])
+    assert in_group.any()
+    assert np.all(P_mask[in_group] == 0.0)
+    assert np.array_equal(P_mask[~in_group], P_full[~in_group])
+    ordering = Ordering(u_c=geo.u_c, tau=geo.tau)
+    S_mask = stokes_from_connection(P_mask, ordering, sp.lambda_prime)
+    S_full = stokes_from_connection(P_full, ordering, sp.lambda_prime)
+    assert np.array_equal(S_mask.S_nu, S_full.S_nu)
+    assert np.array_equal(S_mask.S_nu_plus_mu, S_full.S_nu_plus_mu)
 
 
 def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):

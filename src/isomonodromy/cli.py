@@ -557,9 +557,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
 @main.command()
 @_common_options
-@click.option("--oracle", type=click.Choice(["on", "off"]), default="off",
-              show_default=True, help="also run the oracle at each sample")
-def deform(spec_path, out_dir, tol, order, gamma, oracle):
+def deform(spec_path, out_dir, tol, order, gamma):
     """Constancy of connection coefficients and Stokes entries along paths."""
     try:
         spec = _load(spec_path, tol, order, gamma)

@@ -193,26 +193,6 @@ def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL):
     return y
 
 
-def ray_continuation(fs, k, seed_value, t0, t1, direction, tol=DEFAULT_TOL):
-    """Dense continuation of a vector solution along u_k + t*e^{i d}, t in [t0, t1].
-
-    Returns a callable t -> vector.
-    """
-    e = cmath.exp(1j * direction)
-    anchor = fs.u[k]
-    y0 = np.asarray(seed_value, dtype=complex)
-
-    def rhs(t, yy):
-        lam = anchor + t * e
-        return (fs.rhs(lam) @ yy) * e
-
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    rtol=max(tol, 1e-13), atol=1e-3 * tol, dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"ray continuation failed: {sol.message}")
-    return sol.sol
-
-
 def loop_at_pole(fs, j, base_value, base_point, tol=DEFAULT_TOL):
     """Continue a solution once around u_j on a circle through the base point.
 
@@ -276,10 +256,10 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_T
 
     Each Psi_k (series data ``sols[k]``) is continued once from its series
     value at its own base point down the anti-cut ray of u_k and across to
-    the deep point u_0 - D e^{i eta}.  From there the matrix
-    [Psi_0 ... Psi_{n-1}] rises along the anti-cut ray of each u_j in
-    ``poles`` to its base point, where column j is set to
-    its series value rather than sent through the deep point and back.
+    the deep point u_0 - D e^{i eta}, unless k is the only requested pole.
+    From there the matrix of descended columns rises along the anti-cut
+    ray of each u_j in ``poles`` to its base point, where column j is set
+    to its series value rather than sent through the deep point and back.
 
     The rays opposite to the cuts cross no cut and stay a loop radius away
     from the other poles, and the lateral moves run in the half-plane
@@ -294,12 +274,16 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_T
     deep = low[0]
     bases = [_anti_cut_point(fs, m, cut) for m in range(n)]
     seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
+    poles = tuple(poles)
+    descended = [m for m in range(n) if any(j != m for j in poles)]
     Psi_deep = np.column_stack([
         continue_solution(fs, seeds[m], bases[m], [bases[m], low[m], deep], tol=tol)
-        for m in range(n)
+        for m in descended
     ])
     for j in poles:
-        Psi = continue_solution(fs, Psi_deep, deep, [deep, low[j], bases[j]], tol=tol)
+        Psi = np.empty((n, n), dtype=complex)
+        Psi[:, descended] = continue_solution(fs, Psi_deep, deep, [deep, low[j], bases[j]],
+                                              tol=tol)
         Psi[:, j] = seeds[j]
         yield j, bases[j], Psi
 

@@ -34,23 +34,25 @@ class BadGamma(ValueError):
 
 @dataclass(frozen=True)
 class FuchsianSystem:
-    """Residue matrices B_k = -E_k(A+I) at pole locations u."""
+    """Residue matrices B_k = -E_k(A+I) at pole locations u.
+
+    Each B_k has rank one: its only nonzero row is row k of -(A+I), which
+    ``A_plus_I`` holds once for the ODE right-hand side.
+    """
 
     B: tuple
     u: np.ndarray
     lambda_prime: np.ndarray
     A: np.ndarray
+    A_plus_I: np.ndarray
 
     @property
     def n(self):
         return self.u.size
 
     def rhs(self, lam):
-        """Coefficient matrix sum_k B_k/(lam - u_k) of the ODE."""
-        M = np.zeros((self.n, self.n), dtype=complex)
-        for k in range(self.n):
-            M += self.B[k] / (lam - self.u[k])
-        return M
+        """Coefficient matrix sum_k B_k/(lam - u_k) of the ODE: row k is -(A+I)_k/(lam - u_k)."""
+        return -self.A_plus_I / (lam - self.u)[:, None]
 
     def min_gap(self, k):
         gaps = [abs(self.u[k] - self.u[m]) for m in range(self.n) if m != k]
@@ -68,13 +70,15 @@ def build_fuchsian(system: SystemPair) -> FuchsianSystem:
     """Entrywise construction of the residue matrices B_k = -E_k(A+I)."""
     A = system.A
     n = system.n
+    A_plus_I = A + np.eye(n)
     B = []
     for k in range(n):
         Bk = np.zeros((n, n), dtype=complex)
-        Bk[k, :] = -(A[k, :] + np.eye(n)[k, :])
+        Bk[k, :] = -A_plus_I[k, :]
         B.append(Bk)
     return FuchsianSystem(
-        B=tuple(B), u=system.u.copy(), lambda_prime=system.lambda_prime.copy(), A=A.copy()
+        B=tuple(B), u=system.u.copy(), lambda_prime=system.lambda_prime.copy(), A=A.copy(),
+        A_plus_I=A_plus_I,
     )
 
 

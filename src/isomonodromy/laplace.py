@@ -9,6 +9,17 @@ dual Fuchsian system:
   of the analytic selected series (the log part reduces to a half-line);
 * lambda'_k negative int: half-line integral of the analytic Psi_k.
 
+Every column kind integrates one leg u_k + t e^{id}, t from a to t_max,
+for all samples z_1 ... z_m of a ray at once.  On [a, t_switch], inside
+the series zone, the local series is integrated by adaptive Gauss-Legendre
+quadrature with an integrand of shape (nodes, m, n).  Beyond t_switch the
+ray ODE carries [Psi_k; J_1 ... J_m] with dJ_i/dt = e^{z_i x} Psi_k dx/dt,
+x = t e^{id}, and the integrals are read off at t_max: one DOP853 solve
+per leg, with no dense output and no quadrature of the continued
+solution.  The small circle of a hairpin is one quadrature of the series
+for all z; the disc circle of a group contour is continued with its
+integrals the same way.
+
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
 need the raw column multiply it back.
@@ -17,16 +28,20 @@ need the raw column multiply it back.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import solve_ivp
 from scipy.special import gamma as _cgamma
 
 from .model import ANGLE_TOL, COALESCE_TOL, CutPlane, angular_distance_mod_pi
 from .frobenius import FuchsianSystem, build_fuchsian, selected_solution
-from .continuation import ray_continuation, StepFailure
+from .continuation import StepFailure
+
+logger = logging.getLogger(__name__)
 
 
 class SingularF1(ZeroDivisionError):
@@ -219,14 +234,20 @@ def adaptive_quad(f, a, b, tol, scale=1.0, order=24, depth=0, max_depth=14):
     """Adaptive Gauss-Legendre quadrature of a vectorized integrand.
 
     ``f`` maps an array of parameters to an array of values (first axis =
-    parameter).  Returns (integral, error_estimate).
+    parameter).  Returns (integral, error_estimate).  A subinterval that
+    reaches ``max_depth`` with its error still above the bound is kept as
+    it is and logged as a WARNING.
     """
     coarse = _panel(f, a, b, order)
     m = 0.5 * (a + b)
     fine = _panel(f, a, m, order) + _panel(f, m, b, order)
     err = float(np.max(np.abs(fine - coarse)))
     bound = tol * max(scale, float(np.max(np.abs(fine))))
-    if err <= bound or depth >= max_depth:
+    if err <= bound:
+        return fine, err
+    if depth >= max_depth:
+        logger.warning("adaptive_quad stopped at max_depth %d on [%.6g, %.6g]: "
+                       "error %.2e above bound %.2e", max_depth, a, b, err, bound)
         return fine, err
     left, el = adaptive_quad(f, a, m, tol, scale, order, depth + 1, max_depth)
     right, er = adaptive_quad(f, m, b, tol, scale, order, depth + 1, max_depth)
@@ -296,8 +317,10 @@ class LaplaceColumn:
     """Sampled reduced column of a sectorial solution.
 
     ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
-    the raw column.  ``error`` is the accumulated quadrature error
-    estimate, relative to the reduced scale.
+    the raw column.  ``error`` is the quadrature error estimate of the
+    series leg and the small circle, relative to the reduced scale; the
+    continued part of the leg (and the group circle) is controlled by the
+    DOP853 tolerances instead and not included.
     """
 
     k: int
@@ -322,8 +345,9 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
     with |h| >= 2 need it spelled out).  The contour direction is chosen
     inside the label's admissible eta-window, optimal for decay at that
     argument; ``direction`` overrides it (validated against the window).
-    The integrand is evaluated by the local series inside
-    0.75 * validity radius and by numerical continuation outside.
+    Each leg is integrated from the local series inside 0.75 * validity
+    radius and carried with the continued solution outside (see the
+    module docstring).
     """
     z_values = np.asarray(z_values, dtype=complex)
     thetas = np.angle(z_values)
@@ -389,186 +413,152 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
                          pole=fs.u[k], eta_used=d, error=err)
 
 
-def _ray_values_factory(fs, k, sol, d, t_switch, t_hi, cont_tol, branched=True):
-    """Vectorized evaluator of Psi_k (right branch) along u_k + t e^{i d}."""
+def _horner(coeffs, x):
+    """Rows sum_l c_l x^l of a coefficient array at every point of ``x``."""
+    acc = np.zeros((x.size, coeffs.shape[1]), dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * x[:, None] + c[None, :]
+    return acc
+
+
+def _series_on_ray(sol, d, ts, branched):
+    """Psi_k at u_k + t e^{id} from its local series, for every t in ``ts``."""
+    acc = _horner(sol.b if sol.d is None else sol.d, ts * cmath.exp(1j * d))
+    if branched:
+        acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
+    return acc
+
+
+def _carry(fs, k, path, psi0, s0, s1, z_values, cont_tol):
+    """Continue Psi_k along lam = u_k + x(s), s from s0 to s1, with its Laplace integrals.
+
+    ``path(s)`` returns (x, dx/ds).  One DOP853 solve without dense output
+    carries y = [Psi; J_1 ... J_m] with dJ_i/ds = e^{z_i x} Psi dx/ds, so
+    the integral components share the step control of Psi.  Returns
+    ``(Psi(s1), J)`` with J[i] the integral of e^{z_i x} Psi dx.
+    """
+    n = fs.n
+    m = z_values.size
+    pole = fs.u[k]
+
+    def rhs(s, y):
+        x, dx = path(float(s))
+        psi = y[:n]
+        w = np.exp(z_values * x) * dx
+        return np.concatenate(((fs.rhs(pole + x) @ psi) * dx, (w[:, None] * psi).ravel()))
+
+    sol = solve_ivp(rhs, (s0, s1), np.concatenate((psi0, np.zeros(m * n, dtype=complex))),
+                    method="DOP853", rtol=max(cont_tol, 1e-13), atol=1e-3 * cont_tol)
+    if not sol.success:
+        raise StepFailure(f"continuation along the contour failed: {sol.message}")
+    y = sol.y[:, -1]
+    return y[:n], y[n:].reshape(m, n)
+
+
+def _leg(fs, k, sol, d, a, t_max, z_values, tol, cont_tol, branched):
+    """Laplace integrals of Psi_k along u_k + t e^{id}, t from a to t_max, for every z.
+
+    Below t_switch = 0.75 * series radius the local series is integrated
+    by one quadrature for all z; beyond it :func:`_carry` continues Psi_k
+    and its integrals up to t_max.  ``branched`` multiplies the series by
+    (t e^{id})^rho.  Returns ``(J, err, psi_a)``: J[i] is the integral of
+    e^{z_i x} Psi_k dx with x = t e^{id}, ``err`` the estimate of the
+    series quadrature, ``psi_a`` Psi_k at t = a (None for a = 0).
+    """
     e_d = cmath.exp(1j * d)
-    lp = fs.lambda_prime[k]
-    rho = -lp - 1
-    interp = None
-    if t_hi > t_switch:
-        x0 = t_switch * e_d
-        psi0 = sol.eval_series(sol.b if sol.d is None else sol.d, x0)
-        if branched:
-            seed = psi0 * np.exp(rho * (math.log(t_switch) + 1j * d))
-        else:
-            seed = psi0
-        interp = ray_continuation(fs, k, seed, t_switch, t_hi, d, tol=cont_tol)
+    t_switch = 0.75 * sol.radius
 
-    coeffs = sol.b if sol.d is None else sol.d
+    def ray(t):
+        return t * e_d, e_d
 
-    def values(ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((ts.size, fs.n), dtype=complex)
-        inside = ts <= t_switch
-        if np.any(inside):
-            x = ts[inside] * e_d
-            acc = np.zeros((x.size, fs.n), dtype=complex)
-            for c in coeffs[::-1]:
-                acc = acc * x[:, None] + c[None, :]
-            if branched:
-                acc = acc * np.exp(rho * (np.log(ts[inside]) + 1j * d))[:, None]
-            out[inside] = acc
-        if np.any(~inside):
-            out[~inside] = interp(ts[~inside]).T
-        return out
+    def integrand(ts):
+        w = np.exp(np.outer(ts * e_d, z_values)) * e_d
+        return _series_on_ray(sol, d, ts, branched)[:, None, :] * w[:, :, None]
 
-    return values
+    psi_switch = _series_on_ray(sol, d, np.array([t_switch]), branched)[0]
+    if a < t_switch:
+        J, err = adaptive_quad(integrand, a, t_switch, tol)
+        psi_a = _series_on_ray(sol, d, np.array([a]), branched)[0] if a > 0 else None
+        _, J_ode = _carry(fs, k, ray, psi_switch, t_switch, t_max, z_values, cont_tol)
+        return J + J_ode, err, psi_a
+    psi_a, _ = _carry(fs, k, ray, psi_switch, t_switch, a, z_values[:0], cont_tol)
+    _, J = _carry(fs, k, ray, psi_a, a, t_max, z_values, cont_tol)
+    return J, 0.0, psi_a
+
+
+def _relative(err, out):
+    return err / max(float(np.max(np.abs(out))), 1e-300)
 
 
 def _hairpin_column(fs, k, sol, contour, z_values, tol, cont_tol):
     """Class noninteger: legs with the branch-jump factor plus the small circle."""
-    lp = fs.lambda_prime[k]
-    rho = -lp - 1
     d = contour.direction
-    e_d = cmath.exp(1j * d)
     r = contour.loop_radius
-    leg_factor = e_d * (1.0 - cmath.exp(2j * math.pi * lp))
-    values = _ray_values_factory(fs, k, sol, d, 0.75 * sol.radius, contour.t_max,
-                                 cont_tol, branched=True)
-    out = np.zeros((z_values.size, fs.n), dtype=complex)
-    total_err = 0.0
-    for i, z in enumerate(z_values):
-        sigma = z * e_d
+    leg, e1, _ = _leg(fs, k, sol, d, r, contour.t_max, z_values, tol, cont_tol,
+                      branched=True)
 
-        def leg_integrand(ts):
-            return values(ts) * np.exp(sigma * ts)[:, None]
+    def circle_integrand(thetas):
+        x = r * np.exp(1j * thetas)
+        w = np.exp(np.outer(x, z_values)
+                   + (sol.rho * (math.log(r) + 1j * thetas))[:, None]) * (1j * x)[:, None]
+        return _horner(sol.b, x)[:, None, :] * w[:, :, None]
 
-        leg, e1 = adaptive_quad(leg_integrand, r, contour.t_max, tol)
-
-        def circle_integrand(thetas):
-            x = r * np.exp(1j * thetas)
-            acc = np.zeros((thetas.size, fs.n), dtype=complex)
-            for c in sol.b[::-1]:
-                acc = acc * x[:, None] + c[None, :]
-            w = np.exp(z * x + rho * (math.log(r) + 1j * thetas)) * (1j * x)
-            return acc * w[:, None]
-
-        circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
-        out[i] = (leg_factor * leg + circ) / (2j * math.pi)
-        total_err += e1 + e2
-    return out, total_err / max(float(np.max(np.abs(out))), 1e-300)
+    circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
+    jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
+    out = (jump * leg + circ) / (2j * math.pi)
+    return out, _relative(e1 + e2, out)
 
 
 def _group_column(fs, k, sol, contour, z_values, tol, cont_tol):
     """Branched class on the group contour: loop around the whole disc.
 
     Equivalent to the hairpin at u_k because Psi_k is holomorphic at the
-    sibling poles; the circle part is evaluated by continuation around
-    the disc boundary.
+    sibling poles; the disc boundary is continued clockwise from the leg
+    junction with its Laplace integrals by :func:`_carry`.
     """
-    from scipy.integrate import solve_ivp
-
-    lp = fs.lambda_prime[k]
-    rho = -lp - 1
     d = contour.direction
     e_d = cmath.exp(1j * d)
-    center = contour.anchor
     r = contour.loop_radius
     # leg junction: |u_k - center + t e^{id}| = r, positive root
-    w0 = fs.u[k] - center
+    w0 = fs.u[k] - contour.anchor
     bh = (w0 * np.conj(e_d)).real
     t_exit = -bh + math.sqrt(max(bh * bh - (abs(w0) ** 2 - r * r), 0.0))
     th_exit = cmath.phase(w0 + t_exit * e_d)
-    leg_factor = e_d * (1.0 - cmath.exp(2j * math.pi * lp))
-    values = _ray_values_factory(fs, k, sol, d, 0.75 * sol.radius, contour.t_max,
-                                 cont_tol, branched=True)
-    seed = values(np.array([t_exit]))[0]
+    leg, err, seed = _leg(fs, k, sol, d, t_exit, contour.t_max, z_values, tol, cont_tol,
+                          branched=True)
 
-    def circ_rhs(th, y):
-        lam = center + r * cmath.exp(1j * th)
-        dlam = 1j * r * cmath.exp(1j * th)
-        return (fs.rhs(lam) @ y) * dlam
+    def circle(th):
+        e_th = r * cmath.exp(1j * th)
+        return e_th - w0, 1j * e_th
 
-    circ = solve_ivp(circ_rhs, (th_exit, th_exit - 2 * math.pi), seed,
-                     method="DOP853", rtol=max(cont_tol, 1e-13), atol=1e-3 * cont_tol,
-                     dense_output=True)
-    if not circ.success:
-        raise StepFailure(f"group-circle continuation failed: {circ.message}")
-
-    out = np.zeros((z_values.size, fs.n), dtype=complex)
-    total_err = 0.0
-    for i, z in enumerate(z_values):
-        sigma = z * e_d
-
-        def leg_integrand(ts):
-            return values(ts) * np.exp(sigma * ts)[:, None]
-
-        leg, e1 = adaptive_quad(leg_integrand, t_exit, contour.t_max, tol)
-
-        def circle_integrand(thetas):
-            vals = circ.sol(thetas).T
-            lamred = center - fs.u[k] + r * np.exp(1j * thetas)
-            w = np.exp(z * lamred) * (1j * r * np.exp(1j * thetas))
-            return vals * w[:, None]
-
-        circ_val, e2 = adaptive_quad(circle_integrand, th_exit - 2 * math.pi,
-                                     th_exit, tol)
-        out[i] = (leg_factor * leg + circ_val) / (2j * math.pi)
-        total_err += e1 + e2
-    return out, total_err / max(float(np.max(np.abs(out))), 1e-300)
+    _, J = _carry(fs, k, circle, seed, th_exit, th_exit - 2 * math.pi, z_values, cont_tol)
+    jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
+    out = (jump * leg - J) / (2j * math.pi)
+    return out, _relative(err, out)
 
 
 def _halfline_column(fs, k, sol, contour, z_values, tol, cont_tol):
-    """Class negative_integer: straight integral of the analytic Psi_k."""
-    lp = fs.lambda_prime[k]
-    rho_int = int(round((-lp - 1).real))
-    d = contour.direction
-    e_d = cmath.exp(1j * d)
-    # Psi_k = (sum b_l x^l) x^rho with integer rho >= 0: fold the power in
-    out = np.zeros((z_values.size, fs.n), dtype=complex)
-    values = _ray_values_factory(fs, k, sol, d, 0.75 * sol.radius, contour.t_max,
-                                 cont_tol, branched=True)
-    total_err = 0.0
-    for i, z in enumerate(z_values):
-        sigma = z * e_d
+    """Class negative_integer: straight integral of the analytic Psi_k.
 
-        def integrand(ts):
-            vals = values(ts)
-            return vals * np.exp(sigma * ts)[:, None]
-
-        I, e1 = adaptive_quad(integrand, 0.0, contour.t_max, tol)
-        out[i] = I * e_d
-        total_err += e1
-    return out, total_err / max(float(np.max(np.abs(out))), 1e-300)
+    Psi_k = (sum b_l x^l) x^rho with integer rho >= 0: the power is folded in.
+    """
+    out, err, _ = _leg(fs, k, sol, contour.direction, 0.0, contour.t_max, z_values, tol,
+                       cont_tol, branched=True)
+    return out, _relative(err, out)
 
 
 def _natural_column(fs, k, sol, contour, z_values, tol, cont_tol):
     """Class natural: residue of the pole part plus half-line of the log part."""
-    lp = fs.lambda_prime[k]
-    Nk = int(round(lp.real))
-    d = contour.direction
-    e_d = cmath.exp(1j * d)
-    out = np.zeros((z_values.size, fs.n), dtype=complex)
+    Nk = int(round(sol.lambda_prime_k.real))
     # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
-    for i, z in enumerate(z_values):
-        acc = np.zeros(fs.n, dtype=complex)
-        for l in range(Nk + 1):
-            acc += sol.b[l] * z ** (Nk - l) / math.factorial(Nk - l)
-        out[i] = acc
-    total_err = 0.0
+    out = sum(np.outer(z_values ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
+              for l in range(Nk + 1))
+    err = 0.0
     if not sol.zero:
-        values = _ray_values_factory(fs, k, sol, d, 0.75 * sol.radius,
-                                     contour.t_max, cont_tol, branched=False)
-        for i, z in enumerate(z_values):
-            sigma = z * e_d
-
-            def integrand(ts):
-                return values(ts) * np.exp(sigma * ts)[:, None]
-
-            I, e1 = adaptive_quad(integrand, 0.0, contour.t_max, tol)
-            out[i] += I * e_d
-            total_err += e1
-    return out, total_err / max(float(np.max(np.abs(out))), 1e-300)
+        leg, err, _ = _leg(fs, k, sol, contour.direction, 0.0, contour.t_max, z_values,
+                           tol, cont_tol, branched=False)
+        out = out + leg
+    return out, _relative(err, out)
 
 
 # ---------------------------------------------------------------------------

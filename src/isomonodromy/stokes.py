@@ -20,6 +20,10 @@ from .continuation import connection_products
 from .laplace import laplace_column
 
 
+# relative spread of the fitted Stokes matrix allowed across the |z| ladder
+CONSISTENCY_TOL = 1e-6
+
+
 class OverlapEmpty(RuntimeError):
     """Conservative sector bounds produced no common matching ray."""
 
@@ -144,22 +148,19 @@ def default_ladder(system, geometry, theta, suppressions=(4.0, 6.5, 9.0)):
     return [s / worst for s in suppressions]
 
 
-def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
-                  ladder=None, consistency_tol=1e-6):
-    """Oracle for the single matrix S_{nu+h mu} by sectorial matching.
-
-    Evaluates the Laplace fundamental solutions of labels h mu and
-    (h+1) mu on the bisector ray of their sector overlap at several |z|,
-    solves Y_{h} S = Y_{h+1} for S at each, and checks z-independence.
-    Returns ``(S, diagnostics)``.
-    """
+def _oracle_basis(system, geometry, N):
+    """Fuchsian system and selected-solution series shared by every matching."""
     fs = build_fuchsian(system)
+    cut = CutPlane(eta=geometry.eta)
+    return fs, [selected_solution(fs, k, cut, N) for k in range(fs.n)]
+
+
+def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTENCY_TOL):
+    """Match the Laplace solutions of labels h mu and (h+1) mu: ``(S, diagnostics)``."""
     n = fs.n
     theta = _matching_ray(geometry, h)
     if ladder is None:
         ladder = default_ladder(system, geometry, theta)
-    cut = CutPlane(eta=geometry.eta)
-    sols = [selected_solution(fs, k, cut, N) for k in range(n)]
     z = np.array([rz * cmath.exp(1j * theta) for rz in ladder])
     cols_a = [laplace_column(fs, k, h, geometry, z, arg=theta, sols=sols, tol=tol)
               for k in range(n)]
@@ -187,10 +188,27 @@ def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
                "z_spread_relative": spread / scale}
 
 
+def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
+                  ladder=None, consistency_tol=CONSISTENCY_TOL):
+    """Oracle for the single matrix S_{nu+h mu} by sectorial matching.
+
+    Evaluates the Laplace fundamental solutions of labels h mu and
+    (h+1) mu on the bisector ray of their sector overlap at several |z|,
+    solves Y_{h} S = Y_{h+1} for S at each, and checks z-independence.
+    Returns ``(S, diagnostics)``.
+    """
+    fs, sols = _oracle_basis(system, geometry, N)
+    return _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol)
+
+
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40, ladder=None):
-    """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1."""
-    S0, d0 = stokes_direct(system, geometry, 0, tol=tol, N=N, ladder=ladder)
-    S1, d1 = stokes_direct(system, geometry, 1, tol=tol, N=N, ladder=ladder)
+    """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
+
+    Both matchings share one Fuchsian system and one set of local series.
+    """
+    fs, sols = _oracle_basis(system, geometry, N)
+    S0, d0 = _match(system, geometry, fs, sols, 0, tol, ladder)
+    S1, d1 = _match(system, geometry, fs, sols, 1, tol, ladder)
     ordering = Ordering(u_c=geometry.u_c, tau=geometry.tau)
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, nu=0, ordering=ordering,
                       method="oracle", diagnostics={"h0": d0, "h1": d1})

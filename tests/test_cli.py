@@ -137,6 +137,19 @@ def test_cli_deform_exit_3_on_guarded_path(tmp_path):
     assert any(s["status"] == "failed" for s in report["stages"])
 
 
+def test_cli_deform_has_no_oracle_option(tmp_path):
+    """deform never ran the oracle: the option is gone and is a usage error."""
+    prob = dict(SAMPLE)
+    prob["paths"] = [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.05, 0.0]]]]
+    path = _write(tmp_path, prob)
+    result = CliRunner().invoke(
+        main, ["deform", "--spec", path, "--out", str(tmp_path / "out"), "--oracle", "on"]
+    )
+    assert result.exit_code == 2
+    assert "No such option '--oracle'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 RESONANT = {
     "schema_version": 1,
     "A": [

@@ -214,6 +214,31 @@ def test_connection_solve_count(monkeypatch, u):
     assert len(calls) <= 5 * n - 2
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_monodromy_solve_count(monkeypatch, k):
+    """M_k at n=3 costs 2n solves: column k is not sent down to the deep point.
+
+    Descent of the other two columns: 1 solve for column 0 (its low point is
+    the deep point) and 2 for any other; ascent: 1 to base_0, 2 elsewhere;
+    then one loop.
+    """
+    rng = np.random.default_rng(5)
+    n = 3
+    A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.4 + 0.9j]))
+    solve_ivp = continuation.solve_ivp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
+    assert len(calls) == 2 * n
+    assert abs(M[k, k] - cmath.exp(-2j * math.pi * A[k, k])) < 1e-9
+
+
 def test_connection_series_matching_oracle(system_2x2):
     """c_12 from monodromy projection vs direct local-basis fit at u_1."""
     fs = build_fuchsian(system_2x2)

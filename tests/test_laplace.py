@@ -1,16 +1,20 @@
 import cmath
+import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import isomonodromy.laplace as laplace
 from isomonodromy.model import DeformationGeometry, SystemPair
 from isomonodromy.frobenius import build_fuchsian, selected_solution
 from isomonodromy.continuation import IllConditioned
 from isomonodromy.laplace import (
     QuadratureDivergence,
     SingularF1,
+    adaptive_quad,
     asymptotic_coeffs,
     asymptotic_fit,
     assemble_formal,
@@ -237,6 +241,175 @@ def test_laplace_group_contour_equivalence(coalescing_geometry, vanishing_A_uc):
     assert np.max(np.abs(a.reduced - b.reduced)) < 1e-8 * max(
         1.0, float(np.max(np.abs(a.reduced)))
     )
+
+
+# ---------------------------------------------------------------------------
+# leg integrals against a quadrature of the dense-output continuation
+# ---------------------------------------------------------------------------
+
+
+def _horner(coeffs, x):
+    acc = np.zeros((x.size, coeffs.shape[1]), dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * x[:, None] + c[None, :]
+    return acc
+
+
+def _dense_ray(fs, k, sol, d, t_max, branched):
+    """Psi_k on u_k + t e^{id}: series inside 0.75 of its radius, dense ODE output beyond."""
+    e_d = cmath.exp(1j * d)
+    t_switch = 0.75 * sol.radius
+    coeffs = sol.b if sol.d is None else sol.d
+
+    def series(ts):
+        acc = _horner(coeffs, ts * e_d)
+        if branched:
+            acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
+        return acc
+
+    dense = solve_ivp(lambda t, y: (fs.rhs(fs.u[k] + t * e_d) @ y) * e_d,
+                      (t_switch, t_max), series(np.array([t_switch]))[0],
+                      method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
+
+    def values(ts):
+        out = np.empty((ts.size, fs.n), dtype=complex)
+        inside = ts <= t_switch
+        if inside.any():
+            out[inside] = series(ts[inside])
+        if not inside.all():
+            out[~inside] = dense(ts[~inside]).T
+        return out
+
+    return values
+
+
+def _reference_column(fs, k, geometry, z, d, kind, tol=1e-13):
+    """Reduced column k by the former route: one adaptive quadrature per z.
+
+    The contour is chosen here independently of the library (its own loop
+    radius and leg length); the column does not depend on either.
+    """
+    sol = selected_solution(fs, k, N=40)
+    e_d = cmath.exp(1j * d)
+    lp = fs.lambda_prime[k]
+    rate = float(np.min(-(z * e_d).real))
+    t_max = (60.0 + 4.0 * max(0.0, float((-lp - 1).real))) / rate
+    values = _dense_ray(fs, k, sol, d, t_max, branched=kind != "natural")
+    jump = 1.0 - cmath.exp(2j * math.pi * lp)
+    out = np.zeros((z.size, fs.n), dtype=complex)
+    if kind == "group":
+        center = geometry.group_values[geometry.group_of(k)]
+        r = 0.1
+        w0 = fs.u[k] - center
+        bh = (w0 * np.conj(e_d)).real
+        a = -bh + math.sqrt(bh * bh - (abs(w0) ** 2 - r * r))
+        th_exit = cmath.phase(w0 + a * e_d)
+        circ = solve_ivp(
+            lambda th, y: (fs.rhs(center + r * cmath.exp(1j * th)) @ y)
+            * 1j * r * cmath.exp(1j * th),
+            (th_exit, th_exit - 2 * math.pi), values(np.array([a]))[0],
+            method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
+    else:
+        a = 0.3 * sol.radius if kind == "hairpin" else 0.0
+    for i, zi in enumerate(z):
+        sigma = zi * e_d
+        leg, _ = adaptive_quad(lambda ts: values(ts) * np.exp(sigma * ts)[:, None],
+                               a, t_max, tol)
+        leg = leg * e_d
+        if kind == "hairpin":
+            def circle(ths):
+                x = a * np.exp(1j * ths)
+                w = np.exp(zi * x + sol.rho * (math.log(a) + 1j * ths)) * 1j * x
+                return _horner(sol.b, x) * w[:, None]
+
+            c, _ = adaptive_quad(circle, d - 2 * math.pi, d, tol)
+            out[i] = (jump * leg + c) / (2j * math.pi)
+        elif kind == "group":
+            def circle(ths):
+                x = center - fs.u[k] + r * np.exp(1j * ths)
+                w = np.exp(zi * x) * 1j * r * np.exp(1j * ths)
+                return circ(ths).T * w[:, None]
+
+            c, _ = adaptive_quad(circle, th_exit - 2 * math.pi, th_exit, tol)
+            out[i] = (jump * leg + c) / (2j * math.pi)
+        elif kind == "natural":
+            Nk = int(round(lp.real))
+            out[i] = leg + sum(sol.b[l] * zi ** (Nk - l) / math.factorial(Nk - l)
+                               for l in range(Nk + 1))
+        else:
+            out[i] = leg
+    return out
+
+
+def _contour_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
+    """(fs, k, geometry, z, kind) for each of the four contour kinds."""
+    from isomonodromy.deformation import radial_family
+
+    theta = TAU - 0.5 * math.pi
+    z = _ray([6.0, 9.0, 14.0], theta)
+    cases = [(build_fuchsian(system_2x2), k, diag_geo, z, "hairpin") for k in range(2)]
+    for a00, kind in ((1.0, "natural"), (-2.0, "halfline")):
+        A = system_2x2.A.copy()
+        A[0, 0] = a00
+        cases.append((build_fuchsian(SystemPair(A, [0.0, 1.0])), 0, diag_geo, z, kind))
+    geo = coalescing_geometry
+    seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
+    fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
+    cases.append((fs, 0, geo, _ray([12.0, 18.0], geo.tau - 0.5 * math.pi), "group"))
+    return cases
+
+
+def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
+                                                     coalescing_geometry, vanishing_A_uc):
+    for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
+                                               vanishing_A_uc):
+        theta = float(np.angle(z[0]))
+        col = laplace_column(fs, k, 0, geo, z, arg=theta, tol=1e-13,
+                             contour="group" if kind == "group" else "hairpin")
+        assert fs.integer_class(k) == {"natural": "natural",
+                                       "halfline": "negative_integer"}.get(kind, "noninteger")
+        ref = _reference_column(fs, k, geo, z, col.eta_used, kind)
+        scale = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(col.reduced - ref)) <= 1e-10 * scale, kind
+
+
+def test_leg_work_one_solve_without_dense_output(monkeypatch, system_2x2, diag_geo,
+                                                 coalescing_geometry, vanishing_A_uc):
+    """One ODE solve per non-group column, three at most on the group contour."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("dense_output", False))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "solve_ivp", counted)
+    for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
+                                               vanishing_A_uc):
+        calls.clear()
+        laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
+                       contour="group" if kind == "group" else "hairpin")
+        assert not any(calls), kind
+        if kind == "group":
+            # leg continuation to the disc, leg integrals, disc circle
+            assert 2 <= len(calls) <= 3
+        else:
+            assert len(calls) == 1, kind
+
+
+def test_adaptive_quad_warns_at_depth_limit(caplog):
+    def step(ts):
+        return np.where(ts < 1.0 / 3.0, 0.0, 1.0)
+
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
+        _, err = adaptive_quad(step, 0.0, 1.0, 1e-13, max_depth=3)
+    assert err > 1e-13
+    assert any("max_depth" in rec.getMessage() and rec.levelno == logging.WARNING
+               for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
+        val, _ = adaptive_quad(np.cos, 0.0, 1.0, 1e-13)
+    assert abs(val - math.sin(1.0)) < 1e-13
+    assert not caplog.records
 
 
 def test_quadrature_divergence_outside_halfplane(system_2x2, diag_geo):

@@ -88,6 +88,24 @@ def test_direct_oracle_upper_triangular_system(geometry_2x2):
     assert np.max(np.abs(pair.S_nu_plus_mu - orc.S_nu_plus_mu)) < 1e-6
 
 
+def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2):
+    """Both matchings of the pair reuse one local series per pole."""
+    import isomonodromy.stokes as stokes
+
+    built = []
+    original = stokes.selected_solution
+
+    def counted(fs, k, *args, **kwargs):
+        built.append(k)
+        return original(fs, k, *args, **kwargs)
+
+    monkeypatch.setattr(stokes, "selected_solution", counted)
+    pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
+    assert sorted(built) == [0, 1]
+    S1, _ = stokes_direct(system_2x2, geometry_2x2, 1, tol=1e-13)
+    assert np.array_equal(S1, pair.S_nu_plus_mu)
+
+
 def test_direct_oracle_z_independence_fixed_ladder():
     """Fitted S at |z| = 50 and 200 differ below 1e-6 on a tight-gap pair."""
     sp = SystemPair(np.array([[0.21, 0.4], [0.3, 0.47 + 0.13j]], dtype=complex),

@@ -14,6 +14,7 @@ adaptive high-order Runge-Kutta integrator.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,11 @@ from .frobenius import (
     selected_solution,
 )
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_TOL = 1e-10
+# detour nesting of plan_path beyond which a segment is kept without detours
+MAX_DETOUR_DEPTH = 8
 # detour arc radius of plan_path, in units of the path clearance
 DETOUR_FACTOR = 1.5
 
@@ -112,7 +117,8 @@ def plan_path(start, end, poles, clearance=None):
 
     Poles closer to the segment than the clearance are bypassed along an
     arc of radius clearance * DETOUR_FACTOR on the side of the pole away
-    from the segment.
+    from the segment.  A piece still blocked after MAX_DETOUR_DEPTH nested
+    detours is kept straight and logged as a WARNING.
     """
     poles = np.asarray(poles, dtype=complex)
     if clearance is None:
@@ -121,15 +127,17 @@ def plan_path(start, end, poles, clearance=None):
     waypoints = [complex(start)]
 
     def extend(a, b, depth=0):
-        if depth > 8:
-            waypoints.append(b)
-            return
         blockers = []
         for p in poles:
             d = _point_segment_distance(p, a, b)
             if d < clearance and abs(p - a) > 1e-14 and abs(p - b) > 1e-14:
                 t = ((p - a) * (b - a).conjugate()).real / abs(b - a) ** 2
                 blockers.append((t, p))
+        if blockers and depth > MAX_DETOUR_DEPTH:
+            logger.warning("plan_path: detour depth %d exceeded on %s -> %s; kept the "
+                           "segment within %.2e of %d pole(s)", MAX_DETOUR_DEPTH, a, b,
+                           clearance, len(blockers))
+            blockers = []
         if not blockers:
             waypoints.append(b)
             return

@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 from .model import COALESCE_TOL, SystemPair
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
 from .continuation import StepFailure
+from .laplace import SingularF1, f1
 
 NEAR_DELTA_GUARD = 1e-4
 
@@ -32,36 +33,17 @@ class NotReducible(np.linalg.LinAlgError):
 
 
 def omega(system, k, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
-    """Deformation coefficient omega_k = [F_1, E_k].
+    """Deformation coefficient omega_k = [F_1, E_k] with F_1 from :func:`f1`.
 
     Entry (i, j) is A_ij (delta_ik - delta_jk)/(u_i - u_j); only row k and
     column k are populated.  Coalesced pairs require vanishing A_ij and
-    contribute 0.
+    contribute 0 (:class:`SingularF1` otherwise).
     """
-    A = np.asarray(system.A, dtype=complex)
-    u = np.asarray(system.u, dtype=complex)
-    n = u.size
-    W = np.zeros((n, n), dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i != k and j != k):
-                continue
-            d = u[i] - u[j]
-            if abs(d) < coalesce_tol:
-                if abs(A[i, j]) > vanish_tol * scale:
-                    from .laplace import SingularF1
-
-                    raise SingularF1(
-                        f"u_{i} = u_{j} with |A[{i},{j}]| = {abs(A[i, j]):.2e}"
-                    )
-                continue
-            W[i, j] = A[i, j] * ((1 if i == k else 0) - (1 if j == k else 0)) / d
+    F = f1(system, coalesce_tol, vanish_tol)
+    W = np.zeros_like(F)
+    W[:, k] = F[:, k]
+    W[k, :] -= F[k, :]
     return W
-
-
-def omega_all(system, **kw):
-    return [omega(system, k, **kw) for k in range(system.n)]
 
 
 def schlesinger_rhs(fs: FuchsianSystem, u=None):
@@ -76,7 +58,7 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
         u = fs.u
     system = SystemPair(fs.A, u)
     n = fs.n
-    om = omega_all(system)
+    om = [omega(system, i) for i in range(n)]
     derivs = {}
     for i in range(n):
         for k in range(n):
@@ -137,11 +119,14 @@ def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUA
               enforce_guard=True) -> DeformationState:
     """Transport A along the straight segment to ``target_u``.
 
-    Integrates dA/dt = sum_j [omega_j(A, u(t)), A] u_j'(t) with an adaptive
-    high-order method; reports the diagonal and spectrum drift and raises
+    Integrates dA/dt = sum_j [omega_j, A] u_j'(t) = [Omega, A], with
+    Omega_ij = A_ij (du_j - du_i)/(u_j - u_i), by an adaptive high-order
+    method; reports the diagonal and spectrum drift and raises
     :class:`DriftExceeded` when they pass 100 * tol.  Segments whose
     interior approaches the coalescence locus below ``guard`` are rejected
-    (endpoint limits should be sampled and extrapolated instead).
+    (endpoint limits should be sampled and extrapolated instead); a segment
+    that starts on the locus with a nonvanishing in-group A_ij raises
+    :class:`SingularF1`.
     """
     u0 = np.asarray(state.u, dtype=complex)
     u1 = np.asarray(target_u, dtype=complex)
@@ -158,18 +143,22 @@ def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUA
     A0 = np.asarray(state.A, dtype=complex)
     lead0 = np.linalg.eigvals(A0)
     diag0 = np.diag(A0).copy()
+    # gaps u_j - u_i along the segment are gap0 + t dgap; Omega_ij = A_ij dgap_ij/gap_ij
+    gap0 = u0[None, :] - u0[:, None]
+    dgap = du[None, :] - du[:, None]
+    scale = max(1.0, float(np.max(np.abs(A0))))
+    for i, j in np.argwhere(np.abs(gap0) < COALESCE_TOL):
+        if i != j and abs(A0[i, j]) > 1e-10 * scale:
+            raise SingularF1(f"segment starts at u_{i} = u_{j} with |A[{i},{j}]| = "
+                             f"{abs(A0[i, j]):.2e}")
 
     def rhs(t, y):
+        """Reduced flow dA/dt = [Omega(t), A]: one commutator."""
         A = y.reshape(n, n)
-        u = u0 + t * du
-        sp = SystemPair(A, u)
-        dA = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            if abs(du[j]) == 0.0:
-                continue
-            om = omega(sp, j)
-            dA += (om @ A - A @ om) * du[j]
-        return dA.ravel()
+        gap = gap0 + t * dgap
+        q = np.divide(dgap, gap, out=np.zeros_like(gap), where=np.abs(gap) >= COALESCE_TOL)
+        W = A * q
+        return (W @ A - A @ W).ravel()
 
     sol = solve_ivp(rhs, (0.0, 1.0), A0.ravel(), method="DOP853",
                     rtol=max(tol, 1e-13), atol=1e-3 * tol)
@@ -221,11 +210,9 @@ def radial_family(system, u_c, t_values, tol=1e-11, t_seed=1e-8):
     ts = np.asarray(t_values)[order]
     state = DeformationState(u=u_c + t_seed * v, A=A0)
     out = []
-    t_prev = t_seed
     for t in ts:
         state = transport(state, u_c + t * v, tol=tol, enforce_guard=False)
         out.append(state)
-        t_prev = t
     result = [None] * len(out)
     for pos, idx in enumerate(order):
         result[idx] = out[pos]

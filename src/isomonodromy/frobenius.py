@@ -10,7 +10,17 @@ lambda'_k = A_kk decides the local structure:
                        analytic selected solution may degenerate to zero.
 
 All series are produced by direct recursions in the original coordinates;
-nothing here depends on the branch cut (only evaluation does).
+nothing here depends on the branch cut (only evaluation does).  Every
+local series solves, order by order,
+
+    (s_l I - B_k) x_l = sum_{p<l} C_p x_{l-1-p} - source_l,   s_l = l + shift,
+
+through one step: the convolution with the (order+1, n, n) array of
+Taylor coefficients C_p (:func:`_convolve`) and a Sherman-Morrison solve
+for the rank-one residue B_k = -e_k w^T, w = row k of A+I (:func:`_solve`).
+Its divisors s_l and s_l + w_k vanish only at the resonant order, which
+the exponent-0 series pin through one chain (:func:`_chain`) from the
+kernel seeds of w (:func:`_kernel_seeds`).
 """
 
 from __future__ import annotations
@@ -86,32 +96,106 @@ def build_fuchsian(system: SystemPair) -> FuchsianSystem:
 # series recursions at a single pole
 # ---------------------------------------------------------------------------
 
+# a recursion divisor below this is an unresolved resonance
+_ZERO_DIVISOR = 1e-300
+
 
 def _local_coeffs(fs: FuchsianSystem, k: int, order: int):
-    """Taylor coefficients C_p of sum_{m!=k} B_m/(lam-u_m) at lam = u_k."""
-    n = fs.n
-    C = [np.zeros((n, n), dtype=complex) for _ in range(order + 1)]
-    for m in range(n):
-        if m == k:
-            continue
-        a = fs.u[k] - fs.u[m]
-        if abs(a) < COALESCE_TOL:
+    """Taylor coefficients C_p, p = 0..order, of sum_{m!=k} B_m/(lam-u_m) at lam = u_k.
+
+    One (order+1, n, n) array: row m of C_p is (A+I)_m/(u_m - u_k)^(p+1),
+    row k is zero.
+    """
+    a = fs.u - fs.u[k]
+    for m in range(fs.n):
+        if m != k and abs(a[m]) < COALESCE_TOL:
             raise ResonanceAmbiguity(
                 f"poles u_{k} and u_{m} coincide; local series at a merged pole "
                 "must go through the confluent Levelt construction"
             )
-        inv = 1.0 / a
-        for p in range(order + 1):
-            C[p] += ((-1) ** p) * fs.B[m] * inv ** (p + 1)
-    return C
+    inv = np.zeros(fs.n, dtype=complex)
+    others = np.arange(fs.n) != k
+    inv[others] = 1.0 / a[others]
+    powers = inv[None, :] ** np.arange(1, order + 2)[:, None]
+    return powers[:, :, None] * fs.A_plus_I[None, :, :]
 
 
-def _row_vector(fs, k):
-    """w = row k of (A+I); B_k = -e_k w^T."""
-    n = fs.n
-    w = -fs.B[k][k, :].copy()
-    assert w.shape == (n,)
-    return w
+def _convolve(C, x, l, source=None):
+    """Right-hand side sum_{p<l} C_p x_{l-1-p} of order l, less ``source[l]`` if given."""
+    rhs = np.einsum("pij,pj->i", C[:l], x[l - 1::-1])
+    return rhs if source is None else rhs - source[l]
+
+
+def _solve(s, w, k, r):
+    """(s I - B_k)^-1 r for the rank-one residue B_k = -e_k w^T (Sherman-Morrison).
+
+    (s I + e_k w^T)^-1 r = (r - e_k (w . r)/(s + w_k))/s.  The divisor
+    s + w_k vanishes exactly at the resonant order that the callers pin;
+    a vanishing divisor raises :class:`ResonanceAmbiguity`.
+    """
+    t = s + w[k]
+    if abs(s) < _ZERO_DIVISOR or abs(t) < _ZERO_DIVISOR:
+        raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s = {s})")
+    x = r.copy()
+    x[k] -= (w @ r) / t
+    return x / s
+
+
+def _propagate(C, w, k, x, orders, shift=0, source=None):
+    """Fill x[l], l in ``orders``, from ((l + shift) I - B_k) x_l = _convolve(C, x, l, source)."""
+    for l in orders:
+        x[l] = _solve(l + shift, w, k, _convolve(C, x, l, source))
+    return x
+
+
+def _kernel_seeds(w, k):
+    """Rows e_i - e_k w_i/w_k, i != k: leads of the exponent-0 solutions, spanning ker(w .)."""
+    idx = [i for i in range(w.size) if i != k]
+    seeds = np.eye(w.size, dtype=complex)[idx]
+    if abs(w[k]) > 1e-13:
+        seeds[:, k] = -w[idx] / w[k]
+    return seeds
+
+
+def _chain(C, w, k, seed, rho, source=None):
+    """Exponent-0 recursion from ``seed`` up to the resonant order rho.
+
+    Returns ``(phi, obstruction)``: the coefficients of orders 0..rho-1 and
+    w . rhs_rho, which must vanish for order rho to be solvable.
+    """
+    phi = np.zeros((rho, w.size), dtype=complex)
+    phi[0] = seed
+    _propagate(C, w, k, phi, range(1, rho), 0, source)
+    return phi, w @ _convolve(C, phi, rho, source)
+
+
+def _exponent0_series(C, w, k, seed, N, rho, source=None):
+    """Exponent-0 series of orders 0..N from ``seed``, pinned at the resonant order.
+
+    At order rho (if 1 <= rho <= N) the solve keeps rhs/rho with the kernel
+    (k-th) component pinned to zero.  Returns ``(phi, obstruction)``, the
+    obstruction relative to the coefficients and right-hand side up to
+    order rho (0 without a resonant order).
+    """
+    phi = np.zeros((N + 1, w.size), dtype=complex)
+    phi[0] = seed
+    if not 1 <= rho <= N:
+        return _propagate(C, w, k, phi, range(1, N + 1), 0, source), 0.0
+    phi[:rho], obstruction = _chain(C, w, k, seed, rho, source)
+    rhs = _convolve(C, phi, rho, source)
+    phi[rho] = rhs / rho
+    phi[rho, k] = 0.0
+    scale = max(1.0, float(np.max(np.abs(phi[:rho]))), float(np.max(np.abs(rhs))))
+    return _propagate(C, w, k, phi, range(rho + 1, N + 1), 0, source), abs(obstruction) / scale
+
+
+def horner(coeffs, x):
+    """sum_l c_l x^l of a coefficient array, at a scalar x or at every point of an array x."""
+    x = np.asarray(x)
+    acc = np.zeros(x.shape + coeffs.shape[1:], dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * x[..., None] + c
+    return acc
 
 
 def leading_factor(lambda_prime_k, klass):
@@ -158,21 +242,14 @@ class LocalSolution:
         """Exponent of the branched factor, -lambda'_k - 1."""
         return -self.lambda_prime_k - 1
 
-    def eval_series(self, coeffs, x):
-        """Evaluate a coefficient array sum_l c_l x^l (Horner)."""
-        acc = np.zeros(coeffs.shape[1], dtype=complex)
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
     def selected_value(self, lam, cut):
         """Value of the selected solution Psi_k on the branch of ``cut``."""
         x = lam - self.pole
         if self.klass == "natural":
             if self.zero:
                 return np.zeros(self.b.shape[1], dtype=complex)
-            return self.eval_series(self.d, x)
-        base = self.eval_series(self.b, x)
+            return horner(self.d, x)
+        base = horner(self.b, x)
         if self.klass == "negative_integer":
             return base * x ** int(round(self.rho.real))
         a = cut.arg_from(lam, self.pole)
@@ -193,83 +270,46 @@ def selected_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
     n = fs.n
     lp = fs.lambda_prime[k]
     klass = fs.integer_class(k)
-    C = _local_coeffs(fs, k, N)
-    Bk = fs.B[k]
-    radius = fs.validity_radius(k)
-    ek = np.eye(n, dtype=complex)[k]
+    w = fs.A_plus_I[k]
+    rho = -lp - 1
+    fk = leading_factor(lp, klass)
+    sol = LocalSolution(k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
+                        N=N, radius=fs.validity_radius(k))
 
-    if klass in ("noninteger", "negative_integer"):
-        rho = -lp - 1
-        fk = leading_factor(lp, klass)
-        b = np.zeros((N + 1, n), dtype=complex)
-        b[0] = fk * ek
-        eye = np.eye(n)
-        for l in range(1, N + 1):
-            rhs = np.zeros(n, dtype=complex)
-            for p in range(l):
-                rhs += C[p] @ b[l - 1 - p]
-            M = (l + rho) * eye - Bk
-            if abs(np.linalg.det(M)) < 1e-300:
-                raise ResonanceAmbiguity(
-                    f"singular recursion matrix at pole {k}, order {l}"
-                )
-            b[l] = np.linalg.solve(M, rhs)
-        sol = LocalSolution(
-            k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
-            N=N, radius=radius, b=b,
-        )
-        sol.residual = _series_residual(fs, k, sol, C)
+    if klass != "natural":
+        C = _local_coeffs(fs, k, N)
+        sol.b = np.zeros((N + 1, n), dtype=complex)
+        sol.b[0, k] = fk
+        _propagate(C, w, k, sol.b, range(1, N + 1), rho)
+        sol.residual = _series_residual(w, sol, C)
         return sol
 
     # class natural: coupled pole/log recursion
-    Nk = int(round(lp.real))
-    rho = -lp - 1  # = -(Nk + 1)
-    w = _row_vector(fs, k)
+    Nk = int(round(lp.real))  # rho = -(Nk + 1)
     if abs(w[k] - (Nk + 1)) > 1e-10:
         raise ResonanceAmbiguity("inconsistent diagonal entry in B_k")
-    fk = leading_factor(lp, klass)
     order_b = N + Nk + 1
-    Cb = _local_coeffs(fs, k, order_b)
+    C = _local_coeffs(fs, k, order_b)
     b = np.zeros((order_b + 1, n), dtype=complex)
-    d = np.zeros((N + 1, n), dtype=complex)
-    b[0] = fk * ek
-    eye = np.eye(n)
-    for m in range(1, Nk + 1):
-        rhs = np.zeros(n, dtype=complex)
-        for p in range(m):
-            rhs += Cb[p] @ b[m - 1 - p]
-        b[m] = np.linalg.solve((m + rho) * eye - Bk, rhs)
+    b[0, k] = fk
+    _propagate(C, w, k, b, range(1, Nk + 1), rho)
     # order Nk+1 fixes d_0 and the pole-part continuation jointly
-    R = np.zeros(n, dtype=complex)
-    for p in range(Nk + 1):
-        R += Cb[p] @ b[Nk - p]
-    d[0] = R.copy()
+    R = _convolve(C, b, Nk + 1)
+    d = np.zeros((N + 1, n), dtype=complex)
+    d[0] = R
     d[0, k] = 0.0
     d[0, k] = -(w @ d[0]) / w[k]
-    for l in range(1, N + 1):
-        rhs = np.zeros(n, dtype=complex)
-        for p in range(l):
-            rhs += C[p] @ d[l - 1 - p]
-        d[l] = np.linalg.solve(l * eye - Bk, rhs)
-    beta = (R[k] - d[0, k]) / w[k]
-    b[Nk + 1] = beta * ek  # kernel freedom pinned: off-k components zero
-    for m in range(Nk + 2, order_b + 1):
-        rhs = np.zeros(n, dtype=complex)
-        for p in range(m):
-            rhs += Cb[p] @ b[m - 1 - p]
-        rhs -= d_at(d, m - Nk - 1)
-        b[m] = np.linalg.solve((m + rho) * eye - Bk, rhs)
-    zero, verdict = _zero_verdict(fs, k, d)
-    sol = LocalSolution(
-        k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
-        N=N, radius=radius, b=b[: N + 1].copy(), d=d, zero=zero, zero_verdict=verdict,
-    )
-    sol.residual = _series_residual(fs, k, sol, C)
+    _propagate(C, w, k, d, range(1, N + 1))
+    b[Nk + 1, k] = (R[k] - d[0, k]) / w[k]  # kernel freedom pinned: off-k components zero
+    # the log part Psi_k = sum d_l x^l feeds the pole part from order Nk+1 on
+    source = np.zeros_like(b)
+    source[Nk + 1:] = d
+    _propagate(C, w, k, b, range(Nk + 2, order_b + 1), rho, source)
+    sol.b = b[: N + 1].copy()
+    sol.d = d
+    sol.zero, sol.zero_verdict = _zero_verdict(fs, k, d)
+    sol.residual = _series_residual(w, sol, C)
     return sol
-
-
-def d_at(d, l):
-    return d[l] if l < d.shape[0] else np.zeros(d.shape[1], dtype=complex)
 
 
 def _zero_verdict(fs, k, d, tol=1e-12):
@@ -289,21 +329,18 @@ def _zero_verdict(fs, k, d, tol=1e-12):
     return True, verdict
 
 
-def _series_residual(fs, k, sol, C):
-    """Max residual of the recursion over the computed orders (sanity metric)."""
-    # The recursions are solved exactly per order; report the linear-solve
-    # backward error at the last order as a cheap certificate.
-    coeffs = sol.d if sol.klass == "natural" and sol.d is not None else sol.b
+def _series_residual(w, sol, C):
+    """Residual of the recursion at the last computed order (sanity metric)."""
+    # The recursions are solved exactly per order; report the backward error
+    # of the rank-one solve at the last order as a cheap certificate.
+    natural = sol.klass == "natural"
+    coeffs = sol.d if natural else sol.b
     l = coeffs.shape[0] - 1
-    if l < 1:
-        return 0.0
-    rho = 0.0 if (sol.klass == "natural" and sol.d is not None) else sol.rho
-    rhs = np.zeros(fs.n, dtype=complex)
-    for p in range(l):
-        rhs += C[p] @ coeffs[l - 1 - p]
-    lhs = ((l + rho) * np.eye(fs.n) - fs.B[k]) @ coeffs[l]
+    x = coeffs[l]
+    lhs = (l + (0.0 if natural else sol.rho)) * x
+    lhs[sol.k] += w @ x
     scale = max(np.max(np.abs(coeffs)), 1.0)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return float(np.max(np.abs(lhs - _convolve(C, coeffs, l))) / scale)
 
 
 def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
@@ -314,71 +351,24 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     seeds whose obstruction functional vanishes; the kernel component of
     the resonant solve is pinned to zero.
     """
-    n = fs.n
-    lp = fs.lambda_prime[k]
-    klass = fs.integer_class(k)
+    w = fs.A_plus_I[k]
     C = _local_coeffs(fs, k, N)
-    Bk = fs.B[k]
-    w = _row_vector(fs, k)
-    eye = np.eye(n)
-    # seeds span ker(w . ) = leads of analytic solutions
-    idx = [i for i in range(n) if i != k]
-    seeds = []
-    for i in idx:
-        v = np.zeros(n, dtype=complex)
-        v[i] = 1.0
-        if abs(w[k]) > 1e-13:
-            v[k] = -w[i] / w[k]
-        seeds.append(v)
-    if klass == "negative_integer":
-        rho = int(round((-lp - 1).real))
-    else:
-        rho = None
-
-    def propagate(seed):
-        phi = np.zeros((N + 1, n), dtype=complex)
-        phi[0] = seed
-        for l in range(1, N + 1):
-            rhs = np.zeros(n, dtype=complex)
-            for p in range(l):
-                rhs += C[p] @ phi[l - 1 - p]
-            if rho is not None and l == rho and rho >= 1:
-                obstruction = w @ rhs
-                if abs(obstruction) > 1e-9 * max(1.0, float(np.max(np.abs(phi)))):
-                    return None
-                phi[l] = rhs / l
-                phi[l, k] = 0.0
-            else:
-                phi[l] = np.linalg.solve(l * eye - Bk, rhs)
-        return phi
-
-    if rho is not None and rho >= 1:
+    rho = 0
+    if fs.integer_class(k) == "negative_integer":
+        rho = int(round((-fs.lambda_prime[k] - 1).real))
+    seeds = _kernel_seeds(w, k)
+    if rho >= 1:
         # restrict seeds to the null space of the obstruction functional
-        obs = []
-        for s in seeds:
-            phi = np.zeros((rho, n), dtype=complex)
-            phi[0] = s
-            for l in range(1, rho):
-                rhs = np.zeros(n, dtype=complex)
-                for p in range(l):
-                    rhs += C[p] @ phi[l - 1 - p]
-                phi[l] = np.linalg.solve(l * eye - Bk, rhs)
-            rhs = np.zeros(n, dtype=complex)
-            for p in range(rho):
-                rhs += C[p] @ phi[rho - 1 - p]
-            obs.append(w @ rhs)
-        obs = np.array(obs)
-        scale = float(np.max(np.abs(obs)))
-        if scale > 1e-12:
+        obs = np.array([_chain(C, w, k, s, rho)[1] for s in seeds])
+        if float(np.max(np.abs(obs))) > 1e-12:
             # orthonormal basis of the null space of the 1 x m functional
             m = len(seeds)
-            Q, _ = np.linalg.qr(np.column_stack([obs.conj()] + [np.eye(m)[:, i] for i in range(m)]))
-            null_dirs = Q[:, 1:m]
-            seeds = [sum(c * s for c, s in zip(null_dirs[:, j], seeds)) for j in range(null_dirs.shape[1])]
+            Q, _ = np.linalg.qr(np.column_stack([obs.conj(), np.eye(m)]))
+            seeds = Q[:, 1:m].T @ seeds
     out = []
     for s in seeds:
-        phi = propagate(s)
-        if phi is not None:
+        phi, obstruction = _exponent0_series(C, w, k, s, N, rho)
+        if obstruction <= 1e-9:
             out.append(phi)
     return out
 
@@ -393,28 +383,19 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
       for lambda'_k <= -2) where no singular solution exists.
     """
     klass = fs.integer_class(k)
-    if klass == "noninteger":
-        return selected_solution(fs, k, cut, N)
-    if klass == "natural":
-        sol = selected_solution(fs, k, cut, N)
-        sol.is_singular = True
-        return sol
+    sel = selected_solution(fs, k, cut, N)
+    if klass != "negative_integer":
+        sel.is_singular = klass == "natural"
+        return sel
 
     # negative integer: fix the log coefficient at the selected solution
-    sel = selected_solution(fs, k, cut, N)
     n = fs.n
-    lp = fs.lambda_prime[k]
-    rho = int(round((-lp - 1).real))
+    rho = int(round((-sel.lambda_prime_k - 1).real))
     C = _local_coeffs(fs, k, N)
-    Bk = fs.B[k]
-    w = _row_vector(fs, k)
-    eye = np.eye(n)
-    b = sel.b  # Psi_k = sum_l b_l x^(l+rho)
-
-    def b_shift(l):
-        return b[l - rho] if 0 <= l - rho <= sel.N else np.zeros(n, dtype=complex)
-
-    phi = np.zeros((N + 1, n), dtype=complex)
+    w = fs.A_plus_I[k]
+    # Psi_k = sum_l b_l x^(l+rho), as coefficients of x^l: the source of phi
+    shifted = np.zeros((N + 1, n), dtype=complex)
+    shifted[rho:] = sel.b[: max(N + 1 - rho, 0)]
     zero = False
     verdict = ""
     if rho == 0:
@@ -424,44 +405,12 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
         else:
             # order 0 demands -B_k phi_0 = -b_0, i.e. e_k (w . phi_0) = -f_k e_k;
             # min-norm solution of w . phi_0 = -f_k
-            phi[0] = w.conj() * (-sel.f_k / (w @ w.conj()))
-            for l in range(1, N + 1):
-                rhs = np.zeros(n, dtype=complex)
-                for p in range(l):
-                    rhs += C[p] @ phi[l - 1 - p]
-                rhs -= b_shift(l)
-                phi[l] = np.linalg.solve(l * eye - Bk, rhs)
+            seed = w.conj() * (-sel.f_k / (w @ w.conj()))
     else:
         # affine propagation phi_l(y) to the resonant order; seed in ker(w .)
-        idx = [i for i in range(n) if i != k]
-        seeds = []
-        for i in idx:
-            v = np.zeros(n, dtype=complex)
-            v[i] = 1.0
-            if abs(w[k]) > 1e-13:
-                v[k] = -w[i] / w[k]
-            seeds.append(v)
-
-        def chain(seed, inhomog):
-            phi_loc = np.zeros((rho, n), dtype=complex)
-            phi_loc[0] = seed
-            for l in range(1, rho):
-                rhs = np.zeros(n, dtype=complex)
-                for p in range(l):
-                    rhs += C[p] @ phi_loc[l - 1 - p]
-                if inhomog:
-                    rhs -= b_shift(l)
-                phi_loc[l] = np.linalg.solve(l * eye - Bk, rhs)
-            rhs = np.zeros(n, dtype=complex)
-            for p in range(rho):
-                rhs += C[p] @ phi_loc[rho - 1 - p]
-            if inhomog:
-                rhs -= b_shift(rho)
-            return phi_loc, w @ rhs
-
-        _, c0 = chain(np.zeros(n, dtype=complex), True)
-        L = np.array([chain(s, False)[1] for s in seeds])
-        scale = max(float(np.max(np.abs(L))), 1e-300)
+        seeds = _kernel_seeds(w, k)
+        _, c0 = _chain(C, w, k, np.zeros(n, dtype=complex), rho, shifted)
+        L = np.array([_chain(C, w, k, s, rho)[1] for s in seeds])
         if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
             if abs(c0) > 1e-10:
                 zero = True
@@ -470,36 +419,20 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
         else:
             # min-norm solution of L . y = -c0
             y = -c0 * L.conj() / (L @ L.conj())
-        if not zero:
-            phi[0] = sum(yi * s for yi, s in zip(y, seeds))
-            for l in range(1, N + 1):
-                rhs = np.zeros(n, dtype=complex)
-                for p in range(l):
-                    rhs += C[p] @ phi[l - 1 - p]
-                rhs -= b_shift(l)
-                if l == rho:
-                    resid = abs(w @ rhs) / max(1.0, float(np.max(np.abs(phi))), float(np.max(np.abs(rhs))))
-                    if resid > 1e-8:
-                        raise ResonanceAmbiguity(
-                            f"inconsistent resonant solve at pole {k}, order {l} (residual {resid:.2e})"
-                        )
-                    phi[l] = rhs / l
-                    phi[l, k] = 0.0
-                else:
-                    phi[l] = np.linalg.solve(l * eye - Bk, rhs)
+        seed = y @ seeds
 
     sol = LocalSolution(
-        k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=sel.f_k,
-        N=N, radius=sel.radius, b=sel.b, phi=(None if zero else phi),
-        is_singular=True, zero=zero, zero_verdict=verdict,
+        k=k, klass=klass, lambda_prime_k=sel.lambda_prime_k, pole=sel.pole, f_k=sel.f_k,
+        N=N, radius=sel.radius, b=sel.b, is_singular=True, zero=zero, zero_verdict=verdict,
     )
     if not zero:
+        sol.phi, obstruction = _exponent0_series(C, w, k, seed, N, rho, shifted)
+        if obstruction > 1e-8:
+            raise ResonanceAmbiguity(
+                f"inconsistent resonant solve at pole {k}, order {rho} (residual {obstruction:.2e})"
+            )
         # the regular completion may shift by any solution analytic at u_k:
         # the exponent-0 survivors plus the selected solution itself
-        shifted = np.zeros((N + 1, n), dtype=complex)
-        for l in range(sel.b.shape[0]):
-            if l + rho <= N:
-                shifted[l + rho] = sel.b[l]
         sol.analytic_completion = [shifted] + analytic_basis(fs, k, N)
     return sol
 
@@ -527,7 +460,7 @@ def _jordan_reduce_single(fs: FuchsianSystem, j: int):
         T = np.zeros((n, n), dtype=complex)
         T[j, j] = -1 - lp
         return G, T, "diagonal"
-    w = _row_vector(fs, j)
+    w = fs.A_plus_I[j]
     if np.linalg.norm(w) < 1e-13:
         return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), "zero"
     wmask = w.copy()
@@ -588,7 +521,7 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
     # simultaneous reduction of the group residues (diagonalizable branch)
     G = np.eye(n, dtype=complex)
     for j in group:
-        if abs(fs_uc.lambda_prime[j] + 1) < 1e-12 and np.linalg.norm(_row_vector(fs_uc, j)) > 1e-13:
+        if abs(fs_uc.lambda_prime[j] + 1) < 1e-12 and np.linalg.norm(fs_uc.A_plus_I[j]) > 1e-13:
             raise ResonanceAmbiguity(
                 f"lambda'_{j} = -1 with nilpotent residue: the diagonal Levelt "
                 "reduction does not apply to this group"

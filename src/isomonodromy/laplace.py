@@ -38,7 +38,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma as _cgamma
 
 from .model import ANGLE_TOL, COALESCE_TOL, CutPlane, angular_distance_mod_pi
-from .frobenius import FuchsianSystem, build_fuchsian, selected_solution
+from .frobenius import FuchsianSystem, build_fuchsian, horner, selected_solution
 from .continuation import StepFailure
 
 logger = logging.getLogger(__name__)
@@ -98,14 +98,6 @@ class FormalSolution:
     L: int
     free_positions: list = field(default_factory=list)
     obstructed_positions: list = field(default_factory=list)
-
-    def series_eval(self, z):
-        """I + sum F_l z^{-l} evaluated at complex z."""
-        n = self.u.size
-        acc = np.zeros((n, n), dtype=complex)
-        for Fl in self.F[::-1]:
-            acc = acc / z + Fl
-        return np.eye(n) + acc / z
 
 
 def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
@@ -280,7 +272,8 @@ def _direction_for(labels, h, theta, u, margin=0.05):
 
     d must lie in the label's eta-window (eta_{m+1}, eta_m), inside the
     convergence half-plane (pi/2 - theta, 3 pi/2 - theta), and away from
-    inter-pole directions mod pi.
+    inter-pole directions mod pi.  If 128 nudges through the window find no
+    clear direction, the last one is used and logged as a WARNING.
     """
     m = h * labels.mu
     eta_hi = 1.5 * math.pi - labels.tau_nu(m)      # eta_m
@@ -298,10 +291,17 @@ def _direction_for(labels, h, theta, u, margin=0.05):
     bad = [cmath.phase(a - b) for i, a in enumerate(u) for b in u[i + 1:]
            if abs(a - b) > COALESCE_TOL]
     step = (hi2 - lo2) / 64.0
+
+    def blocked(x):
+        return any(angular_distance_mod_pi(x, bb) < 16 * ANGLE_TOL for bb in bad)
+
     tries = 0
-    while any(angular_distance_mod_pi(d, bb) < 16 * ANGLE_TOL for bb in bad) and tries < 128:
+    while blocked(d) and tries < 128:
         d = lo2 + ((d - lo2 + step) % (hi2 - lo2))
         tries += 1
+    if blocked(d):
+        logger.warning("_direction_for: no direction in (%.10f, %.10f) clear of the "
+                       "inter-pole directions after 128 nudges; using %.10f", lo2, hi2, d)
     return d
 
 
@@ -413,17 +413,9 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
                          pole=fs.u[k], eta_used=d, error=err)
 
 
-def _horner(coeffs, x):
-    """Rows sum_l c_l x^l of a coefficient array at every point of ``x``."""
-    acc = np.zeros((x.size, coeffs.shape[1]), dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * x[:, None] + c[None, :]
-    return acc
-
-
 def _series_on_ray(sol, d, ts, branched):
     """Psi_k at u_k + t e^{id} from its local series, for every t in ``ts``."""
-    acc = _horner(sol.b if sol.d is None else sol.d, ts * cmath.exp(1j * d))
+    acc = horner(sol.b if sol.d is None else sol.d, ts * cmath.exp(1j * d))
     if branched:
         acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
     return acc
@@ -501,7 +493,7 @@ def _hairpin_column(fs, k, sol, contour, z_values, tol, cont_tol):
         x = r * np.exp(1j * thetas)
         w = np.exp(np.outer(x, z_values)
                    + (sol.rho * (math.log(r) + 1j * thetas))[:, None]) * (1j * x)[:, None]
-        return _horner(sol.b, x)[:, None, :] * w[:, :, None]
+        return horner(sol.b, x)[:, None, :] * w[:, :, None]
 
     circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)

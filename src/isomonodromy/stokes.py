@@ -94,8 +94,25 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime, nu=0):
                 S[j, k] = cmath.exp(2j * math.pi * lp[k]) * P[j, k]
             else:
                 Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
-    return StokesPair(S_nu=S, S_nu_plus_mu=np.linalg.inv(Sinv), nu=nu,
+    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering), nu=nu,
                       ordering=ordering, method="formula")
+
+
+def _unit_triangular_inverse(Sinv, ordering: Ordering):
+    """Inverse of the assembled S_{nu+mu}^-1 by unit-triangular substitution.
+
+    In dominance order (stable sort by Re(e^{i tau} u_c)) the matrix is
+    unit lower triangular with identity blocks on the coalescence groups,
+    so the substitution reproduces the in-group structural zeros exactly.
+    """
+    order = np.argsort((cmath.exp(1j * ordering.tau) * ordering.u_c).real, kind="stable")
+    L = Sinv[np.ix_(order, order)]
+    X = np.eye(L.shape[0], dtype=complex)
+    for i in range(1, L.shape[0]):
+        X[i, :i] = -L[i, :i] @ X[:i, :i]
+    out = np.empty_like(X)
+    out[np.ix_(order, order)] = X
+    return out
 
 
 def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40, nu=0):

@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -72,6 +73,18 @@ def test_path_clearance_and_detours():
     poles = np.array([0.0, 1.0, 0.5 + 0.02j])
     path = plan_path(-1.0 + 0.02j, 2.0 + 0.02j, poles)
     assert path.min_pole_distance(poles) >= path.clearance * 0.999
+
+
+def test_path_detour_depth_cap_warns(caplog):
+    """Ten collinear poles on the segment exhaust the detour depth and log it."""
+    poles = np.linspace(0.1, 0.9, 10).astype(complex)
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.continuation"):
+        plan_path(0.0, 1.0, poles)
+    assert any("detour depth" in rec.getMessage() for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.continuation"):
+        plan_path(-1.0 + 0.02j, 2.0 + 0.02j, np.array([0.0, 1.0, 0.5 + 0.02j]))
+    assert not caplog.records
 
 
 def test_path_cut_crossing_bookkeeping():

@@ -239,3 +239,20 @@ def test_jordan_simultaneous_reduction_at_uc(vanishing_A_uc):
     for j, T in ((0, T0), (1, T1)):
         R = np.linalg.solve(G, fs.B[j] @ G)
         assert np.max(np.abs(R - T)) < 1e-10
+
+
+def test_transport_from_locus_rejects_violated_vanishing():
+    """A segment starting at u_0 = u_1 with A_01 != 0 raises SingularF1."""
+    A = np.array([[0.2, 0.5, 0.1], [0.3, 0.9, 0.2], [0.1, 0.4, 0.35]], dtype=complex)
+    with pytest.raises(SingularF1):
+        transport(DeformationState(u=np.array([0.0, 0.0, 1.0], dtype=complex), A=A),
+                  np.array([0.1, -0.1, 1.0]), tol=1e-10, enforce_guard=False)
+
+
+def test_transport_from_locus_with_vanishing_entries():
+    """The same start with vanishing in-group entries transports and keeps the invariants."""
+    A = np.array([[0.2, 0.0, 0.1], [0.0, 0.9, 0.2], [0.1, 0.4, 0.35]], dtype=complex)
+    st = transport(DeformationState(u=np.array([0.0, 0.0, 1.0], dtype=complex), A=A),
+                   np.array([0.1, -0.1, 1.0]), tol=1e-10, enforce_guard=False)
+    assert np.all(np.isfinite(st.A))
+    assert st.diag_drift < 1e-10

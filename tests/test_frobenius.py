@@ -369,3 +369,201 @@ def test_analytic_basis_solves_ode(system_2x2):
     h = 1e-6
     dv = (val(x + h) - val(x - h)) / (2 * h)
     assert np.max(np.abs(dv - fs.rhs(fs.u[0] + x) @ val(x))) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# rank-one recursion against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_coeffs(fs, k, order):
+    """Reference C_p as a list of dense matrices, accumulated pole by pole."""
+    n = fs.n
+    C = [np.zeros((n, n), dtype=complex) for _ in range(order + 1)]
+    for m in range(n):
+        if m != k:
+            inv = 1.0 / (fs.u[k] - fs.u[m])
+            for p in range(order + 1):
+                C[p] += ((-1) ** p) * fs.B[m] * inv ** (p + 1)
+    return C
+
+
+def _dense_rhs(C, x, l, source=None):
+    rhs = np.zeros(x.shape[1], dtype=complex)
+    for p in range(l):
+        rhs += C[p] @ x[l - 1 - p]
+    return rhs if source is None else rhs - source[l]
+
+
+def _dense_orders(fs, k, C, x, orders, shift, source=None):
+    """Solve ((l + shift) I - B_k) x_l = rhs_l by a dense solve per order."""
+    eye = np.eye(fs.n)
+    for l in orders:
+        x[l] = np.linalg.solve((l + shift) * eye - fs.B[k], _dense_rhs(C, x, l, source))
+    return x
+
+
+def _dense_seeds(fs, k):
+    w = -fs.B[k][k]
+    seeds = []
+    for i in range(fs.n):
+        if i != k:
+            v = np.zeros(fs.n, dtype=complex)
+            v[i] = 1.0
+            if abs(w[k]) > 1e-13:
+                v[k] = -w[i] / w[k]
+            seeds.append(v)
+    return w, seeds
+
+
+def _dense_pinned(fs, k, C, seed, N, rho, source=None):
+    """Exponent-0 series with the kernel component pinned at the resonant order."""
+    phi = np.zeros((N + 1, fs.n), dtype=complex)
+    phi[0] = seed
+    for l in range(1, N + 1):
+        if l == rho:
+            phi[l] = _dense_rhs(C, phi, l, source) / l
+            phi[l, k] = 0.0
+        else:
+            _dense_orders(fs, k, C, phi, [l], 0, source)
+    return phi
+
+
+def _dense_obstruction(fs, k, C, seed, rho, source=None):
+    phi = np.zeros((rho, fs.n), dtype=complex)
+    phi[0] = seed
+    _dense_orders(fs, k, C, phi, range(1, rho), 0, source)
+    return -fs.B[k][k] @ _dense_rhs(C, phi, rho, source)
+
+
+def _dense_selected(fs, k, N):
+    """Reference selected series: ``b`` (and ``d`` for class natural)."""
+    n = fs.n
+    lp = fs.lambda_prime[k]
+    fk = leading_factor(lp, fs.integer_class(k))
+    if fs.integer_class(k) != "natural":
+        b = np.zeros((N + 1, n), dtype=complex)
+        b[0, k] = fk
+        return _dense_orders(fs, k, _dense_coeffs(fs, k, N), b, range(1, N + 1), -lp - 1), None
+    Nk = int(round(lp.real))
+    w = -fs.B[k][k]
+    C = _dense_coeffs(fs, k, N + Nk + 1)
+    b = np.zeros((N + Nk + 2, n), dtype=complex)
+    b[0, k] = fk
+    _dense_orders(fs, k, C, b, range(1, Nk + 1), -lp - 1)
+    R = _dense_rhs(C, b, Nk + 1)
+    d = np.zeros((N + 1, n), dtype=complex)
+    d[0] = R
+    d[0, k] = 0.0
+    d[0, k] = -(w @ d[0]) / w[k]
+    _dense_orders(fs, k, C, d, range(1, N + 1), 0)
+    b[Nk + 1, k] = (R[k] - d[0, k]) / w[k]
+    source = np.zeros_like(b)
+    source[Nk + 1:] = d
+    _dense_orders(fs, k, C, b, range(Nk + 2, N + Nk + 2), -lp - 1, source)
+    return b[: N + 1], d
+
+
+def _dense_analytic(fs, k, N):
+    C = _dense_coeffs(fs, k, N)
+    w, seeds = _dense_seeds(fs, k)
+    rho = int(round((-fs.lambda_prime[k] - 1).real))
+    if fs.integer_class(k) != "negative_integer" or rho < 1:
+        return [_dense_pinned(fs, k, C, s, N, None) for s in seeds]
+    obs = np.array([_dense_obstruction(fs, k, C, s, rho) for s in seeds])
+    m = len(seeds)
+    Q, _ = np.linalg.qr(np.column_stack([obs.conj()] + [np.eye(m)[:, i] for i in range(m)]))
+    seeds = [sum(c * s for c, s in zip(Q[:, j], seeds)) for j in range(1, m)]
+    return [_dense_pinned(fs, k, C, s, N, rho) for s in seeds]
+
+
+def _dense_singular_phi(fs, k, N):
+    """Reference regular completion phi of the log-singular solution (negative integer)."""
+    b, _ = _dense_selected(fs, k, N)
+    rho = int(round((-fs.lambda_prime[k] - 1).real))
+    C = _dense_coeffs(fs, k, N)
+    shifted = np.zeros((N + 1, fs.n), dtype=complex)
+    shifted[rho:] = b[: N + 1 - rho]
+    w, seeds = _dense_seeds(fs, k)
+    if rho == 0:
+        seed = w.conj() * (-b[0, k] / (w @ w.conj()))
+    else:
+        c0 = _dense_obstruction(fs, k, C, np.zeros(fs.n, dtype=complex), rho, shifted)
+        L = np.array([_dense_obstruction(fs, k, C, s, rho) for s in seeds])
+        y = -c0 * L.conj() / (L @ L.conj())
+        seed = sum(yi * s for yi, s in zip(y, seeds))
+    return _dense_pinned(fs, k, C, seed, N, rho, shifted)
+
+
+def _rowwise_error(got, want):
+    """Max over rows of |got_l - want_l| relative to the largest entry of want_l."""
+    return max(float(np.max(np.abs(g - v))) / float(np.max(np.abs(v)))
+               for g, v in zip(got, want))
+
+
+def _series_cases():
+    """(FuchsianSystem, k) for random systems n = 2..6 and every exponent class at u_k."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(2, 7):
+        for lp in (0.37 + 0.21j, -1.0, -2.0, -3.0, 0.0, 2.0):
+            while True:
+                u = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                if min(abs(u[i] - u[j]) for i in range(n) for j in range(i)) > 0.4:
+                    break
+            A = 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            k = int(rng.integers(n))
+            A[k, k] = lp
+            cases.append((build_fuchsian(SystemPair(A, u)), k))
+    return cases
+
+
+def test_rank_one_series_matches_dense_reference():
+    """Selected, analytic and singular series agree with the dense recursion."""
+    N = 30
+    for fs, k in _series_cases():
+        b, d = _dense_selected(fs, k, N)
+        sol = selected_solution(fs, k, N=N)
+        assert _rowwise_error(sol.b, b) < 1e-12
+        if d is not None:
+            assert _rowwise_error(sol.d, d) < 1e-12
+        basis = analytic_basis(fs, k, N=N)
+        ref = _dense_analytic(fs, k, N)
+        assert len(basis) == len(ref)
+        for got, want in zip(basis, ref):
+            assert _rowwise_error(got, want) < 1e-12
+        if fs.integer_class(k) == "negative_integer":
+            sing = singular_solution(fs, k, N=N)
+            assert not sing.zero
+            assert _rowwise_error(sing.phi, _dense_singular_phi(fs, k, N)) < 1e-12
+
+
+def test_rank_one_solve_and_its_divisor_guard():
+    """(s I - B_k) x = r for B_k = -e_k w^T; a vanishing s or s + w_k raises."""
+    from isomonodromy.frobenius import ResonanceAmbiguity, _solve
+
+    w = np.array([1.0, -2.0, 0.5 + 0.3j])
+    r = np.array([0.4, -1.1j, 2.0])
+    x = _solve(1.5, w, 1, r)
+    assert np.max(np.abs(1.5 * x + np.eye(3)[1] * (w @ x) - r)) < 1e-15
+    for s in (0.0, 2.0):
+        with pytest.raises(ResonanceAmbiguity):
+            _solve(s, w, 1, r)
+
+
+def test_series_recursion_makes_no_dense_solve(monkeypatch):
+    """Every order is a rank-one solve: no np.linalg.solve and no det."""
+    calls = {"solve": 0, "det": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for fs, k in _series_cases():
+        selected_solution(fs, k, N=30)
+        analytic_basis(fs, k, N=30)
+        singular_solution(fs, k, N=30)
+    assert calls == {"solve": 0, "det": 0}

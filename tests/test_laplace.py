@@ -412,6 +412,24 @@ def test_adaptive_quad_warns_at_depth_limit(caplog):
     assert not caplog.records
 
 
+def test_direction_nudge_budget_warns(caplog):
+    """A window narrower than the pole-direction margin exhausts the nudges and logs it."""
+    from isomonodromy.model import RayLabels
+
+    # eta-window (pi - 5e-10, pi + 5e-10) around the direction of u_0 - u_1
+    labels = RayLabels(tau=0.5 * math.pi, mu=2,
+                       basic=(-0.5 * math.pi + 5e-10, 0.5 * math.pi - 5e-10))
+    u = np.array([0.0, 1.0], dtype=complex)
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
+        d = laplace._direction_for(labels, 0, 0.0, u)
+    assert abs(d - math.pi) < 1e-9
+    assert any("128 nudges" in rec.getMessage() for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
+        laplace._direction_for(RayLabels(tau=0.5 * math.pi, mu=2, basic=(-1.0, 1.0)), 0, 0.0, u)
+    assert not caplog.records
+
+
 def test_quadrature_divergence_outside_halfplane(system_2x2, diag_geo):
     fs = build_fuchsian(system_2x2)
     theta = TAU + 0.4 * math.pi + 0.5 * math.pi

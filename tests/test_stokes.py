@@ -69,6 +69,25 @@ def test_formula_triangularity_structure():
                 assert abs(Sinv[j, k]) < 1e-12
 
 
+def test_formula_in_group_zeros_are_exact_for_random_products():
+    """S_{nu+mu} keeps exact in-group zeros and inverts the assembled matrix."""
+    rng = np.random.default_rng(11)
+    o = Ordering(u_c=np.array([0, 0, 1, -0.7 + 0.4j, 0.5 - 0.9j], dtype=complex), tau=0.35)
+    for _ in range(50):
+        P = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        lp = rng.uniform(-1, 1, 5)
+        pair = stokes_from_connection(P, o, lp)
+        for S in (pair.S_nu, pair.S_nu_plus_mu):
+            assert S[0, 1] == 0.0 and S[1, 0] == 0.0
+        Sinv = np.eye(5, dtype=complex)
+        for j in range(5):
+            for k in range(5):
+                if j != k and o.relation(j, k) == 1:
+                    Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
+        scale = np.max(np.abs(pair.S_nu_plus_mu)) * np.max(np.abs(Sinv))
+        assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(5))) < 1e-14 * scale
+
+
 def test_direct_oracle_diagonal_identity(geometry_2x2):
     sp = SystemPair(np.diag([0.3, -0.6]), [0.0, 1.0])
     S, diag = stokes_direct(sp, geometry_2x2, 0, tol=1e-13)

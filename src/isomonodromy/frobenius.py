@@ -61,8 +61,12 @@ class FuchsianSystem:
         return self.u.size
 
     def rhs(self, lam):
-        """Coefficient matrix sum_k B_k/(lam - u_k) of the ODE: row k is -(A+I)_k/(lam - u_k)."""
-        return -self.A_plus_I / (lam - self.u)[:, None]
+        """Coefficient matrix sum_k B_k/(lam - u_k) of the ODE: row k is -(A+I)_k/(lam - u_k).
+
+        An array ``lam`` of shape (..., 1) gives one matrix per point,
+        stacked along its leading axes.
+        """
+        return -self.A_plus_I / (lam - self.u)[..., None]
 
     def min_gap(self, k):
         gaps = [abs(self.u[k] - self.u[m]) for m in range(self.n) if m != k]

@@ -14,11 +14,18 @@ for all samples z_1 ... z_m of a ray at once.  On [a, t_switch], inside
 the series zone, the local series is integrated by adaptive Gauss-Legendre
 quadrature with an integrand of shape (nodes, m, n).  Beyond t_switch the
 ray ODE carries [Psi_k; J_1 ... J_m] with dJ_i/dt = e^{z_i x} Psi_k dx/dt,
-x = t e^{id}, and the integrals are read off at t_max: one DOP853 solve
-per leg, with no dense output and no quadrature of the continued
-solution.  The small circle of a hairpin is one quadrature of the series
-for all z; the disc circle of a group contour is continued with its
-integrals the same way.
+x = t e^{id}, and the integrals are read off at t_max, with no dense
+output and no quadrature of the continued solution.  The small circle of
+a hairpin is one quadrature of the series for all z; the disc circle of a
+group contour is continued with its integrals the same way.
+
+Columns are computed in batches (:func:`laplace_columns`; a single
+:func:`laplace_column` is a batch of one).  Validation and quadratures
+stay per column, while the carried pieces of every column in the batch,
+each reparametrised to s in [0, 1], go through one DOP853 solve on the
+stacked state with a right-hand side vectorised over the pieces.  Only a
+group column whose disc junction lies beyond the series zone needs one
+earlier solve, for Psi_k at the junction.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -31,6 +38,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -104,7 +112,9 @@ def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
                      free_values=None):
     """Coefficients F_1..F_L of the formal solution at z = infinity.
 
-    For pairwise distinct u this is the plain entrywise recursion.  At a
+    For pairwise distinct u this is the plain recursion, one matrix step
+    per order (offdiag(A) F_{k-1} plus the diagonal shift, divided by the
+    gaps).  At a
     coalescence point the in-group entries are 0/0 limits that the
     recursion cannot see; the columns are then produced from the local
     series at the merged poles (Levelt construction for groups, ordinary
@@ -125,19 +135,16 @@ def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
     )
     if coalesced:
         return _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values)
+    # (F_k)_ij = ((lambda'_i - lambda'_j + k - 1) (F_{k-1})_ij + (offdiag(A) F_{k-1})_ij)
+    #           / (u_j - u_i),  (F_k)_ii = -(offdiag(A) F_k)_ii / k
+    off = A - np.diag(lp)
+    shift = lp[:, None] - lp[None, :]
+    gap = u[None, :] - u[:, None]
+    np.fill_diagonal(gap, 1.0)
     Fs = [f1(system, coalesce_tol, vanish_tol)]
     for k in range(2, L + 1):
-        prev = Fs[-1]
-        Fk = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                num = (A[i, i] - A[j, j] + k - 1) * prev[i, j]
-                num += sum(A[i, p] * prev[p, j] for p in range(n) if p != i)
-                Fk[i, j] = num / (u[j] - u[i])
-        for i in range(n):
-            Fk[i, i] = -sum(A[i, j] * Fk[j, i] for j in range(n) if j != i) / k
+        Fk = ((shift + (k - 1)) * Fs[-1] + off @ Fs[-1]) / gap
+        np.fill_diagonal(Fk, -np.einsum("ij,ji->i", off, Fk) / k)
         Fs.append(Fk)
     return FormalSolution(F=Fs, u=u.copy(), lambda_prime=lp.copy(), L=L)
 
@@ -319,8 +326,9 @@ class LaplaceColumn:
     ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
     the raw column.  ``error`` is the quadrature error estimate of the
     series leg and the small circle, relative to the reduced scale; the
-    continued part of the leg (and the group circle) is controlled by the
-    DOP853 tolerances instead and not included.
+    carried part of the leg (and the group circle) is controlled by the
+    tolerances of the batch solve that carried it instead and not
+    included.
     """
 
     k: int
@@ -335,6 +343,18 @@ class LaplaceColumn:
         return self.reduced[i] * cmath.exp(self.z[i] * self.pole)
 
 
+@dataclass(frozen=True)
+class ColumnSpec:
+    """Column k of Y_{nu+h mu} at the samples ``z`` of one ray, as for :func:`laplace_column`."""
+
+    k: int
+    h: int
+    z: np.ndarray
+    arg: float | None = None
+    contour: str = "hairpin"
+    direction: float | None = None
+
+
 def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
                    sols=None, tol=1e-12, N=40, contour="hairpin", cont_tol=1e-12,
                    direction=None):
@@ -347,18 +367,58 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
     argument; ``direction`` overrides it (validated against the window).
     Each leg is integrated from the local series inside 0.75 * validity
     radius and carried with the continued solution outside (see the
-    module docstring).
+    module docstring).  A batch of one for :func:`laplace_columns`.
     """
-    z_values = np.asarray(z_values, dtype=complex)
+    spec = ColumnSpec(k, h, z_values, arg, contour, direction)
+    return laplace_columns(fs, geometry, [spec], sols, tol, N, cont_tol)[0]
+
+
+def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N=40,
+                    cont_tol=1e-12):
+    """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
+
+    Validation, the contour choice and the series quadratures run per
+    column; the carried parts of all their legs and disc circles go
+    through one :func:`_carry`.  A group column whose disc junction lies
+    beyond the series zone first needs Psi_k at the junction, which takes
+    one earlier solve shared by every such column.
+    """
+    columns = [_column(fs, spec, geometry, sols, tol, N) for spec in specs]
+    out = [None] * len(columns)
+    replies = [None] * len(columns)
+    live = range(len(columns))
+    while live:
+        asks = {}
+        for i in live:
+            try:
+                asks[i] = columns[i].send(replies[i])
+            except StopIteration as done:
+                out[i] = done.value
+        live = list(asks)
+        if live:
+            ends = iter(_carry(fs, [p for i in live for p in asks[i]], cont_tol))
+            for i in live:
+                replies[i] = [next(ends) for _ in asks[i]]
+    return out
+
+
+def _column(fs, spec, geometry, sols, tol, N):
+    """One column as a generator: yields lists of :class:`_Piece` to carry, returns the column.
+
+    Each yield receives ``[(Psi(1), J)]`` for the pieces it asked for,
+    in order (see :func:`_carry`).
+    """
+    z_values = np.asarray(spec.z, dtype=complex)
+    k, h = spec.k, spec.h
     thetas = np.angle(z_values)
-    theta = float(thetas[0]) if arg is None else float(arg)
+    theta = float(thetas[0]) if spec.arg is None else float(spec.arg)
     if np.max(np.abs(np.exp(1j * thetas) - cmath.exp(1j * theta))) > 1e-9:
         raise ValueError("all z samples must lie on the ray of the given argument")
     labels = geometry.labels
-    if direction is None:
+    if spec.direction is None:
         d = _direction_for(labels, h, theta, fs.u)
     else:
-        d = float(direction)
+        d = float(spec.direction)
         m = h * labels.mu
         if not (1.5 * math.pi - labels.tau_nu(m + 1) < d < 1.5 * math.pi - labels.tau_nu(m)):
             raise ValueError(
@@ -383,7 +443,7 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
     rate_min = float(np.min(-sigma.real))
     t_hi = max(_t_max(rate_min, growth), 2 * t_switch)
 
-    if contour == "group":
+    if spec.contour == "group":
         alpha = geometry.group_of(k)
         center = geometry.group_values[alpha]
         r_loop = 1.2 * geometry.epsilon0
@@ -394,21 +454,15 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
         contour_obj = Contour("group", center, d, r_loop, t_hi)
         if klass != "noninteger":
             raise ValueError("group contour is implemented for the branched class only")
-        reduced, err = _group_column(fs, k, sol, contour_obj, z_values, tol, cont_tol)
-        return LaplaceColumn(k=k, label=h * labels.mu, z=z_values, reduced=reduced,
-                             pole=fs.u[k], eta_used=d, error=err)
-
-    kind = "hairpin" if klass == "noninteger" else "halfline"
-    r_loop = min(0.5 * validity, 2.0 / float(np.max(np.abs(z_values))))
-    r_loop = max(r_loop, 1e-3 * validity)
-    contour_obj = Contour(kind, fs.u[k], d, r_loop, t_hi)
-
-    if klass == "noninteger":
-        reduced, err = _hairpin_column(fs, k, sol, contour_obj, z_values, tol, cont_tol)
-    elif klass == "natural":
-        reduced, err = _natural_column(fs, k, sol, contour_obj, z_values, tol, cont_tol)
+        build = _group_column
     else:
-        reduced, err = _halfline_column(fs, k, sol, contour_obj, z_values, tol, cont_tol)
+        r_loop = min(0.5 * validity, 2.0 / float(np.max(np.abs(z_values))))
+        r_loop = max(r_loop, 1e-3 * validity)
+        kind = "hairpin" if klass == "noninteger" else "halfline"
+        contour_obj = Contour(kind, fs.u[k], d, r_loop, t_hi)
+        build = {"noninteger": _hairpin_column, "natural": _natural_column}.get(
+            klass, _halfline_column)
+    reduced, err = yield from build(fs, k, sol, contour_obj, z_values, tol)
     return LaplaceColumn(k=k, label=h * labels.mu, z=z_values, reduced=reduced,
                          pole=fs.u[k], eta_used=d, error=err)
 
@@ -421,47 +475,87 @@ def _series_on_ray(sol, d, ts, branched):
     return acc
 
 
-def _carry(fs, k, path, psi0, s0, s1, z_values, cont_tol):
-    """Continue Psi_k along lam = u_k + x(s), s from s0 to s1, with its Laplace integrals.
+class _Piece(NamedTuple):
+    """A path lam = pole + x(s), x(s) = a + b s + c e^{i omega s}, s from 0 to 1.
 
-    ``path(s)`` returns (x, dx/ds).  One DOP853 solve without dense output
-    carries y = [Psi; J_1 ... J_m] with dJ_i/ds = e^{z_i x} Psi dx/ds, so
-    the integral components share the step control of Psi.  Returns
-    ``(Psi(s1), J)`` with J[i] the integral of e^{z_i x} Psi dx.
+    Psi starts at ``psi0``; ``z`` holds the samples whose Laplace
+    integrals ride along.  A straight leg has c = 0, a circle b = 0.
+    """
+
+    pole: complex
+    a: complex
+    b: complex
+    c: complex
+    omega: float
+    psi0: np.ndarray
+    z: np.ndarray
+
+
+def _carry(fs, pieces, cont_tol):
+    """Continue every piece's Psi with its Laplace integrals, all in one solve.
+
+    One DOP853 solve without dense output carries the stacked state
+    [Psi_p; J_p,1 ... J_p,m] of every piece p, dJ_p,i/ds = e^{z_p,i x_p}
+    Psi_p dx_p/ds, so the integral components share the step control of
+    Psi; the right-hand side is vectorised over the batch.  Pieces with
+    fewer samples are padded with integrals of weight 0.  scipy's error
+    norm is an RMS over all N components, so rtol and atol are scaled by
+    sqrt(min_p N_p / N), N_p the components of piece p alone (1/sqrt(P)
+    for P pieces with equal sample counts); rtol stops at scipy's floor of
+    100 machine epsilons.  Returns ``[(Psi_p(1), J_p)]`` with J_p[i] the
+    integral of e^{z_p,i x} Psi_p dx.
     """
     n = fs.n
-    m = z_values.size
-    pole = fs.u[k]
+    P = len(pieces)
+    m = max(p.z.size for p in pieces)
+    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
+    iw = 1j * omega
+    # column 0 carries Psi (weight dx, times the ODE matrix), columns 1.. the integrals
+    z = np.zeros((P, 1 + m), dtype=complex)
+    weight = np.zeros((P, 1 + m))
+    y0 = np.zeros((P, 1 + m, n), dtype=complex)
+    for i, p in enumerate(pieces):
+        z[i, 1:1 + p.z.size] = p.z
+        weight[i, :1 + p.z.size] = 1.0
+        y0[i, 0] = p.psi0
 
     def rhs(s, y):
-        x, dx = path(float(s))
-        psi = y[:n]
-        w = np.exp(z_values * x) * dx
-        return np.concatenate(((fs.rhs(pole + x) @ psi) * dx, (w[:, None] * psi).ravel()))
+        psi = y.reshape(P, 1 + m, n)[:, 0]
+        e = c * np.exp(iw * s)
+        x = a + b * s + e
+        dx = (b + iw * e)[:, None]
+        dy = (np.exp(z * x[:, None]) * (weight * dx))[:, :, None] * psi[:, None]
+        dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
+        return dy.ravel()
 
-    sol = solve_ivp(rhs, (s0, s1), np.concatenate((psi0, np.zeros(m * n, dtype=complex))),
-                    method="DOP853", rtol=max(cont_tol, 1e-13), atol=1e-3 * cont_tol)
+    scale = math.sqrt(min(n * (1 + p.z.size) for p in pieces) / y0.size)
+    rtol = max(max(cont_tol, 1e-13) * scale, 100 * np.finfo(float).eps)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol,
+                    atol=1e-3 * cont_tol * scale)
     if not sol.success:
         raise StepFailure(f"continuation along the contour failed: {sol.message}")
-    y = sol.y[:, -1]
-    return y[:n], y[n:].reshape(m, n)
+    y = sol.y[:, -1].reshape(P, 1 + m, n)
+    return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
 
 
-def _leg(fs, k, sol, d, a, t_max, z_values, tol, cont_tol, branched):
+def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
     """Laplace integrals of Psi_k along u_k + t e^{id}, t from a to t_max, for every z.
 
     Below t_switch = 0.75 * series radius the local series is integrated
-    by one quadrature for all z; beyond it :func:`_carry` continues Psi_k
-    and its integrals up to t_max.  ``branched`` multiplies the series by
-    (t e^{id})^rho.  Returns ``(J, err, psi_a)``: J[i] is the integral of
-    e^{z_i x} Psi_k dx with x = t e^{id}, ``err`` the estimate of the
-    series quadrature, ``psi_a`` Psi_k at t = a (None for a = 0).
+    by one quadrature for all z; the rest of the leg is returned as a
+    :class:`_Piece` for the caller to carry.  ``branched`` multiplies the
+    series by (t e^{id})^rho.  A generator: when a lies beyond t_switch it
+    first yields the piece that carries Psi_k out to a.  Returns
+    ``(J, err, piece, psi_a)``: J[i] is the series part of the integral of
+    e^{z_i x} Psi_k dx with x = t e^{id} (0 if none), ``err`` its
+    quadrature estimate, ``psi_a`` Psi_k at t = a (None for a = 0).
     """
     e_d = cmath.exp(1j * d)
     t_switch = 0.75 * sol.radius
+    pole = fs.u[k]
 
-    def ray(t):
-        return t * e_d, e_d
+    def ray(t0, t1, psi0, z):
+        return _Piece(pole, t0 * e_d, (t1 - t0) * e_d, 0.0, 0.0, psi0, z)
 
     def integrand(ts):
         w = np.exp(np.outer(ts * e_d, z_values)) * e_d
@@ -471,23 +565,21 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, cont_tol, branched):
     if a < t_switch:
         J, err = adaptive_quad(integrand, a, t_switch, tol)
         psi_a = _series_on_ray(sol, d, np.array([a]), branched)[0] if a > 0 else None
-        _, J_ode = _carry(fs, k, ray, psi_switch, t_switch, t_max, z_values, cont_tol)
-        return J + J_ode, err, psi_a
-    psi_a, _ = _carry(fs, k, ray, psi_switch, t_switch, a, z_values[:0], cont_tol)
-    _, J = _carry(fs, k, ray, psi_a, a, t_max, z_values, cont_tol)
-    return J, 0.0, psi_a
+        return J, err, ray(t_switch, t_max, psi_switch, z_values), psi_a
+    [(psi_a, _)] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
+    return 0.0, 0.0, ray(a, t_max, psi_a, z_values), psi_a
 
 
 def _relative(err, out):
     return err / max(float(np.max(np.abs(out))), 1e-300)
 
 
-def _hairpin_column(fs, k, sol, contour, z_values, tol, cont_tol):
+def _hairpin_column(fs, k, sol, contour, z_values, tol):
     """Class noninteger: legs with the branch-jump factor plus the small circle."""
     d = contour.direction
     r = contour.loop_radius
-    leg, e1, _ = _leg(fs, k, sol, d, r, contour.t_max, z_values, tol, cont_tol,
-                      branched=True)
+    J, e1, piece, _ = yield from _leg(fs, k, sol, d, r, contour.t_max, z_values, tol,
+                                      branched=True)
 
     def circle_integrand(thetas):
         x = r * np.exp(1j * thetas)
@@ -496,17 +588,18 @@ def _hairpin_column(fs, k, sol, contour, z_values, tol, cont_tol):
         return horner(sol.b, x)[:, None, :] * w[:, :, None]
 
     circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
+    [(_, J_leg)] = yield [piece]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-    out = (jump * leg + circ) / (2j * math.pi)
+    out = (jump * (J + J_leg) + circ) / (2j * math.pi)
     return out, _relative(e1 + e2, out)
 
 
-def _group_column(fs, k, sol, contour, z_values, tol, cont_tol):
+def _group_column(fs, k, sol, contour, z_values, tol):
     """Branched class on the group contour: loop around the whole disc.
 
     Equivalent to the hairpin at u_k because Psi_k is holomorphic at the
-    sibling poles; the disc boundary is continued clockwise from the leg
-    junction with its Laplace integrals by :func:`_carry`.
+    sibling poles; the disc boundary is carried clockwise from the leg
+    junction with its Laplace integrals, in the same batch as the leg.
     """
     d = contour.direction
     e_d = cmath.exp(1j * d)
@@ -516,30 +609,30 @@ def _group_column(fs, k, sol, contour, z_values, tol, cont_tol):
     bh = (w0 * np.conj(e_d)).real
     t_exit = -bh + math.sqrt(max(bh * bh - (abs(w0) ** 2 - r * r), 0.0))
     th_exit = cmath.phase(w0 + t_exit * e_d)
-    leg, err, seed = _leg(fs, k, sol, d, t_exit, contour.t_max, z_values, tol, cont_tol,
-                          branched=True)
-
-    def circle(th):
-        e_th = r * cmath.exp(1j * th)
-        return e_th - w0, 1j * e_th
-
-    _, J = _carry(fs, k, circle, seed, th_exit, th_exit - 2 * math.pi, z_values, cont_tol)
+    J, err, piece, seed = yield from _leg(fs, k, sol, d, t_exit, contour.t_max, z_values,
+                                          tol, branched=True)
+    # x = r e^{i th} - w0 with th from th_exit down to th_exit - 2 pi
+    circle = _Piece(fs.u[k], -w0, 0.0, r * cmath.exp(1j * th_exit), -2 * math.pi, seed,
+                    z_values)
+    [(_, J_leg), (_, J_circ)] = yield [piece, circle]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-    out = (jump * leg - J) / (2j * math.pi)
+    out = (jump * (J + J_leg) - J_circ) / (2j * math.pi)
     return out, _relative(err, out)
 
 
-def _halfline_column(fs, k, sol, contour, z_values, tol, cont_tol):
+def _halfline_column(fs, k, sol, contour, z_values, tol):
     """Class negative_integer: straight integral of the analytic Psi_k.
 
     Psi_k = (sum b_l x^l) x^rho with integer rho >= 0: the power is folded in.
     """
-    out, err, _ = _leg(fs, k, sol, contour.direction, 0.0, contour.t_max, z_values, tol,
-                       cont_tol, branched=True)
+    J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
+                                       z_values, tol, branched=True)
+    [(_, J_leg)] = yield [piece]
+    out = J + J_leg
     return out, _relative(err, out)
 
 
-def _natural_column(fs, k, sol, contour, z_values, tol, cont_tol):
+def _natural_column(fs, k, sol, contour, z_values, tol):
     """Class natural: residue of the pole part plus half-line of the log part."""
     Nk = int(round(sol.lambda_prime_k.real))
     # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
@@ -547,9 +640,10 @@ def _natural_column(fs, k, sol, contour, z_values, tol, cont_tol):
               for l in range(Nk + 1))
     err = 0.0
     if not sol.zero:
-        leg, err, _ = _leg(fs, k, sol, contour.direction, 0.0, contour.t_max, z_values,
-                           tol, cont_tol, branched=False)
-        out = out + leg
+        J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
+                                           z_values, tol, branched=False)
+        [(_, J_leg)] = yield [piece]
+        out = out + J + J_leg
     return out, _relative(err, out)
 
 

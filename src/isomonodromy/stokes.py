@@ -17,7 +17,7 @@ import numpy as np
 from .model import COALESCE_TOL, CutPlane, DeformationGeometry, sector_bounds
 from .frobenius import build_fuchsian, selected_solution
 from .continuation import connection_products
-from .laplace import laplace_column
+from .laplace import ColumnSpec, laplace_columns
 
 
 # relative spread of the fitted Stokes matrix allowed across the |z| ladder
@@ -173,16 +173,20 @@ def _oracle_basis(system, geometry, N):
 
 
 def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTENCY_TOL):
-    """Match the Laplace solutions of labels h mu and (h+1) mu: ``(S, diagnostics)``."""
+    """Match the Laplace solutions of labels h mu and (h+1) mu: ``(S, diagnostics)``.
+
+    The 2n columns of both labels are carried in one batch
+    (:func:`laplace_columns`).
+    """
     n = fs.n
     theta = _matching_ray(geometry, h)
     if ladder is None:
         ladder = default_ladder(system, geometry, theta)
     z = np.array([rz * cmath.exp(1j * theta) for rz in ladder])
-    cols_a = [laplace_column(fs, k, h, geometry, z, arg=theta, sols=sols, tol=tol)
-              for k in range(n)]
-    cols_b = [laplace_column(fs, k, h + 1, geometry, z, arg=theta, sols=sols, tol=tol)
-              for k in range(n)]
+    cols = laplace_columns(fs, geometry, [ColumnSpec(k, label, z, theta)
+                                          for label in (h, h + 1) for k in range(n)],
+                           sols=sols, tol=tol)
+    cols_a, cols_b = cols[:n], cols[n:]
     fits = []
     for i, zval in enumerate(z):
         Wa = np.column_stack([c.reduced[i] for c in cols_a])
@@ -221,7 +225,9 @@ def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40, ladder=None):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
-    Both matchings share one Fuchsian system and one set of local series.
+    Both matchings share one Fuchsian system and one set of local series;
+    each carries its 2n Laplace columns in one batch, so S_{nu+mu} is the
+    matrix :func:`stokes_direct` gives at h = 1, bit for bit.
     """
     fs, sols = _oracle_basis(system, geometry, N)
     S0, d0 = _match(system, geometry, fs, sols, 0, tol, ladder)

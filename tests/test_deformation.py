@@ -256,3 +256,60 @@ def test_transport_from_locus_with_vanishing_entries():
                    np.array([0.1, -0.1, 1.0]), tol=1e-10, enforce_guard=False)
     assert np.all(np.isfinite(st.A))
     assert st.diag_drift < 1e-10
+
+
+def _gap_loop_reference(u0, u1, samples=33):
+    best = math.inf
+    for t in np.linspace(0.0, 1.0, samples):
+        u = u0 + t * (u1 - u0)
+        for i in range(u.size):
+            for j in range(i + 1, u.size):
+                best = min(best, abs(u[i] - u[j]))
+    return best
+
+
+def test_segment_gap_matches_loop_reference():
+    from isomonodromy.deformation import _min_ingroup_gap_on_segment
+
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for _ in range(20):
+            u0, u1 = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
+            assert _min_ingroup_gap_on_segment(u0, u1) == pytest.approx(
+                _gap_loop_reference(u0, u1), rel=1e-14)
+
+
+@pytest.mark.parametrize("offset, raises", [(0.0, True), (3e-5, True), (2e-4, False)])
+def test_transport_guard_raises_where_the_sampled_gap_is_small(offset, raises):
+    """u_0 moves past u_1 at distance ``offset``: the guard fires below NEAR_DELTA_GUARD."""
+    from isomonodromy.deformation import NEAR_DELTA_GUARD
+
+    A = np.array([[0.3, 0.2, 0.1], [0.4, -0.2, 0.3], [0.1, 0.5, 0.45]], dtype=complex)
+    u0 = np.array([-0.5 + offset * 1j, 0.0, 1.0 + 1.0j])
+    u1 = np.array([0.5 + offset * 1j, 0.0, 1.0 + 1.0j])
+    assert (_gap_loop_reference(u0, u1) < NEAR_DELTA_GUARD) == raises
+    state = DeformationState(u=u0, A=A.copy())
+    if raises:
+        with pytest.raises(StepFailure, match="coalescence locus"):
+            transport(state, u1, tol=1e-10)
+    else:
+        transport(state, u1, tol=1e-10)
+
+
+def test_transport_samples_the_gap_only_when_guarded(monkeypatch):
+    import isomonodromy.deformation as deformation
+
+    calls = []
+    original = deformation._min_ingroup_gap_on_segment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "_min_ingroup_gap_on_segment", counted)
+    sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
+    for enforce, expected in ((False, 0), (True, 1)):
+        calls.clear()
+        transport(DeformationState(u=sp.u, A=sp.A.copy()), np.array([0.2j, 1.3]),
+                  tol=1e-12, enforce_guard=enforce)
+        assert len(calls) == expected

@@ -524,3 +524,89 @@ def test_asymptotic_fit_ill_conditioned():
     cols = [np.ones((12, 2), dtype=complex) for _ in range(2)]
     with pytest.raises(IllConditioned):
         asymptotic_fit(z, cols, np.array([0.1, 0.2]), 11, args=[0.3] * 12)
+
+
+# ---------------------------------------------------------------------------
+# batched columns and the vectorised formal recursion
+# ---------------------------------------------------------------------------
+
+
+def _formal_loop_reference(A, u, L):
+    """F_1..F_L by the entrywise loop recursion (distinct u)."""
+    n = u.size
+    F = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                F[i, j] = A[i, j] / (u[j] - u[i])
+    for i in range(n):
+        F[i, i] = -sum(A[i, j] * F[j, i] for j in range(n) if j != i)
+    Fs = [F]
+    for k in range(2, L + 1):
+        prev = Fs[-1]
+        Fk = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                num = (A[i, i] - A[j, j] + k - 1) * prev[i, j]
+                num += sum(A[i, p] * prev[p, j] for p in range(n) if p != i)
+                Fk[i, j] = num / (u[j] - u[i])
+        for i in range(n):
+            Fk[i, i] = -sum(A[i, j] * Fk[j, i] for j in range(n) if j != i) / k
+        Fs.append(Fk)
+    return Fs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_formal_recursion_matches_loop_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        A = 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        u = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        formal = formal_recursion(SystemPair(A, u), 10)
+        for Fa, Fb in zip(formal.F, _formal_loop_reference(A, u, 10)):
+            assert np.max(np.abs(Fa - Fb)) <= 1e-13 * np.max(np.abs(Fb))
+
+
+def _batch_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
+    """(fs, geometry, specs, kind): every column of each contour-kind system, both labels."""
+    from isomonodromy.stokes import _matching_ray
+
+    cases = []
+    for fs, k, geo, _, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
+                                              vanishing_A_uc):
+        if kind == "hairpin" and k == 1:
+            continue
+        theta = _matching_ray(geo, 0)
+        z = _ray([6.0, 9.0, 14.0] if kind != "group" else [12.0, 18.0], theta)
+        specs = [laplace.ColumnSpec(j, h, z, theta,
+                                    "group" if kind == "group" and geo.group_of(j) == 0
+                                    else "hairpin")
+                 for h in (0, 1) for j in range(fs.n)]
+        cases.append((fs, geo, specs, kind))
+    return cases
+
+
+def test_batched_columns_match_one_at_a_time(monkeypatch, system_2x2, diag_geo,
+                                             coalescing_geometry, vanishing_A_uc):
+    """One batch of every column agrees with laplace_column per column, all contour kinds."""
+    for fs, geo, specs, kind in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
+                                             vanishing_A_uc):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(laplace, "solve_ivp", counted)
+        batch = laplace.laplace_columns(fs, geo, specs, tol=1e-13)
+        # group junctions beyond the series zone take the one earlier solve
+        assert len(calls) == (2 if kind == "group" else 1), kind
+        monkeypatch.undo()
+        for spec, col in zip(specs, batch):
+            lone = laplace_column(fs, spec.k, spec.h, geo, spec.z, arg=spec.arg, tol=1e-13,
+                                  contour=spec.contour)
+            scale = float(np.max(np.abs(lone.reduced)))
+            assert np.max(np.abs(col.reduced - lone.reduced)) <= 1e-10 * scale, (kind, spec)
+            assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isomonodromy.model import DeformationGeometry, SystemPair
 from isomonodromy.stokes import (
@@ -15,6 +17,8 @@ from isomonodromy.stokes import (
     stokes_pair_direct,
     stokes_pipeline,
 )
+
+from conftest import draw_system
 
 TAU = math.pi / 4
 
@@ -193,3 +197,44 @@ def test_default_ladder_scales_with_separation():
     lw = default_ladder(sp_wide, geo_w, TAU - math.pi / 2)
     lt = default_ladder(sp_tight, geo_t, TAU - math.pi / 2)
     assert max(lw) < max(lt)
+
+
+def test_oracle_pair_makes_at_most_two_solves(monkeypatch, coalescing_geometry,
+                                              vanishing_A_uc):
+    """Each matching carries all its Laplace columns in one ODE solve."""
+    import isomonodromy.laplace as laplace
+    from isomonodromy.deformation import radial_family
+
+    calls = []
+    original = laplace.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "solve_ivp", counted)
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(2, 7):
+        sp, tau = draw_system(rng, n, min_gap=0.35)
+        cases.append((sp, DeformationGeometry(sp.u, 1e-3, tau)))
+    seed = SystemPair(vanishing_A_uc, [0.03, -0.015 - 0.02j, 1.0])
+    member = radial_family(seed, coalescing_geometry.u_c, [1.0], tol=1e-12)[0].system()
+    cases.append((member, coalescing_geometry))
+    for sp, geo in cases:
+        calls.clear()
+        stokes_pair_direct(sp, geo, tol=1e-13)
+        assert len(calls) <= 2, sp.n
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=4, max_value=6))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+def test_formula_oracle_agreement_property(seed, n):
+    """Criterion 1's absolute bound at n = 4..6: |S(formula) - S(oracle)| < 1e-6."""
+    sp, tau = draw_system(np.random.default_rng(seed), n, min_gap=0.35)
+    geo = DeformationGeometry(sp.u, 1e-3, tau)
+    pair = stokes_pipeline(sp, geo, tol=1e-12, N=40)
+    orc = stokes_pair_direct(sp, geo, tol=1e-13, N=40)
+    diff = max(float(np.max(np.abs(pair.S_nu - orc.S_nu))),
+               float(np.max(np.abs(pair.S_nu_plus_mu - orc.S_nu_plus_mu))))
+    assert diff < 1e-6

@@ -38,11 +38,9 @@ from .laplace import (
 )
 from .continuation import (
     ConnectionData,
-    Path,
     connection_coefficients,
     continue_solution,
     monodromy_matrix,
-    verify_connection_constancy,
 )
 from .stokes import (
     Ordering,
@@ -59,6 +57,7 @@ from .deformation import (
     schlesinger_rhs,
     transport,
     vanishing_check,
+    verify_connection_constancy,
 )
 
 __all__ = [
@@ -84,11 +83,9 @@ __all__ = [
     "formal_recursion",
     "laplace_column",
     "ConnectionData",
-    "Path",
     "connection_coefficients",
     "continue_solution",
     "monodromy_matrix",
-    "verify_connection_constancy",
     "Ordering",
     "StokesPair",
     "stokes_direct",
@@ -101,6 +98,7 @@ __all__ = [
     "schlesinger_rhs",
     "transport",
     "vanishing_check",
+    "verify_connection_constancy",
 ]
 
 __version__ = "0.1.0"

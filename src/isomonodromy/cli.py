@@ -73,11 +73,10 @@ from .stokes import (
     stokes_pair_direct,
 )
 from .deformation import (
-    DeformationState,
     DriftExceeded,
+    connection_samples,
     integrability_residual,
     schlesinger_rhs,
-    transport,
     vanishing_check,
 )
 
@@ -575,21 +574,18 @@ def deform(spec_path, out_dir, tol, order, gamma):
 
     for p_idx, path in enumerate(spec.paths):
         def run_path(path=path):
-            state = DeformationState(u=path[0], A=spec.A.copy())
             conns = []
             stokeses = []
             cells = []
             decay_rows = []
             in_group = np.array([[a != b and geo.same_group(a, b) for b in range(geo.n)]
                                  for a in range(geo.n)])
-            for i, u_pt in enumerate(path):
-                if i > 0:
-                    state = transport(state, u_pt, tol=spec.tol)
+            # one extraction without structural zeros: the u_c ordering
+            # skips the in-group pairs, and the reported C zeroes them
+            samples = connection_samples(spec.system(), path, cut, tol=spec.tol,
+                                         N=spec.order, gamma=spec.gamma)
+            for i, (state, P, conn) in enumerate(samples):
                 sysi = state.system()
-                # one extraction without structural zeros: the u_c ordering
-                # skips the in-group pairs, and the reported C zeroes them
-                P, conn = connection_products(sysi, cut, tol=spec.tol,
-                                              N=spec.order, gamma=spec.gamma)
                 sp = stokes_from_connection(P, ordering, sysi.lambda_prime)
                 conns.append(np.where(in_group, 0.0, conn.C))
                 stokeses.append((sp.S_nu, sp.S_nu_plus_mu))

@@ -7,16 +7,25 @@ every pole and cut, then the matrix once up the anti-cut ray of each pole
 to its base point.  A small positive loop of that matrix at u_j gives the
 monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
 whole row j of connection coefficients (:func:`connection_coefficients`)
-through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Transport runs on an
-adaptive high-order Runge-Kutta integrator.
+through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
+
+All transport runs on one batched integrator (:func:`carry`).  Each
+:class:`Piece` is a path lam = pole + a + b s + c e^{i omega s}, s in
+[0, 1], carrying an (n, w) block, and every piece of a batch goes through
+one DOP853 solve with the rank-one residues applied to all of them at
+once.  The formula route therefore makes five solves at any n: the first
+and the second descent legs, the deep -> low_j and the low_j -> base_j
+ascent legs, and every pole loop.  :func:`continue_solution` and
+:func:`loop_at_pole` are thin wrappers: one solve per segment, one per
+loop.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,13 +40,7 @@ from .frobenius import (
     selected_solution,
 )
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_TOL = 1e-10
-# detour nesting of plan_path beyond which a segment is kept without detours
-MAX_DETOUR_DEPTH = 8
-# detour arc radius of plan_path, in units of the path clearance
-DETOUR_FACTOR = 1.5
 
 
 class StepFailure(RuntimeError):
@@ -52,178 +55,108 @@ class IllConditioned(RuntimeError):
     """A least-squares projection left a residual above tolerance."""
 
 
-@dataclass
-class Path:
-    """Polyline in the lambda-plane avoiding poles by a clearance margin."""
+class Piece(NamedTuple):
+    """A path lam = pole + x(s), x(s) = a + b s + c e^{i omega s}, s from 0 to 1.
 
-    waypoints: list
-    clearance: float
-
-    def segments(self):
-        w = self.waypoints
-        return [(w[i], w[i + 1]) for i in range(len(w) - 1)]
-
-    def min_pole_distance(self, poles):
-        best = math.inf
-        for a, b in self.segments():
-            for p in poles:
-                best = min(best, _point_segment_distance(p, a, b))
-        return best
-
-    def cuts_crossed(self, poles, cut: CutPlane):
-        """Which cuts L_m the polyline crosses, with crossing side.
-
-        Side +1 means crossing with the pole's cut oriented left-to-right
-        (counterclockwise contribution around the pole), -1 the opposite.
-        """
-        e = cut.direction()
-        crossings = []
-        for a, b in self.segments():
-            for m, p in enumerate(poles):
-                hit = _segment_ray_intersect(a, b, p, e)
-                if hit is not None:
-                    crossings.append((m, hit))
-        return crossings
-
-
-def _point_segment_distance(p, a, b):
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
-
-
-def _segment_ray_intersect(a, b, base, e):
-    """Crossing side of segment [a,b] over the ray {base + t e, t>0}, or None."""
-    # coordinates in the frame where the ray is the positive real axis
-    za = (a - base) / e
-    zb = (b - base) / e
-    if (za.imag > 0) == (zb.imag > 0):
-        return None
-    if abs(za.imag - zb.imag) < 1e-300:
-        return None
-    t = za.imag / (za.imag - zb.imag)
-    x = za.real + t * (zb.real - za.real)
-    if x <= 0:
-        return None
-    return 1 if za.imag < 0 else -1
-
-
-def plan_path(start, end, poles, clearance=None):
-    """Straight segment from start to end with detour arcs around poles.
-
-    Poles closer to the segment than the clearance are bypassed along an
-    arc of radius clearance * DETOUR_FACTOR on the side of the pole away
-    from the segment.  A piece still blocked after MAX_DETOUR_DEPTH nested
-    detours is kept straight and logged as a WARNING.
+    ``y0`` is the value at s = 0: an (n,) vector or an (n, w) block of
+    columns.  A straight leg has c = 0, a circle a = b = 0.  ``z`` holds the
+    samples whose Laplace integrals ride along in :mod:`.laplace`; the
+    continuation engine ignores it.
     """
-    poles = np.asarray(poles, dtype=complex)
-    if clearance is None:
-        gaps = [abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1:]]
-        clearance = 0.1 * min(gaps) if gaps else 0.1
-    waypoints = [complex(start)]
 
-    def extend(a, b, depth=0):
-        blockers = []
-        for p in poles:
-            d = _point_segment_distance(p, a, b)
-            if d < clearance and abs(p - a) > 1e-14 and abs(p - b) > 1e-14:
-                t = ((p - a) * (b - a).conjugate()).real / abs(b - a) ** 2
-                blockers.append((t, p))
-        if blockers and depth > MAX_DETOUR_DEPTH:
-            logger.warning("plan_path: detour depth %d exceeded on %s -> %s; kept the "
-                           "segment within %.2e of %d pole(s)", MAX_DETOUR_DEPTH, a, b,
-                           clearance, len(blockers))
-            blockers = []
-        if not blockers:
-            waypoints.append(b)
-            return
-        blockers.sort()
-        _, p = blockers[0]
-        r = clearance * DETOUR_FACTOR
-        # entry and exit points on the circle around p, arcs on the far side
-        da = a - p
-        db = b - p
-        pa = p + r * da / abs(da)
-        pb = p + r * db / abs(db)
-        extend(a, pa, depth + 1)
-        a0 = cmath.phase(da)
-        a1 = cmath.phase(db)
-        sweep = (a1 - a0) % (2 * math.pi)
-        if sweep > math.pi:
-            sweep -= 2 * math.pi
-        steps = max(2, int(abs(sweep) / (math.pi / 8)) + 1)
-        for i in range(1, steps):
-            waypoints.append(p + r * cmath.exp(1j * (a0 + sweep * i / steps)))
-        extend(pb, b, depth + 1)
-
-    extend(complex(start), complex(end))
-    # drop duplicate consecutive points
-    out = [waypoints[0]]
-    for wpt in waypoints[1:]:
-        if abs(wpt - out[-1]) > 1e-14:
-            out.append(wpt)
-    return Path(waypoints=out, clearance=clearance)
+    pole: complex
+    a: complex
+    b: complex
+    c: complex
+    omega: float
+    y0: np.ndarray
+    z: np.ndarray = np.zeros(0, dtype=complex)
 
 
-def continue_solution(fs: FuchsianSystem, value, start, path, tol=DEFAULT_TOL):
-    """Transport a vector (or matrix) solution along a path.
+def carry_tolerances(tol, smallest, total):
+    """rtol and atol of one batched solve of ``total`` components.
 
-    ``path`` may be a :class:`Path` or a plain waypoint list starting at
-    ``start``; repeated consecutive waypoints are skipped.  Returns the
-    value at the endpoint.
+    scipy's error norm is an RMS over all components, so both tolerances
+    are scaled by sqrt(smallest / total), ``smallest`` the component count
+    of the smallest piece: each piece then keeps the accuracy its own
+    solve at rtol = max(tol, 1e-13), atol = 1e-3 tol had.  rtol stops at
+    scipy's floor of 100 machine epsilons.
     """
-    waypoints = path.waypoints if isinstance(path, Path) else list(path)
+    scale = math.sqrt(smallest / total)
+    rtol = max(max(tol, 1e-13) * scale, 100 * np.finfo(float).eps)
+    return rtol, 1e-3 * tol * scale
+
+
+def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
+    """Continue the block of every piece along its path, all in one DOP853 solve.
+
+    The pieces' ``y0`` share one shape.  The blocks are stacked and the
+    right-hand side applies the rank-one residues to all of them at once:
+    dY_p/ds = -((A+I) Y_p) * (dx_p/ds) / (lam_p - u), row m divided by
+    lam_p - u_m.  Tolerances follow :func:`carry_tolerances`.  Returns the
+    end value of every piece.
+    """
+    if not pieces:
+        return []
+    n, P = fs.n, len(pieces)
+    shape = np.shape(pieces[0].y0)
+    y0 = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
+    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
+    iw = 1j * omega
+    # lam_p - u_m = (pole_p - u_m) + x_p: exactly x_p on a loop at u_m
+    offset = pole[:, None] - fs.u
+    M = -fs.A_plus_I
+    curved = bool(np.any(c != 0))
+
+    def rhs(s, y):
+        if curved:
+            e = c * np.exp(iw * s)
+            x, dx = a + b * s + e, b + iw * e
+        else:
+            x, dx = a + b * s, b
+        scale = dx[:, None] / (offset + x[:, None])
+        return ((M @ y.reshape(y0.shape)) * scale[:, :, None]).ravel()
+
+    rtol, atol = carry_tolerances(tol, y0[0].size, y0.size)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise StepFailure(f"continuation of {P} piece(s) failed: {sol.message}")
+    return list(sol.y[:, -1].reshape((P,) + shape))
+
+
+def _segment(start, end, value):
+    """Straight piece from ``start`` to ``end``."""
+    return Piece(start, 0.0, end - start, 0.0, 0.0, value)
+
+
+def _loop(fs, j, base_point, value):
+    """Positive circle piece around u_j through the base point."""
+    return Piece(fs.u[j], 0.0, 0.0, base_point - fs.u[j], 2 * math.pi, value)
+
+
+def continue_solution(fs: FuchsianSystem, value, start, waypoints, tol=DEFAULT_TOL):
+    """Transport a vector (or matrix) solution along a polyline, one solve per segment.
+
+    ``waypoints`` starts at ``start``; repeated consecutive waypoints are
+    skipped.  Returns the value at the endpoint.
+    """
     if abs(waypoints[0] - start) > 1e-12:
         raise ValueError("path does not start at the given point")
     y = np.asarray(value, dtype=complex)
-    shape = y.shape
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        seg = b - a
-        if seg == 0:
-            continue
-
-        def rhs(t, yy):
-            lam = a + t * seg
-            M = fs.rhs(lam)
-            return (M @ yy.reshape(shape) * seg).ravel()
-
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), y.ravel(), method="DOP853",
-            rtol=max(tol, 1e-13), atol=1e-3 * tol,
-        )
-        if not sol.success:
-            raise StepFailure(f"integrator failed on segment {a} -> {b}: {sol.message}")
-        y = sol.y[:, -1].reshape(shape)
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        if q != p:
+            [y] = carry(fs, [_segment(p, q, y)], tol)
     return y
 
 
 def loop_at_pole(fs, j, base_value, base_point, tol=DEFAULT_TOL):
     """Continue a solution once around u_j on a circle through the base point.
 
-    The base point must lie on the circle; returns the value back at the
-    base point after a positive (counterclockwise) loop.
+    Returns the value back at the base point after a positive
+    (counterclockwise) loop.
     """
-    c = fs.u[j]
-    z0 = base_point - c
-    r = abs(z0)
-    y = np.asarray(base_value, dtype=complex)
-    shape = y.shape
-    th0 = cmath.phase(z0)
-
-    def rhs(t, yy):
-        lam = c + r * cmath.exp(1j * t)
-        dlam = 1j * r * cmath.exp(1j * t)
-        return (fs.rhs(lam) @ yy.reshape(shape) * dlam).ravel()
-
-    sol = solve_ivp(rhs, (th0, th0 + 2 * math.pi), y.ravel(), method="DOP853",
-                    rtol=max(tol, 1e-13), atol=1e-3 * tol)
-    if not sol.success:
-        raise StepFailure(f"loop integration failed at pole {j}: {sol.message}")
-    return sol.y[:, -1].reshape(shape)
+    [y] = carry(fs, [_loop(fs, j, base_point, base_value)], tol)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +201,18 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_T
     From there the matrix of descended columns rises along the anti-cut
     ray of each u_j in ``poles`` to its base point, where column j is set
     to its series value rather than sent through the deep point and back.
+    Each of the four legs is one :func:`carry` over every column or pole
+    that takes it (a pole whose low point is the deep point skips the
+    lateral ones).
 
     The rays opposite to the cuts cross no cut and stay a loop radius away
     from the other poles, and the lateral moves run in the half-plane
     below every pole and cut, so all routes are homotopic in the cut plane.
-    Yields ``(j, base_j, Psi)`` lazily: the descent runs on the first
-    request and each ascent only when its pole is reached.
+    Returns ``[(j, base_j, Psi)]`` in the order of ``poles``.
     """
+    poles = tuple(poles)
+    if not poles:
+        return []
     n = fs.n
     e = cut.direction()
     depth = _depth_frame(fs, cut)
@@ -282,18 +220,23 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_T
     deep = low[0]
     bases = [_anti_cut_point(fs, m, cut) for m in range(n)]
     seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
-    poles = tuple(poles)
     descended = [m for m in range(n) if any(j != m for j in poles)]
-    Psi_deep = np.column_stack([
-        continue_solution(fs, seeds[m], bases[m], [bases[m], low[m], deep], tol=tol)
-        for m in descended
-    ])
-    for j in poles:
+    down = dict(zip(descended, carry(
+        fs, [_segment(bases[m], low[m], seeds[m]) for m in descended], tol)))
+    side = [m for m in descended if low[m] != deep]
+    down.update(zip(side, carry(fs, [_segment(low[m], deep, down[m]) for m in side], tol)))
+    Psi_deep = np.column_stack([down[m] for m in descended])
+    up = dict.fromkeys(poles, Psi_deep)
+    side = [j for j in poles if low[j] != deep]
+    up.update(zip(side, carry(fs, [_segment(deep, low[j], Psi_deep) for j in side], tol)))
+    tops = carry(fs, [_segment(low[j], bases[j], up[j]) for j in poles], tol)
+    out = []
+    for j, top in zip(poles, tops):
         Psi = np.empty((n, n), dtype=complex)
-        Psi[:, descended] = continue_solution(fs, Psi_deep, deep, [deep, low[j], bases[j]],
-                                              tol=tol)
+        Psi[:, descended] = top
         Psi[:, j] = seeds[j]
-        yield j, bases[j], Psi
+        out.append((j, bases[j], Psi))
+    return out
 
 
 def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40):
@@ -314,7 +257,7 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40
             f"selected solutions are not a fundamental system near u_{k} "
             f"(condition {cond:.2e}); gamma-shift the system first"
         )
-    looped = loop_at_pole(fs, k, Psi, base, tol=tol)
+    [looped] = carry(fs, [_loop(fs, k, base, Psi)], tol)
     return np.linalg.solve(Psi, looped)
 
 
@@ -362,9 +305,9 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     """Extract the full matrix of connection coefficients at fixed u.
 
     The selected-solution basis is carried to a base point near each u_j
-    (:func:`continue_basis`) and around one small positive loop there; each
-    column of the loop difference is projected onto Psi_j:
-    gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
+    (:func:`continue_basis`) and around one small positive loop there, all
+    loops in one :func:`carry`; each column of the loop difference is
+    projected onto Psi_j: gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
     from the arithmetic class.  Entries across a coalescing pair of
     ``geometry`` (if given) are structural zeros.  Raises
     :class:`IllConditioned` if a projection residual exceeds tolerance
@@ -393,8 +336,10 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
                 prov[j, k] = "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"
     rows = [j for j in range(n) if projected[j].any()]
-    for j, base, Psi in continue_basis(fs, cut, sols, rows, tol=tol):
-        diff = loop_at_pole(fs, j, Psi, base, tol=tol) - Psi
+    bases = continue_basis(fs, cut, sols, rows, tol=tol)
+    looped = carry(fs, [_loop(fs, j, base, Psi) for j, base, Psi in bases], tol)
+    for (j, _, Psi), end in zip(bases, looped):
+        diff = end - Psi
         psi_j = Psi[:, j]
         c = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha[j]
         r = np.linalg.norm(diff - alpha[j] * np.outer(psi_j, c), axis=0)
@@ -449,42 +394,3 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
             else:
                 P[j, k] = pg
     return P, conn_g
-
-
-def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=40,
-                                transport_tol=None):
-    """Recompute c_jk along a deformation path; report per-entry variation.
-
-    ``u_samples`` is a sequence of deformation points; the matrix A is
-    Schlesinger-transported from sample to sample and the connection matrix
-    is re-extracted at each.  Returns a dict with the stacked coefficient
-    matrices and the max entrywise variation.
-    """
-    from .deformation import transport, DeformationState
-
-    if transport_tol is None:
-        transport_tol = tol
-    cut = CutPlane(eta=geometry.eta)
-    state = DeformationState(u=np.asarray(u_samples[0], dtype=complex),
-                             A=system.A.copy())
-    mats = []
-    cells = []
-    from .model import is_in_cell
-    for i, u_next in enumerate(u_samples):
-        if i > 0:
-            state = transport(state, u_next, tol=transport_tol)
-        from .model import SystemPair
-        sp = SystemPair(state.A, state.u)
-        P, conn = connection_products(sp, cut, tol=tol, N=N, geometry=geometry)
-        mats.append(conn.C)
-        cells.append(is_in_cell(state.u, geometry)[0])
-        last_conn = conn
-    stack = np.stack(mats)
-    variation = np.max(np.abs(stack - stack[0]), axis=0)
-    return {
-        "samples": stack,
-        "max_variation": float(np.max(variation)),
-        "per_entry_variation": variation,
-        "in_cell": cells,
-        "final": last_conn,
-    }

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import COALESCE_TOL, SystemPair
+from .model import COALESCE_TOL, CutPlane, SystemPair, is_in_cell
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
-from .continuation import StepFailure
+from .continuation import DEFAULT_TOL, StepFailure, connection_products
 from .laplace import SingularF1, f1
 
 NEAR_DELTA_GUARD = 1e-4
@@ -178,6 +178,48 @@ def transport_along(state, waypoints, tol=1e-10, **kw):
     for w in waypoints:
         state = transport(state, np.asarray(w, dtype=complex), tol=tol, **kw)
     return state
+
+
+def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None,
+                       gamma=None, transport_tol=None):
+    """Connection data along a deformation path, one sample at a time.
+
+    A is Schlesinger-transported from sample to sample of ``u_samples`` (at
+    ``transport_tol``, default ``tol``) and the products are re-extracted
+    at each by :func:`.continuation.connection_products` with ``geometry``
+    and ``gamma``.  Yields ``(state, P, conn)`` per sample.
+    """
+    state = DeformationState(u=np.asarray(u_samples[0], dtype=complex), A=system.A.copy())
+    for i, u in enumerate(u_samples):
+        if i > 0:
+            state = transport(state, u, tol=tol if transport_tol is None else transport_tol)
+        P, conn = connection_products(state.system(), cut, tol=tol, N=N, geometry=geometry,
+                                      gamma=gamma)
+        yield state, P, conn
+
+
+def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=40,
+                                transport_tol=None):
+    """Recompute c_jk along a deformation path; report per-entry variation.
+
+    The samples come from :func:`connection_samples` with the structural
+    zeros of ``geometry``.  Returns a dict with the stacked coefficient
+    matrices and the max entrywise variation.
+    """
+    mats, cells = [], []
+    for state, _, conn in connection_samples(system, u_samples, CutPlane(eta=geometry.eta),
+                                             tol, N, geometry, transport_tol=transport_tol):
+        mats.append(conn.C)
+        cells.append(is_in_cell(state.u, geometry)[0])
+    stack = np.stack(mats)
+    variation = np.max(np.abs(stack - stack[0]), axis=0)
+    return {
+        "samples": stack,
+        "max_variation": float(np.max(variation)),
+        "per_entry_variation": variation,
+        "in_cell": cells,
+        "final": conn,
+    }
 
 
 def radial_family(system, u_c, t_values, tol=1e-11, t_seed=1e-8):

@@ -38,7 +38,6 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,7 +46,7 @@ from scipy.special import gamma as _cgamma
 
 from .model import ANGLE_TOL, COALESCE_TOL, CutPlane, angular_distance_mod_pi
 from .frobenius import FuchsianSystem, build_fuchsian, horner, selected_solution
-from .continuation import StepFailure
+from .continuation import Piece, StepFailure, carry_tolerances
 
 logger = logging.getLogger(__name__)
 
@@ -324,11 +323,11 @@ class LaplaceColumn:
     """Sampled reduced column of a sectorial solution.
 
     ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
-    the raw column.  ``error`` is the quadrature error estimate of the
-    series leg and the small circle, relative to the reduced scale; the
-    carried part of the leg (and the group circle) is controlled by the
-    tolerances of the batch solve that carried it instead and not
-    included.
+    the raw column.  ``error`` is relative to the reduced scale: the
+    quadrature error estimate of the series leg and the small circle plus,
+    for the carried part of the leg (and the group circle), the tolerance
+    bound max(cont_tol, 1e-13) * max|J| each piece is carried to, which is
+    stated by the tolerances and is not an error estimate.
     """
 
     k: int
@@ -403,9 +402,9 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N
 
 
 def _column(fs, spec, geometry, sols, tol, N):
-    """One column as a generator: yields lists of :class:`_Piece` to carry, returns the column.
+    """One column as a generator: yields lists of :class:`Piece` to carry, returns the column.
 
-    Each yield receives ``[(Psi(1), J)]`` for the pieces it asked for,
+    Each yield receives ``[(Psi(1), J, bound)]`` for the pieces it asked for,
     in order (see :func:`_carry`).
     """
     z_values = np.asarray(spec.z, dtype=complex)
@@ -475,35 +474,19 @@ def _series_on_ray(sol, d, ts, branched):
     return acc
 
 
-class _Piece(NamedTuple):
-    """A path lam = pole + x(s), x(s) = a + b s + c e^{i omega s}, s from 0 to 1.
-
-    Psi starts at ``psi0``; ``z`` holds the samples whose Laplace
-    integrals ride along.  A straight leg has c = 0, a circle b = 0.
-    """
-
-    pole: complex
-    a: complex
-    b: complex
-    c: complex
-    omega: float
-    psi0: np.ndarray
-    z: np.ndarray
-
-
 def _carry(fs, pieces, cont_tol):
     """Continue every piece's Psi with its Laplace integrals, all in one solve.
 
     One DOP853 solve without dense output carries the stacked state
-    [Psi_p; J_p,1 ... J_p,m] of every piece p, dJ_p,i/ds = e^{z_p,i x_p}
-    Psi_p dx_p/ds, so the integral components share the step control of
-    Psi; the right-hand side is vectorised over the batch.  Pieces with
-    fewer samples are padded with integrals of weight 0.  scipy's error
-    norm is an RMS over all N components, so rtol and atol are scaled by
-    sqrt(min_p N_p / N), N_p the components of piece p alone (1/sqrt(P)
-    for P pieces with equal sample counts); rtol stops at scipy's floor of
-    100 machine epsilons.  Returns ``[(Psi_p(1), J_p)]`` with J_p[i] the
-    integral of e^{z_p,i x} Psi_p dx.
+    [Psi_p; J_p,1 ... J_p,m] of every :class:`.continuation.Piece` p (Psi_p
+    starts at ``y0``), dJ_p,i/ds = e^{z_p,i x_p} Psi_p dx_p/ds, so the
+    integral components share the step control of Psi; the right-hand side
+    is vectorised over the batch.  Pieces with fewer samples are padded
+    with integrals of weight 0.  Tolerances follow
+    :func:`.continuation.carry_tolerances`, N_p = n (1 + m_p) components per
+    piece.  Returns ``[(Psi_p(1), J_p, bound_p)]`` with J_p[i] the integral
+    of e^{z_p,i x} Psi_p dx and bound_p = max(cont_tol, 1e-13) max|J_p|,
+    the tolerance bound of the carried integrals (not an error estimate).
     """
     n = fs.n
     P = len(pieces)
@@ -517,7 +500,7 @@ def _carry(fs, pieces, cont_tol):
     for i, p in enumerate(pieces):
         z[i, 1:1 + p.z.size] = p.z
         weight[i, :1 + p.z.size] = 1.0
-        y0[i, 0] = p.psi0
+        y0[i, 0] = p.y0
 
     def rhs(s, y):
         psi = y.reshape(P, 1 + m, n)[:, 0]
@@ -528,14 +511,16 @@ def _carry(fs, pieces, cont_tol):
         dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
         return dy.ravel()
 
-    scale = math.sqrt(min(n * (1 + p.z.size) for p in pieces) / y0.size)
-    rtol = max(max(cont_tol, 1e-13) * scale, 100 * np.finfo(float).eps)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol,
-                    atol=1e-3 * cont_tol * scale)
+    rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(f"continuation along the contour failed: {sol.message}")
     y = sol.y[:, -1].reshape(P, 1 + m, n)
-    return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
+    out = []
+    for i, p in enumerate(pieces):
+        J = y[i, 1:1 + p.z.size]
+        out.append((y[i, 0], J, max(cont_tol, 1e-13) * float(np.max(np.abs(J), initial=0.0))))
+    return out
 
 
 def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
@@ -543,7 +528,7 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
 
     Below t_switch = 0.75 * series radius the local series is integrated
     by one quadrature for all z; the rest of the leg is returned as a
-    :class:`_Piece` for the caller to carry.  ``branched`` multiplies the
+    :class:`Piece` for the caller to carry.  ``branched`` multiplies the
     series by (t e^{id})^rho.  A generator: when a lies beyond t_switch it
     first yields the piece that carries Psi_k out to a.  Returns
     ``(J, err, piece, psi_a)``: J[i] is the series part of the integral of
@@ -555,7 +540,7 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
     pole = fs.u[k]
 
     def ray(t0, t1, psi0, z):
-        return _Piece(pole, t0 * e_d, (t1 - t0) * e_d, 0.0, 0.0, psi0, z)
+        return Piece(pole, t0 * e_d, (t1 - t0) * e_d, 0.0, 0.0, psi0, z)
 
     def integrand(ts):
         w = np.exp(np.outer(ts * e_d, z_values)) * e_d
@@ -566,7 +551,7 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
         J, err = adaptive_quad(integrand, a, t_switch, tol)
         psi_a = _series_on_ray(sol, d, np.array([a]), branched)[0] if a > 0 else None
         return J, err, ray(t_switch, t_max, psi_switch, z_values), psi_a
-    [(psi_a, _)] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
+    [(psi_a, _, _)] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
     return 0.0, 0.0, ray(a, t_max, psi_a, z_values), psi_a
 
 
@@ -588,10 +573,10 @@ def _hairpin_column(fs, k, sol, contour, z_values, tol):
         return horner(sol.b, x)[:, None, :] * w[:, :, None]
 
     circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
-    [(_, J_leg)] = yield [piece]
+    [(_, J_leg, e3)] = yield [piece]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
     out = (jump * (J + J_leg) + circ) / (2j * math.pi)
-    return out, _relative(e1 + e2, out)
+    return out, _relative(e1 + e2 + e3, out)
 
 
 def _group_column(fs, k, sol, contour, z_values, tol):
@@ -612,12 +597,12 @@ def _group_column(fs, k, sol, contour, z_values, tol):
     J, err, piece, seed = yield from _leg(fs, k, sol, d, t_exit, contour.t_max, z_values,
                                           tol, branched=True)
     # x = r e^{i th} - w0 with th from th_exit down to th_exit - 2 pi
-    circle = _Piece(fs.u[k], -w0, 0.0, r * cmath.exp(1j * th_exit), -2 * math.pi, seed,
+    circle = Piece(fs.u[k], -w0, 0.0, r * cmath.exp(1j * th_exit), -2 * math.pi, seed,
                     z_values)
-    [(_, J_leg), (_, J_circ)] = yield [piece, circle]
+    [(_, J_leg, e_leg), (_, J_circ, e_circ)] = yield [piece, circle]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
     out = (jump * (J + J_leg) - J_circ) / (2j * math.pi)
-    return out, _relative(err, out)
+    return out, _relative(err + e_leg + e_circ, out)
 
 
 def _halfline_column(fs, k, sol, contour, z_values, tol):
@@ -627,9 +612,9 @@ def _halfline_column(fs, k, sol, contour, z_values, tol):
     """
     J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
                                        z_values, tol, branched=True)
-    [(_, J_leg)] = yield [piece]
+    [(_, J_leg, e_leg)] = yield [piece]
     out = J + J_leg
-    return out, _relative(err, out)
+    return out, _relative(err + e_leg, out)
 
 
 def _natural_column(fs, k, sol, contour, z_values, tol):
@@ -642,8 +627,9 @@ def _natural_column(fs, k, sol, contour, z_values, tol):
     if not sol.zero:
         J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
                                            z_values, tol, branched=False)
-        [(_, J_leg)] = yield [piece]
+        [(_, J_leg, e_leg)] = yield [piece]
         out = out + J + J_leg
+        err = err + e_leg
     return out, _relative(err, out)
 
 

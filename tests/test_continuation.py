@@ -1,31 +1,32 @@
 import cmath
-import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import isomonodromy.continuation as continuation
-from isomonodromy.model import CutPlane, SystemPair
+from conftest import draw_system
+from isomonodromy.model import CutPlane, DeformationGeometry, SystemPair
 from isomonodromy.frobenius import (
     analytic_basis,
     build_fuchsian,
+    needs_gamma_shift,
     selected_solution,
     singular_solution,
 )
-from isomonodromy.stokes import Ordering, stokes_from_connection
+from isomonodromy.stokes import Ordering, stokes_from_connection, stokes_pipeline
 from isomonodromy.continuation import (
     BasisSingular,
-    Path,
+    alpha_factor,
     connection_coefficients,
     connection_products,
     continue_basis,
     continue_solution,
     loop_at_pole,
     monodromy_matrix,
-    plan_path,
-    verify_connection_constancy,
 )
+from isomonodromy.deformation import verify_connection_constancy
 
 ETA = 1.5 * math.pi - math.pi / 4
 
@@ -34,7 +35,7 @@ def test_transport_diagonal_power_law():
     A = np.diag([0.3 + 0.1j, -0.7])
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     lam0, lam1 = -0.5 - 0.5j, 1.8 + 0.7j
-    path = plan_path(lam0, lam1, fs.u)
+    path = [lam0, 1.2 - 0.5j, lam1]  # 0.4 or more from both poles, below u_0
     v = continue_solution(fs, np.array([1.0, 0.0], complex), lam0, path, tol=1e-12)
     rho = -A[0, 0] - 1
     branch = ((lam1 - fs.u[0]) / (lam0 - fs.u[0])) ** rho
@@ -67,34 +68,6 @@ def test_transport_composition_consistency():
     vb = continue_solution(fs, v0, c + r, quarter1, tol=1e-11)
     vb = continue_solution(fs, vb, c + r * 1j, quarter2, tol=1e-11)
     assert np.max(np.abs(va - vb)) < 1e-10 * max(1.0, np.max(np.abs(va)))
-
-
-def test_path_clearance_and_detours():
-    poles = np.array([0.0, 1.0, 0.5 + 0.02j])
-    path = plan_path(-1.0 + 0.02j, 2.0 + 0.02j, poles)
-    assert path.min_pole_distance(poles) >= path.clearance * 0.999
-
-
-def test_path_detour_depth_cap_warns(caplog):
-    """Ten collinear poles on the segment exhaust the detour depth and log it."""
-    poles = np.linspace(0.1, 0.9, 10).astype(complex)
-    with caplog.at_level(logging.WARNING, logger="isomonodromy.continuation"):
-        plan_path(0.0, 1.0, poles)
-    assert any("detour depth" in rec.getMessage() for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="isomonodromy.continuation"):
-        plan_path(-1.0 + 0.02j, 2.0 + 0.02j, np.array([0.0, 1.0, 0.5 + 0.02j]))
-    assert not caplog.records
-
-
-def test_path_cut_crossing_bookkeeping():
-    cut = CutPlane(eta=math.pi / 2)
-    poles = [0.0 + 0.0j]
-    crossing = Path(waypoints=[-1.0 + 1.0j, 1.0 + 1.0j], clearance=0.1)
-    hits = crossing.cuts_crossed(poles, cut)
-    assert len(hits) == 1 and hits[0][0] == 0
-    below = Path(waypoints=[-1.0 - 1.0j, 1.0 - 1.0j], clearance=0.1)
-    assert below.cuts_crossed(poles, cut) == []
 
 
 # ---------------------------------------------------------------------------
@@ -202,54 +175,145 @@ def test_connection_diagonal_identity_pattern():
     assert np.max(np.abs(off)) < 5e-12
 
 
+def _count_solves(monkeypatch):
+    """Record every solve_ivp call made from the continuation module."""
+    solve = continuation.solve_ivp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    return calls
+
+
+def test_connection_without_projected_entries(monkeypatch):
+    """Integer exponents with zero selected solutions: every c_jk is a structural zero.
+
+    Nothing is left to project, so no continuation runs and C is zero.
+    """
+    fs = build_fuchsian(SystemPair(np.diag([-1.0, -2.0]).astype(complex), [0.0, 1.0]))
+    calls = _count_solves(monkeypatch)
+    conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
+    assert not np.any(conn.provenance == "monodromy-projection")
+    assert not calls and np.all(conn.C == 0.0)
+
+
 @pytest.mark.parametrize("u", [[0.0, 1.0], [0.0, 1.0, 0.4 + 0.9j]])
 def test_connection_solve_count(monkeypatch, u):
-    """All n(n-1) coefficients cost at most 5n - 2 ODE solves.
+    """All n(n-1) coefficients cost at most 5 ODE solves at any n.
 
-    One basis continuation: 2n - 1 solves down (n rays to the low points
-    and n - 1 lateral moves to the deep point), 2n - 1 up (n - 1 lateral
-    moves and n rays to the base points) and n loops, one per pole.
+    One basis continuation: one solve for the rays down to the low points,
+    one for the lateral moves to the deep point, one for the lateral moves
+    back up and one for the rays to the base points; then one for every
+    loop.
     """
     n = len(u)
     rng = np.random.default_rng(11)
     A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     fs = build_fuchsian(SystemPair(A, u))
-    solve_ivp = continuation.solve_ivp
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    calls = _count_solves(monkeypatch)
     conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
     assert np.sum(conn.provenance == "monodromy-projection") == n * (n - 1)
-    assert len(calls) <= 5 * n - 2
+    assert len(calls) <= 5
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_monodromy_solve_count(monkeypatch, k):
-    """M_k at n=3 costs 2n solves: column k is not sent down to the deep point.
+    """M_k costs 5 solves, 4 at k = 0, with column k not sent to the deep point.
 
-    Descent of the other two columns: 1 solve for column 0 (its low point is
-    the deep point) and 2 for any other; ascent: 1 to base_0, 2 elsewhere;
-    then one loop.
+    Descent of the other columns: one solve down their rays, one across to
+    the deep point; ascent: one across to the low point of u_k (none for
+    k = 0, whose low point is the deep point), one up its ray; then the
+    loop.
     """
     rng = np.random.default_rng(5)
     n = 3
     A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.4 + 0.9j]))
-    solve_ivp = continuation.solve_ivp
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(continuation, "solve_ivp", counted)
+    calls = _count_solves(monkeypatch)
     M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
-    assert len(calls) == 2 * n
+    assert len(calls) == (4 if k == 0 else 5)
     assert abs(M[k, k] - cmath.exp(-2j * math.pi * A[k, k])) < 1e-9
+
+
+def _gamma_shifted_case():
+    """A 4x4 sweep system with A_00 set to 1: it needs the gamma-shift."""
+    sp, tau = draw_system(np.random.default_rng(0), 4, min_gap=0.35)
+    A = sp.A.copy()
+    A[0, 0] = 1.0
+    return SystemPair(A, sp.u), tau
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "gamma"])
+def test_stokes_pipeline_solve_count(monkeypatch, n):
+    """The formula route makes at most 5 solves at every n, gamma-shifted or not."""
+    if n == "gamma":
+        sp, tau = _gamma_shifted_case()
+        assert needs_gamma_shift(sp)
+    else:
+        sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
+    calls = _count_solves(monkeypatch)
+    stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
+    assert len(calls) <= 5
+
+
+def _segment_route_connection(fs, cut, tol):
+    """c_jk by the route of one solve_ivp per segment and per theta-parametrised loop.
+
+    The same anti-cut routes and projection as :func:`connection_coefficients`,
+    with every column descended, every leg and loop integrated on its own.
+    """
+    def solve(f, t0, t1, y):
+        sol = solve_ivp(lambda t, yy: f(t, yy.reshape(y.shape)).ravel(), (t0, t1), y.ravel(),
+                        method="DOP853", rtol=max(tol, 1e-13), atol=1e-3 * tol)
+        assert sol.success
+        return sol.y[:, -1].reshape(y.shape)
+
+    def segment(p, q, y):
+        if p == q:
+            return y
+        return solve(lambda t, Y: fs.rhs(p + t * (q - p)) @ Y * (q - p), 0.0, 1.0, y)
+
+    def loop(j, base, y):
+        r, th0 = abs(base - fs.u[j]), cmath.phase(base - fs.u[j])
+
+        def f(t, Y):
+            x = r * cmath.exp(1j * t)
+            return fs.rhs(fs.u[j] + x) @ Y * (1j * x)
+
+        return solve(f, th0, th0 + 2 * math.pi, y)
+
+    n = fs.n
+    depth = continuation._depth_frame(fs, cut)
+    low = [fs.u[m] - depth * cut.direction() for m in range(n)]
+    bases = [continuation._anti_cut_point(fs, m, cut) for m in range(n)]
+    seeds = [selected_solution(fs, m, cut, 40).selected_value(bases[m], cut) for m in range(n)]
+    Psi_deep = np.column_stack([segment(low[m], low[0], segment(bases[m], low[m], seeds[m]))
+                                for m in range(n)])
+    C = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        Psi = segment(low[j], bases[j], segment(low[0], low[j], Psi_deep))
+        Psi[:, j] = seeds[j]
+        diff = loop(j, bases[j], Psi) - Psi
+        psi_j = Psi[:, j]
+        alpha_j = alpha_factor(fs.lambda_prime[j], fs.integer_class(j))
+        C[j] = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha_j
+    return C
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_connection_matches_segment_route(seed):
+    """Batching every leg and loop moves c_jk by at most 1e-10 relative (n = 2..6)."""
+    for n in range(2, 7):
+        sp, tau = draw_system(np.random.default_rng(seed), n, min_gap=0.35)
+        fs = build_fuchsian(sp)
+        cut = CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
+        C = connection_coefficients(fs, cut, tol=1e-12).C
+        ref = _segment_route_connection(fs, cut, 1e-12)
+        off = ~np.eye(n, dtype=bool)
+        assert np.max(np.abs(C - ref)[off]) <= 1e-10 * np.max(np.abs(ref[off])), n
 
 
 def test_connection_series_matching_oracle(system_2x2):

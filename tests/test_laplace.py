@@ -373,6 +373,25 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
         assert np.max(np.abs(col.reduced - ref)) <= 1e-10 * scale, kind
 
 
+def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geometry,
+                                          vanishing_A_uc):
+    """``error`` adds the carry's tolerance bound to the quadrature estimate.
+
+    The group column's leg starts beyond the series zone, so all of it is
+    carried: its error is nonzero and still covers its distance from the
+    dense-output reference, as it does for every contour kind.
+    """
+    for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
+                                               vanishing_A_uc):
+        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
+                             contour="group" if kind == "group" else "hairpin")
+        ref = _reference_column(fs, k, geo, z, col.eta_used, kind)
+        dist = np.max(np.abs(col.reduced - ref)) / np.max(np.abs(ref))
+        assert dist <= col.error, kind
+        if kind == "group":
+            assert col.error > 0.0
+
+
 def test_leg_work_one_solve_without_dense_output(monkeypatch, system_2x2, diag_geo,
                                                  coalescing_geometry, vanishing_A_uc):
     """One ODE solve per non-group column, three at most on the group contour."""

@@ -1,8 +1,10 @@
 """Isomonodromic transport and its consistency checks.
 
 The reduced deformation flow dA = sum_j [omega_j(u), A] du_j is integrated
-along segments in deformation space; diagonal and spectrum of A are
-conserved quantities and double as error monitors.  The non-normalized
+along straight segments in deformation space, every segment from one start
+in one stacked solve (a lone segment is a stack of one; the integrability
+residual's 2n stencil points are one stack).  Diagonal and spectrum of A
+are conserved quantities and double as error monitors.  The non-normalized
 Schlesinger right-hand sides, the integrability residual, the vanishing
 checks near the coalescence locus and the per-pole Jordan reductions live
 here as well.
@@ -18,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .model import COALESCE_TOL, CutPlane, SystemPair, is_in_cell
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
-from .continuation import DEFAULT_TOL, StepFailure, connection_products
+from .continuation import DEFAULT_TOL, StepFailure, carry_tolerances, connection_products
 from .laplace import SingularF1, f1
 
 NEAR_DELTA_GUARD = 1e-4
@@ -32,6 +34,15 @@ class NotReducible(np.linalg.LinAlgError):
     """Requested explicit reduction branch does not apply."""
 
 
+def _omegas(F):
+    """Every omega_k = [F, E_k], stacked along the first axis: row and column k of F."""
+    k = np.arange(F.shape[0])
+    W = np.zeros((k.size,) + F.shape, dtype=F.dtype)
+    W[k, :, k] = F.T
+    W[k, k, :] -= F
+    return W
+
+
 def omega(system, k, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
     """Deformation coefficient omega_k = [F_1, E_k] with F_1 from :func:`f1`.
 
@@ -39,11 +50,7 @@ def omega(system, k, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
     column k are populated.  Coalesced pairs require vanishing A_ij and
     contribute 0 (:class:`SingularF1` otherwise).
     """
-    F = f1(system, coalesce_tol, vanish_tol)
-    W = np.zeros_like(F)
-    W[:, k] = F[:, k]
-    W[k, :] -= F[k, :]
-    return W
+    return _omegas(f1(system, coalesce_tol, vanish_tol))[k]
 
 
 def schlesinger_rhs(fs: FuchsianSystem, u=None):
@@ -58,7 +65,7 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
         u = fs.u
     system = SystemPair(fs.A, u)
     n = fs.n
-    om = [omega(system, i) for i in range(n)]
+    om = _omegas(f1(system))
     derivs = {}
     for i in range(n):
         for k in range(n):
@@ -111,38 +118,32 @@ def _min_ingroup_gap_on_segment(u0, u1, samples=33):
     return float(np.min(np.abs(u[:, i] - u[:, j]))) if i.size else math.inf
 
 
-def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUARD,
-              enforce_guard=True) -> DeformationState:
-    """Transport A along the straight segment to ``target_u``.
+def _transport_stack(u0, A0, targets, tol, guard=0.0):
+    """Carry A0 from u0 along the straight segment to every row of ``targets``, in one solve.
 
-    Integrates dA/dt = sum_j [omega_j, A] u_j'(t) = [Omega, A], with
-    Omega_ij = A_ij (du_j - du_i)/(u_j - u_i), by an adaptive high-order
-    method; reports the diagonal and spectrum drift and raises
-    :class:`DriftExceeded` when they pass 100 * tol.  Segments whose
-    interior approaches the coalescence locus below ``guard`` are rejected
-    (endpoint limits should be sampled and extrapolated instead); a segment
-    that starts on the locus with a nonvanishing in-group A_ij raises
-    :class:`SingularF1`.
+    Integrates dA_p/dt = sum_j [omega_j, A_p] u_j'(t) = [Omega_p, A_p], with
+    (Omega_p)_ij = (A_p)_ij (du_j - du_i)/(u_j - u_i), for all P targets by
+    DOP853 at :func:`.continuation.carry_tolerances`.  Raises
+    :class:`StepFailure` when a segment comes within ``guard`` (if > 0) of
+    the coalescence locus or the solve fails, :class:`SingularF1` for a start
+    on the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
+    when the diagonal or spectrum of a trajectory drifts past 100 * tol.
+    Returns the (P, n, n) end matrices and the diagonal and spectrum drifts.
     """
-    u0 = np.asarray(state.u, dtype=complex)
-    u1 = np.asarray(target_u, dtype=complex)
-    if np.allclose(u0, u1):
-        return state
-    if enforce_guard:
+    P, n = targets.shape
+    for u1 in targets if guard > 0 else ():
         gap = _min_ingroup_gap_on_segment(u0, u1)
         if gap < guard:
             raise StepFailure(
                 f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
                 "stop at a guarded endpoint and extrapolate"
             )
-    n = u0.size
-    du = u1 - u0
-    A0 = np.asarray(state.A, dtype=complex)
     lead0 = np.linalg.eigvals(A0)
     diag0 = np.diag(A0).copy()
-    # gaps u_j - u_i along the segment are gap0 + t dgap; Omega_ij = A_ij dgap_ij/gap_ij
+    # gaps u_j - u_i along segment p are gap0 + t dgap_p; Omega_ij = A_ij dgap_ij/gap_ij
+    du = targets - u0
     gap0 = u0[None, :] - u0[:, None]
-    dgap = du[None, :] - du[:, None]
+    dgap = du[:, None, :] - du[:, :, None]
     scale = max(1.0, float(np.max(np.abs(A0))))
     for i, j in np.argwhere(np.abs(gap0) < COALESCE_TOL):
         if i != j and abs(A0[i, j]) > 1e-10 * scale:
@@ -150,28 +151,45 @@ def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUA
                              f"{abs(A0[i, j]):.2e}")
 
     def rhs(t, y):
-        """Reduced flow dA/dt = [Omega(t), A]: one commutator."""
-        A = y.reshape(n, n)
+        """Reduced flow dA_p/dt = [Omega_p(t), A_p]: one commutator for the whole stack."""
+        A = y.reshape(P, n, n)
         gap = gap0 + t * dgap
-        q = np.divide(dgap, gap, out=np.zeros_like(gap), where=np.abs(gap) >= COALESCE_TOL)
-        W = A * q
+        near = np.abs(gap) < COALESCE_TOL
+        W = A * (np.where(near, 0, dgap) / np.where(near, 1, gap))
         return (W @ A - A @ W).ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), A0.ravel(), method="DOP853",
-                    rtol=max(tol, 1e-13), atol=1e-3 * tol)
+    rtol, atol = carry_tolerances(tol, n * n, P * n * n)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.tile(A0.ravel(), P), method="DOP853",
+                    rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(f"transport integrator failed: {sol.message}")
-    A1 = sol.y[:, -1].reshape(n, n)
-    diag_drift = float(np.max(np.abs(np.diag(A1) - diag0)))
-    spec_drift = _spectrum_distance(lead0, np.linalg.eigvals(A1))
-    if max(diag_drift, spec_drift) > 100 * tol:
-        raise DriftExceeded(
-            f"invariant drift too large: diag {diag_drift:.2e}, spectrum {spec_drift:.2e}"
-        )
-    new_hist = state.history + [(u0.copy(), u1.copy())]
-    return DeformationState(u=u1, A=A1, history=new_hist,
-                            diag_drift=max(state.diag_drift, diag_drift),
-                            spectrum_drift=max(state.spectrum_drift, spec_drift))
+    A1 = sol.y[:, -1].reshape(P, n, n)
+    diag_drift = np.max(np.abs(np.diagonal(A1, axis1=1, axis2=2) - diag0), axis=1)
+    spec_drift = np.array([_spectrum_distance(lead0, ev) for ev in np.linalg.eigvals(A1)])
+    if max(diag_drift.max(), spec_drift.max()) > 100 * tol:
+        raise DriftExceeded(f"invariant drift too large: diag {diag_drift.max():.2e}, "
+                            f"spectrum {spec_drift.max():.2e}")
+    return A1, diag_drift, spec_drift
+
+
+def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUARD,
+              enforce_guard=True) -> DeformationState:
+    """Transport A along the straight segment to ``target_u``: a stack of one.
+
+    Flow, checks and errors are those of :func:`_transport_stack`; with
+    ``enforce_guard``, segments nearing the locus below ``guard`` are rejected
+    (sample endpoint limits and extrapolate instead).  Only a target equal to
+    the start is skipped.
+    """
+    u0 = np.asarray(state.u, dtype=complex)
+    u1 = np.asarray(target_u, dtype=complex)
+    if np.array_equal(u0, u1):
+        return state
+    (A1,), (diag_drift,), (spec_drift,) = _transport_stack(
+        u0, np.asarray(state.A, dtype=complex), u1[None], tol, guard if enforce_guard else 0.0)
+    return DeformationState(u=u1, A=A1, history=state.history + [(u0.copy(), u1.copy())],
+                            diag_drift=max(state.diag_drift, float(diag_drift)),
+                            spectrum_drift=max(state.spectrum_drift, float(spec_drift)))
 
 
 def transport_along(state, waypoints, tol=1e-10, **kw):
@@ -310,28 +328,20 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     """Residual of d_i omega_k - d_k omega_i = [omega_i, omega_k] by stencils.
 
     Central finite differences in u_i, u_k with the matrix A transported
-    isomonodromically to each stencil point.  Returns the max over pairs.
+    isomonodromically to each of the 2n stencil points u +- step e_i, all in
+    one stacked solve; F_1 is built once per stencil point.  Returns the max
+    over pairs.
     """
     n = system.n
-    base = DeformationState(u=np.asarray(system.u, dtype=complex),
-                            A=np.asarray(system.A, dtype=complex))
-
-    def omega_at(du_index, delta, k):
-        u = base.u.copy()
-        u[du_index] += delta
-        st = transport(base, u, tol=tol, enforce_guard=False)
-        return omega(st.system(), k)
-
-    worst = 0.0
-    for i in range(n):
-        for k in range(i + 1, n):
-            d_i_om_k = (omega_at(i, step, k) - omega_at(i, -step, k)) / (2 * step)
-            d_k_om_i = (omega_at(k, step, i) - omega_at(k, -step, i)) / (2 * step)
-            om_i = omega(system, i)
-            om_k = omega(system, k)
-            comm = om_i @ om_k - om_k @ om_i
-            worst = max(worst, float(np.max(np.abs(d_i_om_k - d_k_om_i - comm))))
-    return worst
+    u0 = np.asarray(system.u, dtype=complex)
+    targets = u0 + step * np.concatenate([np.eye(n), -np.eye(n)])
+    A1, _, _ = _transport_stack(u0, np.asarray(system.A, dtype=complex), targets, tol)
+    om = np.stack([_omegas(f1(SystemPair(A, u))) for A, u in zip(A1, targets)])
+    d_om = (om[:n] - om[n:]) / (2 * step)  # d_om[i, k] = d_i omega_k
+    om0 = _omegas(f1(system))
+    comm = om0[:, None] @ om0[None, :] - om0[None, :] @ om0[:, None]
+    i, k = np.triu_indices(n, 1)
+    return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm[i, k]), initial=0.0))
 
 
 def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):

@@ -313,3 +313,114 @@ def test_transport_samples_the_gap_only_when_guarded(monkeypatch):
         transport(DeformationState(u=sp.u, A=sp.A.copy()), np.array([0.2j, 1.3]),
                   tol=1e-12, enforce_guard=enforce)
         assert len(calls) == expected
+
+
+def test_short_segment_far_from_the_origin_is_transported():
+    """A 1e-3 step at |u| ~ 150 moves A; the flow is translation invariant."""
+    rng = np.random.default_rng(0)
+    A = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    u = np.array([0.1 + 0.2j, -0.7 + 0.1j, 0.5 - 0.6j])
+    target = u + 150.0
+    target[0] += 1e-3
+    st = transport(DeformationState(u=u + 150.0, A=A.copy()), target, tol=1e-12,
+                   enforce_guard=False)
+    assert np.array_equal(st.u, target)
+    assert np.max(np.abs(st.A - A)) > 1e-4
+    near = integrability_residual(SystemPair(A, u))
+    far = integrability_residual(SystemPair(A, u + 150.0))
+    assert abs(far - near) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integrability_residual_makes_one_solve(monkeypatch, n):
+    import isomonodromy.deformation as deformation
+    from conftest import draw_system
+
+    calls = []
+    original = deformation.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "solve_ivp", counted)
+    system, _ = draw_system(np.random.default_rng(40 + n), n)
+    integrability_residual(system, tol=1e-12)
+    assert len(calls) == 1
+
+
+def _residual_per_stencil_reference(system, step=1e-3, tol=1e-12):
+    """One lone transport per stencil evaluation, omega_k rebuilt at each."""
+    n = system.n
+    base = DeformationState(u=np.asarray(system.u, dtype=complex),
+                            A=np.asarray(system.A, dtype=complex))
+
+    def omega_at(i, delta, k):
+        u = base.u.copy()
+        u[i] += delta
+        return omega(transport(base, u, tol=tol, enforce_guard=False).system(), k)
+
+    worst = 0.0
+    for i in range(n):
+        for k in range(i + 1, n):
+            d_i_om_k = (omega_at(i, step, k) - omega_at(i, -step, k)) / (2 * step)
+            d_k_om_i = (omega_at(k, step, i) - omega_at(k, -step, i)) / (2 * step)
+            om_i, om_k = omega(system, i), omega(system, k)
+            comm = om_i @ om_k - om_k @ om_i
+            worst = max(worst, float(np.max(np.abs(d_i_om_k - d_k_om_i - comm))))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_stacked_stencil_matches_lone_transports(n):
+    from conftest import draw_system
+    from isomonodromy.deformation import _transport_stack
+
+    system, _ = draw_system(np.random.default_rng(70 + n), n)
+    step, tol = 1e-3, 1e-12
+    assert abs(integrability_residual(system, step, tol)
+               - _residual_per_stencil_reference(system, step, tol)) < 1e-12
+    targets = system.u + step * np.concatenate([np.eye(n), -np.eye(n)])
+    stacked, _, _ = _transport_stack(system.u, system.A, targets, tol)
+    base = DeformationState(u=system.u, A=system.A)
+    for A1, u1 in zip(stacked, targets):
+        lone = transport(base, u1, tol=tol, enforce_guard=False).A
+        assert np.max(np.abs(A1 - lone)) < 1e-10 * np.max(np.abs(lone))
+
+
+def _transport_single_reference(u0, u1, A0, tol):
+    """One segment solved on its own: the single-trajectory flow and tolerances."""
+    from scipy.integrate import solve_ivp
+
+    from isomonodromy.model import COALESCE_TOL
+
+    n = u0.size
+    gap0 = u0[None, :] - u0[:, None]
+    dgap = (u1 - u0)[None, :] - (u1 - u0)[:, None]
+
+    def rhs(t, y):
+        A = y.reshape(n, n)
+        gap = gap0 + t * dgap
+        q = np.divide(dgap, gap, out=np.zeros_like(gap), where=np.abs(gap) >= COALESCE_TOL)
+        W = A * q
+        return (W @ A - A @ W).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), A0.ravel(), method="DOP853",
+                    rtol=max(tol, 1e-13), atol=1e-3 * tol)
+    return sol.y[:, -1].reshape(n, n)
+
+
+@pytest.mark.parametrize("case", ["random", "locus"])
+def test_transport_is_a_stack_of_one(case):
+    """A lone transport is bit-identical to the single-trajectory solve."""
+    if case == "random":
+        rng = np.random.default_rng(11)
+        A = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        u0 = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        u1 = u0 + 0.2 * (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4))
+    else:
+        A = np.array([[0.2, 0.0, 0.1], [0.0, 0.9, 0.2], [0.1, 0.4, 0.35]], dtype=complex)
+        u0 = np.array([0.0, 0.0, 1.0], dtype=complex)
+        u1 = np.array([0.1, -0.1, 1.0], dtype=complex)
+    st = transport(DeformationState(u=u0, A=A.copy()), u1, tol=1e-10, enforce_guard=False)
+    assert np.array_equal(st.A, _transport_single_reference(u0, u1, A, 1e-10))

@@ -7,98 +7,70 @@ contour quadrature.  Connection coefficients of the local solutions assemble
 the Stokes matrices in closed form; an independent sectorial-matching oracle
 cross-checks them.  Schlesinger transport moves the whole picture around a
 polydisc containing a coalescence point of the eigenvalues.
+
+The public names are resolved on first access, so importing the package
+(or its command line) loads no submodule and no scipy; each name brings
+in its own submodule and whatever that imports.
 """
 
-from .model import (
-    CutPlane,
-    DeformationGeometry,
-    NonAdmissibleError,
-    SystemPair,
-    is_in_cell,
-    label_rays,
-    sector_bounds,
-    stokes_ray_directions,
-)
-from .frobenius import (
-    FuchsianSystem,
-    LocalSolution,
-    build_fuchsian,
-    gamma_shift,
-    levelt_at_confluence,
-    selected_solution,
-    singular_solution,
-)
-from .laplace import (
-    FormalSolution,
-    asymptotic_coeffs,
-    asymptotic_fit,
-    f1,
-    formal_recursion,
-    laplace_column,
-)
-from .continuation import (
-    ConnectionData,
-    connection_coefficients,
-    continue_solution,
-    monodromy_matrix,
-)
-from .stokes import (
-    Ordering,
-    StokesPair,
-    stokes_direct,
-    stokes_from_connection,
-    stokes_generate,
-)
-from .deformation import (
-    DeformationState,
-    integrability_residual,
-    jordan_reduce_Bj,
-    omega,
-    schlesinger_rhs,
-    transport,
-    vanishing_check,
-    verify_connection_constancy,
-)
+import importlib
 
-__all__ = [
-    "CutPlane",
-    "DeformationGeometry",
-    "NonAdmissibleError",
-    "SystemPair",
-    "is_in_cell",
-    "label_rays",
-    "sector_bounds",
-    "stokes_ray_directions",
-    "FuchsianSystem",
-    "LocalSolution",
-    "build_fuchsian",
-    "gamma_shift",
-    "levelt_at_confluence",
-    "selected_solution",
-    "singular_solution",
-    "FormalSolution",
-    "asymptotic_coeffs",
-    "asymptotic_fit",
-    "f1",
-    "formal_recursion",
-    "laplace_column",
-    "ConnectionData",
-    "connection_coefficients",
-    "continue_solution",
-    "monodromy_matrix",
-    "Ordering",
-    "StokesPair",
-    "stokes_direct",
-    "stokes_from_connection",
-    "stokes_generate",
-    "DeformationState",
-    "integrability_residual",
-    "jordan_reduce_Bj",
-    "omega",
-    "schlesinger_rhs",
-    "transport",
-    "vanishing_check",
-    "verify_connection_constancy",
-]
+# public name -> defining submodule; a name loads its submodule on first access
+_EXPORTS = {
+    "CutPlane": "model",
+    "DeformationGeometry": "model",
+    "NonAdmissibleError": "model",
+    "SystemPair": "model",
+    "is_in_cell": "model",
+    "label_rays": "model",
+    "sector_bounds": "model",
+    "stokes_ray_directions": "model",
+    "FuchsianSystem": "frobenius",
+    "LocalSolution": "frobenius",
+    "build_fuchsian": "frobenius",
+    "gamma_shift": "frobenius",
+    "levelt_at_confluence": "frobenius",
+    "selected_solution": "frobenius",
+    "singular_solution": "frobenius",
+    "FormalSolution": "laplace",
+    "asymptotic_coeffs": "laplace",
+    "asymptotic_fit": "laplace",
+    "f1": "laplace",
+    "formal_recursion": "laplace",
+    "laplace_column": "laplace",
+    "ConnectionData": "continuation",
+    "connection_coefficients": "continuation",
+    "continue_solution": "continuation",
+    "monodromy_matrix": "continuation",
+    "Ordering": "stokes",
+    "StokesPair": "stokes",
+    "stokes_direct": "stokes",
+    "stokes_from_connection": "stokes",
+    "stokes_generate": "stokes",
+    "stokes_pipeline": "stokes",
+    "stokes_pair_direct": "stokes",
+    "DeformationState": "deformation",
+    "integrability_residual": "deformation",
+    "jordan_reduce_Bj": "deformation",
+    "omega": "deformation",
+    "schlesinger_rhs": "deformation",
+    "transport": "deformation",
+    "vanishing_check": "deformation",
+    "verify_connection_constancy": "deformation",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Resolve an exported name from its submodule (PEP 562).
+
+    The result is not stored in this namespace, so a function swapped in
+    place on its submodule is what every later access sees.
+    """
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

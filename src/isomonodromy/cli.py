@@ -36,9 +36,17 @@ import numpy as np
 
 from . import __version__
 from .model import (
+    BasisSingular,
     CutPlane,
     DeformationGeometry,
+    DriftExceeded,
+    IllConditioned,
+    MatchingInconsistent,
     NonAdmissibleError,
+    OverlapEmpty,
+    QuadratureDivergence,
+    SingularF1,
+    StepFailure,
     SystemPair,
     is_in_cell,
     label_rays,
@@ -53,32 +61,10 @@ from .frobenius import (
     needs_gamma_shift,
     selected_solution,
 )
-from .laplace import (
-    QuadratureDivergence,
-    SingularF1,
-    assemble_formal,
-    formal_recursion,
-)
-from .continuation import (
-    BasisSingular,
-    IllConditioned,
-    StepFailure,
-    connection_products,
-)
-from .stokes import (
-    MatchingInconsistent,
-    Ordering,
-    OverlapEmpty,
-    stokes_from_connection,
-    stokes_pair_direct,
-)
-from .deformation import (
-    DriftExceeded,
-    connection_samples,
-    integrability_residual,
-    schlesinger_rhs,
-    vanishing_check,
-)
+
+# The solving modules (continuation, laplace, stokes, deformation) load
+# scipy.integrate; the commands that solve import them in their bodies, so
+# ``rays`` and ``levelt`` start without scipy.
 
 SCHEMA_VERSION = 1
 
@@ -441,6 +427,10 @@ def _crossing_locus(spec, samples=256):
               show_default=True, help="run the sectorial-matching oracle")
 def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
+    from .continuation import connection_products
+    from .laplace import assemble_formal, formal_recursion
+    from .stokes import Ordering, stokes_from_connection, stokes_pair_direct
+
     try:
         spec = _load(spec_path, tol, order, gamma)
     except SpecError as exc:
@@ -558,6 +548,9 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 @_common_options
 def deform(spec_path, out_dir, tol, order, gamma):
     """Constancy of connection coefficients and Stokes entries along paths."""
+    from .deformation import connection_samples
+    from .stokes import Ordering, stokes_from_connection
+
     try:
         spec = _load(spec_path, tol, order, gamma)
         if not spec.paths:
@@ -709,6 +702,8 @@ def levelt(spec_path, out_dir, tol, order, gamma, free_items):
               help="finite-difference step for the integrability residual")
 def check(spec_path, out_dir, tol, order, gamma, step):
     """Integrability residual and vanishing-condition checks."""
+    from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
+
     try:
         spec = _load(spec_path, tol, order, gamma)
     except SpecError as exc:

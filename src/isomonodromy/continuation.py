@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import COALESCE_TOL, CutPlane
+from .model import BasisSingular, COALESCE_TOL, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
@@ -41,18 +41,6 @@ from .frobenius import (
 )
 
 DEFAULT_TOL = 1e-10
-
-
-class StepFailure(RuntimeError):
-    """Adaptive integrator failed (step underflow or solver error)."""
-
-
-class BasisSingular(np.linalg.LinAlgError):
-    """Selected solutions do not form a fundamental system at this point."""
-
-
-class IllConditioned(RuntimeError):
-    """A least-squares projection left a residual above tolerance."""
 
 
 class Piece(NamedTuple):

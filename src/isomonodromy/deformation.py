@@ -18,16 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import COALESCE_TOL, CutPlane, SystemPair, is_in_cell
+from .model import (
+    COALESCE_TOL,
+    CutPlane,
+    DriftExceeded,
+    SingularF1,
+    StepFailure,
+    SystemPair,
+    is_in_cell,
+)
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
-from .continuation import DEFAULT_TOL, StepFailure, carry_tolerances, connection_products
-from .laplace import SingularF1, f1
+from .continuation import DEFAULT_TOL, carry_tolerances, connection_products
+from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
-
-
-class DriftExceeded(RuntimeError):
-    """Conserved quantities drifted beyond the allowed multiple of tol."""
 
 
 class NotReducible(np.linalg.LinAlgError):
@@ -118,6 +122,22 @@ def _min_ingroup_gap_on_segment(u0, u1, samples=33):
     return float(np.min(np.abs(u[:, i] - u[:, j]))) if i.size else math.inf
 
 
+def _segment_mask(gap0, dgap):
+    """The mask |gap0 + t dgap| < COALESCE_TOL if no entry changes it for t in [0, 1], else None.
+
+    On [0, 1] the modulus is smallest at the clipped foot of the
+    perpendicular from 0 and largest at an end.  An entry counts as fixed
+    when its largest value stays below COALESCE_TOL / 2 (always masked, as
+    the diagonal) or its smallest value above 2 COALESCE_TOL (never masked).
+    """
+    dd = np.abs(dgap) ** 2
+    t = np.clip(-(gap0 * np.conj(dgap)).real / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    lo = np.abs(gap0 + t * dgap)
+    hi = np.maximum(np.abs(gap0), np.abs(gap0 + dgap))
+    masked = hi < 0.5 * COALESCE_TOL
+    return masked if np.all(masked | (lo >= 2 * COALESCE_TOL)) else None
+
+
 def _transport_stack(u0, A0, targets, tol, guard=0.0):
     """Carry A0 from u0 along the straight segment to every row of ``targets``, in one solve.
 
@@ -150,12 +170,22 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
             raise SingularF1(f"segment starts at u_{i} = u_{j} with |A[{i},{j}]| = "
                              f"{abs(A0[i, j]):.2e}")
 
+    # Omega_ij is 0 where |gap_ij| < COALESCE_TOL (the diagonal, the locus); a
+    # mask that holds along every segment gives numerator and gap pieces once
+    fixed = _segment_mask(gap0, dgap)
+    if fixed is not None:
+        num = np.where(fixed, 0, dgap)
+        base = np.where(fixed, 1, gap0)
+
     def rhs(t, y):
         """Reduced flow dA_p/dt = [Omega_p(t), A_p]: one commutator for the whole stack."""
         A = y.reshape(P, n, n)
-        gap = gap0 + t * dgap
-        near = np.abs(gap) < COALESCE_TOL
-        W = A * (np.where(near, 0, dgap) / np.where(near, 1, gap))
+        if fixed is None:
+            gap = gap0 + t * dgap
+            near = np.abs(gap) < COALESCE_TOL
+            W = A * (np.where(near, 0, dgap) / np.where(near, 1, gap))
+        else:
+            W = A * (num / (base + t * num))
         return (W @ A - A @ W).ravel()
 
     rtol, atol = carry_tolerances(tol, n * n, P * n * n)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _cgamma
 
 from .model import COALESCE_TOL, INTEGER_TOL, SystemPair, exponent_class, nearest_integer
 
@@ -202,10 +201,17 @@ def horner(coeffs, x):
     return acc
 
 
+def cgamma(x):
+    """Gamma at the complex point x; loads scipy.special on the first call."""
+    from scipy.special import gamma
+
+    return complex(gamma(complex(x)))
+
+
 def leading_factor(lambda_prime_k, klass):
     """Normalizing constant f_k of the leading series coefficient."""
     if klass == "noninteger":
-        return complex(_cgamma(complex(lambda_prime_k) + 1))
+        return cgamma(lambda_prime_k + 1)
     r = round(lambda_prime_k.real)
     if klass == "negative_integer":
         return complex((-1) ** r) / math.factorial(-r - 1)

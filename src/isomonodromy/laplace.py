@@ -42,21 +42,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
-from scipy.special import gamma as _cgamma
 
-from .model import ANGLE_TOL, COALESCE_TOL, CutPlane, angular_distance_mod_pi
-from .frobenius import FuchsianSystem, build_fuchsian, horner, selected_solution
-from .continuation import Piece, StepFailure, carry_tolerances
+from .model import (
+    ANGLE_TOL,
+    COALESCE_TOL,
+    CutPlane,
+    IllConditioned,
+    QuadratureDivergence,
+    SingularF1,
+    StepFailure,
+    angular_distance_mod_pi,
+)
+from .frobenius import FuchsianSystem, build_fuchsian, cgamma, horner, selected_solution
+from .continuation import Piece, carry_tolerances
 
 logger = logging.getLogger(__name__)
-
-
-class SingularF1(ZeroDivisionError):
-    """A quotient A_ij/(u_j-u_i) is singular: vanishing conditions violated."""
-
-
-class QuadratureDivergence(RuntimeError):
-    """The requested z lies outside the convergence half-plane of the contour."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,10 @@ def _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values):
             if l in data.R_parts and abs(data.R_parts[l][i, j]) > 1e-10:
                 obstructed.append((l, i, j))
         for j in group:
-            gam = complex(_cgamma(complex(lp[j]) + 1))
+            gam = cgamma(lp[j] + 1)
             for l in range(1, L + 1):
                 b = gam * (data.G @ data.G_series[l][:, j])
-                cols[l - 1][:, j] = b / complex(_cgamma(complex(lp[j]) + 1 - l))
+                cols[l - 1][:, j] = b / cgamma(lp[j] + 1 - l)
     return FormalSolution(
         F=[cols[l] for l in range(L)], u=u.copy(), lambda_prime=lp.copy(), L=L,
         free_positions=sorted(set(free_positions)),
@@ -501,14 +501,21 @@ def _carry(fs, pieces, cont_tol):
         z[i, 1:1 + p.z.size] = p.z
         weight[i, :1 + p.z.size] = 1.0
         y0[i, 0] = p.y0
+    # rank-one residues as in continuation.carry: lam_p - u_m = (pole_p - u_m) + x_p
+    offset = pole[:, None] - fs.u
+    MT = -fs.A_plus_I.T
+    curved = bool(np.any(c != 0))
 
     def rhs(s, y):
         psi = y.reshape(P, 1 + m, n)[:, 0]
-        e = c * np.exp(iw * s)
-        x = a + b * s + e
-        dx = (b + iw * e)[:, None]
-        dy = (np.exp(z * x[:, None]) * (weight * dx))[:, :, None] * psi[:, None]
-        dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
+        if curved:
+            e = c * np.exp(iw * s)
+            x, dx = a + b * s + e, b + iw * e
+        else:
+            x, dx = a + b * s, b
+        x, dx = x[:, None], dx[:, None]
+        dy = (np.exp(z * x) * (weight * dx))[:, :, None] * psi[:, None]
+        dy[:, 0] = (psi @ MT) * (dx / (offset + x))
         return dy.ravel()
 
     rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
@@ -652,7 +659,7 @@ def asymptotic_coeffs(sol, L):
     out = np.zeros((L, n), dtype=complex)
     if sol.klass == "noninteger":
         for l in range(1, L + 1):
-            out[l - 1] = sol.b[l] / complex(_cgamma(complex(lp) + 1 - l))
+            out[l - 1] = sol.b[l] / cgamma(lp + 1 - l)
         return out
     r = int(round(lp.real))
     if sol.klass == "natural":
@@ -685,8 +692,6 @@ def asymptotic_fit(z_values, reduced_columns, lambda_prime, L, args=None):
     (``args`` defaults to the principal argument of the samples).
     Returns (F_list, condition, residual).
     """
-    from .continuation import IllConditioned
-
     z_values = np.asarray(z_values, dtype=complex)
     if args is None:
         args = np.angle(z_values)

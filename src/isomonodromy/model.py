@@ -48,6 +48,43 @@ class NonAdmissibleError(ValueError):
         self.suggestion = suggestion
 
 
+# Typed numerical failures, raised by the solving modules and re-exported
+# there; defined here so the command line can catch them without loading
+# the integrators.
+
+
+class StepFailure(RuntimeError):
+    """Adaptive integrator failed (step underflow or solver error)."""
+
+
+class BasisSingular(np.linalg.LinAlgError):
+    """Selected solutions do not form a fundamental system at this point."""
+
+
+class IllConditioned(RuntimeError):
+    """A least-squares projection left a residual above tolerance."""
+
+
+class DriftExceeded(RuntimeError):
+    """Conserved quantities drifted beyond the allowed multiple of tol."""
+
+
+class SingularF1(ZeroDivisionError):
+    """A quotient A_ij/(u_j-u_i) is singular: vanishing conditions violated."""
+
+
+class QuadratureDivergence(RuntimeError):
+    """The requested z lies outside the convergence half-plane of the contour."""
+
+
+class OverlapEmpty(RuntimeError):
+    """Conservative sector bounds produced no common matching ray."""
+
+
+class MatchingInconsistent(RuntimeError):
+    """The fitted Stokes matrix varies with |z| beyond tolerance."""
+
+
 def _as_complex_vector(u):
     v = np.asarray(u, dtype=complex).ravel()
     return v

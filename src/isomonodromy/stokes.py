@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import COALESCE_TOL, CutPlane, DeformationGeometry, sector_bounds
+from .model import (
+    COALESCE_TOL,
+    CutPlane,
+    DeformationGeometry,
+    MatchingInconsistent,
+    OverlapEmpty,
+    sector_bounds,
+)
 from .frobenius import build_fuchsian, selected_solution
 from .continuation import connection_products
 from .laplace import ColumnSpec, laplace_columns
@@ -22,14 +29,6 @@ from .laplace import ColumnSpec, laplace_columns
 
 # relative spread of the fitted Stokes matrix allowed across the |z| ladder
 CONSISTENCY_TOL = 1e-6
-
-
-class OverlapEmpty(RuntimeError):
-    """Conservative sector bounds produced no common matching ray."""
-
-
-class MatchingInconsistent(RuntimeError):
-    """The fitted Stokes matrix varies with |z| beyond tolerance."""
 
 
 @dataclass(frozen=True)

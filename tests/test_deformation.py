@@ -424,3 +424,42 @@ def test_transport_is_a_stack_of_one(case):
         u1 = np.array([0.1, -0.1, 1.0], dtype=complex)
     st = transport(DeformationState(u=u0, A=A.copy()), u1, tol=1e-10, enforce_guard=False)
     assert np.array_equal(st.A, _transport_single_reference(u0, u1, A, 1e-10))
+
+
+def _gaps(u0, targets):
+    du = targets - u0
+    return u0[None, :] - u0[:, None], du[:, None, :] - du[:, :, None]
+
+
+def test_segment_mask_is_fixed_only_off_the_locus():
+    """The mask is computed once per solve unless some entry crosses COALESCE_TOL."""
+    from isomonodromy.deformation import _segment_mask
+
+    u0 = np.array([0.0, 1.0, 0.5j])
+    away = u0 + np.array([[0.1, -0.1, 0.2j], [0.0, 0.3, 0.0]])
+    assert np.array_equal(_segment_mask(*_gaps(u0, away)), np.broadcast_to(np.eye(3), (2, 3, 3)))
+    # u_0 and u_1 meet halfway, or the segment leaves the locus: the mask changes with t
+    through = np.array([[1.0, 0.0, 0.5j]])
+    assert _segment_mask(*_gaps(u0, through)) is None
+    on_locus = np.array([0.0, 0.0, 1.0])
+    assert _segment_mask(*_gaps(on_locus, np.array([[0.1, -0.1, 1.0]]))) is None
+    # a coalesced pair moving together stays masked along the whole segment
+    together = _segment_mask(*_gaps(on_locus, np.array([[0.2j, 0.2j, 1.0]])))
+    assert np.array_equal(together[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool))
+
+
+def test_fixed_mask_transport_matches_the_per_evaluation_mask(monkeypatch):
+    """Bit-identical end matrices whether the mask is fixed once or rebuilt per evaluation."""
+    from isomonodromy import deformation
+    from isomonodromy.deformation import _transport_stack
+
+    rng = np.random.default_rng(5)
+    n = 4
+    A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    targets = u0 + 0.05 * (rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n)))
+    assert deformation._segment_mask(*_gaps(u0, targets)) is not None
+    fixed, _, _ = _transport_stack(u0, A, targets, 1e-11)
+    monkeypatch.setattr(deformation, "_segment_mask", lambda gap0, dgap: None)
+    per_eval, _, _ = _transport_stack(u0, A, targets, 1e-11)
+    assert np.array_equal(fixed, per_eval)

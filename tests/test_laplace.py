@@ -629,3 +629,63 @@ def test_batched_columns_match_one_at_a_time(monkeypatch, system_2x2, diag_geo,
             scale = float(np.max(np.abs(lone.reduced)))
             assert np.max(np.abs(col.reduced - lone.reduced)) <= 1e-10 * scale, (kind, spec)
             assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)
+
+
+def _carry_dense_reference(fs, pieces, cont_tol):
+    """The batched carry with the dense residue matrices sum_k B_k/(lam - u_k) per piece."""
+    P, n = len(pieces), fs.n
+    m = max(p.z.size for p in pieces)
+    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
+    z = np.zeros((P, 1 + m), dtype=complex)
+    weight = np.zeros((P, 1 + m))
+    y0 = np.zeros((P, 1 + m, n), dtype=complex)
+    for i, p in enumerate(pieces):
+        z[i, 1:1 + p.z.size] = p.z
+        weight[i, :1 + p.z.size] = 1.0
+        y0[i, 0] = p.y0
+
+    def rhs(s, y):
+        psi = y.reshape(P, 1 + m, n)[:, 0]
+        e = c * np.exp(1j * omega * s)
+        x = a + b * s + e
+        dx = (b + 1j * omega * e)[:, None]
+        dy = (np.exp(z * x[:, None]) * (weight * dx))[:, :, None] * psi[:, None]
+        dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
+        return dy.ravel()
+
+    rtol, atol = laplace.carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces),
+                                          y0.size)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
+    y = sol.y[:, -1].reshape(P, 1 + m, n)
+    return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
+
+
+def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
+                                         coalescing_geometry, vanishing_A_uc):
+    """No dense residue matrix per evaluation, and the same carried values as with one."""
+    from isomonodromy.frobenius import FuchsianSystem
+
+    batches = []
+    carry = laplace._carry
+
+    def recorded(fs, pieces, cont_tol):
+        out = carry(fs, pieces, cont_tol)
+        batches.append((fs, pieces, cont_tol, out))
+        return out
+
+    def dense(*args, **kwargs):
+        raise AssertionError("FuchsianSystem.rhs called by the carry")
+
+    monkeypatch.setattr(laplace, "_carry", recorded)
+    monkeypatch.setattr(FuchsianSystem, "rhs", dense)
+    for fs, geo, specs, _ in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
+                                          vanishing_A_uc):
+        laplace.laplace_columns(fs, geo, specs, tol=1e-13)
+    monkeypatch.undo()
+    assert any(p.c != 0 for _, pieces, _, _ in batches for p in pieces)  # circles included
+    for fs, pieces, cont_tol, out in batches:
+        ref = _carry_dense_reference(fs, pieces, cont_tol)
+        for (psi, J, _), (psi_ref, J_ref) in zip(out, ref):
+            assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * np.max(np.abs(psi_ref))
+            if J_ref.size:
+                assert np.max(np.abs(J - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))

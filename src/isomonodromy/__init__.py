@@ -9,8 +9,8 @@ cross-checks them.  Schlesinger transport moves the whole picture around a
 polydisc containing a coalescence point of the eigenvalues.
 
 The public names are resolved on first access, so importing the package
-(or its command line) loads no submodule and no scipy; each name brings
-in its own submodule and whatever that imports.
+(or its command line) loads no submodule; each name brings in its own
+submodule and whatever that imports.  No submodule imports scipy.
 """
 
 import importlib

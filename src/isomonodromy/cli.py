@@ -62,9 +62,10 @@ from .frobenius import (
     selected_solution,
 )
 
-# The solving modules (continuation, laplace, stokes, deformation) load
-# scipy.integrate; the commands that solve import them in their bodies, so
-# ``rays`` and ``levelt`` start without scipy.
+# No command loads scipy: the solving modules (continuation, laplace, stokes,
+# deformation) integrate with the package's own DOP853 (``ode``), and the
+# commands that solve import them in their bodies, so ``rays`` and ``levelt``
+# load none of them.
 
 SCHEMA_VERSION = 1
 
@@ -198,16 +199,40 @@ REPORT_SCHEMA = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _same(a, b):
+    """JSON equality: 1 == 1.0, but true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _check(value, schema, where):
+    """Raise ValueError where ``value`` breaks ``schema`` (the keywords REPORT_SCHEMA uses)."""
+    unknown = set(schema) - {"type", "required", "properties", "items", "const", "enum"}
+    if unknown:
+        raise ValueError(f"{where}: unsupported schema keywords {sorted(unknown)}")
+    if "type" in schema and not isinstance(value, _JSON_TYPES[schema["type"]]):
+        raise ValueError(f"{where} is not of type {schema['type']!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        raise ValueError(f"{where} must be {schema['const']!r}, got {value!r}")
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        raise ValueError(f"{where} must be one of {schema['enum']!r}, got {value!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"{where} is missing required key {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{where}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{i}]")
+
+
 def validate_report(report):
-    """Validate a report against the schema (jsonschema when available)."""
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover - soft dependency
-        for key in REPORT_SCHEMA["required"]:
-            if key not in report:
-                raise ValueError(f"report missing required key {key}")
-        return
-    jsonschema.validate(report, REPORT_SCHEMA)
+    """Raise ValueError unless ``report`` satisfies REPORT_SCHEMA."""
+    _check(report, REPORT_SCHEMA, "report")
 
 
 class Runner:

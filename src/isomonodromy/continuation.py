@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .ode import solve_ivp
 from .model import BasisSingular, COALESCE_TOL, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
@@ -64,11 +64,12 @@ class Piece(NamedTuple):
 def carry_tolerances(tol, smallest, total):
     """rtol and atol of one batched solve of ``total`` components.
 
-    scipy's error norm is an RMS over all components, so both tolerances
-    are scaled by sqrt(smallest / total), ``smallest`` the component count
-    of the smallest piece: each piece then keeps the accuracy its own
-    solve at rtol = max(tol, 1e-13), atol = 1e-3 tol had.  rtol stops at
-    scipy's floor of 100 machine epsilons.
+    The error norm of :func:`.ode.solve_ivp` is an RMS over all
+    components, so both tolerances are scaled by sqrt(smallest / total),
+    ``smallest`` the component count of the smallest piece: each piece
+    then keeps the accuracy its own solve at rtol = max(tol, 1e-13),
+    atol = 1e-3 tol had.  rtol stops at the integrator's floor of 100
+    machine epsilons.
     """
     scale = math.sqrt(smallest / total)
     rtol = max(max(tol, 1e-13) * scale, 100 * np.finfo(float).eps)

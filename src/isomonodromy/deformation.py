@@ -12,12 +12,13 @@ here as well.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .ode import solve_ivp
 from .model import (
     COALESCE_TOL,
     CutPlane,
@@ -32,6 +33,8 @@ from .continuation import DEFAULT_TOL, carry_tolerances, connection_products
 from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
+
+logger = logging.getLogger(__name__)
 
 
 class NotReducible(np.linalg.LinAlgError):
@@ -107,12 +110,29 @@ class DeformationState:
 
 
 def _spectrum_distance(ev0, ev1):
-    """Max matched distance between two eigenvalue sets (optimal pairing)."""
-    from scipy.optimize import linear_sum_assignment
+    """Max matched distance between two eigenvalue sets, each ev0 paired with its nearest ev1.
 
-    D = np.abs(ev0[:, None] - ev1[None, :])
-    r, c = linear_sum_assignment(D)
-    return float(np.max(D[r, c]))
+    Let r be the largest nearest-neighbour distance and delta the smallest
+    separation of ev0.  If r < delta / 2, the nearest-neighbour pairing is
+    the unique optimal assignment, both for the sum of the distances (the
+    assignment ``linear_sum_assignment`` finds) and for their maximum:
+    - it is one-to-one, since an ev1 nearest to a_i and to a_k would put
+      |a_i - a_k| <= 2 r < delta;
+    - any other one-to-one pairing sends some a_i to the partner b_k of an
+      a_k != a_i, at distance >= |a_i - a_k| - |a_k - b_k| >= delta - r >
+      delta / 2 > r >= |a_i - b_i|.  So each of its distances is at least
+      the nearest-neighbour one, and at least one is larger.
+    Outside that regime r is only a lower bound on the largest matched
+    distance of every pairing, and a WARNING is logged.
+    """
+    r = float(np.max(np.min(np.abs(ev0[:, None] - ev1[None, :]), axis=1)))
+    sep = np.abs(ev0[:, None] - ev0[None, :])
+    np.fill_diagonal(sep, np.inf)
+    delta = float(np.min(sep))
+    if not r < 0.5 * delta:
+        logger.warning("spectrum drift %.3e is not below half the eigenvalue separation "
+                       "%.3e: nearest-neighbour pairing gives only a lower bound", r, delta)
+    return r
 
 
 def _min_ingroup_gap_on_segment(u0, u1, samples=33):

@@ -25,6 +25,7 @@ kernel seeds of w (:func:`_kernel_seeds`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -201,11 +202,37 @@ def horner(coeffs, x):
     return acc
 
 
-def cgamma(x):
-    """Gamma at the complex point x; loads scipy.special on the first call."""
-    from scipy.special import gamma
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma in powers of 1/z
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
 
-    return complex(gamma(complex(x)))
+
+def cgamma(x):
+    """Gamma at the complex point x, to about 1e-14 relative for |x| <= 12.
+
+    Re x < 1/2 goes through the reflection Gamma(x) Gamma(1 - x) = pi / sin(pi x),
+    with sin(pi x) = (-1)^k sin(pi (x - k)) for the nearest integer k, so points
+    near the poles keep their relative accuracy (the poles give nan).  Otherwise
+    x is shifted up to Re x >= 10, where eight Stirling terms leave a remainder
+    below 1e-17, and the shift is divided out.
+    """
+    z = complex(x)
+    if z.real < 0.5:
+        k = round(z.real)
+        s = cmath.sin(math.pi * (z - k))
+        if s == 0:
+            return complex(math.nan, math.nan)
+        return (-1) ** k * math.pi / (s * cgamma(1 - z))
+    shift = 1.0
+    while z.real < 10:
+        shift *= z
+        z += 1
+    w = 1 / (z * z)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * w + c
+    log_gamma = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series / z
+    return cmath.exp(log_gamma) / shift
 
 
 def leading_factor(lambda_prime_k, klass):

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
+from .ode import solve_ivp
 from .model import (
     ANGLE_TOL,
     COALESCE_TOL,

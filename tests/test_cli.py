@@ -208,3 +208,71 @@ def test_shipped_sample_problems_parse():
     root = Path(__file__).resolve().parents[1] / "problems"
     for name in ("sample2x2.json", "coalescing3x3.json", "resonant_group.json"):
         ProblemSpec.load(str(root / name))
+
+
+def _good_report():
+    return {
+        "schema_version": 1,
+        "command": "rays",
+        "metadata": {"tolerance": 1e-10, "series_order": 40, "seed": 0, "versions": {}},
+        "stages": [{"name": "rays", "status": "ok"}, {"name": "x", "status": "skipped"}],
+        "results": {},
+    }
+
+
+def _malformed_reports():
+    """(label, report) pairs, each breaking one statement of REPORT_SCHEMA, or none."""
+    cases = [("good", _good_report())]
+
+    def variant(label, edit):
+        report = json.loads(json.dumps(_good_report()))
+        edit(report)
+        cases.append((label, report))
+
+    for key in ("schema_version", "command", "metadata", "stages", "results"):
+        variant(f"missing {key}", lambda r, k=key: r.pop(k))
+    for key in ("tolerance", "series_order", "seed", "versions"):
+        variant(f"missing metadata.{key}", lambda r, k=key: r["metadata"].pop(k))
+    variant("version 2", lambda r: r.update(schema_version=2))
+    variant("version 1.0", lambda r: r.update(schema_version=1.0))
+    variant("version true", lambda r: r.update(schema_version=True))
+    variant("command not a string", lambda r: r.update(command=3))
+    variant("metadata a list", lambda r: r.update(metadata=[]))
+    variant("stages an object", lambda r: r.update(stages={}))
+    variant("results a list", lambda r: r.update(results=[]))
+    variant("stage not an object", lambda r: r["stages"].append("ok"))
+    variant("stage without status", lambda r: r["stages"][0].pop("status"))
+    variant("stage without name", lambda r: r["stages"][0].pop("name"))
+    variant("stage status unknown", lambda r: r["stages"][0].update(status="done"))
+    variant("failed stage with error", lambda r: r["stages"].append(
+        {"name": "y", "status": "failed", "error": "StepFailure: x"}))
+    variant("extra keys", lambda r: r.update(extra=1))
+    cases.append(("not an object", []))
+    return cases
+
+
+def test_validate_report_agrees_with_jsonschema():
+    import jsonschema
+
+    from isomonodromy.cli import REPORT_SCHEMA
+
+    reference = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+    verdicts = set()
+    for label, report in _malformed_reports():
+        try:
+            validate_report(report)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == reference.is_valid(report), label
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_validate_report_rejects_unsupported_schema_keywords(monkeypatch):
+    import isomonodromy.cli as cli
+
+    schema = dict(cli.REPORT_SCHEMA, minProperties=1)
+    monkeypatch.setattr(cli, "REPORT_SCHEMA", schema)
+    with pytest.raises(ValueError, match="unsupported"):
+        validate_report(_good_report())

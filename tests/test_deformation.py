@@ -463,3 +463,47 @@ def test_fixed_mask_transport_matches_the_per_evaluation_mask(monkeypatch):
     monkeypatch.setattr(deformation, "_segment_mask", lambda gap0, dgap: None)
     per_eval, _, _ = _transport_stack(u0, A, targets, 1e-11)
     assert np.array_equal(fixed, per_eval)
+
+
+def _assignment_distance(ev0, ev1):
+    """Max matched distance of the minimum-sum assignment (the scipy reference)."""
+    from scipy.optimize import linear_sum_assignment
+
+    D = np.abs(ev0[:, None] - ev1[None, :])
+    r, c = linear_sum_assignment(D)
+    return float(np.max(D[r, c]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spectrum_distance_is_the_optimal_assignment(n, caplog):
+    import logging
+
+    from isomonodromy.deformation import _spectrum_distance
+
+    rng = np.random.default_rng(90 + n)
+    checked = 0
+    for scale in (1e-12, 1e-6, 1e-2, 0.1):
+        ev0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        sep = min(abs(a - b) for i, a in enumerate(ev0) for b in ev0[i + 1:])
+        ev1 = rng.permutation(ev0 + scale * sep * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        with caplog.at_level(logging.WARNING, logger="isomonodromy.deformation"):
+            d = _spectrum_distance(ev0, ev1)
+        if d < 0.5 * sep:
+            assert d == _assignment_distance(ev0, ev1)
+            assert not caplog.records
+            checked += 1
+        caplog.clear()
+    assert checked >= 3
+
+
+def test_spectrum_distance_warns_outside_the_proven_regime(caplog):
+    import logging
+
+    from isomonodromy.deformation import _spectrum_distance
+
+    ev0 = np.array([0.0, 1.0, 2.0 + 0.5j])
+    ev1 = np.array([0.6, 3.0 + 3.0j, 2.0 + 0.5j])  # 0 and 1 share their nearest, 0.6
+    with caplog.at_level(logging.WARNING, logger="isomonodromy.deformation"):
+        d = _spectrum_distance(ev0, ev1)
+    assert d == pytest.approx(0.6) and d < _assignment_distance(ev0, ev1)
+    assert any("lower bound" in rec.getMessage() for rec in caplog.records)

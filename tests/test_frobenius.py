@@ -567,3 +567,28 @@ def test_series_recursion_makes_no_dense_solve(monkeypatch):
         analytic_basis(fs, k, N=30)
         singular_solution(fs, k, N=30)
     assert calls == {"solve": 0, "det": 0}
+
+
+def _gamma_grid():
+    """|z| <= 12: a lattice, a random disc sample and points next to the poles 0, -1, ..., -11."""
+    rng = np.random.default_rng(12)
+    lattice = [complex(a, b) for a in np.linspace(-12, 12, 33) for b in np.linspace(-12, 12, 33)]
+    disc = list(12 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200)))
+    near = [complex(-k + d, e) for k in range(12) for d in (1e-9, -1e-7, 1e-3, 0.5)
+            for e in (0.0, 1e-8, 0.25)]
+    return [z for z in lattice + disc + near
+            if abs(z) <= 12 and not (z.imag == 0 and z.real <= 0 and z.real == round(z.real))]
+
+
+def test_cgamma_against_mpmath():
+    import mpmath
+
+    from isomonodromy.frobenius import cgamma
+
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in _gamma_grid():
+            ref = complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+            worst = max(worst, abs(cgamma(z) - ref) / abs(ref))
+    assert worst <= 2e-14
+    assert all(cmath.isnan(cgamma(-k)) for k in range(4))

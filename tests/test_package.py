@@ -15,7 +15,6 @@ import isomonodromy
 from isomonodromy import continuation, deformation, laplace, model, stokes
 
 ROOT = Path(__file__).resolve().parents[1]
-SCIPY_SOLVERS = ("scipy.integrate", "scipy.special", "scipy.optimize")
 
 MOVED_ERRORS = {
     continuation: ("StepFailure", "BasisSingular", "IllConditioned"),
@@ -89,12 +88,67 @@ print(json.dumps(seen))
 
 @pytest.mark.parametrize("module", ["isomonodromy.stokes", "isomonodromy.deformation"])
 def test_solving_modules_load_scipy_integrate(module):
+    """Importing a solving module loads its integrator, the scipy.integrate stand-in ``isomonodromy.ode``.
+
+    The solver is loaded at import, so the first timed solve imports nothing,
+    and it is the in-repo port: the module imports with scipy blocked.
+    """
     code = f"""
 import json, sys
+sys.modules["scipy"] = None
 import {module}
-print(json.dumps([m for m in {SCIPY_SOLVERS!r} if m in sys.modules]))
+print(json.dumps(["isomonodromy.ode" in sys.modules,
+                  sys.modules["isomonodromy.continuation"].solve_ivp is sys.modules["isomonodromy.ode"].solve_ivp]))
 """
-    assert "scipy.integrate" in _fresh(code)
+    assert _fresh(code) == [True, True]
+
+
+def test_solvers_import_nothing_and_need_no_scipy():
+    """With scipy blocked, every module imports, and the solvers import nothing while they run.
+
+    The in-process benchmark workloads import the solving modules during
+    set-up and time their first operation, so an import made inside a
+    solving function would land in a timed operation.
+    """
+    code = """
+import json, pkgutil, sys
+sys.modules["scipy"] = None
+import numpy as np
+import isomonodromy
+for info in pkgutil.iter_modules(isomonodromy.__path__):
+    __import__("isomonodromy." + info.name)
+from isomonodromy import DeformationGeometry, SystemPair
+from isomonodromy.deformation import DeformationState, integrability_residual, transport
+from isomonodromy.laplace import formal_recursion
+from isomonodromy.stokes import stokes_pair_direct, stokes_pipeline
+A = np.array([[0.5, 2.0, 0.3], [3.0, 1 / 3, -0.7], [0.2, 1.1, -0.4]], dtype=complex)
+u = np.array([0.0, 1.0, 0.4 + 0.9j])
+system = SystemPair(A, u)
+geometry = DeformationGeometry(u, 1e-3, tau=np.pi / 4)
+before = set(sys.modules)
+stokes_pipeline(system, geometry)
+stokes_pair_direct(system, geometry)
+transport(DeformationState(u=u, A=A), u + 0.01)
+integrability_residual(system)
+formal_recursion(system, 4)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    assert _fresh(code) == []
+
+
+@pytest.mark.parametrize("cmd, spec", [
+    ("rays", "sample2x2"), ("stokes", "sample2x2"), ("deform", "coalescing3x3"),
+    ("levelt", "resonant_group"), ("check", "sample2x2")])
+def test_commands_run_with_scipy_blocked(tmp_path, cmd, spec):
+    """Each README command exits 0 in a fresh process that cannot import scipy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = 'import sys; sys.modules["scipy"] = None; from isomonodromy.cli import main; main()'
+    proc = subprocess.run([sys.executable, "-c", code, cmd, "--spec", f"problems/{spec}.json",
+                           "--out", str(tmp_path)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / f"{cmd}_report.json").is_file()
 
 
 def test_readme_library_sketch_runs():

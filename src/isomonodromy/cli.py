@@ -116,9 +116,11 @@ def vec_json(v):
 
 
 class ProblemSpec:
-    """Validated problem definition."""
+    """Validated problem definition (see :meth:`check` for the value rules)."""
 
     def __init__(self, data):
+        if not isinstance(data, dict):
+            raise SpecError("a problem file holds one JSON object")
         try:
             if int(data.get("schema_version", -1)) != SCHEMA_VERSION:
                 raise SpecError(
@@ -137,7 +139,7 @@ class ProblemSpec:
             self.tol = float(data.get("tol", 1e-10))
             self.order = int(data.get("order", 40))
             self.formal_order = int(data.get("formal_order", 4))
-            self.gamma = data.get("gamma")
+            self.gamma = None if data.get("gamma") is None else float(data["gamma"])
             self.paths = [
                 [_vec(pt) for pt in path] for path in data.get("paths", [])
             ]
@@ -154,6 +156,7 @@ class ProblemSpec:
             for pt in path:
                 if pt.size != n:
                     raise SpecError("every path waypoint must be a full u vector")
+        self.check()
         try:
             self.geometry = DeformationGeometry(self.u_c, self.epsilon0, self.tau)
         except NonAdmissibleError as exc:
@@ -163,6 +166,24 @@ class ProblemSpec:
             ) from exc
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
+
+    def check(self):
+        """Raise SpecError unless the values are in range.
+
+        Every number must be finite, with epsilon0 > 0, tol > 0, order >= 3
+        and formal_order >= 1.
+        """
+        numbers = [("A", self.A), ("u", self.u), ("u_c", self.u_c), ("epsilon0", self.epsilon0),
+                   ("tau/eta", self.tau), ("tol", self.tol),
+                   ("gamma", 0.0 if self.gamma is None else self.gamma)]
+        for name, value in numbers + [("paths", pt) for path in self.paths for pt in path]:
+            if not np.all(np.isfinite(value)):
+                raise SpecError(f"{name} must be finite")
+        for rule, ok in (("epsilon0 > 0", self.epsilon0 > 0), ("tol > 0", self.tol > 0),
+                         ("order >= 3", self.order >= 3),
+                         ("formal_order >= 1", self.formal_order >= 1)):
+            if not ok:
+                raise SpecError(f"{rule} is required")
 
     @classmethod
     def load(cls, path):
@@ -338,15 +359,23 @@ def _common_options(fn):
     return fn
 
 
-def _load(spec_path, tol, order, gamma):
-    spec = ProblemSpec.load(spec_path)
-    if tol is not None:
-        spec.tol = tol
-    if order is not None:
-        spec.order = order
-    if gamma is not None:
-        spec.gamma = gamma
-    return spec
+def _load(spec_path, tol, order, gamma, then=lambda spec: None):
+    """The problem file with the command-line overrides, and ``then(spec)``.
+
+    The overrides are checked like the file's values.  Every problem-file
+    error, including those ``then`` raises, is reported as
+    ``problem file error`` with exit code 2.
+    """
+    try:
+        spec = ProblemSpec.load(spec_path)
+        for name, value in (("tol", tol), ("order", order), ("gamma", gamma)):
+            if value is not None:
+                setattr(spec, name, value)
+        spec.check()
+        return spec, then(spec)
+    except SpecError as exc:
+        click.echo(f"problem file error: {exc}", err=True)
+        sys.exit(2)
 
 
 def _finish(runner, out_dir, name):
@@ -360,11 +389,7 @@ def _finish(runner, out_dir, name):
 @_common_options
 def rays(spec_path, out_dir, tol, order, gamma):
     """Stokes-ray table, sector bounds and crossing-locus samples."""
-    try:
-        spec = _load(spec_path, tol, order, gamma)
-    except SpecError as exc:
-        click.echo(f"problem file error: {exc}", err=True)
-        sys.exit(2)
+    spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("rays", spec)
     geo = spec.geometry
 
@@ -456,11 +481,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     from .laplace import assemble_formal, formal_recursion
     from .stokes import Ordering, stokes_from_connection, stokes_pair_direct
 
-    try:
-        spec = _load(spec_path, tol, order, gamma)
-    except SpecError as exc:
-        click.echo(f"problem file error: {exc}", err=True)
-        sys.exit(2)
+    spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("stokes", spec)
     geo = spec.geometry
     system = spec.system()
@@ -576,13 +597,7 @@ def deform(spec_path, out_dir, tol, order, gamma):
     from .deformation import connection_samples
     from .stokes import Ordering, stokes_from_connection
 
-    try:
-        spec = _load(spec_path, tol, order, gamma)
-        if not spec.paths:
-            raise SpecError("deform requires at least one path in 'paths'")
-    except SpecError as exc:
-        click.echo(f"problem file error: {exc}", err=True)
-        sys.exit(2)
+    spec, _ = _load(spec_path, tol, order, gamma, _require_paths)
     runner = Runner("deform", spec)
     geo = spec.geometry
     results = runner.report["results"]
@@ -661,6 +676,11 @@ def deform(spec_path, out_dir, tol, order, gamma):
     _finish(runner, out_dir, "deform_report.json")
 
 
+def _require_paths(spec):
+    if not spec.paths:
+        raise SpecError("deform requires at least one path in 'paths'")
+
+
 def _parse_free(values):
     """--free items 'l,i,j=re[:im]' into a position -> value map (1-based ij)."""
     out = {}
@@ -681,12 +701,7 @@ def _parse_free(values):
               help="value for a resonant free parameter, as 'l,i,j=re[:im]'")
 def levelt(spec_path, out_dir, tol, order, gamma, free_items):
     """Levelt exponents, resonance structure and free parameters at u_c."""
-    try:
-        spec = _load(spec_path, tol, order, gamma)
-        free_values = _parse_free(free_items)
-    except SpecError as exc:
-        click.echo(f"problem file error: {exc}", err=True)
-        sys.exit(2)
+    spec, free_values = _load(spec_path, tol, order, gamma, lambda _: _parse_free(free_items))
     runner = Runner("levelt", spec)
     geo = spec.geometry
     results = runner.report["results"]
@@ -729,11 +744,7 @@ def check(spec_path, out_dir, tol, order, gamma, step):
     """Integrability residual and vanishing-condition checks."""
     from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
 
-    try:
-        spec = _load(spec_path, tol, order, gamma)
-    except SpecError as exc:
-        click.echo(f"problem file error: {exc}", err=True)
-        sys.exit(2)
+    spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("check", spec)
     system = spec.system()
     results = runner.report["results"]

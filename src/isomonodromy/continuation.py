@@ -9,15 +9,17 @@ monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
 whole row j of connection coefficients (:func:`connection_coefficients`)
 through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
 
-All transport runs on one batched integrator (:func:`carry`).  Each
-:class:`Piece` is a path lam = pole + a + b s + c e^{i omega s}, s in
-[0, 1], carrying an (n, w) block, and every piece of a batch goes through
-one DOP853 solve with the rank-one residues applied to all of them at
-once.  The formula route therefore makes five solves at any n: the first
-and the second descent legs, the deep -> low_j and the low_j -> base_j
-ascent legs, and every pole loop.  :func:`continue_solution` and
-:func:`loop_at_pole` are thin wrappers: one solve per segment, one per
-loop.
+All transport of both Stokes routes runs on one batched integrator
+(:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
+c e^{i omega s}, s in [0, 1], carrying an (n, w) block and, for the
+oracle's Laplace legs (:mod:`.laplace`), the integrals of e^{z x} times
+that block for each of its samples z.  Every piece of a batch goes
+through one DOP853 solve with the rank-one residues applied to all of
+them at once.  The formula route therefore makes five solves at any n:
+the first and the second descent legs, the deep -> low_j and the
+low_j -> base_j ascent legs, and every pole loop.
+:func:`continue_solution` and :func:`loop_at_pole` are thin wrappers:
+one solve per segment, one per loop.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ class Piece(NamedTuple):
     """A path lam = pole + x(s), x(s) = a + b s + c e^{i omega s}, s from 0 to 1.
 
     ``y0`` is the value at s = 0: an (n,) vector or an (n, w) block of
-    columns.  A straight leg has c = 0, a circle a = b = 0.  ``z`` holds the
-    samples whose Laplace integrals ride along in :mod:`.laplace`; the
-    continuation engine ignores it.
+    columns.  A straight leg has c = 0, a circle a = b = 0.  For each
+    sample in ``z`` :func:`carry` also returns the Laplace integral of
+    e^{z x} Y dx along the piece (the oracle's legs in :mod:`.laplace`).
     """
 
     pole: complex
@@ -77,19 +79,32 @@ def carry_tolerances(tol, smallest, total):
 
 
 def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
-    """Continue the block of every piece along its path, all in one DOP853 solve.
+    """Continue every piece's block, with its Laplace integrals, all in one DOP853 solve.
 
-    The pieces' ``y0`` share one shape.  The blocks are stacked and the
-    right-hand side applies the rank-one residues to all of them at once:
-    dY_p/ds = -((A+I) Y_p) * (dx_p/ds) / (lam_p - u), row m divided by
-    lam_p - u_m.  Tolerances follow :func:`carry_tolerances`.  Returns the
-    end value of every piece.
+    The pieces' ``y0`` share one shape (n, w).  The state is (P, 1 + m, n, w):
+    the block Y_p of every piece and one integral J_p,i per sample z_p,i,
+    padded to m = max_p size(z_p) with integrals of weight 0.  The
+    right-hand side applies the rank-one residues to every block at once,
+    dY_p/ds = -((A+I) Y_p) (dx_p/ds) / (lam_p - u), row m divided by
+    lam_p - u_m, and dJ_p,i/ds = e^{z_p,i x_p} Y_p dx_p/ds, so the integrals
+    share the step control of their block.  Tolerances follow
+    :func:`carry_tolerances`, with size(Y_p)(1 + m_p) components per piece.
+    Returns the end block Y_p(1) of a piece without samples and
+    ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for z_p,i.
     """
     if not pieces:
         return []
     n, P = fs.n, len(pieces)
     shape = np.shape(pieces[0].y0)
-    y0 = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
+    m = max(p.z.size for p in pieces)
+    Y0 = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
+    y0 = np.zeros((P, 1 + m) + Y0.shape[1:], dtype=complex)
+    y0[:, 0] = Y0
+    z = np.zeros((P, 1 + m), dtype=complex)
+    weight = np.zeros((P, 1 + m))
+    for i, p in enumerate(pieces):
+        z[i, 1:1 + p.z.size] = p.z
+        weight[i, 1:1 + p.z.size] = 1.0
     pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
     iw = 1j * omega
     # lam_p - u_m = (pole_p - u_m) + x_p: exactly x_p on a loop at u_m
@@ -103,14 +118,23 @@ def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
             x, dx = a + b * s + e, b + iw * e
         else:
             x, dx = a + b * s, b
-        scale = dx[:, None] / (offset + x[:, None])
-        return ((M @ y.reshape(y0.shape)) * scale[:, :, None]).ravel()
+        x, dx = x[:, None], dx[:, None]
+        scale = (dx / (offset + x))[:, :, None]
+        if not m:
+            return ((M @ y.reshape(Y0.shape)) * scale).ravel()
+        y = y.reshape(y0.shape)
+        dy = (np.exp(z * x) * (weight * dx))[:, :, None, None] * y[:, :1]
+        dy[:, 0] = (M @ y[:, 0]) * scale
+        return dy.ravel()
 
-    rtol, atol = carry_tolerances(tol, y0[0].size, y0.size)
+    rtol, atol = carry_tolerances(
+        tol, min(np.size(p.y0) * (1 + p.z.size) for p in pieces), y0.size)
     sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(f"continuation of {P} piece(s) failed: {sol.message}")
-    return list(sol.y[:, -1].reshape((P,) + shape))
+    ends = sol.y[:, -1].reshape((P, 1 + m) + shape)
+    return [(end[0], end[1:1 + p.z.size]) if p.z.size else end[0]
+            for p, end in zip(pieces, ends)]
 
 
 def _segment(start, end, value):

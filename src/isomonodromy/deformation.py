@@ -50,14 +50,14 @@ def _omegas(F):
     return W
 
 
-def omega(system, k, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
+def omega(system, k):
     """Deformation coefficient omega_k = [F_1, E_k] with F_1 from :func:`f1`.
 
     Entry (i, j) is A_ij (delta_ik - delta_jk)/(u_i - u_j); only row k and
     column k are populated.  Coalesced pairs require vanishing A_ij and
     contribute 0 (:class:`SingularF1` otherwise).
     """
-    return _omegas(f1(system, coalesce_tol, vanish_tol))[k]
+    return _omegas(f1(system))[k]
 
 
 def schlesinger_rhs(fs: FuchsianSystem, u=None):
@@ -249,25 +249,24 @@ def transport_along(state, waypoints, tol=1e-10, **kw):
 
 
 def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None,
-                       gamma=None, transport_tol=None):
+                       gamma=None):
     """Connection data along a deformation path, one sample at a time.
 
-    A is Schlesinger-transported from sample to sample of ``u_samples`` (at
-    ``transport_tol``, default ``tol``) and the products are re-extracted
-    at each by :func:`.continuation.connection_products` with ``geometry``
-    and ``gamma``.  Yields ``(state, P, conn)`` per sample.
+    A is Schlesinger-transported from sample to sample of ``u_samples`` and
+    the products are re-extracted at each by
+    :func:`.continuation.connection_products` with ``geometry`` and
+    ``gamma``, both at ``tol``.  Yields ``(state, P, conn)`` per sample.
     """
     state = DeformationState(u=np.asarray(u_samples[0], dtype=complex), A=system.A.copy())
     for i, u in enumerate(u_samples):
         if i > 0:
-            state = transport(state, u, tol=tol if transport_tol is None else transport_tol)
+            state = transport(state, u, tol=tol)
         P, conn = connection_products(state.system(), cut, tol=tol, N=N, geometry=geometry,
                                       gamma=gamma)
         yield state, P, conn
 
 
-def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=40,
-                                transport_tol=None):
+def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=40):
     """Recompute c_jk along a deformation path; report per-entry variation.
 
     The samples come from :func:`connection_samples` with the structural
@@ -276,7 +275,7 @@ def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=
     """
     mats, cells = [], []
     for state, _, conn in connection_samples(system, u_samples, CutPlane(eta=geometry.eta),
-                                             tol, N, geometry, transport_tol=transport_tol):
+                                             tol, N, geometry):
         mats.append(conn.C)
         cells.append(is_in_cell(state.u, geometry)[0])
     stack = np.stack(mats)

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import COALESCE_TOL, INTEGER_TOL, SystemPair, exponent_class, nearest_integer
+from .model import (
+    COALESCE_TOL,
+    INTEGER_TOL,
+    VANISH_TOL,
+    SystemPair,
+    exponent_class,
+    nearest_integer,
+)
 
 
 class ResonanceAmbiguity(ArithmeticError):
@@ -533,7 +540,7 @@ class LeveltData:
 
 
 def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
-                         free_values=None, vanish_tol=1e-10) -> LeveltData:
+                         free_values=None) -> LeveltData:
     """Levelt exponents and resonant structure at a merged pole.
 
     ``fs_uc`` must be the Fuchsian system evaluated at u = u^c, ``group``
@@ -551,7 +558,7 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
             raise ValueError("group indices do not coalesce at the given point")
     for i in group:
         for j in group:
-            if i != j and abs(fs_uc.A[i, j]) > vanish_tol:
+            if i != j and abs(fs_uc.A[i, j]) > VANISH_TOL:
                 raise ValueError(
                     f"vanishing conditions violated at u^c: |A[{i},{j}]| = {abs(fs_uc.A[i, j]):.2e}"
                 )

@@ -13,17 +13,18 @@ Every column kind integrates one leg u_k + t e^{id}, t from a to t_max,
 for all samples z_1 ... z_m of a ray at once.  On [a, t_switch], inside
 the series zone, the local series is integrated by adaptive Gauss-Legendre
 quadrature with an integrand of shape (nodes, m, n).  Beyond t_switch the
-ray ODE carries [Psi_k; J_1 ... J_m] with dJ_i/dt = e^{z_i x} Psi_k dx/dt,
-x = t e^{id}, and the integrals are read off at t_max, with no dense
-output and no quadrature of the continued solution.  The small circle of
-a hairpin is one quadrature of the series for all z; the disc circle of a
-group contour is continued with its integrals the same way.
+leg is a :class:`.continuation.Piece` with the samples z_1 ... z_m, and
+the continuation engine :func:`.continuation.carry` returns Psi_k and
+J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, at t_max: the same rank-one
+transport the formula route uses, with no dense output and no
+quadrature of the continued solution.  The small circle of a hairpin is
+one quadrature of the series for all z; the disc circle of a group
+contour is carried with its integrals the same way.
 
 Columns are computed in batches (:func:`laplace_columns`; a single
 :func:`laplace_column` is a batch of one).  Validation and quadratures
-stay per column, while the carried pieces of every column in the batch,
-each reparametrised to s in [0, 1], go through one DOP853 solve on the
-stacked state with a right-hand side vectorised over the pieces.  Only a
+stay per column, while the carried pieces of every column in the batch
+go through one :func:`.continuation.carry`, at ``CARRY_TOL``.  Only a
 group column whose disc junction lies beyond the series zone needs one
 earlier solve, for Psi_k at the junction.
 
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ode import solve_ivp
 from .model import (
     ANGLE_TOL,
     COALESCE_TOL,
@@ -50,13 +50,16 @@ from .model import (
     IllConditioned,
     QuadratureDivergence,
     SingularF1,
-    StepFailure,
+    VANISH_TOL,
     angular_distance_mod_pi,
 )
 from .frobenius import FuchsianSystem, build_fuchsian, cgamma, horner, selected_solution
-from .continuation import Piece, carry_tolerances
+from .continuation import Piece, carry
 
 logger = logging.getLogger(__name__)
+
+# tolerance of the carried part of every leg and disc circle
+CARRY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +67,12 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def f1(system, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
+def f1(system):
     """Leading formal coefficient: (F_1)_ij = A_ij/(u_j-u_i), diagonal closed up.
 
-    Coalesced pairs require a correspondingly small A_ij (vanishing
-    conditions); the quotient is then set to 0.  Raises
-    :class:`SingularF1` otherwise.
+    Coalesced pairs (gap below COALESCE_TOL) require |A_ij| below
+    VANISH_TOL max(1, max|A|) (vanishing conditions); the quotient is then
+    set to 0.  Raises :class:`SingularF1` otherwise.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
@@ -81,8 +84,8 @@ def f1(system, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10):
             if i == j:
                 continue
             d = u[j] - u[i]
-            if abs(d) < coalesce_tol:
-                if abs(A[i, j]) > vanish_tol * scale:
+            if abs(d) < COALESCE_TOL:
+                if abs(A[i, j]) > VANISH_TOL * scale:
                     raise SingularF1(
                         f"u_{i} = u_{j} but |A[{i},{j}]| = {abs(A[i, j]):.2e}: "
                         "vanishing conditions violated"
@@ -107,8 +110,7 @@ class FormalSolution:
     obstructed_positions: list = field(default_factory=list)
 
 
-def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
-                     free_values=None):
+def formal_recursion(system, L, free_values=None):
     """Coefficients F_1..F_L of the formal solution at z = infinity.
 
     For pairwise distinct u this is the plain recursion, one matrix step
@@ -130,17 +132,17 @@ def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
     if free_values is None:
         free_values = {}
     coalesced = any(
-        abs(u[i] - u[j]) < coalesce_tol for i in range(n) for j in range(i + 1, n)
+        abs(u[i] - u[j]) < COALESCE_TOL for i in range(n) for j in range(i + 1, n)
     )
     if coalesced:
-        return _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values)
+        return _formal_at_confluence(system, L, free_values)
     # (F_k)_ij = ((lambda'_i - lambda'_j + k - 1) (F_{k-1})_ij + (offdiag(A) F_{k-1})_ij)
     #           / (u_j - u_i),  (F_k)_ii = -(offdiag(A) F_k)_ii / k
     off = A - np.diag(lp)
     shift = lp[:, None] - lp[None, :]
     gap = u[None, :] - u[:, None]
     np.fill_diagonal(gap, 1.0)
-    Fs = [f1(system, coalesce_tol, vanish_tol)]
+    Fs = [f1(system)]
     for k in range(2, L + 1):
         Fk = ((shift + (k - 1)) * Fs[-1] + off @ Fs[-1]) / gap
         np.fill_diagonal(Fk, -np.einsum("ij,ji->i", off, Fk) / k)
@@ -148,7 +150,7 @@ def formal_recursion(system, L, coalesce_tol=COALESCE_TOL, vanish_tol=1e-10,
     return FormalSolution(F=Fs, u=u.copy(), lambda_prime=lp.copy(), L=L)
 
 
-def _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values):
+def _formal_at_confluence(system, L, free_values):
     """Columns of F_l at a coalescence point, from merged-pole series.
 
     Group columns come from the Levelt normal form at the merged pole:
@@ -170,7 +172,7 @@ def _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values):
     n = u.size
     lp = np.diag(A)
     fs = build_fuchsian(system)
-    groups, _ = _group_partition(u, coalesce_tol)
+    groups, _ = _group_partition(u)
     cols = np.zeros((L, n, n), dtype=complex)
     free_positions = []
     obstructed = []
@@ -188,9 +190,7 @@ def _formal_at_confluence(system, L, coalesce_tol, vanish_tol, free_values):
                     f"integer exponent lambda'_{j} inside a coalescing group: "
                     "gamma-shift before computing the formal family at u^c"
                 )
-        data = levelt_at_confluence(fs, group, N=L,
-                                    free_values=free_values,
-                                    vanish_tol=vanish_tol)
+        data = levelt_at_confluence(fs, group, N=L, free_values=free_values)
         free_positions.extend(data.free_parameters)
         for (l, i, j) in data.free_parameters:
             if l in data.R_parts and abs(data.R_parts[l][i, j]) > 1e-10:
@@ -326,8 +326,8 @@ class LaplaceColumn:
     the raw column.  ``error`` is relative to the reduced scale: the
     quadrature error estimate of the series leg and the small circle plus,
     for the carried part of the leg (and the group circle), the tolerance
-    bound max(cont_tol, 1e-13) * max|J| each piece is carried to, which is
-    stated by the tolerances and is not an error estimate.
+    bound CARRY_TOL * max|J| each piece is carried to, which is stated by
+    the tolerances and is not an error estimate.
     """
 
     k: int
@@ -355,8 +355,7 @@ class ColumnSpec:
 
 
 def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
-                   sols=None, tol=1e-12, N=40, contour="hairpin", cont_tol=1e-12,
-                   direction=None):
+                   sols=None, tol=1e-12, N=40, contour="hairpin", direction=None):
     """Column k of Y_{nu+h mu} at the given z samples (reduced values).
 
     ``z_values`` must share one argument: one ray, whose position on the
@@ -369,18 +368,18 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
     module docstring).  A batch of one for :func:`laplace_columns`.
     """
     spec = ColumnSpec(k, h, z_values, arg, contour, direction)
-    return laplace_columns(fs, geometry, [spec], sols, tol, N, cont_tol)[0]
+    return laplace_columns(fs, geometry, [spec], sols, tol, N)[0]
 
 
-def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N=40,
-                    cont_tol=1e-12):
+def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N=40):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
     Validation, the contour choice and the series quadratures run per
     column; the carried parts of all their legs and disc circles go
-    through one :func:`_carry`.  A group column whose disc junction lies
-    beyond the series zone first needs Psi_k at the junction, which takes
-    one earlier solve shared by every such column.
+    through one :func:`.continuation.carry` at ``CARRY_TOL``.  A group
+    column whose disc junction lies beyond the series zone first needs
+    Psi_k at the junction, which takes one earlier solve shared by every
+    such column.
     """
     columns = [_column(fs, spec, geometry, sols, tol, N) for spec in specs]
     out = [None] * len(columns)
@@ -395,7 +394,7 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N
                 out[i] = done.value
         live = list(asks)
         if live:
-            ends = iter(_carry(fs, [p for i in live for p in asks[i]], cont_tol))
+            ends = iter(carry(fs, [p for i in live for p in asks[i]], CARRY_TOL))
             for i in live:
                 replies[i] = [next(ends) for _ in asks[i]]
     return out
@@ -404,8 +403,9 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N
 def _column(fs, spec, geometry, sols, tol, N):
     """One column as a generator: yields lists of :class:`Piece` to carry, returns the column.
 
-    Each yield receives ``[(Psi(1), J, bound)]`` for the pieces it asked for,
-    in order (see :func:`_carry`).
+    Each yield receives what :func:`.continuation.carry` returns for the
+    pieces it asked for, in order: ``(Psi(1), J)`` for a piece with
+    samples, Psi(1) for one without.
     """
     z_values = np.asarray(spec.z, dtype=complex)
     k, h = spec.k, spec.h
@@ -474,62 +474,6 @@ def _series_on_ray(sol, d, ts, branched):
     return acc
 
 
-def _carry(fs, pieces, cont_tol):
-    """Continue every piece's Psi with its Laplace integrals, all in one solve.
-
-    One DOP853 solve without dense output carries the stacked state
-    [Psi_p; J_p,1 ... J_p,m] of every :class:`.continuation.Piece` p (Psi_p
-    starts at ``y0``), dJ_p,i/ds = e^{z_p,i x_p} Psi_p dx_p/ds, so the
-    integral components share the step control of Psi; the right-hand side
-    is vectorised over the batch.  Pieces with fewer samples are padded
-    with integrals of weight 0.  Tolerances follow
-    :func:`.continuation.carry_tolerances`, N_p = n (1 + m_p) components per
-    piece.  Returns ``[(Psi_p(1), J_p, bound_p)]`` with J_p[i] the integral
-    of e^{z_p,i x} Psi_p dx and bound_p = max(cont_tol, 1e-13) max|J_p|,
-    the tolerance bound of the carried integrals (not an error estimate).
-    """
-    n = fs.n
-    P = len(pieces)
-    m = max(p.z.size for p in pieces)
-    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
-    iw = 1j * omega
-    # column 0 carries Psi (weight dx, times the ODE matrix), columns 1.. the integrals
-    z = np.zeros((P, 1 + m), dtype=complex)
-    weight = np.zeros((P, 1 + m))
-    y0 = np.zeros((P, 1 + m, n), dtype=complex)
-    for i, p in enumerate(pieces):
-        z[i, 1:1 + p.z.size] = p.z
-        weight[i, :1 + p.z.size] = 1.0
-        y0[i, 0] = p.y0
-    # rank-one residues as in continuation.carry: lam_p - u_m = (pole_p - u_m) + x_p
-    offset = pole[:, None] - fs.u
-    MT = -fs.A_plus_I.T
-    curved = bool(np.any(c != 0))
-
-    def rhs(s, y):
-        psi = y.reshape(P, 1 + m, n)[:, 0]
-        if curved:
-            e = c * np.exp(iw * s)
-            x, dx = a + b * s + e, b + iw * e
-        else:
-            x, dx = a + b * s, b
-        x, dx = x[:, None], dx[:, None]
-        dy = (np.exp(z * x) * (weight * dx))[:, :, None] * psi[:, None]
-        dy[:, 0] = (psi @ MT) * (dx / (offset + x))
-        return dy.ravel()
-
-    rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepFailure(f"continuation along the contour failed: {sol.message}")
-    y = sol.y[:, -1].reshape(P, 1 + m, n)
-    out = []
-    for i, p in enumerate(pieces):
-        J = y[i, 1:1 + p.z.size]
-        out.append((y[i, 0], J, max(cont_tol, 1e-13) * float(np.max(np.abs(J), initial=0.0))))
-    return out
-
-
 def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
     """Laplace integrals of Psi_k along u_k + t e^{id}, t from a to t_max, for every z.
 
@@ -558,11 +502,14 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
         J, err = adaptive_quad(integrand, a, t_switch, tol)
         psi_a = _series_on_ray(sol, d, np.array([a]), branched)[0] if a > 0 else None
         return J, err, ray(t_switch, t_max, psi_switch, z_values), psi_a
-    [(psi_a, _, _)] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
+    [psi_a] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
     return 0.0, 0.0, ray(a, t_max, psi_a, z_values), psi_a
 
 
-def _relative(err, out):
+def _relative(err, out, *carried):
+    """``err`` plus the tolerance bound CARRY_TOL max|J| of each carried J, relative to ``out``."""
+    for J in carried:
+        err = err + CARRY_TOL * float(np.max(np.abs(J), initial=0.0))
     return err / max(float(np.max(np.abs(out))), 1e-300)
 
 
@@ -580,10 +527,10 @@ def _hairpin_column(fs, k, sol, contour, z_values, tol):
         return horner(sol.b, x)[:, None, :] * w[:, :, None]
 
     circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
-    [(_, J_leg, e3)] = yield [piece]
+    [(_, J_leg)] = yield [piece]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
     out = (jump * (J + J_leg) + circ) / (2j * math.pi)
-    return out, _relative(e1 + e2 + e3, out)
+    return out, _relative(e1 + e2, out, J_leg)
 
 
 def _group_column(fs, k, sol, contour, z_values, tol):
@@ -606,10 +553,10 @@ def _group_column(fs, k, sol, contour, z_values, tol):
     # x = r e^{i th} - w0 with th from th_exit down to th_exit - 2 pi
     circle = Piece(fs.u[k], -w0, 0.0, r * cmath.exp(1j * th_exit), -2 * math.pi, seed,
                     z_values)
-    [(_, J_leg, e_leg), (_, J_circ, e_circ)] = yield [piece, circle]
+    [(_, J_leg), (_, J_circ)] = yield [piece, circle]
     jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
     out = (jump * (J + J_leg) - J_circ) / (2j * math.pi)
-    return out, _relative(err + e_leg + e_circ, out)
+    return out, _relative(err, out, J_leg, J_circ)
 
 
 def _halfline_column(fs, k, sol, contour, z_values, tol):
@@ -619,9 +566,9 @@ def _halfline_column(fs, k, sol, contour, z_values, tol):
     """
     J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
                                        z_values, tol, branched=True)
-    [(_, J_leg, e_leg)] = yield [piece]
+    [(_, J_leg)] = yield [piece]
     out = J + J_leg
-    return out, _relative(err + e_leg, out)
+    return out, _relative(err, out, J_leg)
 
 
 def _natural_column(fs, k, sol, contour, z_values, tol):
@@ -630,14 +577,13 @@ def _natural_column(fs, k, sol, contour, z_values, tol):
     # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
     out = sum(np.outer(z_values ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
               for l in range(Nk + 1))
-    err = 0.0
-    if not sol.zero:
-        J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
-                                           z_values, tol, branched=False)
-        [(_, J_leg, e_leg)] = yield [piece]
-        out = out + J + J_leg
-        err = err + e_leg
-    return out, _relative(err, out)
+    if sol.zero:
+        return out, 0.0
+    J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
+                                       z_values, tol, branched=False)
+    [(_, J_leg)] = yield [piece]
+    out = out + J + J_leg
+    return out, _relative(err, out, J_leg)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ import numpy as np
 ANGLE_TOL = 1e-9
 # |u_i - u_j| below this is treated as an exact coalescence.
 COALESCE_TOL = 1e-12
+# A coupling A_ij of a coalesced pair counts as vanishing below this.
+VANISH_TOL = 1e-10
 # |x - round(x)| below this declares x an integer (exponent class dispatch).
 INTEGER_TOL = 1e-8
 
@@ -132,7 +134,7 @@ class SystemPair:
         return [exponent_class(lp, tol) for lp in self.lambda_prime]
 
 
-def stokes_ray_directions(u, coalesce_tol=COALESCE_TOL):
+def stokes_ray_directions(u):
     """Directions of the Stokes rays of Lambda(u) in the z-plane.
 
     For each ordered pair (j, k) with u_j != u_k, the ray is the unique
@@ -151,7 +153,7 @@ def stokes_ray_directions(u, coalesce_tol=COALESCE_TOL):
             if j == k:
                 continue
             d = u[j] - u[k]
-            if abs(d) < coalesce_tol:
+            if abs(d) < COALESCE_TOL:
                 skipped.append((j, k))
                 continue
             rays[(j, k)] = (1.5 * math.pi - cmath.phase(d)) % TWO_PI
@@ -233,14 +235,14 @@ def label_rays(u_c, tau, tol=ANGLE_TOL):
     return 0, mu, labels
 
 
-def _group_partition(u_c, coalesce_tol=COALESCE_TOL):
+def _group_partition(u_c):
     """Partition indices of u^c into coalescence groups (order of first appearance)."""
     u_c = _as_complex_vector(u_c)
     groups = []
     values = []
     for i, x in enumerate(u_c):
         for g, v in zip(groups, values):
-            if abs(x - v) < coalesce_tol:
+            if abs(x - v) < COALESCE_TOL:
                 g.append(i)
                 break
         else:
@@ -432,7 +434,7 @@ def sector_bounds(label, geometry, shrink=False, tol=ANGLE_TOL):
     return lo, hi
 
 
-def is_in_cell(u, geometry, tau=None, tol=ANGLE_TOL, coalesce_tol=COALESCE_TOL):
+def is_in_cell(u, geometry, tau=None, tol=ANGLE_TOL):
     """Whether u lies in the interior of a tau-cell of the polydisc.
 
     True iff u avoids the coalescence locus and no Stokes ray of Lambda(u)
@@ -444,7 +446,7 @@ def is_in_cell(u, geometry, tau=None, tol=ANGLE_TOL, coalesce_tol=COALESCE_TOL):
         tau = geometry.tau
     u = _as_complex_vector(u)
     offenders = []
-    rays, skipped = stokes_ray_directions(u, coalesce_tol=coalesce_tol)
+    rays, skipped = stokes_ray_directions(u)
     for (j, k) in skipped:
         if j < k:
             offenders.append((j, k, "coalescence"))

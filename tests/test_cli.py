@@ -61,6 +61,41 @@ def test_cli_exit_code_2_on_spec_error(tmp_path):
     assert result.exit_code == 2
 
 
+def _nan_in_A(prob):
+    A = json.loads(json.dumps(prob["A"]))
+    A[0][1][1] = math.nan
+    return {**prob, "A": A}
+
+
+MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments)
+    "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, []),
+    "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, []),
+    "NaN in A": (_nan_in_A, []),
+    "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, []),
+    "tau NaN": (lambda p: {**p, "tau": math.nan}, []),
+    "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, []),
+    "order 0": (lambda p: {**p, "order": 0}, []),
+    "order 2": (lambda p: {**p, "order": 2}, []),
+    "formal_order 0": (lambda p: {**p, "formal_order": 0}, []),
+    "tol negative": (lambda p: {**p, "tol": -1}, []),
+    "not an object": (lambda p: [p], []),
+    "--tol negative": (lambda p: p, ["--tol", "-1"]),
+    "--order 2": (lambda p: p, ["--order", "2"]),
+}
+
+
+@pytest.mark.parametrize("cmd", ["rays", "stokes"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_problem_exits_2(tmp_path, case, cmd):
+    """Non-finite numbers and out-of-range settings are problem-file errors, not crashes."""
+    edit, args = MALFORMED[case]
+    path = _write(tmp_path, edit(SAMPLE))
+    result = CliRunner().invoke(main, [cmd, "--spec", path, "--out", str(tmp_path / "out")] + args)
+    assert result.exit_code == 2, result.output
+    assert "problem file error" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rays_outputs(tmp_path):
     path = _write(tmp_path, SAMPLE)
     out = tmp_path / "out"

@@ -216,7 +216,7 @@ def test_connection_solve_count(monkeypatch, u):
     calls = _count_solves(monkeypatch)
     conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
     assert np.sum(conn.provenance == "monodromy-projection") == n * (n - 1)
-    assert len(calls) <= 5
+    assert 3 <= len(calls) <= 5  # the rays down and up and the loops always run
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -256,7 +256,7 @@ def test_stokes_pipeline_solve_count(monkeypatch, n):
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     calls = _count_solves(monkeypatch)
     stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
-    assert len(calls) <= 5
+    assert 3 <= len(calls) <= 5  # the rays down and up and the loops always run
 
 
 def _segment_route_connection(fs, cut, tol):

@@ -8,9 +8,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import isomonodromy.laplace as laplace
+from isomonodromy import ode
 from isomonodromy.model import DeformationGeometry, SystemPair
 from isomonodromy.frobenius import build_fuchsian, selected_solution
-from isomonodromy.continuation import IllConditioned
+from isomonodromy.continuation import IllConditioned, carry_tolerances
 from isomonodromy.laplace import (
     QuadratureDivergence,
     SingularF1,
@@ -392,27 +393,23 @@ def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geome
             assert col.error > 0.0
 
 
-def test_leg_work_one_solve_without_dense_output(monkeypatch, system_2x2, diag_geo,
-                                                 coalescing_geometry, vanishing_A_uc):
-    """One ODE solve per non-group column, three at most on the group contour."""
-    calls = []
+def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescing_geometry,
+                                                 vanishing_A_uc):
+    """One ODE solve per non-group column, three at most on the group contour.
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("dense_output", False))
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(laplace, "solve_ivp", counted)
+    The solves are counted by :func:`isomonodromy.ode.counting`; that
+    integrator keeps no dense output at all.
+    """
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
-        calls.clear()
-        laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
-                       contour="group" if kind == "group" else "hairpin")
-        assert not any(calls), kind
+        with ode.counting() as work:
+            laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
+                           contour="group" if kind == "group" else "hairpin")
         if kind == "group":
             # leg continuation to the disc, leg integrals, disc circle
-            assert 2 <= len(calls) <= 3
+            assert 2 <= work.solves <= 3
         else:
-            assert len(calls) == 1, kind
+            assert work.solves == 1, kind
 
 
 def test_adaptive_quad_warns_at_depth_limit(caplog):
@@ -607,22 +604,15 @@ def _batch_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
     return cases
 
 
-def test_batched_columns_match_one_at_a_time(monkeypatch, system_2x2, diag_geo,
-                                             coalescing_geometry, vanishing_A_uc):
+def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_geometry,
+                                             vanishing_A_uc):
     """One batch of every column agrees with laplace_column per column, all contour kinds."""
     for fs, geo, specs, kind in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(laplace, "solve_ivp", counted)
-        batch = laplace.laplace_columns(fs, geo, specs, tol=1e-13)
+        with ode.counting() as work:
+            batch = laplace.laplace_columns(fs, geo, specs, tol=1e-13)
         # group junctions beyond the series zone take the one earlier solve
-        assert len(calls) == (2 if kind == "group" else 1), kind
-        monkeypatch.undo()
+        assert work.solves == (2 if kind == "group" else 1), kind
         for spec, col in zip(specs, batch):
             lone = laplace_column(fs, spec.k, spec.h, geo, spec.z, arg=spec.arg, tol=1e-13,
                                   contour=spec.contour)
@@ -653,8 +643,7 @@ def _carry_dense_reference(fs, pieces, cont_tol):
         dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
         return dy.ravel()
 
-    rtol, atol = laplace.carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces),
-                                          y0.size)
+    rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
     sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
     y = sol.y[:, -1].reshape(P, 1 + m, n)
     return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
@@ -666,26 +655,27 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
     from isomonodromy.frobenius import FuchsianSystem
 
     batches = []
-    carry = laplace._carry
+    carry = laplace.carry
 
-    def recorded(fs, pieces, cont_tol):
-        out = carry(fs, pieces, cont_tol)
-        batches.append((fs, pieces, cont_tol, out))
+    def recorded(fs, pieces, tol):
+        out = carry(fs, pieces, tol)
+        batches.append((fs, pieces, tol, out))
         return out
 
     def dense(*args, **kwargs):
         raise AssertionError("FuchsianSystem.rhs called by the carry")
 
-    monkeypatch.setattr(laplace, "_carry", recorded)
+    monkeypatch.setattr(laplace, "carry", recorded)
     monkeypatch.setattr(FuchsianSystem, "rhs", dense)
     for fs, geo, specs, _ in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                           vanishing_A_uc):
         laplace.laplace_columns(fs, geo, specs, tol=1e-13)
     monkeypatch.undo()
     assert any(p.c != 0 for _, pieces, _, _ in batches for p in pieces)  # circles included
-    for fs, pieces, cont_tol, out in batches:
-        ref = _carry_dense_reference(fs, pieces, cont_tol)
-        for (psi, J, _), (psi_ref, J_ref) in zip(out, ref):
+    for fs, pieces, tol, out in batches:
+        ref = _carry_dense_reference(fs, pieces, tol)
+        for p, end, (psi_ref, J_ref) in zip(pieces, out, ref):
+            psi, J = end if p.z.size else (end, J_ref)
             assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * np.max(np.abs(psi_ref))
             if J_ref.size:
                 assert np.max(np.abs(J - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))

@@ -59,14 +59,14 @@ def test_oracle_carry_with_a_circle_piece_is_bit_identical(monkeypatch, coalesci
     specs = [laplace.ColumnSpec(j, h, z, theta, "group" if geo.group_of(j) == 0 else "hairpin")
              for h in (0, 1) for j in range(fs.n)]
     pieces = []
-    carry = laplace._carry
+    carry = laplace.carry
 
-    def recorded_carry(fs, batch, cont_tol):
+    def recorded_carry(fs, batch, tol):
         pieces.extend(batch)
-        return carry(fs, batch, cont_tol)
+        return carry(fs, batch, tol)
 
-    monkeypatch.setattr(laplace, "_carry", recorded_carry)
-    calls = _record(monkeypatch, laplace)
+    monkeypatch.setattr(laplace, "carry", recorded_carry)
+    calls = _record(monkeypatch, continuation)
     laplace.laplace_columns(fs, geo, specs, tol=1e-13)
     assert any(p.c != 0 for p in pieces)  # the group disc circle is carried
     assert len(calls) == 2

@@ -1,5 +1,6 @@
 """Package surface: lazy exports, the moved error classes, start-up imports, README sketch."""
 
+import ast
 import contextlib
 import io
 import json
@@ -149,6 +150,31 @@ def test_commands_run_with_scipy_blocked(tmp_path, cmd, spec):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / f"{cmd}_report.json").is_file()
+
+
+def _solve_sites(path):
+    """``module.function`` of every call of a name ``solve_ivp`` in one source file."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "solve_ivp":
+                sites.append(".".join((path.stem,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return sites
+
+
+def test_two_integrator_sites():
+    """Both Stokes routes integrate through ``continuation.carry``; transport of A is the only other site."""
+    sites = [site for path in sorted((ROOT / "src" / "isomonodromy").glob("*.py"))
+             for site in _solve_sites(path)]
+    assert sorted(sites) == ["continuation.carry", "deformation._transport_stack"]
 
 
 def test_readme_library_sketch_runs():

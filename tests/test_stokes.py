@@ -199,20 +199,11 @@ def test_default_ladder_scales_with_separation():
     assert max(lw) < max(lt)
 
 
-def test_oracle_pair_makes_at_most_two_solves(monkeypatch, coalescing_geometry,
-                                              vanishing_A_uc):
+def test_oracle_pair_makes_at_most_two_solves(coalescing_geometry, vanishing_A_uc):
     """Each matching carries all its Laplace columns in one ODE solve."""
-    import isomonodromy.laplace as laplace
+    from isomonodromy import ode
     from isomonodromy.deformation import radial_family
 
-    calls = []
-    original = laplace.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(laplace, "solve_ivp", counted)
     rng = np.random.default_rng(5)
     cases = []
     for n in range(2, 7):
@@ -222,9 +213,9 @@ def test_oracle_pair_makes_at_most_two_solves(monkeypatch, coalescing_geometry,
     member = radial_family(seed, coalescing_geometry.u_c, [1.0], tol=1e-12)[0].system()
     cases.append((member, coalescing_geometry))
     for sp, geo in cases:
-        calls.clear()
-        stokes_pair_direct(sp, geo, tol=1e-13)
-        assert len(calls) <= 2, sp.n
+        with ode.counting() as work:
+            stokes_pair_direct(sp, geo, tol=1e-13)
+        assert work.solves == 2, sp.n  # at most two, and no matching runs without one
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=4, max_value=6))

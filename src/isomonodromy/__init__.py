@@ -40,7 +40,6 @@ _EXPORTS = {
     "laplace_column": "laplace",
     "ConnectionData": "continuation",
     "connection_coefficients": "continuation",
-    "continue_solution": "continuation",
     "monodromy_matrix": "continuation",
     "Ordering": "stokes",
     "StokesPair": "stokes",
@@ -56,7 +55,6 @@ _EXPORTS = {
     "schlesinger_rhs": "deformation",
     "transport": "deformation",
     "vanishing_check": "deformation",
-    "verify_connection_constancy": "deformation",
 }
 
 __all__ = list(_EXPORTS)

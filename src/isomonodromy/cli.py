@@ -299,7 +299,7 @@ class Runner:
         validate_report(self.report)
         path = out_dir / name
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.report, fh, sort_keys=True, indent=1)
+            json.dump(self.report, fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         return path
 
@@ -439,35 +439,24 @@ def rays(spec_path, out_dir, tol, order, gamma):
     _finish(runner, out_dir, "rays_report.json")
 
 
-def _crossing_locus(spec, samples=256):
-    """Crossing-locus hits with one coordinate swept on its polydisc circle."""
+def _crossing_locus(spec):
+    """Crossing-locus hits with one coordinate swept on its polydisc circle.
+
+    With u_i = u^c_i + epsilon0 e^{i phi} and its sibling j at u^c_j, the
+    (i, j) Stokes ray lies on tau mod pi where Re(e^{i tau} (u_i - u^c_j))
+    = 0, that is cos(phi + tau) = -Re(e^{i tau} (u^c_i - u^c_j)) / epsilon0:
+    phi = +-acos(.) - tau mod 2 pi, two hits per ordered sibling pair.
+    """
     geo = spec.geometry
     hits = []
-    for i in range(spec.u.size):
-        grp = geo.groups[geo.group_of(i)]
-        siblings = [j for j in grp if j != i]
-        if not siblings:
-            continue
-        for j in siblings:
-            def signed(phi):
-                ui = geo.u_c[i] + geo.epsilon0 * cmath.exp(1j * phi)
-                th = 1.5 * math.pi - cmath.phase(ui - geo.u_c[j])
-                d = (th - geo.tau) % math.pi
-                return d - 0.5 * math.pi  # sign change where direction = tau mod pi
-
-            grid = np.linspace(0.0, 2 * math.pi, samples + 1)
-            vals = [signed(p) for p in grid]
-            for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-                if va == 0.0 or va * vb < 0:
-                    lo, hi, vlo = a, b, va
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        vm = signed(mid)
-                        if vlo * vm <= 0:
-                            hi = mid
-                        else:
-                            lo, vlo = mid, vm
-                    hits.append((i, j, 0.5 * (lo + hi)))
+    for i in range(geo.n):
+        for j in geo.groups[geo.group_of(i)]:
+            c = -(cmath.exp(1j * geo.tau) * (geo.u_c[i] - geo.u_c[j])).real / geo.epsilon0
+            if j == i or abs(c) > 1:
+                continue
+            a = math.acos(c)
+            hits += [(i, j, phi) for phi in sorted([(a - geo.tau) % (2 * math.pi),
+                                                    (-a - geo.tau) % (2 * math.pi)])]
     return hits
 
 
@@ -736,6 +725,11 @@ def levelt(spec_path, out_dir, tol, order, gamma, free_items):
     _finish(runner, out_dir, "levelt_report.json")
 
 
+def _check_step(step):
+    if not (math.isfinite(step) and step > 0):
+        raise SpecError(f"--step must be finite and > 0; got {step}")
+
+
 @main.command()
 @_common_options
 @click.option("--step", type=float, default=1e-3, show_default=True,
@@ -744,7 +738,7 @@ def check(spec_path, out_dir, tol, order, gamma, step):
     """Integrability residual and vanishing-condition checks."""
     from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
 
-    spec, _ = _load(spec_path, tol, order, gamma)
+    spec, _ = _load(spec_path, tol, order, gamma, lambda _: _check_step(step))
     runner = Runner("check", spec)
     system = spec.system()
     results = runner.report["results"]
@@ -753,7 +747,7 @@ def check(spec_path, out_dir, tol, order, gamma, step):
         r1 = integrability_residual(system, step=step, tol=min(spec.tol, 1e-12))
         r2 = integrability_residual(system, step=step / 2, tol=min(spec.tol, 1e-12))
         return {"step": step, "residual": r1, "residual_half_step": r2,
-                "ratio": (r1 / r2 if r2 > 0 else float("inf")),
+                "ratio": (r1 / r2 if r2 > 0 else None),
                 "at_noise_floor": bool(r1 < 1e-11),
                 "method": "central-differences+transport"}
 

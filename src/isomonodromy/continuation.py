@@ -18,8 +18,6 @@ through one DOP853 solve with the rank-one residues applied to all of
 them at once.  The formula route therefore makes five solves at any n:
 the first and the second descent legs, the deep -> low_j and the
 low_j -> base_j ascent legs, and every pole loop.
-:func:`continue_solution` and :func:`loop_at_pole` are thin wrappers:
-one solve per segment, one per loop.
 """
 
 from __future__ import annotations
@@ -145,31 +143,6 @@ def _segment(start, end, value):
 def _loop(fs, j, base_point, value):
     """Positive circle piece around u_j through the base point."""
     return Piece(fs.u[j], 0.0, 0.0, base_point - fs.u[j], 2 * math.pi, value)
-
-
-def continue_solution(fs: FuchsianSystem, value, start, waypoints, tol=DEFAULT_TOL):
-    """Transport a vector (or matrix) solution along a polyline, one solve per segment.
-
-    ``waypoints`` starts at ``start``; repeated consecutive waypoints are
-    skipped.  Returns the value at the endpoint.
-    """
-    if abs(waypoints[0] - start) > 1e-12:
-        raise ValueError("path does not start at the given point")
-    y = np.asarray(value, dtype=complex)
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
-        if q != p:
-            [y] = carry(fs, [_segment(p, q, y)], tol)
-    return y
-
-
-def loop_at_pole(fs, j, base_value, base_point, tol=DEFAULT_TOL):
-    """Continue a solution once around u_j on a circle through the base point.
-
-    Returns the value back at the base point after a positive
-    (counterclockwise) loop.
-    """
-    [y] = carry(fs, [_loop(fs, j, base_point, base_value)], tol)
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +279,6 @@ class ConnectionData:
     provenance: np.ndarray
     residuals: np.ndarray
     gamma: float = 0.0
-
-    @property
-    def alpha_c(self):
-        """Products alpha_j c_jk (the invariants entering the Stokes formula)."""
-        return self.C * self.alpha[:, None]
 
 
 def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,

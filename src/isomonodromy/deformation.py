@@ -14,20 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ode import solve_ivp
-from .model import (
-    COALESCE_TOL,
-    CutPlane,
-    DriftExceeded,
-    SingularF1,
-    StepFailure,
-    SystemPair,
-    is_in_cell,
-)
+from .model import COALESCE_TOL, DriftExceeded, SingularF1, StepFailure, SystemPair
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
 from .continuation import DEFAULT_TOL, carry_tolerances, connection_products
 from .laplace import f1
@@ -60,6 +52,13 @@ def omega(system, k):
     return _omegas(f1(system))[k]
 
 
+def _residue(fs: FuchsianSystem, k):
+    """The residue B_k = -E_k(A+I) as a dense matrix: row k of -(A+I), zeros elsewhere."""
+    B = np.zeros((fs.n, fs.n), dtype=complex)
+    B[k] = -fs.A_plus_I[k]
+    return B
+
+
 def schlesinger_rhs(fs: FuchsianSystem, u=None):
     """Non-normalized Schlesinger right-hand sides d B_k / d u_i.
 
@@ -73,20 +72,21 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
     system = SystemPair(fs.A, u)
     n = fs.n
     om = _omegas(f1(system))
+    B = [_residue(fs, k) for k in range(n)]
     derivs = {}
     for i in range(n):
         for k in range(n):
             if i != k:
                 derivs[(i, k)] = (
-                    (fs.B[i] @ fs.B[k] - fs.B[k] @ fs.B[i]) / (u[i] - u[k])
-                    + om[i] @ fs.B[k] - fs.B[k] @ om[i]
+                    (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
+                    + om[i] @ B[k] - B[k] @ om[i]
                 )
         acc = np.zeros((n, n), dtype=complex)
         for k in range(n):
             if k != i:
-                acc -= (fs.B[i] @ fs.B[k] - fs.B[k] @ fs.B[i]) / (u[i] - u[k])
-        derivs[(i, i)] = acc + om[i] @ fs.B[i] - fs.B[i] @ om[i]
-    Bsum = sum(fs.B)
+                acc -= (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
+        derivs[(i, i)] = acc + om[i] @ B[i] - B[i] @ om[i]
+    Bsum = sum(B)
     worst = 0.0
     for i in range(n):
         total = sum(derivs[(i, k)] for k in range(n))
@@ -101,7 +101,6 @@ class DeformationState:
 
     u: np.ndarray
     A: np.ndarray
-    history: list = field(default_factory=list)
     diag_drift: float = 0.0
     spectrum_drift: float = 0.0
 
@@ -135,9 +134,9 @@ def _spectrum_distance(ev0, ev1):
     return r
 
 
-def _min_ingroup_gap_on_segment(u0, u1, samples=33):
-    """Min of the pairwise |u_i - u_j| over ``samples`` equispaced points of the segment."""
-    u = u0 + np.linspace(0.0, 1.0, samples)[:, None] * (u1 - u0)
+def _min_ingroup_gap_on_segment(u0, u1):
+    """Min of the pairwise |u_i - u_j| over 33 equispaced points of the segment."""
+    u = u0 + np.linspace(0.0, 1.0, 33)[:, None] * (u1 - u0)
     i, j = np.triu_indices(u0.size, 1)
     return float(np.min(np.abs(u[:, i] - u[:, j]))) if i.size else math.inf
 
@@ -222,30 +221,24 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     return A1, diag_drift, spec_drift
 
 
-def transport(state: DeformationState, target_u, tol=1e-10, guard=NEAR_DELTA_GUARD,
+def transport(state: DeformationState, target_u, tol=1e-10,
               enforce_guard=True) -> DeformationState:
     """Transport A along the straight segment to ``target_u``: a stack of one.
 
     Flow, checks and errors are those of :func:`_transport_stack`; with
-    ``enforce_guard``, segments nearing the locus below ``guard`` are rejected
-    (sample endpoint limits and extrapolate instead).  Only a target equal to
-    the start is skipped.
+    ``enforce_guard``, segments nearing the locus below NEAR_DELTA_GUARD are
+    rejected (sample endpoint limits and extrapolate instead).  Only a target
+    equal to the start is skipped.
     """
     u0 = np.asarray(state.u, dtype=complex)
     u1 = np.asarray(target_u, dtype=complex)
     if np.array_equal(u0, u1):
         return state
     (A1,), (diag_drift,), (spec_drift,) = _transport_stack(
-        u0, np.asarray(state.A, dtype=complex), u1[None], tol, guard if enforce_guard else 0.0)
-    return DeformationState(u=u1, A=A1, history=state.history + [(u0.copy(), u1.copy())],
-                            diag_drift=max(state.diag_drift, float(diag_drift)),
+        u0, np.asarray(state.A, dtype=complex), u1[None], tol,
+        NEAR_DELTA_GUARD if enforce_guard else 0.0)
+    return DeformationState(u=u1, A=A1, diag_drift=max(state.diag_drift, float(diag_drift)),
                             spectrum_drift=max(state.spectrum_drift, float(spec_drift)))
-
-
-def transport_along(state, waypoints, tol=1e-10, **kw):
-    for w in waypoints:
-        state = transport(state, np.asarray(w, dtype=complex), tol=tol, **kw)
-    return state
 
 
 def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None,
@@ -266,36 +259,13 @@ def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=N
         yield state, P, conn
 
 
-def verify_connection_constancy(system, geometry, u_samples, tol=DEFAULT_TOL, N=40):
-    """Recompute c_jk along a deformation path; report per-entry variation.
-
-    The samples come from :func:`connection_samples` with the structural
-    zeros of ``geometry``.  Returns a dict with the stacked coefficient
-    matrices and the max entrywise variation.
-    """
-    mats, cells = [], []
-    for state, _, conn in connection_samples(system, u_samples, CutPlane(eta=geometry.eta),
-                                             tol, N, geometry):
-        mats.append(conn.C)
-        cells.append(is_in_cell(state.u, geometry)[0])
-    stack = np.stack(mats)
-    variation = np.max(np.abs(stack - stack[0]), axis=0)
-    return {
-        "samples": stack,
-        "max_variation": float(np.max(variation)),
-        "per_entry_variation": variation,
-        "in_cell": cells,
-        "final": conn,
-    }
-
-
-def radial_family(system, u_c, t_values, tol=1e-11, t_seed=1e-8):
+def radial_family(system, u_c, t_values, tol=1e-11):
     """Isomonodromic family along u(t) = u^c + t (u - u^c), seeded at u^c.
 
     The matrix of ``system`` prescribes A(u^c): its in-group entries (for
     pairs coalescing at u^c) must vanish.  The family is grown outward from
-    t_seed (in-group quotients are O(t) there, so the relative seeding
-    error is O(t_seed)) and then transported to the requested t values.
+    t = 1e-8 (in-group quotients are O(t) there, so the relative seeding
+    error is O(1e-8)) and then transported to the requested t values.
 
     Returns the list of :class:`DeformationState` at ``t_values`` (sorted
     ascending internally, returned in the requested order).
@@ -314,7 +284,7 @@ def radial_family(system, u_c, t_values, tol=1e-11, t_seed=1e-8):
                 A0[i, j] = 0.0
     order = np.argsort(np.asarray(t_values))
     ts = np.asarray(t_values)[order]
-    state = DeformationState(u=u_c + t_seed * v, A=A0)
+    state = DeformationState(u=u_c + 1e-8 * v, A=A0)
     out = []
     for t in ts:
         state = transport(state, u_c + t * v, tol=tol, enforce_guard=False)
@@ -325,14 +295,16 @@ def radial_family(system, u_c, t_values, tol=1e-11, t_seed=1e-8):
     return result
 
 
-def vanishing_check(system, groups=None, coalesce_scale=None):
+def vanishing_check(system, groups=None):
     """Vanishing-condition report for the in-group pairs at the current u.
 
     For each pair that coalesces (per ``groups`` or per proximity), report
     |A_ij|, the ratio |A_ij|/|u_i-u_j| and ||[B_i, B_j]||, with a verdict
-    per the equivalence |A_ij| -> 0  <=>  [B_i, B_j] -> 0.
+    per the equivalence |A_ij| -> 0  <=>  [B_i, B_j] -> 0.  At gap 0 both
+    ratios are None.  With w_i = row i of A+I, B_i = -e_i w_i^T gives
+    [B_i, B_j] = w_i[j] e_i w_j^T - w_j[i] e_j w_i^T.
     """
-    fs = build_fuchsian(system)
+    w = build_fuchsian(system).A_plus_I
     u = system.u
     n = system.n
     if groups is None:
@@ -350,11 +322,13 @@ def vanishing_check(system, groups=None, coalesce_scale=None):
     rows = []
     for i, j in pairs:
         gap = abs(u[i] - u[j])
-        comm = fs.B[i] @ fs.B[j] - fs.B[j] @ fs.B[i]
+        comm = np.zeros((n, n), dtype=complex)
+        comm[i] = w[i, j] * w[j]
+        comm[j] = -w[j, i] * w[i]
         comm_norm = float(np.max(np.abs(comm)))
         aij = max(abs(system.A[i, j]), abs(system.A[j, i]))
-        ratio = aij / gap if gap > 0 else math.inf
-        comm_ratio = comm_norm / gap if gap > 0 else math.inf
+        ratio = aij / gap if gap > 0 else None
+        comm_ratio = comm_norm / gap if gap > 0 else None
         near = gap < 1e-3
         # A_ij = O(u_i - u_j) and [B_i, B_j] = O(u_i - u_j) are equivalent;
         # judged only near the locus, with a generous O-constant
@@ -405,7 +379,8 @@ def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
     G, T, branch = _jordan_reduce_single(fs, j)
     if branch == "zero" and strict:
         raise NotReducible(f"B_{j} vanishes identically: nothing to reduce")
-    resid = float(np.max(np.abs(np.linalg.solve(G, fs.B[j] @ G) - T)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(fs.B[j])))):
+    B = _residue(fs, j)
+    resid = float(np.max(np.abs(np.linalg.solve(G, B @ G) - T)))
+    if resid > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
         raise NotReducible(f"reduction residual {resid:.2e} for B_{j}")
     return G, T, branch

@@ -35,6 +35,7 @@ from .model import (
     COALESCE_TOL,
     INTEGER_TOL,
     VANISH_TOL,
+    SingularF1,
     SystemPair,
     exponent_class,
     nearest_integer,
@@ -51,13 +52,12 @@ class BadGamma(ValueError):
 
 @dataclass(frozen=True)
 class FuchsianSystem:
-    """Residue matrices B_k = -E_k(A+I) at pole locations u.
+    """Residues B_k = -E_k(A+I) at pole locations u.
 
-    Each B_k has rank one: its only nonzero row is row k of -(A+I), which
-    ``A_plus_I`` holds once for the ODE right-hand side.
+    Each B_k has rank one: its only nonzero row is row k of -(A+I), so
+    ``A_plus_I`` holds every residue once, as its row k.
     """
 
-    B: tuple
     u: np.ndarray
     lambda_prime: np.ndarray
     A: np.ndarray
@@ -67,14 +67,6 @@ class FuchsianSystem:
     def n(self):
         return self.u.size
 
-    def rhs(self, lam):
-        """Coefficient matrix sum_k B_k/(lam - u_k) of the ODE: row k is -(A+I)_k/(lam - u_k).
-
-        An array ``lam`` of shape (..., 1) gives one matrix per point,
-        stacked along its leading axes.
-        """
-        return -self.A_plus_I / (lam - self.u)[..., None]
-
     def min_gap(self, k):
         gaps = [abs(self.u[k] - self.u[m]) for m in range(self.n) if m != k]
         return min(gaps) if gaps else math.inf
@@ -83,23 +75,16 @@ class FuchsianSystem:
         """Radius within which the local series at u_k is trusted."""
         return 0.75 * self.min_gap(k)
 
-    def integer_class(self, k, tol=INTEGER_TOL):
-        return exponent_class(self.lambda_prime[k], tol)
+    def integer_class(self, k):
+        return exponent_class(self.lambda_prime[k])
 
 
 def build_fuchsian(system: SystemPair) -> FuchsianSystem:
-    """Entrywise construction of the residue matrices B_k = -E_k(A+I)."""
+    """The Fuchsian system of ``system``, its residues held as the rows of A+I."""
     A = system.A
-    n = system.n
-    A_plus_I = A + np.eye(n)
-    B = []
-    for k in range(n):
-        Bk = np.zeros((n, n), dtype=complex)
-        Bk[k, :] = -A_plus_I[k, :]
-        B.append(Bk)
     return FuchsianSystem(
-        B=tuple(B), u=system.u.copy(), lambda_prime=system.lambda_prime.copy(), A=A.copy(),
-        A_plus_I=A_plus_I,
+        u=system.u.copy(), lambda_prime=system.lambda_prime.copy(), A=A.copy(),
+        A_plus_I=A + np.eye(system.n),
     )
 
 
@@ -275,7 +260,6 @@ class LocalSolution:
     b: np.ndarray = None
     d: np.ndarray = None
     phi: np.ndarray = None
-    is_singular: bool = False
     zero: bool = False
     zero_verdict: str = ""
     analytic_completion: list = field(default_factory=list)
@@ -356,21 +340,20 @@ def selected_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
     return sol
 
 
-def _zero_verdict(fs, k, d, tol=1e-12):
-    """Tolerance-based verdict that the analytic selected series vanishes."""
-    peak = float(np.max(np.abs(d)))
-    if peak > tol:
+def _zero_verdict(fs, k, d):
+    """Verdict that the analytic selected series vanishes: its peak is below 1e-12."""
+    if float(np.max(np.abs(d))) > 1e-12:
         return False, ""
     g = fs.min_gap(k)
-    K = sum(np.linalg.norm(fs.B[m]) for m in range(fs.n) if m != k)
-    normB = np.linalg.norm(fs.B[k])
+    # ||B_m|| is the norm of its one nonzero row, row m of A+I
+    norms = np.linalg.norm(fs.A_plus_I, axis=1)
+    K = sum(norms[m] for m in range(fs.n) if m != k)
+    normB = norms[k]
     N = d.shape[0] - 1
     # one-step forward bound on the weighted tail of the recursion
     weighted = sum(float(np.linalg.norm(c)) * g ** l for l, c in enumerate(d))
     nxt = (K / g) * weighted / max(N + 1 - normB, 1.0)
-    certified = nxt < tol
-    verdict = "numerical" + ("" if certified else " (forward bound inconclusive)")
-    return True, verdict
+    return True, "numerical" + ("" if nxt < 1e-12 else " (forward bound inconclusive)")
 
 
 def _series_residual(w, sol, C):
@@ -429,7 +412,6 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
     klass = fs.integer_class(k)
     sel = selected_solution(fs, k, cut, N)
     if klass != "negative_integer":
-        sel.is_singular = klass == "natural"
         return sel
 
     # negative integer: fix the log coefficient at the selected solution
@@ -467,7 +449,7 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
 
     sol = LocalSolution(
         k=k, klass=klass, lambda_prime_k=sel.lambda_prime_k, pole=sel.pole, f_k=sel.f_k,
-        N=N, radius=sel.radius, b=sel.b, is_singular=True, zero=zero, zero_verdict=verdict,
+        N=N, radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
     )
     if not zero:
         sol.phi, obstruction = _exponent0_series(C, w, k, seed, N, rho, shifted)
@@ -559,7 +541,7 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
     for i in group:
         for j in group:
             if i != j and abs(fs_uc.A[i, j]) > VANISH_TOL:
-                raise ValueError(
+                raise SingularF1(
                     f"vanishing conditions violated at u^c: |A[{i},{j}]| = {abs(fs_uc.A[i, j]):.2e}"
                 )
     # simultaneous reduction of the group residues (diagonalizable branch)
@@ -589,7 +571,8 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
         if key is None:
             key = fs_uc.u[i]
             others[key] = np.zeros((n, n), dtype=complex)
-        others[key] += Ginv @ fs_uc.B[i] @ G
+        # G^-1 B_i G with B_i = -e_i w_i^T, w_i = row i of A+I
+        others[key] -= np.outer(Ginv[:, i], fs_uc.A_plus_I[i] @ G)
 
     def D_m(m):
         out = np.zeros((n, n), dtype=complex)
@@ -644,7 +627,7 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
 # ---------------------------------------------------------------------------
 
 
-def gamma_shift(system: SystemPair, gamma: float, tol=INTEGER_TOL) -> SystemPair:
+def gamma_shift(system: SystemPair, gamma: float) -> SystemPair:
     """Gauge shift A -> A - gamma I moving exponents off the integers.
 
     Raises :class:`BadGamma` if some shifted diagonal entry or eigenvalue
@@ -653,18 +636,22 @@ def gamma_shift(system: SystemPair, gamma: float, tol=INTEGER_TOL) -> SystemPair
     A = system.A - gamma * np.eye(system.n)
     shifted = np.diag(A)
     for x in shifted:
-        if nearest_integer(x, tol) is not None:
+        if nearest_integer(x) is not None:
             raise BadGamma(f"shifted diagonal entry {x} is integer within tolerance")
     for ev in np.linalg.eigvals(A):
-        if nearest_integer(ev, tol) is not None:
+        if nearest_integer(ev) is not None:
             raise BadGamma(f"shifted eigenvalue {ev} is integer within tolerance")
     return SystemPair(A, system.u)
 
 
-def pick_gamma(system: SystemPair, candidates=(0.3, 0.23, 0.41, 0.17, 0.37, 0.29)):
+# gamma candidates of :func:`pick_gamma`, tried in this order
+_GAMMA_CANDIDATES = (0.3, 0.23, 0.41, 0.17, 0.37, 0.29)
+
+
+def pick_gamma(system: SystemPair):
     """First gamma from a fixed candidate list that clears the conditions."""
     last = None
-    for g in candidates:
+    for g in _GAMMA_CANDIDATES:
         try:
             gamma_shift(system, g)
             return g
@@ -673,7 +660,7 @@ def pick_gamma(system: SystemPair, candidates=(0.3, 0.23, 0.41, 0.17, 0.37, 0.29
     raise BadGamma(f"no candidate gamma worked: {last}")
 
 
-def needs_gamma_shift(system: SystemPair, tol=INTEGER_TOL) -> bool:
+def needs_gamma_shift(system: SystemPair) -> bool:
     """True if some diagonal entry or eigenvalue of A is integer."""
-    return any(nearest_integer(x, tol) is not None
+    return any(nearest_integer(x) is not None
                for x in np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)]))

@@ -70,31 +70,23 @@ CARRY_TOL = 1e-12
 def f1(system):
     """Leading formal coefficient: (F_1)_ij = A_ij/(u_j-u_i), diagonal closed up.
 
-    Coalesced pairs (gap below COALESCE_TOL) require |A_ij| below
-    VANISH_TOL max(1, max|A|) (vanishing conditions); the quotient is then
-    set to 0.  Raises :class:`SingularF1` otherwise.
+    The k = 1 step of :func:`formal_recursion`, from F_0 = I.  Coalesced
+    pairs (gap below COALESCE_TOL) require |A_ij| below VANISH_TOL
+    max(1, max|A|) (vanishing conditions); the quotient is then set to 0.
+    Raises :class:`SingularF1` otherwise.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
-    n = u.size
-    F = np.zeros((n, n), dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = u[j] - u[i]
-            if abs(d) < COALESCE_TOL:
-                if abs(A[i, j]) > VANISH_TOL * scale:
-                    raise SingularF1(
-                        f"u_{i} = u_{j} but |A[{i},{j}]| = {abs(A[i, j]):.2e}: "
-                        "vanishing conditions violated"
-                    )
-                F[i, j] = 0.0
-            else:
-                F[i, j] = A[i, j] / d
-    for i in range(n):
-        F[i, i] = -sum(A[i, j] * F[j, i] for j in range(n) if j != i)
+    off = A - np.diag(np.diag(A))
+    gap = u[None, :] - u[:, None]
+    near = np.abs(gap) < COALESCE_TOL
+    bad = np.argwhere(near & (np.abs(off) > VANISH_TOL * max(1.0, float(np.max(np.abs(A))))))
+    if bad.size:
+        i, j = bad[0]
+        raise SingularF1(f"u_{i} = u_{j} but |A[{i},{j}]| = {abs(A[i, j]):.2e}: "
+                         "vanishing conditions violated")
+    F = np.where(near, 0, off) / np.where(near, 1, gap)
+    np.fill_diagonal(F, -np.einsum("ij,ji->i", off, F))
     return F
 
 
@@ -103,9 +95,6 @@ class FormalSolution:
     """Truncated coefficients F_l of the formal solution at z = infinity."""
 
     F: list
-    u: np.ndarray
-    lambda_prime: np.ndarray
-    L: int
     free_positions: list = field(default_factory=list)
     obstructed_positions: list = field(default_factory=list)
 
@@ -147,7 +136,7 @@ def formal_recursion(system, L, free_values=None):
         Fk = ((shift + (k - 1)) * Fs[-1] + off @ Fs[-1]) / gap
         np.fill_diagonal(Fk, -np.einsum("ij,ji->i", off, Fk) / k)
         Fs.append(Fk)
-    return FormalSolution(F=Fs, u=u.copy(), lambda_prime=lp.copy(), L=L)
+    return FormalSolution(F=Fs)
 
 
 def _formal_at_confluence(system, L, free_values):
@@ -201,7 +190,7 @@ def _formal_at_confluence(system, L, free_values):
                 b = gam * (data.G @ data.G_series[l][:, j])
                 cols[l - 1][:, j] = b / cgamma(lp[j] + 1 - l)
     return FormalSolution(
-        F=[cols[l] for l in range(L)], u=u.copy(), lambda_prime=lp.copy(), L=L,
+        F=[cols[l] for l in range(L)],
         free_positions=sorted(set(free_positions)),
         obstructed_positions=sorted(set(obstructed)),
     )
@@ -261,19 +250,18 @@ def adaptive_quad(f, a, b, tol, scale=1.0, order=24, depth=0, max_depth=14):
 class Contour:
     """Integration contour for one Laplace column.
 
-    ``kind`` is ``"hairpin"`` (small loop at the pole, legs along the cut),
-    ``"halfline"`` (straight from the pole) or ``"group"`` (loop around the
-    whole coalescence disc, legs along the pole's cut).
+    A leg in ``direction`` out to ``t_max``, with a loop of ``loop_radius``
+    around ``anchor``: the pole itself (small loop of a hairpin, or unused
+    by a half-line) or the centre of the coalescence disc (group contour).
     """
 
-    kind: str
     anchor: complex
     direction: float
     loop_radius: float
     t_max: float
 
 
-def _direction_for(labels, h, theta, u, margin=0.05):
+def _direction_for(labels, h, theta, u):
     """Contour direction d for computing Y at label h*mu and arg z = theta.
 
     d must lie in the label's eta-window (eta_{m+1}, eta_m), inside the
@@ -290,7 +278,7 @@ def _direction_for(labels, h, theta, u, margin=0.05):
         raise QuadratureDivergence(
             f"arg z = {theta:.4f} outside the sector of label {m}"
         )
-    pad = min(margin * (hi - lo), 0.45 * (hi - lo))
+    pad = 0.05 * (hi - lo)
     lo2, hi2 = lo + pad, hi - pad
     d = min(max(math.pi - theta, lo2), hi2)
     # nudge off inter-pole directions so the cuts miss the poles
@@ -311,10 +299,11 @@ def _direction_for(labels, h, theta, u, margin=0.05):
     return d
 
 
-def _t_max(rate, power_growth, target=42.0):
-    R = target / rate
+def _t_max(rate, power_growth):
+    """Leg length R at which e^{-rate R} R^power_growth is about e^-42."""
+    R = 42.0 / rate
     for _ in range(3):
-        R = (target + power_growth * math.log(max(R, 1.0))) / rate
+        R = (42.0 + power_growth * math.log(max(R, 1.0))) / rate
     return R
 
 
@@ -337,9 +326,6 @@ class LaplaceColumn:
     pole: complex
     eta_used: float
     error: float
-
-    def raw(self, i):
-        return self.reduced[i] * cmath.exp(self.z[i] * self.pole)
 
 
 @dataclass(frozen=True)
@@ -450,15 +436,14 @@ def _column(fs, spec, geometry, sols, tol, N):
         for beta, val in enumerate(geometry.group_values):
             if beta != alpha:
                 r_loop = min(r_loop, 0.5 * (abs(val - center) + geometry.epsilon0))
-        contour_obj = Contour("group", center, d, r_loop, t_hi)
+        contour_obj = Contour(center, d, r_loop, t_hi)
         if klass != "noninteger":
             raise ValueError("group contour is implemented for the branched class only")
         build = _group_column
     else:
         r_loop = min(0.5 * validity, 2.0 / float(np.max(np.abs(z_values))))
         r_loop = max(r_loop, 1e-3 * validity)
-        kind = "hairpin" if klass == "noninteger" else "halfline"
-        contour_obj = Contour(kind, fs.u[k], d, r_loop, t_hi)
+        contour_obj = Contour(fs.u[k], d, r_loop, t_hi)
         build = {"noninteger": _hairpin_column, "natural": _natural_column}.get(
             klass, _halfline_column)
     reduced, err = yield from build(fs, k, sol, contour_obj, z_values, tol)

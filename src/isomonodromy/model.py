@@ -26,17 +26,17 @@ INTEGER_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 
 
-def nearest_integer(x, tol=INTEGER_TOL):
-    """The integer within ``tol`` of the complex number x, or None."""
+def nearest_integer(x):
+    """The integer within INTEGER_TOL of the complex number x, or None."""
     x = complex(x)
     r = round(x.real)
-    return r if abs(x.imag) < tol and abs(x.real - r) < tol else None
+    return r if abs(x.imag) < INTEGER_TOL and abs(x.real - r) < INTEGER_TOL else None
 
 
-def exponent_class(x, tol=INTEGER_TOL):
+def exponent_class(x):
     """Arithmetic class of an exponent: ``"noninteger"``, ``"natural"``
     (integer >= 0) or ``"negative_integer"`` (integer <= -1)."""
-    r = nearest_integer(x, tol)
+    r = nearest_integer(x)
     if r is None:
         return "noninteger"
     return "natural" if r >= 0 else "negative_integer"
@@ -129,10 +129,6 @@ class SystemPair:
     def lambda_prime(self):
         return np.diag(self.A)
 
-    def integer_classes(self, tol=INTEGER_TOL):
-        """Arithmetic class of each diagonal entry (see :func:`exponent_class`)."""
-        return [exponent_class(lp, tol) for lp in self.lambda_prime]
-
 
 def stokes_ray_directions(u):
     """Directions of the Stokes rays of Lambda(u) in the z-plane.
@@ -156,11 +152,12 @@ def stokes_ray_directions(u):
             if abs(d) < COALESCE_TOL:
                 skipped.append((j, k))
                 continue
-            rays[(j, k)] = (1.5 * math.pi - cmath.phase(d)) % TWO_PI
+            # atan2 is cmath.phase without its OverflowError on a subnormal angle
+            rays[(j, k)] = (1.5 * math.pi - math.atan2(d.imag, d.real)) % TWO_PI
     return rays, skipped
 
 
-def _mod_pi_classes(directions, tol=ANGLE_TOL):
+def _mod_pi_classes(directions):
     """Cluster ray directions mod pi; returns sorted class representatives in [0, pi)."""
     reps = []
     for th in directions:
@@ -168,7 +165,7 @@ def _mod_pi_classes(directions, tol=ANGLE_TOL):
         matched = False
         for i, s in enumerate(reps):
             d = abs(r - s)
-            if min(d, math.pi - d) < tol:
+            if min(d, math.pi - d) < ANGLE_TOL:
                 matched = True
                 break
         if not matched:
@@ -205,7 +202,7 @@ class RayLabels:
         return self.basic[i] + k * math.pi
 
 
-def label_rays(u_c, tau, tol=ANGLE_TOL):
+def label_rays(u_c, tau):
     """Count and label the basic Stokes rays of Lambda(u^c) around tau.
 
     Returns ``(nu, mu, labels)`` where nu = 0 by the convention that tau_0 is
@@ -217,9 +214,9 @@ def label_rays(u_c, tau, tol=ANGLE_TOL):
     rays, _ = stokes_ray_directions(u_c)
     if not rays:
         raise ValueError("all coordinates of u^c coincide; no Stokes rays exist")
-    reps = _mod_pi_classes(rays.values(), tol=tol)
+    reps = _mod_pi_classes(rays.values())
     for r in reps:
-        if angular_distance_mod_pi(tau, r) < tol:
+        if angular_distance_mod_pi(tau, r) < ANGLE_TOL:
             # suggest the midpoint of the widest gap between ray classes
             gaps = [(reps + [reps[0] + math.pi])[i + 1] - reps[i] for i in range(len(reps))]
             i = int(np.argmax(gaps))
@@ -267,10 +264,10 @@ class DeformationGeometry:
     group_values: tuple = field(default=None)
     labels: RayLabels = field(default=None)
 
-    def __init__(self, u_c, epsilon0, tau, tol=ANGLE_TOL):
+    def __init__(self, u_c, epsilon0, tau):
         u_c = _as_complex_vector(u_c)
         groups, values = _group_partition(u_c)
-        _, _, labels = label_rays(u_c, tau, tol=tol) if len(groups) > 1 else (0, 0, None)
+        _, _, labels = label_rays(u_c, tau) if len(groups) > 1 else (0, 0, None)
         if labels is None:
             raise ValueError("u^c must have at least two distinct coordinates")
         object.__setattr__(self, "u_c", u_c)
@@ -322,10 +319,6 @@ class DeformationGeometry:
                 best = min(best, abs(d + rho * e) / 2.0)
         return best
 
-    def contains(self, u):
-        u = _as_complex_vector(u)
-        return bool(np.max(np.abs(u - self.u_c)) <= self.epsilon0 + 1e-15)
-
     def ray_rotation_bound(self, j, k):
         """Max rotation of the (j,k) Stokes-ray direction over the polydisc.
 
@@ -341,26 +334,26 @@ class DeformationGeometry:
             return math.pi  # degenerate; epsilon0 validation will reject this
         return math.asin(r)
 
-    def class_rotation_bounds(self, tol=ANGLE_TOL):
+    def class_rotation_bounds(self):
         """Rotation bound per ray class mod pi: list of (class rep, bound)."""
         rays, _ = stokes_ray_directions(self.u_c)
-        reps = _mod_pi_classes(rays.values(), tol=tol)
+        reps = _mod_pi_classes(rays.values())
         bounds = [0.0] * len(reps)
         for (j, k), th in rays.items():
             rot = self.ray_rotation_bound(j, k)
             for i, r in enumerate(reps):
-                if angular_distance_mod_pi(th, r) < tol:
+                if angular_distance_mod_pi(th, r) < ANGLE_TOL:
                     bounds[i] = max(bounds[i], rot)
                     break
         return list(zip(reps, bounds))
 
-    def validate(self, tol=ANGLE_TOL):
+    def validate(self):
         """Check that no cross-group ray can attain direction tau mod pi.
 
         Returns the minimal angular margin (positive means valid).
         """
         margin = math.inf
-        for rep, bound in self.class_rotation_bounds(tol=tol):
+        for rep, bound in self.class_rotation_bounds():
             margin = min(margin, angular_distance_mod_pi(self.tau, rep) - bound)
         return margin
 
@@ -387,19 +380,8 @@ class CutPlane:
             a += TWO_PI
         return a
 
-    def is_admissible(self, u, tol=ANGLE_TOL):
-        """True if no cut from one pole passes through another pole."""
-        u = _as_complex_vector(u)
-        for j in range(u.size):
-            for k in range(u.size):
-                if j == k or abs(u[j] - u[k]) < COALESCE_TOL:
-                    continue
-                if angular_distance_mod_pi(self.eta, cmath.phase(u[j] - u[k])) < tol:
-                    return False
-        return True
 
-
-def sector_bounds(label, geometry, shrink=False, tol=ANGLE_TOL):
+def sector_bounds(label, geometry, shrink=False):
     """Angular bounds of the sector S_hat with the given integer label.
 
     At u = u^c the sector is exactly (tau_m - pi, tau_{m+1}).  With
@@ -420,7 +402,7 @@ def sector_bounds(label, geometry, shrink=False, tol=ANGLE_TOL):
         )
     h = label // mu
     tau = geometry.tau
-    cls = geometry.class_rotation_bounds(tol=tol)
+    cls = geometry.class_rotation_bounds()
     # rays live in windows (tau+(m-1)pi, tau+m pi) and never leave them
     lo, hi = lo0, hi0
     for rep, bound in cls:
@@ -434,16 +416,14 @@ def sector_bounds(label, geometry, shrink=False, tol=ANGLE_TOL):
     return lo, hi
 
 
-def is_in_cell(u, geometry, tau=None, tol=ANGLE_TOL):
+def is_in_cell(u, geometry):
     """Whether u lies in the interior of a tau-cell of the polydisc.
 
     True iff u avoids the coalescence locus and no Stokes ray of Lambda(u)
-    has direction tau mod pi.  Returns ``(ok, offenders)`` where offenders
-    is a list of ``(j, k, reason)`` with reason ``"coalescence"`` or
-    ``"ray_on_tau"``.
+    has direction ``geometry.tau`` mod pi.  Returns ``(ok, offenders)``
+    where offenders is a list of ``(j, k, reason)`` with reason
+    ``"coalescence"`` or ``"ray_on_tau"``.
     """
-    if tau is None:
-        tau = geometry.tau
     u = _as_complex_vector(u)
     offenders = []
     rays, skipped = stokes_ray_directions(u)
@@ -451,6 +431,6 @@ def is_in_cell(u, geometry, tau=None, tol=ANGLE_TOL):
         if j < k:
             offenders.append((j, k, "coalescence"))
     for (j, k), th in rays.items():
-        if j < k and angular_distance_mod_pi(th, tau) < tol:
+        if j < k and angular_distance_mod_pi(th, geometry.tau) < ANGLE_TOL:
             offenders.append((j, k, "ray_on_tau"))
     return (not offenders), offenders

@@ -36,12 +36,11 @@ class Ordering:
     """Dominance ordering at u^c: j prec k iff Re(e^{i tau}(u_j^c-u_k^c)) < 0.
 
     Pairs inside one coalescence group carry no relation (their Stokes
-    entries are structural zeros).
+    entries are structural zeros); |Re(...)| below 1e-12 is a tie.
     """
 
     u_c: np.ndarray
     tau: float
-    tie_tol: float = 1e-12
 
     def relation(self, j, k):
         """-1 if j prec k, +1 if j succ k, None for in-group pairs."""
@@ -49,7 +48,7 @@ class Ordering:
         if abs(d) < COALESCE_TOL:
             return None
         s = (cmath.exp(1j * self.tau) * d).real
-        if abs(s) < self.tie_tol:
+        if abs(s) < 1e-12:
             raise ValueError(
                 f"ordering tie for pair ({j},{k}): tau is a Stokes direction"
             )
@@ -143,8 +142,8 @@ def _matching_ray(geometry, h, margin=0.0):
     return 0.5 * (lo + hi)
 
 
-def default_ladder(system, geometry, theta, suppressions=(4.0, 6.5, 9.0)):
-    """Moduli |z| whose worst cross-group suppression hits the given targets.
+def default_ladder(system, geometry, theta):
+    """Moduli |z| whose worst cross-group suppression is 4, 6.5 and 9.
 
     The matching relation is exact at any z in the sector overlap, but the
     solve amplifies quadrature error by e^{+suppression} on the suppressed
@@ -161,7 +160,7 @@ def default_ladder(system, geometry, theta, suppressions=(4.0, 6.5, 9.0)):
     if not rates:
         return [10.0, 20.0, 40.0]
     worst = max(rates)
-    return [s / worst for s in suppressions]
+    return [s / worst for s in (4.0, 6.5, 9.0)]
 
 
 def _oracle_basis(system, geometry, N):
@@ -204,8 +203,7 @@ def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTEN
             f"{spread / scale:.2e}) across |z| ladder {ladder}"
         )
     S = np.mean(fits, axis=0)
-    return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread,
-               "z_spread_relative": spread / scale}
+    return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread}
 
 
 def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,

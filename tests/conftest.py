@@ -9,6 +9,11 @@ from isomonodromy.model import DeformationGeometry, SystemPair
 TAU_2x2 = math.pi / 4
 
 
+def dense_rhs(fs, lam):
+    """Matrix sum_k B_k/(lam - u_k) of the Fuchsian ODE, one per point of lam (..., 1)."""
+    return -fs.A_plus_I / (lam - fs.u)[..., None]
+
+
 @pytest.fixture
 def system_2x2():
     """The workhorse 2x2 system with noninteger exponents."""

@@ -1,11 +1,20 @@
+import cmath
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from isomonodromy.cli import ProblemSpec, SpecError, main, validate_report
+from isomonodromy.model import is_in_cell
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = ("sample2x2", "coalescing3x3", "resonant_group")
 
 SAMPLE = {
     "schema_version": 1,
@@ -311,3 +320,83 @@ def test_validate_report_rejects_unsupported_schema_keywords(monkeypatch):
     monkeypatch.setattr(cli, "REPORT_SCHEMA", schema)
     with pytest.raises(ValueError, match="unsupported"):
         validate_report(_good_report())
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# check on resonant_group is left out: its integrability stencil starts on the
+# coalescence locus and spends over a minute in a transport that ends in StepFailure
+@pytest.mark.parametrize("cmd, problem", [
+    (cmd, problem) for cmd in ("rays", "stokes", "deform", "levelt", "check")
+    for problem in SHIPPED if (cmd, problem) != ("check", "resonant_group")])
+def test_cli_reports_are_strict_json(tmp_path, cmd, problem):
+    """Every report a command writes on a shipped problem parses as standard JSON."""
+    spec = str(ROOT / "problems" / f"{problem}.json")
+    result = CliRunner().invoke(main, [cmd, "--spec", spec, "--out", str(tmp_path)])
+    assert result.exit_code in (0, 2, 3), result.output
+    report = tmp_path / f"{cmd}_report.json"
+    assert report.exists() == (result.exit_code != 2)  # 2: deform without paths
+    if report.exists():
+        validate_report(_strict_json(report.read_text()))
+
+
+def test_cli_rays_crossing_locus_hits_lie_on_tau(tmp_path):
+    """Two hits per ordered sibling pair, each with the pair's ray on tau."""
+    path = ROOT / "problems" / "coalescing3x3.json"
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["rays", "--spec", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "crossing_locus.csv", encoding="utf-8") as fh:
+        hits = [(int(r["coordinate"]) - 1, int(r["sibling"]) - 1, float(r["phi"]))
+                for r in csv.DictReader(fh)]
+    geo = ProblemSpec.load(str(path)).geometry
+    pairs = [(i, j) for g in geo.groups for i in g for j in g if i != j]
+    assert pairs and sorted((i, j) for i, j, _ in hits) == sorted(pairs * 2)
+    assert json.loads((out / "rays_report.json").read_text())["results"][
+        "crossing_locus_hits"] == len(hits)
+    for i, j, phi in hits:
+        u = geo.u_c.copy()
+        u[i] += geo.epsilon0 * cmath.exp(1j * phi)
+        ok, offenders = is_in_cell(u, geo)
+        assert not ok and (min(i, j), max(i, j), "ray_on_tau") in offenders, phi
+
+
+def test_cli_levelt_violated_vanishing_is_a_failed_stage(tmp_path):
+    """Nonvanishing in-group couplings at u_c fail the group stage with SingularF1: exit 3."""
+    out = tmp_path / "out"
+    spec = str(ROOT / "problems" / "coalescing3x3.json")
+    result = CliRunner().invoke(main, ["levelt", "--spec", spec, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    report = json.loads((out / "levelt_report.json").read_text())
+    validate_report(report)
+    [stage] = [s for s in report["stages"] if s["name"] == "group_0"]
+    assert stage["status"] == "failed" and stage["error"].startswith("SingularF1")
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3"])
+def test_cli_check_rejects_a_nonpositive_step(tmp_path, step):
+    path = _write(tmp_path, SAMPLE)
+    result = CliRunner().invoke(main, ["check", "--spec", path, "--out", str(tmp_path / "out"),
+                                       "--step", step])
+    assert result.exit_code == 2, result.output
+    assert "--step must be finite and > 0" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_cli_check_rejects_a_nonfinite_step(tmp_path, step):
+    """In a fresh process with a timeout: an integrator given a non-finite step never returns."""
+    path = _write(tmp_path, SAMPLE)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "isomonodromy.cli", "check", "--spec", path,
+                           "--out", str(tmp_path / "out"), "--step", step],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "--step must be finite and > 0" in proc.stderr

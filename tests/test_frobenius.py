@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isomonodromy.model import CutPlane, SystemPair
+from conftest import dense_rhs
+from isomonodromy.model import CutPlane, SingularF1, SystemPair
+from isomonodromy.deformation import _residue
 from isomonodromy.frobenius import (
     BadGamma,
     analytic_basis,
@@ -24,8 +26,8 @@ from isomonodromy.frobenius import (
 
 def test_build_fuchsian_example(system_2x2):
     fs = build_fuchsian(system_2x2)
-    assert np.allclose(fs.B[0], [[-1.5, -2.0], [0.0, 0.0]])
-    assert np.allclose(fs.B[1], [[0.0, 0.0], [-3.0, -4.0 / 3.0]])
+    assert np.allclose(_residue(fs, 0), [[-1.5, -2.0], [0.0, 0.0]])
+    assert np.allclose(_residue(fs, 1), [[0.0, 0.0], [-3.0, -4.0 / 3.0]])
 
 
 def test_build_fuchsian_diagonal():
@@ -33,7 +35,7 @@ def test_build_fuchsian_diagonal():
     for k, lp in enumerate([0.5, -2.0]):
         expected = np.zeros((2, 2))
         expected[k, k] = -lp - 1
-        assert np.allclose(fs.B[k], expected)
+        assert np.allclose(_residue(fs, k), expected)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -43,7 +45,7 @@ def test_residue_sum_identity(seed):
     n = int(rng.integers(2, 5))
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     fs = build_fuchsian(SystemPair(A, np.arange(n, dtype=complex)))
-    assert np.max(np.abs(sum(fs.B) + A + np.eye(n))) < 1e-14
+    assert np.max(np.abs(sum(_residue(fs, k) for k in range(n)) + A + np.eye(n))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,7 @@ def test_substitution_residual_invariant(system_2x2):
         lam = fs.u[0] + x
         h = 1e-6
         dv = (sol.selected_value(lam + h, cut) - sol.selected_value(lam - h, cut)) / (2 * h)
-        resid = np.max(np.abs(dv - fs.rhs(lam) @ sol.selected_value(lam, cut)))
+        resid = np.max(np.abs(dv - dense_rhs(fs, lam) @ sol.selected_value(lam, cut)))
         scale = np.max(np.abs(sol.selected_value(lam, cut)))
         assert resid < 1e-7 * max(scale, 1.0)
     assert sol.residual < 1e-12
@@ -173,7 +175,7 @@ def test_singular_negative_integer_log_structure():
     x = 0.1 * cmath.exp(-0.3j)
     h = 1e-6
     dv = (value(x + h, sol.phi) - value(x - h, sol.phi)) / (2 * h)
-    resid = np.max(np.abs(dv - fs.rhs(fs.u[0] + x) @ value(x, sol.phi)))
+    resid = np.max(np.abs(dv - dense_rhs(fs, fs.u[0] + x) @ value(x, sol.phi)))
     assert resid < 1e-8
 
 
@@ -258,7 +260,7 @@ def test_levelt_normal_form_satisfies_ode():
     dxT = np.diag([t * x ** (t - 1) for t in T])
     Psi = data.G @ S @ xT
     dPsi = data.G @ (dS @ xT + S @ dxT)
-    resid = np.max(np.abs(dPsi - fs.rhs(x) @ Psi))
+    resid = np.max(np.abs(dPsi - dense_rhs(fs, x) @ Psi))
     assert resid < 1e-9
 
 
@@ -282,7 +284,7 @@ def test_levelt_rejects_violated_vanishing():
         [[0.5, 0.9, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex
     )
     fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularF1):
         levelt_at_confluence(fs, (0, 1), N=8)
 
 
@@ -368,7 +370,7 @@ def test_analytic_basis_solves_ode(system_2x2):
 
     h = 1e-6
     dv = (val(x + h) - val(x - h)) / (2 * h)
-    assert np.max(np.abs(dv - fs.rhs(fs.u[0] + x) @ val(x))) < 1e-8
+    assert np.max(np.abs(dv - dense_rhs(fs, fs.u[0] + x) @ val(x))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def _dense_coeffs(fs, k, order):
         if m != k:
             inv = 1.0 / (fs.u[k] - fs.u[m])
             for p in range(order + 1):
-                C[p] += ((-1) ** p) * fs.B[m] * inv ** (p + 1)
+                C[p] += ((-1) ** p) * _residue(fs, m) * inv ** (p + 1)
     return C
 
 
@@ -399,12 +401,12 @@ def _dense_orders(fs, k, C, x, orders, shift, source=None):
     """Solve ((l + shift) I - B_k) x_l = rhs_l by a dense solve per order."""
     eye = np.eye(fs.n)
     for l in orders:
-        x[l] = np.linalg.solve((l + shift) * eye - fs.B[k], _dense_rhs(C, x, l, source))
+        x[l] = np.linalg.solve((l + shift) * eye - _residue(fs, k), _dense_rhs(C, x, l, source))
     return x
 
 
 def _dense_seeds(fs, k):
-    w = -fs.B[k][k]
+    w = -_residue(fs, k)[k]
     seeds = []
     for i in range(fs.n):
         if i != k:
@@ -433,7 +435,7 @@ def _dense_obstruction(fs, k, C, seed, rho, source=None):
     phi = np.zeros((rho, fs.n), dtype=complex)
     phi[0] = seed
     _dense_orders(fs, k, C, phi, range(1, rho), 0, source)
-    return -fs.B[k][k] @ _dense_rhs(C, phi, rho, source)
+    return -_residue(fs, k)[k] @ _dense_rhs(C, phi, rho, source)
 
 
 def _dense_selected(fs, k, N):
@@ -446,7 +448,7 @@ def _dense_selected(fs, k, N):
         b[0, k] = fk
         return _dense_orders(fs, k, _dense_coeffs(fs, k, N), b, range(1, N + 1), -lp - 1), None
     Nk = int(round(lp.real))
-    w = -fs.B[k][k]
+    w = -_residue(fs, k)[k]
     C = _dense_coeffs(fs, k, N + Nk + 1)
     b = np.zeros((N + Nk + 2, n), dtype=complex)
     b[0, k] = fk

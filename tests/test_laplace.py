@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import isomonodromy.laplace as laplace
+from conftest import dense_rhs
 from isomonodromy import ode
 from isomonodromy.model import DeformationGeometry, SystemPair
 from isomonodromy.frobenius import build_fuchsian, selected_solution
@@ -54,6 +55,44 @@ def test_f1_detects_violated_vanishing():
     A = np.array([[0.2, 0.5], [0.1, 0.9]], dtype=complex)
     with pytest.raises(SingularF1):
         f1(SystemPair(A, [0.0, 0.0]))
+
+
+def _f1_loop(system):
+    """F_1 entry by entry: the double loop with a per-row sum for the diagonal."""
+    from isomonodromy.model import COALESCE_TOL, VANISH_TOL
+
+    A, u, n = system.A, system.u, system.n
+    F = np.zeros((n, n), dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(A))))
+    for i in range(n):
+        for j in range(n):
+            if i != j and abs(u[j] - u[i]) >= COALESCE_TOL:
+                F[i, j] = A[i, j] / (u[j] - u[i])
+            elif i != j and abs(A[i, j]) > VANISH_TOL * scale:
+                raise SingularF1(f"u_{i} = u_{j}")
+    for i in range(n):
+        F[i, i] = -sum(A[i, j] * F[j, i] for j in range(n) if j != i)
+    return F
+
+
+def test_f1_matches_the_entrywise_loop():
+    """The array form of F_1 agrees with the loop, with a coalesced vanishing pair and without."""
+    rng = np.random.default_rng(21)
+    systems = []
+    for n in range(2, 7):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        systems.append(SystemPair(A, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)))
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    A[0, 1], A[1, 0] = 1e-11, 0.0
+    coalesced = [0.3 + 0.1j, 0.3 + 0.1j, 1.0, -0.5j]
+    systems.append(SystemPair(A, coalesced))
+    for sp in systems:
+        ref = _f1_loop(sp)
+        assert np.max(np.abs(f1(sp) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    A[1, 0] = 0.5  # a coupling of the coalesced pair that does not vanish
+    for build in (f1, _f1_loop):
+        with pytest.raises(SingularF1, match="u_1 = u_0"):
+            build(SystemPair(A, coalesced))
 
 
 class _FC:
@@ -268,7 +307,7 @@ def _dense_ray(fs, k, sol, d, t_max, branched):
             acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
         return acc
 
-    dense = solve_ivp(lambda t, y: (fs.rhs(fs.u[k] + t * e_d) @ y) * e_d,
+    dense = solve_ivp(lambda t, y: (dense_rhs(fs, fs.u[k] + t * e_d) @ y) * e_d,
                       (t_switch, t_max), series(np.array([t_switch]))[0],
                       method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
 
@@ -306,7 +345,7 @@ def _reference_column(fs, k, geometry, z, d, kind, tol=1e-13):
         a = -bh + math.sqrt(bh * bh - (abs(w0) ** 2 - r * r))
         th_exit = cmath.phase(w0 + a * e_d)
         circ = solve_ivp(
-            lambda th, y: (fs.rhs(center + r * cmath.exp(1j * th)) @ y)
+            lambda th, y: (dense_rhs(fs, center + r * cmath.exp(1j * th)) @ y)
             * 1j * r * cmath.exp(1j * th),
             (th_exit, th_exit - 2 * math.pi), values(np.array([a]))[0],
             method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
@@ -640,7 +679,7 @@ def _carry_dense_reference(fs, pieces, cont_tol):
         x = a + b * s + e
         dx = (b + 1j * omega * e)[:, None]
         dy = (np.exp(z * x[:, None]) * (weight * dx))[:, :, None] * psi[:, None]
-        dy[:, 0] = np.einsum("pij,pj->pi", fs.rhs((pole + x)[:, None]), dy[:, 0])
+        dy[:, 0] = np.einsum("pij,pj->pi", dense_rhs(fs, (pole + x)[:, None]), dy[:, 0])
         return dy.ravel()
 
     rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
@@ -651,9 +690,7 @@ def _carry_dense_reference(fs, pieces, cont_tol):
 
 def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
                                          coalescing_geometry, vanishing_A_uc):
-    """No dense residue matrix per evaluation, and the same carried values as with one."""
-    from isomonodromy.frobenius import FuchsianSystem
-
+    """The carried values match those of the dense residue matrices."""
     batches = []
     carry = laplace.carry
 
@@ -662,11 +699,7 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
         batches.append((fs, pieces, tol, out))
         return out
 
-    def dense(*args, **kwargs):
-        raise AssertionError("FuchsianSystem.rhs called by the carry")
-
     monkeypatch.setattr(laplace, "carry", recorded)
-    monkeypatch.setattr(FuchsianSystem, "rhs", dense)
     for fs, geo, specs, _ in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                           vanishing_A_uc):
         laplace.laplace_columns(fs, geo, specs, tol=1e-13)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isomonodromy.model import (
@@ -12,6 +12,7 @@ from isomonodromy.model import (
     NonAdmissibleError,
     SystemPair,
     angular_distance_mod_pi,
+    exponent_class,
     is_in_cell,
     label_rays,
     sector_bounds,
@@ -58,6 +59,7 @@ def test_ray_directions_skip_coalesced():
         min_size=2, max_size=5,
     )
 )
+@example([0j, 2 + 5e-324j])  # an angle that underflows to a subnormal
 @settings(max_examples=60, deadline=None)
 def test_rays_come_in_antipodal_pairs(u):
     rays, _ = stokes_ray_directions(u)
@@ -210,13 +212,9 @@ def test_cut_plane_branch_window():
     assert b == pytest.approx(2.0 - 2 * PI)
 
 
-def test_cut_plane_admissibility():
-    assert CutPlane(eta=1.0).is_admissible([0.0, 1.0])
-    assert not CutPlane(eta=0.0).is_admissible([0.0, 1.0])
-
-
 def test_system_pair_validation():
     with pytest.raises(ValueError):
         SystemPair(np.eye(3), [0.0, 1.0])
     sp = SystemPair(np.diag([0.5, -2.0, 1.0]), [0.0, 1.0, 2.0])
-    assert sp.integer_classes() == ["noninteger", "negative_integer", "natural"]
+    assert [exponent_class(lp) for lp in sp.lambda_prime] == [
+        "noninteger", "negative_integer", "natural"]

@@ -765,7 +765,7 @@ def check(spec_path, out_dir, tol, order, gamma, step):
             "method": "direct-evaluation",
         }
 
-    out = runner.stage("vanishing", vanish_stage)
+    out = runner.stage("vanishing", vanish_stage, always=True)
     if out is not None:
         results["vanishing"] = out
     results["epsilon0_margin"] = spec.geometry.validate()

@@ -9,15 +9,16 @@ monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
 whole row j of connection coefficients (:func:`connection_coefficients`)
 through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
 
-All transport of both Stokes routes runs on one batched integrator
+All transport of both Stokes routes runs on one batched carry
 (:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
 c e^{i omega s}, s in [0, 1], carrying an (n, w) block and, for the
 oracle's Laplace legs (:mod:`.laplace`), the integrals of e^{z x} times
-that block for each of its samples z.  Every piece of a batch goes
-through one DOP853 solve with the rank-one residues applied to all of
-them at once.  The formula route therefore makes five solves at any n:
-the first and the second descent legs, the deep -> low_j and the
-low_j -> base_j ascent legs, and every pole loop.
+that block for each of its samples z.  A batch without samples is
+carried by Taylor steps along chords of its pieces (:func:`_taylor_carry`),
+any other batch by one DOP853 solve; both apply the rank-one residues to
+every piece at once.  The formula route carries no samples, so it makes
+five Taylor carries at any n: the first and the second descent legs, the
+deep -> low_j and the low_j -> base_j ascent legs, and every pole loop.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import solve_ivp
+from .ode import solve_ivp, tally
 from .model import BasisSingular, COALESCE_TOL, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
@@ -41,6 +42,13 @@ from .frobenius import (
 )
 
 DEFAULT_TOL = 1e-10
+# Taylor carry: step length over the distance to the nearest pole, chords per
+# curved piece, negligible term relative to its block, and the order limits
+STEP_RATIO = 0.5
+CHORDS = 16
+TAYLOR_EPS = 1e-16
+MAX_ORDER = 400
+TAIL_ORDERS = 4
 
 
 class Piece(NamedTuple):
@@ -77,24 +85,28 @@ def carry_tolerances(tol, smallest, total):
 
 
 def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
-    """Continue every piece's block, with its Laplace integrals, all in one DOP853 solve.
+    """Continue every piece's block, with its Laplace integrals, all in one solve.
 
-    The pieces' ``y0`` share one shape (n, w).  The state is (P, 1 + m, n, w):
-    the block Y_p of every piece and one integral J_p,i per sample z_p,i,
-    padded to m = max_p size(z_p) with integrals of weight 0.  The
-    right-hand side applies the rank-one residues to every block at once,
-    dY_p/ds = -((A+I) Y_p) (dx_p/ds) / (lam_p - u), row m divided by
-    lam_p - u_m, and dJ_p,i/ds = e^{z_p,i x_p} Y_p dx_p/ds, so the integrals
-    share the step control of their block.  Tolerances follow
+    The pieces' ``y0`` share one shape (n, w).  A batch without samples
+    (every ``z`` empty) is carried by :func:`_taylor_carry` to TAYLOR_EPS,
+    whatever ``tol``.  Any other batch goes through one DOP853 solve of the
+    state (P, 1 + m, n, w): the block Y_p of every piece and one integral
+    J_p,i per sample z_p,i, padded to m = max_p size(z_p) with integrals of
+    weight 0.  The right-hand side applies the rank-one residues to every
+    block at once, dY_p/ds = -((A+I) Y_p) (dx_p/ds) / (lam_p - u), row m
+    divided by lam_p - u_m, and dJ_p,i/ds = e^{z_p,i x_p} Y_p dx_p/ds, so
+    the integrals share the step control of their block.  Tolerances follow
     :func:`carry_tolerances`, with size(Y_p)(1 + m_p) components per piece.
     Returns the end block Y_p(1) of a piece without samples and
     ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for z_p,i.
     """
     if not pieces:
         return []
+    m = max(p.z.size for p in pieces)
+    if not m:
+        return _taylor_carry(fs, pieces)
     n, P = fs.n, len(pieces)
     shape = np.shape(pieces[0].y0)
-    m = max(p.z.size for p in pieces)
     Y0 = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
     y0 = np.zeros((P, 1 + m) + Y0.shape[1:], dtype=complex)
     y0[:, 0] = Y0
@@ -117,12 +129,9 @@ def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
         else:
             x, dx = a + b * s, b
         x, dx = x[:, None], dx[:, None]
-        scale = (dx / (offset + x))[:, :, None]
-        if not m:
-            return ((M @ y.reshape(Y0.shape)) * scale).ravel()
         y = y.reshape(y0.shape)
         dy = (np.exp(z * x) * (weight * dx))[:, :, None, None] * y[:, :1]
-        dy[:, 0] = (M @ y[:, 0]) * scale
+        dy[:, 0] = (M @ y[:, 0]) * (dx / (offset + x))[:, :, None]
         return dy.ravel()
 
     rtol, atol = carry_tolerances(
@@ -133,6 +142,93 @@ def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
     ends = sol.y[:, -1].reshape((P, 1 + m) + shape)
     return [(end[0], end[1:1 + p.z.size]) if p.z.size else end[0]
             for p, end in zip(pieces, ends)]
+
+
+def _chords(piece):
+    """The polyline a piece is carried along, as offsets x from its pole.
+
+    A straight piece is its two ends; a curved one is CHORDS chords whose
+    vertices x(j / CHORDS) lie on the path.
+    """
+    if piece.c == 0:
+        return [piece.a, piece.a + piece.b]
+    s = np.linspace(0.0, 1.0, CHORDS + 1)
+    return list(piece.a + piece.b * s + piece.c * np.exp(1j * piece.omega * s))
+
+
+def _taylor_carry(fs: FuchsianSystem, pieces):
+    """End blocks of pieces without samples, by Taylor steps along their polylines.
+
+    At lam0 the Taylor terms T_m = Y_m h^m of the solution obey
+    T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
+    divided by lam0 - u_k: one batched product per order for the whole
+    batch.  Every piece steps in lockstep from its current point by
+    h = min(rest of its chord, STEP_RATIO rho) along the chord, rho its
+    distance to the nearest pole, so its terms fall at least as fast as
+    STEP_RATIO^m times a power of m.  Orders below
+    log(TAYLOR_EPS) / log(max |h| / rho) are summed untested; from there
+    the step ends once the last two terms of every piece are below
+    TAYLOR_EPS max|Y_p|.  Reports one solve, one step per lockstep step and
+    one nfev per order to :func:`.ode.counting`.  Raises
+    :class:`StepFailure` for a piece that meets a pole, a block that is not
+    finite, or a step not converged by MAX_ORDER.
+    """
+    n, P = fs.n, len(pieces)
+    shape = np.shape(pieces[0].y0)
+    Y = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
+    # lam - u_k = (pole - u_k) + x: exactly x on a loop at u_k
+    offset = np.array([p.pole for p in pieces], dtype=complex)[:, None] - fs.u
+    paths = [_chords(p) for p in pieces]
+    x = np.array([path[0] for path in paths], dtype=complex)
+    ahead = [1] * P  # index of the vertex each piece heads for
+    orders = np.arange(1, MAX_ORDER + 1)
+    # (M - m I) / (m + 1) for every order m
+    shifted = (-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None]
+    T = np.empty((MAX_ORDER + 1,) + Y.shape, dtype=complex)
+    steps = nfev = 0
+    while True:
+        dist = offset + x[:, None]
+        rho = np.abs(dist).min(1)
+        h = np.zeros(P, dtype=complex)
+        x_next = x.copy()
+        for i, path in enumerate(paths):
+            if ahead[i] == len(path):
+                continue
+            if not rho[i] > 0:
+                raise StepFailure(f"continuation meets a pole at {offset[i, 0] + x[i]}")
+            d = path[ahead[i]] - x[i]
+            if abs(d) <= STEP_RATIO * rho[i]:
+                h[i], x_next[i] = d, path[ahead[i]]
+                ahead[i] += 1
+            else:
+                h[i] = d * (STEP_RATIO * rho[i] / abs(d))
+                x_next[i] = x[i] + h[i]
+        if not h.any():
+            break
+        floor = TAYLOR_EPS * np.abs(Y).max((1, 2))
+        if not np.isfinite(floor).all():
+            raise StepFailure(f"continuation of {P} piece(s) is not finite")
+        scale = (h[:, None] / dist)[..., None]
+        ratio = float(np.max(np.abs(h) / rho))
+        lo, hi = 0, min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
+        T[0] = Y
+        while True:
+            # (M - m I) h / ((m + 1)(lam0 - u)), row k of piece p over lam0_p - u_k
+            g = scale * shifted[lo:hi, None]
+            for m in range(lo, hi):
+                np.matmul(g[m - lo], T[m], out=T[m + 1])
+            if np.all(np.abs(T[hi - 1:hi + 1]).max((2, 3)) <= floor):
+                break
+            if hi == MAX_ORDER:
+                raise StepFailure(f"Taylor step of {P} piece(s) did not converge "
+                                  f"in {MAX_ORDER} orders")
+            lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
+        Y = T[:hi + 1].sum(0)
+        x = x_next
+        steps += 1
+        nfev += hi
+    tally(steps, nfev)
+    return list(Y.reshape((P,) + shape))
 
 
 def _segment(start, end, value):

@@ -65,7 +65,9 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
     Returns ``(derivs, consistency)`` where ``derivs[(i, k)]`` is the
     matrix-valued derivative and ``consistency`` is the max norm of
     sum_k derivs[(i, k)] - [omega_i, sum_k B_k] over i (an identity of the
-    system; should be at machine precision).
+    system; should be at machine precision).  A pair closer than
+    COALESCE_TOL lies on the coalescence locus and its term
+    [B_i, B_k] / (u_i - u_k) is taken as 0, as in the reduced flow.
     """
     if u is None:
         u = fs.u
@@ -73,18 +75,22 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
     n = fs.n
     om = _omegas(f1(system))
     B = [_residue(fs, k) for k in range(n)]
+
+    def pole_term(i, k):
+        """[B_i, B_k] / (u_i - u_k), 0 for a pair on the coalescence locus."""
+        if abs(u[i] - u[k]) < COALESCE_TOL:
+            return 0.0
+        return (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
+
     derivs = {}
     for i in range(n):
         for k in range(n):
             if i != k:
-                derivs[(i, k)] = (
-                    (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
-                    + om[i] @ B[k] - B[k] @ om[i]
-                )
+                derivs[(i, k)] = pole_term(i, k) + om[i] @ B[k] - B[k] @ om[i]
         acc = np.zeros((n, n), dtype=complex)
         for k in range(n):
             if k != i:
-                acc -= (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
+                acc -= pole_term(i, k)
         derivs[(i, i)] = acc + om[i] @ B[i] - B[i] @ om[i]
     Bsum = sum(B)
     worst = 0.0
@@ -353,10 +359,17 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     Central finite differences in u_i, u_k with the matrix A transported
     isomonodromically to each of the 2n stencil points u +- step e_i, all in
     one stacked solve; F_1 is built once per stencil point.  Returns the max
-    over pairs.
+    over pairs.  Raises :class:`StepFailure` before any solve when two u_i
+    are closer than COALESCE_TOL: there, on the coalescence locus, the
+    reduced flow is singular and no stencil can be centred.
     """
     n = system.n
     u0 = np.asarray(system.u, dtype=complex)
+    gaps = np.abs(u0[:, None] - u0[None, :]) + np.diag(np.full(n, np.inf))
+    i, k = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[i, k] < COALESCE_TOL:
+        raise StepFailure(f"u_{i} and u_{k} lie on the coalescence locus (gap "
+                          f"{gaps[i, k]:.2e}): the integrability residual needs distinct u")
     targets = u0 + step * np.concatenate([np.eye(n), -np.eye(n)])
     A1, _, _ = _transport_stack(u0, np.asarray(system.A, dtype=complex), targets, tol)
     om = np.stack([_omegas(f1(SystemPair(A, u))) for A, u in zip(A1, targets)])

@@ -4,7 +4,8 @@
 operation for operation (the rtol floor of ``validate_tol``,
 ``select_initial_step``, ``rk_step``, ``DOP853._estimate_error_norm`` and the
 ``_step_impl`` controller) and keeps only the end state; :func:`counting`
-totals solves, accepted steps and right-hand-side evaluations.  The tableau
+totals solves, accepted steps and right-hand-side evaluations, and
+:func:`tally` adds the work of another integrator to it.  The tableau
 and the stepping code follow ``scipy/integrate/_ivp`` (Hairer, Norsett and
 Wanner, *Solving Ordinary Differential Equations I*, Sec. II.5), under this
 notice:
@@ -124,13 +125,28 @@ _open: ContextVar[tuple] = ContextVar("open_counters", default=())
 
 @contextmanager
 def counting():
-    """``with counting() as work:`` totals every :func:`solve_ivp` made inside the block."""
+    """``with counting() as work:`` totals every solve made inside the block.
+
+    A :func:`solve_ivp` call counts its accepted steps and right-hand-side
+    evaluations.  A Taylor carry (:func:`.continuation.carry` of pieces
+    without samples) counts as one solve whose steps are its lockstep
+    Taylor steps and whose nfev are its order updates, one batched matrix
+    product each.
+    """
     work = Work()
     token = _open.set(_open.get() + (work,))
     try:
         yield work
     finally:
         _open.reset(token)
+
+
+def tally(steps, nfev):
+    """Count one solve of ``steps`` accepted steps and ``nfev`` evaluations in every open counter."""
+    for work in _open.get():
+        work.solves += 1
+        work.steps += steps
+        work.nfev += nfev
 
 
 def _rms(x):
@@ -205,10 +221,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
             break
     if not n or t0 == tf:
         ts.append(tf)
-    for work in _open.get():
-        work.solves += 1
-        work.steps += len(ts) - 1
-        work.nfev += nfev
+    tally(len(ts) - 1, nfev)
     return OdeResult(np.array(ts), y[:, None], message == FINISHED, message, nfev)
 
 

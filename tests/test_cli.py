@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -248,6 +249,24 @@ def test_cli_check_runs(tmp_path):
     assert report["results"]["vanishing"]["schlesinger_consistency"] < 1e-12
 
 
+def test_cli_check_on_the_locus_still_checks_vanishing(tmp_path):
+    """resonant_group sits on the locus: integrability fails at once, vanishing still runs."""
+    out = tmp_path / "out"
+    spec = str(ROOT / "problems" / "resonant_group.json")
+    with np.errstate(all="raise"):
+        result = CliRunner().invoke(main, ["check", "--spec", spec, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    report = json.loads((out / "check_report.json").read_text())
+    stages = {s["name"]: s for s in report["stages"]}
+    assert stages["integrability"]["status"] == "failed"
+    assert stages["integrability"]["error"].startswith("StepFailure")
+    assert stages["vanishing"]["status"] == "ok"
+    vanishing = report["results"]["vanishing"]
+    assert [row["pair"] for row in vanishing["pairs"]] == [[0, 1]]
+    assert all(row["pass"] for row in vanishing["pairs"])
+    assert vanishing["schlesinger_consistency"] < 1e-12
+
+
 def test_shipped_sample_problems_parse():
     root = Path(__file__).resolve().parents[1] / "problems"
     for name in ("sample2x2.json", "coalescing3x3.json", "resonant_group.json"):
@@ -330,11 +349,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-# check on resonant_group is left out: its integrability stencil starts on the
-# coalescence locus and spends over a minute in a transport that ends in StepFailure
 @pytest.mark.parametrize("cmd, problem", [
     (cmd, problem) for cmd in ("rays", "stokes", "deform", "levelt", "check")
-    for problem in SHIPPED if (cmd, problem) != ("check", "resonant_group")])
+    for problem in SHIPPED])
 def test_cli_reports_are_strict_json(tmp_path, cmd, problem):
     """Every report a command writes on a shipped problem parses as standard JSON."""
     spec = str(ROOT / "problems" / f"{problem}.json")

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import isomonodromy.continuation as continuation
+from isomonodromy import ode
 from conftest import dense_rhs, draw_system
 from isomonodromy.model import CutPlane, DeformationGeometry, SystemPair, is_in_cell
 from isomonodromy.frobenius import (
@@ -187,34 +188,21 @@ def test_connection_diagonal_identity_pattern():
     assert np.max(np.abs(off)) < 5e-12
 
 
-def _count_solves(monkeypatch):
-    """Record every solve_ivp call made from the continuation module."""
-    solve = continuation.solve_ivp
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(continuation, "solve_ivp", counted)
-    return calls
-
-
-def test_connection_without_projected_entries(monkeypatch):
+def test_connection_without_projected_entries():
     """Integer exponents with zero selected solutions: every c_jk is a structural zero.
 
     Nothing is left to project, so no continuation runs and C is zero.
     """
     fs = build_fuchsian(SystemPair(np.diag([-1.0, -2.0]).astype(complex), [0.0, 1.0]))
-    calls = _count_solves(monkeypatch)
-    conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
+    with ode.counting() as work:
+        conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
     assert not np.any(conn.provenance == "monodromy-projection")
-    assert not calls and np.all(conn.C == 0.0)
+    assert work.solves == 0 and np.all(conn.C == 0.0)
 
 
 @pytest.mark.parametrize("u", [[0.0, 1.0], [0.0, 1.0, 0.4 + 0.9j]])
-def test_connection_solve_count(monkeypatch, u):
-    """All n(n-1) coefficients cost at most 5 ODE solves at any n.
+def test_connection_solve_count(u):
+    """All n(n-1) coefficients cost at most 5 carries at any n, counted by ode.counting().
 
     One basis continuation: one solve for the rays down to the low points,
     one for the lateral moves to the deep point, one for the lateral moves
@@ -225,14 +213,14 @@ def test_connection_solve_count(monkeypatch, u):
     rng = np.random.default_rng(11)
     A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     fs = build_fuchsian(SystemPair(A, u))
-    calls = _count_solves(monkeypatch)
-    conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
+    with ode.counting() as work:
+        conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
     assert np.sum(conn.provenance == "monodromy-projection") == n * (n - 1)
-    assert 3 <= len(calls) <= 5  # the rays down and up and the loops always run
+    assert 3 <= work.solves <= 5  # the rays down and up and the loops always run
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_monodromy_solve_count(monkeypatch, k):
+def test_monodromy_solve_count(k):
     """M_k costs 5 solves, 4 at k = 0, with column k not sent to the deep point.
 
     Descent of the other columns: one solve down their rays, one across to
@@ -244,9 +232,9 @@ def test_monodromy_solve_count(monkeypatch, k):
     n = 3
     A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.4 + 0.9j]))
-    calls = _count_solves(monkeypatch)
-    M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
-    assert len(calls) == (4 if k == 0 else 5)
+    with ode.counting() as work:
+        M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
+    assert work.solves == (4 if k == 0 else 5)
     assert abs(M[k, k] - cmath.exp(-2j * math.pi * A[k, k])) < 1e-9
 
 
@@ -259,16 +247,16 @@ def _gamma_shifted_case():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "gamma"])
-def test_stokes_pipeline_solve_count(monkeypatch, n):
+def test_stokes_pipeline_solve_count(n):
     """The formula route makes at most 5 solves at every n, gamma-shifted or not."""
     if n == "gamma":
         sp, tau = _gamma_shifted_case()
         assert needs_gamma_shift(sp)
     else:
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
-    calls = _count_solves(monkeypatch)
-    stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
-    assert 3 <= len(calls) <= 5  # the rays down and up and the loops always run
+    with ode.counting() as work:
+        stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
+    assert 3 <= work.solves <= 5  # the rays down and up and the loops always run
 
 
 def _segment_route_connection(fs, cut, tol):
@@ -447,3 +435,114 @@ def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):
         system_2x2, samples, cut, tol=1e-13, geometry=geometry_2x2)])
     assert np.max(np.abs(stack - stack[0])) < 1e-7
     assert all(is_in_cell(u, geometry_2x2)[0] for u in samples)
+
+
+# ---------------------------------------------------------------------------
+# the Taylor carry against an independent reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_piece(fs, piece):
+    """End block of one piece by scipy's DOP853 at rtol 1e-13 on the dense residue matrices."""
+    y0 = np.asarray(piece.y0, dtype=complex)
+
+    def rhs(s, y):
+        e = piece.c * cmath.exp(1j * piece.omega * s)
+        x, dx = piece.a + piece.b * s + e, piece.b + 1j * piece.omega * e
+        return (dense_rhs(fs, piece.pole + x) @ y.reshape(y0.shape) * dx).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success
+    return sol.y[:, -1].reshape(y0.shape)
+
+
+def _sweep_fs(n=4):
+    sp, tau = draw_system(np.random.default_rng(2), n, min_gap=0.35)
+    return build_fuchsian(sp), CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
+
+
+def _assert_matches_dense(fs, pieces, bound=1e-11):
+    for piece, end in zip(pieces, continuation.carry(fs, pieces)):
+        ref = _dense_piece(fs, piece)
+        assert np.max(np.abs(end - ref)) <= bound * np.max(np.abs(ref))
+
+
+def test_taylor_leg_from_an_anti_cut_base_point():
+    """A straight leg from 0.15 pole gaps below u_1 down to its low point."""
+    fs, cut = _sweep_fs()
+    gap = fs.min_gap(1)
+    start = fs.u[1] - 0.15 * gap * cut.direction()
+    low = fs.u[1] - continuation._depth_frame(fs, cut) * cut.direction()
+    y0 = np.eye(fs.n, dtype=complex)[:, :2] + 0.3j
+    _assert_matches_dense(fs, [continuation._segment(start, low, y0)])
+
+
+def test_taylor_loop_piece():
+    fs, cut = _sweep_fs()
+    base = continuation._anti_cut_point(fs, 2, cut)
+    _assert_matches_dense(fs, [continuation._loop(fs, 2, base, np.eye(fs.n, dtype=complex))])
+
+
+def test_taylor_mixed_batch_of_n_pieces():
+    """Legs and loops at every pole in one lockstep batch, each against its own solve."""
+    fs, cut = _sweep_fs()
+    rng = np.random.default_rng(9)
+    pieces = []
+    for k in range(fs.n):
+        base = continuation._anti_cut_point(fs, k, cut)
+        y0 = rng.normal(size=(fs.n, 2)) + 1j * rng.normal(size=(fs.n, 2))
+        if k % 2:
+            pieces.append(continuation._loop(fs, k, base, y0))
+        else:
+            pieces.append(continuation._segment(base, base - 2.5 * cut.direction(), y0))
+    _assert_matches_dense(fs, pieces)
+
+
+def test_taylor_work_is_reported():
+    """One solve per carry, one step per chord of a loop, one nfev per order update."""
+    fs, cut = _sweep_fs()
+    base = continuation._anti_cut_point(fs, 0, cut)
+    with ode.counting() as work:
+        continuation.carry(fs, [continuation._loop(fs, 0, base, np.eye(fs.n, dtype=complex))])
+    # every chord is shorter than STEP_RATIO times its distance from u_0
+    assert (work.solves, work.steps) == (1, continuation.CHORDS)
+    chord = 2 * math.sin(math.pi / continuation.CHORDS)  # over the distance from u_0
+    least = math.ceil(math.log(continuation.TAYLOR_EPS) / math.log(chord))
+    assert work.nfev >= work.steps * least
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_loop_of_the_selected_solution_is_its_exponent(k):
+    """gamma_k Psi_k = e^{-2 pi i lambda'_k} Psi_k, from the series value at the base point."""
+    fs, cut = _sweep_fs()
+    base = continuation._anti_cut_point(fs, k, cut)
+    psi = selected_solution(fs, k, cut, 40).selected_value(base, cut)
+    [looped] = continuation.carry(fs, [continuation._loop(fs, k, base, psi)])
+    expected = cmath.exp(-2j * math.pi * fs.lambda_prime[k]) * psi
+    assert np.max(np.abs(looped - expected)) <= 1e-12 * np.max(np.abs(psi))
+
+
+def test_twelve_chords_keep_the_accuracy(monkeypatch):
+    """Mutation check on CHORDS: 12 chords instead of 16 keep the same accuracy.
+
+    A 12-gon still winds once around its pole alone and stays r cos(pi/12)
+    from it, so the continuation is unchanged; only its chords, at 0.52 r,
+    now exceed half the distance to the pole, so each takes two Taylor
+    steps instead of one.
+    """
+    fs, cut = _sweep_fs()
+    base = continuation._anti_cut_point(fs, 1, cut)
+    piece = continuation._loop(fs, 1, base, np.eye(fs.n, dtype=complex))
+    [sixteen] = continuation.carry(fs, [piece])
+    monkeypatch.setattr(continuation, "CHORDS", 12)
+    with ode.counting() as work:
+        [twelve] = continuation.carry(fs, [piece])
+    assert work.steps == 24
+    assert np.max(np.abs(twelve - sixteen)) <= 1e-12 * np.max(np.abs(sixteen))
+    _assert_matches_dense(fs, [piece])
+
+
+def test_taylor_carry_refuses_a_piece_that_starts_on_a_pole():
+    fs, _ = _sweep_fs()
+    with pytest.raises(continuation.StepFailure, match="meets a pole"):
+        continuation.carry(fs, [continuation._segment(fs.u[0], fs.u[0] - 1j, np.eye(fs.n))])

@@ -353,6 +353,25 @@ def test_integrability_residual_makes_one_solve(monkeypatch, n):
     assert len(calls) == 1
 
 
+def test_integrability_residual_refuses_the_locus(vanishing_A_uc):
+    """u on the coalescence locus: StepFailure before any solve, not a stalled stencil."""
+    from isomonodromy import ode
+
+    with ode.counting() as work:
+        with pytest.raises(StepFailure, match="coalescence locus"):
+            integrability_residual(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
+    assert work.solves == 0
+
+
+def test_schlesinger_rhs_on_the_locus_is_finite_and_quiet(vanishing_A_uc):
+    """The in-group pair's [B_0, B_1]/(u_0 - u_1) is skipped: no 0/0, no warning."""
+    fs = build_fuchsian(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
+    with np.errstate(all="raise"):
+        derivs, cons = schlesinger_rhs(fs)
+    assert all(np.isfinite(d).all() for d in derivs.values())
+    assert cons < 1e-14
+
+
 def _residual_per_stencil_reference(system, step=1e-3, tol=1e-12):
     """One lone transport per stencil evaluation, omega_k rebuilt at each."""
     n = system.n

@@ -11,7 +11,7 @@ from isomonodromy import continuation, deformation, laplace, ode
 from isomonodromy.deformation import integrability_residual, radial_family
 from isomonodromy.frobenius import build_fuchsian
 from isomonodromy.model import DeformationGeometry, SystemPair
-from isomonodromy.stokes import _matching_ray, stokes_pipeline
+from isomonodromy.stokes import _matching_ray, stokes_pair_direct, stokes_pipeline
 
 
 def _record(monkeypatch, module):
@@ -39,11 +39,15 @@ def _assert_identical(fun, t_span, y0, **kwargs):
     return ref
 
 
-def test_formula_carry_batches_are_bit_identical(monkeypatch):
+def test_oracle_pair_carry_batches_are_bit_identical(monkeypatch):
+    """The two Laplace batches of an oracle pair; the formula route makes no DOP853 solve."""
     system, tau = draw_system(np.random.default_rng(3), 3, min_gap=0.35)
+    geometry = DeformationGeometry(system.u, 1e-3, tau)
     calls = _record(monkeypatch, continuation)
-    stokes_pipeline(system, DeformationGeometry(system.u, 1e-3, tau))
-    assert len(calls) == 5
+    stokes_pipeline(system, geometry)
+    assert not calls
+    stokes_pair_direct(system, geometry)
+    assert len(calls) == 2
     for fun, t_span, y0, kwargs in calls:
         _assert_identical(fun, t_span, y0, **kwargs)
 
@@ -102,12 +106,12 @@ def test_only_dop853():
 
 
 def test_counter_totals_equal_scipy_on_the_same_batch(monkeypatch):
-    """solves, accepted steps and nfev of one formula pass, as scipy counts them."""
+    """solves, accepted steps and nfev of one oracle pair, as scipy counts them."""
     system, tau = draw_system(np.random.default_rng(7), 4, min_gap=0.35)
     calls = _record(monkeypatch, continuation)
     with ode.counting() as work:
         with ode.counting() as inner:
-            stokes_pipeline(system, DeformationGeometry(system.u, 1e-3, tau))
+            stokes_pair_direct(system, DeformationGeometry(system.u, 1e-3, tau))
         ode.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(2))
     refs = [scipy_solve_ivp(fun, t_span, y0, **kwargs) for fun, t_span, y0, kwargs in calls]
     expected = (len(refs), sum(len(r.t) - 1 for r in refs), sum(r.nfev for r in refs))

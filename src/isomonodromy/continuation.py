@@ -9,14 +9,14 @@ monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
 whole row j of connection coefficients (:func:`connection_coefficients`)
 through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
 
-All transport of both Stokes routes runs on one batched carry
+All transport of both Stokes routes runs on one batched Taylor carry
 (:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
 c e^{i omega s}, s in [0, 1], carrying an (n, w) block and, for the
 oracle's Laplace legs (:mod:`.laplace`), the integrals of e^{z x} times
-that block for each of its samples z.  A batch without samples is
-carried by Taylor steps along chords of its pieces (:func:`_taylor_carry`),
-any other batch by one DOP853 solve; both apply the rank-one residues to
-every piece at once.  The formula route carries no samples, so it makes
+that block for each of its samples z.  Every batch is carried by Taylor
+steps along chords of its pieces, applying the rank-one residues to every
+piece at once; the integrals are Gauss-Legendre sums over each step's
+Taylor polynomial.  The formula route carries no samples, so it makes
 five Taylor carries at any n: the first and the second descent legs, the
 deep -> low_j and the low_j -> base_j ascent legs, and every pole loop.
 """
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .ode import solve_ivp, tally
+from .ode import tally
 from .model import BasisSingular, COALESCE_TOL, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
@@ -49,6 +50,11 @@ CHORDS = 16
 TAYLOR_EPS = 1e-16
 MAX_ORDER = 400
 TAIL_ORDERS = 4
+# Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
+# Gauss-Legendre panels of NODES nodes on the step
+Z_SPAN = 16.0
+PANELS = 4
+NODES = 24
 
 
 class Piece(NamedTuple):
@@ -69,110 +75,39 @@ class Piece(NamedTuple):
     z: np.ndarray = np.zeros(0, dtype=complex)
 
 
-def carry_tolerances(tol, smallest, total):
-    """rtol and atol of one batched solve of ``total`` components.
+def carry(fs: FuchsianSystem, pieces):
+    """Continue every piece's block, with its Laplace integrals, by Taylor steps along its chords.
 
-    The error norm of :func:`.ode.solve_ivp` is an RMS over all
-    components, so both tolerances are scaled by sqrt(smallest / total),
-    ``smallest`` the component count of the smallest piece: each piece
-    then keeps the accuracy its own solve at rtol = max(tol, 1e-13),
-    atol = 1e-3 tol had.  rtol stops at the integrator's floor of 100
-    machine epsilons.
-    """
-    scale = math.sqrt(smallest / total)
-    rtol = max(max(tol, 1e-13) * scale, 100 * np.finfo(float).eps)
-    return rtol, 1e-3 * tol * scale
+    The pieces' ``y0`` share one shape (n, w).  At lam0 the Taylor terms
+    T_m = Y_m h^m of the solution obey
+    T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
+    divided by lam0 - u_k: one batched product per order for the whole
+    batch.  Every piece steps in lockstep from its current point along the
+    current chord of its polyline (:func:`_chords`) by
+    h = min(rest of the chord, STEP_RATIO rho, Z_SPAN / max|z|), rho its
+    distance to the nearest pole and z its samples (no z cap without
+    samples), so its terms fall at least as fast as STEP_RATIO^m times a
+    power of m.  Orders below log(TAYLOR_EPS) / log(max |h| / rho) are
+    summed untested; from there the step ends once the last two terms of
+    every piece are below TAYLOR_EPS max|Y_p|.
 
+    The Laplace integral J_p,i of e^{z_p,i x} Y_p dx gains, per step, the
+    integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
+    s in [0, 1], by one composite Gauss-Legendre rule of PANELS panels of
+    NODES nodes (``_QUADRATURE``): e^{z x0} h sum_j w_j e^{z h s_j}
+    Y_p(s_j), at most Z_SPAN / PANELS in |z h| per panel.  A curved piece
+    is integrated along its chords; no pole lies between them and the arc,
+    so by Cauchy's theorem that is the integral along the arc.
 
-def carry(fs: FuchsianSystem, pieces, tol=DEFAULT_TOL):
-    """Continue every piece's block, with its Laplace integrals, all in one solve.
-
-    The pieces' ``y0`` share one shape (n, w).  A batch without samples
-    (every ``z`` empty) is carried by :func:`_taylor_carry` to TAYLOR_EPS,
-    whatever ``tol``.  Any other batch goes through one DOP853 solve of the
-    state (P, 1 + m, n, w): the block Y_p of every piece and one integral
-    J_p,i per sample z_p,i, padded to m = max_p size(z_p) with integrals of
-    weight 0.  The right-hand side applies the rank-one residues to every
-    block at once, dY_p/ds = -((A+I) Y_p) (dx_p/ds) / (lam_p - u), row m
-    divided by lam_p - u_m, and dJ_p,i/ds = e^{z_p,i x_p} Y_p dx_p/ds, so
-    the integrals share the step control of their block.  Tolerances follow
-    :func:`carry_tolerances`, with size(Y_p)(1 + m_p) components per piece.
-    Returns the end block Y_p(1) of a piece without samples and
-    ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for z_p,i.
+    Reports one solve, one step per lockstep step and one nfev per order
+    to :func:`.ode.counting`.  Raises :class:`StepFailure` for a piece
+    that meets a pole, a block that is not finite, or a step not converged
+    by MAX_ORDER.  Returns the end block Y_p(1) of a piece without samples
+    and ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for
+    z_p,i.
     """
     if not pieces:
         return []
-    m = max(p.z.size for p in pieces)
-    if not m:
-        return _taylor_carry(fs, pieces)
-    n, P = fs.n, len(pieces)
-    shape = np.shape(pieces[0].y0)
-    Y0 = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
-    y0 = np.zeros((P, 1 + m) + Y0.shape[1:], dtype=complex)
-    y0[:, 0] = Y0
-    z = np.zeros((P, 1 + m), dtype=complex)
-    weight = np.zeros((P, 1 + m))
-    for i, p in enumerate(pieces):
-        z[i, 1:1 + p.z.size] = p.z
-        weight[i, 1:1 + p.z.size] = 1.0
-    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
-    iw = 1j * omega
-    # lam_p - u_m = (pole_p - u_m) + x_p: exactly x_p on a loop at u_m
-    offset = pole[:, None] - fs.u
-    M = -fs.A_plus_I
-    curved = bool(np.any(c != 0))
-
-    def rhs(s, y):
-        if curved:
-            e = c * np.exp(iw * s)
-            x, dx = a + b * s + e, b + iw * e
-        else:
-            x, dx = a + b * s, b
-        x, dx = x[:, None], dx[:, None]
-        y = y.reshape(y0.shape)
-        dy = (np.exp(z * x) * (weight * dx))[:, :, None, None] * y[:, :1]
-        dy[:, 0] = (M @ y[:, 0]) * (dx / (offset + x))[:, :, None]
-        return dy.ravel()
-
-    rtol, atol = carry_tolerances(
-        tol, min(np.size(p.y0) * (1 + p.z.size) for p in pieces), y0.size)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepFailure(f"continuation of {P} piece(s) failed: {sol.message}")
-    ends = sol.y[:, -1].reshape((P, 1 + m) + shape)
-    return [(end[0], end[1:1 + p.z.size]) if p.z.size else end[0]
-            for p, end in zip(pieces, ends)]
-
-
-def _chords(piece):
-    """The polyline a piece is carried along, as offsets x from its pole.
-
-    A straight piece is its two ends; a curved one is CHORDS chords whose
-    vertices x(j / CHORDS) lie on the path.
-    """
-    if piece.c == 0:
-        return [piece.a, piece.a + piece.b]
-    s = np.linspace(0.0, 1.0, CHORDS + 1)
-    return list(piece.a + piece.b * s + piece.c * np.exp(1j * piece.omega * s))
-
-
-def _taylor_carry(fs: FuchsianSystem, pieces):
-    """End blocks of pieces without samples, by Taylor steps along their polylines.
-
-    At lam0 the Taylor terms T_m = Y_m h^m of the solution obey
-    T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
-    divided by lam0 - u_k: one batched product per order for the whole
-    batch.  Every piece steps in lockstep from its current point by
-    h = min(rest of its chord, STEP_RATIO rho) along the chord, rho its
-    distance to the nearest pole, so its terms fall at least as fast as
-    STEP_RATIO^m times a power of m.  Orders below
-    log(TAYLOR_EPS) / log(max |h| / rho) are summed untested; from there
-    the step ends once the last two terms of every piece are below
-    TAYLOR_EPS max|Y_p|.  Reports one solve, one step per lockstep step and
-    one nfev per order to :func:`.ode.counting`.  Raises
-    :class:`StepFailure` for a piece that meets a pole, a block that is not
-    finite, or a step not converged by MAX_ORDER.
-    """
     n, P = fs.n, len(pieces)
     shape = np.shape(pieces[0].y0)
     Y = np.stack([np.asarray(p.y0, dtype=complex) for p in pieces]).reshape(P, n, -1)
@@ -181,6 +116,16 @@ def _taylor_carry(fs: FuchsianSystem, pieces):
     paths = [_chords(p) for p in pieces]
     x = np.array([path[0] for path in paths], dtype=complex)
     ahead = [1] * P  # index of the vertex each piece heads for
+    # samples padded to nz per piece, the padding with quadrature weight 0
+    sizes = np.array([p.z.size for p in pieces])
+    nz = int(sizes.max())
+    z = np.zeros((P, nz), dtype=complex)
+    for i, p in enumerate(pieces):
+        z[i, :p.z.size] = p.z
+    nodes, weights, powers = _QUADRATURE
+    weights = (np.arange(nz) < sizes[:, None])[..., None] * weights
+    J = np.zeros((P, nz) + Y.shape[1:], dtype=complex)
+    reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
     orders = np.arange(1, MAX_ORDER + 1)
     # (M - m I) / (m + 1) for every order m
     shifted = (-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None]
@@ -197,11 +142,12 @@ def _taylor_carry(fs: FuchsianSystem, pieces):
             if not rho[i] > 0:
                 raise StepFailure(f"continuation meets a pole at {offset[i, 0] + x[i]}")
             d = path[ahead[i]] - x[i]
-            if abs(d) <= STEP_RATIO * rho[i]:
+            reach = min(STEP_RATIO * rho[i], reach_z[i])
+            if abs(d) <= reach:
                 h[i], x_next[i] = d, path[ahead[i]]
                 ahead[i] += 1
             else:
-                h[i] = d * (STEP_RATIO * rho[i] / abs(d))
+                h[i] = d * (reach / abs(d))
                 x_next[i] = x[i] + h[i]
         if not h.any():
             break
@@ -215,20 +161,53 @@ def _taylor_carry(fs: FuchsianSystem, pieces):
         while True:
             # (M - m I) h / ((m + 1)(lam0 - u)), row k of piece p over lam0_p - u_k
             g = scale * shifted[lo:hi, None]
-            for m in range(lo, hi):
-                np.matmul(g[m - lo], T[m], out=T[m + 1])
+            for k in range(lo, hi):
+                np.matmul(g[k - lo], T[k], out=T[k + 1])
             if np.all(np.abs(T[hi - 1:hi + 1]).max((2, 3)) <= floor):
                 break
             if hi == MAX_ORDER:
                 raise StepFailure(f"Taylor step of {P} piece(s) did not converge "
                                   f"in {MAX_ORDER} orders")
             lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
+        if nz:
+            # Y_p at every node s_j of the step: real powers times the terms as real pairs
+            at_nodes = np.tensordot(powers[:, :hi + 1], T[:hi + 1].view(float), 1).view(complex)
+            hs = h[:, None, None]
+            w = weights * hs * np.exp(z[:, :, None] * (x[:, None, None] + hs * nodes))
+            J += np.einsum("pij,jpkl->pikl", w, at_nodes)
         Y = T[:hi + 1].sum(0)
         x = x_next
         steps += 1
         nfev += hi
     tally(steps, nfev)
-    return list(Y.reshape((P,) + shape))
+    Y = Y.reshape((P,) + shape)
+    J = J.reshape((P, nz) + shape)
+    return [(y, j[:p.z.size]) if p.z.size else y for p, y, j in zip(pieces, Y, J)]
+
+
+def _composite_gauss(panels, nodes):
+    """Nodes s_j, weights and powers s_j^m, m <= MAX_ORDER, of a composite Gauss rule on [0, 1]."""
+    t, w = leggauss(nodes)
+    left = np.arange(panels)[:, None] / panels
+    s = (left + 0.5 * (t + 1) / panels).ravel()
+    with np.errstate(under="ignore"):  # high powers of the first nodes are 0
+        powers = s[:, None] ** np.arange(MAX_ORDER + 1)
+    return s, np.tile(0.5 * w / panels, panels), powers
+
+
+_QUADRATURE = _composite_gauss(PANELS, NODES)
+
+
+def _chords(piece):
+    """The polyline a piece is carried along, as offsets x from its pole.
+
+    A straight piece is its two ends; a curved one is CHORDS chords whose
+    vertices x(j / CHORDS) lie on the path.
+    """
+    if piece.c == 0:
+        return [piece.a, piece.a + piece.b]
+    s = np.linspace(0.0, 1.0, CHORDS + 1)
+    return list(piece.a + piece.b * s + piece.c * np.exp(1j * piece.omega * s))
 
 
 def _segment(start, end, value):
@@ -274,7 +253,7 @@ def _depth_frame(fs, cut: CutPlane):
     return max(depths) - min(depths) + 2.0 * spread + 1.0
 
 
-def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_TOL):
+def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     """Carry the selected-solution basis to the anti-cut base point of poles.
 
     Each Psi_k (series data ``sols[k]``) is continued once from its series
@@ -304,14 +283,14 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles, tol=DEFAULT_T
     seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
     descended = [m for m in range(n) if any(j != m for j in poles)]
     down = dict(zip(descended, carry(
-        fs, [_segment(bases[m], low[m], seeds[m]) for m in descended], tol)))
+        fs, [_segment(bases[m], low[m], seeds[m]) for m in descended])))
     side = [m for m in descended if low[m] != deep]
-    down.update(zip(side, carry(fs, [_segment(low[m], deep, down[m]) for m in side], tol)))
+    down.update(zip(side, carry(fs, [_segment(low[m], deep, down[m]) for m in side])))
     Psi_deep = np.column_stack([down[m] for m in descended])
     up = dict.fromkeys(poles, Psi_deep)
     side = [j for j in poles if low[j] != deep]
-    up.update(zip(side, carry(fs, [_segment(deep, low[j], Psi_deep) for j in side], tol)))
-    tops = carry(fs, [_segment(low[j], bases[j], up[j]) for j in poles], tol)
+    up.update(zip(side, carry(fs, [_segment(deep, low[j], Psi_deep) for j in side])))
+    tops = carry(fs, [_segment(low[j], bases[j], up[j]) for j in poles])
     out = []
     for j, top in zip(poles, tops):
         Psi = np.empty((n, n), dtype=complex)
@@ -328,18 +307,19 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40
     entry is e^{-2 pi i lambda'_k} and off-diagonal entries are
     alpha_k c_kj.  Raises :class:`BasisSingular` when the selected
     solutions fail to form a fundamental system at the base point.
+    ``tol`` is not read: every carry runs to TAYLOR_EPS.
     """
     if cut is None:
         cut = CutPlane(eta=_default_eta(fs))
     sols = [selected_solution(fs, m, cut, N) for m in range(fs.n)]
-    [(_, base, Psi)] = continue_basis(fs, cut, sols, (k,), tol=tol)
+    [(_, base, Psi)] = continue_basis(fs, cut, sols, (k,))
     cond = np.linalg.cond(Psi)
     if not np.isfinite(cond) or cond > 1e12:
         raise BasisSingular(
             f"selected solutions are not a fundamental system near u_{k} "
             f"(condition {cond:.2e}); gamma-shift the system first"
         )
-    [looped] = carry(fs, [_loop(fs, k, base, Psi)], tol)
+    [looped] = carry(fs, [_loop(fs, k, base, Psi)])
     return np.linalg.solve(Psi, looped)
 
 
@@ -413,8 +393,8 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
                 prov[j, k] = "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"
     rows = [j for j in range(n) if projected[j].any()]
-    bases = continue_basis(fs, cut, sols, rows, tol=tol)
-    looped = carry(fs, [_loop(fs, j, base, Psi) for j, base, Psi in bases], tol)
+    bases = continue_basis(fs, cut, sols, rows)
+    looped = carry(fs, [_loop(fs, j, base, Psi) for j, base, Psi in bases])
     for (j, _, Psi), end in zip(bases, looped):
         diff = end - Psi
         psi_j = Psi[:, j]

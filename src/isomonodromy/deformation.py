@@ -21,7 +21,7 @@ import numpy as np
 from .ode import solve_ivp
 from .model import COALESCE_TOL, DriftExceeded, SingularF1, StepFailure, SystemPair
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
-from .continuation import DEFAULT_TOL, carry_tolerances, connection_products
+from .continuation import DEFAULT_TOL, connection_products
 from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
@@ -163,12 +163,27 @@ def _segment_mask(gap0, dgap):
     return masked if np.all(masked | (lo >= 2 * COALESCE_TOL)) else None
 
 
+def carry_tolerances(tol, smallest, total):
+    """rtol and atol of one stacked solve of ``total`` components.
+
+    The error norm of :func:`.ode.solve_ivp` is an RMS over all
+    components, so both tolerances are scaled by sqrt(smallest / total),
+    ``smallest`` the component count of one trajectory: each trajectory
+    then keeps the accuracy its own solve at rtol = max(tol, 1e-13),
+    atol = 1e-3 tol had.  rtol stops at the integrator's floor of 100
+    machine epsilons.
+    """
+    scale = math.sqrt(smallest / total)
+    rtol = max(max(tol, 1e-13) * scale, 100 * np.finfo(float).eps)
+    return rtol, 1e-3 * tol * scale
+
+
 def _transport_stack(u0, A0, targets, tol, guard=0.0):
     """Carry A0 from u0 along the straight segment to every row of ``targets``, in one solve.
 
     Integrates dA_p/dt = sum_j [omega_j, A_p] u_j'(t) = [Omega_p, A_p], with
     (Omega_p)_ij = (A_p)_ij (du_j - du_i)/(u_j - u_i), for all P targets by
-    DOP853 at :func:`.continuation.carry_tolerances`.  Raises
+    DOP853 at :func:`carry_tolerances`.  Raises
     :class:`StepFailure` when a segment comes within ``guard`` (if > 0) of
     the coalescence locus or the solve fails, :class:`SingularF1` for a start
     on the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
@@ -361,7 +376,10 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     one stacked solve; F_1 is built once per stencil point.  Returns the max
     over pairs.  Raises :class:`StepFailure` before any solve when two u_i
     are closer than COALESCE_TOL: there, on the coalescence locus, the
-    reduced flow is singular and no stencil can be centred.
+    reduced flow is singular and no stencil can be centred.  So does a
+    stencil segment that comes within NEAR_DELTA_GUARD of the locus, as in
+    :func:`transport`; unguarded, the solve crawls towards the singularity
+    in ever shorter steps.
     """
     n = system.n
     u0 = np.asarray(system.u, dtype=complex)
@@ -371,7 +389,8 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
         raise StepFailure(f"u_{i} and u_{k} lie on the coalescence locus (gap "
                           f"{gaps[i, k]:.2e}): the integrability residual needs distinct u")
     targets = u0 + step * np.concatenate([np.eye(n), -np.eye(n)])
-    A1, _, _ = _transport_stack(u0, np.asarray(system.A, dtype=complex), targets, tol)
+    A1, _, _ = _transport_stack(u0, np.asarray(system.A, dtype=complex), targets, tol,
+                                NEAR_DELTA_GUARD)
     om = np.stack([_omegas(f1(SystemPair(A, u))) for A, u in zip(A1, targets)])
     d_om = (om[:n] - om[n:]) / (2 * step)  # d_om[i, k] = d_i omega_k
     om0 = _omegas(f1(system))

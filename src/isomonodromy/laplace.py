@@ -14,19 +14,19 @@ for all samples z_1 ... z_m of a ray at once.  On [a, t_switch], inside
 the series zone, the local series is integrated by adaptive Gauss-Legendre
 quadrature with an integrand of shape (nodes, m, n).  Beyond t_switch the
 leg is a :class:`.continuation.Piece` with the samples z_1 ... z_m, and
-the continuation engine :func:`.continuation.carry` returns Psi_k and
+the Taylor carry :func:`.continuation.carry` returns Psi_k and
 J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, at t_max: the same rank-one
-transport the formula route uses, with no dense output and no
-quadrature of the continued solution.  The small circle of a hairpin is
-one quadrature of the series for all z; the disc circle of a group
-contour is carried with its integrals the same way.
+transport the formula route uses, each J_i summed over the Taylor
+polynomial of every step, with no dense output.  The small circle of a
+hairpin is one quadrature of the series for all z; the disc circle of a
+group contour is carried with its integrals the same way.
 
 Columns are computed in batches (:func:`laplace_columns`; a single
 :func:`laplace_column` is a batch of one).  Validation and quadratures
 stay per column, while the carried pieces of every column in the batch
-go through one :func:`.continuation.carry`, at ``CARRY_TOL``.  Only a
-group column whose disc junction lies beyond the series zone needs one
-earlier solve, for Psi_k at the junction.
+go through one :func:`.continuation.carry`.  Only a group column whose
+disc junction lies beyond the series zone needs one earlier carry, for
+Psi_k at the junction.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -58,7 +58,8 @@ from .continuation import Piece, carry
 
 logger = logging.getLogger(__name__)
 
-# tolerance of the carried part of every leg and disc circle
+# stated relative error of every carried J, added to a column's error
+# estimate (the Taylor carry itself runs to continuation.TAYLOR_EPS)
 CARRY_TOL = 1e-12
 
 
@@ -314,9 +315,9 @@ class LaplaceColumn:
     ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
     the raw column.  ``error`` is relative to the reduced scale: the
     quadrature error estimate of the series leg and the small circle plus,
-    for the carried part of the leg (and the group circle), the tolerance
-    bound CARRY_TOL * max|J| each piece is carried to, which is stated by
-    the tolerances and is not an error estimate.
+    for the carried part of the leg (and the group circle), the stated
+    bound CARRY_TOL * max|J|.  That bound is not an error estimate: the
+    Taylor carry reads 1e-11 or better against an independent solve.
     """
 
     k: int
@@ -362,10 +363,9 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N
 
     Validation, the contour choice and the series quadratures run per
     column; the carried parts of all their legs and disc circles go
-    through one :func:`.continuation.carry` at ``CARRY_TOL``.  A group
-    column whose disc junction lies beyond the series zone first needs
-    Psi_k at the junction, which takes one earlier solve shared by every
-    such column.
+    through one :func:`.continuation.carry`.  A group column whose disc
+    junction lies beyond the series zone first needs Psi_k at the
+    junction, which takes one earlier carry shared by every such column.
     """
     columns = [_column(fs, spec, geometry, sols, tol, N) for spec in specs]
     out = [None] * len(columns)
@@ -380,7 +380,7 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N
                 out[i] = done.value
         live = list(asks)
         if live:
-            ends = iter(carry(fs, [p for i in live for p in asks[i]], CARRY_TOL))
+            ends = iter(carry(fs, [p for i in live for p in asks[i]]))
             for i in live:
                 replies[i] = [next(ends) for _ in asks[i]]
     return out
@@ -492,7 +492,7 @@ def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
 
 
 def _relative(err, out, *carried):
-    """``err`` plus the tolerance bound CARRY_TOL max|J| of each carried J, relative to ``out``."""
+    """``err`` plus the stated bound CARRY_TOL max|J| of each carried J, relative to ``out``."""
     for J in carried:
         err = err + CARRY_TOL * float(np.max(np.abs(J), initial=0.0))
     return err / max(float(np.max(np.abs(out))), 1e-300)

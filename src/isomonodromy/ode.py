@@ -1,9 +1,12 @@
 """DOP853 without dense output, bit-identical to SciPy 1.17's, loading no SciPy.
 
-:func:`solve_ivp` repeats ``scipy.integrate.solve_ivp(..., method="DOP853")``
-operation for operation (the rtol floor of ``validate_tol``,
-``select_initial_step``, ``rk_step``, ``DOP853._estimate_error_norm`` and the
-``_step_impl`` controller) and keeps only the end state; :func:`counting`
+It serves the Schlesinger transport of :mod:`.deformation`, the one
+nonlinear flow; the linear Fuchsian transport of both Stokes routes is the
+Taylor carry of :func:`.continuation.carry`.  :func:`solve_ivp` repeats
+``scipy.integrate.solve_ivp(..., method="DOP853")`` operation for operation
+(the rtol floor of ``validate_tol``, ``select_initial_step``, ``rk_step``,
+``DOP853._estimate_error_norm`` and the ``_step_impl`` controller) and
+keeps only the end state; :func:`counting`
 totals solves, accepted steps and right-hand-side evaluations, and
 :func:`tally` adds the work of another integrator to it.  The tableau
 and the stepping code follow ``scipy/integrate/_ivp`` (Hairer, Norsett and
@@ -128,10 +131,9 @@ def counting():
     """``with counting() as work:`` totals every solve made inside the block.
 
     A :func:`solve_ivp` call counts its accepted steps and right-hand-side
-    evaluations.  A Taylor carry (:func:`.continuation.carry` of pieces
-    without samples) counts as one solve whose steps are its lockstep
-    Taylor steps and whose nfev are its order updates, one batched matrix
-    product each.
+    evaluations.  A Taylor carry (:func:`.continuation.carry`) counts as
+    one solve whose steps are its lockstep Taylor steps and whose nfev are
+    its order updates, one batched matrix product each.
     """
     work = Work()
     token = _open.set(_open.get() + (work,))

@@ -267,6 +267,21 @@ def test_cli_check_on_the_locus_still_checks_vanishing(tmp_path):
     assert vanishing["schlesinger_consistency"] < 1e-12
 
 
+def test_cli_check_beside_the_locus_exits_3_quickly(tmp_path):
+    """u_1 1e-3 from u_0: the step-1e-3 stencil reaches the locus and fails at once with exit 3."""
+    prob = dict(RESONANT, u=[[0.0, 0.0], [1e-3, 0.0], [1.0, 0.0]], u_c=RESONANT["u"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "isomonodromy.cli", "check", "--spec",
+                           _write(tmp_path, prob), "--out", str(tmp_path / "out")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text())
+    stages = {s["name"]: s for s in report["stages"]}
+    assert stages["integrability"]["error"].startswith("StepFailure")
+    assert stages["vanishing"]["status"] == "ok"
+
+
 def test_shipped_sample_problems_parse():
     root = Path(__file__).resolve().parents[1] / "problems"
     for name in ("sample2x2.json", "coalescing3x3.json", "resonant_group.json"):

@@ -30,17 +30,17 @@ from isomonodromy.deformation import connection_samples
 ETA = 1.5 * math.pi - math.pi / 4
 
 
-def _polyline(fs, value, path, tol):
+def _polyline(fs, value, path):
     """Carry ``value`` along the waypoints of ``path``, one solve per segment."""
     for p, q in zip(path[:-1], path[1:]):
         if q != p:
-            [value] = continuation.carry(fs, [continuation._segment(p, q, value)], tol)
+            [value] = continuation.carry(fs, [continuation._segment(p, q, value)])
     return value
 
 
-def _loop_at_pole(fs, j, value, base, tol):
+def _loop_at_pole(fs, j, value, base):
     """Carry ``value`` once around u_j on the positive circle through ``base``."""
-    [value] = continuation.carry(fs, [continuation._loop(fs, j, base, value)], tol)
+    [value] = continuation.carry(fs, [continuation._loop(fs, j, base, value)])
     return value
 
 
@@ -49,7 +49,7 @@ def test_transport_diagonal_power_law():
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     lam0, lam1 = -0.5 - 0.5j, 1.8 + 0.7j
     path = [lam0, 1.2 - 0.5j, lam1]  # 0.4 or more from both poles, below u_0
-    v = _polyline(fs, np.array([1.0, 0.0], complex), path, tol=1e-12)
+    v = _polyline(fs, np.array([1.0, 0.0], complex), path)
     rho = -A[0, 0] - 1
     branch = ((lam1 - fs.u[0]) / (lam0 - fs.u[0])) ** rho
     assert abs(v[0] - branch) < 1e-12
@@ -62,7 +62,7 @@ def test_transport_contractible_loop_is_identity():
     lam0 = -0.4 - 0.6j
     square = [lam0, lam0 + 0.25, lam0 + 0.25 + 0.25j, lam0 + 0.25j, lam0]
     v0 = np.array([1.0, 2.0], complex)
-    v = _polyline(fs, v0, square, tol=1e-12)
+    v = _polyline(fs, v0, square)
     assert np.max(np.abs(v - v0)) < 1e-11
 
 
@@ -77,9 +77,9 @@ def test_transport_composition_consistency():
     half = [c + r, c + r * 1j, c - r]
     quarter1 = [c + r, c + r * cmath.exp(0.25j * math.pi), c + r * 1j]
     quarter2 = [c + r * 1j, c + r * cmath.exp(0.75j * math.pi), c - r]
-    va = _polyline(fs, v0, half, tol=1e-11)
-    vb = _polyline(fs, v0, quarter1, tol=1e-11)
-    vb = _polyline(fs, vb, quarter2, tol=1e-11)
+    va = _polyline(fs, v0, half)
+    vb = _polyline(fs, v0, quarter1)
+    vb = _polyline(fs, vb, quarter2)
     assert np.max(np.abs(va - vb)) < 1e-10 * max(1.0, np.max(np.abs(va)))
 
 
@@ -117,14 +117,14 @@ def test_monodromy_eigenvalue_structure(system_2x2):
         assert np.max(np.abs(np.array(ev) - np.array(expect))) < 1e-9
 
 
-def _basis_at_pole(fs, cut, j, tol=1e-13):
+def _basis_at_pole(fs, cut, j):
     """Base point of u_j and the selected-solution basis there."""
     sols = [selected_solution(fs, m, cut, 40) for m in range(fs.n)]
-    [(_, base, Psi)] = continue_basis(fs, cut, sols, (j,), tol=tol)
+    [(_, base, Psi)] = continue_basis(fs, cut, sols, (j,))
     return base, Psi
 
 
-def _basis_at_big_base(fs, cut, radius, tol=1e-13):
+def _basis_at_big_base(fs, cut, radius):
     """Basis matrix at u_0 - radius e^{i eta}, reached without cut crossings.
 
     The basis is brought to the standard base point of u_0 by the
@@ -132,8 +132,8 @@ def _basis_at_big_base(fs, cut, radius, tol=1e-13):
     of u_0, which crosses no cuts for an admissible eta.
     """
     base_big = fs.u[0] - radius * cut.direction()
-    b0, Psi = _basis_at_pole(fs, cut, 0, tol=tol)
-    return base_big, _polyline(fs, Psi, [b0, base_big], tol=tol)
+    b0, Psi = _basis_at_pole(fs, cut, 0)
+    return base_big, _polyline(fs, Psi, [b0, base_big])
 
 
 def test_big_loop_matches_infinity_monodromy(system_2x2):
@@ -143,7 +143,7 @@ def test_big_loop_matches_infinity_monodromy(system_2x2):
     radius = 2.8
     assert radius > abs(fs.u[1] - fs.u[0])  # circle encloses both poles
     base, Psi = _basis_at_big_base(fs, cut, radius)
-    looped = _loop_at_pole(fs, 0, Psi, base, tol=1e-13)
+    looped = _loop_at_pole(fs, 0, Psi, base)
     Mbig = np.linalg.solve(Psi, looped)
     ev = np.sort_complex(np.linalg.eigvals(Mbig))
     expect = np.sort_complex(
@@ -157,7 +157,7 @@ def test_loop_composition_two_poles(system_2x2):
     fs = build_fuchsian(system_2x2)
     cut = CutPlane(eta=ETA)
     base, Psi = _basis_at_big_base(fs, cut, 2.8)
-    looped = _loop_at_pole(fs, 0, Psi, base, tol=1e-13)
+    looped = _loop_at_pole(fs, 0, Psi, base)
     Mbig = np.linalg.solve(Psi, looped)
     M = [monodromy_matrix(fs, k, cut, tol=1e-13) for k in range(2)]
     candidates = [M[0] @ M[1], M[1] @ M[0]]
@@ -329,7 +329,7 @@ def test_connection_series_matching_oracle(system_2x2):
     samples = [base, fs.u[0] + 0.8 * (base - fs.u[0]), fs.u[0] + 1.3 * (base - fs.u[0])]
     vals = [v]
     for s in samples[1:]:
-        vals.append(_polyline(fs, v, [base, s], tol=1e-13))
+        vals.append(_polyline(fs, v, [base, s]))
     rows = []
     rhs = []
     for s, val in zip(samples, vals):
@@ -443,17 +443,28 @@ def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):
 
 
 def _dense_piece(fs, piece):
-    """End block of one piece by scipy's DOP853 at rtol 1e-13 on the dense residue matrices."""
+    """End block of one piece and its Laplace integrals, by scipy's DOP853 on dense residues.
+
+    rtol = 1e-13, atol = 1e-20.  Returns Y(1) for a piece without samples,
+    ``(Y(1), J)`` for one with samples, as :func:`continuation.carry` does.
+    """
     y0 = np.asarray(piece.y0, dtype=complex)
+    state = np.zeros((1 + piece.z.size,) + y0.shape, dtype=complex)
+    state[0] = y0
 
     def rhs(s, y):
         e = piece.c * cmath.exp(1j * piece.omega * s)
         x, dx = piece.a + piece.b * s + e, piece.b + 1j * piece.omega * e
-        return (dense_rhs(fs, piece.pole + x) @ y.reshape(y0.shape) * dx).ravel()
+        y = y.reshape(state.shape)
+        dy = np.empty_like(y)
+        dy[0] = dense_rhs(fs, piece.pole + x) @ y[0] * dx
+        dy[1:] = np.multiply.outer(np.exp(piece.z * x) * dx, y[0])
+        return dy.ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-16)
+    sol = solve_ivp(rhs, (0.0, 1.0), state.ravel(), method="DOP853", rtol=1e-13, atol=1e-20)
     assert sol.success
-    return sol.y[:, -1].reshape(y0.shape)
+    end = sol.y[:, -1].reshape(state.shape)
+    return (end[0], end[1:]) if piece.z.size else end[0]
 
 
 def _sweep_fs(n=4):
@@ -462,9 +473,12 @@ def _sweep_fs(n=4):
 
 
 def _assert_matches_dense(fs, pieces, bound=1e-11):
+    """Y(1) of every piece, and each of its integrals J, within ``bound`` relative of the reference."""
     for piece, end in zip(pieces, continuation.carry(fs, pieces)):
         ref = _dense_piece(fs, piece)
-        assert np.max(np.abs(end - ref)) <= bound * np.max(np.abs(ref))
+        pairs = [(end[0], ref[0]), *zip(end[1], ref[1])] if piece.z.size else [(end, ref)]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def test_taylor_leg_from_an_anti_cut_base_point():
@@ -540,6 +554,99 @@ def test_twelve_chords_keep_the_accuracy(monkeypatch):
     assert work.steps == 24
     assert np.max(np.abs(twelve - sixteen)) <= 1e-12 * np.max(np.abs(sixteen))
     _assert_matches_dense(fs, [piece])
+
+
+def _leg(fs, cut, k, length, radii, phase=0.3):
+    """A Laplace leg from the base point of u_k along its anti-cut ray, with samples.
+
+    The samples satisfy z e^{id} = -r e^{i phase} for r in ``radii``, d the
+    direction of the leg, so e^{z x} decays along it; the block is Psi_k.
+    """
+    base = continuation._anti_cut_point(fs, k, cut)
+    e_d = -cut.direction()
+    psi = selected_solution(fs, k, cut, 40).selected_value(base, cut)
+    z = -np.asarray(radii) * cmath.exp(1j * phase) / e_d
+    return continuation.Piece(fs.u[k], base - fs.u[k], length * e_d, 0.0, 0.0, psi, z)
+
+
+def test_sampled_hairpin_leg():
+    """A leg of three samples out to where e^{z x} has decayed by e^-42 for the slowest."""
+    fs, cut = _sweep_fs()
+    _assert_matches_dense(fs, [_leg(fs, cut, 1, 42.0 / (6.0 * math.cos(0.3)), [6.0, 9.0, 14.0])])
+
+
+def test_sampled_group_disc_circle(coalescing_geometry, vanishing_A_uc):
+    """The clockwise disc boundary of a coalescing pair, seen from u_0, with two samples."""
+    from isomonodromy.deformation import radial_family
+
+    geo = coalescing_geometry
+    seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
+    fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
+    w0 = fs.u[0] - geo.group_values[0]
+    theta = geo.tau - 0.5 * math.pi
+    circle = continuation.Piece(fs.u[0], -w0, 0.0, 1.2 * geo.epsilon0 * cmath.exp(2.0j),
+                                -2 * math.pi, np.array([1.0, -0.5j, 0.25]),
+                                np.array([12.0, 18.0]) * cmath.exp(1j * theta))
+    _assert_matches_dense(fs, [circle])
+
+
+def test_sampled_mixed_batch():
+    """Legs of three and two samples, a loop of one and a junction without any, in one batch."""
+    fs, cut = _sweep_fs()
+    junction = continuation._segment(continuation._anti_cut_point(fs, 3, cut),
+                                     fs.u[3] - 1.5 * cut.direction(),
+                                     np.linspace(1.0, 2.0, fs.n) - 1j)
+    loop = continuation._loop(fs, 2, continuation._anti_cut_point(fs, 2, cut),
+                              np.linspace(1.0, 2.0, fs.n) + 0.5j)._replace(z=np.array([3 - 4j]))
+    pieces = [_leg(fs, cut, 0, 6.0, [6.0, 9.0, 14.0]), _leg(fs, cut, 1, 4.0, [5.0, 8.0]),
+              loop, junction]
+    with ode.counting() as work:
+        ends = continuation.carry(fs, pieces)
+    assert work.solves == 1
+    assert [type(end) for end in ends] == [tuple, tuple, tuple, np.ndarray]
+    assert [end[1].shape for end in ends[:3]] == [(3, fs.n), (2, fs.n), (1, fs.n)]
+    _assert_matches_dense(fs, pieces)
+    # a piece without samples takes no z cap: its end is its lone carry's, to rounding
+    [alone] = continuation.carry(fs, [junction])
+    assert np.max(np.abs(ends[3] - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+
+def test_sampled_leg_where_the_z_cap_binds():
+    """|z| = 80 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less."""
+    fs, cut = _sweep_fs()
+    piece = _leg(fs, cut, 1, 3.0, [80.0], phase=1.52)
+    with ode.counting() as capped:
+        continuation.carry(fs, [piece])
+    with ode.counting() as free:
+        continuation.carry(fs, [piece._replace(z=piece.z[:0])])
+    assert capped.steps >= math.ceil(3.0 * 80.0 / continuation.Z_SPAN) > free.steps
+    _assert_matches_dense(fs, [piece])
+
+
+def test_twelve_nodes_or_a_wider_z_span_keep_the_accuracy(monkeypatch):
+    """Mutation checks on NODES and Z_SPAN: 12 nodes per panel, or Z_SPAN = 32, keep 1e-11.
+
+    The rule has slack on both.  A step's polynomial converges on a disc of
+    twice the step about its start, so in s the nearest singularity lies a
+    whole step beyond [0, 1], four panel widths; and e^{z h s} turns by at
+    most Z_SPAN / PANELS = 4 radians over a panel.  Twelve Gauss-Legendre
+    nodes, exact to degree 23, integrate either to rounding, and so do 24
+    nodes over 8 radians.  The oscillating leg of the z-cap test is where a
+    coarse rule fails first: at 6 nodes per panel it is 3.6e-10 off.
+    """
+    fs, cut = _sweep_fs()
+    oscillating = _leg(fs, cut, 1, 3.0, [80.0], phase=1.52)
+    pieces = [oscillating, _leg(fs, cut, 1, 42.0 / (6.0 * math.cos(0.3)), [6.0, 9.0, 14.0])]
+    for nodes, z_span in ((12, 16.0), (24, 32.0)):
+        monkeypatch.setattr(continuation, "_QUADRATURE",
+                            continuation._composite_gauss(continuation.PANELS, nodes))
+        monkeypatch.setattr(continuation, "Z_SPAN", z_span)
+        _assert_matches_dense(fs, pieces)
+    monkeypatch.setattr(continuation, "_QUADRATURE",
+                        continuation._composite_gauss(continuation.PANELS, 6))
+    monkeypatch.setattr(continuation, "Z_SPAN", 16.0)
+    with pytest.raises(AssertionError):
+        _assert_matches_dense(fs, [oscillating])
 
 
 def test_taylor_carry_refuses_a_piece_that_starts_on_a_pole():

@@ -353,6 +353,28 @@ def test_integrability_residual_makes_one_solve(monkeypatch, n):
     assert len(calls) == 1
 
 
+RESONANT_GROUP_A = np.array([[0.5, 0.0, 0.4], [0.0, 2.5, -0.3], [0.6, 0.7, 0.25]], dtype=complex)
+
+
+@pytest.mark.parametrize("g, raises", [(2e-3, False), (1e-3, True), (1e-4, True), (1e-8, True)])
+def test_integrability_residual_refuses_a_stencil_across_the_locus(g, raises):
+    """u = [0, g, 1], step 1e-3: a stencil segment within NEAR_DELTA_GUARD of u_0 = u_1 fails at once.
+
+    Unguarded, g = 1e-3 ran past 30 s and g = 1e-4 failed only after
+    14,063 steps; g = 2e-3 keeps its stencil clear and returns.
+    """
+    from isomonodromy import ode
+
+    system = SystemPair(RESONANT_GROUP_A, [0.0, g, 1.0])
+    with ode.counting() as work:
+        if raises:
+            with pytest.raises(StepFailure, match="coalescence locus"):
+                integrability_residual(system, step=1e-3)
+        else:
+            assert math.isfinite(integrability_residual(system, step=1e-3))
+    assert work.solves == (0 if raises else 1)
+
+
 def test_integrability_residual_refuses_the_locus(vanishing_A_uc):
     """u on the coalescence locus: StepFailure before any solve, not a stalled stencil."""
     from isomonodromy import ode

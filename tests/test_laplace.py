@@ -12,7 +12,7 @@ from conftest import dense_rhs
 from isomonodromy import ode
 from isomonodromy.model import DeformationGeometry, SystemPair
 from isomonodromy.frobenius import build_fuchsian, selected_solution
-from isomonodromy.continuation import IllConditioned, carry_tolerances
+from isomonodromy.continuation import IllConditioned
 from isomonodromy.laplace import (
     QuadratureDivergence,
     SingularF1,
@@ -434,10 +434,10 @@ def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geome
 
 def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescing_geometry,
                                                  vanishing_A_uc):
-    """One ODE solve per non-group column, three at most on the group contour.
+    """One carry per non-group column, three at most on the group contour.
 
-    The solves are counted by :func:`isomonodromy.ode.counting`; that
-    integrator keeps no dense output at all.
+    The carries are counted as solves by :func:`isomonodromy.ode.counting`;
+    the Taylor carry keeps no dense output at all.
     """
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
@@ -660,8 +660,12 @@ def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_ge
             assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)
 
 
-def _carry_dense_reference(fs, pieces, cont_tol):
-    """The batched carry with the dense residue matrices sum_k B_k/(lam - u_k) per piece."""
+def _carry_dense_reference(fs, pieces):
+    """The batched carry with the dense residue matrices sum_k B_k/(lam - u_k) per piece.
+
+    scipy's DOP853 at rtol = 1e-13, atol = 1e-20 on the state of every
+    block and its integrals.
+    """
     P, n = len(pieces), fs.n
     m = max(p.z.size for p in pieces)
     pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
@@ -682,8 +686,7 @@ def _carry_dense_reference(fs, pieces, cont_tol):
         dy[:, 0] = np.einsum("pij,pj->pi", dense_rhs(fs, (pole + x)[:, None]), dy[:, 0])
         return dy.ravel()
 
-    rtol, atol = carry_tolerances(cont_tol, min(n * (1 + p.z.size) for p in pieces), y0.size)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-20)
     y = sol.y[:, -1].reshape(P, 1 + m, n)
     return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
 
@@ -694,9 +697,9 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
     batches = []
     carry = laplace.carry
 
-    def recorded(fs, pieces, tol):
-        out = carry(fs, pieces, tol)
-        batches.append((fs, pieces, tol, out))
+    def recorded(fs, pieces):
+        out = carry(fs, pieces)
+        batches.append((fs, pieces, out))
         return out
 
     monkeypatch.setattr(laplace, "carry", recorded)
@@ -704,9 +707,9 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
                                           vanishing_A_uc):
         laplace.laplace_columns(fs, geo, specs, tol=1e-13)
     monkeypatch.undo()
-    assert any(p.c != 0 for _, pieces, _, _ in batches for p in pieces)  # circles included
-    for fs, pieces, tol, out in batches:
-        ref = _carry_dense_reference(fs, pieces, tol)
+    assert any(p.c != 0 for _, pieces, _ in batches for p in pieces)  # circles included
+    for fs, pieces, out in batches:
+        ref = _carry_dense_reference(fs, pieces)
         for p, end, (psi_ref, J_ref) in zip(pieces, out, ref):
             psi, J = end if p.z.size else (end, J_ref)
             assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * np.max(np.abs(psi_ref))

@@ -1,4 +1,7 @@
-"""The in-package DOP853 against scipy.integrate.solve_ivp, bit for bit, and its work counter."""
+"""The in-package DOP853 against scipy.integrate.solve_ivp, bit for bit, and its work counter.
+
+The Schlesinger transport of :mod:`isomonodromy.deformation` is its only user.
+"""
 
 import warnings
 
@@ -7,11 +10,11 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from conftest import draw_system
-from isomonodromy import continuation, deformation, laplace, ode
-from isomonodromy.deformation import integrability_residual, radial_family
-from isomonodromy.frobenius import build_fuchsian
+from isomonodromy import deformation, ode
+from isomonodromy.deformation import (DeformationState, integrability_residual, radial_family,
+                                      transport)
 from isomonodromy.model import DeformationGeometry, SystemPair
-from isomonodromy.stokes import _matching_ray, stokes_pair_direct, stokes_pipeline
+from isomonodromy.stokes import stokes_pair_direct, stokes_pipeline
 
 
 def _record(monkeypatch, module):
@@ -39,40 +42,28 @@ def _assert_identical(fun, t_span, y0, **kwargs):
     return ref
 
 
-def test_oracle_pair_carry_batches_are_bit_identical(monkeypatch):
-    """The two Laplace batches of an oracle pair; the formula route makes no DOP853 solve."""
+def test_transport_and_residual_batches_are_bit_identical(monkeypatch):
+    """The stacks of a transport and an integrability residual; both Stokes routes make no DOP853 solve."""
     system, tau = draw_system(np.random.default_rng(3), 3, min_gap=0.35)
     geometry = DeformationGeometry(system.u, 1e-3, tau)
-    calls = _record(monkeypatch, continuation)
+    calls = _record(monkeypatch, deformation)
     stokes_pipeline(system, geometry)
-    assert not calls
     stokes_pair_direct(system, geometry)
+    assert not calls
+    transport(DeformationState(u=system.u, A=system.A), system.u + 0.02 - 0.01j)
+    integrability_residual(system, tol=1e-12)
     assert len(calls) == 2
     for fun, t_span, y0, kwargs in calls:
         _assert_identical(fun, t_span, y0, **kwargs)
 
 
-def test_oracle_carry_with_a_circle_piece_is_bit_identical(monkeypatch, coalescing_geometry,
-                                                           vanishing_A_uc):
-    """The Laplace columns of a coalescing system, group contours included."""
+def test_transport_off_the_coalescence_locus_is_bit_identical(monkeypatch, coalescing_geometry,
+                                                              vanishing_A_uc):
+    """The transports of a radial family grown from the coalescence locus."""
     geo = coalescing_geometry
     seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
-    fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
-    theta = _matching_ray(geo, 0)
-    z = np.array([12.0, 18.0]) * np.exp(1j * theta)
-    specs = [laplace.ColumnSpec(j, h, z, theta, "group" if geo.group_of(j) == 0 else "hairpin")
-             for h in (0, 1) for j in range(fs.n)]
-    pieces = []
-    carry = laplace.carry
-
-    def recorded_carry(fs, batch, tol):
-        pieces.extend(batch)
-        return carry(fs, batch, tol)
-
-    monkeypatch.setattr(laplace, "carry", recorded_carry)
-    calls = _record(monkeypatch, continuation)
-    laplace.laplace_columns(fs, geo, specs, tol=1e-13)
-    assert any(p.c != 0 for p in pieces)  # the group disc circle is carried
+    calls = _record(monkeypatch, deformation)
+    radial_family(seed, geo.u_c, [0.5, 1.0], tol=1e-12)
     assert len(calls) == 2
     for fun, t_span, y0, kwargs in calls:
         _assert_identical(fun, t_span, y0, **kwargs)
@@ -106,12 +97,13 @@ def test_only_dop853():
 
 
 def test_counter_totals_equal_scipy_on_the_same_batch(monkeypatch):
-    """solves, accepted steps and nfev of one oracle pair, as scipy counts them."""
-    system, tau = draw_system(np.random.default_rng(7), 4, min_gap=0.35)
-    calls = _record(monkeypatch, continuation)
+    """solves, accepted steps and nfev of a transport and a residual, as scipy counts them."""
+    system, _ = draw_system(np.random.default_rng(7), 4, min_gap=0.35)
+    calls = _record(monkeypatch, deformation)
     with ode.counting() as work:
         with ode.counting() as inner:
-            stokes_pair_direct(system, DeformationGeometry(system.u, 1e-3, tau))
+            transport(DeformationState(u=system.u, A=system.A), system.u + 0.02 - 0.01j)
+            integrability_residual(system, tol=1e-12)
         ode.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(2))
     refs = [scipy_solve_ivp(fun, t_span, y0, **kwargs) for fun, t_span, y0, kwargs in calls]
     expected = (len(refs), sum(len(r.t) - 1 for r in refs), sum(r.nfev for r in refs))

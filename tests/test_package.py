@@ -92,16 +92,21 @@ def test_solving_modules_load_scipy_integrate(module):
     """Importing a solving module loads its integrator, the scipy.integrate stand-in ``isomonodromy.ode``.
 
     The solver is loaded at import, so the first timed solve imports nothing,
-    and it is the in-repo port: the module imports with scipy blocked.
+    and it is the in-repo port: the module imports with scipy blocked.  Only
+    the Schlesinger transport of ``deformation`` uses it; ``continuation``
+    carries by Taylor steps and does not import it.
     """
     code = f"""
 import json, sys
 sys.modules["scipy"] = None
 import {module}
-print(json.dumps(["isomonodromy.ode" in sys.modules,
-                  sys.modules["isomonodromy.continuation"].solve_ivp is sys.modules["isomonodromy.ode"].solve_ivp]))
+ode = sys.modules.get("isomonodromy.ode")
+deformation = sys.modules.get("isomonodromy.deformation")
+print(json.dumps([ode is not None,
+                  deformation is None or deformation.solve_ivp is ode.solve_ivp,
+                  hasattr(sys.modules["isomonodromy.continuation"], "solve_ivp")]))
 """
-    assert _fresh(code) == [True, True]
+    assert _fresh(code) == [True, True, False]
 
 
 def test_solvers_import_nothing_and_need_no_scipy():
@@ -152,8 +157,8 @@ def test_commands_run_with_scipy_blocked(tmp_path, cmd, spec):
     assert (tmp_path / f"{cmd}_report.json").is_file()
 
 
-def _solve_sites(path):
-    """``module.function`` of every call of a name ``solve_ivp`` in one source file."""
+def _call_sites(path, name):
+    """``module.function`` of every call of a function called ``name`` in one source file."""
     sites = []
 
     def visit(node, scope):
@@ -161,7 +166,7 @@ def _solve_sites(path):
             scope = scope + (node.name,)
         if isinstance(node, ast.Call):
             f = node.func
-            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "solve_ivp":
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
                 sites.append(".".join((path.stem,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -171,10 +176,17 @@ def _solve_sites(path):
 
 
 def test_two_integrator_sites():
-    """Both Stokes routes integrate through ``continuation.carry``; transport of A is the only other site."""
-    sites = [site for path in sorted((ROOT / "src" / "isomonodromy").glob("*.py"))
-             for site in _solve_sites(path)]
-    assert sorted(sites) == ["continuation.carry", "deformation._transport_stack"]
+    """Two integrators, one call site each.
+
+    Both Stokes routes integrate by the Taylor carry ``continuation.carry``,
+    the only integrator besides DOP853 that reports its work to
+    ``ode.tally``; the Schlesinger transport of A is the only DOP853 solve.
+    """
+    paths = sorted((ROOT / "src" / "isomonodromy").glob("*.py"))
+    solves = [site for path in paths for site in _call_sites(path, "solve_ivp")]
+    tallies = [site for path in paths if path.stem != "ode" for site in _call_sites(path, "tally")]
+    assert solves == ["deformation._transport_stack"]
+    assert tallies == ["continuation.carry"]
 
 
 def test_readme_library_sketch_runs():

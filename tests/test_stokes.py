@@ -200,7 +200,7 @@ def test_default_ladder_scales_with_separation():
 
 
 def test_oracle_pair_makes_at_most_two_solves(coalescing_geometry, vanishing_A_uc):
-    """Each matching carries all its Laplace columns in one ODE solve."""
+    """Each matching carries all its Laplace columns in one Taylor carry."""
     from isomonodromy import ode
     from isomonodromy.deformation import radial_family
 
@@ -216,6 +216,27 @@ def test_oracle_pair_makes_at_most_two_solves(coalescing_geometry, vanishing_A_u
         with ode.counting() as work:
             stokes_pair_direct(sp, geo, tol=1e-13)
         assert work.solves == 2, sp.n  # at most two, and no matching runs without one
+
+
+# Taylor steps and order updates of one oracle pair on draw_system(rng(0), n), as measured
+ORACLE_PAIR_WORK = {2: (38, 1924), 3: (49, 2519), 4: (72, 3181), 5: (80, 3542), 6: (79, 3472)}
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_PAIR_WORK))
+def test_oracle_pair_work_is_pinned(n):
+    """Two Taylor carries per pair, within 25 % of the measured steps and order updates.
+
+    DOP853 took 235-619 steps and 2,836-7,492 right-hand sides on the same
+    pairs, so a carry that falls back to short steps shows here.
+    """
+    from isomonodromy import ode
+
+    sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
+    with ode.counting() as work:
+        stokes_pair_direct(sp, DeformationGeometry(sp.u, 1e-3, tau))
+    steps, nfev = ORACLE_PAIR_WORK[n]
+    assert work.solves == 2
+    assert work.steps <= 1.25 * steps and work.nfev <= 1.25 * nfev
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=4, max_value=6))

@@ -94,10 +94,11 @@ def carry(fs: FuchsianSystem, pieces):
     The Laplace integral J_p,i of e^{z_p,i x} Y_p dx gains, per step, the
     integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
     s in [0, 1], by one composite Gauss-Legendre rule of PANELS panels of
-    NODES nodes (``_QUADRATURE``): e^{z x0} h sum_j w_j e^{z h s_j}
-    Y_p(s_j), at most Z_SPAN / PANELS in |z h| per panel.  A curved piece
-    is integrated along its chords; no pole lies between them and the arc,
-    so by Cauchy's theorem that is the integral along the arc.
+    NODES nodes: e^{z x0} h sum_j w_j e^{z h s_j} Y_p(s_j), at most
+    Z_SPAN / PANELS in |z h| per panel (:func:`_step_integrals`, which
+    :mod:`.laplace` also uses for a local series summed as one step).  A
+    curved piece is integrated along its chords; no pole lies between them
+    and the arc, so by Cauchy's theorem that is the integral along the arc.
 
     Reports one solve, one step per lockstep step and one nfev per order
     to :func:`.ode.counting`.  Raises :class:`StepFailure` for a piece
@@ -122,8 +123,7 @@ def carry(fs: FuchsianSystem, pieces):
     z = np.zeros((P, nz), dtype=complex)
     for i, p in enumerate(pieces):
         z[i, :p.z.size] = p.z
-    nodes, weights, powers = _QUADRATURE
-    weights = (np.arange(nz) < sizes[:, None])[..., None] * weights
+    real = np.arange(nz) < sizes[:, None]
     J = np.zeros((P, nz) + Y.shape[1:], dtype=complex)
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
     orders = np.arange(1, MAX_ORDER + 1)
@@ -170,11 +170,7 @@ def carry(fs: FuchsianSystem, pieces):
                                   f"in {MAX_ORDER} orders")
             lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
         if nz:
-            # Y_p at every node s_j of the step: real powers times the terms as real pairs
-            at_nodes = np.tensordot(powers[:, :hi + 1], T[:hi + 1].view(float), 1).view(complex)
-            hs = h[:, None, None]
-            w = weights * hs * np.exp(z[:, :, None] * (x[:, None, None] + hs * nodes))
-            J += np.einsum("pij,jpkl->pikl", w, at_nodes)
+            J += _step_integrals(T[:hi + 1], x, h, z, real)
         Y = T[:hi + 1].sum(0)
         x = x_next
         steps += 1
@@ -183,6 +179,22 @@ def carry(fs: FuchsianSystem, pieces):
     Y = Y.reshape((P,) + shape)
     J = J.reshape((P, nz) + shape)
     return [(y, j[:p.z.size]) if p.z.size else y for p, y, j in zip(pieces, Y, J)]
+
+
+def _step_integrals(T, x, h, z, real):
+    """Laplace integrals over one Taylor step of every piece, by the rule ``_QUADRATURE``.
+
+    ``T`` holds the terms T_m of each piece's step polynomial
+    Y_p(x_p + s h_p) = sum_m T_m s^m, shape (orders, P, n, w), from x_p by
+    h_p; ``z`` the samples (P, nz), and ``real`` False on padding.
+    Returns e^{z x} h sum_j w_j e^{z h s_j} Y_p(s_j), shape (P, nz, n, w).
+    """
+    nodes, weights, powers = _QUADRATURE
+    # Y_p at every node s_j of the step: real powers times the terms as real pairs
+    at_nodes = np.tensordot(powers[:, :len(T)], T.view(float), 1).view(complex)
+    hs = h[:, None, None]
+    w = real[..., None] * weights * hs * np.exp(z[:, :, None] * (x[:, None, None] + hs * nodes))
+    return np.einsum("pij,jpkl->pikl", w, at_nodes)
 
 
 def _composite_gauss(panels, nodes):

@@ -9,24 +9,22 @@ dual Fuchsian system:
   of the analytic selected series (the log part reduces to a half-line);
 * lambda'_k negative int: half-line integral of the analytic Psi_k.
 
-Every column kind integrates one leg u_k + t e^{id}, t from a to t_max,
-for all samples z_1 ... z_m of a ray at once.  On [a, t_switch], inside
-the series zone, the local series is integrated by adaptive Gauss-Legendre
-quadrature with an integrand of shape (nodes, m, n).  Beyond t_switch the
-leg is a :class:`.continuation.Piece` with the samples z_1 ... z_m, and
-the Taylor carry :func:`.continuation.carry` returns Psi_k and
-J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, at t_max: the same rank-one
-transport the formula route uses, each J_i summed over the Taylor
-polynomial of every step, with no dense output.  The small circle of a
-hairpin is one quadrature of the series for all z; the disc circle of a
-group contour is carried with its integrals the same way.
+Every column is a local-series start near u_k plus one leg u_k + t e^{id},
+t from the start out to t_max, for all samples z_1 ... z_m of a ray at
+once.  The start lies where the series tail is below ``tol``
+(:func:`_start`).  The leg is a :class:`.continuation.Piece` with the
+samples, and the Taylor carry :func:`.continuation.carry` returns
+J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, summed over the Taylor
+polynomial of every step: the same rank-one transport the formula route
+uses, with no dense output.  A hairpin's small circle is a second piece,
+started from the series on the branch of arg d - 2 pi.  Where Psi_k is
+analytic at u_k (the integer classes) the series out to the start is
+itself one Taylor step, integrated by the carry's rule.
 
 Columns are computed in batches (:func:`laplace_columns`; a single
-:func:`laplace_column` is a batch of one).  Validation and quadratures
-stay per column, while the carried pieces of every column in the batch
-go through one :func:`.continuation.carry`.  Only a group column whose
-disc junction lies beyond the series zone needs one earlier carry, for
-Psi_k at the junction.
+:func:`laplace_column` is a batch of one): validation and the series
+start run per column, and the pieces of every column in the batch go
+through one :func:`.continuation.carry`.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -39,9 +37,9 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import (
     ANGLE_TOL,
@@ -54,7 +52,7 @@ from .model import (
     angular_distance_mod_pi,
 )
 from .frobenius import FuchsianSystem, build_fuchsian, cgamma, horner, selected_solution
-from .continuation import Piece, carry
+from .continuation import Piece, Z_SPAN, _step_integrals, carry
 
 logger = logging.getLogger(__name__)
 
@@ -198,72 +196,12 @@ def _formal_at_confluence(system, L, free_values):
 
 
 # ---------------------------------------------------------------------------
-# quadrature engine
+# Laplace columns
 # ---------------------------------------------------------------------------
-
-_GL_NODES = {}
-
-
-def _gl(n):
-    if n not in _GL_NODES:
-        x, w = leggauss(n)
-        _GL_NODES[n] = (x, w)
-    return _GL_NODES[n]
-
-
-def _panel(f, a, b, order):
-    x, w = _gl(order)
-    t = 0.5 * (b - a) * x + 0.5 * (a + b)
-    vals = f(t)
-    return 0.5 * (b - a) * np.tensordot(w, vals, axes=(0, 0))
-
-
-def adaptive_quad(f, a, b, tol, scale=1.0, order=24, depth=0, max_depth=14):
-    """Adaptive Gauss-Legendre quadrature of a vectorized integrand.
-
-    ``f`` maps an array of parameters to an array of values (first axis =
-    parameter).  Returns (integral, error_estimate).  A subinterval that
-    reaches ``max_depth`` with its error still above the bound is kept as
-    it is and logged as a WARNING.
-    """
-    coarse = _panel(f, a, b, order)
-    m = 0.5 * (a + b)
-    fine = _panel(f, a, m, order) + _panel(f, m, b, order)
-    err = float(np.max(np.abs(fine - coarse)))
-    bound = tol * max(scale, float(np.max(np.abs(fine))))
-    if err <= bound:
-        return fine, err
-    if depth >= max_depth:
-        logger.warning("adaptive_quad stopped at max_depth %d on [%.6g, %.6g]: "
-                       "error %.2e above bound %.2e", max_depth, a, b, err, bound)
-        return fine, err
-    left, el = adaptive_quad(f, a, m, tol, scale, order, depth + 1, max_depth)
-    right, er = adaptive_quad(f, m, b, tol, scale, order, depth + 1, max_depth)
-    return left + right, el + er
-
-
-# ---------------------------------------------------------------------------
-# contours
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Integration contour for one Laplace column.
-
-    A leg in ``direction`` out to ``t_max``, with a loop of ``loop_radius``
-    around ``anchor``: the pole itself (small loop of a hairpin, or unused
-    by a half-line) or the centre of the coalescence disc (group contour).
-    """
-
-    anchor: complex
-    direction: float
-    loop_radius: float
-    t_max: float
 
 
 def _direction_for(labels, h, theta, u):
-    """Contour direction d for computing Y at label h*mu and arg z = theta.
+    """The contour direction d for computing Y at label h*mu and arg z = theta.
 
     d must lie in the label's eta-window (eta_{m+1}, eta_m), inside the
     convergence half-plane (pi/2 - theta, 3 pi/2 - theta), and away from
@@ -308,16 +246,35 @@ def _t_max(rate, power_growth):
     return R
 
 
+def _start(coeffs, cap, tol):
+    """Where the carry takes over from a local series: ``(t, tail)``.
+
+    t is the largest radius up to ``cap`` at which each of the last two
+    terms |c_N| t^N and |c_{N-1}| t^{N-1} of the series is at most
+    tol / 2 times its size max|c_0| (the largest |c_l| if c_0 = 0);
+    ``tail`` is their sum there over that size, the truncation error of
+    the start value relative to Psi_k.
+    """
+    size = np.abs(coeffs).max(1)
+    scale = size[0] or size.max()
+    N = len(size) - 1
+    t = cap
+    for m in (N - 1, N):
+        if m and size[m]:
+            t = min(t, (0.5 * tol * scale / size[m]) ** (1.0 / m))
+    return t, (size[N - 1] * t ** (N - 1) + size[N] * t ** N) / scale
+
+
 @dataclass
 class LaplaceColumn:
     """Sampled reduced column of a sectorial solution.
 
     ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
-    the raw column.  ``error`` is relative to the reduced scale: the
-    quadrature error estimate of the series leg and the small circle plus,
-    for the carried part of the leg (and the group circle), the stated
-    bound CARRY_TOL * max|J|.  That bound is not an error estimate: the
-    Taylor carry reads 1e-11 or better against an independent solve.
+    the raw column.  ``error`` is relative to the reduced scale: each
+    integral J of the column counts as off by the series tail at its start
+    (:func:`_start`) plus the stated carry bound CARRY_TOL, relative to
+    max|J|.  CARRY_TOL is not an error estimate: the Taylor carry reads
+    1e-11 or better against an independent solve.
     """
 
     k: int
@@ -337,12 +294,11 @@ class ColumnSpec:
     h: int
     z: np.ndarray
     arg: float | None = None
-    contour: str = "hairpin"
     direction: float | None = None
 
 
 def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
-                   sols=None, tol=1e-12, N=40, contour="hairpin", direction=None):
+                   sols=None, tol=1e-12, N=40, direction=None):
     """Column k of Y_{nu+h mu} at the given z samples (reduced values).
 
     ``z_values`` must share one argument: one ray, whose position on the
@@ -350,49 +306,53 @@ def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
     with |h| >= 2 need it spelled out).  The contour direction is chosen
     inside the label's admissible eta-window, optimal for decay at that
     argument; ``direction`` overrides it (validated against the window).
-    Each leg is integrated from the local series inside 0.75 * validity
-    radius and carried with the continued solution outside (see the
-    module docstring).  A batch of one for :func:`laplace_columns`.
+    The local series gives Psi_k near u_k, out to where its tail reaches
+    ``tol``; the carry does the rest (see the module docstring).  A batch
+    of one for :func:`laplace_columns`.
     """
-    spec = ColumnSpec(k, h, z_values, arg, contour, direction)
+    spec = ColumnSpec(k, h, z_values, arg, direction)
     return laplace_columns(fs, geometry, [spec], sols, tol, N)[0]
 
 
 def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N=40):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
-    Validation, the contour choice and the series quadratures run per
-    column; the carried parts of all their legs and disc circles go
-    through one :func:`.continuation.carry`.  A group column whose disc
-    junction lies beyond the series zone first needs Psi_k at the
-    junction, which takes one earlier carry shared by every such column.
+    Validation, the contour and the series start run per column
+    (:func:`_plan`); the pieces of every column go through one
+    :func:`.continuation.carry`, and each column is its plan's ``base``
+    plus its ``weights`` times the integrals J its pieces return.
     """
-    columns = [_column(fs, spec, geometry, sols, tol, N) for spec in specs]
-    out = [None] * len(columns)
-    replies = [None] * len(columns)
-    live = range(len(columns))
-    while live:
-        asks = {}
-        for i in live:
-            try:
-                asks[i] = columns[i].send(replies[i])
-            except StopIteration as done:
-                out[i] = done.value
-        live = list(asks)
-        if live:
-            ends = iter(carry(fs, [p for i in live for p in asks[i]]))
-            for i in live:
-                replies[i] = [next(ends) for _ in asks[i]]
-    return out
+    plans = [_plan(fs, spec, geometry, sols, tol, N) for spec in specs]
+    ends = iter(carry(fs, [p for plan in plans for p in plan.pieces]))
+    columns = []
+    for spec, plan in zip(specs, plans):
+        Js = [next(ends)[1] for _ in plan.pieces]
+        reduced = plan.base + sum(w * J for w, J in zip(plan.weights, Js))
+        size = plan.size + sum(float(np.max(np.abs(J))) for J in Js)
+        error = (plan.tail + CARRY_TOL) * size / max(float(np.max(np.abs(reduced))), 1e-300)
+        columns.append(LaplaceColumn(k=spec.k, label=spec.h * geometry.labels.mu,
+                                     z=np.asarray(spec.z, dtype=complex), reduced=reduced,
+                                     pole=fs.u[spec.k], eta_used=plan.eta, error=error))
+    return columns
 
 
-def _column(fs, spec, geometry, sols, tol, N):
-    """One column as a generator: yields lists of :class:`Piece` to carry, returns the column.
+class _Plan(NamedTuple):
+    """A column before its carry: base + sum_i weights[i] J_i over its pieces.
 
-    Each yield receives what :func:`.continuation.carry` returns for the
-    pieces it asked for, in order: ``(Psi(1), J)`` for a piece with
-    samples, Psi(1) for one without.
+    ``size`` is max|J| of the series step's integral (0 without one) and
+    ``tail`` the series truncation at the start, relative (:func:`_start`).
     """
+
+    pieces: list
+    weights: tuple
+    base: object
+    size: float
+    tail: float
+    eta: float
+
+
+def _plan(fs, spec, geometry, sols, tol, N):
+    """Validate one column, choose its contour and start it from the local series."""
     z_values = np.asarray(spec.z, dtype=complex)
     k, h = spec.k, spec.h
     thetas = np.angle(z_values)
@@ -411,10 +371,7 @@ def _column(fs, spec, geometry, sols, tol, N):
             )
     lp = fs.lambda_prime[k]
     klass = fs.integer_class(k)
-    if sols is None:
-        sol = selected_solution(fs, k, CutPlane(eta=d), N)
-    else:
-        sol = sols[k]
+    sol = selected_solution(fs, k, CutPlane(eta=d), N) if sols is None else sols[k]
     e_d = cmath.exp(1j * d)
     sigma = z_values * e_d
     if np.max(sigma.real) >= -1e-12 * np.max(np.abs(z_values)):
@@ -422,153 +379,45 @@ def _column(fs, spec, geometry, sols, tol, N):
             f"Re(z e^(i d)) = {np.max(sigma.real):.3e} not negative: z outside "
             f"the convergence half-plane of direction {d:.4f}"
         )
-    validity = sol.radius
-    t_switch = 0.75 * validity
-    growth = max(0.0, float((-lp - 1).real))
-    rate_min = float(np.min(-sigma.real))
-    t_hi = max(_t_max(rate_min, growth), 2 * t_switch)
+    z_max = float(np.max(np.abs(z_values)))
+    t_max = _t_max(float(np.min(-sigma.real)), max(0.0, float((-lp - 1).real)))
 
-    if spec.contour == "group":
-        alpha = geometry.group_of(k)
-        center = geometry.group_values[alpha]
-        r_loop = 1.2 * geometry.epsilon0
-        # keep clear of the other groups
-        for beta, val in enumerate(geometry.group_values):
-            if beta != alpha:
-                r_loop = min(r_loop, 0.5 * (abs(val - center) + geometry.epsilon0))
-        contour_obj = Contour(center, d, r_loop, t_hi)
-        if klass != "noninteger":
-            raise ValueError("group contour is implemented for the branched class only")
-        build = _group_column
+    def leg(start, psi):
+        return Piece(fs.u[k], start * e_d, (max(t_max, 2 * start) - start) * e_d, 0.0, 0.0,
+                     psi, z_values)
+
+    if klass == "noninteger":
+        # hairpin: the circle |x| = r from arg d - 2 pi to arg d, then the leg
+        # on the branch of arg d, weighted by the jump of Psi_k across it
+        cap = max(min(0.5 * sol.radius, 2.0 / z_max), 1e-3 * sol.radius)
+        r, tail = _start(sol.b, cap, tol)
+        psi = horner(sol.b, r * e_d)
+        branch = sol.rho * (math.log(r) + 1j * d)
+        circle = Piece(fs.u[k], 0.0, 0.0, r * e_d, 2 * math.pi,
+                       psi * cmath.exp(branch - 2j * math.pi * sol.rho), z_values)
+        jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
+        return _Plan([circle, leg(r, psi * cmath.exp(branch))],
+                     (1 / (2j * math.pi), jump / (2j * math.pi)), 0.0, 0.0, tail, d)
+    if klass == "natural":
+        Nk = int(round(lp.real))
+        # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
+        residue = sum(np.outer(z_values ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
+                      for l in range(Nk + 1))
+        if sol.zero:
+            return _Plan([], (), residue, 0.0, 0.0, d)
+        series = coeffs = sol.d
     else:
-        r_loop = min(0.5 * validity, 2.0 / float(np.max(np.abs(z_values))))
-        r_loop = max(r_loop, 1e-3 * validity)
-        contour_obj = Contour(fs.u[k], d, r_loop, t_hi)
-        build = {"noninteger": _hairpin_column, "natural": _natural_column}.get(
-            klass, _halfline_column)
-    reduced, err = yield from build(fs, k, sol, contour_obj, z_values, tol)
-    return LaplaceColumn(k=k, label=h * labels.mu, z=z_values, reduced=reduced,
-                         pole=fs.u[k], eta_used=d, error=err)
-
-
-def _series_on_ray(sol, d, ts, branched):
-    """Psi_k at u_k + t e^{id} from its local series, for every t in ``ts``."""
-    acc = horner(sol.b if sol.d is None else sol.d, ts * cmath.exp(1j * d))
-    if branched:
-        acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
-    return acc
-
-
-def _leg(fs, k, sol, d, a, t_max, z_values, tol, branched):
-    """Laplace integrals of Psi_k along u_k + t e^{id}, t from a to t_max, for every z.
-
-    Below t_switch = 0.75 * series radius the local series is integrated
-    by one quadrature for all z; the rest of the leg is returned as a
-    :class:`Piece` for the caller to carry.  ``branched`` multiplies the
-    series by (t e^{id})^rho.  A generator: when a lies beyond t_switch it
-    first yields the piece that carries Psi_k out to a.  Returns
-    ``(J, err, piece, psi_a)``: J[i] is the series part of the integral of
-    e^{z_i x} Psi_k dx with x = t e^{id} (0 if none), ``err`` its
-    quadrature estimate, ``psi_a`` Psi_k at t = a (None for a = 0).
-    """
-    e_d = cmath.exp(1j * d)
-    t_switch = 0.75 * sol.radius
-    pole = fs.u[k]
-
-    def ray(t0, t1, psi0, z):
-        return Piece(pole, t0 * e_d, (t1 - t0) * e_d, 0.0, 0.0, psi0, z)
-
-    def integrand(ts):
-        w = np.exp(np.outer(ts * e_d, z_values)) * e_d
-        return _series_on_ray(sol, d, ts, branched)[:, None, :] * w[:, :, None]
-
-    psi_switch = _series_on_ray(sol, d, np.array([t_switch]), branched)[0]
-    if a < t_switch:
-        J, err = adaptive_quad(integrand, a, t_switch, tol)
-        psi_a = _series_on_ray(sol, d, np.array([a]), branched)[0] if a > 0 else None
-        return J, err, ray(t_switch, t_max, psi_switch, z_values), psi_a
-    [psi_a] = yield [ray(t_switch, a, psi_switch, z_values[:0])]
-    return 0.0, 0.0, ray(a, t_max, psi_a, z_values), psi_a
-
-
-def _relative(err, out, *carried):
-    """``err`` plus the stated bound CARRY_TOL max|J| of each carried J, relative to ``out``."""
-    for J in carried:
-        err = err + CARRY_TOL * float(np.max(np.abs(J), initial=0.0))
-    return err / max(float(np.max(np.abs(out))), 1e-300)
-
-
-def _hairpin_column(fs, k, sol, contour, z_values, tol):
-    """Class noninteger: legs with the branch-jump factor plus the small circle."""
-    d = contour.direction
-    r = contour.loop_radius
-    J, e1, piece, _ = yield from _leg(fs, k, sol, d, r, contour.t_max, z_values, tol,
-                                      branched=True)
-
-    def circle_integrand(thetas):
-        x = r * np.exp(1j * thetas)
-        w = np.exp(np.outer(x, z_values)
-                   + (sol.rho * (math.log(r) + 1j * thetas))[:, None]) * (1j * x)[:, None]
-        return horner(sol.b, x)[:, None, :] * w[:, :, None]
-
-    circ, e2 = adaptive_quad(circle_integrand, d - 2 * math.pi, d, tol)
-    [(_, J_leg)] = yield [piece]
-    jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-    out = (jump * (J + J_leg) + circ) / (2j * math.pi)
-    return out, _relative(e1 + e2, out, J_leg)
-
-
-def _group_column(fs, k, sol, contour, z_values, tol):
-    """Branched class on the group contour: loop around the whole disc.
-
-    Equivalent to the hairpin at u_k because Psi_k is holomorphic at the
-    sibling poles; the disc boundary is carried clockwise from the leg
-    junction with its Laplace integrals, in the same batch as the leg.
-    """
-    d = contour.direction
-    e_d = cmath.exp(1j * d)
-    r = contour.loop_radius
-    # leg junction: |u_k - center + t e^{id}| = r, positive root
-    w0 = fs.u[k] - contour.anchor
-    bh = (w0 * np.conj(e_d)).real
-    t_exit = -bh + math.sqrt(max(bh * bh - (abs(w0) ** 2 - r * r), 0.0))
-    th_exit = cmath.phase(w0 + t_exit * e_d)
-    J, err, piece, seed = yield from _leg(fs, k, sol, d, t_exit, contour.t_max, z_values,
-                                          tol, branched=True)
-    # x = r e^{i th} - w0 with th from th_exit down to th_exit - 2 pi
-    circle = Piece(fs.u[k], -w0, 0.0, r * cmath.exp(1j * th_exit), -2 * math.pi, seed,
-                    z_values)
-    [(_, J_leg), (_, J_circ)] = yield [piece, circle]
-    jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-    out = (jump * (J + J_leg) - J_circ) / (2j * math.pi)
-    return out, _relative(err, out, J_leg, J_circ)
-
-
-def _halfline_column(fs, k, sol, contour, z_values, tol):
-    """Class negative_integer: straight integral of the analytic Psi_k.
-
-    Psi_k = (sum b_l x^l) x^rho with integer rho >= 0: the power is folded in.
-    """
-    J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
-                                       z_values, tol, branched=True)
-    [(_, J_leg)] = yield [piece]
-    out = J + J_leg
-    return out, _relative(err, out, J_leg)
-
-
-def _natural_column(fs, k, sol, contour, z_values, tol):
-    """Class natural: residue of the pole part plus half-line of the log part."""
-    Nk = int(round(sol.lambda_prime_k.real))
-    # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
-    out = sum(np.outer(z_values ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
-              for l in range(Nk + 1))
-    if sol.zero:
-        return out, 0.0
-    J, err, piece, _ = yield from _leg(fs, k, sol, contour.direction, 0.0, contour.t_max,
-                                       z_values, tol, branched=False)
-    [(_, J_leg)] = yield [piece]
-    out = out + J + J_leg
-    return out, _relative(err, out, J_leg)
+        # Psi_k = psi_k(x) x^rho with integer rho >= 0
+        residue, series = 0.0, sol.b
+        coeffs = np.vstack([np.zeros((int(round(sol.rho.real)), fs.n)), sol.b])
+    # Psi_k is analytic at u_k: its series on [0, t0] is one Taylor step,
+    # T_m = c_m (t0 e^{id})^m, integrated by the carry's own rule
+    t0, tail = _start(series, Z_SPAN / z_max, tol)
+    T = coeffs * (t0 * e_d) ** np.arange(len(coeffs))[:, None]
+    near = _step_integrals(T[:, None, :, None], np.zeros(1), np.array([t0 * e_d]),
+                           z_values[None], np.ones((1, z_values.size), dtype=bool))[0, ..., 0]
+    return _Plan([leg(t0, T.sum(0))], (1.0,), residue + near, float(np.max(np.abs(near))),
+                 tail, d)
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
     K = np.empty((16, n), dtype=dtype)[:13]  # the layout of SciPy's extended stages
     t, ts, message = t0, [t0], FINISHED
     while n and t != tf:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        with np.errstate(under="ignore"):  # the spacing at t = 0 is subnormal
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = min_step if h_abs < min_step else h_abs
         rejected = False
         while True:

@@ -101,6 +101,16 @@ def test_transport_closed_loop_integrability():
     assert np.max(np.abs(st.A - A)) < 1e-10
 
 
+def test_transport_runs_when_numpy_raises_on_every_error():
+    """Under errstate(all="raise") transport returns the same A: no step of it underflows."""
+    A = np.array([[0.5, 2.0, 0.3], [3.0, 1 / 3, -0.7], [0.2, 1.1, -0.4]], dtype=complex)
+    u = np.array([0.0, 1.0, 0.6 + 0.9j])
+    free = transport(DeformationState(u, A), u + 0.01)
+    with np.errstate(all="raise"):
+        strict = transport(DeformationState(u, A), u + 0.01)
+    assert np.array_equal(strict.A, free.A)
+
+
 def test_transport_invariants_and_path_independence():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(3, 3)) * 0.4 + 1j * rng.normal(size=(3, 3)) * 0.3

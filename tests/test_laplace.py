@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from numpy.polynomial.polynomial import polyval
+from scipy.integrate import quad_vec, solve_ivp
 
 import isomonodromy.laplace as laplace
 from conftest import dense_rhs
@@ -16,7 +17,6 @@ from isomonodromy.continuation import IllConditioned
 from isomonodromy.laplace import (
     QuadratureDivergence,
     SingularF1,
-    adaptive_quad,
     asymptotic_coeffs,
     asymptotic_fit,
     assemble_formal,
@@ -261,128 +261,63 @@ def test_laplace_contour_deformation_invariance(system_2x2, diag_geo):
         assert np.max(np.abs(a.reduced - b.reduced)) < 1e-10 * scale
 
 
-def test_laplace_group_contour_equivalence(coalescing_geometry, vanishing_A_uc):
-    """Hairpin at u_k and group contour agree for a coalescing group member.
-
-    Needs a genuine vanishing-family point: Psi_k is holomorphic at the
-    sibling poles only for members of the isomonodromic family.
-    """
-    from isomonodromy.deformation import radial_family
-
-    geo = coalescing_geometry
-    seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
-    state = radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0]
-    sp = state.system()
-    fs = build_fuchsian(sp)
-    theta = geo.tau - 0.5 * math.pi
-    z = _ray([12.0], theta)
-    a = laplace_column(fs, 0, 0, geo, z, arg=theta, tol=1e-12, contour="hairpin")
-    b = laplace_column(fs, 0, 0, geo, z, arg=theta, tol=1e-12, contour="group")
-    assert np.max(np.abs(a.reduced - b.reduced)) < 1e-8 * max(
-        1.0, float(np.max(np.abs(a.reduced)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # leg integrals against a quadrature of the dense-output continuation
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs, x):
-    acc = np.zeros((x.size, coeffs.shape[1]), dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * x[:, None] + c[None, :]
-    return acc
+def _reference_column(fs, k, z, d, kind):
+    """Reduced column k by an independent route: scipy's quad_vec per contour part.
 
-
-def _dense_ray(fs, k, sol, d, t_max, branched):
-    """Psi_k on u_k + t e^{id}: series inside 0.75 of its radius, dense ODE output beyond."""
-    e_d = cmath.exp(1j * d)
-    t_switch = 0.75 * sol.radius
-    coeffs = sol.b if sol.d is None else sol.d
-
-    def series(ts):
-        acc = _horner(coeffs, ts * e_d)
-        if branched:
-            acc = acc * np.exp(sol.rho * (np.log(ts) + 1j * d))[:, None]
-        return acc
-
-    dense = solve_ivp(lambda t, y: (dense_rhs(fs, fs.u[k] + t * e_d) @ y) * e_d,
-                      (t_switch, t_max), series(np.array([t_switch]))[0],
-                      method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
-
-    def values(ts):
-        out = np.empty((ts.size, fs.n), dtype=complex)
-        inside = ts <= t_switch
-        if inside.any():
-            out[inside] = series(ts[inside])
-        if not inside.all():
-            out[~inside] = dense(ts[~inside]).T
-        return out
-
-    return values
-
-
-def _reference_column(fs, k, geometry, z, d, kind, tol=1e-13):
-    """Reduced column k by the former route: one adaptive quadrature per z.
-
-    The contour is chosen here independently of the library (its own loop
-    radius and leg length); the column does not depend on either.
+    Psi_k is its local series (N = 60) within a = 0.3 of the series radius
+    and scipy's DOP853 dense output beyond.  The hairpin's circle has
+    radius a, and the leg length is chosen here; the column depends on
+    neither.
     """
-    sol = selected_solution(fs, k, N=40)
+    sol = selected_solution(fs, k, N=60)
     e_d = cmath.exp(1j * d)
     lp = fs.lambda_prime[k]
-    rate = float(np.min(-(z * e_d).real))
-    t_max = (60.0 + 4.0 * max(0.0, float((-lp - 1).real))) / rate
-    values = _dense_ray(fs, k, sol, d, t_max, branched=kind != "natural")
-    jump = 1.0 - cmath.exp(2j * math.pi * lp)
-    out = np.zeros((z.size, fs.n), dtype=complex)
-    if kind == "group":
-        center = geometry.group_values[geometry.group_of(k)]
-        r = 0.1
-        w0 = fs.u[k] - center
-        bh = (w0 * np.conj(e_d)).real
-        a = -bh + math.sqrt(bh * bh - (abs(w0) ** 2 - r * r))
-        th_exit = cmath.phase(w0 + a * e_d)
-        circ = solve_ivp(
-            lambda th, y: (dense_rhs(fs, center + r * cmath.exp(1j * th)) @ y)
-            * 1j * r * cmath.exp(1j * th),
-            (th_exit, th_exit - 2 * math.pi), values(np.array([a]))[0],
-            method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
-    else:
-        a = 0.3 * sol.radius if kind == "hairpin" else 0.0
-    for i, zi in enumerate(z):
-        sigma = zi * e_d
-        leg, _ = adaptive_quad(lambda ts: values(ts) * np.exp(sigma * ts)[:, None],
-                               a, t_max, tol)
-        leg = leg * e_d
-        if kind == "hairpin":
-            def circle(ths):
-                x = a * np.exp(1j * ths)
-                w = np.exp(zi * x + sol.rho * (math.log(a) + 1j * ths)) * 1j * x
-                return _horner(sol.b, x) * w[:, None]
+    a = 0.3 * sol.radius
+    t_max = (60.0 + 4.0 * max(0.0, float((-lp - 1).real))) / float(np.min(-(z * e_d).real))
 
-            c, _ = adaptive_quad(circle, d - 2 * math.pi, d, tol)
-            out[i] = (jump * leg + c) / (2j * math.pi)
-        elif kind == "group":
-            def circle(ths):
-                x = center - fs.u[k] + r * np.exp(1j * ths)
-                w = np.exp(zi * x) * 1j * r * np.exp(1j * ths)
-                return circ(ths).T * w[:, None]
+    def series(t):
+        x = t * e_d
+        if kind == "natural":
+            return polyval(x, sol.d)
+        return polyval(x, sol.b) * np.exp(sol.rho * (np.log(t) + 1j * d))
 
-            c, _ = adaptive_quad(circle, th_exit - 2 * math.pi, th_exit, tol)
-            out[i] = (jump * leg + c) / (2j * math.pi)
-        elif kind == "natural":
-            Nk = int(round(lp.real))
-            out[i] = leg + sum(sol.b[l] * zi ** (Nk - l) / math.factorial(Nk - l)
-                               for l in range(Nk + 1))
-        else:
-            out[i] = leg
-    return out
+    dense = solve_ivp(lambda t, y: (dense_rhs(fs, fs.u[k] + t * e_d) @ y) * e_d,
+                      (a, t_max), series(a), method="DOP853", rtol=1e-13, atol=1e-15,
+                      dense_output=True).sol
+
+    def quad(f, lo, hi, points=None):
+        return quad_vec(f, lo, hi, epsabs=0.0, epsrel=1e-13, norm="max", points=points)[0]
+
+    if kind in ("hairpin", "coalescing"):
+        leg = quad(lambda t: np.outer(np.exp(z * e_d * t), dense(t)), a, t_max)
+
+        def circle(th):
+            x = a * cmath.exp(1j * th)
+            psi = polyval(x, sol.b) * cmath.exp(sol.rho * (math.log(a) + 1j * th))
+            return np.outer(np.exp(z * x) * 1j * x, psi)
+
+        jump = 1.0 - cmath.exp(2j * math.pi * lp)
+        return (jump * e_d * leg + quad(circle, d - 2 * math.pi, d)) / (2j * math.pi)
+    leg = e_d * quad(lambda t: np.outer(np.exp(z * e_d * t), series(t) if t <= a else dense(t)),
+                     0.0, t_max, points=[a])
+    if kind == "natural":
+        Nk = int(round(lp.real))
+        leg += sum(np.outer(z ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
+                   for l in range(Nk + 1))
+    return leg
 
 
 def _contour_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
-    """(fs, k, geometry, z, kind) for each of the four contour kinds."""
+    """(fs, k, geometry, z, kind) for each column class, and a column inside a coalescing group.
+
+    The coalescing case needs a genuine vanishing-family point: the poles of
+    its group lie 0.06 apart, so the hairpin at u_0 has a small series zone.
+    """
     from isomonodromy.deformation import radial_family
 
     theta = TAU - 0.5 * math.pi
@@ -395,7 +330,7 @@ def _contour_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
     geo = coalescing_geometry
     seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
     fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
-    cases.append((fs, 0, geo, _ray([12.0, 18.0], geo.tau - 0.5 * math.pi), "group"))
+    cases.append((fs, 0, geo, _ray([12.0, 18.0], geo.tau - 0.5 * math.pi), "coalescing"))
     return cases
 
 
@@ -403,68 +338,40 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
                                                      coalescing_geometry, vanishing_A_uc):
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
-        theta = float(np.angle(z[0]))
-        col = laplace_column(fs, k, 0, geo, z, arg=theta, tol=1e-13,
-                             contour="group" if kind == "group" else "hairpin")
+        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
         assert fs.integer_class(k) == {"natural": "natural",
                                        "halfline": "negative_integer"}.get(kind, "noninteger")
-        ref = _reference_column(fs, k, geo, z, col.eta_used, kind)
+        ref = _reference_column(fs, k, z, col.eta_used, kind)
         scale = float(np.max(np.abs(ref)))
         assert np.max(np.abs(col.reduced - ref)) <= 1e-10 * scale, kind
 
 
 def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geometry,
                                           vanishing_A_uc):
-    """``error`` adds the carry's tolerance bound to the quadrature estimate.
+    """``error``, the series tail at the start plus the carry's stated bound, covers the column.
 
-    The group column's leg starts beyond the series zone, so all of it is
-    carried: its error is nonzero and still covers its distance from the
-    dense-output reference, as it does for every contour kind.
+    It is positive and at least the distance from the quad_vec reference
+    for every column class.
     """
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
-        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
-                             contour="group" if kind == "group" else "hairpin")
-        ref = _reference_column(fs, k, geo, z, col.eta_used, kind)
+        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
+        ref = _reference_column(fs, k, z, col.eta_used, kind)
         dist = np.max(np.abs(col.reduced - ref)) / np.max(np.abs(ref))
-        assert dist <= col.error, kind
-        if kind == "group":
-            assert col.error > 0.0
+        assert 0.0 < col.error and dist <= col.error, kind
 
 
 def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescing_geometry,
                                                  vanishing_A_uc):
-    """One carry per non-group column, three at most on the group contour.
+    """One carry per column of every class, counted as a solve by :func:`isomonodromy.ode.counting`.
 
-    The carries are counted as solves by :func:`isomonodromy.ode.counting`;
-    the Taylor carry keeps no dense output at all.
+    The Taylor carry keeps no dense output at all.
     """
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         with ode.counting() as work:
-            laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13,
-                           contour="group" if kind == "group" else "hairpin")
-        if kind == "group":
-            # leg continuation to the disc, leg integrals, disc circle
-            assert 2 <= work.solves <= 3
-        else:
-            assert work.solves == 1, kind
-
-
-def test_adaptive_quad_warns_at_depth_limit(caplog):
-    def step(ts):
-        return np.where(ts < 1.0 / 3.0, 0.0, 1.0)
-
-    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
-        _, err = adaptive_quad(step, 0.0, 1.0, 1e-13, max_depth=3)
-    assert err > 1e-13
-    assert any("max_depth" in rec.getMessage() and rec.levelno == logging.WARNING
-               for rec in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="isomonodromy.laplace"):
-        val, _ = adaptive_quad(np.cos, 0.0, 1.0, 1e-13)
-    assert abs(val - math.sin(1.0)) < 1e-13
-    assert not caplog.records
+            laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
+        assert work.solves == 1, kind
 
 
 def test_direction_nudge_budget_warns(caplog):
@@ -634,27 +541,22 @@ def _batch_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
         if kind == "hairpin" and k == 1:
             continue
         theta = _matching_ray(geo, 0)
-        z = _ray([6.0, 9.0, 14.0] if kind != "group" else [12.0, 18.0], theta)
-        specs = [laplace.ColumnSpec(j, h, z, theta,
-                                    "group" if kind == "group" and geo.group_of(j) == 0
-                                    else "hairpin")
-                 for h in (0, 1) for j in range(fs.n)]
+        z = _ray([6.0, 9.0, 14.0] if kind != "coalescing" else [12.0, 18.0], theta)
+        specs = [laplace.ColumnSpec(j, h, z, theta) for h in (0, 1) for j in range(fs.n)]
         cases.append((fs, geo, specs, kind))
     return cases
 
 
 def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
-    """One batch of every column agrees with laplace_column per column, all contour kinds."""
+    """One batch of every column agrees with laplace_column per column, in one carry."""
     for fs, geo, specs, kind in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
         with ode.counting() as work:
             batch = laplace.laplace_columns(fs, geo, specs, tol=1e-13)
-        # group junctions beyond the series zone take the one earlier solve
-        assert work.solves == (2 if kind == "group" else 1), kind
+        assert work.solves == 1, kind
         for spec, col in zip(specs, batch):
-            lone = laplace_column(fs, spec.k, spec.h, geo, spec.z, arg=spec.arg, tol=1e-13,
-                                  contour=spec.contour)
+            lone = laplace_column(fs, spec.k, spec.h, geo, spec.z, arg=spec.arg, tol=1e-13)
             scale = float(np.max(np.abs(lone.reduced)))
             assert np.max(np.abs(col.reduced - lone.reduced)) <= 1e-10 * scale, (kind, spec)
             assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)

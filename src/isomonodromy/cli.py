@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .model import (
     BasisSingular,
+    COALESCE_TOL,
     CutPlane,
     DeformationGeometry,
     DriftExceeded,
@@ -63,9 +64,9 @@ from .frobenius import (
 )
 
 # No command loads scipy: the solving modules (continuation, laplace, stokes,
-# deformation) integrate with the package's own DOP853 (``ode``), and the
-# commands that solve import them in their bodies, so ``rays`` and ``levelt``
-# load none of them.
+# deformation) integrate by their own Taylor steps, and the commands that
+# solve import them in their bodies, so ``rays`` and ``levelt`` load none of
+# them.
 
 SCHEMA_VERSION = 1
 
@@ -519,9 +520,9 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
     def formal_stage():
         formal = formal_recursion(system, spec.formal_order)
-        min_gap = min(abs(system.u[i] - system.u[j])
-                      for i in range(system.n) for j in range(i + 1, system.n))
-        if min_gap < 1e-12:  # on the coalescence locus: no recursion cross-check
+        i, j = np.triu_indices(system.n, 1)
+        # on the coalescence locus: no recursion cross-check
+        if np.any(np.abs(system.u[i] - system.u[j]) < COALESCE_TOL):
             return formal, None, None
         fs = build_fuchsian(system)
         sols = [selected_solution(fs, k, cut, spec.order) for k in range(system.n)]

@@ -312,14 +312,13 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     return out
 
 
-def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, tol=DEFAULT_TOL, N=40):
+def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, N=40):
     """Monodromy M_k of the selected-solution basis around a small loop at u_k.
 
     Expresses gamma_k Psi = Psi M_k: identity except row k, whose diagonal
     entry is e^{-2 pi i lambda'_k} and off-diagonal entries are
     alpha_k c_kj.  Raises :class:`BasisSingular` when the selected
     solutions fail to form a fundamental system at the base point.
-    ``tol`` is not read: every carry runs to TAYLOR_EPS.
     """
     if cut is None:
         cut = CutPlane(eta=_default_eta(fs))

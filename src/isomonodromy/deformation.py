@@ -3,8 +3,11 @@
 The reduced deformation flow dA = sum_j [omega_j(u), A] du_j is integrated
 along straight segments in deformation space, every segment from one start
 in one stacked solve (a lone segment is a stack of one; the integrability
-residual's 2n stencil points are one stack).  Diagonal and spectrum of A
-are conserved quantities and double as error monitors.  The non-normalized
+residual's 2n stencil points are one stack).  Along a segment the flow is
+one commutator, quadratic in A and rational in t, so it is integrated by
+Taylor steps whose terms follow by Cauchy products, as the linear carry of
+:mod:`.continuation` does.  Diagonal and spectrum of A are conserved
+quantities and double as error monitors.  The non-normalized
 Schlesinger right-hand sides, the integrability residual, the vanishing
 checks near the coalescence locus and the per-pole Jordan reductions live
 here as well.
@@ -18,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import solve_ivp
-from .model import COALESCE_TOL, DriftExceeded, SingularF1, StepFailure, SystemPair
+from .ode import tally
+from .model import COALESCE_TOL, DriftExceeded, StepFailure, SystemPair
 from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
-from .continuation import DEFAULT_TOL, connection_products
+from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
+                           connection_products)
 from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
@@ -147,46 +151,32 @@ def _min_ingroup_gap_on_segment(u0, u1):
     return float(np.min(np.abs(u[:, i] - u[:, j]))) if i.size else math.inf
 
 
-def _segment_mask(gap0, dgap):
-    """The mask |gap0 + t dgap| < COALESCE_TOL if no entry changes it for t in [0, 1], else None.
-
-    On [0, 1] the modulus is smallest at the clipped foot of the
-    perpendicular from 0 and largest at an end.  An entry counts as fixed
-    when its largest value stays below COALESCE_TOL / 2 (always masked, as
-    the diagonal) or its smallest value above 2 COALESCE_TOL (never masked).
-    """
-    dd = np.abs(dgap) ** 2
-    t = np.clip(-(gap0 * np.conj(dgap)).real / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
-    lo = np.abs(gap0 + t * dgap)
-    hi = np.maximum(np.abs(gap0), np.abs(gap0 + dgap))
-    masked = hi < 0.5 * COALESCE_TOL
-    return masked if np.all(masked | (lo >= 2 * COALESCE_TOL)) else None
-
-
-def carry_tolerances(tol, smallest, total):
-    """rtol and atol of one stacked solve of ``total`` components.
-
-    The error norm of :func:`.ode.solve_ivp` is an RMS over all
-    components, so both tolerances are scaled by sqrt(smallest / total),
-    ``smallest`` the component count of one trajectory: each trajectory
-    then keeps the accuracy its own solve at rtol = max(tol, 1e-13),
-    atol = 1e-3 tol had.  rtol stops at the integrator's floor of 100
-    machine epsilons.
-    """
-    scale = math.sqrt(smallest / total)
-    rtol = max(max(tol, 1e-13) * scale, 100 * np.finfo(float).eps)
-    return rtol, 1e-3 * tol * scale
-
-
 def _transport_stack(u0, A0, targets, tol, guard=0.0):
-    """Carry A0 from u0 along the straight segment to every row of ``targets``, in one solve.
+    """Carry A0 from u0 along the straight segment to every row of ``targets``, by Taylor steps.
 
     Integrates dA_p/dt = sum_j [omega_j, A_p] u_j'(t) = [Omega_p, A_p], with
-    (Omega_p)_ij = (A_p)_ij (du_j - du_i)/(u_j - u_i), for all P targets by
-    DOP853 at :func:`carry_tolerances`.  Raises
-    :class:`StepFailure` when a segment comes within ``guard`` (if > 0) of
-    the coalescence locus or the solve fails, :class:`SingularF1` for a start
-    on the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
+    (Omega_p)_ij = (A_p)_ij dgap_ij / (gap0_ij + t dgap_ij), dgap = du_j - du_i,
+    for all P targets in lockstep, Omega_ij = 0 where the gap is below
+    COALESCE_TOL (the diagonal, the locus).  A step from t0 by h with
+    g = gap0 + t0 dgap and q = h dgap / g has Taylor terms T_m (of A) and
+    W_m (of h Omega) in s = (t - t0) / h:
+    W_0 = q A_0, T_{m+1} = sum_{k<=m} [W_k, T_{m-k}] / (m + 1),
+    W_{m+1} = q (T_{m+1} - W_m), entrywise products with q.  The step
+    starts at h = min(rest of the segment, STEP_RATIO min |g / dgap|), or
+    2 COALESCE_TOL / |dgap| for a moving pair inside the band, which that
+    step leaves.  Orders are summed in chunks until the last two terms of
+    every segment fall below TAYLOR_EPS max|A_p|; a segment whose terms
+    decay slower than STEP_RATIO^m (the flow is quadratic, so its radius
+    can be shorter than the gaps') shortens its step in place to
+    STEP_RATIO times the radius they show, T_k by c^k and W_k by c^(k+1)
+    (Jorba and Zou, Exp. Math. 14, 2005).
+
+    ``tol`` sets only the drift limit.  Reports one solve to
+    :func:`.ode.counting`, one step per lockstep step and one nfev per
+    order.  Raises :class:`StepFailure` when a segment comes within
+    ``guard`` (if > 0) of the coalescence locus, a block is not finite or a
+    step has not converged by MAX_ORDER, :class:`SingularF1` for a start on
+    the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
     when the diagonal or spectrum of a trajectory drifts past 100 * tol.
     Returns the (P, n, n) end matrices and the diagonal and spectrum drifts.
     """
@@ -198,56 +188,87 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
                 f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
                 "stop at a guarded endpoint and extrapolate"
             )
+    f1(SystemPair(A0, u0))  # SingularF1 for a start that violates the vanishing conditions
     lead0 = np.linalg.eigvals(A0)
     diag0 = np.diag(A0).copy()
-    # gaps u_j - u_i along segment p are gap0 + t dgap_p; Omega_ij = A_ij dgap_ij/gap_ij
     du = targets - u0
     gap0 = u0[None, :] - u0[:, None]
     dgap = du[:, None, :] - du[:, :, None]
-    scale = max(1.0, float(np.max(np.abs(A0))))
-    for i, j in np.argwhere(np.abs(gap0) < COALESCE_TOL):
-        if i != j and abs(A0[i, j]) > 1e-10 * scale:
-            raise SingularF1(f"segment starts at u_{i} = u_{j} with |A[{i},{j}]| = "
-                             f"{abs(A0[i, j]):.2e}")
-
-    # Omega_ij is 0 where |gap_ij| < COALESCE_TOL (the diagonal, the locus); a
-    # mask that holds along every segment gives numerator and gap pieces once
-    fixed = _segment_mask(gap0, dgap)
-    if fixed is not None:
-        num = np.where(fixed, 0, dgap)
-        base = np.where(fixed, 1, gap0)
-
-    def rhs(t, y):
-        """Reduced flow dA_p/dt = [Omega_p(t), A_p]: one commutator for the whole stack."""
-        A = y.reshape(P, n, n)
-        if fixed is None:
-            gap = gap0 + t * dgap
-            near = np.abs(gap) < COALESCE_TOL
-            W = A * (np.where(near, 0, dgap) / np.where(near, 1, gap))
-        else:
-            W = A * (num / (base + t * num))
-        return (W @ A - A @ W).ravel()
-
-    rtol, atol = carry_tolerances(tol, n * n, P * n * n)
-    sol = solve_ivp(rhs, (0.0, 1.0), np.tile(A0.ravel(), P), method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepFailure(f"transport integrator failed: {sol.message}")
-    A1 = sol.y[:, -1].reshape(P, n, n)
-    diag_drift = np.max(np.abs(np.diagonal(A1, axis1=1, axis2=2) - diag0), axis=1)
-    spec_drift = np.array([_spectrum_distance(lead0, ev) for ev in np.linalg.eigvals(A1)])
+    A = np.tile(A0, (P, 1, 1))
+    T = np.empty((MAX_ORDER + 1, P, n, n), dtype=complex)
+    W = np.empty_like(T)
+    t = np.zeros(P)
+    steps = nfev = 0
+    while np.any(t < 1):
+        g = gap0 + t[:, None, None] * dgap
+        near = np.abs(g) < COALESCE_TOL
+        with np.errstate(divide="ignore"):
+            reach = np.where(near, 2 * COALESCE_TOL, STEP_RATIO * np.abs(g)) / np.abs(dgap)
+        h = np.minimum(1 - t, reach.min((1, 2)))
+        q = np.where(near, 0, h[:, None, None] * dgap / np.where(near, 1, g))
+        A, c, order = _taylor_step(A, q, T, W)
+        if not np.isfinite(A).all():
+            raise StepFailure(f"Schlesinger transport of {P} segment(s) is not finite")
+        t = np.where(c * h == 1 - t, 1.0, t + c * h)
+        steps += 1
+        nfev += order
+    tally(steps, nfev)
+    diag_drift = np.max(np.abs(np.diagonal(A, axis1=1, axis2=2) - diag0), axis=1)
+    spec_drift = np.array([_spectrum_distance(lead0, ev) for ev in np.linalg.eigvals(A)])
     if max(diag_drift.max(), spec_drift.max()) > 100 * tol:
         raise DriftExceeded(f"invariant drift too large: diag {diag_drift.max():.2e}, "
                             f"spectrum {spec_drift.max():.2e}")
-    return A1, diag_drift, spec_drift
+    return A, diag_drift, spec_drift
+
+
+@np.errstate(divide="ignore", under="ignore")  # the terms of a converged segment may underflow
+def _taylor_step(A, q, T, W):
+    """One Taylor step of the reduced flow for every segment, by the recurrence of :func:`_transport_stack`.
+
+    ``T`` and ``W`` are (MAX_ORDER + 1, P, n, n) term buffers.  Returns the
+    end matrices, the factor c <= 1 each step was shortened by and the
+    number of orders summed.
+    """
+    P = A.shape[0]
+    size = np.abs(A).max((1, 2))
+    ratio = float(np.abs(q).max())
+    hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio)))
+             if ratio > 0 else 2)
+    lo, c = 0, np.ones(P)
+    T[0] = A
+    W[0] = q * A
+    while True:
+        for m in range(lo, hi):
+            C = np.matmul(W[:m + 1], T[m::-1]).sum(0)
+            C -= np.matmul(T[m::-1], W[:m + 1]).sum(0)
+            T[m + 1] = C / (m + 1)
+            W[m + 1] = q * (T[m + 1] - W[m])
+        last = np.abs(T[hi - 1:hi + 1]).max((2, 3))
+        slow = np.any(last > TAYLOR_EPS * size, 0)
+        if not slow.any():
+            return T[hi::-1].sum(0), c, hi  # smallest terms first
+        if hi == MAX_ORDER:
+            raise StepFailure(f"Schlesinger step of {P} segment(s) did not converge "
+                              f"in {MAX_ORDER} orders")
+        # the radius (max|A| / |T_m|)^(1/m) of the last two terms, in units of the step
+        m = np.arange(hi + 1)[:, None]
+        radius = np.min((size / last) ** (1 / m[hi - 1:]), 0)
+        shorten = np.where(slow, np.minimum(1.0, STEP_RATIO * radius), 1.0)
+        if np.any(shorten < 1):
+            power = shorten ** m
+            T[:hi + 1] *= power[..., None, None]
+            W[:hi + 1] *= (power * shorten)[..., None, None]
+            q = q * shorten[:, None, None]
+            c *= shorten
+        lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
 
 
 def transport(state: DeformationState, target_u, tol=1e-10,
               enforce_guard=True) -> DeformationState:
     """Transport A along the straight segment to ``target_u``: a stack of one.
 
-    Flow, checks and errors are those of :func:`_transport_stack`; with
-    ``enforce_guard``, segments nearing the locus below NEAR_DELTA_GUARD are
+    Flow, checks and errors are those of :func:`_transport_stack`; ``tol``
+    sets only the drift limit, 100 tol.  With ``enforce_guard``, segments nearing the locus below NEAR_DELTA_GUARD are
     rejected (sample endpoint limits and extrapolate instead).  Only a target
     equal to the start is skipped.
     """
@@ -284,7 +305,8 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     """Isomonodromic family along u(t) = u^c + t (u - u^c), seeded at u^c.
 
     The matrix of ``system`` prescribes A(u^c): its in-group entries (for
-    pairs coalescing at u^c) must vanish.  The family is grown outward from
+    pairs coalescing at u^c) must vanish as :func:`f1` requires
+    (:class:`SingularF1` otherwise) and are set to 0.  The family is grown outward from
     t = 1e-8 (in-group quotients are O(t) there, so the relative seeding
     error is O(1e-8)) and then transported to the requested t values.
 
@@ -294,15 +316,9 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     u_c = np.asarray(u_c, dtype=complex)
     u1 = np.asarray(system.u, dtype=complex)
     v = u1 - u_c
-    A0 = np.asarray(system.A, dtype=complex).copy()
-    for i in range(u_c.size):
-        for j in range(u_c.size):
-            if i != j and abs(u_c[i] - u_c[j]) < COALESCE_TOL:
-                if abs(A0[i, j]) > 1e-10:
-                    raise ValueError(
-                        f"A[{i},{j}] must vanish at u^c for the coalescing pair"
-                    )
-                A0[i, j] = 0.0
+    f1(SystemPair(system.A, u_c))  # SingularF1 unless the in-group entries vanish
+    near = np.abs(u_c[:, None] - u_c[None, :]) < COALESCE_TOL
+    A0 = np.where(near & ~np.eye(u_c.size, dtype=bool), 0, np.asarray(system.A, dtype=complex))
     order = np.argsort(np.asarray(t_values))
     ts = np.asarray(t_values)[order]
     state = DeformationState(u=u_c + 1e-8 * v, A=A0)
@@ -373,8 +389,8 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
 
     Central finite differences in u_i, u_k with the matrix A transported
     isomonodromically to each of the 2n stencil points u +- step e_i, all in
-    one stacked solve; F_1 is built once per stencil point.  Returns the max
-    over pairs.  Raises :class:`StepFailure` before any solve when two u_i
+    one stacked solve, whose drift limit is 100 ``tol``; F_1 is built once
+    per stencil point.  Returns the max over pairs.  Raises :class:`StepFailure` before any solve when two u_i
     are closer than COALESCE_TOL: there, on the coalescence locus, the
     reduced flow is singular and no stencil can be centred.  So does a
     stencil segment that comes within NEAR_DELTA_GUARD of the locus, as in

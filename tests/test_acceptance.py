@@ -260,7 +260,7 @@ def test_criterion_8_monodromy_structure():
         fs = build_fuchsian(sp)
         cut = CutPlane(eta=1.5 * math.pi - tau)
         for k in range(n):
-            M = monodromy_matrix(fs, k, cut, tol=1e-13, N=40)
+            M = monodromy_matrix(fs, k, cut, N=40)
             prediction = np.eye(n, dtype=complex)
             prediction[k, k] = cmath.exp(-2j * math.pi * sp.lambda_prime[k])
             mask = np.ones((n, n), bool)

@@ -92,7 +92,7 @@ def test_monodromy_diagonal():
     A = np.diag([0.3 + 0.1j, -0.7])
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     for k in range(2):
-        M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
+        M = monodromy_matrix(fs, k, CutPlane(eta=ETA))
         expected = np.eye(2, dtype=complex)
         expected[k, k] = cmath.exp(-2j * math.pi * A[k, k])
         assert np.max(np.abs(M - expected)) < 5e-12
@@ -100,7 +100,7 @@ def test_monodromy_diagonal():
 
 def test_monodromy_half_exponent(system_2x2):
     fs = build_fuchsian(system_2x2)
-    M = monodromy_matrix(fs, 0, CutPlane(eta=ETA), tol=1e-12)
+    M = monodromy_matrix(fs, 0, CutPlane(eta=ETA))
     assert M[0, 0] == pytest.approx(-1.0, abs=1e-9)
     # identity outside row k
     assert abs(M[1, 0]) < 1e-9 and M[1, 1] == pytest.approx(1.0, abs=1e-9)
@@ -109,7 +109,7 @@ def test_monodromy_half_exponent(system_2x2):
 def test_monodromy_eigenvalue_structure(system_2x2):
     fs = build_fuchsian(system_2x2)
     for k in range(2):
-        M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
+        M = monodromy_matrix(fs, k, CutPlane(eta=ETA))
         ev = sorted(np.linalg.eigvals(M), key=lambda z: z.real)
         expect = sorted(
             [1.0, cmath.exp(-2j * math.pi * fs.lambda_prime[k])], key=lambda z: z.real
@@ -159,7 +159,7 @@ def test_loop_composition_two_poles(system_2x2):
     base, Psi = _basis_at_big_base(fs, cut, 2.8)
     looped = _loop_at_pole(fs, 0, Psi, base)
     Mbig = np.linalg.solve(Psi, looped)
-    M = [monodromy_matrix(fs, k, cut, tol=1e-13) for k in range(2)]
+    M = [monodromy_matrix(fs, k, cut) for k in range(2)]
     candidates = [M[0] @ M[1], M[1] @ M[0]]
     errs = [np.max(np.abs(Mbig - c)) for c in candidates]
     assert min(errs) < 1e-7
@@ -169,7 +169,7 @@ def test_basis_singular_raises_for_integer_spectrum():
     A = np.array([[0.0, 1.0], [0.0, 2.0]], dtype=complex)  # eigenvalues 0, 2
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     with pytest.raises(BasisSingular):
-        monodromy_matrix(fs, 0, CutPlane(eta=ETA), tol=1e-12)
+        monodromy_matrix(fs, 0, CutPlane(eta=ETA))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_monodromy_solve_count(k):
     A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.4 + 0.9j]))
     with ode.counting() as work:
-        M = monodromy_matrix(fs, k, CutPlane(eta=ETA), tol=1e-12)
+        M = monodromy_matrix(fs, k, CutPlane(eta=ETA))
     assert work.solves == (4 if k == 0 else 5)
     assert abs(M[k, k] - cmath.exp(-2j * math.pi * A[k, k])) < 1e-9
 

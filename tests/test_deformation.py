@@ -111,6 +111,20 @@ def test_transport_runs_when_numpy_raises_on_every_error():
     assert np.array_equal(strict.A, free.A)
 
 
+def test_stack_runs_when_numpy_raises_on_every_error():
+    """A segment that converges long before its stack-mate sums further orders; no term of it raises."""
+    from isomonodromy.deformation import _transport_stack
+
+    rng = np.random.default_rng(1)
+    A = 3.0 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = np.array([0.0, 1.0, 1j, 1 + 1j])
+    targets = np.stack([u + 1e-7, u + np.array([0.3, -0.2j, 0.1, 0.0])])
+    free, _, _ = _transport_stack(u, A, targets, 1e-6)
+    with np.errstate(all="raise"):
+        strict, _, _ = _transport_stack(u, A, targets, 1e-6)
+    assert np.array_equal(strict, free)
+
+
 def test_transport_invariants_and_path_independence():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(3, 3)) * 0.4 + 1j * rng.normal(size=(3, 3)) * 0.3
@@ -346,21 +360,14 @@ def test_short_segment_far_from_the_origin_is_transported():
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_integrability_residual_makes_one_solve(monkeypatch, n):
-    import isomonodromy.deformation as deformation
+def test_integrability_residual_makes_one_solve(n):
     from conftest import draw_system
+    from isomonodromy import ode
 
-    calls = []
-    original = deformation.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(deformation, "solve_ivp", counted)
     system, _ = draw_system(np.random.default_rng(40 + n), n)
-    integrability_residual(system, tol=1e-12)
-    assert len(calls) == 1
+    with ode.counting() as work:
+        integrability_residual(system, tol=1e-12)
+    assert work.solves == 1
 
 
 RESONANT_GROUP_A = np.array([[0.5, 0.0, 0.4], [0.0, 2.5, -0.3], [0.6, 0.7, 0.25]], dtype=complex)
@@ -443,8 +450,8 @@ def test_stacked_stencil_matches_lone_transports(n):
         assert np.max(np.abs(A1 - lone)) < 1e-10 * np.max(np.abs(lone))
 
 
-def _transport_single_reference(u0, u1, A0, tol):
-    """One segment solved on its own: the single-trajectory flow and tolerances."""
+def _transport_single_reference(u0, u1, A0):
+    """One segment by scipy's DOP853 at rtol = 1e-13, atol = 1e-20 on the masked reduced flow."""
     from scipy.integrate import solve_ivp
 
     from isomonodromy.model import COALESCE_TOL
@@ -460,14 +467,23 @@ def _transport_single_reference(u0, u1, A0, tol):
         W = A * q
         return (W @ A - A @ W).ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), A0.ravel(), method="DOP853",
-                    rtol=max(tol, 1e-13), atol=1e-3 * tol)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.asarray(A0, dtype=complex).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-20)
     return sol.y[:, -1].reshape(n, n)
+
+
+def _assert_matches_reference(A1, u0, u1, A0):
+    """The Taylor end matrix within 1e-11 of the scipy reference, relative to max(1, max|A|)."""
+    ref = _transport_single_reference(np.asarray(u0, dtype=complex),
+                                      np.asarray(u1, dtype=complex), A0)
+    assert np.max(np.abs(A1 - ref)) < 1e-11 * max(1.0, float(np.max(np.abs(ref))))
 
 
 @pytest.mark.parametrize("case", ["random", "locus"])
 def test_transport_is_a_stack_of_one(case):
-    """A lone transport is bit-identical to the single-trajectory solve."""
+    """A lone transport is the stack of its one segment; off the locus it matches the scipy reference."""
+    from isomonodromy.deformation import _transport_stack
+
     if case == "random":
         rng = np.random.default_rng(11)
         A = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -478,46 +494,103 @@ def test_transport_is_a_stack_of_one(case):
         u0 = np.array([0.0, 0.0, 1.0], dtype=complex)
         u1 = np.array([0.1, -0.1, 1.0], dtype=complex)
     st = transport(DeformationState(u=u0, A=A.copy()), u1, tol=1e-10, enforce_guard=False)
-    assert np.array_equal(st.A, _transport_single_reference(u0, u1, A, 1e-10))
+    (stacked,), _, _ = _transport_stack(u0, A, u1[None], 1e-10)
+    assert np.array_equal(st.A, stacked)
+    if case == "random":
+        # From the locus, A_01 = c t^(A_11 - A_00) + O(t) solves the flow for
+        # every c: each integrator picks its own c leaving the COALESCE_TOL
+        # band (scipy's DOP853 alone moves A_01 by 3.5e-6 between atol 1e-13
+        # and 1e-20), so only the random segment has a reference.
+        _assert_matches_reference(st.A, u0, u1, A)
 
 
-def _gaps(u0, targets):
-    du = targets - u0
-    return u0[None, :] - u0[:, None], du[:, None, :] - du[:, :, None]
-
-
-def test_segment_mask_is_fixed_only_off_the_locus():
-    """The mask is computed once per solve unless some entry crosses COALESCE_TOL."""
-    from isomonodromy.deformation import _segment_mask
-
-    u0 = np.array([0.0, 1.0, 0.5j])
-    away = u0 + np.array([[0.1, -0.1, 0.2j], [0.0, 0.3, 0.0]])
-    assert np.array_equal(_segment_mask(*_gaps(u0, away)), np.broadcast_to(np.eye(3), (2, 3, 3)))
-    # u_0 and u_1 meet halfway, or the segment leaves the locus: the mask changes with t
-    through = np.array([[1.0, 0.0, 0.5j]])
-    assert _segment_mask(*_gaps(u0, through)) is None
-    on_locus = np.array([0.0, 0.0, 1.0])
-    assert _segment_mask(*_gaps(on_locus, np.array([[0.1, -0.1, 1.0]]))) is None
-    # a coalesced pair moving together stays masked along the whole segment
-    together = _segment_mask(*_gaps(on_locus, np.array([[0.2j, 0.2j, 1.0]])))
-    assert np.array_equal(together[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool))
-
-
-def test_fixed_mask_transport_matches_the_per_evaluation_mask(monkeypatch):
-    """Bit-identical end matrices whether the mask is fixed once or rebuilt per evaluation."""
-    from isomonodromy import deformation
+@pytest.mark.parametrize("n", range(3, 7))
+def test_integrability_stack_matches_the_reference(n):
+    """All 2n stencil segments of one Taylor stack, each against its own scipy solve."""
+    from conftest import draw_system
     from isomonodromy.deformation import _transport_stack
 
-    rng = np.random.default_rng(5)
-    n = 4
-    A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    u0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-    targets = u0 + 0.05 * (rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n)))
-    assert deformation._segment_mask(*_gaps(u0, targets)) is not None
-    fixed, _, _ = _transport_stack(u0, A, targets, 1e-11)
-    monkeypatch.setattr(deformation, "_segment_mask", lambda gap0, dgap: None)
-    per_eval, _, _ = _transport_stack(u0, A, targets, 1e-11)
-    assert np.array_equal(fixed, per_eval)
+    system, _ = draw_system(np.random.default_rng(80 + n), n)
+    targets = system.u + 1e-3 * np.concatenate([np.eye(n), -np.eye(n)])
+    stacked, _, _ = _transport_stack(system.u, system.A, targets, 1e-12)
+    for A1, u1 in zip(stacked, targets):
+        _assert_matches_reference(A1, system.u, u1, system.A)
+
+
+def test_radial_family_matches_the_reference(coalescing_geometry, vanishing_A_uc):
+    """A family grown from t = 1e-8 off the locus, segment by segment against scipy."""
+    u_c = np.asarray(coalescing_geometry.u_c, dtype=complex)
+    v = np.array([0.03, -0.03, 1.0]) - u_c
+    ts = [0.5, 1.0]
+    states = radial_family(SystemPair(vanishing_A_uc, u_c + v), u_c, ts, tol=1e-12)
+    u_a, A_a = u_c + 1e-8 * v, vanishing_A_uc
+    for t, st in zip(ts, states):
+        _assert_matches_reference(st.A, u_a, st.u, A_a)
+        u_a, A_a = st.u, st.A
+
+
+def test_radial_family_rejects_violated_vanishing(coalescing_geometry, vanishing_A_uc):
+    """An in-group entry above VANISH_TOL max(1, max|A|) at u^c raises SingularF1, as f1 does."""
+    A = vanishing_A_uc.copy()
+    A[0, 1] = 1e-6
+    with pytest.raises(SingularF1):
+        radial_family(SystemPair(A, [0.03, -0.03, 1.0]), coalescing_geometry.u_c, [1.0])
+
+
+def _steps_the_gaps_allow(u0, u1):
+    """Steps of a segment whose every step is STEP_RATIO of the nearest gap's reach."""
+    from isomonodromy.continuation import STEP_RATIO
+
+    i, j = np.triu_indices(u0.size, 1)
+    gap0, dgap = u0[j] - u0[i], (u1 - u0)[j] - (u1 - u0)[i]
+    t, steps = 0.0, 0
+    while t < 1:
+        h = min(1 - t, STEP_RATIO * np.min(np.abs(gap0 + t * dgap) / np.abs(dgap)))
+        t = 1.0 if h == 1 - t else t + h
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("scale", [1.5, 3.0])
+def test_large_A_steps_shorten_and_match_the_reference(scale):
+    """For large |A| the quadratic flow's own radius is shorter than the gaps', so steps shorten.
+
+    The draws take more steps in all than the gaps alone allow; without
+    the shortening rule the scale-3.0 draws raise StepFailure.
+    """
+    from conftest import draw_system
+    from isomonodromy import ode
+    from isomonodromy.deformation import _transport_stack
+
+    rng = np.random.default_rng(int(10 * scale))
+    allowed = 0
+    with ode.counting() as work:
+        for n in (3, 4, 5):
+            system, _ = draw_system(rng, n, scale=scale, min_gap=0.35)
+            u1 = system.u + 0.2 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+            (A1,), _, _ = _transport_stack(system.u, system.A, u1[None], 1e-10)
+            allowed += _steps_the_gaps_allow(system.u, u1)
+            _assert_matches_reference(A1, system.u, u1, system.A)
+    assert work.steps > allowed
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_closed_loop_makes_one_short_solve_per_segment(n):
+    """u_0 once around a circle of a tenth of the smallest gap in 16 transports."""
+    from conftest import draw_system
+    from isomonodromy import ode
+
+    system, _ = draw_system(np.random.default_rng(60 + n), n, min_gap=0.35)
+    gaps = np.abs(system.u[:, None] - system.u[None, :]) + np.diag(np.full(n, np.inf))
+    radius = 0.1 * gaps.min()
+    state = DeformationState(u=system.u, A=system.A)
+    with ode.counting() as work:
+        for s in range(1, 17):
+            u = system.u.copy()
+            u[0] += radius * (np.exp(2j * np.pi * s / 16) - 1)
+            state = transport(state, u, tol=1e-12)
+    assert work.solves == 16 and work.steps <= 32
+    assert np.max(np.abs(state.A - system.A)) < 1e-12 * max(1.0, np.max(np.abs(system.A)))
 
 
 def _assignment_distance(ev0, ev1):

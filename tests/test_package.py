@@ -89,24 +89,22 @@ print(json.dumps(seen))
 
 @pytest.mark.parametrize("module", ["isomonodromy.stokes", "isomonodromy.deformation"])
 def test_solving_modules_load_scipy_integrate(module):
-    """Importing a solving module loads its integrator, the scipy.integrate stand-in ``isomonodromy.ode``.
+    """A solving module imports with scipy blocked and brings its integrators' work counter.
 
-    The solver is loaded at import, so the first timed solve imports nothing,
-    and it is the in-repo port: the module imports with scipy blocked.  Only
-    the Schlesinger transport of ``deformation`` uses it; ``continuation``
-    carries by Taylor steps and does not import it.
+    ``isomonodromy.ode`` took the place of scipy.integrate and now holds
+    only the counter: both integrators are Taylor steppers in their own
+    modules, and no module has a ``solve_ivp``.
     """
     code = f"""
 import json, sys
 sys.modules["scipy"] = None
 import {module}
 ode = sys.modules.get("isomonodromy.ode")
-deformation = sys.modules.get("isomonodromy.deformation")
-print(json.dumps([ode is not None,
-                  deformation is None or deformation.solve_ivp is ode.solve_ivp,
-                  hasattr(sys.modules["isomonodromy.continuation"], "solve_ivp")]))
+print(json.dumps([ode is not None and hasattr(ode, "tally"),
+                  any(hasattr(m, "solve_ivp") for name, m in list(sys.modules.items())
+                      if name.startswith("isomonodromy"))]))
 """
-    assert _fresh(code) == [True, True, False]
+    assert _fresh(code) == [True, False]
 
 
 def test_solvers_import_nothing_and_need_no_scipy():
@@ -176,17 +174,17 @@ def _call_sites(path, name):
 
 
 def test_two_integrator_sites():
-    """Two integrators, one call site each.
+    """Two integrators, each reporting its work to ``ode.tally`` from one place.
 
-    Both Stokes routes integrate by the Taylor carry ``continuation.carry``,
-    the only integrator besides DOP853 that reports its work to
-    ``ode.tally``; the Schlesinger transport of A is the only DOP853 solve.
+    Both Stokes routes integrate by the Taylor carry ``continuation.carry``
+    and the Schlesinger transport of A by the Taylor steps of
+    ``deformation._transport_stack``; nothing calls a ``solve_ivp``.
     """
     paths = sorted((ROOT / "src" / "isomonodromy").glob("*.py"))
     solves = [site for path in paths for site in _call_sites(path, "solve_ivp")]
     tallies = [site for path in paths if path.stem != "ode" for site in _call_sites(path, "tally")]
-    assert solves == ["deformation._transport_stack"]
-    assert tallies == ["continuation.carry"]
+    assert solves == []
+    assert tallies == ["continuation.carry", "deformation._transport_stack"]
 
 
 def test_readme_library_sketch_runs():

@@ -29,6 +29,7 @@ _EXPORTS = {
     "LocalSolution": "frobenius",
     "build_fuchsian": "frobenius",
     "gamma_shift": "frobenius",
+    "jordan_reduce_Bj": "frobenius",
     "levelt_at_confluence": "frobenius",
     "selected_solution": "frobenius",
     "singular_solution": "frobenius",
@@ -50,7 +51,6 @@ _EXPORTS = {
     "stokes_pair_direct": "stokes",
     "DeformationState": "deformation",
     "integrability_residual": "deformation",
-    "jordan_reduce_Bj": "deformation",
     "omega": "deformation",
     "schlesinger_rhs": "deformation",
     "transport": "deformation",

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import tally
-from .model import BasisSingular, COALESCE_TOL, CutPlane, IllConditioned, StepFailure
+from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
@@ -312,7 +312,7 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     return out
 
 
-def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, N=40):
+def monodromy_matrix(fs: FuchsianSystem, k: int, cut: CutPlane, N=40):
     """Monodromy M_k of the selected-solution basis around a small loop at u_k.
 
     Expresses gamma_k Psi = Psi M_k: identity except row k, whose diagonal
@@ -320,8 +320,6 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, N=40):
     alpha_k c_kj.  Raises :class:`BasisSingular` when the selected
     solutions fail to form a fundamental system at the base point.
     """
-    if cut is None:
-        cut = CutPlane(eta=_default_eta(fs))
     sols = [selected_solution(fs, m, cut, N) for m in range(fs.n)]
     [(_, base, Psi)] = continue_basis(fs, cut, sols, (k,))
     cond = np.linalg.cond(Psi)
@@ -332,20 +330,6 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut=None, N=40):
         )
     [looped] = carry(fs, [_loop(fs, k, base, Psi)])
     return np.linalg.solve(Psi, looped)
-
-
-def _default_eta(fs):
-    """Any admissible eta for the given pole configuration (deterministic)."""
-    args = sorted(
-        cmath.phase(fs.u[j] - fs.u[m]) % math.pi
-        for j in range(fs.n) for m in range(fs.n)
-        if j != m and abs(fs.u[j] - fs.u[m]) > COALESCE_TOL
-    )
-    if not args:
-        return 0.5 * math.pi
-    gaps = [(args + [args[0] + math.pi])[i + 1] - args[i] for i in range(len(args))]
-    i = int(np.argmax(gaps))
-    return (args[i] + gaps[i] / 2.0) % math.pi
 
 
 def alpha_factor(lambda_prime_k, klass):

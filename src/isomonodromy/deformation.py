@@ -6,16 +6,18 @@ in one stacked solve (a lone segment is a stack of one; the integrability
 residual's 2n stencil points are one stack).  Along a segment the flow is
 one commutator, quadratic in A and rational in t, so it is integrated by
 Taylor steps whose terms follow by Cauchy products, as the linear carry of
-:mod:`.continuation` does.  Diagonal and spectrum of A are conserved
-quantities and double as error monitors.  The non-normalized
-Schlesinger right-hand sides, the integrability residual, the vanishing
-checks near the coalescence locus and the per-pole Jordan reductions live
-here as well.
+:mod:`.continuation` does.  The flow conserves the diagonal of A and its
+characteristic polynomial, and both double as error monitors.  The
+polynomial is watched through the power sums tr(A^k), k = 1..n, which fix
+it by Newton's identities: they are polynomial in A, so unlike the
+eigenvalues they need no eigensolver and stay well conditioned when A is
+far from normal.  The non-normalized Schlesinger right-hand sides, the
+integrability residual and the vanishing checks near the coalescence locus
+live here as well; the last two build [B_i, B_k] from the rank-one residues.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -23,18 +25,12 @@ import numpy as np
 
 from .ode import tally
 from .model import COALESCE_TOL, DriftExceeded, StepFailure, SystemPair
-from .frobenius import FuchsianSystem, build_fuchsian, _jordan_reduce_single
+from .frobenius import FuchsianSystem, build_fuchsian
 from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
 from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
-
-logger = logging.getLogger(__name__)
-
-
-class NotReducible(np.linalg.LinAlgError):
-    """Requested explicit reduction branch does not apply."""
 
 
 def _omegas(F):
@@ -56,14 +52,20 @@ def omega(system, k):
     return _omegas(f1(system))[k]
 
 
-def _residue(fs: FuchsianSystem, k):
-    """The residue B_k = -E_k(A+I) as a dense matrix: row k of -(A+I), zeros elsewhere."""
-    B = np.zeros((fs.n, fs.n), dtype=complex)
-    B[k] = -fs.A_plus_I[k]
-    return B
+def _residue_commutators(w):
+    """Every [B_i, B_k], stacked (n, n, n, n), of the rank-one residues B_m = -e_m w_m^T.
+
+    With w_m = row m of A+I, [B_i, B_k] = w_i[k] e_i w_k^T - w_k[i] e_k w_i^T.
+    """
+    n = w.shape[0]
+    i, k = np.ogrid[:n, :n]
+    C = np.zeros((n, n, n, n), dtype=complex)
+    C[i, k, i] = w[:, :, None] * w[None, :, :]
+    C[i, k, k] -= w.T[:, :, None] * w[:, None, :]
+    return C
 
 
-def schlesinger_rhs(fs: FuchsianSystem, u=None):
+def schlesinger_rhs(fs: FuchsianSystem):
     """Non-normalized Schlesinger right-hand sides d B_k / d u_i.
 
     Returns ``(derivs, consistency)`` where ``derivs[(i, k)]`` is the
@@ -73,41 +75,32 @@ def schlesinger_rhs(fs: FuchsianSystem, u=None):
     COALESCE_TOL lies on the coalescence locus and its term
     [B_i, B_k] / (u_i - u_k) is taken as 0, as in the reduced flow.
     """
-    if u is None:
-        u = fs.u
-    system = SystemPair(fs.A, u)
     n = fs.n
-    om = _omegas(f1(system))
-    B = [_residue(fs, k) for k in range(n)]
-
-    def pole_term(i, k):
-        """[B_i, B_k] / (u_i - u_k), 0 for a pair on the coalescence locus."""
-        if abs(u[i] - u[k]) < COALESCE_TOL:
-            return 0.0
-        return (B[i] @ B[k] - B[k] @ B[i]) / (u[i] - u[k])
-
-    derivs = {}
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                derivs[(i, k)] = pole_term(i, k) + om[i] @ B[k] - B[k] @ om[i]
-        acc = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            if k != i:
-                acc -= pole_term(i, k)
-        derivs[(i, i)] = acc + om[i] @ B[i] - B[i] @ om[i]
-    Bsum = sum(B)
-    worst = 0.0
-    for i in range(n):
-        total = sum(derivs[(i, k)] for k in range(n))
-        target = om[i] @ Bsum - Bsum @ om[i]
-        worst = max(worst, float(np.max(np.abs(total - target))))
-    return derivs, worst
+    m = np.arange(n)
+    om = _omegas(f1(SystemPair(fs.A, fs.u)))
+    gap = fs.u[:, None] - fs.u[None, :]
+    near = np.abs(gap) < COALESCE_TOL
+    pole = _residue_commutators(fs.A_plus_I) / np.where(near, 1, gap)[..., None, None]
+    pole[near] = 0.0
+    pole[m, m] = -pole.sum(1)
+    B = np.zeros((n, n, n), dtype=complex)
+    B[m, m] = -fs.A_plus_I
+    derivs = pole + om[:, None] @ B[None] - B[None] @ om[:, None]
+    Bsum = B.sum(0)
+    worst = float(np.max(np.abs(derivs.sum(1) - (om @ Bsum - Bsum @ om))))
+    return {(i, k): derivs[i, k] for i in range(n) for k in range(n)}, worst
 
 
 @dataclass
 class DeformationState:
-    """Current deformation point and matrix, with transport statistics."""
+    """Current deformation point and matrix, with transport statistics.
+
+    ``diag_drift`` is the largest change of the diagonal of A seen so far,
+    and ``spectrum_drift`` the largest scaled power-sum drift
+    max_k |Delta tr(A^k)| / ||A_0||^k, k = 1..n (:func:`_power_sum_drift`):
+    the power sums fix the spectrum, and are well conditioned where the
+    eigenvalues of a far-from-normal A are not.
+    """
 
     u: np.ndarray
     A: np.ndarray
@@ -118,37 +111,35 @@ class DeformationState:
         return SystemPair(self.A, self.u)
 
 
-def _spectrum_distance(ev0, ev1):
-    """Max matched distance between two eigenvalue sets, each ev0 paired with its nearest ev1.
+def _power_sum_drift(A0, A):
+    """max_k |tr(A_p^k) - tr(A0^k)| / ||A0||^k, k = 1..n, for each matrix A_p of the stack ``A``.
 
-    Let r be the largest nearest-neighbour distance and delta the smallest
-    separation of ev0.  If r < delta / 2, the nearest-neighbour pairing is
-    the unique optimal assignment, both for the sum of the distances (the
-    assignment ``linear_sum_assignment`` finds) and for their maximum:
-    - it is one-to-one, since an ev1 nearest to a_i and to a_k would put
-      |a_i - a_k| <= 2 r < delta;
-    - any other one-to-one pairing sends some a_i to the partner b_k of an
-      a_k != a_i, at distance >= |a_i - a_k| - |a_k - b_k| >= delta - r >
-      delta / 2 > r >= |a_i - b_i|.  So each of its distances is at least
-      the nearest-neighbour one, and at least one is larger.
-    Outside that regime r is only a lower bound on the largest matched
-    distance of every pairing, and a WARNING is logged.
+    By Newton's identities the power sums tr(A^k), k = 1..n, fix the
+    characteristic polynomial that the flow conserves.  Both matrices are
+    divided by the Frobenius norm ||A0|| (1 for a zero A0) before the
+    powers are taken, so no power overflows.
     """
-    r = float(np.max(np.min(np.abs(ev0[:, None] - ev1[None, :]), axis=1)))
-    sep = np.abs(ev0[:, None] - ev0[None, :])
-    np.fill_diagonal(sep, np.inf)
-    delta = float(np.min(sep))
-    if not r < 0.5 * delta:
-        logger.warning("spectrum drift %.3e is not below half the eigenvalue separation "
-                       "%.3e: nearest-neighbour pairing gives only a lower bound", r, delta)
-    return r
+    scale = np.linalg.norm(A0) or 1.0
+    X0, X = A0 / scale, A / scale
+    Y0, Y = X0, X
+    drift = np.zeros(A.shape[0])
+    for _ in range(A0.shape[0]):
+        drift = np.maximum(drift, np.abs(np.trace(Y, axis1=1, axis2=2) - np.trace(Y0)))
+        Y0, Y = Y0 @ X0, Y @ X
+    return drift
 
 
 def _min_ingroup_gap_on_segment(u0, u1):
-    """Min of the pairwise |u_i - u_j| over 33 equispaced points of the segment."""
-    u = u0 + np.linspace(0.0, 1.0, 33)[:, None] * (u1 - u0)
+    """Exact min over t in [0, 1] of the pairwise |u_i - u_j| along the segment.
+
+    Each gap g0 + t dg is linear in t, so its modulus is least at
+    t = -Re(g0 / dg) clipped to [0, 1]; a pair with dg = 0 keeps g0.
+    """
     i, j = np.triu_indices(u0.size, 1)
-    return float(np.min(np.abs(u[:, i] - u[:, j]))) if i.size else math.inf
+    du = u1 - u0
+    g0, dg = u0[j] - u0[i], du[j] - du[i]
+    t = np.clip(-np.divide(g0, dg, out=np.zeros_like(g0), where=dg != 0).real, 0.0, 1.0)
+    return float(np.min(np.abs(g0 + t * dg), initial=math.inf))
 
 
 def _transport_stack(u0, A0, targets, tol, guard=0.0):
@@ -177,8 +168,9 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     ``guard`` (if > 0) of the coalescence locus, a block is not finite or a
     step has not converged by MAX_ORDER, :class:`SingularF1` for a start on
     the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
-    when the diagonal or spectrum of a trajectory drifts past 100 * tol.
-    Returns the (P, n, n) end matrices and the diagonal and spectrum drifts.
+    when the diagonal or the scaled power sums (:func:`_power_sum_drift`,
+    the spectrum's invariants) of a trajectory drift past 100 * tol.
+    Returns the (P, n, n) end matrices and the diagonal and power-sum drifts.
     """
     P, n = targets.shape
     for u1 in targets if guard > 0 else ():
@@ -189,7 +181,6 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
                 "stop at a guarded endpoint and extrapolate"
             )
     f1(SystemPair(A0, u0))  # SingularF1 for a start that violates the vanishing conditions
-    lead0 = np.linalg.eigvals(A0)
     diag0 = np.diag(A0).copy()
     du = targets - u0
     gap0 = u0[None, :] - u0[:, None]
@@ -214,10 +205,10 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
         nfev += order
     tally(steps, nfev)
     diag_drift = np.max(np.abs(np.diagonal(A, axis1=1, axis2=2) - diag0), axis=1)
-    spec_drift = np.array([_spectrum_distance(lead0, ev) for ev in np.linalg.eigvals(A)])
+    spec_drift = _power_sum_drift(A0, A)
     if max(diag_drift.max(), spec_drift.max()) > 100 * tol:
         raise DriftExceeded(f"invariant drift too large: diag {diag_drift.max():.2e}, "
-                            f"spectrum {spec_drift.max():.2e}")
+                            f"power sums {spec_drift.max():.2e}")
     return A, diag_drift, spec_drift
 
 
@@ -268,9 +259,11 @@ def transport(state: DeformationState, target_u, tol=1e-10,
     """Transport A along the straight segment to ``target_u``: a stack of one.
 
     Flow, checks and errors are those of :func:`_transport_stack`; ``tol``
-    sets only the drift limit, 100 tol.  With ``enforce_guard``, segments nearing the locus below NEAR_DELTA_GUARD are
-    rejected (sample endpoint limits and extrapolate instead).  Only a target
-    equal to the start is skipped.
+    sets only the drift limit, 100 tol, on the diagonal and on the scaled
+    power sums that stand for the spectrum.  With ``enforce_guard``, a
+    segment whose exact least gap is below NEAR_DELTA_GUARD is rejected
+    (sample endpoint limits and extrapolate instead).  Only a target equal
+    to the start is skipped.
     """
     u0 = np.asarray(state.u, dtype=complex)
     u1 = np.asarray(target_u, dtype=complex)
@@ -332,37 +325,21 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     return result
 
 
-def vanishing_check(system, groups=None):
-    """Vanishing-condition report for the in-group pairs at the current u.
+def vanishing_check(system, groups):
+    """Vanishing-condition report for the in-group pairs of ``groups`` at the current u.
 
-    For each pair that coalesces (per ``groups`` or per proximity), report
-    |A_ij|, the ratio |A_ij|/|u_i-u_j| and ||[B_i, B_j]||, with a verdict
-    per the equivalence |A_ij| -> 0  <=>  [B_i, B_j] -> 0.  At gap 0 both
-    ratios are None.  With w_i = row i of A+I, B_i = -e_i w_i^T gives
-    [B_i, B_j] = w_i[j] e_i w_j^T - w_j[i] e_j w_i^T.
+    For each pair report |A_ij|, the ratio |A_ij|/|u_i-u_j| and
+    ||[B_i, B_j]||, with a verdict per the equivalence
+    |A_ij| -> 0  <=>  [B_i, B_j] -> 0.  At gap 0 both ratios are None.
     """
-    w = build_fuchsian(system).A_plus_I
+    comm = _residue_commutators(build_fuchsian(system).A_plus_I)
     u = system.u
-    n = system.n
-    if groups is None:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        pairs = [
-            (i, j)
-            for g in groups
-            for i in g
-            for j in g
-            if i < j
-        ]
     scale = max(1.0, float(np.max(np.abs(system.A))))
     ratio_bound = 1e3 * scale
     rows = []
-    for i, j in pairs:
+    for i, j in [(i, j) for g in groups for i in g for j in g if i < j]:
         gap = abs(u[i] - u[j])
-        comm = np.zeros((n, n), dtype=complex)
-        comm[i] = w[i, j] * w[j]
-        comm[j] = -w[j, i] * w[i]
-        comm_norm = float(np.max(np.abs(comm)))
+        comm_norm = float(np.max(np.abs(comm[i, j])))
         aij = max(abs(system.A[i, j]), abs(system.A[j, i]))
         ratio = aij / gap if gap > 0 else None
         comm_ratio = comm_norm / gap if gap > 0 else None
@@ -414,21 +391,3 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     i, k = np.triu_indices(n, 1)
     return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm[i, k]), initial=0.0))
 
-
-def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
-    """Holomorphic reduction of B_j to constant Jordan form.
-
-    Returns ``(G, T, branch)``: for lambda'_j != -1 the explicit
-    diagonalizing columns, for lambda'_j = -1 the rank-1 nilpotent Jordan
-    branch; ``branch == "zero"`` marks B_j = 0 (row of zeros), where no
-    nontrivial reduction exists (raised as :class:`NotReducible` when
-    ``strict``).
-    """
-    G, T, branch = _jordan_reduce_single(fs, j)
-    if branch == "zero" and strict:
-        raise NotReducible(f"B_{j} vanishes identically: nothing to reduce")
-    B = _residue(fs, j)
-    resid = float(np.max(np.abs(np.linalg.solve(G, B @ G) - T)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
-        raise NotReducible(f"reduction residual {resid:.2e} for B_{j}")
-    return G, T, branch

@@ -33,10 +33,10 @@ import numpy as np
 
 from .model import (
     COALESCE_TOL,
-    INTEGER_TOL,
     VANISH_TOL,
     SingularF1,
     SystemPair,
+    _group_partition,
     exponent_class,
     nearest_integer,
 )
@@ -313,9 +313,7 @@ def selected_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
         return sol
 
     # class natural: coupled pole/log recursion
-    Nk = int(round(lp.real))  # rho = -(Nk + 1)
-    if abs(w[k] - (Nk + 1)) > 1e-10:
-        raise ResonanceAmbiguity("inconsistent diagonal entry in B_k")
+    Nk = nearest_integer(lp)  # rho = -(Nk + 1)
     order_b = N + Nk + 1
     C = _local_coeffs(fs, k, order_b)
     b = np.zeros((order_b + 1, n), dtype=complex)
@@ -382,7 +380,7 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     C = _local_coeffs(fs, k, N)
     rho = 0
     if fs.integer_class(k) == "negative_integer":
-        rho = int(round((-fs.lambda_prime[k] - 1).real))
+        rho = -1 - nearest_integer(fs.lambda_prime[k])
     seeds = _kernel_seeds(w, k)
     if rho >= 1:
         # restrict seeds to the null space of the obstruction functional
@@ -416,7 +414,7 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
 
     # negative integer: fix the log coefficient at the selected solution
     n = fs.n
-    rho = int(round((-sel.lambda_prime_k - 1).real))
+    rho = -1 - nearest_integer(sel.lambda_prime_k)
     C = _local_coeffs(fs, k, N)
     w = fs.A_plus_I[k]
     # Psi_k = sum_l b_l x^(l+rho), as coefficients of x^l: the source of phi
@@ -468,43 +466,50 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
 # ---------------------------------------------------------------------------
 
 
-def _jordan_reduce_single(fs: FuchsianSystem, j: int):
-    """Reduce B_j to constant Jordan form; returns (G, T, branch).
+class NotReducible(np.linalg.LinAlgError):
+    """Requested explicit reduction branch does not apply."""
 
-    branch is ``"diagonal"`` (explicit column formula, lambda'_j != -1),
-    ``"jordan"`` (lambda'_j = -1, nilpotent rank 1) or ``"zero"``
-    (lambda'_j = -1 with a vanishing row: B_j = 0).
+
+def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
+    """Holomorphic reduction of the rank-one residue B_j = -e_j w^T, w = row j of A+I.
+
+    Returns ``(G, T, branch)`` with G^-1 B_j G = T and G e_j = e_j:
+
+    * ``"diagonal"`` for lambda'_j not the integer -1 (:func:`nearest_integer`):
+      row j of G is -w / w_j off the diagonal, T = -w_j E_jj;
+    * ``"jordan"`` for lambda'_j = -1: the rank-1 nilpotent branch T = E_jm,
+      m the largest |w_m|, m != j (plus -w_j E_jj, below INTEGER_TOL);
+    * ``"zero"`` for lambda'_j = -1 with w = 0 (norm below 1e-13): B_j = 0,
+      G = I, nothing to reduce (:class:`NotReducible` when ``strict``).
+
+    Raises :class:`NotReducible` when the residual |w G + T_j| exceeds
+    1e-10 max(1, max|w|).
     """
     n = fs.n
-    lp = fs.lambda_prime[j]
-    A = fs.A
-    G = np.eye(n, dtype=complex)
-    if abs(lp + 1) > 1e-12:
-        for l in range(n):
-            if l != j:
-                G[j, l] = -A[j, l] / (lp + 1)
-        T = np.zeros((n, n), dtype=complex)
-        T[j, j] = -1 - lp
-        return G, T, "diagonal"
     w = fs.A_plus_I[j]
-    if np.linalg.norm(w) < 1e-13:
-        return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), "zero"
-    wmask = w.copy()
-    wmask[j] = 0.0
-    m = int(np.argmax(np.abs(wmask)))
-    eye = np.eye(n, dtype=complex)
-    cols = []
-    for l in range(n):
-        if l == j:
-            cols.append(eye[j])
-        elif l == m:
-            cols.append(-eye[m] / w[m])
-        else:
-            cols.append(eye[l] - (w[l] / w[m]) * eye[m])
-    G = np.column_stack(cols)
+    G = np.eye(n, dtype=complex)
     T = np.zeros((n, n), dtype=complex)
-    T[j, m] = 1.0
-    return G, T, "jordan"
+    T[j, j] = -w[j]
+    if nearest_integer(fs.lambda_prime[j]) != -1:
+        branch = "diagonal"
+        G[j] = -w / w[j]
+        G[j, j] = 1.0
+    elif np.linalg.norm(w) < 1e-13:
+        if strict:
+            raise NotReducible(f"B_{j} vanishes identically: nothing to reduce")
+        branch = "zero"
+    else:
+        branch = "jordan"
+        m = int(np.argmax(np.where(np.arange(n) == j, 0, np.abs(w))))
+        G[m] = -w / w[m]
+        G[m, j] = 0.0
+        G[m, m] = -1.0 / w[m]
+        T[j, m] = 1.0
+    # G e_j = e_j, so G^-1 B_j G = -e_j (w G): only row j can differ from T
+    resid = float(np.max(np.abs(w @ G + T[j])))
+    if resid > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        raise NotReducible(f"reduction residual {resid:.2e} for B_{j}")
+    return G, T, branch
 
 
 @dataclass
@@ -526,18 +531,20 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
     """Levelt exponents and resonant structure at a merged pole.
 
     ``fs_uc`` must be the Fuchsian system evaluated at u = u^c, ``group``
-    the indices coalescing to one value lambda_alpha.  Runs the recursion
-    for the normal-form series G_l; positions with an integer exponent gap
-    T_ii - T_jj = l are reported as free parameters (defaulted to 0, or to
-    the entries of ``free_values``), and the obstruction matrices R_l are
-    computed there.
+    one of its coalescence groups (:func:`.model._group_partition`),
+    merging at lambda_alpha.  Each group residue is reduced by
+    :func:`jordan_reduce_Bj`; a nilpotent one (lambda'_j = -1) raises
+    :class:`ResonanceAmbiguity`.  Runs the recursion for the normal-form
+    series G_l; positions with an integer exponent gap T_ii - T_jj = l are
+    reported as free parameters (defaulted to 0, or to the entries of
+    ``free_values``), and the obstruction matrices R_l are computed there.
     """
     group = tuple(group)
     n = fs_uc.n
+    groups, values = _group_partition(fs_uc.u)
+    if group not in groups:
+        raise ValueError(f"{group} is not a coalescence group of u^c: {groups}")
     lam_alpha = fs_uc.u[group[0]]
-    for i in group:
-        if abs(fs_uc.u[i] - lam_alpha) > COALESCE_TOL * max(1.0, abs(lam_alpha)):
-            raise ValueError("group indices do not coalesce at the given point")
     for i in group:
         for j in group:
             if i != j and abs(fs_uc.A[i, j]) > VANISH_TOL:
@@ -546,41 +553,25 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
                 )
     # simultaneous reduction of the group residues (diagonalizable branch)
     G = np.eye(n, dtype=complex)
+    T = np.zeros(n, dtype=complex)
     for j in group:
-        if abs(fs_uc.lambda_prime[j] + 1) < 1e-12 and np.linalg.norm(fs_uc.A_plus_I[j]) > 1e-13:
+        Gj, Tj, branch = jordan_reduce_Bj(fs_uc, j)
+        if branch == "jordan":
             raise ResonanceAmbiguity(
                 f"lambda'_{j} = -1 with nilpotent residue: the diagonal Levelt "
                 "reduction does not apply to this group"
             )
-        Gj, _, _ = _jordan_reduce_single(fs_uc, j)
         G = G @ Gj
-    T = np.zeros(n, dtype=complex)
-    for j in group:
-        T[j] = -1 - fs_uc.lambda_prime[j]
-    # other groups' merged residues, conjugated
-    others = {}
+        T[j] = Tj[j, j]
+    # the other groups' merged residues G^-1 B_i G, B_i = -e_i w_i^T, w_i = row i of A+I
     Ginv = np.linalg.inv(G)
-    for i in range(n):
-        if i in group:
-            continue
-        key = None
-        for v in others:
-            if abs(fs_uc.u[i] - v) < COALESCE_TOL * max(1.0, abs(fs_uc.u[i])):
-                key = v
-                break
-        if key is None:
-            key = fs_uc.u[i]
-            others[key] = np.zeros((n, n), dtype=complex)
-        # G^-1 B_i G with B_i = -e_i w_i^T, w_i = row i of A+I
-        others[key] -= np.outer(Ginv[:, i], fs_uc.A_plus_I[i] @ G)
-
-    def D_m(m):
-        out = np.zeros((n, n), dtype=complex)
-        for lam_beta, Db in others.items():
-            out += ((-1) ** (m + 1)) / (lam_alpha - lam_beta) ** m * Db
-        return out
-
-    Dm = [None] + [D_m(m) for m in range(1, N + 1)]
+    others = [(v, -sum(np.outer(Ginv[:, i], fs_uc.A_plus_I[i] @ G) for i in g))
+              for g, v in zip(groups, values) if g != group]
+    Dm = [None] + [sum((((-1) ** (m + 1)) / (lam_alpha - lam_beta) ** m * Db
+                        for lam_beta, Db in others), np.zeros((n, n), dtype=complex))
+                   for m in range(1, N + 1)]
+    # the integer exponent gaps T_i - T_j, 0 where not an integer
+    K = np.array([[nearest_integer(a - b) or 0 for b in T] for a in T])
     Gl = [np.eye(n, dtype=complex)]
     Rl = {}
     free = []
@@ -592,31 +583,21 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
             S += Dm[l - p] @ Gl[p]
             if (l - p) in Rl:
                 S -= Gl[p] @ Rl[l - p]
-        Gnew = np.zeros((n, n), dtype=complex)
-        Rnew = np.zeros((n, n), dtype=complex)
-        has_res = False
-        for i in range(n):
-            for j in range(n):
-                gap = T[i] - T[j]
-                if abs(gap.imag) < INTEGER_TOL and abs(gap.real - l) < INTEGER_TOL:
-                    free.append((l, i, j))
-                    Gnew[i, j] = free_values.get((l, i, j), 0.0)
-                    Rnew[i, j] = S[i, j]
-                    has_res = True
-                else:
-                    Gnew[i, j] = S[i, j] / (T[j] - T[i] + l)
+        resonant = K == l
+        Gnew = np.divide(S, T[None, :] - T[:, None] + l, out=np.zeros_like(S), where=~resonant)
+        for i, j in np.argwhere(resonant):
+            free.append((l, int(i), int(j)))
+            Gnew[i, j] = free_values.get(free[-1], 0.0)
         Gl.append(Gnew)
-        if has_res:
-            Rl[l] = Rnew
-    gaps = [nearest_integer(T[i] - T[j]) for i in range(n) for j in range(n)]
-    kappa = max([g for g in gaps if g is not None and g > 0], default=0)
+        if resonant.any():
+            Rl[l] = np.where(resonant, S, 0)
     return LeveltData(
         group=group,
         T=np.diag(T),
         G=G,
         G_series=Gl,
         R_parts=Rl,
-        kappa=kappa,
+        kappa=int(K.max()),
         free_parameters=free,
         partial_nonresonance=(len(free) == 0),
     )

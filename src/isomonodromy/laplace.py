@@ -98,7 +98,7 @@ class FormalSolution:
     obstructed_positions: list = field(default_factory=list)
 
 
-def formal_recursion(system, L, free_values=None):
+def formal_recursion(system, L):
     """Coefficients F_1..F_L of the formal solution at z = infinity.
 
     For pairwise distinct u this is the plain recursion, one matrix step
@@ -109,21 +109,19 @@ def formal_recursion(system, L, free_values=None):
     series at the merged poles (Levelt construction for groups, ordinary
     Frobenius for singletons).  Positions with an in-group resonance
     lambda'_j - lambda'_i = l are genuine free parameters of the
-    formal-solution family, reported in ``free_positions`` and filled from
-    ``free_values`` (default 0); a nonzero log obstruction at a resonant
-    position is reported in ``obstructed_positions``.
+    formal-solution family, reported in ``free_positions`` and set to 0; a
+    nonzero log obstruction at a resonant position is reported in
+    ``obstructed_positions``.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
     n = u.size
     lp = np.diag(A)
-    if free_values is None:
-        free_values = {}
     coalesced = any(
         abs(u[i] - u[j]) < COALESCE_TOL for i in range(n) for j in range(i + 1, n)
     )
     if coalesced:
-        return _formal_at_confluence(system, L, free_values)
+        return _formal_at_confluence(system, L)
     # (F_k)_ij = ((lambda'_i - lambda'_j + k - 1) (F_{k-1})_ij + (offdiag(A) F_{k-1})_ij)
     #           / (u_j - u_i),  (F_k)_ii = -(offdiag(A) F_k)_ii / k
     off = A - np.diag(lp)
@@ -138,7 +136,7 @@ def formal_recursion(system, L, free_values=None):
     return FormalSolution(F=Fs)
 
 
-def _formal_at_confluence(system, L, free_values):
+def _formal_at_confluence(system, L):
     """Columns of F_l at a coalescence point, from merged-pole series.
 
     Group columns come from the Levelt normal form at the merged pole:
@@ -178,7 +176,7 @@ def _formal_at_confluence(system, L, free_values):
                     f"integer exponent lambda'_{j} inside a coalescing group: "
                     "gamma-shift before computing the formal family at u^c"
                 )
-        data = levelt_at_confluence(fs, group, N=L, free_values=free_values)
+        data = levelt_at_confluence(fs, group, N=L)
         free_positions.extend(data.free_parameters)
         for (l, i, j) in data.free_parameters:
             if l in data.R_parts and abs(data.R_parts[l][i, j]) > 1e-10:

@@ -57,12 +57,11 @@ class Ordering:
 
 @dataclass
 class StokesPair:
-    """The matrices S_nu and S_{nu+mu} with the ordering that shaped them."""
+    """The matrices S_nu and S_{nu+mu}, and the route that gave them."""
 
     S_nu: np.ndarray
     S_nu_plus_mu: np.ndarray
     nu: int
-    ordering: Ordering
     method: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -93,7 +92,7 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime, nu=0):
             else:
                 Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
     return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering), nu=nu,
-                      ordering=ordering, method="formula")
+                      method="formula")
 
 
 def _unit_triangular_inverse(Sinv, ordering: Ordering):
@@ -128,13 +127,13 @@ def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40, nu=0
 # ---------------------------------------------------------------------------
 
 
-def _matching_ray(geometry, h, margin=0.0):
+def _matching_ray(geometry, h):
     """Bisector of the overlap of the shrunk sectors with labels h mu, (h+1) mu."""
     mu = geometry.mu
     lo_a, hi_a = sector_bounds(h * mu, geometry, shrink=True)
     lo_b, hi_b = sector_bounds((h + 1) * mu, geometry, shrink=True)
     lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-    if not lo + margin < hi - margin:
+    if not lo < hi:
         raise OverlapEmpty(
             f"no common ray between sectors {h * mu} and {(h + 1) * mu}: "
             f"({lo:.4f}, {hi:.4f})"
@@ -219,7 +218,7 @@ def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
     return _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol)
 
 
-def stokes_pair_direct(system, geometry, tol=1e-12, N=40, ladder=None):
+def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
     Both matchings share one Fuchsian system and one set of local series;
@@ -227,11 +226,10 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40, ladder=None):
     matrix :func:`stokes_direct` gives at h = 1, bit for bit.
     """
     fs, sols = _oracle_basis(system, geometry, N)
-    S0, d0 = _match(system, geometry, fs, sols, 0, tol, ladder)
-    S1, d1 = _match(system, geometry, fs, sols, 1, tol, ladder)
-    ordering = Ordering(u_c=geometry.u_c, tau=geometry.tau)
-    return StokesPair(S_nu=S0, S_nu_plus_mu=S1, nu=0, ordering=ordering,
-                      method="oracle", diagnostics={"h0": d0, "h1": d1})
+    S0, d0 = _match(system, geometry, fs, sols, 0, tol, None)
+    S1, d1 = _match(system, geometry, fs, sols, 1, tol, None)
+    return StokesPair(S_nu=S0, S_nu_plus_mu=S1, nu=0, method="oracle",
+                      diagnostics={"h0": d0, "h1": d1})
 
 
 def stokes_generate(S_nu, S_nu_plus_mu, lambda_prime, h_values):

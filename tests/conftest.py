@@ -9,6 +9,13 @@ from isomonodromy.model import DeformationGeometry, SystemPair
 TAU_2x2 = math.pi / 4
 
 
+def residue(fs, k):
+    """The residue B_k = -E_k(A+I) as a dense matrix: row k of -(A+I), zeros elsewhere."""
+    B = np.zeros((fs.n, fs.n), dtype=complex)
+    B[k] = -fs.A_plus_I[k]
+    return B
+
+
 def dense_rhs(fs, lam):
     """Matrix sum_k B_k/(lam - u_k) of the Fuchsian ODE, one per point of lam (..., 1)."""
     return -fs.A_plus_I / (lam - fs.u)[..., None]

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import residue
 from isomonodromy.model import SystemPair
-from isomonodromy.frobenius import build_fuchsian
+from isomonodromy.frobenius import NotReducible, build_fuchsian, jordan_reduce_Bj
 from isomonodromy.laplace import SingularF1, f1
 from isomonodromy.deformation import (
     DeformationState,
-    _residue,
-    NotReducible,
     StepFailure,
     integrability_residual,
-    jordan_reduce_Bj,
     omega,
     radial_family,
     schlesinger_rhs,
@@ -79,7 +77,7 @@ def test_schlesinger_rhs_finite_difference_oracle(system_2x2):
         st = transport(DeformationState(u=system_2x2.u, A=system_2x2.A.copy()),
                        u, tol=1e-13)
         states.append(build_fuchsian(st.system()))
-    fd = (_residue(states[0], 1) - _residue(states[1], 1)) / (2 * h)
+    fd = (residue(states[0], 1) - residue(states[1], 1)) / (2 * h)
     assert np.max(np.abs(fd - derivs[(0, 1)])) < 1e-7
 
 
@@ -159,7 +157,7 @@ def test_radial_decay_slope(vanishing_A_uc):
     # commutator bound ||[B_i, B_j]|| <= C |u_i - u_j| along the approach
     for t, st in zip(ts, states):
         fs = build_fuchsian(st.system())
-        B0, B1 = _residue(fs, 0), _residue(fs, 1)
+        B0, B1 = residue(fs, 0), residue(fs, 1)
         comm = np.max(np.abs(B0 @ B1 - B1 @ B0))
         assert comm <= 20.0 * abs(st.u[0] - st.u[1])
 
@@ -244,7 +242,7 @@ def test_jordan_reduce_nilpotent_branch():
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     G, T, branch = jordan_reduce_Bj(fs, 0)
     assert branch == "jordan"
-    J = np.linalg.solve(G, _residue(fs, 0) @ G)
+    J = np.linalg.solve(G, residue(fs, 0) @ G)
     assert np.max(np.abs(J - T)) < 1e-12
     assert T[0, 1] == 1.0 and np.count_nonzero(T) == 1
 
@@ -265,7 +263,7 @@ def test_jordan_simultaneous_reduction_at_uc(vanishing_A_uc):
     G1, T1, _ = jordan_reduce_Bj(fs, 1)
     G = G0 @ G1
     for j, T in ((0, T0), (1, T1)):
-        R = np.linalg.solve(G, _residue(fs, j) @ G)
+        R = np.linalg.solve(G, residue(fs, j) @ G)
         assert np.max(np.abs(R - T)) < 1e-10
 
 
@@ -296,15 +294,52 @@ def _gap_loop_reference(u0, u1, samples=33):
     return best
 
 
+def _exact_gap_reference(u0, u1):
+    """Least pairwise |u_i - u_j| on the segment, pair by pair: both ends and the stationary point."""
+    best = math.inf
+    du = u1 - u0
+    for i in range(u0.size):
+        for j in range(i + 1, u0.size):
+            g0, dg = complex(u0[j] - u0[i]), complex(du[j] - du[i])
+            best = min(best, abs(g0), abs(g0 + dg))
+            if dg != 0:
+                t = -(g0.real * dg.real + g0.imag * dg.imag) / abs(dg) ** 2
+                if 0 < t < 1:
+                    best = min(best, abs(g0 + t * dg))
+    return best
+
+
 def test_segment_gap_matches_loop_reference():
+    """The exact least gap, against a pair-by-pair loop, and never above the 33-sample minimum."""
     from isomonodromy.deformation import _min_ingroup_gap_on_segment
 
     rng = np.random.default_rng(3)
     for n in range(1, 7):
         for _ in range(20):
             u0, u1 = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
-            assert _min_ingroup_gap_on_segment(u0, u1) == pytest.approx(
-                _gap_loop_reference(u0, u1), rel=1e-14)
+            u1[0] = u0[0] + (u1[-1] - u0[-1])  # u_0 - u_{n-1} stays fixed: dg = 0 for that pair
+            with np.errstate(all="raise"):
+                gap = _min_ingroup_gap_on_segment(u0, u1)
+            assert gap == pytest.approx(_exact_gap_reference(u0, u1), rel=1e-12, abs=1e-15)
+            assert gap <= _gap_loop_reference(u0, u1) * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("offset", [1e-6, 0.0])
+def test_transport_guard_sees_a_pass_between_samples(offset):
+    """u_0 passes u_1 at t = 1/64, between 33 samples: the exact guard fires before any solve.
+
+    The 33 samples read a least gap of 1.56e-2, far above NEAR_DELTA_GUARD.
+    """
+    from isomonodromy import ode
+
+    A = np.array([[0.3, 0.2, 0.1], [0.4, -0.2, 0.3], [0.1, 0.5, 0.45]], dtype=complex)
+    u0 = np.array([0.5 - 1 / 64 + offset * 1j, 0.5, 3.0])
+    u1 = u0 + np.array([1.0, 0.0, 0.0])
+    assert _gap_loop_reference(u0, u1) > 1e-2
+    with ode.counting() as work:
+        with pytest.raises(StepFailure, match="coalescence locus"):
+            transport(DeformationState(u=u0, A=A), u1, tol=1e-10)
+    assert work.solves == 0
 
 
 @pytest.mark.parametrize("offset, raises", [(0.0, True), (3e-5, True), (2e-4, False)])
@@ -409,6 +444,34 @@ def test_schlesinger_rhs_on_the_locus_is_finite_and_quiet(vanishing_A_uc):
         derivs, cons = schlesinger_rhs(fs)
     assert all(np.isfinite(d).all() for d in derivs.values())
     assert cons < 1e-14
+
+
+def _schlesinger_rhs_loop(fs):
+    """d B_k / d u_i pair by pair from dense residues: [B_i, B_k]/(u_i - u_k) + [omega_i, B_k]."""
+    n = fs.n
+    om = [omega(SystemPair(fs.A, fs.u), i) for i in range(n)]
+    B = [residue(fs, k) for k in range(n)]
+    coalesced = np.abs(fs.u[:, None] - fs.u[None, :]) < 1e-12
+    pole = {(i, k): 0 if coalesced[i, k] else (B[i] @ B[k] - B[k] @ B[i]) / (fs.u[i] - fs.u[k])
+            for i in range(n) for k in range(n)}
+    return {(i, k): (pole[(i, k)] if i != k else -sum(pole[(i, m)] for m in range(n)))
+            + om[i] @ B[k] - B[k] @ om[i] for i in range(n) for k in range(n)}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_schlesinger_rhs_matches_the_dense_loop(n, vanishing_A_uc):
+    """The rank-one commutators give the dense loop's derivatives, off and on the locus."""
+    from conftest import draw_system
+
+    system, _ = draw_system(np.random.default_rng(30 + n), n)
+    cases = [system, SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0])]
+    for sp in cases:
+        fs = build_fuchsian(sp)
+        derivs, _ = schlesinger_rhs(fs)
+        ref = _schlesinger_rhs_loop(fs)
+        assert derivs.keys() == ref.keys()
+        scale = max(np.max(np.abs(D)) for D in ref.values())
+        assert max(np.max(np.abs(derivs[key] - ref[key])) for key in ref) <= 1e-15 * scale
 
 
 def _residual_per_stencil_reference(system, step=1e-3, tol=1e-12):
@@ -593,45 +656,40 @@ def test_closed_loop_makes_one_short_solve_per_segment(n):
     assert np.max(np.abs(state.A - system.A)) < 1e-12 * max(1.0, np.max(np.abs(system.A)))
 
 
-def _assignment_distance(ev0, ev1):
-    """Max matched distance of the minimum-sum assignment (the scipy reference)."""
-    from scipy.optimize import linear_sum_assignment
-
-    D = np.abs(ev0[:, None] - ev1[None, :])
-    r, c = linear_sum_assignment(D)
-    return float(np.max(D[r, c]))
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_spectrum_distance_is_the_optimal_assignment(n, caplog):
-    import logging
-
-    from isomonodromy.deformation import _spectrum_distance
-
-    rng = np.random.default_rng(90 + n)
-    checked = 0
-    for scale in (1e-12, 1e-6, 1e-2, 0.1):
-        ev0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        sep = min(abs(a - b) for i, a in enumerate(ev0) for b in ev0[i + 1:])
-        ev1 = rng.permutation(ev0 + scale * sep * (rng.normal(size=n) + 1j * rng.normal(size=n)))
-        with caplog.at_level(logging.WARNING, logger="isomonodromy.deformation"):
-            d = _spectrum_distance(ev0, ev1)
-        if d < 0.5 * sep:
-            assert d == _assignment_distance(ev0, ev1)
-            assert not caplog.records
-            checked += 1
-        caplog.clear()
-    assert checked >= 3
+def _defective_draw(seed, n=4):
+    """A = S J S^-1 with a 2 x 2 Jordan block in J, and a 0.2 segment: a far-from-normal A."""
+    rng = np.random.default_rng(seed)
+    J = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.5
+    J[1, 1] = J[0, 0]
+    J[0, 1] = 1.0
+    S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    u1 = u0 + 0.2 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    return S @ J @ np.linalg.inv(S), u0, u1
 
 
-def test_spectrum_distance_warns_outside_the_proven_regime(caplog):
-    import logging
+def test_drift_monitor_passes_an_accurate_far_from_normal_transport():
+    """A double eigenvalue with a Jordan block: matching eigenvalues read 1.35e-8 here.
 
-    from isomonodromy.deformation import _spectrum_distance
+    Rounding splits a defective eigenvalue by about sqrt(eps |A|), so an
+    eigenvalue monitor raised DriftExceeded at tol = 1e-10 on a transport
+    that agrees with the scipy reference to 1e-14; the power sums do not.
+    """
+    A, u0, u1 = _defective_draw(0)
+    st = transport(DeformationState(u=u0, A=A), u1, tol=1e-10)
+    ref = _transport_single_reference(u0, u1, A)
+    assert np.max(np.abs(st.A - ref)) < 1e-10 * np.max(np.abs(ref))
+    assert st.spectrum_drift < 1e-14
 
-    ev0 = np.array([0.0, 1.0, 2.0 + 0.5j])
-    ev1 = np.array([0.6, 3.0 + 3.0j, 2.0 + 0.5j])  # 0 and 1 share their nearest, 0.6
-    with caplog.at_level(logging.WARNING, logger="isomonodromy.deformation"):
-        d = _spectrum_distance(ev0, ev1)
-    assert d == pytest.approx(0.6) and d < _assignment_distance(ev0, ev1)
-    assert any("lower bound" in rec.getMessage() for rec in caplog.records)
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2])
+def test_power_sum_drift_reads_a_shift(delta):
+    """A0 + delta I moves tr(A) by n delta, so it reads at least delta / ||A0||; A0 itself reads 0."""
+    from isomonodromy.deformation import _power_sum_drift
+
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        A0 = 2.0 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        drift = _power_sum_drift(A0, np.stack([A0, A0 + delta * np.eye(n)]))
+        assert drift[0] == 0.0
+        assert drift[1] >= delta / np.linalg.norm(A0)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rhs
+from conftest import dense_rhs, residue
 from isomonodromy.model import CutPlane, SingularF1, SystemPair
-from isomonodromy.deformation import _residue
 from isomonodromy.frobenius import (
     BadGamma,
     analytic_basis,
@@ -26,8 +25,8 @@ from isomonodromy.frobenius import (
 
 def test_build_fuchsian_example(system_2x2):
     fs = build_fuchsian(system_2x2)
-    assert np.allclose(_residue(fs, 0), [[-1.5, -2.0], [0.0, 0.0]])
-    assert np.allclose(_residue(fs, 1), [[0.0, 0.0], [-3.0, -4.0 / 3.0]])
+    assert np.allclose(residue(fs, 0), [[-1.5, -2.0], [0.0, 0.0]])
+    assert np.allclose(residue(fs, 1), [[0.0, 0.0], [-3.0, -4.0 / 3.0]])
 
 
 def test_build_fuchsian_diagonal():
@@ -35,7 +34,7 @@ def test_build_fuchsian_diagonal():
     for k, lp in enumerate([0.5, -2.0]):
         expected = np.zeros((2, 2))
         expected[k, k] = -lp - 1
-        assert np.allclose(_residue(fs, k), expected)
+        assert np.allclose(residue(fs, k), expected)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -45,7 +44,7 @@ def test_residue_sum_identity(seed):
     n = int(rng.integers(2, 5))
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     fs = build_fuchsian(SystemPair(A, np.arange(n, dtype=complex)))
-    assert np.max(np.abs(sum(_residue(fs, k) for k in range(n)) + A + np.eye(n))) < 1e-14
+    assert np.max(np.abs(sum(residue(fs, k) for k in range(n)) + A + np.eye(n))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +135,22 @@ def test_normalization_constant_across_deformation(system_2x2):
     sol = selected_solution(fs, 0, N=10)
     assert sol.f_k == pytest.approx(math.gamma(1.5))
     assert sol.b[0] == pytest.approx([math.gamma(1.5), 0.0])
+
+
+def test_natural_exponent_within_integer_tol_is_the_integer_series():
+    """lambda' = 2 + 1e-9 is classed natural and gives the series of lambda' = 2.
+
+    w_k = lambda' + 1 by construction, so no second test of w_k against
+    lambda' + 1 is needed; one at 1e-10 refused this exponent.
+    """
+    sols = []
+    for lp in (2.0, 2.0 + 1e-9):
+        A = np.array([[lp, 0.5], [0.3, 0.37]], dtype=complex)
+        sols.append(selected_solution(build_fuchsian(SystemPair(A, [0.0, 1.0])), 0, N=20))
+    exact, near = sols
+    assert near.klass == exact.klass == "natural"
+    for a, b in ((exact.b, near.b), (exact.d, near.d)):
+        assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, float(np.max(np.abs(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +284,7 @@ def test_levelt_exponent_commutation():
         [[0.5, 0.0, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex
     )
     fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
-    from isomonodromy.deformation import jordan_reduce_Bj
+    from isomonodromy.frobenius import jordan_reduce_Bj
 
     Ts = []
     for j in (0, 1):
@@ -285,6 +300,23 @@ def test_levelt_rejects_violated_vanishing():
     )
     fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
     with pytest.raises(SingularF1):
+        levelt_at_confluence(fs, (0, 1), N=8)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10])
+def test_levelt_refuses_a_group_exponent_at_minus_one(offset):
+    """lambda'_0 = -1 (+ 1e-10, within INTEGER_TOL) leaves B_0 nilpotent, not diagonalizable.
+
+    The explicit diagonal reduction divides by lambda'_0 + 1: at 1e-10 it
+    gave a G with entries of 4e9 and no error.
+    """
+    from isomonodromy.frobenius import ResonanceAmbiguity
+
+    A = np.array(
+        [[-1.0 + offset, 0.0, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex
+    )
+    fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
+    with pytest.raises(ResonanceAmbiguity, match="nilpotent"):
         levelt_at_confluence(fs, (0, 1), N=8)
 
 
@@ -386,7 +418,7 @@ def _dense_coeffs(fs, k, order):
         if m != k:
             inv = 1.0 / (fs.u[k] - fs.u[m])
             for p in range(order + 1):
-                C[p] += ((-1) ** p) * _residue(fs, m) * inv ** (p + 1)
+                C[p] += ((-1) ** p) * residue(fs, m) * inv ** (p + 1)
     return C
 
 
@@ -401,12 +433,12 @@ def _dense_orders(fs, k, C, x, orders, shift, source=None):
     """Solve ((l + shift) I - B_k) x_l = rhs_l by a dense solve per order."""
     eye = np.eye(fs.n)
     for l in orders:
-        x[l] = np.linalg.solve((l + shift) * eye - _residue(fs, k), _dense_rhs(C, x, l, source))
+        x[l] = np.linalg.solve((l + shift) * eye - residue(fs, k), _dense_rhs(C, x, l, source))
     return x
 
 
 def _dense_seeds(fs, k):
-    w = -_residue(fs, k)[k]
+    w = -residue(fs, k)[k]
     seeds = []
     for i in range(fs.n):
         if i != k:
@@ -435,7 +467,7 @@ def _dense_obstruction(fs, k, C, seed, rho, source=None):
     phi = np.zeros((rho, fs.n), dtype=complex)
     phi[0] = seed
     _dense_orders(fs, k, C, phi, range(1, rho), 0, source)
-    return -_residue(fs, k)[k] @ _dense_rhs(C, phi, rho, source)
+    return -residue(fs, k)[k] @ _dense_rhs(C, phi, rho, source)
 
 
 def _dense_selected(fs, k, N):
@@ -448,7 +480,7 @@ def _dense_selected(fs, k, N):
         b[0, k] = fk
         return _dense_orders(fs, k, _dense_coeffs(fs, k, N), b, range(1, N + 1), -lp - 1), None
     Nk = int(round(lp.real))
-    w = -_residue(fs, k)[k]
+    w = -residue(fs, k)[k]
     C = _dense_coeffs(fs, k, N + Nk + 1)
     b = np.zeros((N + Nk + 2, n), dtype=complex)
     b[0, k] = fk

@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .model import (
     BasisSingular,
-    COALESCE_TOL,
     CutPlane,
     DeformationGeometry,
     DriftExceeded,
@@ -49,8 +48,8 @@ from .model import (
     SingularF1,
     StepFailure,
     SystemPair,
+    _group_partition,
     is_in_cell,
-    label_rays,
     sector_bounds,
     stokes_ray_directions,
 )
@@ -59,7 +58,6 @@ from .frobenius import (
     ResonanceAmbiguity,
     build_fuchsian,
     levelt_at_confluence,
-    needs_gamma_shift,
     selected_solution,
 )
 
@@ -278,21 +276,32 @@ class Runner:
         }
         self.failed = False
 
+    def file(self, entries):
+        """Merge ``entries`` into the results; a list already under a key is extended."""
+        results = self.report["results"]
+        for key, value in entries.items():
+            if isinstance(results.get(key), list):
+                results[key] += value
+            else:
+                results[key] = value
+
     def stage(self, name, fn, always=False):
-        if self.failed and not always:
+        """Run ``fn`` and file the entries it returns; a ``fn`` of None, or any
+        stage after a failed one unless ``always``, is recorded as skipped."""
+        if fn is None or (self.failed and not always):
             self.report["stages"].append({"name": name, "status": "skipped"})
-            return None
+            return
         try:
-            out = fn()
+            entries = fn()
         except NUMERICAL_ERRORS as exc:
             self.report["stages"].append(
                 {"name": name, "status": "failed",
                  "error": f"{type(exc).__name__}: {exc}"}
             )
             self.failed = True
-            return None
+            return
         self.report["stages"].append({"name": name, "status": "ok"})
-        return out
+        self.file(entries)
 
     def write(self, out_dir, name):
         out_dir = FsPath(out_dir)
@@ -306,34 +315,21 @@ class Runner:
 
 
 def _write_csv(path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def _connection_json(conn):
+def _stokes_json(pair, **extra):
     return {
-        "C": mat_json(conn.C),
-        "alpha": vec_json(conn.alpha),
-        "eta": conn.eta,
-        "gamma": conn.gamma,
-        "provenance": [[str(t) for t in row] for row in conn.provenance],
-        "max_projection_residual": float(np.max(conn.residuals)),
-        "method": "monodromy-projection",
-    }
-
-
-def _stokes_json(pair, extra=None):
-    out = {
         "S_nu": mat_json(pair.S_nu),
         "S_nu_plus_mu": mat_json(pair.S_nu_plus_mu),
-        "nu": pair.nu,
+        "nu": 0,
         "method": pair.method,
+        **extra,
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +348,10 @@ def _common_options(fn):
     fn = click.option("--out", "out_dir", default="out", show_default=True,
                       help="output directory")(fn)
     fn = click.option("--tol", type=float, default=None,
-                      help="override tolerance")(fn)
+                      help="override tol: the projection limit max(100 tol, 1e-7) of "
+                           "stokes and deform, the oracle's series start max(tol/100, 1e-13), "
+                           "deform's drift limit 100 tol, check's 100 min(tol, 1e-12); rays, "
+                           "levelt and the Taylor carry do not read it")(fn)
     fn = click.option("--order", type=int, default=None,
                       help="override series truncation order")(fn)
     fn = click.option("--gamma", type=float, default=None,
@@ -393,37 +392,24 @@ def rays(spec_path, out_dir, tol, order, gamma):
     spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("rays", spec)
     geo = spec.geometry
+    od = FsPath(out_dir)
 
     def ray_tables():
         ray_uc, skipped_uc = stokes_ray_directions(spec.u_c)
         ray_u, _ = stokes_ray_directions(spec.u)
-        nu, mu, labels = label_rays(spec.u_c, spec.tau)
-        secs = []
-        for h in (-1, 0, 1, 2):
-            m = h * mu
-            lo, hi = sector_bounds(m, geo)
-            lo_s, hi_s = sector_bounds(m, geo, shrink=True)
-            secs.append((m, lo, hi, lo_s, hi_s))
-        return ray_uc, skipped_uc, ray_u, (nu, mu, labels), secs
-
-    out = runner.stage("rays", ray_tables)
-    crossing = runner.stage("crossing_locus", lambda: _crossing_locus(spec))
-    if out is not None:
-        ray_uc, skipped_uc, ray_u, (nu, mu, labels), secs = out
-        od = FsPath(out_dir)
-        od.mkdir(parents=True, exist_ok=True)
-        _write_csv(od / "rays_uc.csv", ["j", "k", "theta"],
-                   [(j + 1, k + 1, float(th)) for (j, k), th in sorted(ray_uc.items())])
-        _write_csv(od / "rays_u.csv", ["j", "k", "theta"],
-                   [(j + 1, k + 1, float(th)) for (j, k), th in sorted(ray_u.items())])
+        secs = [(h * geo.mu, *sector_bounds(h * geo.mu, geo),
+                 *sector_bounds(h * geo.mu, geo, shrink=True)) for h in (-1, 0, 1, 2)]
+        for name, table in (("rays_uc.csv", ray_uc), ("rays_u.csv", ray_u)):
+            _write_csv(od / name, ["j", "k", "theta"],
+                       [(j + 1, k + 1, float(th)) for (j, k), th in sorted(table.items())])
         _write_csv(od / "sectors.csv",
                    ["label", "lo_uc", "hi_uc", "lo_polydisc", "hi_polydisc"],
                    [tuple(map(float, s)) for s in secs])
-        runner.report["results"] = {
-            "mu": mu,
-            "nu_offset": labels.nu_offset,
-            "tau_0": labels.tau_nu(0),
-            "basic_rays": [float(b) for b in labels.basic],
+        return {
+            "mu": geo.mu,
+            "nu_offset": 0,
+            "tau_0": geo.labels.tau_nu(0),
+            "basic_rays": [float(b) for b in geo.labels.basic],
             "skipped_pairs_at_uc": [[j + 1, k + 1] for j, k in skipped_uc],
             "epsilon0_margin": geo.validate(),
             "sectors": [
@@ -431,33 +417,32 @@ def rays(spec_path, out_dir, tol, order, gamma):
                 for (m, lo, hi, lo_s, hi_s) in secs
             ],
         }
-    if crossing is not None:
-        od = FsPath(out_dir)
-        _write_csv(od / "crossing_locus.csv",
-                   ["coordinate", "sibling", "phi"],
-                   [(i + 1, j + 1, float(phi)) for (i, j, phi) in crossing])
-        runner.report["results"]["crossing_locus_hits"] = len(crossing)
+
+    def crossing_locus():
+        hits = _crossing_locus(geo)
+        _write_csv(od / "crossing_locus.csv", ["coordinate", "sibling", "phi"], hits)
+        return {"crossing_locus_hits": len(hits)}
+
+    runner.stage("rays", ray_tables)
+    runner.stage("crossing_locus", crossing_locus)
     _finish(runner, out_dir, "rays_report.json")
 
 
-def _crossing_locus(spec):
-    """Crossing-locus hits with one coordinate swept on its polydisc circle.
+def _crossing_locus(geo):
+    """Crossing-locus hits (i, j, phi), 1-based, with one coordinate swept on its polydisc circle.
 
     With u_i = u^c_i + epsilon0 e^{i phi} and its sibling j at u^c_j, the
     (i, j) Stokes ray lies on tau mod pi where Re(e^{i tau} (u_i - u^c_j))
     = 0, that is cos(phi + tau) = -Re(e^{i tau} (u^c_i - u^c_j)) / epsilon0:
     phi = +-acos(.) - tau mod 2 pi, two hits per ordered sibling pair.
     """
-    geo = spec.geometry
     hits = []
-    for i in range(geo.n):
-        for j in geo.groups[geo.group_of(i)]:
-            c = -(cmath.exp(1j * geo.tau) * (geo.u_c[i] - geo.u_c[j])).real / geo.epsilon0
-            if j == i or abs(c) > 1:
-                continue
+    for i, j in zip(*np.nonzero(geo.in_group)):
+        c = -(cmath.exp(1j * geo.tau) * (geo.u_c[i] - geo.u_c[j])).real / geo.epsilon0
+        if abs(c) <= 1:
             a = math.acos(c)
-            hits += [(i, j, phi) for phi in sorted([(a - geo.tau) % (2 * math.pi),
-                                                    (-a - geo.tau) % (2 * math.pi)])]
+            hits += [(i + 1, j + 1, phi) for phi in sorted([(a - geo.tau) % (2 * math.pi),
+                                                            (-a - geo.tau) % (2 * math.pi)])]
     return hits
 
 
@@ -476,107 +461,76 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     geo = spec.geometry
     system = spec.system()
     cut = CutPlane(eta=geo.eta)
-    results = runner.report["results"]
-    results["ray_labels"] = {
+    runner.file({"ray_labels": {
         "nu": 0,
-        "nu_offset": geo.labels.nu_offset,
+        "nu_offset": 0,
         "mu": geo.mu,
         "tau": geo.tau,
         "eta": geo.eta,
         "tau_nu": {str(m): geo.labels.tau_nu(m) for m in range(-geo.mu, 2 * geo.mu + 1)},
-    }
+    }})
+    P = conn = pair = None
 
-    def conn_stage():
+    def connection():
+        nonlocal P, conn
         P, conn = connection_products(system, cut, tol=spec.tol, N=spec.order,
                                       geometry=geo, gamma=spec.gamma)
-        return P, conn
+        return {"gamma_shift_used": bool(conn.gamma), "connection": {
+            "C": mat_json(conn.C),
+            "alpha": vec_json(conn.alpha),
+            "eta": conn.eta,
+            "gamma": conn.gamma,
+            "provenance": [[str(t) for t in row] for row in conn.provenance],
+            "max_projection_residual": float(np.max(conn.residuals)),
+            "method": "monodromy-projection",
+        }}
 
-    conn_out = runner.stage("connection", conn_stage)
-    if conn_out is not None:
-        P, conn = conn_out
-        results["gamma_shift_used"] = bool(needs_gamma_shift(system))
-        results["connection"] = _connection_json(conn)
+    def formula():
+        nonlocal pair
+        pair = stokes_from_connection(P, Ordering(u_c=geo.u_c, tau=geo.tau),
+                                      system.lambda_prime)
+        structural = np.argwhere(conn.provenance == "zero-by-coalescence") + 1
+        return {"stokes_formula": _stokes_json(pair, structural_zero_pairs=structural.tolist(),
+                                               error_estimate=float(np.max(conn.residuals)))}
 
-    pair = runner.stage(
-        "stokes_formula",
-        lambda: stokes_from_connection(
-            conn_out[0], Ordering(u_c=geo.u_c, tau=geo.tau), system.lambda_prime
-        ),
-    )
-    if pair is not None:
-        structural = [
-            [j + 1, k + 1]
-            for j in range(system.n)
-            for k in range(system.n)
-            if j != k and geo.same_group(j, k)
-        ]
-        results["stokes_formula"] = _stokes_json(
-            pair,
-            {
-                "structural_zero_pairs": structural,
-                "error_estimate": float(np.max(conn_out[1].residuals)),
-            },
-        )
-
-    def formal_stage():
+    def formal_coefficients():
         formal = formal_recursion(system, spec.formal_order)
-        i, j = np.triu_indices(system.n, 1)
-        # on the coalescence locus: no recursion cross-check
-        if np.any(np.abs(system.u[i] - system.u[j]) < COALESCE_TOL):
-            return formal, None, None
-        fs = build_fuchsian(system)
-        sols = [selected_solution(fs, k, cut, spec.order) for k in range(system.n)]
-        assembled = assemble_formal(sols, min(spec.formal_order, spec.order - 2))
-        diff = max(
-            float(np.max(np.abs(Fa - Fb)))
-            for Fa, Fb in zip(formal.F, assembled)
-        )
-        return formal, assembled, diff
-
-    formal_out = runner.stage("formal_coefficients", formal_stage, always=True)
-    if formal_out is not None:
-        formal, assembled, diff = formal_out
-        results["formal"] = {
+        out = {
             "F": [mat_json(F) for F in formal.F],
             "free_positions": [[l, i + 1, j + 1] for (l, i, j) in formal.free_positions],
-            "method": ("merged-pole series" if assembled is None
-                       else "recursion+asymptotic-coefficients"),
+            "method": "merged-pole series",
         }
-        if diff is not None:
-            results["formal"]["asymptotic_vs_recursion_max_diff"] = diff
+        # off the coalescence locus: cross-check against the local series
+        if len(_group_partition(system.u)[0]) == system.n:
+            fs = build_fuchsian(system)
+            sols = [selected_solution(fs, k, cut, spec.order) for k in range(system.n)]
+            assembled = assemble_formal(sols, min(spec.formal_order, spec.order - 2))
+            out["method"] = "recursion+asymptotic-coefficients"
+            out["asymptotic_vs_recursion_max_diff"] = max(
+                float(np.max(np.abs(Fa - Fb))) for Fa, Fb in zip(formal.F, assembled))
         if formal.free_positions:
-            results["formal"]["family_notice"] = (
-                "in-group resonances make the formal solution a family; "
-                "free entries defaulted"
-            )
+            out["family_notice"] = ("in-group resonances make the formal solution a family; "
+                                    "free entries defaulted")
         if formal.obstructed_positions:
-            results["formal"]["obstructed_positions"] = [
+            out["obstructed_positions"] = [
                 [l, i + 1, j + 1] for (l, i, j) in formal.obstructed_positions
             ]
+        return {"formal": out}
 
-    if oracle == "on":
-        def oracle_stage():
-            op = stokes_pair_direct(system, geo, tol=max(spec.tol * 1e-2, 1e-13),
-                                    N=spec.order)
-            agree = max(
-                float(np.max(np.abs(op.S_nu - pair.S_nu))),
-                float(np.max(np.abs(op.S_nu_plus_mu - pair.S_nu_plus_mu))),
-            )
-            return op, agree
+    def oracle_stage():
+        op = stokes_pair_direct(system, geo, tol=max(spec.tol * 1e-2, 1e-13), N=spec.order)
+        return {
+            "stokes_oracle": _stokes_json(op, **{f"{key}_{h}": op.diagnostics[h][key]
+                                                 for h in ("h0", "h1")
+                                                 for key in ("ladder", "z_spread")}),
+            "formula_oracle_max_diff": float(np.max(np.abs(
+                np.stack([op.S_nu, op.S_nu_plus_mu]) - np.stack([pair.S_nu, pair.S_nu_plus_mu])))),
+        }
 
-        oracle_out = runner.stage("stokes_oracle", oracle_stage)
-        if oracle_out is not None:
-            op, agree = oracle_out
-            results["stokes_oracle"] = _stokes_json(op, {
-                "ladder_h0": op.diagnostics["h0"]["ladder"],
-                "z_spread_h0": op.diagnostics["h0"]["z_spread"],
-                "ladder_h1": op.diagnostics["h1"]["ladder"],
-                "z_spread_h1": op.diagnostics["h1"]["z_spread"],
-            })
-            results["formula_oracle_max_diff"] = agree
-    else:
-        runner.report["stages"].append({"name": "stokes_oracle", "status": "skipped"})
-
+    runner.stage("connection", connection)
+    runner.stage("stokes_formula", formula)
+    runner.stage("formal_coefficients", formal_coefficients, always=True)
+    runner.stage("stokes_oracle", oracle_stage if oracle == "on" else None)
     _finish(runner, out_dir, "stokes_report.json")
 
 
@@ -590,79 +544,60 @@ def deform(spec_path, out_dir, tol, order, gamma):
     spec, _ = _load(spec_path, tol, order, gamma, _require_paths)
     runner = Runner("deform", spec)
     geo = spec.geometry
-    results = runner.report["results"]
-    results["paths"] = []
+    in_group = geo.in_group
     ordering = Ordering(u_c=geo.u_c, tau=geo.tau)
     cut = CutPlane(eta=geo.eta)
+    runner.file({"paths": []})
+
+    def run_path(p_idx, path):
+        conns = []
+        stokeses = []
+        cells = []
+        decay_rows = []
+        # one extraction without structural zeros: the u_c ordering
+        # skips the in-group pairs, and the reported C zeroes them
+        samples = connection_samples(spec.system(), path, cut, tol=spec.tol,
+                                     N=spec.order, gamma=spec.gamma)
+        for i, (state, P, conn) in enumerate(samples):
+            sysi = state.system()
+            sp = stokes_from_connection(P, ordering, sysi.lambda_prime)
+            conns.append(np.where(in_group, 0.0, conn.C))
+            stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
+            cells.append(bool(is_in_cell(state.u, geo)[0]))
+            ingroup_max = 0.0
+            if in_group.any():
+                # structural zeros are vacuous here: measure the in-group
+                # entries honestly with the ordering at the instant u
+                sp2 = stokes_from_connection(
+                    P, Ordering(u_c=sysi.u, tau=geo.tau), sysi.lambda_prime
+                )
+                ingroup_max = float(max(
+                    np.max(np.abs(sp2.S_nu[in_group])),
+                    np.max(np.abs(np.linalg.inv(sp2.S_nu_plus_mu)[in_group])),
+                ))
+            decay_rows += [(i, a + 1, b + 1, float(abs(state.u[a] - state.u[b])),
+                            float(abs(state.A[a, b])), float(abs(state.A[b, a])), ingroup_max)
+                           for a, b in zip(*np.nonzero(np.triu(in_group)))]
+        if decay_rows:
+            _write_csv(FsPath(out_dir) / f"decay_path{p_idx}.csv",
+                       ["sample", "i", "j", "gap", "abs_A_ij", "abs_A_ji",
+                        "ingroup_stokes_max"],
+                       decay_rows)
+        cvar = float(np.max(np.abs(np.stack(conns) - conns[0])))
+        svar = float(np.max(np.abs(np.stack(stokeses) - stokeses[0])))
+        return {"paths": [{
+            "path": p_idx,
+            "samples": len(path),
+            "in_cell": cells,
+            "c_max_variation": cvar,
+            "stokes_max_variation": svar,
+            "ingroup_stokes_max": max((r[6] for r in decay_rows), default=None),
+            "diag_drift": state.diag_drift,
+            "spectrum_drift": state.spectrum_drift,
+        }]}
 
     for p_idx, path in enumerate(spec.paths):
-        def run_path(path=path):
-            conns = []
-            stokeses = []
-            cells = []
-            decay_rows = []
-            in_group = np.array([[a != b and geo.same_group(a, b) for b in range(geo.n)]
-                                 for a in range(geo.n)])
-            # one extraction without structural zeros: the u_c ordering
-            # skips the in-group pairs, and the reported C zeroes them
-            samples = connection_samples(spec.system(), path, cut, tol=spec.tol,
-                                         N=spec.order, gamma=spec.gamma)
-            for i, (state, P, conn) in enumerate(samples):
-                sysi = state.system()
-                sp = stokes_from_connection(P, ordering, sysi.lambda_prime)
-                conns.append(np.where(in_group, 0.0, conn.C))
-                stokeses.append((sp.S_nu, sp.S_nu_plus_mu))
-                cells.append(bool(is_in_cell(state.u, geo)[0]))
-                ingroup_max = 0.0
-                if in_group.any():
-                    # structural zeros are vacuous here: measure the in-group
-                    # entries honestly with the ordering at the instant u
-                    sp2 = stokes_from_connection(
-                        P, Ordering(u_c=sysi.u, tau=geo.tau), sysi.lambda_prime
-                    )
-                    ingroup_max = float(max(
-                        np.max(np.abs(sp2.S_nu[in_group])),
-                        np.max(np.abs(np.linalg.inv(sp2.S_nu_plus_mu)[in_group])),
-                    ))
-                for a in range(sysi.n):
-                    for b in range(a + 1, sysi.n):
-                        if in_group[a, b]:
-                            decay_rows.append(
-                                (i, a + 1, b + 1,
-                                 float(abs(state.u[a] - state.u[b])),
-                                 float(abs(state.A[a, b])),
-                                 float(abs(state.A[b, a])),
-                                 float(ingroup_max))
-                            )
-            cvar = float(np.max(np.abs(np.stack(conns) - conns[0])))
-            svar = max(
-                float(np.max(np.abs(np.stack([s[0] for s in stokeses]) - stokeses[0][0]))),
-                float(np.max(np.abs(np.stack([s[1] for s in stokeses]) - stokeses[0][1]))),
-            )
-            return {
-                "path": p_idx,
-                "samples": len(path),
-                "in_cell": cells,
-                "c_max_variation": cvar,
-                "stokes_max_variation": svar,
-                "ingroup_stokes_max": (
-                    float(max(r[6] for r in decay_rows)) if decay_rows else None
-                ),
-                "diag_drift": state.diag_drift,
-                "spectrum_drift": state.spectrum_drift,
-            }, decay_rows
-
-        out = runner.stage(f"path_{p_idx}", run_path)
-        if out is not None:
-            summary, decay_rows = out
-            results["paths"].append(summary)
-            if decay_rows:
-                od = FsPath(out_dir)
-                od.mkdir(parents=True, exist_ok=True)
-                _write_csv(od / f"decay_path{p_idx}.csv",
-                           ["sample", "i", "j", "gap", "abs_A_ij", "abs_A_ji",
-                            "ingroup_stokes_max"],
-                           decay_rows)
+        runner.stage(f"path_{p_idx}", lambda: run_path(p_idx, path))
     _finish(runner, out_dir, "deform_report.json")
 
 
@@ -693,36 +628,31 @@ def levelt(spec_path, out_dir, tol, order, gamma, free_items):
     """Levelt exponents, resonance structure and free parameters at u_c."""
     spec, free_values = _load(spec_path, tol, order, gamma, lambda _: _parse_free(free_items))
     runner = Runner("levelt", spec)
-    geo = spec.geometry
-    results = runner.report["results"]
-    sys_c = SystemPair(spec.A, spec.u_c)
-    fs_c = build_fuchsian(sys_c)
-    results["groups"] = []
-    for g_idx, group in enumerate(geo.groups):
+    fs_c = build_fuchsian(SystemPair(spec.A, spec.u_c))
+    runner.file({"groups": []})
+
+    def run_group(group):
+        data = levelt_at_confluence(fs_c, group, N=max(spec.order // 2, 8),
+                                    free_values=free_values)
+        return {"groups": [{
+            "group": [i + 1 for i in group],
+            "T_diagonal": vec_json(np.diag(data.T)),
+            "kappa": data.kappa,
+            "free_parameters": [[l, i + 1, j + 1] for (l, i, j) in data.free_parameters],
+            "free_parameter_count": len(data.free_parameters),
+            "partial_nonresonance": bool(data.partial_nonresonance),
+            "R_norms": {str(l): float(np.max(np.abs(R))) for l, R in data.R_parts.items()},
+            "method": "levelt-recursion",
+        }]}
+
+    for g_idx, group in enumerate(spec.geometry.groups):
         if len(group) < 2:
-            results["groups"].append({
+            runner.file({"groups": [{
                 "group": [i + 1 for i in group],
                 "note": "singleton: plain Frobenius exponent, no free parameters",
-            })
-            continue
-
-        def run_group(group=group):
-            data = levelt_at_confluence(fs_c, group, N=max(spec.order // 2, 8),
-                                        free_values=free_values)
-            return {
-                "group": [i + 1 for i in group],
-                "T_diagonal": vec_json(np.diag(data.T)),
-                "kappa": data.kappa,
-                "free_parameters": [[l, i + 1, j + 1] for (l, i, j) in data.free_parameters],
-                "free_parameter_count": len(data.free_parameters),
-                "partial_nonresonance": bool(data.partial_nonresonance),
-                "R_norms": {str(l): float(np.max(np.abs(R))) for l, R in data.R_parts.items()},
-                "method": "levelt-recursion",
-            }
-
-        out = runner.stage(f"group_{g_idx}", run_group)
-        if out is not None:
-            results["groups"].append(out)
+            }]})
+        else:
+            runner.stage(f"group_{g_idx}", lambda: run_group(group))
     _finish(runner, out_dir, "levelt_report.json")
 
 
@@ -742,34 +672,27 @@ def check(spec_path, out_dir, tol, order, gamma, step):
     spec, _ = _load(spec_path, tol, order, gamma, lambda _: _check_step(step))
     runner = Runner("check", spec)
     system = spec.system()
-    results = runner.report["results"]
 
-    def resid_stage():
+    def integrability():
         r1 = integrability_residual(system, step=step, tol=min(spec.tol, 1e-12))
         r2 = integrability_residual(system, step=step / 2, tol=min(spec.tol, 1e-12))
-        return {"step": step, "residual": r1, "residual_half_step": r2,
-                "ratio": (r1 / r2 if r2 > 0 else None),
-                "at_noise_floor": bool(r1 < 1e-11),
-                "method": "central-differences+transport"}
+        return {"integrability": {
+            "step": step, "residual": r1, "residual_half_step": r2,
+            "ratio": (r1 / r2 if r2 > 0 else None),
+            "at_noise_floor": bool(r1 < 1e-11),
+            "method": "central-differences+transport"}}
 
-    out = runner.stage("integrability", resid_stage)
-    if out is not None:
-        results["integrability"] = out
-
-    def vanish_stage():
-        fs = build_fuchsian(system)
-        _, consistency = schlesinger_rhs(fs)
-        rows = vanishing_check(system, groups=spec.geometry.groups)
-        return {
+    def vanishing():
+        _, consistency = schlesinger_rhs(build_fuchsian(system))
+        return {"vanishing": {
             "schlesinger_consistency": consistency,
-            "pairs": rows,
+            "pairs": vanishing_check(system, groups=spec.geometry.groups),
             "method": "direct-evaluation",
-        }
+        }}
 
-    out = runner.stage("vanishing", vanish_stage, always=True)
-    if out is not None:
-        results["vanishing"] = out
-    results["epsilon0_margin"] = spec.geometry.validate()
+    runner.stage("integrability", integrability)
+    runner.stage("vanishing", vanishing, always=True)
+    runner.file({"epsilon0_margin": spec.geometry.validate()})
     _finish(runner, out_dir, "check_report.json")
 
 

@@ -341,11 +341,14 @@ def alpha_factor(lambda_prime_k, klass):
 
 @dataclass
 class ConnectionData:
-    """Connection coefficients c_jk with per-entry provenance tags."""
+    """Connection coefficients c_jk with per-entry provenance tags.
+
+    ``gamma`` is the exponent shift they were computed at, nonzero exactly
+    when :func:`connection_products` shifted.
+    """
 
     C: np.ndarray
     alpha: np.ndarray
-    nu: int
     eta: float
     provenance: np.ndarray
     residuals: np.ndarray
@@ -353,7 +356,7 @@ class ConnectionData:
 
 
 def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
-                            N=40, nu=0, geometry=None):
+                            N=40, geometry=None):
     """Extract the full matrix of connection coefficients at fixed u.
 
     The selected-solution basis is carried to a base point near each u_j
@@ -361,9 +364,11 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     loops in one :func:`carry`; each column of the loop difference is
     projected onto Psi_j: gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
     from the arithmetic class.  Entries across a coalescing pair of
-    ``geometry`` (if given) are structural zeros.  Raises
-    :class:`IllConditioned` if a projection residual exceeds tolerance
-    relative to the continued solution.
+    ``geometry`` (if given) are structural zeros, tagged
+    ``"zero-by-coalescence"``.  ``tol`` sets only the projection limit:
+    :class:`IllConditioned` is raised if a projection residual, relative to
+    the continued solution, exceeds max(100 tol, 1e-7).  The Taylor carry
+    does not read it.
     """
     from .frobenius import singular_solution  # local import to avoid cycle noise
 
@@ -382,7 +387,7 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
         for k in range(n):
             if j == k:
                 continue
-            if geometry is not None and geometry.same_group(j, k):
+            if geometry is not None and geometry.in_group[j, k]:
                 prov[j, k] = "zero-by-coalescence"
             elif degenerate_row or sols[k].zero:
                 prov[j, k] = "zero-by-degenerate-singular"
@@ -404,12 +409,12 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
                 f"(condition of target {np.linalg.norm(psi_j):.2e})"
             )
         C[j, projected[j]] = c[projected[j]]
-    return ConnectionData(C=C, alpha=alpha, nu=nu, eta=cut.eta,
+    return ConnectionData(C=C, alpha=alpha, eta=cut.eta,
                           provenance=prov, residuals=resid)
 
 
 def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
-                        geometry=None, nu=0, gamma=None):
+                        geometry=None, gamma=None):
     """Products alpha_k c_jk of the original system, via gamma-shift if needed.
 
     For systems with integer diagonal entries or integer eigenvalues the
@@ -425,12 +430,12 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
     fs = build_fuchsian(system)
     tau = 1.5 * math.pi - cut.eta
     if not needs_gamma_shift(system):
-        conn = connection_coefficients(fs, cut, tol=tol, N=N, geometry=geometry, nu=nu)
+        conn = connection_coefficients(fs, cut, tol=tol, N=N, geometry=geometry)
         return conn.C * conn.alpha[None, :], conn
     g = pick_gamma(system) if gamma is None else float(gamma)
     shifted = gamma_shift(system, g)
     fs_g = build_fuchsian(shifted)
-    conn_g = connection_coefficients(fs_g, cut, tol=tol, N=N, geometry=geometry, nu=nu)
+    conn_g = connection_coefficients(fs_g, cut, tol=tol, N=N, geometry=geometry)
     conn_g.gamma = g
     n = fs.n
     P = np.zeros((n, n), dtype=complex)

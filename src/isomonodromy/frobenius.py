@@ -145,11 +145,17 @@ def _propagate(C, w, k, x, orders, shift=0, source=None):
 
 
 def _kernel_seeds(w, k):
-    """Rows e_i - e_k w_i/w_k, i != k: leads of the exponent-0 solutions, spanning ker(w .)."""
-    idx = [i for i in range(w.size) if i != k]
+    """Rows e_i - e_m w_i/w_m, i != m: leads of the exponent-0 solutions, spanning ker(w .).
+
+    The pivot m is the largest |w_m|, as in :func:`jordan_reduce_Bj`, so no
+    entry exceeds 1; for w = 0 (norm below 1e-13) the rows are e_i, i != k.
+    """
+    if np.linalg.norm(w) < 1e-13:
+        return np.eye(w.size, dtype=complex)[[i for i in range(w.size) if i != k]]
+    m = int(np.argmax(np.abs(w)))
+    idx = [i for i in range(w.size) if i != m]
     seeds = np.eye(w.size, dtype=complex)[idx]
-    if abs(w[k]) > 1e-13:
-        seeds[:, k] = -w[idx] / w[k]
+    seeds[:, m] = -w[idx] / w[m]
     return seeds
 
 

@@ -184,15 +184,13 @@ class RayLabels:
     """Labelled Stokes-ray directions of Lambda(u^c).
 
     ``basic`` holds the mu directions in (tau - pi, tau), ascending, so that
-    ``basic[-1]`` is tau_0: the labelling origin nu=0 is fixed at the largest
-    ray direction below tau.  ``nu_offset`` records that convention so a
-    report can be re-based onto another choice of origin.
+    ``basic[-1]`` is tau_0: the labelling origin nu = 0 is fixed at the
+    largest ray direction below tau.
     """
 
     tau: float
     mu: int
     basic: tuple
-    nu_offset: int = 0
 
     def tau_nu(self, m):
         """Direction tau_m of the ray with label m (any integer)."""
@@ -205,9 +203,8 @@ class RayLabels:
 def label_rays(u_c, tau):
     """Count and label the basic Stokes rays of Lambda(u^c) around tau.
 
-    Returns ``(nu, mu, labels)`` where nu = 0 by the convention that tau_0 is
-    the largest ray direction below tau, mu is the number of ray classes mod
-    pi, and ``labels`` is a :class:`RayLabels`.
+    Returns the :class:`RayLabels`: mu is the number of ray classes mod pi,
+    and the origin nu = 0 is the largest ray direction below tau.
 
     Raises :class:`NonAdmissibleError` if tau lies on a ray mod pi.
     """
@@ -225,11 +222,9 @@ def label_rays(u_c, tau):
                 f"tau={tau} coincides with a Stokes ray direction mod pi",
                 suggestion=suggestion,
             )
-    mu = len(reps)
     # representative of each class in (tau - pi, tau)
     basic = sorted(r + math.pi * math.floor((tau - r) / math.pi) for r in reps)
-    labels = RayLabels(tau=float(tau), mu=mu, basic=tuple(basic))
-    return 0, mu, labels
+    return RayLabels(tau=float(tau), mu=len(reps), basic=tuple(basic))
 
 
 def _group_partition(u_c):
@@ -254,7 +249,8 @@ class DeformationGeometry:
 
     Holds the group partition of u^c, the polydisc radius epsilon0, the
     admissible direction tau at u^c (eta = 3 pi/2 - tau in the lambda-plane)
-    and the labelled Stokes rays of Lambda(u^c).
+    and the labelled Stokes rays of Lambda(u^c).  ``in_group`` is the
+    (n, n) mask of the pairs j != k that coalesce at u^c.
     """
 
     u_c: np.ndarray
@@ -263,19 +259,23 @@ class DeformationGeometry:
     groups: tuple = field(default=None)
     group_values: tuple = field(default=None)
     labels: RayLabels = field(default=None)
+    in_group: np.ndarray = field(default=None)
 
     def __init__(self, u_c, epsilon0, tau):
         u_c = _as_complex_vector(u_c)
         groups, values = _group_partition(u_c)
-        _, _, labels = label_rays(u_c, tau) if len(groups) > 1 else (0, 0, None)
-        if labels is None:
+        if len(groups) < 2:
             raise ValueError("u^c must have at least two distinct coordinates")
+        labels = label_rays(u_c, tau)
+        member = np.array([[i in g for i in range(u_c.size)] for g in groups])
+        in_group = (member.T @ member) & ~np.eye(u_c.size, dtype=bool)
         object.__setattr__(self, "u_c", u_c)
         object.__setattr__(self, "epsilon0", float(epsilon0))
         object.__setattr__(self, "tau", float(tau))
         object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "group_values", tuple(values))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "in_group", in_group)
         dmax = self.max_epsilon0()
         if self.epsilon0 >= dmax:
             raise ValueError(
@@ -294,15 +294,6 @@ class DeformationGeometry:
     @property
     def mu(self):
         return self.labels.mu
-
-    def group_of(self, i):
-        for a, g in enumerate(self.groups):
-            if i in g:
-                return a
-        raise IndexError(i)
-
-    def same_group(self, i, j):
-        return self.group_of(i) == self.group_of(j)
 
     def max_epsilon0(self):
         """min over group pairs of the half-distance between their cut half-lines."""

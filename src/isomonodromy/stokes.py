@@ -61,12 +61,11 @@ class StokesPair:
 
     S_nu: np.ndarray
     S_nu_plus_mu: np.ndarray
-    nu: int
     method: str
     diagnostics: dict = field(default_factory=dict)
 
 
-def stokes_from_connection(products, ordering: Ordering, lambda_prime, nu=0):
+def stokes_from_connection(products, ordering: Ordering, lambda_prime):
     """Assemble the Stokes pair from the products P[j,k] = alpha_k c_jk.
 
     (S_nu)_jk      = e^{2 pi i lambda'_k} alpha_k c_jk   for j prec k,
@@ -91,7 +90,7 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime, nu=0):
                 S[j, k] = cmath.exp(2j * math.pi * lp[k]) * P[j, k]
             else:
                 Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
-    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering), nu=nu,
+    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering),
                       method="formula")
 
 
@@ -112,12 +111,12 @@ def _unit_triangular_inverse(Sinv, ordering: Ordering):
     return out
 
 
-def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40, nu=0):
+def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40):
     """Connection coefficients (gamma-shifted when needed) -> formula Stokes pair."""
     cut = CutPlane(eta=geometry.eta)
-    P, conn = connection_products(system, cut, tol=tol, N=N, geometry=geometry, nu=nu)
+    P, conn = connection_products(system, cut, tol=tol, N=N, geometry=geometry)
     ordering = Ordering(u_c=geometry.u_c, tau=geometry.tau)
-    pair = stokes_from_connection(P, ordering, system.lambda_prime, nu=nu)
+    pair = stokes_from_connection(P, ordering, system.lambda_prime)
     pair.diagnostics["connection"] = conn
     return pair
 
@@ -151,11 +150,8 @@ def default_ladder(system, geometry, theta):
     """
     u = np.asarray(system.u, dtype=complex)
     e = cmath.exp(1j * theta)
-    rates = []
-    for j in range(u.size):
-        for k in range(u.size):
-            if j != k and not geometry.same_group(j, k):
-                rates.append(abs((e * (u[j] - u[k])).real))
+    cross = ~geometry.in_group & ~np.eye(u.size, dtype=bool)
+    rates = [abs((e * (u[j] - u[k])).real) for j, k in zip(*np.nonzero(cross))]
     if not rates:
         return [10.0, 20.0, 40.0]
     worst = max(rates)
@@ -228,7 +224,7 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     fs, sols = _oracle_basis(system, geometry, N)
     S0, d0 = _match(system, geometry, fs, sols, 0, tol, None)
     S1, d1 = _match(system, geometry, fs, sols, 1, tol, None)
-    return StokesPair(S_nu=S0, S_nu_plus_mu=S1, nu=0, method="oracle",
+    return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",
                       diagnostics={"h0": d0, "h1": d1})
 
 

@@ -432,3 +432,87 @@ def test_cli_check_rejects_a_nonfinite_step(tmp_path, step):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "--step must be finite and > 0" in proc.stderr
+
+
+def _key_paths(value, prefix=""):
+    """Sorted dotted key paths of a results block; a list of objects adds [i] per item."""
+    if isinstance(value, dict):
+        return sorted(p for k, v in value.items()
+                      for p in _key_paths(v, f"{prefix}.{k}" if prefix else k))
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return sorted(p for i, v in enumerate(value) for p in _key_paths(v, f"{prefix}[{i}]"))
+    return [prefix]
+
+
+def _block(name, keys):
+    return [f"{name}.{k}" for k in keys]
+
+
+_RAYS = sorted(["basic_rays", "crossing_locus_hits", "epsilon0_margin", "mu", "nu_offset",
+                "skipped_pairs_at_uc", "tau_0"]
+               + [f"sectors[{i}].{k}" for i in range(4) for k in ("at_uc", "label", "polydisc")])
+_RAY_LABELS = _block("ray_labels", ["eta", "mu", "nu", "nu_offset", "tau", "tau_nu.-1",
+                                    "tau_nu.0", "tau_nu.1", "tau_nu.2"])
+_PAIR = ["S_nu", "S_nu_plus_mu", "method", "nu"]
+_STOKES = sorted(
+    _block("connection", ["C", "alpha", "eta", "gamma", "max_projection_residual", "method",
+                          "provenance"])
+    + _block("formal", ["F", "asymptotic_vs_recursion_max_diff", "free_positions", "method"])
+    + ["formula_oracle_max_diff", "gamma_shift_used"] + _RAY_LABELS
+    + _block("stokes_formula", _PAIR + ["error_estimate", "structural_zero_pairs"])
+    + _block("stokes_oracle", _PAIR + ["ladder_h0", "ladder_h1", "z_spread_h0", "z_spread_h1"]))
+_SINGLETON = ["group", "note"]
+_LEVELT = ["R_norms.2", "T_diagonal", "free_parameter_count", "free_parameters", "group",
+           "kappa", "method", "partial_nonresonance"]
+_INTEGRABILITY = _block("integrability", ["at_noise_floor", "method", "ratio", "residual",
+                                          "residual_half_step", "step"])
+_VANISHING = _block("vanishing", ["method", "schlesinger_consistency"])
+_PAIR_ROW = _block("vanishing.pairs[0]", ["abs_A", "commutator_norm", "commutator_ratio", "gap",
+                                          "near_locus", "pair", "pass", "ratio"])
+# (command, problem): (exit code, [(stage, status), ...], sorted results key paths);
+# stages None for a problem-file error, which writes no report
+REPORT_SHAPES = {
+    **{("rays", p): (0, [("rays", "ok"), ("crossing_locus", "ok")], _RAYS) for p in SHIPPED},
+    **{("stokes", p): (0, [("connection", "ok"), ("stokes_formula", "ok"),
+                           ("formal_coefficients", "ok"), ("stokes_oracle", "ok")], _STOKES)
+       for p in ("sample2x2", "coalescing3x3")},
+    ("stokes", "resonant_group"): (
+        3, [("connection", "failed"), ("stokes_formula", "skipped"),
+            ("formal_coefficients", "ok"), ("stokes_oracle", "skipped")],
+        sorted(_block("formal", ["F", "family_notice", "free_positions", "method",
+                                 "obstructed_positions"]) + _RAY_LABELS)),
+    ("levelt", "sample2x2"): (0, [], _block("groups[0]", _SINGLETON)
+                              + _block("groups[1]", _SINGLETON)),
+    ("levelt", "coalescing3x3"): (3, [("group_0", "failed")], _block("groups[0]", _SINGLETON)),
+    ("levelt", "resonant_group"): (0, [("group_0", "ok")], _block("groups[0]", _LEVELT)
+                                   + _block("groups[1]", _SINGLETON)),
+    ("check", "sample2x2"): (0, [("integrability", "ok"), ("vanishing", "ok")],
+                             sorted(["epsilon0_margin", "vanishing.pairs"] + _INTEGRABILITY
+                                    + _VANISHING)),
+    ("check", "coalescing3x3"): (0, [("integrability", "ok"), ("vanishing", "ok")],
+                                 sorted(["epsilon0_margin"] + _INTEGRABILITY + _VANISHING
+                                        + _PAIR_ROW)),
+    ("check", "resonant_group"): (3, [("integrability", "failed"), ("vanishing", "ok")],
+                                  sorted(["epsilon0_margin"] + _VANISHING + _PAIR_ROW)),
+    ("deform", "sample2x2"): (2, None, None),
+    ("deform", "coalescing3x3"): (0, [("path_0", "ok")], _block("paths[0]", [
+        "c_max_variation", "diag_drift", "in_cell", "ingroup_stokes_max", "path", "samples",
+        "spectrum_drift", "stokes_max_variation"])),
+    ("deform", "resonant_group"): (2, None, None),
+}
+
+
+@pytest.mark.parametrize("cmd, problem", sorted(REPORT_SHAPES))
+def test_report_shape_is_pinned(tmp_path, cmd, problem):
+    """Exit code, ordered stage records and results key paths of each command on each
+    shipped problem."""
+    code, stages, keys = REPORT_SHAPES[cmd, problem]
+    spec = str(ROOT / "problems" / f"{problem}.json")
+    result = CliRunner().invoke(main, [cmd, "--spec", spec, "--out", str(tmp_path)])
+    assert result.exit_code == code, result.output
+    report = tmp_path / f"{cmd}_report.json"
+    assert report.exists() == (stages is not None)
+    if report.exists():
+        report = json.loads(report.read_text())
+        assert [(s["name"], s["status"]) for s in report["stages"]] == stages
+        assert _key_paths(report["results"]) == keys

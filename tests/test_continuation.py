@@ -412,8 +412,7 @@ def test_connection_products_mask_only_in_group(coalescing_geometry, vanishing_A
     cut = CutPlane(eta=geo.eta)
     P_mask, _ = connection_products(sp, cut, tol=1e-11, geometry=geo)
     P_full, _ = connection_products(sp, cut, tol=1e-11)
-    in_group = np.array([[a != b and geo.same_group(a, b) for b in range(sp.n)]
-                         for a in range(sp.n)])
+    in_group = geo.in_group
     assert in_group.any()
     assert np.all(P_mask[in_group] == 0.0)
     assert np.array_equal(P_mask[~in_group], P_full[~in_group])

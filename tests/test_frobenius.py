@@ -438,14 +438,17 @@ def _dense_orders(fs, k, C, x, orders, shift, source=None):
 
 
 def _dense_seeds(fs, k):
+    """Kernel seeds of w pivoted on the largest |w_m|; e_i, i != k, for w = 0."""
     w = -residue(fs, k)[k]
+    if np.linalg.norm(w) < 1e-13:
+        return w, [np.eye(fs.n, dtype=complex)[i] for i in range(fs.n) if i != k]
+    m = int(np.argmax(np.abs(w)))
     seeds = []
     for i in range(fs.n):
-        if i != k:
+        if i != m:
             v = np.zeros(fs.n, dtype=complex)
             v[i] = 1.0
-            if abs(w[k]) > 1e-13:
-                v[k] = -w[i] / w[k]
+            v[m] = -w[i] / w[m]
             seeds.append(v)
     return w, seeds
 
@@ -570,6 +573,27 @@ def test_rank_one_series_matches_dense_reference():
             sing = singular_solution(fs, k, N=N)
             assert not sing.zero
             assert _rowwise_error(sing.phi, _dense_singular_phi(fs, k, N)) < 1e-12
+
+
+@pytest.mark.parametrize("lp", [-1.0, -1.0 + 1e-10, -2.0, -3.0])
+def test_analytic_basis_solves_every_order_near_minus_one(lp):
+    """Each exponent-0 series solves (l I - B_k) phi_l = sum_p C_p phi_{l-1-p} at every
+    order, the resonant one and order 0 included, with bounded coefficients."""
+    from isomonodromy.frobenius import _convolve, _local_coeffs
+
+    A = np.array([[lp, 0.5, 0.2], [0.3, 0.37, 0.1], [0.2, 0.1, 0.61]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 2.0j]))
+    N = 30
+    w, C = fs.A_plus_I[0], _local_coeffs(fs, 0, N)
+    basis = analytic_basis(fs, 0, N=N)
+    assert basis
+    for phi in basis:
+        scale = max(1.0, float(np.max(np.abs(phi))))
+        assert scale < 10
+        for l in range(N + 1):
+            lhs = l * phi[l] + np.eye(3)[0] * (w @ phi[l])
+            rhs = _convolve(C, phi, l) if l else 0.0
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale, l
 
 
 def test_rank_one_solve_and_its_divisor_guard():

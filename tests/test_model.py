@@ -68,8 +68,9 @@ def test_rays_come_in_antipodal_pairs(u):
 
 
 def test_label_rays_single_pair():
-    nu, mu, labels = label_rays([0.0, 1.0], PI / 4)
-    assert (nu, mu) == (0, 1)
+    labels = label_rays([0.0, 1.0], PI / 4)
+    mu = labels.mu
+    assert mu == 1
     assert labels.tau_nu(0) == pytest.approx(-PI / 2)
     assert labels.tau_nu(1) == pytest.approx(PI / 2)
     # tau_{nu+mu} = tau_nu + pi for all nu
@@ -78,14 +79,13 @@ def test_label_rays_single_pair():
 
 
 def test_label_rays_coalesced_pair_generates_no_ray():
-    _, mu, _ = label_rays([0.0, 1.0, 1.0], PI / 4)
-    assert mu == 1
+    assert label_rays([0.0, 1.0, 1.0], PI / 4).mu == 1
 
 
 def test_label_rays_three_distinct_points():
     # derived by enumerating all six rays and counting classes mod pi
-    _, mu, labels = label_rays([0.0, 1.0, 1.0j], 0.1)
-    assert mu == 3
+    labels = label_rays([0.0, 1.0, 1.0j], 0.1)
+    assert labels.mu == 3
     rays, _ = stokes_ray_directions([0.0, 1.0, 1.0j])
     classes = {round((th % PI), 6) for th in rays.values()}
     assert len(classes) == 3
@@ -107,8 +107,7 @@ def test_label_rays_mu_invariant_under_window():
         count = sum(1 for r in all_rays if start <= r < start + PI
                     or start <= r + 2 * PI < start + PI)
         assert count == len(classes)
-    _, mu, _ = label_rays(u, 0.05)
-    assert mu == len(classes)
+    assert label_rays(u, 0.05).mu == len(classes)
 
 
 def test_label_rays_rejects_ray_direction():
@@ -194,8 +193,17 @@ def test_epsilon0_validation_on_sampled_grid(coalescing_geometry):
         )
         rays, _ = stokes_ray_directions(u)
         for (j, k), th in rays.items():
-            if not geo.same_group(j, k):
+            if not geo.in_group[j, k]:
                 assert angular_distance_mod_pi(th, geo.tau) > 1e-9
+
+
+def test_in_group_masks_the_coalescing_pairs():
+    geo = DeformationGeometry([0.0, 0.0, 1.0, 2.0, 1.0], 0.01, 0.35)
+    assert geo.groups == ((0, 1), (2, 4), (3,))
+    expected = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 1), (2, 4)):
+        expected[a, b] = expected[b, a] = True
+    assert np.array_equal(geo.in_group, expected)
 
 
 def test_epsilon0_must_be_below_cut_line_distance():

@@ -20,6 +20,7 @@ _EXPORTS = {
     "CutPlane": "model",
     "DeformationGeometry": "model",
     "NonAdmissibleError": "model",
+    "Ordering": "model",
     "SystemPair": "model",
     "is_in_cell": "model",
     "label_rays": "model",
@@ -42,7 +43,6 @@ _EXPORTS = {
     "ConnectionData": "continuation",
     "connection_coefficients": "continuation",
     "monodromy_matrix": "continuation",
-    "Ordering": "stokes",
     "StokesPair": "stokes",
     "stokes_direct": "stokes",
     "stokes_from_connection": "stokes",

@@ -43,6 +43,7 @@ from .model import (
     IllConditioned,
     MatchingInconsistent,
     NonAdmissibleError,
+    Ordering,
     OverlapEmpty,
     QuadratureDivergence,
     SingularF1,
@@ -79,6 +80,7 @@ NUMERICAL_ERRORS = (
     MatchingInconsistent,
     ResonanceAmbiguity,
     BadGamma,
+    NonAdmissibleError,
     np.linalg.LinAlgError,
 )
 
@@ -454,7 +456,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
     from .continuation import connection_products
     from .laplace import assemble_formal, formal_recursion
-    from .stokes import Ordering, stokes_from_connection, stokes_pair_direct
+    from .stokes import stokes_from_connection, stokes_pair_direct
 
     spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("stokes", spec)
@@ -487,8 +489,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
     def formula():
         nonlocal pair
-        pair = stokes_from_connection(P, Ordering(u_c=geo.u_c, tau=geo.tau),
-                                      system.lambda_prime)
+        pair = stokes_from_connection(P, Ordering(geo.u_c, geo.tau), system.lambda_prime)
         structural = np.argwhere(conn.provenance == "zero-by-coalescence") + 1
         return {"stokes_formula": _stokes_json(pair, structural_zero_pairs=structural.tolist(),
                                                error_estimate=float(np.max(conn.residuals)))}
@@ -503,7 +504,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
         # off the coalescence locus: cross-check against the local series
         if len(_group_partition(system.u)[0]) == system.n:
             fs = build_fuchsian(system)
-            sols = [selected_solution(fs, k, cut, spec.order) for k in range(system.n)]
+            sols = [selected_solution(fs, k, spec.order) for k in range(system.n)]
             assembled = assemble_formal(sols, min(spec.formal_order, spec.order - 2))
             out["method"] = "recursion+asymptotic-coefficients"
             out["asymptotic_vs_recursion_max_diff"] = max(
@@ -539,13 +540,13 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 def deform(spec_path, out_dir, tol, order, gamma):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
-    from .stokes import Ordering, stokes_from_connection
+    from .stokes import stokes_from_connection
 
     spec, _ = _load(spec_path, tol, order, gamma, _require_paths)
     runner = Runner("deform", spec)
     geo = spec.geometry
     in_group = geo.in_group
-    ordering = Ordering(u_c=geo.u_c, tau=geo.tau)
+    ordering = Ordering(geo.u_c, geo.tau)
     cut = CutPlane(eta=geo.eta)
     runner.file({"paths": []})
 
@@ -568,9 +569,7 @@ def deform(spec_path, out_dir, tol, order, gamma):
             if in_group.any():
                 # structural zeros are vacuous here: measure the in-group
                 # entries honestly with the ordering at the instant u
-                sp2 = stokes_from_connection(
-                    P, Ordering(u_c=sysi.u, tau=geo.tau), sysi.lambda_prime
-                )
+                sp2 = stokes_from_connection(P, Ordering(sysi.u, geo.tau), sysi.lambda_prime)
                 ingroup_max = float(max(
                     np.max(np.abs(sp2.S_nu[in_group])),
                     np.max(np.abs(np.linalg.inv(sp2.S_nu_plus_mu)[in_group])),

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import tally
-from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
+from .model import BasisSingular, CutPlane, IllConditioned, Ordering, StepFailure
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
@@ -40,6 +40,7 @@ from .frobenius import (
     pick_gamma,
     gamma_shift,
     selected_solution,
+    singular_solution,
 )
 
 DEFAULT_TOL = 1e-10
@@ -102,10 +103,11 @@ def carry(fs: FuchsianSystem, pieces):
 
     Reports one solve, one step per lockstep step and one nfev per order
     to :func:`.ode.counting`.  Raises :class:`StepFailure` for a piece
-    that meets a pole, a block that is not finite, or a step not converged
-    by MAX_ORDER.  Returns the end block Y_p(1) of a piece without samples
-    and ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for
-    z_p,i.
+    that meets a pole or that a step leaves where it was (x + h == x, as
+    on a path through a pole), a block that is not finite, or a step not
+    converged by MAX_ORDER.  Returns the end block Y_p(1) of a piece
+    without samples and ``(Y_p(1), J_p)`` of one with samples, J_p[i] the
+    integral for z_p,i.
     """
     if not pieces:
         return []
@@ -140,7 +142,7 @@ def carry(fs: FuchsianSystem, pieces):
             if ahead[i] == len(path):
                 continue
             if not rho[i] > 0:
-                raise StepFailure(f"continuation meets a pole at {offset[i, 0] + x[i]}")
+                raise StepFailure(f"continuation meets a pole at {pieces[i].pole + x[i]}")
             d = path[ahead[i]] - x[i]
             reach = min(STEP_RATIO * rho[i], reach_z[i])
             if abs(d) <= reach:
@@ -149,6 +151,9 @@ def carry(fs: FuchsianSystem, pieces):
             else:
                 h[i] = d * (reach / abs(d))
                 x_next[i] = x[i] + h[i]
+                if x_next[i] == x[i]:
+                    raise StepFailure(f"continuation stalls at {pieces[i].pole + x[i]}: a "
+                                      f"step of {reach:.1e} does not move it")
         if not h.any():
             break
         floor = TAYLOR_EPS * np.abs(Y).max((1, 2))
@@ -320,7 +325,7 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut: CutPlane, N=40):
     alpha_k c_kj.  Raises :class:`BasisSingular` when the selected
     solutions fail to form a fundamental system at the base point.
     """
-    sols = [selected_solution(fs, m, cut, N) for m in range(fs.n)]
+    sols = [selected_solution(fs, m, N) for m in range(fs.n)]
     [(_, base, Psi)] = continue_basis(fs, cut, sols, (k,))
     cond = np.linalg.cond(Psi)
     if not np.isfinite(cond) or cond > 1e12:
@@ -370,8 +375,6 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     the continued solution, exceeds max(100 tol, 1e-7).  The Taylor carry
     does not read it.
     """
-    from .frobenius import singular_solution  # local import to avoid cycle noise
-
     n = fs.n
     classes = [fs.integer_class(m) for m in range(n)]
     alpha = np.array([alpha_factor(fs.lambda_prime[m], classes[m]) for m in range(n)])
@@ -379,10 +382,10 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     prov = np.full((n, n), "monodromy-projection", dtype=object)
     np.fill_diagonal(prov, "diagonal-by-class")
     resid = np.zeros((n, n))
-    sols = [selected_solution(fs, m, cut, N) for m in range(n)]
+    sols = [selected_solution(fs, m, N) for m in range(n)]
     for j in range(n):
         degenerate_row = (
-            classes[j] == "negative_integer" and singular_solution(fs, j, cut, N).zero
+            classes[j] == "negative_integer" and singular_solution(fs, j, N).zero
         )
         for k in range(n):
             if j == k:
@@ -421,33 +424,22 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
     selected solutions are not fundamental, so the coefficients are taken
     from a shifted system and mapped back with
     alpha_k c_jk = e^{-2 pi i gamma} alpha_k[gamma] c_jk[gamma]  (k succ j),
-    alpha_k c_jk = alpha_k[gamma] c_jk[gamma]                    (k prec j),
-    where the ordering is taken at the working point u.  ``gamma``
-    overrides the automatic choice of the shift.
+    alpha_k c_jk = alpha_k[gamma] c_jk[gamma]                    (otherwise),
+    where the :class:`.model.Ordering` is taken at the working point u (a
+    tie there raises NonAdmissibleError).  ``gamma`` overrides the
+    automatic choice of the shift.
 
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk.
     """
-    fs = build_fuchsian(system)
-    tau = 1.5 * math.pi - cut.eta
     if not needs_gamma_shift(system):
-        conn = connection_coefficients(fs, cut, tol=tol, N=N, geometry=geometry)
+        conn = connection_coefficients(build_fuchsian(system), cut, tol=tol, N=N,
+                                       geometry=geometry)
         return conn.C * conn.alpha[None, :], conn
     g = pick_gamma(system) if gamma is None else float(gamma)
-    shifted = gamma_shift(system, g)
-    fs_g = build_fuchsian(shifted)
-    conn_g = connection_coefficients(fs_g, cut, tol=tol, N=N, geometry=geometry)
+    conn_g = connection_coefficients(build_fuchsian(gamma_shift(system, g)), cut, tol=tol,
+                                     N=N, geometry=geometry)
     conn_g.gamma = g
-    n = fs.n
-    P = np.zeros((n, n), dtype=complex)
-    phase = cmath.exp(-2j * math.pi * g)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            pg = conn_g.alpha[k] * conn_g.C[j, k]
-            s = (cmath.exp(1j * tau) * (system.u[j] - system.u[k])).real
-            if s < 0:  # j prec k, i.e. k succ j
-                P[j, k] = phase * pg
-            else:
-                P[j, k] = pg
+    k_succ_j = Ordering(system.u, 1.5 * math.pi - cut.eta).sign < 0
+    P = np.where(k_succ_j, cmath.exp(-2j * math.pi * g), 1.0) * (conn_g.C * conn_g.alpha)
+    np.fill_diagonal(P, 0)
     return P, conn_g

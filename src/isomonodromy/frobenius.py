@@ -290,7 +290,7 @@ class LocalSolution:
         return base * np.exp(self.rho * (np.log(abs(x)) + 1j * a))
 
 
-def selected_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> LocalSolution:
+def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     """Normalized selected vector solution Psi_k as a truncated series.
 
     Classes noninteger / negative_integer fill ``b`` with the psi_k series
@@ -404,7 +404,7 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     return out
 
 
-def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> LocalSolution:
+def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     """Singular companion solution at u_k with uniquely fixed singular part.
 
     * noninteger: alias of :func:`selected_solution`;
@@ -414,7 +414,7 @@ def singular_solution(fs: FuchsianSystem, k: int, cut=None, N: int = 40) -> Loca
       for lambda'_k <= -2) where no singular solution exists.
     """
     klass = fs.integer_class(k)
-    sel = selected_solution(fs, k, cut, N)
+    sel = selected_solution(fs, k, N)
     if klass != "negative_integer":
         return sel
 

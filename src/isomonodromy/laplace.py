@@ -44,14 +44,22 @@ import numpy as np
 from .model import (
     ANGLE_TOL,
     COALESCE_TOL,
-    CutPlane,
     IllConditioned,
     QuadratureDivergence,
     SingularF1,
     VANISH_TOL,
+    _group_partition,
     angular_distance_mod_pi,
 )
-from .frobenius import FuchsianSystem, build_fuchsian, cgamma, horner, selected_solution
+from .frobenius import (
+    FuchsianSystem,
+    ResonanceAmbiguity,
+    build_fuchsian,
+    cgamma,
+    horner,
+    levelt_at_confluence,
+    selected_solution,
+)
 from .continuation import Piece, Z_SPAN, _step_integrals, carry
 
 logger = logging.getLogger(__name__)
@@ -145,14 +153,6 @@ def _formal_at_confluence(system, L):
     series.  Group exponents must be noninteger (the generic case of the
     formal-solution family).
     """
-    from .frobenius import (
-        ResonanceAmbiguity,
-        build_fuchsian,
-        levelt_at_confluence,
-        selected_solution,
-    )
-    from .model import _group_partition
-
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
     n = u.size
@@ -369,7 +369,7 @@ def _plan(fs, spec, geometry, sols, tol, N):
             )
     lp = fs.lambda_prime[k]
     klass = fs.integer_class(k)
-    sol = selected_solution(fs, k, CutPlane(eta=d), N) if sols is None else sols[k]
+    sol = selected_solution(fs, k, N) if sols is None else sols[k]
     e_d = cmath.exp(1j * d)
     sigma = z_values * e_d
     if np.max(sigma.real) >= -1e-12 * np.max(np.abs(z_values)):

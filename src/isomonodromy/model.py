@@ -407,21 +407,50 @@ def sector_bounds(label, geometry, shrink=False):
     return lo, hi
 
 
+def _dominance(u, tau):
+    """Pairwise s_jk = Re(e^{i tau}(u_j - u_k)) with the pairs that carry no sign.
+
+    Returns ``(s, near, tie)``: ``near`` marks the pairs with
+    |u_j - u_k| < COALESCE_TOL (the diagonal included) and ``tie`` the
+    others whose Stokes ray lies on tau mod pi, |s_jk| < ANGLE_TOL |u_j - u_k|.
+    """
+    d = u[:, None] - u[None, :]
+    s = (cmath.exp(1j * tau) * d).real
+    near = np.abs(d) < COALESCE_TOL
+    return s, near, ~near & (np.abs(s) < ANGLE_TOL * np.abs(d))
+
+
+class Ordering:
+    """Dominance order at a point u: j prec k iff Re(e^{i tau}(u_j - u_k)) < 0.
+
+    The Stokes formula takes it at u^c, the gamma-shift relations at the
+    working point u.  ``sign`` is the (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)),
+    0 on the diagonal and for coalesced pairs (their Stokes entries are
+    structural zeros); ``order`` is the stable permutation that sorts u by
+    Re(e^{i tau} u).  Raises :class:`NonAdmissibleError` for a tie, a pair
+    whose Stokes ray lies on tau mod pi (:func:`_dominance`).
+    """
+
+    def __init__(self, u_c, tau):
+        u = _as_complex_vector(u_c)
+        s, near, tie = _dominance(u, tau)
+        if tie.any():
+            j, k = np.argwhere(tie)[0]
+            raise NonAdmissibleError(
+                f"ordering tie for pair ({j},{k}): tau={tau} is a Stokes direction at u")
+        self.sign = np.where(near, 0, np.sign(s)).astype(int)
+        self.order = np.argsort((cmath.exp(1j * tau) * u).real, kind="stable")
+
+
 def is_in_cell(u, geometry):
     """Whether u lies in the interior of a tau-cell of the polydisc.
 
     True iff u avoids the coalescence locus and no Stokes ray of Lambda(u)
     has direction ``geometry.tau`` mod pi.  Returns ``(ok, offenders)``
-    where offenders is a list of ``(j, k, reason)`` with reason
-    ``"coalescence"`` or ``"ray_on_tau"``.
+    where offenders is a list of ``(j, k, reason)``, j < k, with reason
+    ``"coalescence"`` or ``"ray_on_tau"`` (the ties of :class:`Ordering`).
     """
-    u = _as_complex_vector(u)
-    offenders = []
-    rays, skipped = stokes_ray_directions(u)
-    for (j, k) in skipped:
-        if j < k:
-            offenders.append((j, k, "coalescence"))
-    for (j, k), th in rays.items():
-        if j < k and angular_distance_mod_pi(th, geometry.tau) < ANGLE_TOL:
-            offenders.append((j, k, "ray_on_tau"))
+    _, near, tie = _dominance(_as_complex_vector(u), geometry.tau)
+    offenders = [(j, k, reason) for reason, mask in (("coalescence", near), ("ray_on_tau", tie))
+                 for j, k in np.argwhere(np.triu(mask, 1)).tolist()]
     return (not offenders), offenders

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    COALESCE_TOL,
     CutPlane,
     DeformationGeometry,
     MatchingInconsistent,
+    Ordering,
     OverlapEmpty,
     sector_bounds,
 )
@@ -29,30 +29,6 @@ from .laplace import ColumnSpec, laplace_columns
 
 # relative spread of the fitted Stokes matrix allowed across the |z| ladder
 CONSISTENCY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """Dominance ordering at u^c: j prec k iff Re(e^{i tau}(u_j^c-u_k^c)) < 0.
-
-    Pairs inside one coalescence group carry no relation (their Stokes
-    entries are structural zeros); |Re(...)| below 1e-12 is a tie.
-    """
-
-    u_c: np.ndarray
-    tau: float
-
-    def relation(self, j, k):
-        """-1 if j prec k, +1 if j succ k, None for in-group pairs."""
-        d = self.u_c[j] - self.u_c[k]
-        if abs(d) < COALESCE_TOL:
-            return None
-        s = (cmath.exp(1j * self.tau) * d).real
-        if abs(s) < 1e-12:
-            raise ValueError(
-                f"ordering tie for pair ({j},{k}): tau is a Stokes direction"
-            )
-        return -1 if s < 0 else 1
 
 
 @dataclass
@@ -76,32 +52,21 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime):
     """
     P = np.asarray(products, dtype=complex)
     lp = np.asarray(lambda_prime, dtype=complex)
-    n = P.shape[0]
-    S = np.eye(n, dtype=complex)
-    Sinv = np.eye(n, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            rel = ordering.relation(j, k)
-            if rel is None:
-                continue
-            if rel < 0:
-                S[j, k] = cmath.exp(2j * math.pi * lp[k]) * P[j, k]
-            else:
-                Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
-    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering),
+    one = np.eye(lp.size, dtype=complex)
+    S = one + np.where(ordering.sign < 0, np.exp(2j * math.pi * lp) * P, 0)
+    Sinv = one - np.where(ordering.sign > 0, np.exp(2j * math.pi * (lp - lp[:, None])) * P, 0)
+    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
                       method="formula")
 
 
-def _unit_triangular_inverse(Sinv, ordering: Ordering):
+def _unit_triangular_inverse(Sinv, order):
     """Inverse of the assembled S_{nu+mu}^-1 by unit-triangular substitution.
 
-    In dominance order (stable sort by Re(e^{i tau} u_c)) the matrix is
-    unit lower triangular with identity blocks on the coalescence groups,
-    so the substitution reproduces the in-group structural zeros exactly.
+    In dominance order (the permutation ``order`` of :class:`Ordering`) the
+    matrix is unit lower triangular with identity blocks on the coalescence
+    groups, so the substitution reproduces the in-group structural zeros
+    exactly.
     """
-    order = np.argsort((cmath.exp(1j * ordering.tau) * ordering.u_c).real, kind="stable")
     L = Sinv[np.ix_(order, order)]
     X = np.eye(L.shape[0], dtype=complex)
     for i in range(1, L.shape[0]):
@@ -115,8 +80,7 @@ def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40):
     """Connection coefficients (gamma-shifted when needed) -> formula Stokes pair."""
     cut = CutPlane(eta=geometry.eta)
     P, conn = connection_products(system, cut, tol=tol, N=N, geometry=geometry)
-    ordering = Ordering(u_c=geometry.u_c, tau=geometry.tau)
-    pair = stokes_from_connection(P, ordering, system.lambda_prime)
+    pair = stokes_from_connection(P, Ordering(geometry.u_c, geometry.tau), system.lambda_prime)
     pair.diagnostics["connection"] = conn
     return pair
 
@@ -158,11 +122,10 @@ def default_ladder(system, geometry, theta):
     return [s / worst for s in (4.0, 6.5, 9.0)]
 
 
-def _oracle_basis(system, geometry, N):
+def _oracle_basis(system, N):
     """Fuchsian system and selected-solution series shared by every matching."""
     fs = build_fuchsian(system)
-    cut = CutPlane(eta=geometry.eta)
-    return fs, [selected_solution(fs, k, cut, N) for k in range(fs.n)]
+    return fs, [selected_solution(fs, k, N) for k in range(fs.n)]
 
 
 def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTENCY_TOL):
@@ -210,7 +173,7 @@ def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
     solves Y_{h} S = Y_{h+1} for S at each, and checks z-independence.
     Returns ``(S, diagnostics)``.
     """
-    fs, sols = _oracle_basis(system, geometry, N)
+    fs, sols = _oracle_basis(system, N)
     return _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol)
 
 
@@ -221,7 +184,7 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     each carries its 2n Laplace columns in one batch, so S_{nu+mu} is the
     matrix :func:`stokes_direct` gives at h = 1, bit for bit.
     """
-    fs, sols = _oracle_basis(system, geometry, N)
+    fs, sols = _oracle_basis(system, N)
     S0, d0 = _match(system, geometry, fs, sols, 0, tol, None)
     S1, d1 = _match(system, geometry, fs, sols, 1, tol, None)
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isomonodromy.cli import ProblemSpec, SpecError, main, validate_report
+from isomonodromy.cli import ProblemSpec, SpecError, _crossing_locus, main, validate_report
 from isomonodromy.model import is_in_cell
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -181,6 +181,44 @@ def test_cli_deform_exit_3_on_guarded_path(tmp_path):
     validate_report(report)  # partial report still schema-valid
     assert any(s["status"] == "failed" for s in report["stages"])
 
+
+
+def _crossing_path(tmp_path, offset):
+    """coalescing3x3 with one path from u to the first crossing-locus hit, turned by ``offset``."""
+    prob = json.loads((ROOT / "problems" / "coalescing3x3.json").read_text())
+    geo = ProblemSpec(prob).geometry
+    i, _, phi = _crossing_locus(geo)[0]
+    end = geo.u_c.copy()
+    end[i - 1] += geo.epsilon0 * cmath.exp(1j * (phi + offset))
+    prob["paths"] = [[prob["u"], [[z.real, z.imag] for z in end]]]
+    return _write(tmp_path, prob)
+
+
+@pytest.mark.parametrize("offset, error", [(1e-13, "NonAdmissibleError"),
+                                           (-1e-13, "NonAdmissibleError"), (1e-6, None)])
+def test_cli_deform_near_the_crossing_locus(tmp_path, offset, error):
+    """A sample within 1e-9 rad of the hit is a tie of the ordering: a failed stage, exit 3."""
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["deform", "--spec", _crossing_path(tmp_path, offset),
+                                       "--out", str(out)])
+    assert result.exit_code == (0 if error is None else 3), result.output
+    [stage] = json.loads((out / "deform_report.json").read_text())["stages"]
+    if error is None:
+        assert stage["status"] == "ok"
+    else:
+        assert stage["error"].startswith(error)
+
+
+def test_cli_deform_on_the_crossing_locus_exits_3_quickly(tmp_path):
+    """At the exact hit the ascent leg runs through the other pole: StepFailure, not a hang."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "isomonodromy.cli", "deform", "--spec",
+                           _crossing_path(tmp_path, 0.0), "--out", str(tmp_path / "out")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    [stage] = json.loads((tmp_path / "out" / "deform_report.json").read_text())["stages"]
+    assert stage["error"].startswith("StepFailure")
 
 def test_cli_deform_has_no_oracle_option(tmp_path):
     """deform never ran the oracle: the option is gone and is a usage error."""

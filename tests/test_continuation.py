@@ -119,7 +119,7 @@ def test_monodromy_eigenvalue_structure(system_2x2):
 
 def _basis_at_pole(fs, cut, j):
     """Base point of u_j and the selected-solution basis there."""
-    sols = [selected_solution(fs, m, cut, 40) for m in range(fs.n)]
+    sols = [selected_solution(fs, m, 40) for m in range(fs.n)]
     [(_, base, Psi)] = continue_basis(fs, cut, sols, (j,))
     return base, Psi
 
@@ -289,7 +289,7 @@ def _segment_route_connection(fs, cut, tol):
     depth = continuation._depth_frame(fs, cut)
     low = [fs.u[m] - depth * cut.direction() for m in range(n)]
     bases = [continuation._anti_cut_point(fs, m, cut) for m in range(n)]
-    seeds = [selected_solution(fs, m, cut, 40).selected_value(bases[m], cut) for m in range(n)]
+    seeds = [selected_solution(fs, m, 40).selected_value(bases[m], cut) for m in range(n)]
     Psi_deep = np.column_stack([segment(low[m], low[0], segment(bases[m], low[m], seeds[m]))
                                 for m in range(n)])
     C = np.zeros((n, n), dtype=complex)
@@ -322,7 +322,7 @@ def test_connection_series_matching_oracle(system_2x2):
     cut = CutPlane(eta=ETA)
     conn = connection_coefficients(fs, cut, tol=1e-13)
     # continue Psi_2 to points near u_1 and fit against (Psi_1^{sing}, analytic basis)
-    sol1 = selected_solution(fs, 0, cut, 40)
+    sol1 = selected_solution(fs, 0, 40)
     basis1 = analytic_basis(fs, 0, N=40)
     base, Psi = _basis_at_pole(fs, cut, 0)
     v = Psi[:, 1]
@@ -366,7 +366,7 @@ def test_connection_invariant_under_regular_completion():
     conn = connection_coefficients(fs, cut, tol=1e-13)
     sng = singular_solution(fs, 0, N=40)
     assert not sng.zero
-    sel0 = selected_solution(fs, 0, cut, 40)
+    sel0 = selected_solution(fs, 0, 40)
     base, Psi = _basis_at_pole(fs, cut, 0)
     v = Psi[:, 1]
     x = base - fs.u[0]
@@ -529,7 +529,7 @@ def test_loop_of_the_selected_solution_is_its_exponent(k):
     """gamma_k Psi_k = e^{-2 pi i lambda'_k} Psi_k, from the series value at the base point."""
     fs, cut = _sweep_fs()
     base = continuation._anti_cut_point(fs, k, cut)
-    psi = selected_solution(fs, k, cut, 40).selected_value(base, cut)
+    psi = selected_solution(fs, k, 40).selected_value(base, cut)
     [looped] = continuation.carry(fs, [continuation._loop(fs, k, base, psi)])
     expected = cmath.exp(-2j * math.pi * fs.lambda_prime[k]) * psi
     assert np.max(np.abs(looped - expected)) <= 1e-12 * np.max(np.abs(psi))
@@ -563,7 +563,7 @@ def _leg(fs, cut, k, length, radii, phase=0.3):
     """
     base = continuation._anti_cut_point(fs, k, cut)
     e_d = -cut.direction()
-    psi = selected_solution(fs, k, cut, 40).selected_value(base, cut)
+    psi = selected_solution(fs, k, 40).selected_value(base, cut)
     z = -np.asarray(radii) * cmath.exp(1j * phase) / e_d
     return continuation.Piece(fs.u[k], base - fs.u[k], length * e_d, 0.0, 0.0, psi, z)
 

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isomonodromy.model import (
+    ANGLE_TOL,
     CutPlane,
     DeformationGeometry,
     NonAdmissibleError,
+    Ordering,
     SystemPair,
     angular_distance_mod_pi,
     exponent_class,
@@ -182,6 +184,22 @@ def test_is_in_cell_constructed_ray_offender(coalescing_geometry):
     assert not ok
     assert (0, 1, "ray_on_tau") in offenders
 
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-11, 1e-6])
+def test_cell_test_and_ordering_share_the_tie(coalescing_geometry, offset):
+    """Near a crossing-locus hit the cell test and the ordering call the same pairs ties."""
+    geo = coalescing_geometry
+    phi = 0.5 * PI - geo.tau  # u_0 = epsilon0 e^{i phi} puts the (0, 1) ray on tau
+    u = np.array([geo.epsilon0 * cmath.exp(1j * (phi + offset)), 0.0, 1.0])
+    tie = offset < ANGLE_TOL
+    ok, offenders = is_in_cell(u, geo)
+    assert ok != tie and offenders == ([(0, 1, "ray_on_tau")] if tie else [])
+    if tie:
+        with pytest.raises(NonAdmissibleError, match=r"pair \(0,1\)"):
+            Ordering(u, geo.tau)
+    else:
+        assert Ordering(u, geo.tau).sign[0, 1] == -1  # s_01 = -epsilon0 sin(offset)
 
 def test_epsilon0_validation_on_sampled_grid(coalescing_geometry):
     geo = coalescing_geometry

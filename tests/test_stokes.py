@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isomonodromy.model import DeformationGeometry, SystemPair
+from isomonodromy.continuation import connection_products
+from isomonodromy.model import CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair
 from isomonodromy.stokes import (
     MatchingInconsistent,
     Ordering,
@@ -25,15 +26,71 @@ TAU = math.pi / 4
 
 def test_ordering_relation_and_ties():
     o = Ordering(u_c=np.array([0.0, 1.0], dtype=complex), tau=TAU)
-    assert o.relation(0, 1) == -1  # Re(e^{i tau}(-1)) < 0
-    assert o.relation(1, 0) == +1
+    assert o.sign.tolist() == [[0, -1], [1, 0]]  # Re(e^{i tau}(-1)) < 0: 0 prec 1
     o2 = Ordering(u_c=np.array([0.0, 0.0, 1.0], dtype=complex), tau=TAU)
-    assert o2.relation(0, 1) is None  # in-group: no relation
+    assert o2.sign[0, 1] == o2.sign[1, 0] == 0  # in-group: no relation
+    assert o2.order.tolist() == [0, 1, 2]
     # u_0 - u_1 orthogonal to e^{i tau}: a tie means tau is a Stokes direction
-    tie = Ordering(u_c=np.array([0.0, 1j * cmath.exp(-1j * TAU)], dtype=complex),
-                   tau=TAU)
-    with pytest.raises(ValueError):
-        tie.relation(0, 1)
+    with pytest.raises(NonAdmissibleError):
+        Ordering(u_c=np.array([0.0, 1j * cmath.exp(-1j * TAU)], dtype=complex), tau=TAU)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
+def test_ordering_tie_is_an_angle(scale):
+    """The tie rule is |Re(e^{i tau} d)| < 1e-9 |d|: one angle decides at every scale of u."""
+    def pair(delta):
+        return np.array([0.0, scale * cmath.exp(1j * (math.pi / 2 - TAU + delta))])
+
+    with pytest.raises(NonAdmissibleError):
+        Ordering(pair(1e-11), TAU)
+    assert Ordering(pair(1e-7), TAU).sign[0, 1] == 1
+    assert Ordering(pair(-1e-7), TAU).sign[0, 1] == -1
+
+
+def test_formula_matches_the_pairwise_reference():
+    """The masked assembly equals the entry-by-entry formula on random products."""
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        system, tau = draw_system(rng, n, min_gap=0.35)
+        u, lp = system.u, system.lambda_prime
+        P = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        S, Sinv = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                s = (cmath.exp(1j * tau) * (u[j] - u[k])).real
+                if j != k and s < 0:
+                    S[j, k] = cmath.exp(2j * math.pi * lp[k]) * P[j, k]
+                elif j != k:
+                    Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
+        pair = stokes_from_connection(P, Ordering(u, tau), lp)
+        assert np.max(np.abs(pair.S_nu - S)) <= 1e-15 * np.max(np.abs(S))
+        scale = np.max(np.abs(pair.S_nu_plus_mu)) * np.max(np.abs(Sinv))
+        assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(n))) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shift_relations_match_the_pairwise_reference(monkeypatch, seed):
+    """The shifted products map back as the double loop over pairs maps them."""
+    import isomonodromy.continuation as continuation
+
+    system, tau = draw_system(np.random.default_rng(seed), 3, min_gap=0.35)
+    cut = CutPlane(eta=1.5 * math.pi - tau)
+    monkeypatch.setattr(continuation, "needs_gamma_shift", lambda _: True)
+    P, conn = connection_products(system, cut, tol=1e-12, gamma=0.3)
+    n = system.n
+    ref = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            pg = conn.alpha[k] * conn.C[j, k]
+            if (cmath.exp(1j * tau) * (system.u[j] - system.u[k])).real < 0:
+                ref[j, k] = cmath.exp(-2j * math.pi * 0.3) * pg
+            else:
+                ref[j, k] = pg
+    assert conn.gamma == 0.3
+    # vectorised complex products may round by an ulp where the scalar ones do not
+    assert np.max(np.abs(P - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_formula_diagonal_identity():
@@ -67,7 +124,7 @@ def test_formula_triangularity_structure():
         for k in range(3):
             if j == k:
                 assert pair.S_nu[j, k] == 1.0 and abs(Sinv[j, k] - 1.0) < 1e-12
-            elif o.relation(j, k) > 0:
+            elif o.sign[j, k] > 0:
                 assert pair.S_nu[j, k] == 0.0
             else:
                 assert abs(Sinv[j, k]) < 1e-12
@@ -86,7 +143,7 @@ def test_formula_in_group_zeros_are_exact_for_random_products():
         Sinv = np.eye(5, dtype=complex)
         for j in range(5):
             for k in range(5):
-                if j != k and o.relation(j, k) == 1:
+                if o.sign[j, k] == 1:
                     Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * P[j, k]
         scale = np.max(np.abs(pair.S_nu_plus_mu)) * np.max(np.abs(Sinv))
         assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(5))) < 1e-14 * scale

@@ -51,6 +51,7 @@ from .model import (
     SystemPair,
     _group_partition,
     is_in_cell,
+    nearest_integer,
     sector_bounds,
     stokes_ray_directions,
 )
@@ -499,7 +500,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
         out = {
             "F": [mat_json(F) for F in formal.F],
             "free_positions": [[l, i + 1, j + 1] for (l, i, j) in formal.free_positions],
-            "method": "merged-pole series",
+            "method": "recursion",
         }
         # off the coalescence locus: cross-check against the local series
         if len(_group_partition(system.u)[0]) == system.n:
@@ -605,17 +606,33 @@ def _require_paths(spec):
         raise SpecError("deform requires at least one path in 'paths'")
 
 
-def _parse_free(values):
-    """--free items 'l,i,j=re[:im]' into a position -> value map (1-based ij)."""
+def _levelt_order(spec):
+    """The order N of the Levelt recursion that ``levelt`` runs."""
+    return max(spec.order // 2, 8)
+
+
+def _parse_free(values, spec):
+    """--free items 'l,i,j=re[:im]' into a position -> value map (1-based ij).
+
+    Each item names a resonant position: i != j in one group of u_c, and
+    l = A_jj - A_ii with 1 <= l <= the order of the Levelt recursion.
+    """
     out = {}
+    n, N = spec.u.size, _levelt_order(spec)
     for item in values:
         try:
             pos, _, val = item.partition("=")
             l, i, j = (int(x) for x in pos.split(","))
             re_s, _, im_s = val.partition(":")
-            out[(l, i - 1, j - 1)] = complex(float(re_s), float(im_s or 0.0))
+            value = complex(float(re_s), float(im_s or 0.0))
         except ValueError as exc:
             raise SpecError(f"bad --free item {item!r}: {exc}") from exc
+        if not (1 <= i <= n and 1 <= j <= n and 1 <= l <= N
+                and any(i - 1 in g and j - 1 in g for g in spec.geometry.groups)
+                and l == nearest_integer(spec.A[j - 1, j - 1] - spec.A[i - 1, i - 1])):
+            raise SpecError(f"bad --free item {item!r}: not a resonant position (i != j in one "
+                            f"group of u_c, l = A_jj - A_ii in 1..{N})")
+        out[(l, i - 1, j - 1)] = value
     return out
 
 
@@ -625,13 +642,13 @@ def _parse_free(values):
               help="value for a resonant free parameter, as 'l,i,j=re[:im]'")
 def levelt(spec_path, out_dir, tol, order, gamma, free_items):
     """Levelt exponents, resonance structure and free parameters at u_c."""
-    spec, free_values = _load(spec_path, tol, order, gamma, lambda _: _parse_free(free_items))
+    spec, free_values = _load(spec_path, tol, order, gamma, lambda sp: _parse_free(free_items, sp))
     runner = Runner("levelt", spec)
     fs_c = build_fuchsian(SystemPair(spec.A, spec.u_c))
     runner.file({"groups": []})
 
     def run_group(group):
-        data = levelt_at_confluence(fs_c, group, N=max(spec.order // 2, 8),
+        data = levelt_at_confluence(fs_c, group, N=_levelt_order(spec),
                                     free_values=free_values)
         return {"groups": [{
             "group": [i + 1 for i in group],

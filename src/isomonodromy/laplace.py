@@ -48,16 +48,13 @@ from .model import (
     QuadratureDivergence,
     SingularF1,
     VANISH_TOL,
-    _group_partition,
     angular_distance_mod_pi,
+    nearest_integer,
 )
 from .frobenius import (
     FuchsianSystem,
-    ResonanceAmbiguity,
-    build_fuchsian,
     cgamma,
     horner,
-    levelt_at_confluence,
     selected_solution,
 )
 from .continuation import Piece, Z_SPAN, _step_integrals, carry
@@ -77,10 +74,11 @@ CARRY_TOL = 1e-12
 def f1(system):
     """Leading formal coefficient: (F_1)_ij = A_ij/(u_j-u_i), diagonal closed up.
 
-    The k = 1 step of :func:`formal_recursion`, from F_0 = I.  Coalesced
-    pairs (gap below COALESCE_TOL) require |A_ij| below VANISH_TOL
-    max(1, max|A|) (vanishing conditions); the quotient is then set to 0.
-    Raises :class:`SingularF1` otherwise.
+    Off the coalescence locus this is the k = 1 step of :func:`formal_recursion`.
+    Coalesced pairs (gap below COALESCE_TOL) require |A_ij| below VANISH_TOL
+    max(1, max|A|) (vanishing conditions) and get the quotient 0: the quotient
+    matrix of the deformation equations, not the formal F_1, whose in-group
+    entries at u^c are not 0.  Raises :class:`SingularF1` otherwise.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
@@ -109,88 +107,46 @@ class FormalSolution:
 def formal_recursion(system, L):
     """Coefficients F_1..F_L of the formal solution at z = infinity.
 
-    For pairwise distinct u this is the plain recursion, one matrix step
-    per order (offdiag(A) F_{k-1} plus the diagonal shift, divided by the
-    gaps).  At a
-    coalescence point the in-group entries are 0/0 limits that the
-    recursion cannot see; the columns are then produced from the local
-    series at the merged poles (Levelt construction for groups, ordinary
-    Frobenius for singletons).  Positions with an in-group resonance
-    lambda'_j - lambda'_i = l are genuine free parameters of the
-    formal-solution family, reported in ``free_positions`` and set to 0; a
-    nonzero log obstruction at a resonant position is reported in
-    ``obstructed_positions``.
+    One loop from F_0 = I, at and off the coalescence locus.  Order k of
+    dY/dz = (Lambda + A/z) Y for Y = (I + sum F_k z^-k) z^Lambda' e^{z Lambda} reads
+
+        (u_j - u_i) (F_k)_ij = (lambda'_i - lambda'_j + k - 1) (F_{k-1})_ij + (off F_{k-1})_ij,
+
+    off = offdiag(A).  Pairs with |u_i - u_j| >= COALESCE_TOL divide by the gap.  In-group
+    pairs, the diagonal included (off the locus, the diagonal alone), take the next order's
+    equation, (F_k)_ij = -(off F_k)_ij / (lambda'_i - lambda'_j + k), in-group A_ij counting
+    as 0 once :func:`f1` has checked that they vanish.  An in-group pair i != j with
+    lambda'_j - lambda'_i = k is a free parameter of the formal-solution family: it is set
+    to 0 and reported in ``free_positions`` as (k, i, j), and also in
+    ``obstructed_positions`` (a log obstruction) where its right-hand side exceeds
+    VANISH_TOL max(1, max|off| max|F_k|), F_k's cross entries setting the scale.
     """
+    f1(system)
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
-    n = u.size
     lp = np.diag(A)
-    coalesced = any(
-        abs(u[i] - u[j]) < COALESCE_TOL for i in range(n) for j in range(i + 1, n)
-    )
-    if coalesced:
-        return _formal_at_confluence(system, L)
-    # (F_k)_ij = ((lambda'_i - lambda'_j + k - 1) (F_{k-1})_ij + (offdiag(A) F_{k-1})_ij)
-    #           / (u_j - u_i),  (F_k)_ii = -(offdiag(A) F_k)_ii / k
-    off = A - np.diag(lp)
-    shift = lp[:, None] - lp[None, :]
     gap = u[None, :] - u[:, None]
-    np.fill_diagonal(gap, 1.0)
-    Fs = [f1(system)]
-    for k in range(2, L + 1):
-        Fk = ((shift + (k - 1)) * Fs[-1] + off @ Fs[-1]) / gap
-        np.fill_diagonal(Fk, -np.einsum("ij,ji->i", off, Fk) / k)
-        Fs.append(Fk)
-    return FormalSolution(F=Fs)
-
-
-def _formal_at_confluence(system, L):
-    """Columns of F_l at a coalescence point, from merged-pole series.
-
-    Group columns come from the Levelt normal form at the merged pole:
-    b_l^{(j)} = Gamma(lambda'_j + 1) (G G_l e_j), divided by
-    Gamma(lambda'_j + 1 - l); singleton columns from the ordinary local
-    series.  Group exponents must be noninteger (the generic case of the
-    formal-solution family).
-    """
-    A = np.asarray(system.A, dtype=complex)
-    u = np.asarray(system.u, dtype=complex)
-    n = u.size
-    lp = np.diag(A)
-    fs = build_fuchsian(system)
-    groups, _ = _group_partition(u)
-    cols = np.zeros((L, n, n), dtype=complex)
-    free_positions = []
-    obstructed = []
-    for group in groups:
-        if len(group) == 1:
-            k = group[0]
-            sol = selected_solution(fs, k, N=L + max(int(round(max(0.0, lp[k].real))), 0) + 2)
-            fl = asymptotic_coeffs(sol, L)
-            for l in range(L):
-                cols[l][:, k] = fl[l]
-            continue
-        for j in group:
-            if fs.integer_class(j) != "noninteger":
-                raise ResonanceAmbiguity(
-                    f"integer exponent lambda'_{j} inside a coalescing group: "
-                    "gamma-shift before computing the formal family at u^c"
-                )
-        data = levelt_at_confluence(fs, group, N=L)
-        free_positions.extend(data.free_parameters)
-        for (l, i, j) in data.free_parameters:
-            if l in data.R_parts and abs(data.R_parts[l][i, j]) > 1e-10:
-                obstructed.append((l, i, j))
-        for j in group:
-            gam = cgamma(lp[j] + 1)
-            for l in range(1, L + 1):
-                b = gam * (data.G @ data.G_series[l][:, j])
-                cols[l - 1][:, j] = b / cgamma(lp[j] + 1 - l)
-    return FormalSolution(
-        F=[cols[l] for l in range(L)],
-        free_positions=sorted(set(free_positions)),
-        obstructed_positions=sorted(set(obstructed)),
-    )
+    same = np.abs(gap) < COALESCE_TOL
+    gap[same] = 1.0
+    off = np.where(same, 0, A)
+    shift = lp[:, None] - lp[None, :]
+    free = sorted((r, i, j) for i, j in np.argwhere(same).tolist()
+                  if 1 <= (r := nearest_integer(lp[j] - lp[i]) or 0) <= L)
+    den = np.where(same, shift, np.inf)  # in-group divisors less k; inf across groups
+    F = np.eye(u.size, dtype=complex)
+    Fs, obstructed = [], []
+    for k in range(1, L + 1):
+        F = np.where(same, 0, ((shift + (k - 1)) * F + off @ F) / gap)
+        rhs = -(off @ F)
+        div = den + k
+        for r, i, j in free:
+            if r == k:
+                div[i, j] = np.inf  # the free entry stays 0
+                if abs(rhs[i, j]) > VANISH_TOL * max(1.0, np.max(np.abs(off)) * np.max(np.abs(F))):
+                    obstructed.append((k, i, j))
+        F = np.where(same, rhs / div, F)
+        Fs.append(F)
+    return FormalSolution(F=Fs, free_positions=free, obstructed_positions=obstructed)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +444,7 @@ def asymptotic_fit(z_values, reduced_columns, lambda_prime, L, args=None):
         ek = np.zeros(n)
         ek[k] = 1.0
         target = W - ek[None, :]
-        coef, res, rank, sv = np.linalg.lstsq(V[:, 1:], target, rcond=None)
+        coef = np.linalg.lstsq(V[:, 1:], target, rcond=None)[0]
         F[:, :, k] = coef
         pred = V[:, 1:] @ coef
         resid = max(resid, float(np.max(np.abs(pred - target))))

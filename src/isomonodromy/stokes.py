@@ -115,10 +115,7 @@ def default_ladder(system, geometry, theta):
     u = np.asarray(system.u, dtype=complex)
     e = cmath.exp(1j * theta)
     cross = ~geometry.in_group & ~np.eye(u.size, dtype=bool)
-    rates = [abs((e * (u[j] - u[k])).real) for j, k in zip(*np.nonzero(cross))]
-    if not rates:
-        return [10.0, 20.0, 40.0]
-    worst = max(rates)
+    worst = max(abs((e * (u[j] - u[k])).real) for j, k in zip(*np.nonzero(cross)))
     return [s / worst for s in (4.0, 6.5, 9.0)]
 
 
@@ -198,9 +195,7 @@ def stokes_generate(S_nu, S_nu_plus_mu, lambda_prime, h_values):
     out = {}
     for h in h_values:
         base = np.asarray(S_nu if h % 2 == 0 else S_nu_plus_mu, dtype=complex)
-        q = h // 2 if h % 2 == 0 else (h - 1) // 2
-        M = base.copy()
+        q = h // 2
         # conjugation by e^{2 pi i B} is entrywise scaling
-        scale = np.outer(phase ** (-q), phase ** q)
-        out[h] = M * scale
+        out[h] = base * np.outer(phase ** (-q), phase ** q)
     return out

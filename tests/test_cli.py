@@ -277,6 +277,24 @@ def test_cli_levelt_free_value_flag(tmp_path):
     assert report["results"]["groups"][0]["free_parameter_count"] == 1
 
 
+@pytest.mark.parametrize("item, code", [
+    ("2,7,2=0.5", 2),  # index outside 1..n
+    ("2,0,2=0.5", 2),  # index outside 1..n (0 is not 1-based)
+    ("9,1,2=0.5", 2),  # A_22 - A_11 = 2, not 9
+    ("2,1,2=0.5", 0),  # the one resonant position of resonant_group
+])
+def test_cli_levelt_free_items_are_checked(tmp_path, item, code):
+    """An item that names no resonant position is a problem-file error, before any stage."""
+    out = tmp_path / "out"
+    spec = str(ROOT / "problems" / "resonant_group.json")
+    result = CliRunner().invoke(main, ["levelt", "--spec", spec, "--out", str(out),
+                                       "--free", item])
+    assert result.exit_code == code, result.output
+    assert (out / "levelt_report.json").exists() == (code == 0)
+    if code:
+        assert "problem file error: bad --free item" in result.output
+
+
 def test_cli_check_runs(tmp_path):
     path = _write(tmp_path, SAMPLE)
     out = tmp_path / "out"

@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,14 @@ from scipy.integrate import quad_vec, solve_ivp
 import isomonodromy.laplace as laplace
 from conftest import dense_rhs
 from isomonodromy import ode
-from isomonodromy.model import DeformationGeometry, SystemPair
-from isomonodromy.frobenius import build_fuchsian, selected_solution
+from isomonodromy.cli import ProblemSpec
+from isomonodromy.model import DeformationGeometry, SystemPair, _group_partition
+from isomonodromy.frobenius import (
+    build_fuchsian,
+    cgamma,
+    levelt_at_confluence,
+    selected_solution,
+)
 from isomonodromy.continuation import IllConditioned
 from isomonodromy.laplace import (
     QuadratureDivergence,
@@ -26,6 +33,7 @@ from isomonodromy.laplace import (
 )
 
 TAU = math.pi / 4
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_f1_diagonal_is_zero():
@@ -185,6 +193,104 @@ def test_formal_recursion_resonance_report():
     sp = SystemPair(A, [0.0, 0.0, 1.0])
     formal = formal_recursion(sp, 4)
     assert formal.free_positions == [(2, 0, 1)]
+    assert formal.obstructed_positions == [(2, 0, 1)]
+
+
+def _merged_pole_reference(system, L):
+    """F_1..F_L at a coalescence point from the local series, a route independent of the
+    recursion: Levelt normal form of each group (noninteger exponents), Gamma ratios, and
+    the asymptotic coefficients of each singleton's selected solution."""
+    fs = build_fuchsian(system)
+    lp = fs.lambda_prime
+    cols = np.zeros((L, fs.n, fs.n), dtype=complex)
+    for group in _group_partition(fs.u)[0]:
+        if len(group) == 1:
+            k = group[0]
+            sol = selected_solution(fs, k, N=L + max(round(lp[k].real), 0) + 2)
+            cols[:, :, k] = asymptotic_coeffs(sol, L)
+            continue
+        data = levelt_at_confluence(fs, group, N=L)
+        for j in group:
+            for l in range(1, L + 1):
+                b = cgamma(lp[j] + 1) * (data.G @ data.G_series[l][:, j])
+                cols[l - 1][:, j] = b / cgamma(lp[j] + 1 - l)
+    return list(cols)
+
+
+def _vanishing_draw(rng, n, groups):
+    """A random system at a coalescence point, its in-group entries of A zeroed."""
+    A = 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    for g in groups:
+        u[list(g)] = u[g[0]]
+        A[np.ix_(g, g)] = np.diag(np.diag(A)[list(g)])
+    return SystemPair(A, u)
+
+
+def _at_locus_cases(vanishing_A_uc):
+    spec = ProblemSpec.load(ROOT / "problems" / "coalescing3x3.json")
+    A = spec.A.copy()
+    A[spec.geometry.in_group] = 0.0
+    cases = [SystemPair(A, spec.u_c), SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0])]
+    rng = np.random.default_rng(19)
+    for n in range(3, 7):
+        cases.append(_vanishing_draw(rng, n, [(0, 1)]))
+        if n >= 4:
+            cases.append(_vanishing_draw(rng, n, [(0, 1), (n - 2, n - 1)]))
+    return cases
+
+
+def test_formal_recursion_at_the_locus_matches_the_merged_pole_series(vanishing_A_uc):
+    """At u^c the recursion's in-group step agrees with the Levelt/Frobenius route."""
+    for sp in _at_locus_cases(vanishing_A_uc):
+        formal = formal_recursion(sp, 6)
+        ref = _merged_pole_reference(sp, 6)
+        scale = max(1.0, max(float(np.max(np.abs(F))) for F in ref))
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(formal.F, ref)) <= 1e-12 * scale
+        assert formal.free_positions == [] and formal.obstructed_positions == []
+
+
+def _defining_residual(system, F):
+    """Largest residual of F_k Lambda - Lambda F_k = (A + k - 1) F_{k-1} - F_{k-1} Lambda',
+    k = 1..L+1 with F_0 = I and F_{L+1} = 0 (order L+1 tests only the in-group entries
+    of F_L), relative to max(1, max|F_k|)."""
+    A, n = system.A, system.n
+    Lam, Lp = np.diag(system.u), np.diag(np.diag(A))
+    same = np.abs(system.u[:, None] - system.u[None, :]) < 1e-12
+    Fs = [np.eye(n)] + list(F) + [np.zeros((n, n))]
+    worst = 0.0
+    for k in range(1, len(Fs)):
+        r = Fs[k] @ Lam - Lam @ Fs[k] - ((A + (k - 1) * np.eye(n)) @ Fs[k - 1] - Fs[k - 1] @ Lp)
+        worst = max(worst, float(np.max(np.abs(np.where(same, r, 0) if k == len(Fs) - 1 else r))))
+    return worst / max(1.0, max(float(np.max(np.abs(Fk))) for Fk in F))
+
+
+@pytest.mark.parametrize("lp0", [-1.0, 1.0, 2.0])
+def test_formal_recursion_integer_exponent_in_a_group(vanishing_A_uc, lp0):
+    """An integer exponent inside a group needs no gamma shift: the equations hold at u^c."""
+    A = vanishing_A_uc.copy()
+    A[0, 0] = lp0
+    sp = SystemPair(A, [0.0, 0.0, 1.0])
+    formal = formal_recursion(sp, 6)
+    assert formal.free_positions == []
+    assert _defining_residual(sp, formal.F) <= 1e-13
+
+
+def test_formal_recursion_unobstructed_resonance(vanishing_A_uc):
+    """resonant_group with A_02 = 0: the resonance at order 2 is free, not obstructed,
+    its entry is 0, and the recursion agrees with the merged-pole series."""
+    A = np.array(
+        [[0.5, 0.0, 0.0], [0.0, 2.5, -0.3], [0.6, 0.7, 0.25]], dtype=complex
+    )
+    sp = SystemPair(A, [0.0, 0.0, 1.0])
+    formal = formal_recursion(sp, 6)
+    assert formal.free_positions == [(2, 0, 1)]
+    assert formal.obstructed_positions == []
+    assert formal.F[1][0, 1] == 0.0
+    assert _defining_residual(sp, formal.F) <= 1e-13
+    ref = _merged_pole_reference(sp, 6)
+    scale = max(1.0, max(float(np.max(np.abs(F))) for F in ref))
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(formal.F, ref)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

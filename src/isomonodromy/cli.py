@@ -51,7 +51,6 @@ from .model import (
     SystemPair,
     _group_partition,
     is_in_cell,
-    nearest_integer,
     sector_bounds,
     stokes_ray_directions,
 )
@@ -60,6 +59,7 @@ from .frobenius import (
     ResonanceAmbiguity,
     build_fuchsian,
     levelt_at_confluence,
+    levelt_exponents,
     selected_solution,
 )
 
@@ -614,11 +614,13 @@ def _levelt_order(spec):
 def _parse_free(values, spec):
     """--free items 'l,i,j=re[:im]' into a position -> value map (1-based ij).
 
-    Each item names a resonant position: i != j in one group of u_c, and
-    l = A_jj - A_ii with 1 <= l <= the order of the Levelt recursion.
+    Each item names a position that ``levelt`` reports as free: a resonant position
+    of :func:`.frobenius.levelt_exponents` at a merged pole of u_c, l up to its order.
     """
     out = {}
     n, N = spec.u.size, _levelt_order(spec)
+    fs_c = build_fuchsian(SystemPair(spec.A, spec.u_c))
+    gaps = [levelt_exponents(fs_c, g)[1] for g in spec.geometry.groups if len(g) > 1]
     for item in values:
         try:
             pos, _, val = item.partition("=")
@@ -628,10 +630,9 @@ def _parse_free(values, spec):
         except ValueError as exc:
             raise SpecError(f"bad --free item {item!r}: {exc}") from exc
         if not (1 <= i <= n and 1 <= j <= n and 1 <= l <= N
-                and any(i - 1 in g and j - 1 in g for g in spec.geometry.groups)
-                and l == nearest_integer(spec.A[j - 1, j - 1] - spec.A[i - 1, i - 1])):
-            raise SpecError(f"bad --free item {item!r}: not a resonant position (i != j in one "
-                            f"group of u_c, l = A_jj - A_ii in 1..{N})")
+                and any(K[i - 1, j - 1] == l for K in gaps)):
+            raise SpecError(f"bad --free item {item!r}: not a resonant position (an integer "
+                            f"exponent gap T_i - T_j = l in 1..{N} at a merged pole of u_c)")
         out[(l, i - 1, j - 1)] = value
     return out
 

@@ -10,17 +10,18 @@ lambda'_k = A_kk decides the local structure:
                        analytic selected solution may degenerate to zero.
 
 All series are produced by direct recursions in the original coordinates;
-nothing here depends on the branch cut (only evaluation does).  Every
-local series solves, order by order,
+nothing here depends on the branch cut (only evaluation does).  With
+x = lam - u_k and D = u - u_k the system reads (D - x) Psi' = (A+I) Psi,
+so every local series sum_l c_l x^(l+sigma) steps from one order to the
+next (:func:`_propagate`), as :func:`.continuation.carry` does:
 
-    (s_l I - B_k) x_l = sum_{p<l} C_p x_{l-1-p} - source_l,   s_l = l + shift,
+    D_r (l+sigma) c_l[r] = ((l-1+sigma) + (A+I)) c_{l-1} [r]    (r != k),
+    (l+sigma+w_k) c_l[k] = -sum_{j!=k} w_j c_l[j]       (w = row k of A+I),
 
-through one step: the convolution with the (order+1, n, n) array of
-Taylor coefficients C_p (:func:`_convolve`) and a Sherman-Morrison solve
-for the rank-one residue B_k = -e_k w^T, w = row k of A+I (:func:`_solve`).
-Its divisors s_l and s_l + w_k vanish only at the resonant order, which
-the exponent-0 series pin through one chain (:func:`_chain`) from the
-kernel seeds of w (:func:`_kernel_seeds`).
+row k, where D_k = 0, solved rather than divided.  A series Psi = phi +
+L ln x adds the source L - D L/x to phi's step.  The divisors l+sigma and
+l+sigma+w_k vanish only at the resonant order, which the exponent-0 series
+pin through one chain (:func:`_chain`) from the kernel seeds of w.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import numpy as np
 
 from .model import (
     COALESCE_TOL,
-    VANISH_TOL,
-    SingularF1,
     SystemPair,
     _group_partition,
+    check_vanishing,
     exponent_class,
     nearest_integer,
 )
@@ -96,51 +96,46 @@ def build_fuchsian(system: SystemPair) -> FuchsianSystem:
 _ZERO_DIVISOR = 1e-300
 
 
-def _local_coeffs(fs: FuchsianSystem, k: int, order: int):
-    """Taylor coefficients C_p, p = 0..order, of sum_{m!=k} B_m/(lam-u_m) at lam = u_k.
+def _gaps(fs: FuchsianSystem, k: int):
+    """1/D_r = 1/(u_r - u_k), r != k, and 0 for r = k; a gap below COALESCE_TOL
+    raises :class:`ResonanceAmbiguity`: the local series needs distinct poles."""
+    D = fs.u - fs.u[k]
+    D[k] = math.inf
+    m = int(np.argmin(np.abs(D)))
+    if abs(D[m]) < COALESCE_TOL:
+        raise ResonanceAmbiguity(f"poles u_{k} and u_{m} coincide: the local series at u_{k} "
+                                 "needs distinct poles")
+    return 1.0 / D
 
-    One (order+1, n, n) array: row m of C_p is (A+I)_m/(u_m - u_k)^(p+1),
-    row k is zero.
+
+def _rows(fs, k, inv, prev, l, shift, source=None):
+    """``(c_l, rhs_k)``: rows r != k of order l from order l-1, and row k's right side.
+
+    D_r s c_l = (s - 1 + (A+I)) c_{l-1} + source_{l-1} - D source_l, s = l + shift,
+    ``source[l]`` the coefficient of x^(l+shift) in L; c_l[k] = 0 and row k reads
+    (s + w_k) c_l[k] = rhs_k.  A vanishing s raises :class:`ResonanceAmbiguity`.
     """
-    a = fs.u - fs.u[k]
-    for m in range(fs.n):
-        if m != k and abs(a[m]) < COALESCE_TOL:
-            raise ResonanceAmbiguity(
-                f"poles u_{k} and u_{m} coincide; local series at a merged pole "
-                "must go through the confluent Levelt construction"
-            )
-    inv = np.zeros(fs.n, dtype=complex)
-    others = np.arange(fs.n) != k
-    inv[others] = 1.0 / a[others]
-    powers = inv[None, :] ** np.arange(1, order + 2)[:, None]
-    return powers[:, :, None] * fs.A_plus_I[None, :, :]
-
-
-def _convolve(C, x, l, source=None):
-    """Right-hand side sum_{p<l} C_p x_{l-1-p} of order l, less ``source[l]`` if given."""
-    rhs = np.einsum("pij,pj->i", C[:l], x[l - 1::-1])
-    return rhs if source is None else rhs - source[l]
-
-
-def _solve(s, w, k, r):
-    """(s I - B_k)^-1 r for the rank-one residue B_k = -e_k w^T (Sherman-Morrison).
-
-    (s I + e_k w^T)^-1 r = (r - e_k (w . r)/(s + w_k))/s.  The divisor
-    s + w_k vanishes exactly at the resonant order that the callers pin;
-    a vanishing divisor raises :class:`ResonanceAmbiguity`.
-    """
-    t = s + w[k]
-    if abs(s) < _ZERO_DIVISOR or abs(t) < _ZERO_DIVISOR:
+    s = l + shift
+    if abs(s) < _ZERO_DIVISOR:
         raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s = {s})")
-    x = r.copy()
-    x[k] -= (w @ r) / t
-    return x / s
+    r = fs.A_plus_I @ prev + (s - 1) * prev
+    if source is None:
+        c = r * inv / s  # row k is 0: inv[k] = 0
+        return c, -(fs.A_plus_I[k] @ c)
+    c = ((r + source[l - 1]) * inv - source[l]) / s
+    c[k] = 0.0
+    return c, -(fs.A_plus_I[k] @ c) - source[l, k]
 
 
-def _propagate(C, w, k, x, orders, shift=0, source=None):
-    """Fill x[l], l in ``orders``, from ((l + shift) I - B_k) x_l = _convolve(C, x, l, source)."""
+def _propagate(fs, k, inv, x, orders, shift=0, source=None):
+    """Fill x[l], l in ``orders``, from x[l-1]: :func:`_rows`, then row k solved;
+    its divisor s + w_k vanishes only at the resonant order, where it raises."""
+    lead = shift + fs.A_plus_I[k, k]
     for l in orders:
-        x[l] = _solve(l + shift, w, k, _convolve(C, x, l, source))
+        x[l], rhs_k = _rows(fs, k, inv, x[l - 1], l, shift, source)
+        if abs(l + lead) < _ZERO_DIVISOR:
+            raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s + w_k = 0)")
+        x[l, k] = rhs_k / (l + lead)
     return x
 
 
@@ -159,36 +154,35 @@ def _kernel_seeds(w, k):
     return seeds
 
 
-def _chain(C, w, k, seed, rho, source=None):
+def _chain(fs, k, inv, seed, rho, source=None):
     """Exponent-0 recursion from ``seed`` up to the resonant order rho.
 
-    Returns ``(phi, obstruction)``: the coefficients of orders 0..rho-1 and
-    w . rhs_rho, which must vanish for order rho to be solvable.
+    Returns ``(phi, obstruction)``: orders 0..rho, phi_rho[k] pinned to zero,
+    and -rho rhs_k of order rho (row k's divisor rho + w_k vanishes there),
+    which must vanish for order rho to be solvable.
     """
-    phi = np.zeros((rho, w.size), dtype=complex)
+    phi = np.zeros((rho + 1, fs.n), dtype=complex)
     phi[0] = seed
-    _propagate(C, w, k, phi, range(1, rho), 0, source)
-    return phi, w @ _convolve(C, phi, rho, source)
+    _propagate(fs, k, inv, phi, range(1, rho), 0, source)
+    phi[rho], rhs_k = _rows(fs, k, inv, phi[rho - 1], rho, 0, source)
+    return phi, -rho * rhs_k
 
 
-def _exponent0_series(C, w, k, seed, N, rho, source=None):
+def _exponent0_series(fs, k, inv, seed, N, rho, source=None):
     """Exponent-0 series of orders 0..N from ``seed``, pinned at the resonant order.
 
-    At order rho (if 1 <= rho <= N) the solve keeps rhs/rho with the kernel
-    (k-th) component pinned to zero.  Returns ``(phi, obstruction)``, the
-    obstruction relative to the coefficients and right-hand side up to
-    order rho (0 without a resonant order).
+    Returns ``(phi, obstruction)``, the obstruction of :func:`_chain` relative to
+    the coefficients up to order rho and that order's right side, rho phi_rho
+    and source_rho[k] (0 without a resonant order 1 <= rho <= N).
     """
-    phi = np.zeros((N + 1, w.size), dtype=complex)
+    phi = np.zeros((N + 1, fs.n), dtype=complex)
     phi[0] = seed
     if not 1 <= rho <= N:
-        return _propagate(C, w, k, phi, range(1, N + 1), 0, source), 0.0
-    phi[:rho], obstruction = _chain(C, w, k, seed, rho, source)
-    rhs = _convolve(C, phi, rho, source)
-    phi[rho] = rhs / rho
-    phi[rho, k] = 0.0
-    scale = max(1.0, float(np.max(np.abs(phi[:rho]))), float(np.max(np.abs(rhs))))
-    return _propagate(C, w, k, phi, range(rho + 1, N + 1), 0, source), abs(obstruction) / scale
+        return _propagate(fs, k, inv, phi, range(1, N + 1), 0, source), 0.0
+    phi[:rho + 1], obstruction = _chain(fs, k, inv, seed, rho, source)
+    scale = max(1.0, float(np.max(np.abs(phi[:rho]))), rho * float(np.max(np.abs(phi[rho]))),
+                0.0 if source is None else abs(source[rho, k]))
+    return _propagate(fs, k, inv, phi, range(rho + 1, N + 1), 0, source), abs(obstruction) / scale
 
 
 def horner(coeffs, x):
@@ -310,37 +304,34 @@ def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     sol = LocalSolution(k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
                         N=N, radius=fs.validity_radius(k))
 
+    inv = _gaps(fs, k)
     if klass != "natural":
-        C = _local_coeffs(fs, k, N)
         sol.b = np.zeros((N + 1, n), dtype=complex)
         sol.b[0, k] = fk
-        _propagate(C, w, k, sol.b, range(1, N + 1), rho)
-        sol.residual = _series_residual(w, sol, C)
+        _propagate(fs, k, inv, sol.b, range(1, N + 1), rho)
+        sol.residual = _series_residual(fs, k, inv, sol.b, rho)
         return sol
 
     # class natural: coupled pole/log recursion
     Nk = nearest_integer(lp)  # rho = -(Nk + 1)
     order_b = N + Nk + 1
-    C = _local_coeffs(fs, k, order_b)
     b = np.zeros((order_b + 1, n), dtype=complex)
     b[0, k] = fk
-    _propagate(C, w, k, b, range(1, Nk + 1), rho)
-    # order Nk+1 fixes d_0 and the pole-part continuation jointly
-    R = _convolve(C, b, Nk + 1)
+    _propagate(fs, k, inv, b, range(1, Nk + 1), rho)
+    # order Nk+1 (s = 0) fixes d_0 and the pole-part continuation jointly:
+    # its rows r != k give d_0[r], w . d_0 = 0 gives d_0[k]
     d = np.zeros((N + 1, n), dtype=complex)
-    d[0] = R
-    d[0, k] = 0.0
+    d[0] = (fs.A_plus_I @ b[Nk] - b[Nk]) * inv
     d[0, k] = -(w @ d[0]) / w[k]
-    _propagate(C, w, k, d, range(1, N + 1))
-    b[Nk + 1, k] = (R[k] - d[0, k]) / w[k]  # kernel freedom pinned: off-k components zero
+    _propagate(fs, k, inv, d, range(1, N + 1))
+    b[Nk + 1, k] = -d[0, k] / w[k]  # kernel freedom pinned: off-k components zero
     # the log part Psi_k = sum d_l x^l feeds the pole part from order Nk+1 on
-    source = np.zeros_like(b)
-    source[Nk + 1:] = d
-    _propagate(C, w, k, b, range(Nk + 2, order_b + 1), rho, source)
+    source = np.vstack([np.zeros((Nk + 1, n)), d])
+    _propagate(fs, k, inv, b, range(Nk + 2, order_b + 1), rho, source)
     sol.b = b[: N + 1].copy()
     sol.d = d
     sol.zero, sol.zero_verdict = _zero_verdict(fs, k, d)
-    sol.residual = _series_residual(w, sol, C)
+    sol.residual = _series_residual(fs, k, inv, d, 0)
     return sol
 
 
@@ -360,18 +351,13 @@ def _zero_verdict(fs, k, d):
     return True, "numerical" + ("" if nxt < 1e-12 else " (forward bound inconclusive)")
 
 
-def _series_residual(w, sol, C):
-    """Residual of the recursion at the last computed order (sanity metric)."""
-    # The recursions are solved exactly per order; report the backward error
-    # of the rank-one solve at the last order as a cheap certificate.
-    natural = sol.klass == "natural"
-    coeffs = sol.d if natural else sol.b
+def _series_residual(fs, k, inv, coeffs, shift):
+    """Backward error of the two-term step at the last order, relative to the coefficients."""
     l = coeffs.shape[0] - 1
-    x = coeffs[l]
-    lhs = (l + (0.0 if natural else sol.rho)) * x
-    lhs[sol.k] += w @ x
-    scale = max(np.max(np.abs(coeffs)), 1.0)
-    return float(np.max(np.abs(lhs - _convolve(C, coeffs, l))) / scale)
+    x, s = coeffs[l], l + shift
+    res = s * (x - _rows(fs, k, inv, coeffs[l - 1], l, shift)[0])
+    res[k] = s * x[k] + fs.A_plus_I[k] @ x
+    return float(np.max(np.abs(res)) / max(np.max(np.abs(coeffs)), 1.0))
 
 
 def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
@@ -383,14 +369,14 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     the resonant solve is pinned to zero.
     """
     w = fs.A_plus_I[k]
-    C = _local_coeffs(fs, k, N)
+    inv = _gaps(fs, k)
     rho = 0
     if fs.integer_class(k) == "negative_integer":
         rho = -1 - nearest_integer(fs.lambda_prime[k])
     seeds = _kernel_seeds(w, k)
     if rho >= 1:
         # restrict seeds to the null space of the obstruction functional
-        obs = np.array([_chain(C, w, k, s, rho)[1] for s in seeds])
+        obs = np.array([_chain(fs, k, inv, s, rho)[1] for s in seeds])
         if float(np.max(np.abs(obs))) > 1e-12:
             # orthonormal basis of the null space of the 1 x m functional
             m = len(seeds)
@@ -398,7 +384,7 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
             seeds = Q[:, 1:m].T @ seeds
     out = []
     for s in seeds:
-        phi, obstruction = _exponent0_series(C, w, k, s, N, rho)
+        phi, obstruction = _exponent0_series(fs, k, inv, s, N, rho)
         if obstruction <= 1e-9:
             out.append(phi)
     return out
@@ -421,7 +407,7 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     # negative integer: fix the log coefficient at the selected solution
     n = fs.n
     rho = -1 - nearest_integer(sel.lambda_prime_k)
-    C = _local_coeffs(fs, k, N)
+    inv = _gaps(fs, k)
     w = fs.A_plus_I[k]
     # Psi_k = sum_l b_l x^(l+rho), as coefficients of x^l: the source of phi
     shifted = np.zeros((N + 1, n), dtype=complex)
@@ -439,8 +425,8 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     else:
         # affine propagation phi_l(y) to the resonant order; seed in ker(w .)
         seeds = _kernel_seeds(w, k)
-        _, c0 = _chain(C, w, k, np.zeros(n, dtype=complex), rho, shifted)
-        L = np.array([_chain(C, w, k, s, rho)[1] for s in seeds])
+        _, c0 = _chain(fs, k, inv, np.zeros(n, dtype=complex), rho, shifted)
+        L = np.array([_chain(fs, k, inv, s, rho)[1] for s in seeds])
         if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
             if abs(c0) > 1e-10:
                 zero = True
@@ -456,7 +442,7 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
         N=N, radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
     )
     if not zero:
-        sol.phi, obstruction = _exponent0_series(C, w, k, seed, N, rho, shifted)
+        sol.phi, obstruction = _exponent0_series(fs, k, inv, seed, N, rho, shifted)
         if obstruction > 1e-8:
             raise ResonanceAmbiguity(
                 f"inconsistent resonant solve at pole {k}, order {rho} (residual {obstruction:.2e})"
@@ -532,18 +518,29 @@ class LeveltData:
     partial_nonresonance: bool
 
 
+def levelt_exponents(fs_uc: FuchsianSystem, group):
+    """``(T, K)``: Levelt exponents at the merged pole of ``group``, T_j = -(A+I)_jj on
+    the group (:func:`jordan_reduce_Bj`) and 0 off it, and K_ij = T_i - T_j where that
+    is an integer, else 0; (l, i, j) with K_ij = l >= 1 is a resonant position."""
+    idx = list(group)
+    T = np.zeros(fs_uc.n, dtype=complex)
+    T[idx] = -np.diag(fs_uc.A_plus_I)[idx]
+    return T, np.array([[nearest_integer(a - b) or 0 for b in T] for a in T])
+
+
 def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
                          free_values=None) -> LeveltData:
     """Levelt exponents and resonant structure at a merged pole.
 
     ``fs_uc`` must be the Fuchsian system evaluated at u = u^c, ``group``
     one of its coalescence groups (:func:`.model._group_partition`),
-    merging at lambda_alpha.  Each group residue is reduced by
-    :func:`jordan_reduce_Bj`; a nilpotent one (lambda'_j = -1) raises
-    :class:`ResonanceAmbiguity`.  Runs the recursion for the normal-form
-    series G_l; positions with an integer exponent gap T_ii - T_jj = l are
-    reported as free parameters (defaulted to 0, or to the entries of
-    ``free_values``), and the obstruction matrices R_l are computed there.
+    merging at lambda_alpha, that passes :func:`.model.check_vanishing`.
+    Each group residue is reduced by :func:`jordan_reduce_Bj`; a nilpotent
+    one (lambda'_j = -1) raises :class:`ResonanceAmbiguity`.  Runs the
+    recursion for the normal-form series G_l; the resonant positions of
+    :func:`levelt_exponents` are reported as free parameters (defaulted to
+    0, or to the entries of ``free_values``), and the obstruction matrices
+    R_l are computed there.
     """
     group = tuple(group)
     n = fs_uc.n
@@ -551,24 +548,17 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
     if group not in groups:
         raise ValueError(f"{group} is not a coalescence group of u^c: {groups}")
     lam_alpha = fs_uc.u[group[0]]
-    for i in group:
-        for j in group:
-            if i != j and abs(fs_uc.A[i, j]) > VANISH_TOL:
-                raise SingularF1(
-                    f"vanishing conditions violated at u^c: |A[{i},{j}]| = {abs(fs_uc.A[i, j]):.2e}"
-                )
+    check_vanishing(fs_uc.A, fs_uc.u)
     # simultaneous reduction of the group residues (diagonalizable branch)
     G = np.eye(n, dtype=complex)
-    T = np.zeros(n, dtype=complex)
     for j in group:
-        Gj, Tj, branch = jordan_reduce_Bj(fs_uc, j)
+        Gj, _, branch = jordan_reduce_Bj(fs_uc, j)
         if branch == "jordan":
             raise ResonanceAmbiguity(
                 f"lambda'_{j} = -1 with nilpotent residue: the diagonal Levelt "
                 "reduction does not apply to this group"
             )
         G = G @ Gj
-        T[j] = Tj[j, j]
     # the other groups' merged residues G^-1 B_i G, B_i = -e_i w_i^T, w_i = row i of A+I
     Ginv = np.linalg.inv(G)
     others = [(v, -sum(np.outer(Ginv[:, i], fs_uc.A_plus_I[i] @ G) for i in g))
@@ -576,8 +566,7 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
     Dm = [None] + [sum((((-1) ** (m + 1)) / (lam_alpha - lam_beta) ** m * Db
                         for lam_beta, Db in others), np.zeros((n, n), dtype=complex))
                    for m in range(1, N + 1)]
-    # the integer exponent gaps T_i - T_j, 0 where not an integer
-    K = np.array([[nearest_integer(a - b) or 0 for b in T] for a in T])
+    T, K = levelt_exponents(fs_uc, group)
     Gl = [np.eye(n, dtype=complex)]
     Rl = {}
     free = []
@@ -614,21 +603,26 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
 # ---------------------------------------------------------------------------
 
 
+def _spectrum(system: SystemPair):
+    """The diagonal and the eigenvalues of A: A -> A - gamma I shifts both by gamma."""
+    return np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)])
+
+
+def _first_integer(values):
+    """The first of ``values`` that is an integer within tolerance, or None."""
+    return next((x for x in values if nearest_integer(x) is not None), None)
+
+
 def gamma_shift(system: SystemPair, gamma: float) -> SystemPair:
     """Gauge shift A -> A - gamma I moving exponents off the integers.
 
     Raises :class:`BadGamma` if some shifted diagonal entry or eigenvalue
     of the shifted matrix is still an integer within tolerance.
     """
-    A = system.A - gamma * np.eye(system.n)
-    shifted = np.diag(A)
-    for x in shifted:
-        if nearest_integer(x) is not None:
-            raise BadGamma(f"shifted diagonal entry {x} is integer within tolerance")
-    for ev in np.linalg.eigvals(A):
-        if nearest_integer(ev) is not None:
-            raise BadGamma(f"shifted eigenvalue {ev} is integer within tolerance")
-    return SystemPair(A, system.u)
+    bad = _first_integer(_spectrum(system) - gamma)
+    if bad is not None:
+        raise BadGamma(f"shifted diagonal entry or eigenvalue {bad} is integer within tolerance")
+    return SystemPair(system.A - gamma * np.eye(system.n), system.u)
 
 
 # gamma candidates of :func:`pick_gamma`, tried in this order
@@ -637,17 +631,13 @@ _GAMMA_CANDIDATES = (0.3, 0.23, 0.41, 0.17, 0.37, 0.29)
 
 def pick_gamma(system: SystemPair):
     """First gamma from a fixed candidate list that clears the conditions."""
-    last = None
+    values = _spectrum(system)
     for g in _GAMMA_CANDIDATES:
-        try:
-            gamma_shift(system, g)
+        if _first_integer(values - g) is None:
             return g
-        except BadGamma as exc:
-            last = exc
-    raise BadGamma(f"no candidate gamma worked: {last}")
+    raise BadGamma(f"no candidate gamma {_GAMMA_CANDIDATES} clears the integer conditions")
 
 
 def needs_gamma_shift(system: SystemPair) -> bool:
     """True if some diagonal entry or eigenvalue of A is integer."""
-    return any(nearest_integer(x) is not None
-               for x in np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)]))
+    return _first_integer(_spectrum(system)) is not None

@@ -49,6 +49,7 @@ from .model import (
     SingularF1,
     VANISH_TOL,
     angular_distance_mod_pi,
+    check_vanishing,
     nearest_integer,
 )
 from .frobenius import (
@@ -76,21 +77,15 @@ def f1(system):
 
     Off the coalescence locus this is the k = 1 step of :func:`formal_recursion`.
     Coalesced pairs (gap below COALESCE_TOL) require |A_ij| below VANISH_TOL
-    max(1, max|A|) (vanishing conditions) and get the quotient 0: the quotient
+    max(1, max|A|) (:func:`.model.check_vanishing`) and get the quotient 0: the quotient
     matrix of the deformation equations, not the formal F_1, whose in-group
     entries at u^c are not 0.  Raises :class:`SingularF1` otherwise.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
+    near = check_vanishing(A, u)
     off = A - np.diag(np.diag(A))
-    gap = u[None, :] - u[:, None]
-    near = np.abs(gap) < COALESCE_TOL
-    bad = np.argwhere(near & (np.abs(off) > VANISH_TOL * max(1.0, float(np.max(np.abs(A))))))
-    if bad.size:
-        i, j = bad[0]
-        raise SingularF1(f"u_{i} = u_{j} but |A[{i},{j}]| = {abs(A[i, j]):.2e}: "
-                         "vanishing conditions violated")
-    F = np.where(near, 0, off) / np.where(near, 1, gap)
+    F = np.where(near, 0, off) / np.where(near, 1, u[None, :] - u[:, None])
     np.fill_diagonal(F, -np.einsum("ij,ji->i", off, F))
     return F
 

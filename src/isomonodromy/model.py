@@ -42,6 +42,19 @@ def exponent_class(x):
     return "natural" if r >= 0 else "negative_integer"
 
 
+def check_vanishing(A, u):
+    """The mask of the pairs with |u_i - u_j| < COALESCE_TOL, once each of their
+    A_ij, i != j, is below VANISH_TOL max(1, max|A|) (:class:`SingularF1` otherwise)."""
+    near = np.abs(u[None, :] - u[:, None]) < COALESCE_TOL
+    bad = np.argwhere(near & ~np.eye(u.size, dtype=bool)
+                      & (np.abs(A) > VANISH_TOL * max(1.0, float(np.max(np.abs(A))))))
+    if bad.size:
+        i, j = bad[0]
+        raise SingularF1(f"u_{i} = u_{j} but |A[{i},{j}]| = {abs(A[i, j]):.2e}: "
+                         "vanishing conditions violated")
+    return near
+
+
 class NonAdmissibleError(ValueError):
     """Raised when a direction coincides with a Stokes ray mod pi."""
 

@@ -277,22 +277,59 @@ def test_cli_levelt_free_value_flag(tmp_path):
     assert report["results"]["groups"][0]["free_parameter_count"] == 1
 
 
+# A with a resonant position off the group {1, 2} of resonant_group's u_c: the merged
+# residue's exponents are T = (-2, -1.37, 0), so T_3 - T_1 = 2
+_FREE_A = {"2,3,1=0.5": [[[1.0, 0.0], [0.0, 0.0], [0.4, 0.0]],
+                         [[0.0, 0.0], [0.37, 0.0], [-0.3, 0.0]],
+                         [[0.6, 0.0], [0.7, 0.0], [0.25, 0.0]]]}
+
+
 @pytest.mark.parametrize("item, code", [
     ("2,7,2=0.5", 2),  # index outside 1..n
     ("2,0,2=0.5", 2),  # index outside 1..n (0 is not 1-based)
     ("9,1,2=0.5", 2),  # A_22 - A_11 = 2, not 9
     ("2,1,2=0.5", 0),  # the one resonant position of resonant_group
+    ("2,3,1=0.5", 0),  # the off-group position of _FREE_A, which levelt reports
 ])
-def test_cli_levelt_free_items_are_checked(tmp_path, item, code):
-    """An item that names no resonant position is a problem-file error, before any stage."""
+def test_cli_levelt_free_items_are_checked(tmp_path, monkeypatch, item, code):
+    """An item that names no position levelt reports as free is a problem-file error, before
+    any stage; one that does is reported and its value lands in G."""
+    from isomonodromy import cli
+
+    prob = json.loads((ROOT / "problems" / "resonant_group.json").read_text())
+    prob["A"] = _FREE_A.get(item, prob["A"])
+    runs = []
+
+    def levelt_at_confluence(*args, **kwargs):
+        runs.append(cli_levelt(*args, **kwargs))
+        return runs[-1]
+
+    cli_levelt = cli.levelt_at_confluence
+    monkeypatch.setattr(cli, "levelt_at_confluence", levelt_at_confluence)
     out = tmp_path / "out"
-    spec = str(ROOT / "problems" / "resonant_group.json")
-    result = CliRunner().invoke(main, ["levelt", "--spec", spec, "--out", str(out),
-                                       "--free", item])
+    result = CliRunner().invoke(main, ["levelt", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out), "--free", item])
     assert result.exit_code == code, result.output
     assert (out / "levelt_report.json").exists() == (code == 0)
     if code:
         assert "problem file error: bad --free item" in result.output
+        return
+    l, i, j = (int(x) for x in item.partition("=")[0].split(","))
+    report = json.loads((out / "levelt_report.json").read_text())
+    assert [l, i, j] in report["results"]["groups"][0]["free_parameters"]
+    assert [data.G_series[l][i - 1, j - 1] for data in runs] == [0.5]
+
+
+def test_cli_stokes_on_the_locus_says_the_local_series_needs_distinct_poles(tmp_path):
+    """resonant_group sits on the locus, where no local series exists at the merged pole."""
+    spec = str(ROOT / "problems" / "resonant_group.json")
+    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(tmp_path),
+                                       "--oracle", "off"])
+    assert result.exit_code == 3, result.output
+    report = json.loads((tmp_path / "stokes_report.json").read_text())
+    [stage] = [s for s in report["stages"] if s["name"] == "connection"]
+    assert stage["error"] == ("ResonanceAmbiguity: poles u_0 and u_1 coincide: the local series "
+                              "at u_0 needs distinct poles")
 
 
 def test_cli_check_runs(tmp_path):

@@ -303,6 +303,23 @@ def test_levelt_rejects_violated_vanishing():
         levelt_at_confluence(fs, (0, 1), N=8)
 
 
+def test_levelt_and_f1_share_one_vanishing_test():
+    """levelt_at_confluence and f1 judge an in-group entry by one limit, VANISH_TOL max(1, max|A|):
+    5e-9 is below it at max|A| = 60, 1e-8 above it."""
+    from isomonodromy.laplace import f1, formal_recursion
+
+    u = [0.0, 0.0, 1.0]
+    A = np.array([[0.3, 5e-9, 45], [0, 0.7, -35], [60, 50, 0.21]], dtype=complex)
+    f1(SystemPair(A, u))
+    formal_recursion(SystemPair(A, u), 4)
+    levelt_at_confluence(build_fuchsian(SystemPair(A, u)), (0, 1), N=8)
+    A[0, 1] = 1e-8
+    with pytest.raises(SingularF1, match=r"\|A\[0,1\]\| = 1.00e-08"):
+        f1(SystemPair(A, u))
+    with pytest.raises(SingularF1, match=r"\|A\[0,1\]\| = 1.00e-08"):
+        levelt_at_confluence(build_fuchsian(SystemPair(A, u)), (0, 1), N=8)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-10])
 def test_levelt_refuses_a_group_exponent_at_minus_one(offset):
     """lambda'_0 = -1 (+ 1e-10, within INTEGER_TOL) leaves B_0 nilpotent, not diagonalizable.
@@ -356,6 +373,22 @@ def test_gamma_shift_rejects_bad_gamma():
     with pytest.raises(BadGamma):
         gamma_shift(sp, 0.3)  # 0.3 - 0.3 = 0 integer
     assert pick_gamma(sp) != 0.3
+
+
+def test_pick_gamma_takes_one_spectrum(monkeypatch):
+    """spec(A - gamma I) = spec(A) - gamma: one eigvals serves every candidate, here past the
+    first two (0.3 and 0.23 meet the diagonal), and one more makes the shift."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or eigvals(M))
+    sp = SystemPair(np.array([[0.3, 0.5], [0.0, 0.23]], dtype=complex), [0.0, 1.0])
+    assert pick_gamma(sp) == 0.41
+    assert len(calls) == 1
+    shifted = gamma_shift(sp, 0.41)
+    assert len(calls) == 2
+    assert np.array_equal(shifted.A, sp.A - 0.41 * np.eye(2))
+    with pytest.raises(BadGamma):
+        gamma_shift(sp, 0.23)
 
 
 def test_gamma_shift_preserves_omega(system_2x2):
@@ -575,16 +608,37 @@ def test_rank_one_series_matches_dense_reference():
             assert _rowwise_error(sing.phi, _dense_singular_phi(fs, k, N)) < 1e-12
 
 
+def test_resonant_obstruction_is_the_dense_w_dot_rhs():
+    """The obstruction at the resonant order, -rho times the right side of row k, is w . rhs of
+    the dense convolution, with and without the log source, so its limits keep their scale."""
+    from isomonodromy.frobenius import _chain, _gaps
+
+    N = 30
+    for fs, k in _series_cases():
+        rho = int(round((-fs.lambda_prime[k] - 1).real))
+        if fs.integer_class(k) != "negative_integer" or rho < 1:
+            continue
+        C, (_, seeds) = _dense_coeffs(fs, k, N), _dense_seeds(fs, k)
+        b, _ = _dense_selected(fs, k, N)
+        shifted = np.zeros((N + 1, fs.n), dtype=complex)
+        shifted[rho:] = b[: N + 1 - rho]
+        for seed, source in [(s, None) for s in seeds] + [(0 * seeds[0], shifted)]:
+            want = _dense_obstruction(fs, k, C, seed, rho, source)
+            got = _chain(fs, k, _gaps(fs, k), seed, rho, source)[1]
+            assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("lp", [-1.0, -1.0 + 1e-10, -2.0, -3.0])
 def test_analytic_basis_solves_every_order_near_minus_one(lp):
     """Each exponent-0 series solves (l I - B_k) phi_l = sum_p C_p phi_{l-1-p} at every
-    order, the resonant one and order 0 included, with bounded coefficients."""
-    from isomonodromy.frobenius import _convolve, _local_coeffs
+    order, the resonant one and order 0 included, with bounded coefficients.
 
+    The convolution with the Taylor coefficients C_p is the dense reference's,
+    independent of the two-term step that computes the series."""
     A = np.array([[lp, 0.5, 0.2], [0.3, 0.37, 0.1], [0.2, 0.1, 0.61]], dtype=complex)
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 2.0j]))
     N = 30
-    w, C = fs.A_plus_I[0], _local_coeffs(fs, 0, N)
+    w, C = fs.A_plus_I[0], _dense_coeffs(fs, 0, N)
     basis = analytic_basis(fs, 0, N=N)
     assert basis
     for phi in basis:
@@ -592,21 +646,41 @@ def test_analytic_basis_solves_every_order_near_minus_one(lp):
         assert scale < 10
         for l in range(N + 1):
             lhs = l * phi[l] + np.eye(3)[0] * (w @ phi[l])
-            rhs = _convolve(C, phi, l) if l else 0.0
+            rhs = _dense_rhs(C, phi, l) if l else 0.0
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale, l
 
 
 def test_rank_one_solve_and_its_divisor_guard():
-    """(s I - B_k) x = r for B_k = -e_k w^T; a vanishing s or s + w_k raises."""
-    from isomonodromy.frobenius import ResonanceAmbiguity, _solve
+    """One two-term step: rows r != k divide D_r s c_l[r] = ((s - 1) + (A+I)) c_{l-1} [r] and
+    row k solves (s + w_k) c_l[k] = -sum_{j!=k} w_j c_l[j], s = l + shift, D = u - u_k, w = row k
+    of A+I; a vanishing s or s + w_k raises."""
+    from isomonodromy.frobenius import ResonanceAmbiguity, _gaps, _propagate
 
-    w = np.array([1.0, -2.0, 0.5 + 0.3j])
-    r = np.array([0.4, -1.1j, 2.0])
-    x = _solve(1.5, w, 1, r)
-    assert np.max(np.abs(1.5 * x + np.eye(3)[1] * (w @ x) - r)) < 1e-15
-    for s in (0.0, 2.0):
-        with pytest.raises(ResonanceAmbiguity):
-            _solve(s, w, 1, r)
+    A = np.array([[0.4, -2.0, 0.5 + 0.3j], [0.2, 1.0, 0.7], [-0.3, 0.6j, 0.1]])
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0 + 0.5j, -0.7j]))
+    k, w, D = 1, fs.A_plus_I[1], fs.u - fs.u[1]
+    x = np.array([[0.4, -1.1j, 2.0], [0.0, 0.0, 0.0]], dtype=complex)
+    _propagate(fs, k, _gaps(fs, k), x, [1], 0.5)
+    s = 1.5
+    want = (s - 1) * x[0] + fs.A_plus_I @ x[0]
+    got = D * s * x[1]
+    want[k], got[k] = 0.0, (s + w[k]) * x[1, k] + sum(w[j] * x[1, j] for j in (0, 2))
+    assert np.max(np.abs(got - want)) < 1e-14
+    for shift in (-1.0, -1.0 - w[k]):  # s = 0, then s + w_k = 0
+        with pytest.raises(ResonanceAmbiguity, match="vanishing recursion divisor"):
+            _propagate(fs, k, _gaps(fs, k), x.copy(), [1], shift)
+
+
+def test_local_series_refuses_coinciding_poles():
+    """A local series at u_0 needs the other poles apart from it."""
+    from isomonodromy.frobenius import ResonanceAmbiguity
+
+    A = np.array([[0.5, 0.0, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
+    for f in (selected_solution, singular_solution, analytic_basis):
+        with pytest.raises(ResonanceAmbiguity, match="u_0 and u_1 coincide: the local series at "
+                                                     "u_0 needs distinct poles"):
+            f(fs, 0, N=8)
 
 
 def test_series_recursion_makes_no_dense_solve(monkeypatch):

@@ -36,15 +36,12 @@ _EXPORTS = {
     "singular_solution": "frobenius",
     "FormalSolution": "laplace",
     "asymptotic_coeffs": "laplace",
-    "asymptotic_fit": "laplace",
     "f1": "laplace",
     "formal_recursion": "laplace",
-    "laplace_column": "laplace",
     "ConnectionData": "continuation",
     "connection_coefficients": "continuation",
     "monodromy_matrix": "continuation",
     "StokesPair": "stokes",
-    "stokes_direct": "stokes",
     "stokes_from_connection": "stokes",
     "stokes_generate": "stokes",
     "stokes_pipeline": "stokes",

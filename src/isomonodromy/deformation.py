@@ -276,21 +276,19 @@ def transport(state: DeformationState, target_u, tol=1e-10,
                             spectrum_drift=max(state.spectrum_drift, float(spec_drift)))
 
 
-def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None,
-                       gamma=None):
+def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, gamma=None):
     """Connection data along a deformation path, one sample at a time.
 
     A is Schlesinger-transported from sample to sample of ``u_samples`` and
     the products are re-extracted at each by
-    :func:`.continuation.connection_products` with ``geometry`` and
-    ``gamma``, both at ``tol``.  Yields ``(state, P, conn)`` per sample.
+    :func:`.continuation.connection_products` with ``gamma``, both at
+    ``tol``.  Yields ``(state, P, conn)`` per sample.
     """
     state = DeformationState(u=np.asarray(u_samples[0], dtype=complex), A=system.A.copy())
     for i, u in enumerate(u_samples):
         if i > 0:
             state = transport(state, u, tol=tol)
-        P, conn = connection_products(state.system(), cut, tol=tol, N=N, geometry=geometry,
-                                      gamma=gamma)
+        P, conn = connection_products(state.system(), cut, tol=tol, N=N, gamma=gamma)
         yield state, P, conn
 
 

@@ -263,7 +263,6 @@ class LocalSolution:
     zero: bool = False
     zero_verdict: str = ""
     analytic_completion: list = field(default_factory=list)
-    residual: float = 0.0
 
     @property
     def rho(self):
@@ -309,7 +308,6 @@ def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
         sol.b = np.zeros((N + 1, n), dtype=complex)
         sol.b[0, k] = fk
         _propagate(fs, k, inv, sol.b, range(1, N + 1), rho)
-        sol.residual = _series_residual(fs, k, inv, sol.b, rho)
         return sol
 
     # class natural: coupled pole/log recursion
@@ -331,7 +329,6 @@ def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     sol.b = b[: N + 1].copy()
     sol.d = d
     sol.zero, sol.zero_verdict = _zero_verdict(fs, k, d)
-    sol.residual = _series_residual(fs, k, inv, d, 0)
     return sol
 
 
@@ -349,15 +346,6 @@ def _zero_verdict(fs, k, d):
     weighted = sum(float(np.linalg.norm(c)) * g ** l for l, c in enumerate(d))
     nxt = (K / g) * weighted / max(N + 1 - normB, 1.0)
     return True, "numerical" + ("" if nxt < 1e-12 else " (forward bound inconclusive)")
-
-
-def _series_residual(fs, k, inv, coeffs, shift):
-    """Backward error of the two-term step at the last order, relative to the coefficients."""
-    l = coeffs.shape[0] - 1
-    x, s = coeffs[l], l + shift
-    res = s * (x - _rows(fs, k, inv, coeffs[l - 1], l, shift)[0])
-    res[k] = s * x[k] + fs.A_plus_I[k] @ x
-    return float(np.max(np.abs(res)) / max(np.max(np.abs(coeffs)), 1.0))
 
 
 def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):

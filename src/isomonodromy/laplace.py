@@ -21,10 +21,9 @@ started from the series on the branch of arg d - 2 pi.  Where Psi_k is
 analytic at u_k (the integer classes) the series out to the start is
 itself one Taylor step, integrated by the carry's rule.
 
-Columns are computed in batches (:func:`laplace_columns`; a single
-:func:`laplace_column` is a batch of one): validation and the series
-start run per column, and the pieces of every column in the batch go
-through one :func:`.continuation.carry`.
+Columns are computed in batches (:func:`laplace_columns`): validation
+and the series start run per column, and the pieces of every column in
+the batch go through one :func:`.continuation.carry`.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -44,7 +43,6 @@ import numpy as np
 from .model import (
     ANGLE_TOL,
     COALESCE_TOL,
-    IllConditioned,
     QuadratureDivergence,
     SingularF1,
     VANISH_TOL,
@@ -56,7 +54,6 @@ from .frobenius import (
     FuchsianSystem,
     cgamma,
     horner,
-    selected_solution,
 )
 from .continuation import Piece, Z_SPAN, _step_integrals, carry
 
@@ -237,41 +234,28 @@ class LaplaceColumn:
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Column k of Y_{nu+h mu} at the samples ``z`` of one ray, as for :func:`laplace_column`."""
+    """Column k of Y_{nu+h mu} at the samples ``z`` of one ray.
+
+    ``arg`` places the ray on the universal cover (labels with |h| >= 2
+    need more than the principal argument).
+    """
 
     k: int
     h: int
     z: np.ndarray
-    arg: float | None = None
-    direction: float | None = None
+    arg: float
 
 
-def laplace_column(fs: FuchsianSystem, k, h, geometry, z_values, arg=None,
-                   sols=None, tol=1e-12, N=40, direction=None):
-    """Column k of Y_{nu+h mu} at the given z samples (reduced values).
-
-    ``z_values`` must share one argument: one ray, whose position on the
-    universal cover is ``arg`` (defaults to the principal argument; labels
-    with |h| >= 2 need it spelled out).  The contour direction is chosen
-    inside the label's admissible eta-window, optimal for decay at that
-    argument; ``direction`` overrides it (validated against the window).
-    The local series gives Psi_k near u_k, out to where its tail reaches
-    ``tol``; the carry does the rest (see the module docstring).  A batch
-    of one for :func:`laplace_columns`.
-    """
-    spec = ColumnSpec(k, h, z_values, arg, direction)
-    return laplace_columns(fs, geometry, [spec], sols, tol, N)[0]
-
-
-def laplace_columns(fs: FuchsianSystem, geometry, specs, sols=None, tol=1e-12, N=40):
+def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
-    Validation, the contour and the series start run per column
-    (:func:`_plan`); the pieces of every column go through one
-    :func:`.continuation.carry`, and each column is its plan's ``base``
-    plus its ``weights`` times the integrals J its pieces return.
+    ``sols[k]`` is the selected-solution series of pole k.  Validation, the
+    contour and the series start run per column (:func:`_plan`); the
+    pieces of every column go through one :func:`.continuation.carry`, and
+    each column is its plan's ``base`` plus its ``weights`` times the
+    integrals J its pieces return.
     """
-    plans = [_plan(fs, spec, geometry, sols, tol, N) for spec in specs]
+    plans = [_plan(fs, spec, geometry, sols[spec.k], tol) for spec in specs]
     ends = iter(carry(fs, [p for plan in plans for p in plan.pieces]))
     columns = []
     for spec, plan in zip(specs, plans):
@@ -300,27 +284,16 @@ class _Plan(NamedTuple):
     eta: float
 
 
-def _plan(fs, spec, geometry, sols, tol, N):
-    """Validate one column, choose its contour and start it from the local series."""
+def _plan(fs, spec, geometry, sol, tol):
+    """Validate one column, choose its contour and start it from the local series ``sol``."""
     z_values = np.asarray(spec.z, dtype=complex)
-    k, h = spec.k, spec.h
-    thetas = np.angle(z_values)
-    theta = float(thetas[0]) if spec.arg is None else float(spec.arg)
-    if np.max(np.abs(np.exp(1j * thetas) - cmath.exp(1j * theta))) > 1e-9:
+    k = spec.k
+    theta = float(spec.arg)
+    if np.max(np.abs(np.exp(1j * np.angle(z_values)) - cmath.exp(1j * theta))) > 1e-9:
         raise ValueError("all z samples must lie on the ray of the given argument")
-    labels = geometry.labels
-    if spec.direction is None:
-        d = _direction_for(labels, h, theta, fs.u)
-    else:
-        d = float(spec.direction)
-        m = h * labels.mu
-        if not (1.5 * math.pi - labels.tau_nu(m + 1) < d < 1.5 * math.pi - labels.tau_nu(m)):
-            raise ValueError(
-                f"direction {d} outside the eta-window of label {m}"
-            )
+    d = _direction_for(geometry.labels, spec.h, theta, fs.u)
     lp = fs.lambda_prime[k]
     klass = fs.integer_class(k)
-    sol = selected_solution(fs, k, N) if sols is None else sols[k]
     e_d = cmath.exp(1j * d)
     sigma = z_values * e_d
     if np.max(sigma.real) >= -1e-12 * np.max(np.abs(z_values)):
@@ -411,36 +384,3 @@ def assemble_formal(sols, L):
     n = len(sols)
     cols = [asymptotic_coeffs(s, L) for s in sols]
     return [np.column_stack([cols[k][l] for k in range(n)]) for l in range(L)]
-
-
-def asymptotic_fit(z_values, reduced_columns, lambda_prime, L, args=None):
-    """Least-squares fit of reduced columns against I + sum F_l z^{-l}.
-
-    ``reduced_columns[k]`` holds samples of Y_k e^{-z u_k} at ``z_values``
-    on one ray; the fit removes z^{lambda'_k} using the cover argument
-    (``args`` defaults to the principal argument of the samples).
-    Returns (F_list, condition, residual).
-    """
-    z_values = np.asarray(z_values, dtype=complex)
-    if args is None:
-        args = np.angle(z_values)
-    n = len(reduced_columns)
-    logz = np.log(np.abs(z_values)) + 1j * np.asarray(args)
-    V = np.vander(1.0 / z_values, N=L + 1, increasing=True)  # columns z^0 .. z^-L
-    cond = np.linalg.cond(V)
-    if cond > 4.0e15:
-        raise IllConditioned(
-            f"fit order L={L} too large for the sample range (condition {cond:.2e})"
-        )
-    F = np.zeros((L, n, n), dtype=complex)
-    resid = 0.0
-    for k in range(n):
-        W = reduced_columns[k] * np.exp(-lambda_prime[k] * logz)[:, None]
-        ek = np.zeros(n)
-        ek[k] = 1.0
-        target = W - ek[None, :]
-        coef = np.linalg.lstsq(V[:, 1:], target, rcond=None)[0]
-        F[:, :, k] = coef
-        pred = V[:, 1:] @ coef
-        resid = max(resid, float(np.max(np.abs(pred - target))))
-    return [F[l] for l in range(L)], float(cond), resid

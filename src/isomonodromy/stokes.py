@@ -119,22 +119,17 @@ def default_ladder(system, geometry, theta):
     return [s / worst for s in (4.0, 6.5, 9.0)]
 
 
-def _oracle_basis(system, N):
-    """Fuchsian system and selected-solution series shared by every matching."""
-    fs = build_fuchsian(system)
-    return fs, [selected_solution(fs, k, N) for k in range(fs.n)]
-
-
-def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTENCY_TOL):
+def _match(system, geometry, fs, sols, h, tol):
     """Match the Laplace solutions of labels h mu and (h+1) mu: ``(S, diagnostics)``.
 
-    The 2n columns of both labels are carried in one batch
-    (:func:`laplace_columns`).
+    Solves Y_h S = Y_{h+1} at each |z| of :func:`default_ladder` on the
+    bisector ray of the sector overlap and checks z-independence against
+    CONSISTENCY_TOL.  The 2n columns of both labels are carried in one
+    batch (:func:`laplace_columns`).
     """
     n = fs.n
     theta = _matching_ray(geometry, h)
-    if ladder is None:
-        ladder = default_ladder(system, geometry, theta)
+    ladder = default_ladder(system, geometry, theta)
     z = np.array([rz * cmath.exp(1j * theta) for rz in ladder])
     cols = laplace_columns(fs, geometry, [ColumnSpec(k, label, z, theta)
                                           for label in (h, h + 1) for k in range(n)],
@@ -152,7 +147,7 @@ def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTEN
     fits = np.array(fits)
     spread = float(np.max(np.abs(fits - fits[0]))) if len(fits) > 1 else 0.0
     scale = max(1.0, float(np.max(np.abs(fits))))
-    if spread > consistency_tol * scale:
+    if spread > CONSISTENCY_TOL * scale:
         raise MatchingInconsistent(
             f"fitted Stokes matrix varies by {spread:.2e} (relative "
             f"{spread / scale:.2e}) across |z| ladder {ladder}"
@@ -161,29 +156,16 @@ def _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol=CONSISTEN
     return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread}
 
 
-def stokes_direct(system, geometry: DeformationGeometry, h=0, tol=1e-12, N=40,
-                  ladder=None, consistency_tol=CONSISTENCY_TOL):
-    """Oracle for the single matrix S_{nu+h mu} by sectorial matching.
-
-    Evaluates the Laplace fundamental solutions of labels h mu and
-    (h+1) mu on the bisector ray of their sector overlap at several |z|,
-    solves Y_{h} S = Y_{h+1} for S at each, and checks z-independence.
-    Returns ``(S, diagnostics)``.
-    """
-    fs, sols = _oracle_basis(system, N)
-    return _match(system, geometry, fs, sols, h, tol, ladder, consistency_tol)
-
-
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
     Both matchings share one Fuchsian system and one set of local series;
-    each carries its 2n Laplace columns in one batch, so S_{nu+mu} is the
-    matrix :func:`stokes_direct` gives at h = 1, bit for bit.
+    each carries its 2n Laplace columns in one batch.
     """
-    fs, sols = _oracle_basis(system, N)
-    S0, d0 = _match(system, geometry, fs, sols, 0, tol, None)
-    S1, d1 = _match(system, geometry, fs, sols, 1, tol, None)
+    fs = build_fuchsian(system)
+    sols = [selected_solution(fs, k, N) for k in range(fs.n)]
+    S0, d0 = _match(system, geometry, fs, sols, 0, tol)
+    S1, d1 = _match(system, geometry, fs, sols, 1, tol)
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",
                       diagnostics={"h0": d0, "h1": d1})
 

@@ -431,7 +431,7 @@ def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):
     ]
     cut = CutPlane(eta=geometry_2x2.eta)
     stack = np.stack([conn.C for _, _, conn in connection_samples(
-        system_2x2, samples, cut, tol=1e-13, geometry=geometry_2x2)])
+        system_2x2, samples, cut, tol=1e-13)])
     assert np.max(np.abs(stack - stack[0])) < 1e-7
     assert all(is_in_cell(u, geometry_2x2)[0] for u in samples)
 

@@ -110,7 +110,11 @@ def test_selected_coefficients_match_exact_oracle(system_2x2):
 
 
 def test_substitution_residual_invariant(system_2x2):
-    """Truncated series plugged into the ODE leaves O(x^N) residual."""
+    """Truncated series plugged into the ODE leaves O(x^N) residual.
+
+    Every order also satisfies the dense convolution form of the recurrence,
+    ((l + rho) I - B_k) b_l = sum_{p<l} C_p b_{l-1-p}.
+    """
     fs = build_fuchsian(system_2x2)
     sol = selected_solution(fs, 0, N=25)
     cut = CutPlane(eta=1.5 * math.pi - math.pi / 4)
@@ -121,7 +125,12 @@ def test_substitution_residual_invariant(system_2x2):
         resid = np.max(np.abs(dv - dense_rhs(fs, lam) @ sol.selected_value(lam, cut)))
         scale = np.max(np.abs(sol.selected_value(lam, cut)))
         assert resid < 1e-7 * max(scale, 1.0)
-    assert sol.residual < 1e-12
+    for k in range(2):
+        series = selected_solution(fs, k, N=25)
+        b, C = series.b, _dense_coeffs(fs, k, 25)
+        for l in range(26):
+            res = ((l + series.rho) * np.eye(2) - residue(fs, k)) @ b[l] - _dense_rhs(C, b, l)
+            assert np.max(np.abs(res)) <= 1e-12 * max(1.0, np.max(np.abs(b))), (k, l)
 
 
 def test_normalization_constant_across_deformation(system_2x2):

@@ -20,16 +20,13 @@ from isomonodromy.frobenius import (
     levelt_at_confluence,
     selected_solution,
 )
-from isomonodromy.continuation import IllConditioned
 from isomonodromy.laplace import (
     QuadratureDivergence,
     SingularF1,
     asymptotic_coeffs,
-    asymptotic_fit,
     assemble_formal,
     f1,
     formal_recursion,
-    laplace_column,
 )
 
 TAU = math.pi / 4
@@ -307,13 +304,24 @@ def _ray(modulus, theta):
     return np.asarray(modulus, dtype=float) * cmath.exp(1j * theta)
 
 
+def _sols(fs):
+    """The N = 40 selected-solution series of every pole."""
+    return [selected_solution(fs, k, 40) for k in range(fs.n)]
+
+
+def _column(fs, k, h, geometry, z, theta, tol=1e-12):
+    """Column k of Y_{nu+h mu} at the samples z of the ray arg theta: a batch of one."""
+    spec = laplace.ColumnSpec(k, h, z, theta)
+    return laplace.laplace_columns(fs, geometry, [spec], _sols(fs), tol)[0]
+
+
 def test_laplace_column_diagonal_noninteger(diag_geo):
     A = np.diag([0.3 + 0.1j, -0.7])
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
     z = _ray([6.0, 11.0], theta)
     for k in range(2):
-        col = laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13)
+        col = _column(fs, k, 0, diag_geo, z, theta, tol=1e-13)
         lp = A[k, k]
         for i, zz in enumerate(z):
             expect = cmath.exp(lp * (math.log(abs(zz)) + 1j * theta))
@@ -325,7 +333,7 @@ def test_laplace_column_diagonal_negative_integer(diag_geo):
     fs = build_fuchsian(SystemPair(np.diag([-2.0, 0.5]), [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
     z = _ray([7.0], theta)
-    col = laplace_column(fs, 0, 0, diag_geo, z, arg=theta, tol=1e-13)
+    col = _column(fs, 0, 0, diag_geo, z, theta, tol=1e-13)
     assert abs(col.reduced[0][0] - z[0] ** -2.0) < 1e-14
 
 
@@ -333,7 +341,7 @@ def test_laplace_column_diagonal_natural(diag_geo):
     fs = build_fuchsian(SystemPair(np.diag([1.0, 0.5]), [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
     z = _ray([7.0], theta)
-    col = laplace_column(fs, 0, 0, diag_geo, z, arg=theta, tol=1e-13)
+    col = _column(fs, 0, 0, diag_geo, z, theta, tol=1e-13)
     assert abs(col.reduced[0][0] - z[0]) < 1e-12
 
 
@@ -344,7 +352,7 @@ def test_laplace_column_satisfies_irregular_ode(system_2x2, diag_geo):
     r, h = 8.0, 1e-4
     z = _ray([r - h, r, r + h], theta)
     for k in range(2):
-        col = laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13)
+        col = _column(fs, k, 0, diag_geo, z, theta, tol=1e-13)
         raw = [col.reduced[i] * cmath.exp(z[i] * fs.u[k]) for i in range(3)]
         dY = (raw[2] - raw[0]) / (z[2] - z[0])
         M = np.diag(fs.u) + system_2x2.A / z[1]
@@ -352,17 +360,18 @@ def test_laplace_column_satisfies_irregular_ode(system_2x2, diag_geo):
         assert resid < 1e-6 * max(1.0, np.max(np.abs(raw[1])))
 
 
-def test_laplace_contour_deformation_invariance(system_2x2, diag_geo):
+def test_laplace_contour_deformation_invariance(monkeypatch, system_2x2, diag_geo):
     """Two contour directions in the same eta-window give the same column."""
     fs = build_fuchsian(system_2x2)
     theta = TAU - 0.5 * math.pi
     z = _ray([9.0, 14.0], theta)
     eta = 1.5 * math.pi - TAU
-    for k in range(2):
-        a = laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13,
-                           direction=eta - 0.35)
-        b = laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13,
-                           direction=eta + 0.3)
+    cols = []
+    for d in (eta - 0.35, eta + 0.3):
+        monkeypatch.setattr(laplace, "_direction_for", lambda *args, d=d: d)
+        cols.append([_column(fs, k, 0, diag_geo, z, theta, tol=1e-13) for k in range(2)])
+        assert all(col.eta_used == d for col in cols[-1])
+    for a, b in zip(*cols):
         scale = max(1.0, float(np.max(np.abs(a.reduced))))
         assert np.max(np.abs(a.reduced - b.reduced)) < 1e-10 * scale
 
@@ -444,7 +453,7 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
                                                      coalescing_geometry, vanishing_A_uc):
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
-        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
+        col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
         assert fs.integer_class(k) == {"natural": "natural",
                                        "halfline": "negative_integer"}.get(kind, "noninteger")
         ref = _reference_column(fs, k, z, col.eta_used, kind)
@@ -461,7 +470,7 @@ def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geome
     """
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
-        col = laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
+        col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
         ref = _reference_column(fs, k, z, col.eta_used, kind)
         dist = np.max(np.abs(col.reduced - ref)) / np.max(np.abs(ref))
         assert 0.0 < col.error and dist <= col.error, kind
@@ -476,7 +485,7 @@ def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescin
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         with ode.counting() as work:
-            laplace_column(fs, k, 0, geo, z, arg=float(np.angle(z[0])), tol=1e-13)
+            _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
         assert work.solves == 1, kind
 
 
@@ -502,12 +511,30 @@ def test_quadrature_divergence_outside_halfplane(system_2x2, diag_geo):
     fs = build_fuchsian(system_2x2)
     theta = TAU + 0.4 * math.pi + 0.5 * math.pi
     with pytest.raises(QuadratureDivergence):
-        laplace_column(fs, 0, 0, diag_geo, _ray([50.0], theta), arg=theta)
+        _column(fs, 0, 0, diag_geo, _ray([50.0], theta), theta)
 
 
 # ---------------------------------------------------------------------------
 # asymptotic coefficients and fit
 # ---------------------------------------------------------------------------
+
+
+def _asymptotic_fit(z, reduced_columns, lambda_prime, L, theta):
+    """Least-squares fit of reduced columns on one ray against I + sum_l F_l z^-l.
+
+    ``reduced_columns[k]`` holds Y_k e^{-z u_k} at ``z``; z^{lambda'_k} is
+    removed on the branch arg z = theta.  Returns ``(F_1..F_L, max residual)``.
+    """
+    logz = np.log(np.abs(z)) + 1j * theta
+    V = np.vander(1.0 / z, N=L + 1, increasing=True)[:, 1:]  # columns z^-1 .. z^-L
+    n = len(reduced_columns)
+    F = np.zeros((L, n, n), dtype=complex)
+    resid = 0.0
+    for k, col in enumerate(reduced_columns):
+        target = col * np.exp(-lambda_prime[k] * logz)[:, None] - np.eye(n)[k]
+        F[:, :, k] = np.linalg.lstsq(V, target, rcond=None)[0]
+        resid = max(resid, float(np.max(np.abs(V @ F[:, :, k] - target))))
+    return F, resid
 
 
 def test_asymptotic_coeffs_diagonal_zero():
@@ -545,10 +572,9 @@ def test_asymptotic_fit_diagonal(diag_geo):
     fs = build_fuchsian(SystemPair(np.diag([0.3, -0.6]), [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
     z = _ray(np.geomspace(8, 800, 10), theta)
-    cols = [laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13).reduced
+    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced
             for k in range(2)]
-    F, cond, resid = asymptotic_fit(z, cols, fs.lambda_prime, 3,
-                                    args=[theta] * len(z))
+    F, resid = _asymptotic_fit(z, cols, fs.lambda_prime, 3, theta)
     assert max(np.max(np.abs(Fl)) for Fl in F) < 1e-8
     assert resid < 1e-8
 
@@ -557,10 +583,9 @@ def test_asymptotic_fit_generic(system_2x2, diag_geo):
     fs = build_fuchsian(system_2x2)
     theta = TAU - 0.5 * math.pi
     z = _ray(np.geomspace(10, 1000, 16), theta)
-    cols = [laplace_column(fs, k, 0, diag_geo, z, arg=theta, tol=1e-13).reduced
+    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced
             for k in range(2)]
-    F, cond, resid = asymptotic_fit(z, cols, fs.lambda_prime, 6,
-                                    args=[theta] * len(z))
+    F, resid = _asymptotic_fit(z, cols, fs.lambda_prime, 6, theta)
     assert np.max(np.abs(F[0] - f1(system_2x2))) < 1e-4
 
 
@@ -572,7 +597,7 @@ def test_asymptotic_fit_negative_control(system_2x2, diag_geo):
     pair = stokes_pipeline(system_2x2, diag_geo, tol=1e-12)
     theta = TAU + 0.5 * math.pi  # inside sector 1's pinned range, outside S_0
     z = _ray(np.geomspace(8, 50, 12), theta)
-    cols1 = [laplace_column(fs, k, 1, diag_geo, z, arg=theta, tol=1e-12).reduced
+    cols1 = [_column(fs, k, 1, diag_geo, z, theta, tol=1e-12).reduced
              for k in range(2)]
     # Y_0 = Y_1 S_0^{-1} continued outside its own sector
     Sinv = np.linalg.inv(pair.S_nu)
@@ -580,18 +605,9 @@ def test_asymptotic_fit_negative_control(system_2x2, diag_geo):
     raw1 = np.stack([cols1[m] * np.exp(z * fs.u[m])[:, None] for m in range(2)])
     y0 = np.einsum("kzn,km->mzn", raw1, Sinv)
     cols0_out = [y0[m] * np.exp(-z * fs.u[m])[:, None] for m in range(2)]
-    _, _, resid_good = asymptotic_fit(z, cols1, fs.lambda_prime, 4,
-                                      args=[theta] * len(z))
-    _, _, resid_bad = asymptotic_fit(z, cols0_out, fs.lambda_prime, 4,
-                                     args=[theta] * len(z))
+    _, resid_good = _asymptotic_fit(z, cols1, fs.lambda_prime, 4, theta)
+    _, resid_bad = _asymptotic_fit(z, cols0_out, fs.lambda_prime, 4, theta)
     assert resid_bad > 1e3 * max(resid_good, 1e-12)
-
-
-def test_asymptotic_fit_ill_conditioned():
-    z = _ray(np.geomspace(10, 12, 12), 0.3)
-    cols = [np.ones((12, 2), dtype=complex) for _ in range(2)]
-    with pytest.raises(IllConditioned):
-        asymptotic_fit(z, cols, np.array([0.1, 0.2]), 11, args=[0.3] * 12)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +671,15 @@ def _batch_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
 
 def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
-    """One batch of every column agrees with laplace_column per column, in one carry."""
+    """One batch of every column agrees with batches of one column, in one carry."""
     for fs, geo, specs, kind in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
+        sols = _sols(fs)
         with ode.counting() as work:
-            batch = laplace.laplace_columns(fs, geo, specs, tol=1e-13)
+            batch = laplace.laplace_columns(fs, geo, specs, sols, tol=1e-13)
         assert work.solves == 1, kind
         for spec, col in zip(specs, batch):
-            lone = laplace_column(fs, spec.k, spec.h, geo, spec.z, arg=spec.arg, tol=1e-13)
+            lone = laplace.laplace_columns(fs, geo, [spec], sols, tol=1e-13)[0]
             scale = float(np.max(np.abs(lone.reduced)))
             assert np.max(np.abs(col.reduced - lone.reduced)) <= 1e-10 * scale, (kind, spec)
             assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)
@@ -713,7 +730,7 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
     monkeypatch.setattr(laplace, "carry", recorded)
     for fs, geo, specs, _ in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                           vanishing_A_uc):
-        laplace.laplace_columns(fs, geo, specs, tol=1e-13)
+        laplace.laplace_columns(fs, geo, specs, _sols(fs), tol=1e-13)
     monkeypatch.undo()
     assert any(p.c != 0 for _, pieces, _ in batches for p in pieces)  # circles included
     for fs, pieces, out in batches:

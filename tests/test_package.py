@@ -44,6 +44,14 @@ def test_every_exported_name_resolves():
         isomonodromy.no_such_name
 
 
+def test_removed_entry_points_are_not_exported():
+    """The oracle's one entry point is stokes_pair_direct; columns come in batches."""
+    for name in ("stokes_direct", "laplace_column", "asymptotic_fit"):
+        assert name not in isomonodromy.__all__
+        with pytest.raises(AttributeError):
+            getattr(isomonodromy, name)
+
+
 def test_exports_are_not_cached_in_the_package(monkeypatch):
     """A function swapped on its submodule is what the package returns."""
     def replacement(*args, **kwargs):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isomonodromy.stokes as stokes
 from isomonodromy.continuation import connection_products
+from isomonodromy.frobenius import build_fuchsian, selected_solution
 from isomonodromy.model import CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair
 from isomonodromy.stokes import (
     MatchingInconsistent,
     Ordering,
     default_ladder,
-    stokes_direct,
     stokes_from_connection,
     stokes_generate,
     stokes_pair_direct,
@@ -149,11 +150,19 @@ def test_formula_in_group_zeros_are_exact_for_random_products():
         assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(5))) < 1e-14 * scale
 
 
+def _match(system, geometry, h, tol):
+    """The oracle's matching of labels h mu and (h+1) mu alone, from N = 40 series."""
+    fs = build_fuchsian(system)
+    sols = [selected_solution(fs, k, 40) for k in range(fs.n)]
+    return stokes._match(system, geometry, fs, sols, h, tol)
+
+
 def test_direct_oracle_diagonal_identity(geometry_2x2):
     sp = SystemPair(np.diag([0.3, -0.6]), [0.0, 1.0])
-    S, diag = stokes_direct(sp, geometry_2x2, 0, tol=1e-13)
-    assert np.max(np.abs(S - np.eye(2))) < 1e-10
-    assert diag["z_spread"] < 1e-10
+    pair = stokes_pair_direct(sp, geometry_2x2, tol=1e-13)
+    for S in (pair.S_nu, pair.S_nu_plus_mu):
+        assert np.max(np.abs(S - np.eye(2))) < 1e-10
+    assert pair.diagnostics["h0"]["z_spread"] < 1e-10
 
 
 def test_direct_oracle_upper_triangular_system(geometry_2x2):
@@ -170,8 +179,6 @@ def test_direct_oracle_upper_triangular_system(geometry_2x2):
 
 def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2):
     """Both matchings of the pair reuse one local series per pole."""
-    import isomonodromy.stokes as stokes
-
     built = []
     original = stokes.selected_solution
 
@@ -182,23 +189,26 @@ def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2
     monkeypatch.setattr(stokes, "selected_solution", counted)
     pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
     assert sorted(built) == [0, 1]
-    S1, _ = stokes_direct(system_2x2, geometry_2x2, 1, tol=1e-13)
+    S1, _ = _match(system_2x2, geometry_2x2, 1, tol=1e-13)
     assert np.array_equal(S1, pair.S_nu_plus_mu)
 
 
-def test_direct_oracle_z_independence_fixed_ladder():
+def test_direct_oracle_z_independence_fixed_ladder(monkeypatch):
     """Fitted S at |z| = 50 and 200 differ below 1e-6 on a tight-gap pair."""
     sp = SystemPair(np.array([[0.21, 0.4], [0.3, 0.47 + 0.13j]], dtype=complex),
                     [0.0, 0.05])
     geo = DeformationGeometry([0.0, 0.05], 0.004, TAU)
-    S, diag = stokes_direct(sp, geo, 0, tol=1e-13, ladder=[50.0, 200.0])
+    monkeypatch.setattr(stokes, "default_ladder", lambda *args: [50.0, 200.0])
+    S, diag = _match(sp, geo, 0, tol=1e-13)
+    assert diag["ladder"] == [50.0, 200.0]
     assert diag["z_spread"] < 1e-6
 
 
-def test_direct_oracle_matching_inconsistent_detection(geometry_2x2, system_2x2):
+def test_direct_oracle_matching_inconsistent_detection(monkeypatch, geometry_2x2, system_2x2):
+    monkeypatch.setattr(stokes, "default_ladder", lambda *args: [6.0, 9.0])
+    monkeypatch.setattr(stokes, "CONSISTENCY_TOL", 1e-18)
     with pytest.raises(MatchingInconsistent):
-        stokes_direct(system_2x2, geometry_2x2, 0, tol=1e-13,
-                      ladder=[6.0, 9.0], consistency_tol=1e-18)
+        _match(system_2x2, geometry_2x2, 0, tol=1e-13)
 
 
 def test_generate_family_periodicity_for_zero_exponents():
@@ -222,7 +232,7 @@ def test_generate_matches_direct_third_sector(system_2x2, geometry_2x2):
     pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
     fam = stokes_generate(pair.S_nu, pair.S_nu_plus_mu,
                           system_2x2.lambda_prime, [2])
-    S2, _ = stokes_direct(system_2x2, geometry_2x2, 2, tol=1e-13)
+    S2, _ = _match(system_2x2, geometry_2x2, 2, tol=1e-13)
     assert np.max(np.abs(fam[2] - S2)) < 1e-8
 
 

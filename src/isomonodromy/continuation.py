@@ -15,10 +15,12 @@ c e^{i omega s}, s in [0, 1], carrying an (n, w) block and, for the
 oracle's Laplace legs (:mod:`.laplace`), the integrals of e^{z x} times
 that block for each of its samples z.  Every batch is carried by Taylor
 steps along chords of its pieces, applying the rank-one residues to every
-piece at once; the integrals are Gauss-Legendre sums over each step's
-Taylor polynomial.  The formula route carries no samples, so it makes
-five Taylor carries at any n: the first and the second descent legs, the
-deep -> low_j and the low_j -> base_j ascent legs, and every pole loop.
+piece that still moves at once; a piece whose path is done leaves the
+batch.  The integrals are Gauss-Legendre sums over each step's Taylor
+polynomial, taken by moments of the rule.  The formula route carries no
+samples, so it makes five Taylor carries at any n: the first and the
+second descent legs, the deep -> low_j and the low_j -> base_j ascent
+legs, and every pole loop.  The oracle makes one per Stokes pair.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from .frobenius import (
 
 DEFAULT_TOL = 1e-10
 # Taylor carry: step length over the distance to the nearest pole, chords per
-# curved piece, negligible term relative to its block, and the order limits
+# curved piece, negligible term relative to its block, the order limits, and
+# the orders whose batched factors are built at once
 STEP_RATIO = 0.5
 CHORDS = 16
 TAYLOR_EPS = 1e-16
 MAX_ORDER = 400
 TAIL_ORDERS = 4
+ORDER_BLOCK = 16
 # Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
 # Gauss-Legendre panels of NODES nodes on the step
 Z_SPAN = 16.0
@@ -88,9 +92,12 @@ def carry(fs: FuchsianSystem, pieces):
     h = min(rest of the chord, STEP_RATIO rho, Z_SPAN / max|z|), rho its
     distance to the nearest pole and z its samples (no z cap without
     samples), so its terms fall at least as fast as STEP_RATIO^m times a
-    power of m.  Orders below log(TAYLOR_EPS) / log(max |h| / rho) are
-    summed untested; from there the step ends once the last two terms of
-    every piece are below TAYLOR_EPS max|Y_p|.
+    power of m.  A piece at the end of its path has h = 0 and leaves the
+    step: the orders, the integrals and the sum of the terms run on the
+    pieces with h != 0 only, so a piece takes the same steps as it would
+    alone.  Orders below log(TAYLOR_EPS) / log(max |h| / rho) are summed
+    untested; from there the step ends once the last two terms of every
+    moving piece are below TAYLOR_EPS max|Y_p|.
 
     The Laplace integral J_p,i of e^{z_p,i x} Y_p dx gains, per step, the
     integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
@@ -101,13 +108,14 @@ def carry(fs: FuchsianSystem, pieces):
     curved piece is integrated along its chords; no pole lies between them
     and the arc, so by Cauchy's theorem that is the integral along the arc.
 
-    Reports one solve, one step per lockstep step and one nfev per order
-    to :func:`.ode.counting`.  Raises :class:`StepFailure` for a piece
-    that meets a pole or that a step leaves where it was (x + h == x, as
-    on a path through a pole), a block that is not finite, or a step not
-    converged by MAX_ORDER.  Returns the end block Y_p(1) of a piece
-    without samples and ``(Y_p(1), J_p)`` of one with samples, J_p[i] the
-    integral for z_p,i.
+    Reports one solve, one step per lockstep step, one nfev per order and
+    the pieces each step moved, as piece_steps, to :func:`.ode.counting`.
+    Raises :class:`StepFailure` for a piece that meets a pole or that a
+    step leaves where it was (x + h == x, as on a path through a pole), a
+    block at the start of a step, an end block or an integral that is not
+    finite, or a step not converged by MAX_ORDER.  Returns the end block
+    Y_p(1) of a piece without samples and ``(Y_p(1), J_p)`` of one with
+    samples, J_p[i] the integral for z_p,i.
     """
     if not pieces:
         return []
@@ -132,7 +140,7 @@ def carry(fs: FuchsianSystem, pieces):
     # (M - m I) / (m + 1) for every order m
     shifted = (-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None]
     T = np.empty((MAX_ORDER + 1,) + Y.shape, dtype=complex)
-    steps = nfev = 0
+    steps = nfev = piece_steps = 0
     while True:
         dist = offset + x[:, None]
         rho = np.abs(dist).min(1)
@@ -154,33 +162,42 @@ def carry(fs: FuchsianSystem, pieces):
                 if x_next[i] == x[i]:
                     raise StepFailure(f"continuation stalls at {pieces[i].pole + x[i]}: a "
                                       f"step of {reach:.1e} does not move it")
-        if not h.any():
+        move = np.flatnonzero(h)
+        if not move.size:
             break
         floor = TAYLOR_EPS * np.abs(Y).max((1, 2))
         if not np.isfinite(floor).all():
             raise StepFailure(f"continuation of {P} piece(s) is not finite")
-        scale = (h[:, None] / dist)[..., None]
-        ratio = float(np.max(np.abs(h) / rho))
+        # the step runs on the pieces that move: the first a entries of T
+        a, hm, floor = move.size, h[move], floor[move]
+        Ta = T[:, :a]
+        scale = (hm[:, None] / dist[move])[..., None]
+        ratio = float(np.max(np.abs(hm) / rho[move]))
         lo, hi = 0, min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
-        T[0] = Y
+        Ta[0] = Y[move]
         while True:
-            # (M - m I) h / ((m + 1)(lam0 - u)), row k of piece p over lam0_p - u_k
-            g = scale * shifted[lo:hi, None]
-            for k in range(lo, hi):
-                np.matmul(g[k - lo], T[k], out=T[k + 1])
-            if np.all(np.abs(T[hi - 1:hi + 1]).max((2, 3)) <= floor):
+            # (M - m I) h / ((m + 1)(lam0 - u)), row k of piece p over lam0_p - u_k,
+            # built for ORDER_BLOCK orders at a time so that a large batch stays small
+            for k0 in range(lo, hi, ORDER_BLOCK):
+                g = scale * shifted[k0:min(k0 + ORDER_BLOCK, hi), None]
+                for k in range(k0, k0 + len(g)):
+                    np.matmul(g[k - k0], Ta[k], out=Ta[k + 1])
+            if np.all(np.abs(Ta[hi - 1:hi + 1]).max((2, 3)) <= floor):
                 break
             if hi == MAX_ORDER:
-                raise StepFailure(f"Taylor step of {P} piece(s) did not converge "
+                raise StepFailure(f"Taylor step of {a} piece(s) did not converge "
                                   f"in {MAX_ORDER} orders")
             lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
         if nz:
-            J += _step_integrals(T[:hi + 1], x, h, z, real)
-        Y = T[:hi + 1].sum(0)
+            J[move] += _step_integrals(Ta[:hi + 1], x[move], hm, z[move], real[move])
+        Y[move] = Ta[:hi + 1].sum(0)
         x = x_next
         steps += 1
         nfev += hi
-    tally(steps, nfev)
+        piece_steps += a
+    if not (np.isfinite(Y).all() and np.isfinite(J).all()):
+        raise StepFailure(f"continuation of {P} piece(s) ends not finite")
+    tally(steps, nfev, piece_steps)
     Y = Y.reshape((P,) + shape)
     J = J.reshape((P, nz) + shape)
     return [(y, j[:p.z.size]) if p.z.size else y for p, y, j in zip(pieces, Y, J)]
@@ -193,23 +210,40 @@ def _step_integrals(T, x, h, z, real):
     Y_p(x_p + s h_p) = sum_m T_m s^m, shape (orders, P, n, w), from x_p by
     h_p; ``z`` the samples (P, nz), and ``real`` False on padding.
     Returns e^{z x} h sum_j w_j e^{z h s_j} Y_p(s_j), shape (P, nz, n, w).
+
+    The rule runs by moments, so no polynomial is evaluated at the nodes:
+    mu_m = h sum_j w_j e^{z (x + h s_j)} s_j^m is one real product with the
+    power table, and the integral is sum_m mu_m T_m, one product per piece.
+    Node s_j = left_q + t_j of panel q splits its exponential as
+    e^{z (x + h left_q)} e^{z h t_j}: PANELS + NODES of them per sample.
     """
-    nodes, weights, powers = _QUADRATURE
-    # Y_p at every node s_j of the step: real powers times the terms as real pairs
-    at_nodes = np.tensordot(powers[:, :len(T)], T.view(float), 1).view(complex)
-    hs = h[:, None, None]
-    w = real[..., None] * weights * hs * np.exp(z[:, :, None] * (x[:, None, None] + hs * nodes))
-    return np.einsum("pij,jpkl->pikl", w, at_nodes)
+    left, local, weights, powers = _QUADRATURE
+    M, P = T.shape[:2]
+    zh = z * h[:, None]
+    # h w_j e^{z (x + h s_j)} at every node, nodes first: (PANELS, NODES, P, nz)
+    panel = (real * h[:, None]) * np.exp(z * x[:, None] + zh * left[:, None, None])
+    w = panel[:, None] * (weights[:, None, None] * np.exp(zh * local[:, None, None]))
+    # moments as real pairs: (M, nodes) times (nodes, 2 P nz)
+    mu = (powers[:M] @ w.reshape(left.size * local.size, -1).view(float)).view(complex)
+    mu = np.ascontiguousarray(mu.reshape(M, P, -1).transpose(1, 2, 0))
+    terms = np.ascontiguousarray(T.reshape(M, P, -1).transpose(1, 0, 2))
+    return (mu @ terms).reshape((P, z.shape[1]) + T.shape[2:])
 
 
 def _composite_gauss(panels, nodes):
-    """Nodes s_j, weights and powers s_j^m, m <= MAX_ORDER, of a composite Gauss rule on [0, 1]."""
+    """A composite Gauss rule on [0, 1]: panel ends, local nodes, weights and the power table.
+
+    Node s_j = left_q + t_j lies in panel q; the rule's weight of every node
+    is ``weights[j]``, and ``powers[m, j]`` is s_j^m, m <= MAX_ORDER, nodes
+    in panel-major order.
+    """
     t, w = leggauss(nodes)
-    left = np.arange(panels)[:, None] / panels
-    s = (left + 0.5 * (t + 1) / panels).ravel()
+    left = np.arange(panels) / panels
+    local = 0.5 * (t + 1) / panels
+    s = (left[:, None] + local).ravel()
     with np.errstate(under="ignore"):  # high powers of the first nodes are 0
-        powers = s[:, None] ** np.arange(MAX_ORDER + 1)
-    return s, np.tile(0.5 * w / panels, panels), powers
+        powers = s ** np.arange(MAX_ORDER + 1)[:, None]
+    return left, local, 0.5 * w / panels, powers
 
 
 _QUADRATURE = _composite_gauss(PANELS, NODES)

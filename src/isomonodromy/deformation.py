@@ -163,9 +163,10 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     (Jorba and Zou, Exp. Math. 14, 2005).
 
     ``tol`` sets only the drift limit.  Reports one solve to
-    :func:`.ode.counting`, one step per lockstep step and one nfev per
-    order.  Raises :class:`StepFailure` when a segment comes within
-    ``guard`` (if > 0) of the coalescence locus, a block is not finite or a
+    :func:`.ode.counting`, one step per lockstep step, one nfev per order
+    and, per step, the segments it advanced as piece_steps.  Raises
+    :class:`StepFailure` when a segment comes within ``guard`` (if > 0) of
+    the coalescence locus, a block is not finite or a
     step has not converged by MAX_ORDER, :class:`SingularF1` for a start on
     the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
     when the diagonal or the scaled power sums (:func:`_power_sum_drift`,
@@ -189,7 +190,7 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     T = np.empty((MAX_ORDER + 1, P, n, n), dtype=complex)
     W = np.empty_like(T)
     t = np.zeros(P)
-    steps = nfev = 0
+    steps = nfev = piece_steps = 0
     while np.any(t < 1):
         g = gap0 + t[:, None, None] * dgap
         near = np.abs(g) < COALESCE_TOL
@@ -203,7 +204,8 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
         t = np.where(c * h == 1 - t, 1.0, t + c * h)
         steps += 1
         nfev += order
-    tally(steps, nfev)
+        piece_steps += int(np.count_nonzero(h))
+    tally(steps, nfev, piece_steps)
     diag_drift = np.max(np.abs(np.diagonal(A, axis1=1, axis2=2) - diag0), axis=1)
     spec_drift = _power_sum_drift(A0, A)
     if max(diag_drift.max(), spec_drift.max()) > 100 * tol:

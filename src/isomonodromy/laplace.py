@@ -23,7 +23,9 @@ itself one Taylor step, integrated by the carry's rule.
 
 Columns are computed in batches (:func:`laplace_columns`): validation
 and the series start run per column, and the pieces of every column in
-the batch go through one :func:`.continuation.carry`.
+the batch go through one :func:`.continuation.carry`, where a piece
+leaves the batch once its path is done.  The oracle's batch is the 4n
+columns of both matchings of a Stokes pair.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that

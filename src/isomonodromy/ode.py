@@ -21,6 +21,7 @@ class Work:
     solves: int = 0
     steps: int = 0
     nfev: int = 0
+    piece_steps: int = 0
 
 
 _open: ContextVar[tuple] = ContextVar("open_counters", default=())
@@ -31,7 +32,9 @@ def counting():
     """``with counting() as work:`` totals every solve made inside the block.
 
     A solve is one call of an integrator; its steps are its lockstep Taylor
-    steps and its nfev its order updates, one batched product each.
+    steps, its nfev its order updates, one batched product each, and its
+    piece_steps the pieces (paths or segments) each step advanced, summed
+    over the steps.
     """
     work = Work()
     token = _open.set(_open.get() + (work,))
@@ -41,9 +44,13 @@ def counting():
         _open.reset(token)
 
 
-def tally(steps, nfev):
-    """Count one solve of ``steps`` steps and ``nfev`` order updates in every open counter."""
+def tally(steps, nfev, piece_steps):
+    """Count one solve of ``steps`` steps, ``nfev`` order updates and ``piece_steps``.
+
+    Every open counter gets them.
+    """
     for work in _open.get():
         work.solves += 1
         work.steps += steps
         work.nfev += nfev
+        work.piece_steps += piece_steps

@@ -119,24 +119,30 @@ def default_ladder(system, geometry, theta):
     return [s / worst for s in (4.0, 6.5, 9.0)]
 
 
-def _match(system, geometry, fs, sols, h, tol):
-    """Match the Laplace solutions of labels h mu and (h+1) mu: ``(S, diagnostics)``.
+def _matching(system, geometry, h):
+    """``(theta, ladder, specs)`` of the matching of labels h mu and (h+1) mu.
 
-    Solves Y_h S = Y_{h+1} at each |z| of :func:`default_ladder` on the
-    bisector ray of the sector overlap and checks z-independence against
-    CONSISTENCY_TOL.  The 2n columns of both labels are carried in one
-    batch (:func:`laplace_columns`).
+    The ray is the bisector of the sector overlap (:func:`_matching_ray`),
+    the |z| ladder :func:`default_ladder`, and the 2n column specs are
+    those of label h, then those of label h + 1, at the samples of the ladder.
     """
-    n = fs.n
     theta = _matching_ray(geometry, h)
     ladder = default_ladder(system, geometry, theta)
     z = np.array([rz * cmath.exp(1j * theta) for rz in ladder])
-    cols = laplace_columns(fs, geometry, [ColumnSpec(k, label, z, theta)
-                                          for label in (h, h + 1) for k in range(n)],
-                           sols=sols, tol=tol)
+    specs = [ColumnSpec(k, label, z, theta) for label in (h, h + 1) for k in range(system.n)]
+    return theta, ladder, specs
+
+
+def _fit(system, theta, ladder, cols):
+    """The Stokes matrix of one matching from its 2n columns: ``(S, diagnostics)``.
+
+    Solves Y_h S = Y_{h+1} at each |z| of the ladder and checks
+    z-independence against CONSISTENCY_TOL.
+    """
+    n = len(cols) // 2
     cols_a, cols_b = cols[:n], cols[n:]
     fits = []
-    for i, zval in enumerate(z):
+    for i, zval in enumerate(cols[0].z):
         Wa = np.column_stack([c.reduced[i] for c in cols_a])
         Wb = np.column_stack([c.reduced[i] for c in cols_b])
         M = np.linalg.solve(Wa, Wb)
@@ -159,13 +165,18 @@ def _match(system, geometry, fs, sols, h, tol):
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
-    Both matchings share one Fuchsian system and one set of local series;
-    each carries its 2n Laplace columns in one batch.
+    Both matchings share one Fuchsian system and one set of local series,
+    and their 4n Laplace columns go through one carry
+    (:func:`laplace_columns`); each matching is then fitted on its own
+    (:func:`_fit`).
     """
     fs = build_fuchsian(system)
     sols = [selected_solution(fs, k, N) for k in range(fs.n)]
-    S0, d0 = _match(system, geometry, fs, sols, 0, tol)
-    S1, d1 = _match(system, geometry, fs, sols, 1, tol)
+    theta0, ladder0, specs0 = _matching(system, geometry, 0)
+    theta1, ladder1, specs1 = _matching(system, geometry, 1)
+    cols = laplace_columns(fs, geometry, specs0 + specs1, sols=sols, tol=tol)
+    S0, d0 = _fit(system, theta0, ladder0, cols[:len(specs0)])
+    S1, d1 = _fit(system, theta1, ladder1, cols[len(specs0):])
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",
                       diagnostics={"h0": d0, "h1": d1})
 

@@ -652,3 +652,57 @@ def test_taylor_carry_refuses_a_piece_that_starts_on_a_pole():
     fs, _ = _sweep_fs()
     with pytest.raises(continuation.StepFailure, match="meets a pole"):
         continuation.carry(fs, [continuation._segment(fs.u[0], fs.u[0] - 1j, np.eye(fs.n))])
+
+
+@pytest.mark.parametrize("y0, z", [([1.7e308, 1.7e308], []), ([1.0, 1.0], [5000.0])],
+                         ids=["block", "integral"])
+def test_taylor_carry_refuses_a_non_finite_end(y0, z):
+    """An end block, or an integral, that overflows on the last step raises StepFailure.
+
+    The first piece's block is finite when its only step starts; the
+    second's block stays finite while e^{z x} reaches e^{1000} on its leg.
+    """
+    fs = build_fuchsian(SystemPair(np.array([[0.3, 0.2], [0.4, -0.25]]), [0.0, 1.0]))
+    piece = continuation._segment(-0.5, -0.3, y0)._replace(z=np.array(z, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(continuation.StepFailure, match="not finite"):
+            continuation.carry(fs, [piece])
+
+
+@pytest.mark.parametrize("zh", [1.0, 4.0, 8.0, 16.0])
+def test_step_integrals_match_mpmath(zh):
+    """One step's integrals by the carry's rule against mpmath.quad at 30 digits.
+
+    Random step polynomials of 55 orders whose terms fall by a ratio of
+    0.2-0.55, at |z h| = ``zh`` (Z_SPAN is the largest) and random
+    arguments of z, h and x.  The error is relative to
+    max|Y| |h| max(1, e^{Re z h}) |e^{z x}|, which bounds the integral.
+    """
+    import mpmath
+
+    rng = np.random.default_rng(int(zh))
+    P, nz, n, M = 2, 2, 2, 56
+
+    def polar(r, size):
+        return r * np.exp(2j * np.pi * rng.uniform(size=size))
+
+    ratio = rng.uniform(0.2, 0.55, P)
+    T = (ratio[None, :, None] ** np.arange(M)[:, None, None]
+         * polar(rng.uniform(0.5, 1.0, (M, P, n)), (M, P, n)))[..., None]
+    h = polar(rng.uniform(0.05, 0.5, P), P)
+    x = polar(rng.uniform(0.1, 1.0, P), P)
+    z = polar(zh / np.abs(h)[:, None], (P, nz))
+    got = continuation._step_integrals(T, x, h, z, np.ones((P, nz), dtype=bool))
+    s_grid = np.linspace(0.0, 1.0, 1001)
+    with mpmath.workdps(30):
+        for p in range(P):
+            Y = np.polynomial.polynomial.polyval(s_grid, T[:, p, :, 0])
+            for i in range(nz):
+                zp, hp, xp = (mpmath.mpc(v.real, v.imag) for v in (z[p, i], h[p], x[p]))
+                bound = (np.abs(Y).max() * abs(h[p]) * max(1.0, math.exp((z[p, i] * h[p]).real))
+                         * abs(cmath.exp(z[p, i] * x[p])))
+                for k in range(n):
+                    coeffs = [mpmath.mpc(c.real, c.imag) for c in T[::-1, p, k, 0]]
+                    want = mpmath.quad(lambda s: mpmath.exp(zp * (xp + hp * s)) * hp
+                                       * mpmath.polyval(coeffs, s), [0, 1])
+                    assert abs(got[p, i, k, 0] - complex(want)) <= 1e-14 * bound

@@ -14,8 +14,10 @@ def test_counters_nest_and_total_every_tally():
         with ode.counting() as inner:
             transport(DeformationState(u=system.u, A=system.A), system.u + 0.02 - 0.01j)
             integrability_residual(system, tol=1e-12)
-        ode.tally(3, 7)
+        ode.tally(3, 7, 5)
     assert inner.solves == 2 and inner.steps >= 2 and inner.nfev >= inner.steps
-    assert (work.solves, work.steps, work.nfev) == (inner.solves + 1, inner.steps + 3,
-                                                   inner.nfev + 7)
+    # one segment and then 2n stencil segments, each advanced by every step until done
+    assert inner.steps <= inner.piece_steps <= inner.steps * (1 + 2 * system.n)
+    assert (work.solves, work.steps, work.nfev, work.piece_steps) == (
+        inner.solves + 1, inner.steps + 3, inner.nfev + 7, inner.piece_steps + 5)
     assert ode._open.get() == ()

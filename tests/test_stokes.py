@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isomonodromy.laplace as laplace
 import isomonodromy.stokes as stokes
+from isomonodromy import continuation, ode
 from isomonodromy.continuation import connection_products
 from isomonodromy.frobenius import build_fuchsian, selected_solution
 from isomonodromy.model import CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair
@@ -151,10 +153,16 @@ def test_formula_in_group_zeros_are_exact_for_random_products():
 
 
 def _match(system, geometry, h, tol):
-    """The oracle's matching of labels h mu and (h+1) mu alone, from N = 40 series."""
+    """The oracle's matching of labels h mu and (h+1) mu alone, from N = 40 series.
+
+    Its 2n columns go through a carry of their own; ``stokes_pair_direct``
+    carries both of its matchings in one.
+    """
     fs = build_fuchsian(system)
     sols = [selected_solution(fs, k, 40) for k in range(fs.n)]
-    return stokes._match(system, geometry, fs, sols, h, tol)
+    theta, ladder, specs = stokes._matching(system, geometry, h)
+    cols = laplace.laplace_columns(fs, geometry, specs, sols, tol)
+    return stokes._fit(system, theta, ladder, cols)
 
 
 def test_direct_oracle_diagonal_identity(geometry_2x2):
@@ -178,7 +186,12 @@ def test_direct_oracle_upper_triangular_system(geometry_2x2):
 
 
 def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2):
-    """Both matchings of the pair reuse one local series per pole."""
+    """Both matchings of the pair reuse one local series per pole and share one carry.
+
+    The pair is the fit of each matching's half of one batch of 4n columns.
+    A matching carried alone agrees to rounding: the order count of a step
+    is set by the batch, so the last bits of its sum differ.
+    """
     built = []
     original = stokes.selected_solution
 
@@ -189,8 +202,16 @@ def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2
     monkeypatch.setattr(stokes, "selected_solution", counted)
     pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
     assert sorted(built) == [0, 1]
+    fs = build_fuchsian(system_2x2)
+    sols = [original(fs, k, 40) for k in range(fs.n)]
+    matchings = [stokes._matching(system_2x2, geometry_2x2, h) for h in (0, 1)]
+    cols = laplace.laplace_columns(fs, geometry_2x2, matchings[0][2] + matchings[1][2], sols,
+                                   1e-13)
+    for (theta, ladder, _), half, S in zip(matchings, (cols[:4], cols[4:]),
+                                           (pair.S_nu, pair.S_nu_plus_mu)):
+        assert np.array_equal(stokes._fit(system_2x2, theta, ladder, half)[0], S)
     S1, _ = _match(system_2x2, geometry_2x2, 1, tol=1e-13)
-    assert np.array_equal(S1, pair.S_nu_plus_mu)
+    assert np.max(np.abs(S1 - pair.S_nu_plus_mu)) <= 1e-13 * np.max(np.abs(S1))
 
 
 def test_direct_oracle_z_independence_fixed_ladder(monkeypatch):
@@ -266,9 +287,8 @@ def test_default_ladder_scales_with_separation():
     assert max(lw) < max(lt)
 
 
-def test_oracle_pair_makes_at_most_two_solves(coalescing_geometry, vanishing_A_uc):
-    """Each matching carries all its Laplace columns in one Taylor carry."""
-    from isomonodromy import ode
+def test_oracle_pair_makes_one_solve(coalescing_geometry, vanishing_A_uc):
+    """Both matchings carry all their 4n Laplace columns in one Taylor carry."""
     from isomonodromy.deformation import radial_family
 
     rng = np.random.default_rng(5)
@@ -282,28 +302,67 @@ def test_oracle_pair_makes_at_most_two_solves(coalescing_geometry, vanishing_A_u
     for sp, geo in cases:
         with ode.counting() as work:
             stokes_pair_direct(sp, geo, tol=1e-13)
-        assert work.solves == 2, sp.n  # at most two, and no matching runs without one
+        assert work.solves == 1, sp.n
 
 
-# Taylor steps and order updates of one oracle pair on draw_system(rng(0), n), as measured
-ORACLE_PAIR_WORK = {2: (38, 1924), 3: (49, 2519), 4: (72, 3181), 5: (80, 3542), 6: (79, 3472)}
+# Taylor steps, order updates and piece-steps of one oracle pair on
+# draw_system(rng(0), n), as measured
+ORACLE_PAIR_WORK = {2: (21, 1120, 256), 3: (26, 1389, 406), 4: (37, 1668, 670),
+                    5: (42, 1917, 892), 6: (41, 1834, 1065)}
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_PAIR_WORK))
 def test_oracle_pair_work_is_pinned(n):
-    """Two Taylor carries per pair, within 25 % of the measured steps and order updates.
+    """One Taylor carry per pair, within 25 % of the measured steps, order updates and piece-steps.
 
     DOP853 took 235-619 steps and 2,836-7,492 right-hand sides on the same
-    pairs, so a carry that falls back to short steps shows here.
+    pairs, so a carry that falls back to short steps shows here; two carries,
+    one per matching, took 42-82 steps and 2,184-3,658 order updates.
     """
-    from isomonodromy import ode
-
     sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
         stokes_pair_direct(sp, DeformationGeometry(sp.u, 1e-3, tau))
-    steps, nfev = ORACLE_PAIR_WORK[n]
-    assert work.solves == 2
+    steps, nfev, piece_steps = ORACLE_PAIR_WORK[n]
+    assert work.solves == 1
     assert work.steps <= 1.25 * steps and work.nfev <= 1.25 * nfev
+    assert work.piece_steps <= 1.25 * piece_steps
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_finished_pieces_leave_the_batch(monkeypatch, n):
+    """An oracle pair's piece-steps are the sum of its pieces' steps, each carried alone.
+
+    A piece steps in the batch as it would alone, so the batch takes as
+    many steps as its longest piece, and the step integrals run on the
+    moving pieces only: a piece whose path is done costs nothing more.
+    Carrying every piece to the batch's last step would count pieces times
+    steps: 48 x 41 = 1,968 piece-steps at n = 6, not 1,065.
+    """
+    sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
+    batches, integrated = [], []
+    carry, step_integrals = laplace.carry, continuation._step_integrals
+
+    def recorded(fs, pieces):
+        batches.append((fs, pieces))
+        return carry(fs, pieces)
+
+    def counted(T, *args):
+        integrated.append(T.shape[1])
+        return step_integrals(T, *args)
+
+    monkeypatch.setattr(laplace, "carry", recorded)
+    monkeypatch.setattr(continuation, "_step_integrals", counted)
+    with ode.counting() as work:
+        stokes_pair_direct(sp, DeformationGeometry(sp.u, 1e-3, tau))
+    assert sum(integrated) == work.piece_steps
+    [(fs, pieces)] = batches
+    alone = []
+    for piece in pieces:
+        with ode.counting() as one:
+            continuation.carry(fs, [piece])
+        alone.append(one.steps)
+    assert work.piece_steps == sum(alone) < len(pieces) * work.steps
+    assert work.steps == max(alone)
 
 
 def _sweep_difference(seed):

@@ -13,9 +13,9 @@ row-major and angles in radians::
       "tol": 1e-10,                  // optional
       "order": 40,                   // optional series order
       "formal_order": 4,             // optional number of F_l
-      "gamma": 0.3,                  // optional, else chosen automatically
-      "paths": [[[0,0],[1,0],[0.2,0]], ...]   // deform: per-path waypoints
-                                              // (each point is the full u vector)
+      "gamma": 0.3,                  // optional, checked; else 0 unless an exponent is integer
+      "paths": [[[0,0],[1,0],[0.2,0]], ...]   // deform: per-path waypoints (at least
+                                              // one, each a full u vector), from u on
     }
 
 Reports are deterministic JSON (sorted keys, no timestamps); every numeric
@@ -154,10 +154,8 @@ class ProblemSpec:
             raise SpecError(f"A must be {n}x{n} to match u; got {self.A.shape}")
         if self.u_c.size != n:
             raise SpecError("u_c must have the same length as u")
-        for path in self.paths:
-            for pt in path:
-                if pt.size != n:
-                    raise SpecError("every path waypoint must be a full u vector")
+        if any(not path or any(pt.size != n for pt in path) for path in self.paths):
+            raise SpecError("every path needs at least one waypoint, each a full u vector")
         self.check()
         try:
             self.geometry = DeformationGeometry(self.u_c, self.epsilon0, self.tau)
@@ -358,7 +356,8 @@ def _common_options(fn):
     fn = click.option("--order", type=int, default=None,
                       help="override series truncation order")(fn)
     fn = click.option("--gamma", type=float, default=None,
-                      help="override the exponent shift")(fn)
+                      help="override the exponent shift A -> A - gamma I, on any "
+                           "system; checked like the automatic choice")(fn)
     return fn
 
 
@@ -490,7 +489,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
     def formula():
         nonlocal pair
-        pair = stokes_from_connection(P, Ordering(geo.u_c, geo.tau), system.lambda_prime)
+        pair = stokes_from_connection(P, geo.ordering, system.lambda_prime)
         structural = np.argwhere(conn.provenance == "zero-by-coalescence") + 1
         return {"stokes_formula": _stokes_json(pair, structural_zero_pairs=structural.tolist(),
                                                error_estimate=float(np.max(conn.residuals)))}
@@ -541,13 +540,12 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 def deform(spec_path, out_dir, tol, order, gamma):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
-    from .stokes import stokes_from_connection
+    from .stokes import _assemble, stokes_from_connection
 
     spec, _ = _load(spec_path, tol, order, gamma, _require_paths)
     runner = Runner("deform", spec)
     geo = spec.geometry
     in_group = geo.in_group
-    ordering = Ordering(geo.u_c, geo.tau)
     cut = CutPlane(eta=geo.eta)
     runner.file({"paths": []})
 
@@ -562,19 +560,18 @@ def deform(spec_path, out_dir, tol, order, gamma):
                                      N=spec.order, gamma=spec.gamma)
         for i, (state, P, conn) in enumerate(samples):
             sysi = state.system()
-            sp = stokes_from_connection(P, ordering, sysi.lambda_prime)
+            sp = stokes_from_connection(P, geo.ordering, sysi.lambda_prime)
             conns.append(np.where(in_group, 0.0, conn.C))
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
             cells.append(bool(is_in_cell(state.u, geo)[0]))
             ingroup_max = 0.0
             if in_group.any():
                 # structural zeros are vacuous here: measure the in-group
-                # entries honestly with the ordering at the instant u
-                sp2 = stokes_from_connection(P, Ordering(sysi.u, geo.tau), sysi.lambda_prime)
-                ingroup_max = float(max(
-                    np.max(np.abs(sp2.S_nu[in_group])),
-                    np.max(np.abs(np.linalg.inv(sp2.S_nu_plus_mu)[in_group])),
-                ))
+                # entries of the assembled S_nu and S_{nu+mu}^-1 with the
+                # ordering at the instant u
+                S, Sinv = _assemble(P, Ordering(sysi.u, geo.tau), sysi.lambda_prime)
+                ingroup_max = float(max(np.max(np.abs(S[in_group])),
+                                        np.max(np.abs(Sinv[in_group]))))
             decay_rows += [(i, a + 1, b + 1, float(abs(state.u[a] - state.u[b])),
                             float(abs(state.A[a, b])), float(abs(state.A[b, a])), ingroup_max)
                            for a, b in zip(*np.nonzero(np.triu(in_group)))]

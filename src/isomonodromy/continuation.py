@@ -38,7 +38,6 @@ from .model import BasisSingular, CutPlane, IllConditioned, Ordering, StepFailur
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
-    needs_gamma_shift,
     pick_gamma,
     gamma_shift,
     selected_solution,
@@ -452,28 +451,27 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
 
 def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
                         geometry=None, gamma=None):
-    """Products alpha_k c_jk of the original system, via gamma-shift if needed.
+    """Products alpha_k c_jk of the original system, from the system shifted by gamma.
 
-    For systems with integer diagonal entries or integer eigenvalues the
-    selected solutions are not fundamental, so the coefficients are taken
-    from a shifted system and mapped back with
+    The shift is ``gamma`` if given, else :func:`.frobenius.pick_gamma`:
+    0 unless a diagonal entry or an eigenvalue of A is an integer, where
+    the selected solutions are not fundamental.  Every shift, an explicit
+    0 included, is checked by :func:`.frobenius.gamma_shift` (BadGamma).
+    The coefficients of A - gamma I map back with
     alpha_k c_jk = e^{-2 pi i gamma} alpha_k[gamma] c_jk[gamma]  (k succ j),
     alpha_k c_jk = alpha_k[gamma] c_jk[gamma]                    (otherwise),
     where the :class:`.model.Ordering` is taken at the working point u (a
-    tie there raises NonAdmissibleError).  ``gamma`` overrides the
-    automatic choice of the shift.
+    tie there raises NonAdmissibleError); gamma = 0 needs no map.
 
-    Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk.
+    Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
-    if not needs_gamma_shift(system):
-        conn = connection_coefficients(build_fuchsian(system), cut, tol=tol, N=N,
-                                       geometry=geometry)
-        return conn.C * conn.alpha[None, :], conn
     g = pick_gamma(system) if gamma is None else float(gamma)
-    conn_g = connection_coefficients(build_fuchsian(gamma_shift(system, g)), cut, tol=tol,
-                                     N=N, geometry=geometry)
-    conn_g.gamma = g
-    k_succ_j = Ordering(system.u, 1.5 * math.pi - cut.eta).sign < 0
-    P = np.where(k_succ_j, cmath.exp(-2j * math.pi * g), 1.0) * (conn_g.C * conn_g.alpha)
+    conn = connection_coefficients(build_fuchsian(gamma_shift(system, g)), cut, tol=tol,
+                                   N=N, geometry=geometry)
+    conn.gamma = g
+    P = conn.C * conn.alpha
+    if g:
+        k_succ_j = Ordering(system.u, 1.5 * math.pi - cut.eta).sign < 0
+        P = np.where(k_succ_j, cmath.exp(-2j * math.pi * g), 1.0) * P
     np.fill_diagonal(P, 0)
-    return P, conn_g
+    return P, conn

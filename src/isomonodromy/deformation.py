@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import tally
-from .model import COALESCE_TOL, DriftExceeded, StepFailure, SystemPair
+from .model import COALESCE_TOL, DriftExceeded, StepFailure, SystemPair, check_vanishing
 from .frobenius import FuchsianSystem, build_fuchsian
 from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
@@ -181,7 +181,7 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
                 f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
                 "stop at a guarded endpoint and extrapolate"
             )
-    f1(SystemPair(A0, u0))  # SingularF1 for a start that violates the vanishing conditions
+    check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
     diag0 = np.diag(A0).copy()
     du = targets - u0
     gap0 = u0[None, :] - u0[:, None]
@@ -281,15 +281,14 @@ def transport(state: DeformationState, target_u, tol=1e-10,
 def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, gamma=None):
     """Connection data along a deformation path, one sample at a time.
 
-    A is Schlesinger-transported from sample to sample of ``u_samples`` and
-    the products are re-extracted at each by
-    :func:`.continuation.connection_products` with ``gamma``, both at
-    ``tol``.  Yields ``(state, P, conn)`` per sample.
+    The A of ``system`` is Schlesinger-transported (:func:`transport`) from its
+    u to every sample of ``u_samples`` in turn, the first included, and the
+    products are re-extracted at each by :func:`.continuation.connection_products`
+    with ``gamma``, both at ``tol``.  Yields ``(state, P, conn)`` per sample.
     """
-    state = DeformationState(u=np.asarray(u_samples[0], dtype=complex), A=system.A.copy())
-    for i, u in enumerate(u_samples):
-        if i > 0:
-            state = transport(state, u, tol=tol)
+    state = DeformationState(u=system.u, A=system.A.copy())
+    for u in u_samples:
+        state = transport(state, u, tol=tol)
         P, conn = connection_products(state.system(), cut, tol=tol, N=N, gamma=gamma)
         yield state, P, conn
 
@@ -298,8 +297,8 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     """Isomonodromic family along u(t) = u^c + t (u - u^c), seeded at u^c.
 
     The matrix of ``system`` prescribes A(u^c): its in-group entries (for
-    pairs coalescing at u^c) must vanish as :func:`f1` requires
-    (:class:`SingularF1` otherwise) and are set to 0.  The family is grown outward from
+    pairs coalescing at u^c) must vanish (:func:`.model.check_vanishing`,
+    :class:`SingularF1` otherwise) and are set to 0.  The family is grown outward from
     t = 1e-8 (in-group quotients are O(t) there, so the relative seeding
     error is O(1e-8)) and then transported to the requested t values.
 
@@ -309,8 +308,7 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     u_c = np.asarray(u_c, dtype=complex)
     u1 = np.asarray(system.u, dtype=complex)
     v = u1 - u_c
-    f1(SystemPair(system.A, u_c))  # SingularF1 unless the in-group entries vanish
-    near = np.abs(u_c[:, None] - u_c[None, :]) < COALESCE_TOL
+    near = check_vanishing(system.A, u_c)  # SingularF1 unless the in-group entries vanish
     A0 = np.where(near & ~np.eye(u_c.size, dtype=bool), 0, np.asarray(system.A, dtype=complex))
     order = np.argsort(np.asarray(t_values))
     ts = np.asarray(t_values)[order]

@@ -255,7 +255,6 @@ class LocalSolution:
     lambda_prime_k: complex
     pole: complex
     f_k: complex
-    N: int
     radius: float
     b: np.ndarray = None
     d: np.ndarray = None
@@ -301,7 +300,7 @@ def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     rho = -lp - 1
     fk = leading_factor(lp, klass)
     sol = LocalSolution(k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
-                        N=N, radius=fs.validity_radius(k))
+                        radius=fs.validity_radius(k))
 
     inv = _gaps(fs, k)
     if klass != "natural":
@@ -427,7 +426,7 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
 
     sol = LocalSolution(
         k=k, klass=klass, lambda_prime_k=sel.lambda_prime_k, pole=sel.pole, f_k=sel.f_k,
-        N=N, radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
+        radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
     )
     if not zero:
         sol.phi, obstruction = _exponent0_series(fs, k, inv, seed, N, rho, shifted)
@@ -618,14 +617,10 @@ _GAMMA_CANDIDATES = (0.3, 0.23, 0.41, 0.17, 0.37, 0.29)
 
 
 def pick_gamma(system: SystemPair):
-    """First gamma from a fixed candidate list that clears the conditions."""
+    """The shift the connection route takes: 0.0 when no diagonal entry and no
+    eigenvalue of A is an integer, else the first candidate that clears them all."""
     values = _spectrum(system)
-    for g in _GAMMA_CANDIDATES:
+    for g in (0.0,) + _GAMMA_CANDIDATES:
         if _first_integer(values - g) is None:
             return g
     raise BadGamma(f"no candidate gamma {_GAMMA_CANDIDATES} clears the integer conditions")
-
-
-def needs_gamma_shift(system: SystemPair) -> bool:
-    """True if some diagonal entry or eigenvalue of A is integer."""
-    return _first_integer(_spectrum(system)) is not None

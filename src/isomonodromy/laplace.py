@@ -109,19 +109,17 @@ def formal_recursion(system, L):
     off = offdiag(A).  Pairs with |u_i - u_j| >= COALESCE_TOL divide by the gap.  In-group
     pairs, the diagonal included (off the locus, the diagonal alone), take the next order's
     equation, (F_k)_ij = -(off F_k)_ij / (lambda'_i - lambda'_j + k), in-group A_ij counting
-    as 0 once :func:`f1` has checked that they vanish.  An in-group pair i != j with
-    lambda'_j - lambda'_i = k is a free parameter of the formal-solution family: it is set
-    to 0 and reported in ``free_positions`` as (k, i, j), and also in
+    as 0 once :func:`.model.check_vanishing` has checked that they vanish.  An in-group pair
+    i != j with lambda'_j - lambda'_i = k is a free parameter of the formal-solution family: it
+    is set to 0 and reported in ``free_positions`` as (k, i, j), and also in
     ``obstructed_positions`` (a log obstruction) where its right-hand side exceeds
     VANISH_TOL max(1, max|off| max|F_k|), F_k's cross entries setting the scale.
     """
-    f1(system)
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
+    same = check_vanishing(A, u)
     lp = np.diag(A)
-    gap = u[None, :] - u[:, None]
-    same = np.abs(gap) < COALESCE_TOL
-    gap[same] = 1.0
+    gap = np.where(same, 1.0, u[None, :] - u[:, None])
     off = np.where(same, 0, A)
     shift = lp[:, None] - lp[None, :]
     free = sorted((r, i, j) for i, j in np.argwhere(same).tolist()
@@ -229,7 +227,6 @@ class LaplaceColumn:
     label: int
     z: np.ndarray
     reduced: np.ndarray
-    pole: complex
     eta_used: float
     error: float
 
@@ -267,7 +264,7 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
         error = (plan.tail + CARRY_TOL) * size / max(float(np.max(np.abs(reduced))), 1e-300)
         columns.append(LaplaceColumn(k=spec.k, label=spec.h * geometry.labels.mu,
                                      z=np.asarray(spec.z, dtype=complex), reduced=reduced,
-                                     pole=fs.u[spec.k], eta_used=plan.eta, error=error))
+                                     eta_used=plan.eta, error=error))
     return columns
 
 

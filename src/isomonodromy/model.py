@@ -263,7 +263,8 @@ class DeformationGeometry:
     Holds the group partition of u^c, the polydisc radius epsilon0, the
     admissible direction tau at u^c (eta = 3 pi/2 - tau in the lambda-plane)
     and the labelled Stokes rays of Lambda(u^c).  ``in_group`` is the
-    (n, n) mask of the pairs j != k that coalesce at u^c.
+    (n, n) mask of the pairs j != k that coalesce at u^c, and ``ordering``
+    the dominance :class:`Ordering` at u^c that the Stokes formula reads.
     """
 
     u_c: np.ndarray
@@ -273,6 +274,7 @@ class DeformationGeometry:
     group_values: tuple = field(default=None)
     labels: RayLabels = field(default=None)
     in_group: np.ndarray = field(default=None)
+    ordering: Ordering = field(default=None)
 
     def __init__(self, u_c, epsilon0, tau):
         u_c = _as_complex_vector(u_c)
@@ -289,6 +291,7 @@ class DeformationGeometry:
         object.__setattr__(self, "group_values", tuple(values))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "in_group", in_group)
+        object.__setattr__(self, "ordering", Ordering(u_c, tau))
         dmax = self.max_epsilon0()
         if self.epsilon0 >= dmax:
             raise ValueError(
@@ -436,7 +439,8 @@ def _dominance(u, tau):
 class Ordering:
     """Dominance order at a point u: j prec k iff Re(e^{i tau}(u_j - u_k)) < 0.
 
-    The Stokes formula takes it at u^c, the gamma-shift relations at the
+    The Stokes formula takes it at u^c (:attr:`DeformationGeometry.ordering`),
+    the gamma-shift relations and ``deform``'s in-group measure at the
     working point u.  ``sign`` is the (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)),
     0 on the diagonal and for coalesced pairs (their Stokes entries are
     structural zeros); ``order`` is the stable permutation that sorts u by

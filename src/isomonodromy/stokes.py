@@ -50,13 +50,19 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime):
     identity diagonal, zeros elsewhere (in-group entries are structural
     zeros).  S_{nu+mu} is returned as the inverse of the assembled matrix.
     """
+    S, Sinv = _assemble(products, ordering, lambda_prime)
+    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
+                      method="formula")
+
+
+def _assemble(products, ordering, lambda_prime):
+    """The assembled S_nu and S_{nu+mu}^-1 of :func:`stokes_from_connection`."""
     P = np.asarray(products, dtype=complex)
     lp = np.asarray(lambda_prime, dtype=complex)
     one = np.eye(lp.size, dtype=complex)
     S = one + np.where(ordering.sign < 0, np.exp(2j * math.pi * lp) * P, 0)
     Sinv = one - np.where(ordering.sign > 0, np.exp(2j * math.pi * (lp - lp[:, None])) * P, 0)
-    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
-                      method="formula")
+    return S, Sinv
 
 
 def _unit_triangular_inverse(Sinv, order):
@@ -77,10 +83,10 @@ def _unit_triangular_inverse(Sinv, order):
 
 
 def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40):
-    """Connection coefficients (gamma-shifted when needed) -> formula Stokes pair."""
+    """Connection products (:func:`.continuation.connection_products`) -> formula Stokes pair."""
     cut = CutPlane(eta=geometry.eta)
     P, conn = connection_products(system, cut, tol=tol, N=N, geometry=geometry)
-    pair = stokes_from_connection(P, Ordering(geometry.u_c, geometry.tau), system.lambda_prime)
+    pair = stokes_from_connection(P, geometry.ordering, system.lambda_prime)
     pair.diagnostics["connection"] = conn
     return pair
 

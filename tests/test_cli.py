@@ -84,6 +84,7 @@ MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments)
     "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, []),
     "tau NaN": (lambda p: {**p, "tau": math.nan}, []),
     "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, []),
+    "path empty": (lambda p: {**p, "paths": [[]]}, []),
     "order 0": (lambda p: {**p, "order": 0}, []),
     "order 2": (lambda p: {**p, "order": 2}, []),
     "formal_order 0": (lambda p: {**p, "formal_order": 0}, []),
@@ -134,6 +135,35 @@ def test_cli_stokes_deterministic(tmp_path):
     assert report["results"]["formal"]["asymptotic_vs_recursion_max_diff"] < 1e-8
     S = report["results"]["stokes_formula"]["S_nu"]
     assert S[1][0] == [0.0, 0.0]  # triangular zero below the diagonal
+
+
+def _stokes_report(tmp_path, name, *args):
+    out = tmp_path / name
+    spec = str(ROOT / "problems" / "sample2x2.json")
+    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(out),
+                                       "--oracle", "off", *args])
+    return result, json.loads((out / "stokes_report.json").read_text())
+
+
+def test_cli_stokes_gamma_applies_to_every_system(tmp_path):
+    """sample2x2 needs no shift, and --gamma 0.3 still shifts it: the same pair, shifted."""
+    result, shifted = _stokes_report(tmp_path, "shifted", "--gamma", "0.3")
+    assert result.exit_code == 0, result.output
+    _, plain = _stokes_report(tmp_path, "plain")
+    assert shifted["results"]["gamma_shift_used"] is True
+    assert shifted["results"]["connection"]["gamma"] == 0.3
+    assert plain["results"]["gamma_shift_used"] is False
+    pairs = [np.array([[[complex(*z) for z in row] for row in r["results"]["stokes_formula"][key]]
+                       for key in ("S_nu", "S_nu_plus_mu")]) for r in (shifted, plain)]
+    assert np.max(np.abs(pairs[0] - pairs[1])) < 1e-10
+
+
+def test_cli_stokes_gamma_on_an_integer_is_a_failed_connection(tmp_path):
+    """--gamma 0.5 puts lambda'_0 = 0.5 on the integer 0: BadGamma, exit 3."""
+    result, report = _stokes_report(tmp_path, "out", "--gamma", "0.5")
+    assert result.exit_code == 3
+    [stage] = [s for s in report["stages"] if s["name"] == "connection"]
+    assert stage["status"] == "failed" and stage["error"].startswith("BadGamma")
 
 
 def test_cli_stokes_with_oracle(tmp_path):

@@ -12,7 +12,7 @@ from isomonodromy.model import CutPlane, DeformationGeometry, SystemPair, is_in_
 from isomonodromy.frobenius import (
     analytic_basis,
     build_fuchsian,
-    needs_gamma_shift,
+    pick_gamma,
     selected_solution,
     singular_solution,
 )
@@ -251,7 +251,7 @@ def test_stokes_pipeline_solve_count(n):
     """The formula route makes at most 5 solves at every n, gamma-shifted or not."""
     if n == "gamma":
         sp, tau = _gamma_shifted_case()
-        assert needs_gamma_shift(sp)
+        assert pick_gamma(sp) != 0.0
     else:
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
@@ -434,6 +434,21 @@ def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):
         system_2x2, samples, cut, tol=1e-13)])
     assert np.max(np.abs(stack - stack[0])) < 1e-7
     assert all(is_in_cell(u, geometry_2x2)[0] for u in samples)
+
+
+def test_connection_samples_start_at_the_problems_u(system_2x2, geometry_2x2):
+    """A path that does not start at u is reached by transport from u: the same samples as
+    the path that does, bit for bit."""
+    u1 = np.array([0.02 + 0.02j, 1.0], complex)
+    u2 = np.array([0.02 + 0.02j, 1.0 - 0.04j], complex)
+    cut = CutPlane(eta=geometry_2x2.eta)
+    off = list(connection_samples(system_2x2, [u1, u2], cut, tol=1e-13))
+    on = list(connection_samples(system_2x2, [system_2x2.u, u1, u2], cut, tol=1e-13))
+    assert len(off) == 2
+    for (s_off, P_off, c_off), (s_on, P_on, c_on) in zip(off, on[1:]):
+        assert np.array_equal(s_off.u, s_on.u) and np.array_equal(s_off.A, s_on.A)
+        assert np.array_equal(P_off, P_on) and np.array_equal(c_off.C, c_on.C)
+    assert not np.array_equal(off[0][0].A, system_2x2.A)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from isomonodromy.frobenius import (
     gamma_shift,
     leading_factor,
     levelt_at_confluence,
-    needs_gamma_shift,
     pick_gamma,
     selected_solution,
     singular_solution,
@@ -370,11 +369,11 @@ def test_gamma_shift_moves_diagonal():
 def test_gamma_shift_moves_spectrum():
     A = np.array([[0.0, 1.0], [0.0, 2.0]], dtype=complex)
     sp = SystemPair(A, [0.0, 1.0])
-    assert needs_gamma_shift(sp)
+    assert pick_gamma(sp) != 0.0
     shifted = gamma_shift(sp, 0.3)
     ev = np.linalg.eigvals(shifted.A)
     assert sorted(x.real for x in ev) == pytest.approx([-0.3, 1.7])
-    assert not needs_gamma_shift(shifted)
+    assert pick_gamma(shifted) == 0.0
 
 
 def test_gamma_shift_rejects_bad_gamma():
@@ -385,19 +384,28 @@ def test_gamma_shift_rejects_bad_gamma():
 
 
 def test_pick_gamma_takes_one_spectrum(monkeypatch):
-    """spec(A - gamma I) = spec(A) - gamma: one eigvals serves every candidate, here past the
-    first two (0.3 and 0.23 meet the diagonal), and one more makes the shift."""
+    """spec(A - gamma I) = spec(A) - gamma: one eigvals serves every candidate, here past 0
+    (1 is on the diagonal) and the first two (0.3 and 0.23 meet it), and one more makes the
+    shift.  With no integer in the spectrum the same one call gives 0.0, and 0 is checked
+    like any shift."""
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or eigvals(M))
-    sp = SystemPair(np.array([[0.3, 0.5], [0.0, 0.23]], dtype=complex), [0.0, 1.0])
+    A = np.array([[0.3, 0.5, 0.0], [0.0, 0.23, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    sp = SystemPair(A, [0.0, 1.0, 2.0])
     assert pick_gamma(sp) == 0.41
     assert len(calls) == 1
     shifted = gamma_shift(sp, 0.41)
     assert len(calls) == 2
-    assert np.array_equal(shifted.A, sp.A - 0.41 * np.eye(2))
+    assert np.array_equal(shifted.A, sp.A - 0.41 * np.eye(3))
     with pytest.raises(BadGamma):
         gamma_shift(sp, 0.23)
+    calls.clear()
+    plain = SystemPair(np.array([[0.5, 0.2], [0.1, 0.33]], dtype=complex), [0.0, 1.0])
+    assert pick_gamma(plain) == 0.0
+    assert len(calls) == 1
+    with pytest.raises(BadGamma):
+        gamma_shift(SystemPair(np.diag([1.0, 0.5]), [0.0, 1.0]), 0.0)
 
 
 def test_gamma_shift_preserves_omega(system_2x2):

@@ -72,13 +72,10 @@ def test_formula_matches_the_pairwise_reference():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_shift_relations_match_the_pairwise_reference(monkeypatch, seed):
+def test_shift_relations_match_the_pairwise_reference(seed):
     """The shifted products map back as the double loop over pairs maps them."""
-    import isomonodromy.continuation as continuation
-
     system, tau = draw_system(np.random.default_rng(seed), 3, min_gap=0.35)
     cut = CutPlane(eta=1.5 * math.pi - tau)
-    monkeypatch.setattr(continuation, "needs_gamma_shift", lambda _: True)
     P, conn = connection_products(system, cut, tol=1e-12, gamma=0.3)
     n = system.n
     ref = np.zeros((n, n), dtype=complex)

@@ -606,21 +606,28 @@ def gamma_shift(system: SystemPair, gamma: float) -> SystemPair:
     Raises :class:`BadGamma` if some shifted diagonal entry or eigenvalue
     of the shifted matrix is still an integer within tolerance.
     """
-    bad = _first_integer(_spectrum(system) - gamma)
-    if bad is not None:
-        raise BadGamma(f"shifted diagonal entry or eigenvalue {bad} is integer within tolerance")
-    return SystemPair(system.A - gamma * np.eye(system.n), system.u)
+    return shift_exponents(system, gamma)[1]
 
 
-# gamma candidates of :func:`pick_gamma`, tried in this order
+# gamma candidates of :func:`shift_exponents`, tried in this order
 _GAMMA_CANDIDATES = (0.3, 0.23, 0.41, 0.17, 0.37, 0.29)
 
 
-def pick_gamma(system: SystemPair):
-    """The shift the connection route takes: 0.0 when no diagonal entry and no
-    eigenvalue of A is an integer, else the first candidate that clears them all."""
+def shift_exponents(system: SystemPair, gamma=None):
+    """``(gamma, system shifted by gamma)`` from one spectrum of A.
+
+    ``gamma`` None picks the shift the connection route takes: 0.0 when no
+    diagonal entry and no eigenvalue of A is an integer, else the first
+    candidate that clears them all.  A given one, 0 included, is checked as
+    :func:`gamma_shift` describes (BadGamma).
+    """
     values = _spectrum(system)
-    for g in (0.0,) + _GAMMA_CANDIDATES:
-        if _first_integer(values - g) is None:
-            return g
-    raise BadGamma(f"no candidate gamma {_GAMMA_CANDIDATES} clears the integer conditions")
+    if gamma is None:
+        gamma = next((g for g in (0.0,) + _GAMMA_CANDIDATES
+                      if _first_integer(values - g) is None), None)
+        if gamma is None:
+            raise BadGamma(f"no candidate gamma {_GAMMA_CANDIDATES} clears the integer conditions")
+    bad = _first_integer(values - gamma)
+    if bad is not None:
+        raise BadGamma(f"shifted diagonal entry or eigenvalue {bad} is integer within tolerance")
+    return float(gamma), SystemPair(system.A - gamma * np.eye(system.n), system.u)

@@ -12,8 +12,8 @@ from isomonodromy.model import CutPlane, DeformationGeometry, SystemPair, is_in_
 from isomonodromy.frobenius import (
     analytic_basis,
     build_fuchsian,
-    pick_gamma,
     selected_solution,
+    shift_exponents,
     singular_solution,
 )
 from isomonodromy.stokes import Ordering, stokes_from_connection, stokes_pipeline
@@ -31,10 +31,9 @@ ETA = 1.5 * math.pi - math.pi / 4
 
 
 def _polyline(fs, value, path):
-    """Carry ``value`` along the waypoints of ``path``, one solve per segment."""
-    for p, q in zip(path[:-1], path[1:]):
-        if q != p:
-            [value] = continuation.carry(fs, [continuation._segment(p, q, value)])
+    """Carry ``value`` along the waypoints of ``path``, one polyline piece."""
+    [value] = continuation.carry(fs, [continuation._segment(path[0], path[-1], value,
+                                                            via=path[1:-1])])
     return value
 
 
@@ -120,7 +119,7 @@ def test_monodromy_eigenvalue_structure(system_2x2):
 def _basis_at_pole(fs, cut, j):
     """Base point of u_j and the selected-solution basis there."""
     sols = [selected_solution(fs, m, 40) for m in range(fs.n)]
-    [(_, base, Psi)] = continue_basis(fs, cut, sols, (j,))
+    [(_, base, Psi, _)] = continue_basis(fs, cut, sols, (j,))
     return base, Psi
 
 
@@ -150,6 +149,22 @@ def test_big_loop_matches_infinity_monodromy(system_2x2):
         np.exp(-2j * math.pi * (np.linalg.eigvals(system_2x2.A) + 1.0))
     )
     assert np.max(np.abs(ev - expect)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_loop_carried_as_the_identity_matches_the_looped_basis(n):
+    """Phi @ Psi, Phi the loop's transition matrix from the identity, is Psi carried round it.
+
+    continue_basis carries the identity round each loop in the batch of the
+    ascents; carrying the basis itself round the loop agrees to 1e-12 of max|Psi|.
+    """
+    sp, tau = draw_system(np.random.default_rng(3), n, min_gap=0.35)
+    fs = build_fuchsian(sp)
+    cut = CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
+    sols = [selected_solution(fs, m, 40) for m in range(n)]
+    for j, base, Psi, Phi in continue_basis(fs, cut, sols, range(n)):
+        looped = _loop_at_pole(fs, j, Psi, base)
+        assert np.max(np.abs(Phi @ Psi - looped)) <= 1e-12 * np.max(np.abs(Psi)), j
 
 
 def test_loop_composition_two_poles(system_2x2):
@@ -202,12 +217,10 @@ def test_connection_without_projected_entries():
 
 @pytest.mark.parametrize("u", [[0.0, 1.0], [0.0, 1.0, 0.4 + 0.9j]])
 def test_connection_solve_count(u):
-    """All n(n-1) coefficients cost at most 5 carries at any n, counted by ode.counting().
+    """All n(n-1) coefficients cost 2 carries at any n, counted by ode.counting().
 
-    One basis continuation: one solve for the rays down to the low points,
-    one for the lateral moves to the deep point, one for the lateral moves
-    back up and one for the rays to the base points; then one for every
-    loop.
+    One solve for every column's descent to the deep point, one for every
+    ascent to a base point and every loop.
     """
     n = len(u)
     rng = np.random.default_rng(11)
@@ -216,17 +229,15 @@ def test_connection_solve_count(u):
     with ode.counting() as work:
         conn = connection_coefficients(fs, CutPlane(eta=ETA), tol=1e-12)
     assert np.sum(conn.provenance == "monodromy-projection") == n * (n - 1)
-    assert 3 <= work.solves <= 5  # the rays down and up and the loops always run
+    assert work.solves == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_monodromy_solve_count(k):
-    """M_k costs 5 solves, 4 at k = 0, with column k not sent to the deep point.
+    """M_k costs 2 solves, with column k not sent to the deep point.
 
-    Descent of the other columns: one solve down their rays, one across to
-    the deep point; ascent: one across to the low point of u_k (none for
-    k = 0, whose low point is the deep point), one up its ray; then the
-    loop.
+    One solve for the descent of the other columns, one for their ascent to
+    the base point of u_k together with the loop there.
     """
     rng = np.random.default_rng(5)
     n = 3
@@ -234,7 +245,7 @@ def test_monodromy_solve_count(k):
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.4 + 0.9j]))
     with ode.counting() as work:
         M = monodromy_matrix(fs, k, CutPlane(eta=ETA))
-    assert work.solves == (4 if k == 0 else 5)
+    assert work.solves == 2
     assert abs(M[k, k] - cmath.exp(-2j * math.pi * A[k, k])) < 1e-9
 
 
@@ -246,17 +257,29 @@ def _gamma_shifted_case():
     return SystemPair(A, sp.u), tau
 
 
+# Taylor steps and order updates of one formula pair on draw_system(rng(0), n), as measured
+FORMULA_WORK = {2: (23, 1139), 3: (28, 1440), 4: (34, 1781), 5: (39, 2136), 6: (36, 1948)}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "gamma"])
 def test_stokes_pipeline_solve_count(n):
-    """The formula route makes at most 5 solves at every n, gamma-shifted or not."""
+    """The formula route makes 2 solves at every n, gamma-shifted or not, within 25 % of the
+    measured steps and order updates.
+
+    Five carries, with the deep point two pole spreads plus one below the
+    poles, took 31-59 steps and 1,487-3,010 order updates on the same pairs.
+    """
     if n == "gamma":
         sp, tau = _gamma_shifted_case()
-        assert pick_gamma(sp) != 0.0
+        assert shift_exponents(sp)[0] != 0.0
     else:
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
         stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
-    assert 3 <= work.solves <= 5  # the rays down and up and the loops always run
+    assert work.solves == 2
+    if n != "gamma":
+        steps, nfev = FORMULA_WORK[n]
+        assert work.steps <= 1.25 * steps and work.nfev <= 1.25 * nfev
 
 
 def _segment_route_connection(fs, cut, tol):

@@ -16,8 +16,8 @@ from isomonodromy.frobenius import (
     gamma_shift,
     leading_factor,
     levelt_at_confluence,
-    pick_gamma,
     selected_solution,
+    shift_exponents,
     singular_solution,
 )
 
@@ -369,40 +369,51 @@ def test_gamma_shift_moves_diagonal():
 def test_gamma_shift_moves_spectrum():
     A = np.array([[0.0, 1.0], [0.0, 2.0]], dtype=complex)
     sp = SystemPair(A, [0.0, 1.0])
-    assert pick_gamma(sp) != 0.0
+    assert shift_exponents(sp)[0] != 0.0
     shifted = gamma_shift(sp, 0.3)
     ev = np.linalg.eigvals(shifted.A)
     assert sorted(x.real for x in ev) == pytest.approx([-0.3, 1.7])
-    assert pick_gamma(shifted) == 0.0
+    assert shift_exponents(shifted)[0] == 0.0
 
 
 def test_gamma_shift_rejects_bad_gamma():
     sp = SystemPair(np.diag([0.3, -1.0]), [0.0, 1.0])
     with pytest.raises(BadGamma):
         gamma_shift(sp, 0.3)  # 0.3 - 0.3 = 0 integer
-    assert pick_gamma(sp) != 0.3
+    assert shift_exponents(sp)[0] != 0.3
 
 
 def test_pick_gamma_takes_one_spectrum(monkeypatch):
     """spec(A - gamma I) = spec(A) - gamma: one eigvals serves every candidate, here past 0
     (1 is on the diagonal) and the first two (0.3 and 0.23 meet it), and one more makes the
     shift.  With no integer in the spectrum the same one call gives 0.0, and 0 is checked
-    like any shift."""
+    like any shift.  A connection_products call with the automatic shift takes exactly one
+    eigvals too, and an explicit shift is still checked."""
+    from isomonodromy.continuation import connection_products
+
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or eigvals(M))
     A = np.array([[0.3, 0.5, 0.0], [0.0, 0.23, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     sp = SystemPair(A, [0.0, 1.0, 2.0])
-    assert pick_gamma(sp) == 0.41
+    g, shifted = shift_exponents(sp)
+    assert g == 0.41
     assert len(calls) == 1
-    shifted = gamma_shift(sp, 0.41)
-    assert len(calls) == 2
     assert np.array_equal(shifted.A, sp.A - 0.41 * np.eye(3))
+    assert np.array_equal(gamma_shift(sp, 0.41).A, shifted.A)
+    assert len(calls) == 2
     with pytest.raises(BadGamma):
         gamma_shift(sp, 0.23)
+    cut = CutPlane(eta=1.25 * math.pi)
+    calls.clear()
+    _, conn = connection_products(sp, cut)
+    assert conn.gamma == 0.41
+    assert len(calls) == 1
+    with pytest.raises(BadGamma):
+        connection_products(sp, cut, gamma=0.23)
     calls.clear()
     plain = SystemPair(np.array([[0.5, 0.2], [0.1, 0.33]], dtype=complex), [0.0, 1.0])
-    assert pick_gamma(plain) == 0.0
+    assert shift_exponents(plain)[0] == 0.0
     assert len(calls) == 1
     with pytest.raises(BadGamma):
         gamma_shift(SystemPair(np.diag([1.0, 0.5]), [0.0, 1.0]), 0.0)

@@ -215,7 +215,13 @@ REPORT_SCHEMA = {
                 "properties": {"status": {"enum": ["ok", "failed", "skipped"]}},
             },
         },
-        "results": {"type": "object"},
+        "results": {
+            "type": "object",
+            "properties": {
+                route: {"type": "object", "required": ["monodromy_invariant"]}
+                for route in ("stokes_formula", "stokes_oracle")
+            },
+        },
     },
 }
 
@@ -456,7 +462,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
     from .continuation import connection_products
     from .laplace import assemble_formal, formal_recursion
-    from .stokes import stokes_from_connection, stokes_pair_direct
+    from .stokes import monodromy_invariant_residual, stokes_from_connection, stokes_pair_direct
 
     spec, _ = _load(spec_path, tol, order, gamma)
     runner = Runner("stokes", spec)
@@ -491,8 +497,9 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
         nonlocal pair
         pair = stokes_from_connection(P, geo.ordering, system.lambda_prime)
         structural = np.argwhere(conn.provenance == "zero-by-coalescence") + 1
-        return {"stokes_formula": _stokes_json(pair, structural_zero_pairs=structural.tolist(),
-                                               error_estimate=float(np.max(conn.residuals)))}
+        return {"stokes_formula": _stokes_json(
+            pair, structural_zero_pairs=structural.tolist(),
+            monodromy_invariant=monodromy_invariant_residual(pair, system.A))}
 
     def formal_coefficients():
         formal = formal_recursion(system, spec.formal_order)
@@ -521,9 +528,10 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
     def oracle_stage():
         op = stokes_pair_direct(system, geo, tol=max(spec.tol * 1e-2, 1e-13), N=spec.order)
         return {
-            "stokes_oracle": _stokes_json(op, **{f"{key}_{h}": op.diagnostics[h][key]
-                                                 for h in ("h0", "h1")
-                                                 for key in ("ladder", "z_spread")}),
+            "stokes_oracle": _stokes_json(
+                op, monodromy_invariant=monodromy_invariant_residual(op, system.A),
+                **{f"{key}_{h}": op.diagnostics[h][key]
+                   for h in ("h0", "h1") for key in ("ladder", "z_spread")}),
             "formula_oracle_max_diff": float(np.max(np.abs(
                 np.stack([op.S_nu, op.S_nu_plus_mu]) - np.stack([pair.S_nu, pair.S_nu_plus_mu])))),
         }

@@ -3,12 +3,13 @@
 The system is linear, so the whole selected-solution basis
 [Psi_0 ... Psi_{n-1}] is continued as one matrix (:func:`continue_basis`):
 each column once from its series zone down to a common deep point below
-every pole and cut, then the matrix once up the anti-cut ray of each pole
-to its base point.  A small positive loop at u_j, carried from the
-identity, applied to that matrix gives the monodromy M_j
-(:func:`monodromy_matrix`) and, projected onto Psi_j, the whole row j of
-connection coefficients (:func:`connection_coefficients`) through
-gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
+every pole and cut, while the identity goes up the anti-cut ray of each
+pole to its base point; that transition matrix applied to the descended
+columns is the basis at the base point.  A small positive loop at u_j,
+also carried from the identity, applied to that matrix gives the
+monodromy M_j (:func:`monodromy_matrix`) and, projected onto Psi_j, the
+whole row j of connection coefficients (:func:`connection_coefficients`)
+through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
 
 All transport of both Stokes routes runs on one batched Taylor carry
 (:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
@@ -19,8 +20,8 @@ carried by Taylor steps along chords of its pieces, applying the rank-one
 residues to the columns of every piece that still moves at once; a piece
 whose path is done leaves the batch.  The integrals are Gauss-Legendre
 sums over each step's Taylor polynomial, taken by moments of the rule.
-The formula route carries no samples, so it makes two Taylor carries at
-any n: every column's descent, then every ascent with every pole loop.
+The formula route carries no samples, so it makes one Taylor carry at
+any n: every column's descent beside every ascent and every pole loop.
 The oracle makes one per Stokes pair.
 """
 
@@ -145,12 +146,14 @@ def carry(fs: FuchsianSystem, pieces):
     J = np.zeros((P, nz, n, widths[0] if nz else 0), dtype=complex)
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
     orders = np.arange(1, MAX_ORDER + 1)
-    # (M - m I) / (m + 1) for every order m
-    shifted = (-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None]
+    # (M - m I) / (m + 1) for every order m, in a list: taking an item of a
+    # list costs less than indexing an array, and the order loop does it each order
+    shifted = list((-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None])
     # the Taylor terms of a step: all of them for the integrals, else folded
     # into their sum every ORDER_BLOCK orders
     rows = MAX_ORDER + 1 if nz else ORDER_BLOCK + 2
     buf = np.empty(rows * Y.size, dtype=complex)
+    terms, width = [], 0
     steps = nfev = piece_steps = 0
     while True:
         dist = offset + x[:, None]
@@ -190,6 +193,10 @@ def carry(fs: FuchsianSystem, pieces):
         # term m in row m - done of the step's view of the buffer, rows
         # below done summed into total
         T = buf[:rows * scale.size].reshape(rows, n, -1)
+        if scale.size != width:
+            # the rows of T as views, made again only when the batch narrows:
+            # 401 of them with samples cost about as much as they save per step
+            terms, width = list(T), scale.size
         T[0] = Y[:, cols]
         total, done, lo = 0, 0, 0
         while True:
@@ -198,8 +205,9 @@ def carry(fs: FuchsianSystem, pieces):
                     total = total + T[:rows - 2].sum(0)
                     T[:2] = T[rows - 2:]
                     done += rows - 2
-                np.matmul(shifted[m], T[m - done], out=T[m + 1 - done])
-                T[m + 1 - done] *= scale
+                nxt = terms[m + 1 - done]
+                np.matmul(shifted[m], terms[m - done], out=nxt)
+                np.multiply(nxt, scale, out=nxt)
             if np.all(np.abs(T[hi - 1 - done:hi + 1 - done]).max(1) <= floor):
                 break
             if not np.isfinite(T[hi - done]).all():
@@ -343,16 +351,19 @@ def _depth_frame(fs, cut: CutPlane):
 def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     """Carry the selected-solution basis to the anti-cut base point of poles, and loop there.
 
-    Each Psi_k (series data ``sols[k]``) is continued once from its series
-    value at its own base point down the anti-cut ray of u_k and across to
-    the deep point u_0 - D e^{i eta}, unless k is the only requested pole:
-    one :func:`carry` of a polyline per column.  A second carry takes the
-    matrix of descended columns from there across and up the anti-cut ray
-    of each u_j in ``poles`` to its base point, where column j is set to
-    its series value rather than sent through the deep point and back; in
-    the same carry the identity goes once round the positive loop at each
-    u_j from its base point.  Only the short loop carries the identity: a
-    long leg's transition matrix, composed afterwards, loses accuracy.
+    One :func:`carry` holds three kinds of piece.  Each Psi_k (series data
+    ``sols[k]``) is continued once from its series value at its own base
+    point down the anti-cut ray of u_k and across to the deep point
+    u_0 - D e^{i eta}, unless k is the only requested pole: a polyline per
+    column.  Beside them the identity goes from the deep point across and
+    up the anti-cut ray of each u_j in ``poles`` to its base point, and
+    once round the positive loop at each u_j from its base point.  The
+    ascent's transition matrix applied to the descended columns gives the
+    basis at the base point, where column j is set to its series value
+    rather than sent through the deep point and back.  With the deep point
+    half a pole spread below the poles (:func:`_depth_frame`) composing the
+    ascent moves S_nu by no more than rounding; from two spreads plus one
+    it lost up to 90x there.
 
     The rays opposite to the cuts cross no cut and stay a loop radius away
     from the other poles, and the lateral moves run in the half-plane
@@ -371,14 +382,16 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     bases = [_anti_cut_point(fs, m, cut) for m in range(n)]
     seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
     descended = [m for m in range(n) if any(j != m for j in poles)]
-    Psi_deep = np.column_stack(carry(
-        fs, [_segment(bases[m], deep, seeds[m], via=(low[m],)) for m in descended]))
-    ends = carry(fs, [_segment(deep, bases[j], Psi_deep, via=(low[j],)) for j in poles]
-                 + [_loop(fs, j, bases[j], np.eye(n, dtype=complex)) for j in poles])
+    one = np.eye(n, dtype=complex)
+    ends = carry(fs, [_segment(bases[m], deep, seeds[m], via=(low[m],)) for m in descended]
+                 + [_segment(deep, bases[j], one, via=(low[j],)) for j in poles]
+                 + [_loop(fs, j, bases[j], one) for j in poles])
+    d = len(descended)
+    Psi_deep = np.column_stack(ends[:d])
     out = []
-    for j, top, Phi in zip(poles, ends, ends[len(poles):]):
+    for j, up, Phi in zip(poles, ends[d:], ends[d + len(poles):]):
         Psi = np.empty((n, n), dtype=complex)
-        Psi[:, descended] = top
+        Psi[:, descended] = up @ Psi_deep
         Psi[:, j] = seeds[j]
         out.append((j, bases[j], Psi, Phi))
     return out

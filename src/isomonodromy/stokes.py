@@ -187,6 +187,25 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
                       diagnostics={"h0": d0, "h1": d1})
 
 
+def monodromy_invariant_residual(pair, A):
+    """Distance of spec(e^{-2 pi i Lambda'} S_nu S_{nu+mu}) from exp(-2 pi i spec A).
+
+    Lambda' = diag(A): the product of the pair is conjugate to the formal
+    monodromy, a check on either route that needs neither the other route
+    nor a reference value.  Each target eigenvalue in turn takes the
+    nearest product eigenvalue not yet taken (a greedy matching); the
+    largest of these distances is divided by ||S_nu||_2 ||S_{nu+mu}||_2, so
+    that an ill-conditioned product at large S is measured on its own scale.
+    """
+    M = np.diag(np.exp(-2j * np.pi * np.diag(A))) @ pair.S_nu @ pair.S_nu_plus_mu
+    got = list(np.linalg.eigvals(M))
+    worst = 0.0
+    for target in np.exp(-2j * np.pi * np.linalg.eigvals(A)):
+        i = int(np.argmin([abs(g - target) for g in got]))
+        worst = max(worst, abs(got.pop(i) - target))
+    return float(worst / (np.linalg.norm(pair.S_nu, 2) * np.linalg.norm(pair.S_nu_plus_mu, 2)))
+
+
 def stokes_generate(S_nu, S_nu_plus_mu, lambda_prime, h_values):
     """All S_{nu+h mu} from the pair via S_{m+2 mu} = e^{-2 pi i B} S_m e^{2 pi i B}."""
     lp = np.asarray(lambda_prime, dtype=complex)

@@ -448,6 +448,12 @@ def _malformed_reports():
     variant("failed stage with error", lambda r: r["stages"].append(
         {"name": "y", "status": "failed", "error": "StepFailure: x"}))
     variant("extra keys", lambda r: r.update(extra=1))
+    for route in ("stokes_formula", "stokes_oracle"):
+        variant(f"{route} with its invariant",
+                lambda r, k=route: r["results"].update({k: {"monodromy_invariant": 1e-12}}))
+        variant(f"{route} without its invariant",
+                lambda r, k=route: r["results"].update({k: {"method": "formula"}}))
+        variant(f"{route} a list", lambda r, k=route: r["results"].update({k: []}))
     cases.append(("not an object", []))
     return cases
 
@@ -582,8 +588,9 @@ _STOKES = sorted(
                           "provenance"])
     + _block("formal", ["F", "asymptotic_vs_recursion_max_diff", "free_positions", "method"])
     + ["formula_oracle_max_diff", "gamma_shift_used"] + _RAY_LABELS
-    + _block("stokes_formula", _PAIR + ["error_estimate", "structural_zero_pairs"])
-    + _block("stokes_oracle", _PAIR + ["ladder_h0", "ladder_h1", "z_spread_h0", "z_spread_h1"]))
+    + _block("stokes_formula", _PAIR + ["monodromy_invariant", "structural_zero_pairs"])
+    + _block("stokes_oracle", _PAIR + ["ladder_h0", "ladder_h1", "monodromy_invariant",
+                                       "z_spread_h0", "z_spread_h1"]))
 _SINGLETON = ["group", "note"]
 _LEVELT = ["R_norms.2", "T_diagonal", "free_parameter_count", "free_parameters", "group",
            "kappa", "method", "partial_nonresonance"]

@@ -495,7 +495,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
     def formula():
         nonlocal pair
-        pair = stokes_from_connection(P, geo.ordering, system.lambda_prime)
+        pair = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
         structural = np.argwhere(conn.provenance == "zero-by-coalescence") + 1
         return {"stokes_formula": _stokes_json(
             pair, structural_zero_pairs=structural.tolist(),
@@ -567,8 +567,7 @@ def deform(spec_path, out_dir, tol, order, gamma):
         samples = connection_samples(spec.system(), path, cut, tol=spec.tol,
                                      N=spec.order, gamma=spec.gamma)
         for i, (state, P, conn) in enumerate(samples):
-            sysi = state.system()
-            sp = stokes_from_connection(P, geo.ordering, sysi.lambda_prime)
+            sp = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
             conns.append(np.where(in_group, 0.0, conn.C))
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
             cells.append(bool(is_in_cell(state.u, geo)[0]))
@@ -577,7 +576,7 @@ def deform(spec_path, out_dir, tol, order, gamma):
                 # structural zeros are vacuous here: measure the in-group
                 # entries of the assembled S_nu and S_{nu+mu}^-1 with the
                 # ordering at the instant u
-                S, Sinv = _assemble(P, Ordering(sysi.u, geo.tau), sysi.lambda_prime)
+                S, Sinv = _assemble(P, Ordering(state.u, geo.tau), conn.lambda_prime)
                 ingroup_max = float(max(np.max(np.abs(S[in_group])),
                                         np.max(np.abs(Sinv[in_group]))))
             decay_rows += [(i, a + 1, b + 1, float(abs(state.u[a] - state.u[b])),

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import tally
-from .model import BasisSingular, CutPlane, IllConditioned, Ordering, StepFailure
+from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
@@ -427,12 +427,14 @@ def alpha_factor(lambda_prime_k, klass):
 class ConnectionData:
     """Connection coefficients c_jk with per-entry provenance tags.
 
-    ``gamma`` is the exponent shift they were computed at, nonzero exactly
-    when :func:`connection_products` shifted.
+    ``C``, ``alpha`` and ``lambda_prime`` belong to one system: the shifted
+    one A - gamma I when :func:`connection_products` shifted, ``gamma``
+    recording the shift (0 when it did not).
     """
 
     C: np.ndarray
     alpha: np.ndarray
+    lambda_prime: np.ndarray
     eta: float
     provenance: np.ndarray
     residuals: np.ndarray
@@ -489,24 +491,22 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
                 f"(condition of target {np.linalg.norm(psi_j):.2e})"
             )
         C[j, projected[j]] = c[projected[j]]
-    return ConnectionData(C=C, alpha=alpha, eta=cut.eta,
+    return ConnectionData(C=C, alpha=alpha, lambda_prime=fs.lambda_prime, eta=cut.eta,
                           provenance=prov, residuals=resid)
 
 
 def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
                         geometry=None, gamma=None):
-    """Products alpha_k c_jk of the original system, from the system shifted by gamma.
+    """Products alpha_k c_jk of the system shifted by gamma, with its connection data.
 
     The shift is ``gamma`` if given, else the one
     :func:`.frobenius.shift_exponents` picks: 0 unless a diagonal entry or
     an eigenvalue of A is an integer, where the selected solutions are not
     fundamental.  Every shift, an explicit 0 included, is checked against
-    the same one spectrum of A (BadGamma).
-    The coefficients of A - gamma I map back with
-    alpha_k c_jk = e^{-2 pi i gamma} alpha_k[gamma] c_jk[gamma]  (k succ j),
-    alpha_k c_jk = alpha_k[gamma] c_jk[gamma]                    (otherwise),
-    where the :class:`.model.Ordering` is taken at the working point u (a
-    tie there raises NonAdmissibleError); gamma = 0 needs no map.
+    the same one spectrum of A (BadGamma).  Y -> z^{-gamma} Y maps the
+    system of A onto that of A - gamma I and leaves the Stokes matrices as
+    they are, so the pair is assembled from these products with the
+    shifted exponents ``conn.lambda_prime``.
 
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
@@ -514,8 +514,5 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
     conn = connection_coefficients(build_fuchsian(shifted), cut, tol=tol, N=N, geometry=geometry)
     conn.gamma = g
     P = conn.C * conn.alpha
-    if g:
-        k_succ_j = Ordering(system.u, 1.5 * math.pi - cut.eta).sign < 0
-        P = np.where(k_succ_j, cmath.exp(-2j * math.pi * g), 1.0) * P
     np.fill_diagonal(P, 0)
     return P, conn

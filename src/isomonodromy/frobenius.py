@@ -34,6 +34,7 @@ import numpy as np
 
 from .model import (
     COALESCE_TOL,
+    IllConditioned,
     SystemPair,
     _group_partition,
     check_vanishing,
@@ -194,6 +195,8 @@ def horner(coeffs, x):
     return acc
 
 
+# m! is a finite float up to this m
+MAX_FACTORIAL = 170
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma in powers of 1/z
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
@@ -228,14 +231,21 @@ def cgamma(x):
 
 
 def leading_factor(lambda_prime_k, klass):
-    """Normalizing constant f_k of the leading series coefficient."""
+    """Normalizing constant f_k of the leading series coefficient (IllConditioned out of range)."""
     if klass == "noninteger":
-        return cgamma(lambda_prime_k + 1)
-    r = round(lambda_prime_k.real)
-    if klass == "negative_integer":
-        return complex((-1) ** r) / math.factorial(-r - 1)
-    # natural: pole part of the singular companion leads with lambda'_k!
-    return float(math.factorial(r))
+        try:
+            return cgamma(lambda_prime_k + 1)
+        except OverflowError:
+            pass
+    else:
+        r = round(lambda_prime_k.real)
+        m = r if klass == "natural" else -r - 1
+        if m <= MAX_FACTORIAL:
+            # natural: pole part of the singular companion leads with lambda'_k!
+            f = math.factorial(m)
+            return float(f) if klass == "natural" else complex((-1) ** r) / f
+    raise IllConditioned(f"leading factor f_k leaves the float range at "
+                         f"lambda'_k = {lambda_prime_k}")
 
 
 @dataclass

@@ -440,8 +440,8 @@ class Ordering:
     """Dominance order at a point u: j prec k iff Re(e^{i tau}(u_j - u_k)) < 0.
 
     The Stokes formula takes it at u^c (:attr:`DeformationGeometry.ordering`),
-    the gamma-shift relations and ``deform``'s in-group measure at the
-    working point u.  ``sign`` is the (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)),
+    ``deform``'s in-group measure at the working point u; :func:`is_in_cell`
+    reads its ties.  ``sign`` is the (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)),
     0 on the diagonal and for coalesced pairs (their Stokes entries are
     structural zeros); ``order`` is the stable permutation that sorts u by
     Re(e^{i tau} u).  Raises :class:`NonAdmissibleError` for a tie, a pair

@@ -86,7 +86,7 @@ def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40):
     """Connection products (:func:`.continuation.connection_products`) -> formula Stokes pair."""
     cut = CutPlane(eta=geometry.eta)
     P, conn = connection_products(system, cut, tol=tol, N=N, geometry=geometry)
-    pair = stokes_from_connection(P, geometry.ordering, system.lambda_prime)
+    pair = stokes_from_connection(P, geometry.ordering, conn.lambda_prime)
     pair.diagnostics["connection"] = conn
     return pair
 

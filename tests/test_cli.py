@@ -166,6 +166,27 @@ def test_cli_stokes_gamma_on_an_integer_is_a_failed_connection(tmp_path):
     assert stage["status"] == "failed" and stage["error"].startswith("BadGamma")
 
 
+@pytest.mark.parametrize("a00", [200.0, 200.5, -200.0])
+def test_cli_stokes_overflowing_exponent_is_a_typed_failure(tmp_path, a00):
+    """f_k leaves the float range from about |lambda'_k| = 171: exit 3 with a report.
+
+    The connection stage fails on the shifted exponent, formal_coefficients
+    on the unshifted one; each names the error.
+    """
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][0][0] = [a00, 0.0]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
+    failed = [s for s in stages if s["status"] == "failed"]
+    assert [s["name"] for s in failed] == ["connection", "formal_coefficients"]
+    for stage in failed:
+        assert stage["error"].startswith("IllConditioned: leading factor f_k"), stage
+        assert "lambda'_k" in stage["error"]
+
+
 def test_cli_stokes_with_oracle(tmp_path):
     path = _write(tmp_path, SAMPLE)
     out = tmp_path / "out"

@@ -460,15 +460,15 @@ def test_connection_products_mask_only_in_group(coalescing_geometry, vanishing_A
     geo = coalescing_geometry
     sp = SystemPair(vanishing_A_uc, [0.02, -0.02, 1.0])
     cut = CutPlane(eta=geo.eta)
-    P_mask, _ = connection_products(sp, cut, tol=1e-11, geometry=geo)
+    P_mask, conn = connection_products(sp, cut, tol=1e-11, geometry=geo)
     P_full, _ = connection_products(sp, cut, tol=1e-11)
     in_group = geo.in_group
     assert in_group.any()
     assert np.all(P_mask[in_group] == 0.0)
     assert np.array_equal(P_mask[~in_group], P_full[~in_group])
     ordering = Ordering(u_c=geo.u_c, tau=geo.tau)
-    S_mask = stokes_from_connection(P_mask, ordering, sp.lambda_prime)
-    S_full = stokes_from_connection(P_full, ordering, sp.lambda_prime)
+    S_mask = stokes_from_connection(P_mask, ordering, conn.lambda_prime)
+    S_full = stokes_from_connection(P_full, ordering, conn.lambda_prime)
     assert np.array_equal(S_mask.S_nu, S_full.S_nu)
     assert np.array_equal(S_mask.S_nu_plus_mu, S_full.S_nu_plus_mu)
 

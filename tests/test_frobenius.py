@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rhs, residue
-from isomonodromy.model import CutPlane, SingularF1, SystemPair
+from isomonodromy.model import CutPlane, IllConditioned, SingularF1, SystemPair
 from isomonodromy.frobenius import (
     BadGamma,
     analytic_basis,
@@ -449,6 +449,16 @@ def test_leading_factor_values():
     assert leading_factor(complex(-2.0), "negative_integer") == pytest.approx(1.0)
     assert leading_factor(complex(-3.0), "negative_integer") == pytest.approx(-0.5)
     assert leading_factor(complex(2.0), "natural") == pytest.approx(2.0)
+
+
+def test_leading_factor_out_of_range_is_typed():
+    """f_k past the float range raises IllConditioned in every class, and not before it."""
+    assert leading_factor(complex(170.0), "natural") == float(math.factorial(170))
+    assert leading_factor(complex(-171.0), "negative_integer") == -1 / math.factorial(170)
+    for lp, klass in ((171.0, "natural"), (-172.0, "negative_integer"), (1e200, "natural"),
+                      (200.5, "noninteger"), (-200.3, "noninteger")):
+        with pytest.raises(IllConditioned, match="lambda'_k"):
+            leading_factor(complex(lp), klass)
 
 
 def test_analytic_basis_solves_ode(system_2x2):

@@ -72,26 +72,51 @@ def test_formula_matches_the_pairwise_reference():
         assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(n))) < 1e-14 * scale
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_shift_relations_match_the_pairwise_reference(seed):
-    """The shifted products map back as the double loop over pairs maps them."""
-    system, tau = draw_system(np.random.default_rng(seed), 3, min_gap=0.35)
-    cut = CutPlane(eta=1.5 * math.pi - tau)
-    P, conn = connection_products(system, cut, tol=1e-12, gamma=0.3)
-    n = system.n
-    ref = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            pg = conn.alpha[k] * conn.C[j, k]
-            if (cmath.exp(1j * tau) * (system.u[j] - system.u[k])).real < 0:
-                ref[j, k] = cmath.exp(-2j * math.pi * 0.3) * pg
-            else:
-                ref[j, k] = pg
-    assert conn.gamma == 0.3
-    # vectorised complex products may round by an ulp where the scalar ones do not
-    assert np.max(np.abs(P - ref)) <= 1e-15 * np.max(np.abs(ref))
+def _pair_distance(pair, S):
+    return float(np.max(np.abs(np.stack([pair.S_nu, pair.S_nu_plus_mu]) - S)))
+
+
+def test_gamma_shift_keeps_the_pair_on_both_routes():
+    """A -> A - gamma I moves lambda' by -gamma and leaves the Stokes pair as it is.
+
+    Y -> z^{-gamma} Y maps the system of A onto that of A - gamma I.  At
+    n = 2..6 and gamma = 0.3, -0.2 the oracle on the shifted system and the
+    formula assembled from the shifted products and exponents both equal
+    the unshifted oracle pair.  The same products assembled with the
+    unshifted exponents miss it (the control).  On a system with integer
+    diagonal entries the automatic shift and gamma = -0.2 give one pair.
+    """
+    rng = np.random.default_rng(0)
+    cases = [draw_system(rng, n, min_gap=0.35) for n in range(2, 7)]
+    for system, tau in cases:
+        n = system.n
+        geo = DeformationGeometry(system.u, 1e-3, tau)
+        ref = stokes_pair_direct(system, geo)
+        S = np.stack([ref.S_nu, ref.S_nu_plus_mu])
+        scale = max(1.0, float(np.max(np.abs(S))))
+        for gamma in (0.3, -0.2):
+            shifted = SystemPair(system.A - gamma * np.eye(n), system.u)
+            assert _pair_distance(stokes_pair_direct(shifted, geo), S) <= 1e-11 * scale
+            P, conn = connection_products(system, CutPlane(eta=geo.eta), tol=1e-12,
+                                          geometry=geo, gamma=gamma)
+            assert conn.gamma == gamma
+            assert np.array_equal(conn.lambda_prime, shifted.lambda_prime)
+            formula = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
+            assert _pair_distance(formula, S) <= 1e-11 * scale
+            control = stokes_from_connection(P, geo.ordering, system.lambda_prime)
+            assert _pair_distance(control, S) > 1e-2 * scale
+    system, tau = cases[1]
+    geo = DeformationGeometry(system.u, 1e-3, tau)
+    A = system.A.copy()
+    np.fill_diagonal(A, [1, 0, -2])
+    pairs = []
+    for gamma in (None, -0.2):
+        P, conn = connection_products(SystemPair(A, system.u), CutPlane(eta=geo.eta),
+                                      tol=1e-12, geometry=geo, gamma=gamma)
+        assert conn.gamma == (0.3 if gamma is None else gamma)
+        pair = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
+        pairs.append(np.stack([pair.S_nu, pair.S_nu_plus_mu]))
+    assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-12 * np.max(np.abs(pairs[1]))
 
 
 def test_formula_diagonal_identity():

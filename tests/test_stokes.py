@@ -72,6 +72,41 @@ def test_formula_matches_the_pairwise_reference():
         assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(n))) < 1e-14 * scale
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_shift_relations_match_the_pairwise_reference(seed):
+    """The shifted products and exponents are those the double loop over pairs gives.
+
+    With gamma = 0.3 every off-diagonal product is alpha'_k c'_jk of the
+    shifted system on both sides of the ordering (no factor e^{-2 pi i gamma}
+    maps it back), lambda' moves by -gamma, and the assembled pair is the
+    entry-by-entry formula in the shifted exponents.
+    """
+    system, tau = draw_system(np.random.default_rng(seed), 3, min_gap=0.35)
+    cut = CutPlane(eta=1.5 * math.pi - tau)
+    P, conn = connection_products(system, cut, tol=1e-12, gamma=0.3)
+    n, u = system.n, system.u
+    assert conn.gamma == 0.3
+    assert np.array_equal(conn.lambda_prime, system.lambda_prime - 0.3)
+    lp = conn.lambda_prime
+    ref = np.zeros((n, n), dtype=complex)
+    S, Sinv = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            ref[j, k] = conn.alpha[k] * conn.C[j, k]
+            if (cmath.exp(1j * tau) * (u[j] - u[k])).real < 0:
+                S[j, k] = cmath.exp(2j * math.pi * lp[k]) * ref[j, k]
+            else:
+                Sinv[j, k] = -cmath.exp(2j * math.pi * (lp[k] - lp[j])) * ref[j, k]
+    # vectorised complex products may round by an ulp where the scalar ones do not
+    assert np.max(np.abs(P - ref)) <= 1e-15 * np.max(np.abs(ref))
+    pair = stokes_from_connection(P, Ordering(u, tau), lp)
+    assert np.max(np.abs(pair.S_nu - S)) <= 1e-14 * np.max(np.abs(S))
+    scale = np.max(np.abs(pair.S_nu_plus_mu)) * np.max(np.abs(Sinv))
+    assert np.max(np.abs(pair.S_nu_plus_mu @ Sinv - np.eye(n))) < 1e-14 * scale
+
+
 def _pair_distance(pair, S):
     return float(np.max(np.abs(np.stack([pair.S_nu, pair.S_nu_plus_mu]) - S)))
 

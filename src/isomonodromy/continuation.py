@@ -145,10 +145,10 @@ def carry(fs: FuchsianSystem, pieces):
     real = np.arange(nz) < sizes[:, None]
     J = np.zeros((P, nz, n, widths[0] if nz else 0), dtype=complex)
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
-    orders = np.arange(1, MAX_ORDER + 1)
-    # (M - m I) / (m + 1) for every order m, in a list: taking an item of a
-    # list costs less than indexing an array, and the order loop does it each order
-    shifted = list((-fs.A_plus_I - (orders - 1)[:, None, None] * np.eye(n)) / orders[:, None, None])
+    # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
+    # item of a list costs less than indexing an array, and the order loop does
+    # it each order; it grows by ORDER_BLOCK orders past the ones a step asks for
+    shifted = []
     # the Taylor terms of a step: all of them for the integrals, else folded
     # into their sum every ORDER_BLOCK orders
     rows = MAX_ORDER + 1 if nz else ORDER_BLOCK + 2
@@ -200,6 +200,9 @@ def carry(fs: FuchsianSystem, pieces):
         T[0] = Y[:, cols]
         total, done, lo = 0, 0, 0
         while True:
+            if hi > len(shifted):
+                orders = np.arange(len(shifted), min(MAX_ORDER, hi + ORDER_BLOCK))[:, None, None]
+                shifted += list((-fs.A_plus_I - orders * np.eye(n)) / (orders + 1))
             for m in range(lo, hi):
                 if m + 1 - done == rows:
                     total = total + T[:rows - 2].sum(0)

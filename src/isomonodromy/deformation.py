@@ -34,12 +34,26 @@ NEAR_DELTA_GUARD = 1e-4
 
 
 def _omegas(F):
-    """Every omega_k = [F, E_k], stacked along the first axis: row and column k of F."""
-    k = np.arange(F.shape[0])
-    W = np.zeros((k.size,) + F.shape, dtype=F.dtype)
-    W[k, :, k] = F.T
-    W[k, k, :] -= F
+    """Every omega_k = [F, E_k] of each F of a (..., n, n) stack, along a new axis before
+    the last two: column k of F, less row k."""
+    k = np.arange(F.shape[-1])
+    W = np.zeros(F.shape[:-2] + (k.size,) + F.shape[-2:], dtype=F.dtype)
+    W[..., k, :, k] = np.moveaxis(F, -1, 0)
+    W[..., k, k, :] -= F
     return W
+
+
+def _distinct_omegas(A, u):
+    """Every omega_k at each point (A_p, u_p) of a stack whose u_p have no coalesced pair.
+
+    There F_1 is A_ij / (u_j - u_i) off the diagonal, with no vanishing
+    check to make, and omega_k does not read the diagonal of F_1: the
+    (P, n, n, n) stack equals :func:`omega` point by point, bit for bit.
+    """
+    gap = u[:, None, :] - u[:, :, None]
+    k = np.arange(u.shape[1])
+    gap[:, k, k] = 1.0
+    return _omegas(A / gap)
 
 
 def omega(system, k):
@@ -117,29 +131,36 @@ def _power_sum_drift(A0, A):
     By Newton's identities the power sums tr(A^k), k = 1..n, fix the
     characteristic polynomial that the flow conserves.  Both matrices are
     divided by the Frobenius norm ||A0|| (1 for a zero A0) before the
-    powers are taken, so no power overflows.
+    powers are taken, so no power overflows.  A0 rides in one stack with
+    the A_p: one product per power.
     """
-    scale = np.linalg.norm(A0) or 1.0
-    X0, X = A0 / scale, A / scale
-    Y0, Y = X0, X
-    drift = np.zeros(A.shape[0])
-    for _ in range(A0.shape[0]):
-        drift = np.maximum(drift, np.abs(np.trace(Y, axis1=1, axis2=2) - np.trace(Y0)))
-        Y0, Y = Y0 @ X0, Y @ X
-    return drift
+    n = A0.shape[0]
+    X = np.concatenate([A0[None], A]) / (np.linalg.norm(A0) or 1.0)
+    Y = X
+    traces = np.empty((n,) + X.shape[:1], dtype=complex)
+    for k in range(n):
+        traces[k] = Y.trace(0, 1, 2)
+        if k + 1 < n:
+            Y = Y @ X
+    return np.abs(traces[:, 1:] - traces[:, :1]).max(0)
 
 
 def _min_ingroup_gap_on_segment(u0, u1):
-    """Exact min over t in [0, 1] of the pairwise |u_i - u_j| along the segment.
+    """Exact min over t in [0, 1] of the pairwise |u_i - u_j| along the segment to each row of u1.
 
     Each gap g0 + t dg is linear in t, so its modulus is least at
-    t = -Re(g0 / dg) clipped to [0, 1]; a pair with dg = 0 keeps g0.
+    t = -Re(g0 / dg) clipped to [0, 1]; a pair with dg = 0 keeps g0.  All
+    rows of a (P, n) ``u1`` broadcast over their (P, n, n) gap matrices;
+    returns the P least gaps (one for an (n,) ``u1``).
     """
-    i, j = np.triu_indices(u0.size, 1)
     du = u1 - u0
-    g0, dg = u0[j] - u0[i], du[j] - du[i]
-    t = np.clip(-np.divide(g0, dg, out=np.zeros_like(g0), where=dg != 0).real, 0.0, 1.0)
-    return float(np.min(np.abs(g0 + t * dg), initial=math.inf))
+    g0 = u0[None, :] - u0[:, None]
+    dg = du[..., None, :] - du[..., :, None]
+    t = np.clip(-np.divide(g0, dg, out=np.zeros_like(dg), where=dg != 0).real, 0.0, 1.0)
+    gap = np.abs(g0 + t * dg)
+    k = np.arange(u0.size)
+    gap[..., k, k] = math.inf  # the diagonal is no pair
+    return gap.min((-2, -1))
 
 
 def _transport_stack(u0, A0, targets, tol, guard=0.0):
@@ -151,8 +172,9 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     COALESCE_TOL (the diagonal, the locus).  A step from t0 by h with
     g = gap0 + t0 dgap and q = h dgap / g has Taylor terms T_m (of A) and
     W_m (of h Omega) in s = (t - t0) / h:
-    W_0 = q A_0, T_{m+1} = sum_{k<=m} [W_k, T_{m-k}] / (m + 1),
-    W_{m+1} = q (T_{m+1} - W_m), entrywise products with q.  The step
+    W_0 = q A_0, T_{m+1} = sum_{k<=m} (W_k T_{m-k} - T_k W_{m-k}) / (m + 1),
+    W_{m+1} = q (T_{m+1} - W_m), entrywise products with q; both Cauchy
+    sums of an order are one product (:func:`_taylor_step`).  The step
     starts at h = min(rest of the segment, STEP_RATIO min |g / dgap|), or
     2 COALESCE_TOL / |dgap| for a moving pair inside the band, which that
     step leaves.  Orders are summed in chunks until the last two terms of
@@ -161,6 +183,12 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     can be shorter than the gaps') shortens its step in place to
     STEP_RATIO times the radius they show, T_k by c^k and W_k by c^(k+1)
     (Jorba and Zou, Exp. Math. 14, 2005).
+
+    The per-call checks read the stack at once: the exact least gap of
+    every segment from one broadcast over their (P, n, n) gap matrices
+    (:func:`_min_ingroup_gap_on_segment`), the vanishing conditions only
+    where a pair of u0 is coalesced, and the power sums of A0 and of every
+    end matrix from one stack (:func:`_power_sum_drift`).
 
     ``tol`` sets only the drift limit.  Reports one solve to
     :func:`.ode.counting`, one step per lockstep step, one nfev per order
@@ -174,31 +202,32 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     Returns the (P, n, n) end matrices and the diagonal and power-sum drifts.
     """
     P, n = targets.shape
-    for u1 in targets if guard > 0 else ():
-        gap = _min_ingroup_gap_on_segment(u0, u1)
+    if guard > 0:
+        gap = float(_min_ingroup_gap_on_segment(u0, targets).min())
         if gap < guard:
             raise StepFailure(
                 f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
                 "stop at a guarded endpoint and extrapolate"
             )
-    check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
-    diag0 = np.diag(A0).copy()
     du = targets - u0
     gap0 = u0[None, :] - u0[:, None]
     dgap = du[:, None, :] - du[:, :, None]
-    A = np.tile(A0, (P, 1, 1))
-    T = np.empty((MAX_ORDER + 1, P, n, n), dtype=complex)
-    W = np.empty_like(T)
+    if np.count_nonzero(np.abs(gap0) < COALESCE_TOL) > n:  # a coalesced pair besides the diagonal
+        check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
+    diag0 = np.diag(A0).copy()
+    A = A0[None].repeat(P, 0)
     t = np.zeros(P)
     steps = nfev = piece_steps = 0
+    speed = np.abs(dgap)
     while np.any(t < 1):
         g = gap0 + t[:, None, None] * dgap
-        near = np.abs(g) < COALESCE_TOL
+        dist = np.abs(g)
+        near = dist < COALESCE_TOL
         with np.errstate(divide="ignore"):
-            reach = np.where(near, 2 * COALESCE_TOL, STEP_RATIO * np.abs(g)) / np.abs(dgap)
+            reach = np.where(near, 2 * COALESCE_TOL, STEP_RATIO * dist) / speed
         h = np.minimum(1 - t, reach.min((1, 2)))
         q = np.where(near, 0, h[:, None, None] * dgap / np.where(near, 1, g))
-        A, c, order = _taylor_step(A, q, T, W)
+        A, c, order = _taylor_step(A, q)
         if not np.isfinite(A).all():
             raise StepFailure(f"Schlesinger transport of {P} segment(s) is not finite")
         t = np.where(c * h == 1 - t, 1.0, t + c * h)
@@ -214,46 +243,76 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     return A, diag_drift, spec_drift
 
 
-@np.errstate(divide="ignore", under="ignore")  # the terms of a converged segment may underflow
-def _taylor_step(A, q, T, W):
+def _term_buffers(side, stack, K):
+    """The two term layouts of :func:`_taylor_step` for orders 0..K, with the orders that
+    ``side`` and ``stack`` hold copied in."""
+    P, _, n, held = side.shape[:4]
+    grown_side = np.empty((P, 2, n, K + 1, n), dtype=complex)
+    grown_side[:, :, :, :held] = side
+    grown_stack = np.empty((P, 2, K + 1, n, n), dtype=complex)
+    grown_stack[:, :, K + 1 - held:] = stack
+    return grown_side, grown_stack
+
+
+# the terms of a converged segment may underflow; terms past the float range
+# leave end matrices that _transport_stack rejects as not finite
+@np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore")
+def _taylor_step(A, q):
     """One Taylor step of the reduced flow for every segment, by the recurrence of :func:`_transport_stack`.
 
-    ``T`` and ``W`` are (MAX_ORDER + 1, P, n, n) term buffers.  Returns the
-    end matrices, the factor c <= 1 each step was shortened by and the
-    number of orders summed.
+    Each segment keeps its terms in two layouts of the pair (W, T): side by
+    side, W_k and T_k at column block k of ``side``, and stacked in reverse,
+    at row block K - k of ``stack``, K the last order the buffers hold.
+    Order m's two Cauchy sums, sum_k W_k T_{m-k} and sum_k T_k W_{m-k}, are
+    one stacked product: blocks 0..m of W and of T side by side against the
+    last m + 1 blocks of T and of W stacked.  The buffers hold the orders
+    the step is expected to reach and double toward MAX_ORDER only when a
+    tail passes them.  Returns the end matrices, the factor c <= 1 each
+    step was shortened by and the number of orders summed.
     """
-    P = A.shape[0]
+    P, n = A.shape[:2]
     size = np.abs(A).max((1, 2))
     ratio = float(np.abs(q).max())
     hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio)))
              if ratio > 0 else 2)
     lo, c = 0, np.ones(P)
-    T[0] = A
-    W[0] = q * A
+    first = np.stack([q * A, A], 1)  # (W_0, T_0)
+    side, stack = _term_buffers(first[:, :, :, None], first[:, :, None], hi)
     while True:
+        K = stack.shape[2] - 1
+        # W side by side against T stacked, and T against W: one (P, 2) stack of products
+        S, R = side.reshape(P, 2, n, -1), stack[:, ::-1].reshape(P, 2, -1, n)
+        W = stack[:, 0, K - lo]
         for m in range(lo, hi):
-            C = np.matmul(W[:m + 1], T[m::-1]).sum(0)
-            C -= np.matmul(T[m::-1], W[:m + 1]).sum(0)
-            T[m + 1] = C / (m + 1)
-            W[m + 1] = q * (T[m + 1] - W[m])
-        last = np.abs(T[hi - 1:hi + 1]).max((2, 3))
-        slow = np.any(last > TAYLOR_EPS * size, 0)
+            pair = stack[:, :, K - m - 1]
+            T1, W1 = pair[:, 1], pair[:, 0]
+            sums = np.matmul(S[..., :(m + 1) * n], R[:, :, (K - m) * n:])
+            np.subtract(sums[:, 0], sums[:, 1], out=T1)
+            T1 /= m + 1
+            np.subtract(T1, W, out=W1)
+            W1 *= q
+            side[:, :, :, m + 1] = pair
+            W = W1
+        last = np.abs(stack[:, 1, K - hi:K - hi + 2]).max((2, 3))  # |T_hi|, |T_{hi-1}|
+        slow = np.any(last > TAYLOR_EPS * size[:, None], 1)
         if not slow.any():
-            return T[hi::-1].sum(0), c, hi  # smallest terms first
+            return stack[:, 1, K - hi:].sum(1), c, hi  # T_hi down to T_0: smallest terms first
         if hi == MAX_ORDER:
             raise StepFailure(f"Schlesinger step of {P} segment(s) did not converge "
                               f"in {MAX_ORDER} orders")
         # the radius (max|A| / |T_m|)^(1/m) of the last two terms, in units of the step
-        m = np.arange(hi + 1)[:, None]
-        radius = np.min((size / last) ** (1 / m[hi - 1:]), 0)
+        radius = np.min((size[:, None] / last) ** (1 / np.array([hi, hi - 1])), 1)
         shorten = np.where(slow, np.minimum(1.0, STEP_RATIO * radius), 1.0)
         if np.any(shorten < 1):
-            power = shorten ** m
-            T[:hi + 1] *= power[..., None, None]
-            W[:hi + 1] *= (power * shorten)[..., None, None]
+            power = shorten[:, None] ** np.arange(hi + 1)
+            power = np.stack([power * shorten[:, None], power], 1)  # W_k by c^(k+1), T_k by c^k
+            side[:, :, :, :hi + 1] *= power[:, :, None, :, None]
+            stack[:, :, K - hi:] *= power[:, :, ::-1, None, None]
             q = q * shorten[:, None, None]
             c *= shorten
         lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
+        if hi > K:
+            side, stack = _term_buffers(side, stack, min(MAX_ORDER, max(hi, 2 * K)))
 
 
 def transport(state: DeformationState, target_u, tol=1e-10,
@@ -364,8 +423,10 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
 
     Central finite differences in u_i, u_k with the matrix A transported
     isomonodromically to each of the 2n stencil points u +- step e_i, all in
-    one stacked solve, whose drift limit is 100 ``tol``; F_1 is built once
-    per stencil point.  Returns the max over pairs.  Raises :class:`StepFailure` before any solve when two u_i
+    one stacked solve, whose drift limit is 100 ``tol``; F_1 and every
+    omega_k of the 2n stencil points and the centre are one stack
+    (:func:`_distinct_omegas`).  Returns the max over pairs.  Raises
+    :class:`StepFailure` before any solve when two u_i
     are closer than COALESCE_TOL: there, on the coalescence locus, the
     reduced flow is singular and no stencil can be centred.  So does a
     stencil segment that comes within NEAR_DELTA_GUARD of the locus, as in
@@ -380,11 +441,13 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
         raise StepFailure(f"u_{i} and u_{k} lie on the coalescence locus (gap "
                           f"{gaps[i, k]:.2e}): the integrability residual needs distinct u")
     targets = u0 + step * np.concatenate([np.eye(n), -np.eye(n)])
-    A1, _, _ = _transport_stack(u0, np.asarray(system.A, dtype=complex), targets, tol,
-                                NEAR_DELTA_GUARD)
-    om = np.stack([_omegas(f1(SystemPair(A, u))) for A, u in zip(A1, targets)])
-    d_om = (om[:n] - om[n:]) / (2 * step)  # d_om[i, k] = d_i omega_k
-    om0 = _omegas(f1(system))
+    A0 = np.asarray(system.A, dtype=complex)
+    A1, _, _ = _transport_stack(u0, A0, targets, tol, NEAR_DELTA_GUARD)
+    # no pair is coalesced: the guard put every stencil gap above NEAR_DELTA_GUARD,
+    # and the centre's gaps are above COALESCE_TOL
+    om = _distinct_omegas(np.concatenate([A1, A0[None]]), np.concatenate([targets, u0[None]]))
+    d_om = (om[:n] - om[n:2 * n]) / (2 * step)  # d_om[i, k] = d_i omega_k
+    om0 = om[2 * n]
     comm = om0[:, None] @ om0[None, :] - om0[None, :] @ om0[:, None]
     i, k = np.triu_indices(n, 1)
     return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm[i, k]), initial=0.0))

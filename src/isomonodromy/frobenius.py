@@ -130,13 +130,23 @@ def _rows(fs, k, inv, prev, l, shift, source=None):
 
 def _propagate(fs, k, inv, x, orders, shift=0, source=None):
     """Fill x[l], l in ``orders``, from x[l-1]: :func:`_rows`, then row k solved;
-    its divisor s + w_k vanishes only at the resonant order, where it raises."""
+    its divisor s + w_k vanishes only at the resonant order, where it raises.
+
+    The orders run with numpy's overflow and invalid-value warnings off and
+    are checked once: a series that leaves the float range raises
+    :class:`IllConditioned` naming the pole and its first such order.
+    """
     lead = shift + fs.A_plus_I[k, k]
-    for l in orders:
-        x[l], rhs_k = _rows(fs, k, inv, x[l - 1], l, shift, source)
-        if abs(l + lead) < _ZERO_DIVISOR:
-            raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s + w_k = 0)")
-        x[l, k] = rhs_k / (l + lead)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in orders:
+            x[l], rhs_k = _rows(fs, k, inv, x[l - 1], l, shift, source)
+            if abs(l + lead) < _ZERO_DIVISOR:
+                raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s + w_k = 0)")
+            x[l, k] = rhs_k / (l + lead)
+    bad = ~np.isfinite(x).all(1)
+    if bad.any():
+        raise IllConditioned(f"the local series at pole {k} leaves the float range "
+                             f"at order {int(np.argmax(bad))}")
     return x
 
 

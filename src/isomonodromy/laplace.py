@@ -45,6 +45,7 @@ import numpy as np
 from .model import (
     ANGLE_TOL,
     COALESCE_TOL,
+    IllConditioned,
     QuadratureDivergence,
     SingularF1,
     VANISH_TOL,
@@ -113,7 +114,9 @@ def formal_recursion(system, L):
     i != j with lambda'_j - lambda'_i = k is a free parameter of the formal-solution family: it
     is set to 0 and reported in ``free_positions`` as (k, i, j), and also in
     ``obstructed_positions`` (a log obstruction) where its right-hand side exceeds
-    VANISH_TOL max(1, max|off| max|F_k|), F_k's cross entries setting the scale.
+    VANISH_TOL max(1, max|off| max|F_k|), F_k's cross entries setting the scale.  The orders
+    run with numpy's overflow warnings off and are checked once: coefficients past the float
+    range raise :class:`IllConditioned` naming the first such order.
     """
     A = np.asarray(system.A, dtype=complex)
     u = np.asarray(system.u, dtype=complex)
@@ -127,17 +130,23 @@ def formal_recursion(system, L):
     den = np.where(same, shift, np.inf)  # in-group divisors less k; inf across groups
     F = np.eye(u.size, dtype=complex)
     Fs, obstructed = [], []
-    for k in range(1, L + 1):
-        F = np.where(same, 0, ((shift + (k - 1)) * F + off @ F) / gap)
-        rhs = -(off @ F)
-        div = den + k
-        for r, i, j in free:
-            if r == k:
-                div[i, j] = np.inf  # the free entry stays 0
-                if abs(rhs[i, j]) > VANISH_TOL * max(1.0, np.max(np.abs(off)) * np.max(np.abs(F))):
-                    obstructed.append((k, i, j))
-        F = np.where(same, rhs / div, F)
-        Fs.append(F)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for k in range(1, L + 1):
+            F = np.where(same, 0, ((shift + (k - 1)) * F + off @ F) / gap)
+            rhs = -(off @ F)
+            div = den + k
+            for r, i, j in free:
+                if r == k:
+                    div[i, j] = np.inf  # the free entry stays 0
+                    scale = max(1.0, np.max(np.abs(off)) * np.max(np.abs(F)))
+                    if abs(rhs[i, j]) > VANISH_TOL * scale:
+                        obstructed.append((k, i, j))
+            F = np.where(same, rhs / div, F)
+            Fs.append(F)
+    bad = ~np.isfinite(np.reshape(Fs, (L, u.size ** 2))).all(1)
+    if bad.any():
+        raise IllConditioned(f"the formal recursion leaves the float range at order "
+                             f"{int(np.argmax(bad)) + 1}")
     return FormalSolution(F=Fs, free_positions=free, obstructed_positions=obstructed)
 
 

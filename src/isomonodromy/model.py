@@ -77,7 +77,7 @@ class BasisSingular(np.linalg.LinAlgError):
 
 
 class IllConditioned(RuntimeError):
-    """A least-squares projection left a residual above tolerance."""
+    """A projection left a residual above tolerance, or a value left the float range."""
 
 
 class DriftExceeded(RuntimeError):

@@ -187,6 +187,35 @@ def test_cli_stokes_overflowing_exponent_is_a_typed_failure(tmp_path, a00):
         assert "lambda'_k" in stage["error"]
 
 
+@pytest.mark.parametrize("entry, value, errors", [
+    ((0, 0), 1e200, {"connection": "BadGamma",
+                     "formal_coefficients": "IllConditioned: the formal recursion"}),
+    ((0, 1), 1e12, {"connection": "IllConditioned: the local series at pole 0",
+                    "formal_coefficients": "IllConditioned: the local series at pole 0"}),
+])
+def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value, errors):
+    """A formal recursion or a local series past the float range: exit 3 with a report.
+
+    RuntimeWarnings are errors under pytest, so a numpy overflow warning
+    before the typed failure would end the command with exit 1 instead.
+    """
+    from isomonodromy.cli import NUMERICAL_ERRORS
+
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][entry[0]][entry[1]] = [value, 0.0]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
+                                       "--oracle", "on", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
+    failed = {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
+    assert failed.keys() == errors.keys()
+    names = {e.__name__ for e in NUMERICAL_ERRORS}
+    for name, error in failed.items():
+        assert error.startswith(errors[name]), error
+        assert error.split(":")[0] in names
+
+
 def test_cli_stokes_with_oracle(tmp_path):
     path = _write(tmp_path, SAMPLE)
     out = tmp_path / "out"

@@ -693,3 +693,138 @@ def test_power_sum_drift_reads_a_shift(delta):
         drift = _power_sum_drift(A0, np.stack([A0, A0 + delta * np.eye(n)]))
         assert drift[0] == 0.0
         assert drift[1] >= delta / np.linalg.norm(A0)
+
+
+@np.errstate(divide="ignore", under="ignore")
+def _taylor_step_per_order(A, q):
+    """The Taylor step by the per-order recurrence, each Cauchy sum a stack of n x n products.
+
+    A copy of the step before its terms were kept as block buffers: T and W
+    are (MAX_ORDER + 1, P, n, n) stacks, and order m sums m + 1 products of
+    each kind.  Returns the end matrices, the shortening factors and the
+    number of orders.
+    """
+    from isomonodromy.continuation import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS
+
+    T = np.empty((MAX_ORDER + 1,) + A.shape, dtype=complex)
+    W = np.empty_like(T)
+    size = np.abs(A).max((1, 2))
+    ratio = float(np.abs(q).max())
+    hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio)))
+             if ratio > 0 else 2)
+    lo, c = 0, np.ones(A.shape[0])
+    T[0] = A
+    W[0] = q * A
+    while True:
+        for m in range(lo, hi):
+            C = np.matmul(W[:m + 1], T[m::-1]).sum(0)
+            C -= np.matmul(T[m::-1], W[:m + 1]).sum(0)
+            T[m + 1] = C / (m + 1)
+            W[m + 1] = q * (T[m + 1] - W[m])
+        last = np.abs(T[hi - 1:hi + 1]).max((2, 3))
+        slow = np.any(last > TAYLOR_EPS * size, 0)
+        if not slow.any():
+            return T[hi::-1].sum(0), c, hi
+        assert hi < MAX_ORDER
+        m = np.arange(hi + 1)[:, None]
+        radius = np.min((size / last) ** (1 / m[hi - 1:]), 0)
+        shorten = np.where(slow, np.minimum(1.0, STEP_RATIO * radius), 1.0)
+        if np.any(shorten < 1):
+            power = shorten ** m
+            T[:hi + 1] *= power[..., None, None]
+            W[:hi + 1] *= (power * shorten)[..., None, None]
+            q = q * shorten[:, None, None]
+            c *= shorten
+        lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
+
+
+def _step_draw(rng, P, n, a_scale, q_max):
+    """A (P, n, n) stack of matrices and step factors q of largest modulus ``q_max`` (at most
+    STEP_RATIO in a transport), zero on the diagonal as in a step."""
+    A = a_scale * (rng.normal(size=(P, n, n)) + 1j * rng.normal(size=(P, n, n)))
+    q = rng.normal(size=(P, n, n)) + 1j * rng.normal(size=(P, n, n))
+    q[:, np.arange(n), np.arange(n)] = 0
+    return A, q * (q_max / np.abs(q).max())
+
+
+def _assert_step_matches_per_order(A, q):
+    from isomonodromy.deformation import _taylor_step
+
+    ref, c_ref, order_ref = _taylor_step_per_order(A, q)
+    end, c, order = _taylor_step(A, q)
+    assert order == order_ref
+    assert np.max(np.abs(end - ref)) <= 1e-15 * np.max(np.abs(ref))
+    return c, c_ref
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_taylor_step_matches_the_per_order_recurrence(n):
+    """One product per order sums what the m + 1 products of each kind summed, at P = 1 and 2n."""
+    rng = np.random.default_rng(40 + n)
+    for P in (1, 2 * n):
+        for _ in range(5):
+            c, c_ref = _assert_step_matches_per_order(*_step_draw(rng, P, n, 0.5, 0.1))
+            assert np.array_equal(c, c_ref)
+
+
+def test_taylor_step_shortens_large_A_as_the_per_order_recurrence():
+    """At |A| ~ 3 the flow's own radius is below the step: both shorten it, by the same factors."""
+    A, q = _step_draw(np.random.default_rng(5), 8, 4, 3.0, 0.4)
+    c, c_ref = _assert_step_matches_per_order(A, q)
+    assert np.any(c_ref < 1)
+    assert np.allclose(c, c_ref, rtol=1e-15, atol=0)
+
+
+def test_taylor_step_grows_its_buffers_past_the_first_estimate(monkeypatch):
+    """A step whose tail runs past the orders it first expected grows its buffers and converges."""
+    import isomonodromy.deformation as deformation
+
+    held = []
+    grow = deformation._term_buffers
+
+    def spy(side, stack, K):
+        held.append(K)
+        return grow(side, stack, K)
+
+    monkeypatch.setattr(deformation, "_term_buffers", spy)
+    A, q = _step_draw(np.random.default_rng(6), 3, 5, 2.0, 0.3)
+    _assert_step_matches_per_order(A, q)
+    assert len(held) >= 2 and held[-1] > held[0]
+
+
+def test_stacked_gap_guard_matches_the_pair_reference():
+    """The least gap of every target from one broadcast equals the pair-by-pair reference, target by target."""
+    from isomonodromy.deformation import _min_ingroup_gap_on_segment
+
+    rng = np.random.default_rng(4)
+    for n in range(2, 7):
+        u0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        targets = rng.uniform(-1, 1, (2 * n, n)) + 1j * rng.uniform(-1, 1, (2 * n, n))
+        targets[0] = u0 + 0.3  # a rigid shift: every dg = 0
+        with np.errstate(all="raise"):
+            gaps = _min_ingroup_gap_on_segment(u0, targets)
+        assert gaps.shape == (2 * n,)
+        for gap, u1 in zip(gaps, targets):
+            assert gap == pytest.approx(_exact_gap_reference(u0, u1), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_stencil_omegas_equal_omega_point_by_point(n):
+    """The stencil's omega stack is :func:`omega` at each point, bit for bit."""
+    from conftest import draw_system
+    from isomonodromy.deformation import _distinct_omegas, _transport_stack
+
+    system, _ = draw_system(np.random.default_rng(90 + n), n)
+    targets = system.u + 1e-3 * np.concatenate([np.eye(n), -np.eye(n)])
+    A1, _, _ = _transport_stack(system.u, system.A, targets, 1e-12)
+    om = _distinct_omegas(A1, targets)
+    for p in range(2 * n):
+        for k in range(n):
+            assert np.array_equal(om[p, k], omega(SystemPair(A1[p], targets[p]), k))
+
+
+def test_transport_past_the_float_range_is_a_typed_failure():
+    """Taylor terms past the float range end in StepFailure, with no numpy warning first."""
+    A = np.array([[1e200, 2.0], [3.0, 1 / 3]], dtype=complex)
+    with pytest.raises(StepFailure, match="not finite"):
+        transport(DeformationState(u=np.array([0.0, 1.0]), A=A), np.array([0.1j, 1.0]))

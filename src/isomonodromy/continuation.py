@@ -56,8 +56,9 @@ MAX_ORDER = 400
 TAIL_ORDERS = 4
 ORDER_BLOCK = 16
 # Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
-# Gauss-Legendre panels of NODES nodes on the step
-Z_SPAN = 16.0
+# Gauss-Legendre panels of NODES nodes on the step.  That is at most 8
+# radians of e^{z h s} per panel; 12 nodes already integrate it to rounding
+Z_SPAN = 32.0
 PANELS = 4
 NODES = 24
 
@@ -109,10 +110,12 @@ def carry(fs: FuchsianSystem, pieces):
     integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
     s in [0, 1], by one composite Gauss-Legendre rule of PANELS panels of
     NODES nodes: e^{z x0} h sum_j w_j e^{z h s_j} Y_p(s_j), at most
-    Z_SPAN / PANELS in |z h| per panel (:func:`_step_integrals`, which
+    Z_SPAN / PANELS = 8 in |z h| per panel (:func:`_step_integrals`, which
     :mod:`.laplace` also uses for a local series summed as one step).  A
     curved piece is integrated along its chords; no pole lies between them
     and the arc, so by Cauchy's theorem that is the integral along the arc.
+    The oracle's batches hold straight legs only: :mod:`.laplace` sums its
+    hairpin circles from the local series.
 
     Reports one solve, one step per lockstep step, one nfev per order and
     the pieces each step moved, as piece_steps, to :func:`.ode.counting`.

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import tally
-from .model import COALESCE_TOL, DriftExceeded, StepFailure, SystemPair, check_vanishing
+from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, SystemPair,
+                    check_vanishing)
 from .frobenius import FuchsianSystem, build_fuchsian
 from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
@@ -70,12 +71,17 @@ def _residue_commutators(w):
     """Every [B_i, B_k], stacked (n, n, n, n), of the rank-one residues B_m = -e_m w_m^T.
 
     With w_m = row m of A+I, [B_i, B_k] = w_i[k] e_i w_k^T - w_k[i] e_k w_i^T.
+    The products run with numpy's overflow warnings off and are checked
+    once: a commutator past the float range raises :class:`IllConditioned`.
     """
     n = w.shape[0]
     i, k = np.ogrid[:n, :n]
     C = np.zeros((n, n, n, n), dtype=complex)
-    C[i, k, i] = w[:, :, None] * w[None, :, :]
-    C[i, k, k] -= w.T[:, :, None] * w[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C[i, k, i] = w[:, :, None] * w[None, :, :]
+        C[i, k, k] -= w.T[:, :, None] * w[:, None, :]
+    if not np.isfinite(C).all():
+        raise IllConditioned("the residue commutators [B_i, B_k] leave the float range")
     return C
 
 

@@ -197,12 +197,15 @@ def _exponent0_series(fs, k, inv, seed, N, rho, source=None):
 
 
 def horner(coeffs, x):
-    """sum_l c_l x^l of a coefficient array, at a scalar x or at every point of an array x."""
+    """sum_l c_l x^l of a coefficient array, at a scalar x or at every point of an array x.
+
+    One product of the powers x^l, taken as cumulative products, with the
+    (N + 1, n) coefficients.
+    """
     x = np.asarray(x)
-    acc = np.zeros(x.shape + coeffs.shape[1:], dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * x[..., None] + c
-    return acc
+    powers = np.ones(x.shape + (len(coeffs),), dtype=complex)
+    powers[..., 1:] = x[..., None]
+    return np.cumprod(powers, axis=-1) @ coeffs
 
 
 # m! is a finite float up to this m

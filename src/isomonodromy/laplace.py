@@ -16,16 +16,18 @@ once.  The start lies where the series tail is below ``tol``
 samples, and the Taylor carry :func:`.continuation.carry` returns
 J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, summed over the Taylor
 polynomial of every step: the same rank-one transport the formula route
-uses, with no dense output.  A hairpin's small circle is a second piece,
-started from the series on the branch of arg d - 2 pi.  Where Psi_k is
-analytic at u_k (the integer classes) the series out to the start is
-itself one Taylor step, integrated by the carry's rule.
+uses, with no dense output.  A hairpin's small circle lies inside the
+convergence disc of the series, so its integral is the series integrated
+term by term (:func:`_circle`), with no carry.  Where Psi_k is analytic at
+u_k (the integer classes) the series out to the start is itself one
+Taylor step, integrated by the carry's rule.
 
-Columns are computed in batches (:func:`laplace_columns`): validation
-and the series start run per column, and the pieces of every column in
-the batch go through one :func:`.continuation.carry`, where a piece
-leaves the batch once its path is done.  The oracle's batch is the 4n
-columns of both matchings of a Stokes pair.
+Columns are computed in batches (:func:`laplace_columns`): the contour
+direction runs once per label and ray, validation and the series start
+per column, and the legs of every column in the batch go through one
+:func:`.continuation.carry`, where a leg leaves the batch once its path
+is done.  The oracle's batch is the 4n columns of both matchings of a
+Stokes pair, one leg each.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -257,13 +259,17 @@ class ColumnSpec:
 def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
-    ``sols[k]`` is the selected-solution series of pole k.  Validation, the
-    contour and the series start run per column (:func:`_plan`); the
-    pieces of every column go through one :func:`.continuation.carry`, and
-    each column is its plan's ``base`` plus its ``weights`` times the
-    integrals J its pieces return.
+    ``sols[k]`` is the selected-solution series of pole k.  The contour
+    direction d depends on the label and the ray only, so
+    :func:`_direction_for` runs once per (h, arg); validation and the
+    series start run per column (:func:`_plan`).  The pieces of every
+    column go through one :func:`.continuation.carry`, and each column is
+    its plan's ``base`` plus its ``weights`` times the integrals J its
+    pieces return.
     """
-    plans = [_plan(fs, spec, geometry, sols[spec.k], tol) for spec in specs]
+    rays = {(h, arg): _direction_for(geometry.labels, h, arg, fs.u)
+            for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
+    plans = [_plan(fs, spec, rays[spec.h, float(spec.arg)], sols[spec.k], tol) for spec in specs]
     ends = iter(carry(fs, [p for plan in plans for p in plan.pieces]))
     columns = []
     for spec, plan in zip(specs, plans):
@@ -277,11 +283,45 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
     return columns
 
 
+def _circle(b, lp, r, d, z):
+    """int e^{z x} psi(x) x^(-lp-1) dx once round |x| = r, from arg d - 2 pi to arg d.
+
+    psi(x) = sum_l b_l x^l.  Term by term, with e^{z x} = sum_j (z x)^j / j!,
+    the power x^(s-1), s = l + j - lp, integrates to x0^s (1 - e^{-2 pi i s}) / s,
+    x0 = r e^{id}: that is m^s 2i sin(pi s) / s, m = r e^{i(d - pi)} the
+    midpoint of the circle.  sin(pi s) is (-1)^(l+j-K) sin(pi (K - lp)) for
+    the integer K nearest to lp, so it keeps its relative accuracy near an
+    integer lp and its phase at high orders.  The integrals at all samples
+    are one (nz, N + 1) matrix, sum_j (z m)^j / j! times the factor of order
+    l + j, applied to the coefficients b_l m^l; the series of e^{z x} runs
+    until its terms fall below 1e-17.  Returns shape (nz, n).
+    """
+    w = float(np.max(np.abs(z))) * r
+    J, term = 0, 1.0
+    while term > 1e-17 or J < w:
+        J += 1
+        term *= w / J
+    N = len(b) - 1
+    nearest = round(lp.real)
+    q = np.arange(N + J + 1)
+    factor = 2j * cmath.sin(math.pi * (nearest - lp)) * (-1.0) ** (q - nearest) / (q - lp)
+    mid = -r * cmath.exp(1j * d)
+    # (z m)^j / j!, j = 0..J
+    powers = np.ones((z.size, J + 1), dtype=complex)
+    powers[:, 1:] = np.outer(z * mid, 1 / q[1:J + 1])
+    powers = np.cumprod(powers, axis=1)
+    hankel = np.lib.stride_tricks.sliding_window_view(factor, N + 1)
+    scaled = b * (mid ** np.arange(N + 1))[:, None]
+    return cmath.exp(-lp * (math.log(r) + 1j * (d - math.pi))) * (powers @ hankel @ scaled)
+
+
 class _Plan(NamedTuple):
     """A column before its carry: base + sum_i weights[i] J_i over its pieces.
 
-    ``size`` is max|J| of the series step's integral (0 without one) and
-    ``tail`` the series truncation at the start, relative (:func:`_start`).
+    ``base`` holds what the local series gives in closed form: the hairpin's
+    circle, or the series step and residue of the integer classes.  ``size``
+    is max|J| of that circle or series step (0 without one) and ``tail`` the
+    series truncation at the start, relative (:func:`_start`).
     """
 
     pieces: list
@@ -292,14 +332,12 @@ class _Plan(NamedTuple):
     eta: float
 
 
-def _plan(fs, spec, geometry, sol, tol):
-    """Validate one column, choose its contour and start it from the local series ``sol``."""
+def _plan(fs, spec, d, sol, tol):
+    """Validate one column and start its contour of direction ``d`` from the local series ``sol``."""
     z_values = np.asarray(spec.z, dtype=complex)
     k = spec.k
-    theta = float(spec.arg)
-    if np.max(np.abs(np.exp(1j * np.angle(z_values)) - cmath.exp(1j * theta))) > 1e-9:
+    if np.max(np.abs(np.exp(1j * np.angle(z_values)) - cmath.exp(1j * spec.arg))) > 1e-9:
         raise ValueError("all z samples must lie on the ray of the given argument")
-    d = _direction_for(geometry.labels, spec.h, theta, fs.u)
     lp = fs.lambda_prime[k]
     klass = fs.integer_class(k)
     e_d = cmath.exp(1j * d)
@@ -317,17 +355,16 @@ def _plan(fs, spec, geometry, sol, tol):
                      psi, z_values)
 
     if klass == "noninteger":
-        # hairpin: the circle |x| = r from arg d - 2 pi to arg d, then the leg
-        # on the branch of arg d, weighted by the jump of Psi_k across it
+        # hairpin: the circle |x| = r from arg d - 2 pi to arg d, in closed form
+        # from the series, then the leg on the branch of arg d, weighted by the
+        # jump of Psi_k across it
         cap = max(min(0.5 * sol.radius, 2.0 / z_max), 1e-3 * sol.radius)
         r, tail = _start(sol.b, cap, tol)
-        psi = horner(sol.b, r * e_d)
-        branch = sol.rho * (math.log(r) + 1j * d)
-        circle = Piece(fs.u[k], 0.0, 0.0, r * e_d, 2 * math.pi,
-                       psi * cmath.exp(branch - 2j * math.pi * sol.rho), z_values)
+        circle = _circle(sol.b, sol.lambda_prime_k, r, d, z_values)
+        psi = horner(sol.b, r * e_d) * cmath.exp(sol.rho * (math.log(r) + 1j * d))
         jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-        return _Plan([circle, leg(r, psi * cmath.exp(branch))],
-                     (1 / (2j * math.pi), jump / (2j * math.pi)), 0.0, 0.0, tail, d)
+        return _Plan([leg(r, psi)], (jump / (2j * math.pi),), circle / (2j * math.pi),
+                     float(np.max(np.abs(circle))), tail, d)
     if klass == "natural":
         Nk = int(round(lp.real))
         # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}

@@ -216,6 +216,25 @@ def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value
         assert error.split(":")[0] in names
 
 
+def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):
+    """check with A_00 = 1e200: the residue commutators leave the float range, exit 3.
+
+    The vanishing stage names IllConditioned, and no numpy overflow warning
+    (an error under pytest) comes before it.
+    """
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][0][0] = [1e200, 0.0]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["check", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = json.loads((out / "check_report.json").read_text())["stages"]
+    failed = {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
+    assert failed.keys() == {"integrability", "vanishing"}
+    assert failed["integrability"].startswith("StepFailure")
+    assert failed["vanishing"].startswith("IllConditioned: the residue commutators")
+
+
 def test_cli_stokes_with_oracle(tmp_path):
     path = _write(tmp_path, SAMPLE)
     out = tmp_path / "out"

@@ -676,39 +676,39 @@ def test_sampled_mixed_batch():
 
 
 def test_sampled_leg_where_the_z_cap_binds():
-    """|z| = 80 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less."""
+    """|z| = 160 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less."""
     fs, cut = _sweep_fs()
-    piece = _leg(fs, cut, 1, 3.0, [80.0], phase=1.52)
+    piece = _leg(fs, cut, 1, 3.0, [160.0], phase=1.52)
     with ode.counting() as capped:
         continuation.carry(fs, [piece])
     with ode.counting() as free:
         continuation.carry(fs, [piece._replace(z=piece.z[:0])])
-    assert capped.steps >= math.ceil(3.0 * 80.0 / continuation.Z_SPAN) > free.steps
+    assert capped.steps >= math.ceil(3.0 * 160.0 / continuation.Z_SPAN) > free.steps
     _assert_matches_dense(fs, [piece])
 
 
 def test_twelve_nodes_or_a_wider_z_span_keep_the_accuracy(monkeypatch):
-    """Mutation checks on NODES and Z_SPAN: 12 nodes per panel, or Z_SPAN = 32, keep 1e-11.
+    """Mutation checks on NODES and Z_SPAN: 12 nodes per panel, or Z_SPAN = 64, keep 1e-11.
 
     The rule has slack on both.  A step's polynomial converges on a disc of
     twice the step about its start, so in s the nearest singularity lies a
     whole step beyond [0, 1], four panel widths; and e^{z h s} turns by at
-    most Z_SPAN / PANELS = 4 radians over a panel.  Twelve Gauss-Legendre
-    nodes, exact to degree 23, integrate either to rounding, and so do 24
-    nodes over 8 radians.  The oscillating leg of the z-cap test is where a
-    coarse rule fails first: at 6 nodes per panel it is 3.6e-10 off.
+    most Z_SPAN / PANELS = 8 radians over a panel.  Twelve Gauss-Legendre
+    nodes, exact to degree 23, integrate that to rounding, and so do 24
+    nodes over 16 radians.  The oscillating leg of the z-cap test is where a
+    coarse rule fails first: at 6 nodes per panel it is 3.8e-7 off.
     """
     fs, cut = _sweep_fs()
     oscillating = _leg(fs, cut, 1, 3.0, [80.0], phase=1.52)
     pieces = [oscillating, _leg(fs, cut, 1, 42.0 / (6.0 * math.cos(0.3)), [6.0, 9.0, 14.0])]
-    for nodes, z_span in ((12, 16.0), (24, 32.0)):
+    for nodes, z_span in ((12, 32.0), (24, 64.0)):
         monkeypatch.setattr(continuation, "_QUADRATURE",
                             continuation._composite_gauss(continuation.PANELS, nodes))
         monkeypatch.setattr(continuation, "Z_SPAN", z_span)
         _assert_matches_dense(fs, pieces)
     monkeypatch.setattr(continuation, "_QUADRATURE",
                         continuation._composite_gauss(continuation.PANELS, 6))
-    monkeypatch.setattr(continuation, "Z_SPAN", 16.0)
+    monkeypatch.setattr(continuation, "Z_SPAN", 32.0)
     with pytest.raises(AssertionError):
         _assert_matches_dense(fs, [oscillating])
 
@@ -734,7 +734,7 @@ def test_taylor_carry_refuses_a_non_finite_end(y0, z):
             continuation.carry(fs, [piece])
 
 
-@pytest.mark.parametrize("zh", [1.0, 4.0, 8.0, 16.0])
+@pytest.mark.parametrize("zh", [1.0, 4.0, 8.0, 16.0, 32.0])
 def test_step_integrals_match_mpmath(zh):
     """One step's integrals by the carry's rule against mpmath.quad at 30 digits.
 

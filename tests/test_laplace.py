@@ -732,7 +732,8 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
                                           vanishing_A_uc):
         laplace.laplace_columns(fs, geo, specs, _sols(fs), tol=1e-13)
     monkeypatch.undo()
-    assert any(p.c != 0 for _, pieces, _ in batches for p in pieces)  # circles included
+    # hairpin circles are summed from the series: no curved piece in a Laplace batch
+    assert batches and all(p.c == 0 for _, pieces, _ in batches for p in pieces)
     for fs, pieces, out in batches:
         ref = _carry_dense_reference(fs, pieces)
         for p, end, (psi_ref, J_ref) in zip(pieces, out, ref):
@@ -740,3 +741,87 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
             assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * np.max(np.abs(psi_ref))
             if J_ref.size:
                 assert np.max(np.abs(J - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))
+
+
+@pytest.mark.parametrize("lp", [0.3 + 0.2j, 1 - 1e-6, 2 + 1e-7])
+def test_closed_form_circle_matches_the_two_piece_hairpin(monkeypatch, diag_geo, lp):
+    """The hairpin column against its circle carried as a second piece, started on arg d - 2 pi.
+
+    The column sums the circle from the local series (:func:`laplace._circle`);
+    the reference carries the circle |x| = r and the column's own leg in one
+    batch and weights them 1 and the jump 1 - e^{2 pi i lambda'}.  Near an
+    integer lambda' the jump is small and the circle's factor sin(pi s) / s
+    has s near 0.  The carried circle loses accuracy there as the coupling
+    grows (8e-10 of the circle against mpmath at A_01 A_10 = 6, where the
+    closed form is checked by the next test), so the coupling here is 0.06.
+    """
+    fs = build_fuchsian(SystemPair(np.array([[lp, 0.2], [0.3, 1 / 3]]), [0.0, 1.0]))
+    assert fs.integer_class(0) == "noninteger"
+    legs = []
+    carry = laplace.carry
+
+    def recorded(fs, pieces):
+        legs.extend(pieces)
+        return carry(fs, pieces)
+
+    monkeypatch.setattr(laplace, "carry", recorded)
+    theta = TAU - 0.5 * math.pi
+    col = _column(fs, 0, 0, diag_geo, _ray([6.0, 9.0, 14.0], theta), theta, tol=1e-13)
+    monkeypatch.undo()
+    [leg] = legs
+    circle = leg._replace(a=0.0, b=0.0, c=leg.a, omega=2 * math.pi,
+                          y0=leg.y0 * cmath.exp(2j * math.pi * (lp + 1)))
+    (_, J_circle), (_, J_leg) = laplace.carry(fs, [circle, leg])
+    ref = (J_circle + (1.0 - cmath.exp(2j * math.pi * lp)) * J_leg) / (2j * math.pi)
+    assert np.max(np.abs(col.reduced - ref)) <= 1e-12 * np.max(np.abs(col.reduced))
+
+
+@pytest.mark.parametrize("lp", [0.3 + 0.2j, 1 - 1e-6, 2 + 1e-7, -0.45 - 1.77j])
+def test_circle_matches_mpmath(system_2x2, lp):
+    """The closed-form circle against mpmath.quad of the same series at 25 digits, to 1e-14.
+
+    The coupling A_01 A_10 = 6 makes b_2 or b_3 of order 1e7-1e9 near an
+    integer lambda'; a large imaginary part puts a factor e^{2 pi Im lambda'}
+    between the two ends of the circle.
+    """
+    import mpmath
+
+    A = system_2x2.A.copy()
+    A[0, 0] = lp
+    sol = selected_solution(build_fuchsian(SystemPair(A, [0.0, 1.0])), 0, 40)
+    r, d, z = 1 / 7, 3.9, 9.0 * cmath.exp(-0.9j)
+    got = laplace._circle(sol.b, sol.lambda_prime_k, r, d, np.array([z]))[0]
+    with mpmath.workdps(25):
+        zm, lpm = mpmath.mpc(z), mpmath.mpc(lp)
+        for col in range(2):
+            coeffs = [mpmath.mpc(c) for c in sol.b[::-1, col]]
+
+            def f(th):
+                x = r * mpmath.expj(th)
+                return (mpmath.exp(zm * x) * mpmath.polyval(coeffs, x)
+                        * mpmath.exp((-lpm - 1) * (mpmath.log(r) + 1j * th)) * 1j * x)
+
+            want = complex(mpmath.quad(f, mpmath.linspace(d - 2 * mpmath.pi, d, 3)))
+            assert abs(got[col] - want) <= 1e-14 * abs(want)
+
+
+def test_one_direction_per_label_and_ray(monkeypatch, system_2x2, diag_geo):
+    """Ten columns on three (label, ray) pairs ask for three contour directions."""
+    from isomonodromy.stokes import _matching_ray
+
+    calls = []
+    direction_for = laplace._direction_for
+
+    def counted(labels, h, theta, u):
+        calls.append((h, theta))
+        return direction_for(labels, h, theta, u)
+
+    monkeypatch.setattr(laplace, "_direction_for", counted)
+    fs = build_fuchsian(system_2x2)
+    theta = _matching_ray(diag_geo, 0)
+    specs = [laplace.ColumnSpec(k, h, _ray(r, theta), theta)
+             for r in ([6.0, 9.0], [14.0]) for h in (0, 1) for k in range(fs.n)]
+    specs += [laplace.ColumnSpec(k, 0, _ray([7.0], theta - 0.1), theta - 0.1)
+              for k in range(fs.n)]
+    laplace.laplace_columns(fs, diag_geo, specs, _sols(fs), tol=1e-13)
+    assert sorted(calls) == sorted({(0, theta), (1, theta), (0, theta - 0.1)})

@@ -29,6 +29,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path as FsPath
 
 import click
@@ -62,6 +63,7 @@ from .frobenius import (
     levelt_exponents,
     selected_solution,
 )
+from .ode import Work, counting
 
 # No command loads scipy: the solving modules (continuation, laplace, stokes,
 # deformation) integrate by their own Taylor steps, and the commands that
@@ -212,7 +214,11 @@ REPORT_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["name", "status"],
-                "properties": {"status": {"enum": ["ok", "failed", "skipped"]}},
+                "properties": {
+                    "status": {"enum": ["ok", "failed", "skipped"]},
+                    # an ok stage's ode.counting() totals
+                    "work": {"type": "object", "required": list(asdict(Work()))},
+                },
             },
         },
         "results": {
@@ -294,12 +300,14 @@ class Runner:
 
     def stage(self, name, fn, always=False):
         """Run ``fn`` and file the entries it returns; a ``fn`` of None, or any
-        stage after a failed one unless ``always``, is recorded as skipped."""
+        stage after a failed one unless ``always``, is recorded as skipped.
+        An ok stage's record carries the work ``fn`` made (:func:`.ode.counting`)."""
         if fn is None or (self.failed and not always):
             self.report["stages"].append({"name": name, "status": "skipped"})
             return
         try:
-            entries = fn()
+            with counting() as work:
+                entries = fn()
         except NUMERICAL_ERRORS as exc:
             self.report["stages"].append(
                 {"name": name, "status": "failed",
@@ -307,7 +315,7 @@ class Runner:
             )
             self.failed = True
             return
-        self.report["stages"].append({"name": name, "status": "ok"})
+        self.report["stages"].append({"name": name, "status": "ok", "work": asdict(work)})
         self.file(entries)
 
     def write(self, out_dir, name):

@@ -15,14 +15,20 @@ All transport of both Stokes routes runs on one batched Taylor carry
 (:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
 c e^{i omega s}, s in [0, 1], or a polyline, carrying an (n, w) block
 and, for the oracle's Laplace legs (:mod:`.laplace`), the integrals of
-e^{z x} times that block for each of its samples z.  Every batch is
-carried by Taylor steps along chords of its pieces, applying the rank-one
-residues to the columns of every piece that still moves at once; a piece
-whose path is done leaves the batch.  The integrals are Gauss-Legendre
+e^{z x} times that block for each of its samples z.  Every piece's Taylor
+steps along its chords are planned first, before any order is summed.
+In a batch without samples a piece of more than CUT_STEPS planned steps
+is then cut into runs of CUT_STEPS steps: the first run carries its
+block, every later one the identity, and the piece's end is the product
+of the runs' transition matrices applied to the first run's end, the
+system being linear.  The runs step in lockstep, applying the rank-one
+residues to the columns of every run that still moves at once; a run
+whose steps are done leaves the batch.  The integrals are Gauss-Legendre
 sums over each step's Taylor polynomial, taken by moments of the rule.
-The formula route carries no samples, so it makes one Taylor carry at
-any n: every column's descent beside every ascent and every pole loop.
-The oracle makes one per Stokes pair.
+The formula route carries no samples, so it makes one Taylor carry of at
+most CUT_STEPS lockstep steps at any n: every column's descent beside
+every ascent and every pole loop, cut into runs.  The oracle makes one
+uncut carry per Stokes pair.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ TAYLOR_EPS = 1e-16
 MAX_ORDER = 400
 TAIL_ORDERS = 4
 ORDER_BLOCK = 16
+# lockstep steps of a batch without samples: a piece of more planned steps is
+# cut into runs of CUT_STEPS, every run after the first carrying the identity
+CUT_STEPS = 4
 # Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
 # Gauss-Legendre panels of NODES nodes on the step.  That is at most 8
 # radians of e^{z h s} per panel; 12 nodes already integrate it to rounding
@@ -87,24 +96,34 @@ class Piece(NamedTuple):
 def carry(fs: FuchsianSystem, pieces):
     """Continue every piece's block, with its Laplace integrals, by Taylor steps along its chords.
 
-    The batch is one (n, sum w) matrix, piece p in w_p columns of it; the
-    pieces with samples share one width.  At lam0 the Taylor terms
-    T_m = Y_m h^m of the solution obey
-    T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
-    divided by lam0 - u_k: per order, one product of the shared
-    (M - m I) / (m + 1) with the whole batch, then row k of piece p scaled
-    by h_p / (lam0_p - u_k).  Every piece steps in lockstep from its
-    current point along the current chord of its polyline
-    (:func:`_chords`) by h = min(rest of the chord, STEP_RATIO rho,
+    First every piece's steps are planned, before any order is summed
+    (:func:`_plan`): from its current point along the current chord of its
+    polyline (:func:`_chords`) by h = min(rest of the chord, STEP_RATIO rho,
     Z_SPAN / max|z|), rho its distance to the nearest pole and z its
     samples (no z cap without samples), so its terms fall at least as fast
-    as STEP_RATIO^m times a power of m.  A piece at the end of its path has
-    h = 0 and leaves the step: the orders, the integrals and the sum of the
-    terms run on the columns of the pieces with h != 0 only, so a piece
-    takes the same steps as it would alone.  Orders below
-    log(TAYLOR_EPS) / log(max |h| / rho) are summed untested; from there
-    the step ends once the last two terms of every moving piece are below
-    TAYLOR_EPS max|Y_p|.
+    as STEP_RATIO^m times a power of m.  In a batch without samples a piece
+    of more than CUT_STEPS planned steps is then cut into runs of at most
+    CUT_STEPS of them: the first run carries ``y0``, every later one the
+    identity, each through exactly its planned points, and the piece's end
+    is the ordered product Phi_K ... Phi_2 Y_1 of its runs' ends, the
+    system being linear.  So such a batch takes at most CUT_STEPS lockstep
+    steps however long its pieces are.  A batch with samples is never cut:
+    a later run's integrals would need the product of the runs before it
+    inside every step.  Every piece of such a batch has one width, that of
+    the batch's integrals.
+
+    The runs are one (n, sum w) matrix, run r in w_r columns of it.  At
+    lam0 the Taylor terms T_m = Y_m h^m of the solution obey
+    T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
+    divided by lam0 - u_k: per order, one product of the shared
+    (M - m I) / (m + 1) with the whole batch, then row k of run r scaled
+    by h_r / (lam0_r - u_k).  Every run takes its next planned step in
+    lockstep; a run whose steps are done leaves the step: the orders, the
+    integrals and the sum of the terms run on the columns of the runs that
+    move only, so a run takes the same steps as it would alone.  Orders
+    below log(TAYLOR_EPS) / log(max |h| / rho) are summed untested; from
+    there the step ends once the last two terms of every moving run are
+    below TAYLOR_EPS max|Y_r|.
 
     The Laplace integral J_p,i of e^{z_p,i x} Y_p dx gains, per step, the
     integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
@@ -118,36 +137,48 @@ def carry(fs: FuchsianSystem, pieces):
     hairpin circles from the local series.
 
     Reports one solve, one step per lockstep step, one nfev per order and
-    the pieces each step moved, as piece_steps, to :func:`.ode.counting`.
-    Raises :class:`StepFailure` for a piece that meets a pole or that a
-    step leaves where it was (x + h == x, as on a path through a pole), a
-    block at the start of a step, a Taylor term, an end block or an
-    integral that is not finite, or a step not converged by MAX_ORDER.
-    Returns the end block Y_p(1) of a piece without samples and
-    ``(Y_p(1), J_p)`` of one with samples, J_p[i] the integral for z_p,i.
+    the runs each step moved, as piece_steps (the planned steps of all
+    pieces, cut or not), to :func:`.ode.counting`.  Raises
+    :class:`ValueError` for a batch with samples whose blocks differ in
+    width; :class:`StepFailure`, from the plan, for a piece that meets a
+    pole or that a step leaves where it was (x + h == x, as on a path
+    through a pole); and :class:`StepFailure` for a block at the start of
+    a step, a Taylor term, an end block or an integral that is not finite,
+    or a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
+    a piece without samples and ``(Y_p(1), J_p)`` of one with samples,
+    J_p[i] the integral for z_p,i.
     """
     if not pieces:
         return []
     n, P = fs.n, len(pieces)
     blocks = [np.asarray(p.y0, dtype=complex) for p in pieces]
     widths = np.array([b.size // n for b in blocks])
-    # piece p is columns first[p]:first[p] + widths[p] of the batch
-    first = np.cumsum(widths) - widths
-    Y = np.concatenate([b.reshape(n, -1) for b in blocks], axis=1)
-    # lam - u_k = (pole - u_k) + x: exactly x on a loop at u_k
-    offset = np.array([p.pole for p in pieces], dtype=complex)[:, None] - fs.u
-    paths = [_chords(p) for p in pieces]
-    x = np.array([path[0] for path in paths], dtype=complex)
-    ahead = [1] * P  # index of the vertex each piece heads for
     # samples padded to nz per piece, the padding with quadrature weight 0
     sizes = np.array([p.z.size for p in pieces])
     nz = int(sizes.max())
+    if nz and np.any(widths != widths[0]):
+        raise ValueError(f"a batch with samples needs blocks of one width, got widths "
+                         f"{widths.tolist()}")
     z = np.zeros((P, nz), dtype=complex)
     for i, p in enumerate(pieces):
         z[i, :p.z.size] = p.z
     real = np.arange(nz) < sizes[:, None]
-    J = np.zeros((P, nz, n, widths[0] if nz else 0), dtype=complex)
+    # lam - u_k = (pole - u_k) + x: exactly x on a loop at u_k
+    offset = np.array([p.pole for p in pieces], dtype=complex)[:, None] - fs.u
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
+    X, H, dists, rhos, planned = _plan(pieces, offset, reach_z)
+    # run r takes the planned steps start[r]:start[r] + length[r] of piece owner[r]
+    cut = max(1, int(planned.max())) if nz else CUT_STEPS
+    owner, start = np.array([(p, s) for p in range(P)
+                             for s in range(0, max(planned[p], 1), cut)]).T
+    length = np.minimum(planned[owner] - start, cut)
+    one = np.eye(n, dtype=complex)
+    runs = [blocks[p].reshape(n, -1) if s == 0 else one for p, s in zip(owner, start)]
+    run_widths = np.array([r.shape[1] for r in runs])
+    # run r is columns first[r]:first[r] + run_widths[r] of the batch
+    first = np.cumsum(run_widths) - run_widths
+    Y = np.concatenate(runs, axis=1)
+    J = np.zeros((P, nz, n, widths[0] if nz else 0), dtype=complex)
     # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
     # item of a list costs less than indexing an array, and the order loop does
     # it each order; it grows by ORDER_BLOCK orders past the ones a step asks for
@@ -158,40 +189,21 @@ def carry(fs: FuchsianSystem, pieces):
     buf = np.empty(rows * Y.size, dtype=complex)
     terms, width = [], 0
     steps = nfev = piece_steps = 0
-    while True:
-        dist = offset + x[:, None]
-        rho = np.abs(dist).min(1)
-        h = np.zeros(P, dtype=complex)
-        x_next = x.copy()
-        for i, path in enumerate(paths):
-            if ahead[i] == len(path):
-                continue
-            if not rho[i] > 0:
-                raise StepFailure(f"continuation meets a pole at {pieces[i].pole + x[i]}")
-            d = path[ahead[i]] - x[i]
-            reach = min(STEP_RATIO * rho[i], reach_z[i])
-            if abs(d) <= reach:
-                h[i], x_next[i] = d, path[ahead[i]]
-                ahead[i] += 1
-            else:
-                h[i] = d * (reach / abs(d))
-                x_next[i] = x[i] + h[i]
-                if x_next[i] == x[i]:
-                    raise StepFailure(f"continuation stalls at {pieces[i].pole + x[i]}: a "
-                                      f"step of {reach:.1e} does not move it")
+    for k in range(int(length.max())):
+        at = np.minimum(start + k, len(H) - 1)
+        h = np.where(k < length, H[at, owner], 0)
         move = np.flatnonzero(h)
-        if not move.size:
-            break
         size = np.abs(Y).max(0)
         if not np.isfinite(size).all():
             raise StepFailure(f"continuation of {P} piece(s) is not finite")
-        # the step runs on the columns of the pieces that move
-        hm, wm = h[move], widths[move]
-        cols = np.repeat(h != 0, widths)
+        # the step runs on the columns of the runs that move
+        step = at[move], owner[move]
+        hm, wm, dist = h[move], run_widths[move], dists[step]
+        cols = np.repeat(h != 0, run_widths)
         floor = np.repeat(TAYLOR_EPS * np.maximum.reduceat(size, first)[move], wm)
-        # h / (lam0 - u), row k of piece p over lam0_p - u_k, on each of its columns
-        scale = np.repeat((hm[:, None] / dist[move]).T, wm, axis=1)
-        ratio = float(np.max(np.abs(hm) / rho[move]))
+        # h / (lam0 - u), row k of run r over lam0_r - u_k, on each of its columns
+        scale = np.repeat((hm[:, None] / dist).T, wm, axis=1)
+        ratio = float(np.max(np.abs(hm) / rhos[step]))
         hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
         # term m in row m - done of the step's view of the buffer, rows
         # below done summed into total
@@ -225,18 +237,75 @@ def carry(fs: FuchsianSystem, pieces):
         T = T[:hi + 1 - done]
         if nz:
             Tp = T.reshape(hi + 1, n, move.size, -1).transpose(0, 2, 1, 3)
-            J[move] += _step_integrals(Tp, x[move], hm, z[move], real[move])
+            J[move] += _step_integrals(Tp, X[step], hm, z[move], real[move])
         Y[:, cols] = total + T.sum(0)
-        x = x_next
         steps += 1
         nfev += hi
         piece_steps += move.size
     if not (np.isfinite(Y).all() and np.isfinite(J).all()):
         raise StepFailure(f"continuation of {P} piece(s) ends not finite")
     tally(steps, nfev, piece_steps)
-    ends = [Y[:, f:f + w].reshape(b.shape) for f, w, b in zip(first, widths, blocks)]
+    ends = []
+    for f, w, s in zip(first, run_widths, start):
+        # Phi_K ... Phi_2 Y_1, each later run's end applied to the one before
+        y = Y[:, f:f + w]
+        ends.append(y if s == 0 else y @ ends.pop())
+    ends = [y.reshape(b.shape) for y, b in zip(ends, blocks)]
     return [(y, j[:p.z.size].reshape((p.z.size,) + b.shape)) if p.z.size else y
             for p, y, j, b in zip(pieces, ends, J, blocks)]
+
+
+def _plan(pieces, offset, reach_z):
+    """Every piece's Taylor steps, planned in lockstep before any order is summed.
+
+    A piece steps from its current point x along the current chord of
+    :func:`_chords` by the rule of :func:`carry`, skipping a vertex it is
+    on already; ``offset`` holds pole - u_k per piece and ``reach_z`` its
+    z cap.  Returns the points x (S + 1, P), the steps h (S, P), 0 once a
+    piece is at the end of its path, and at the start of each step
+    lam - u (S, P, n) and rho (S, P), with the number of planned steps of
+    each piece.  Raises :class:`StepFailure` for a piece that meets a pole
+    or that a step leaves where it was.
+    """
+    P = len(pieces)
+    # Python scalars: their arithmetic is numpy's scalar arithmetic, at less cost
+    paths = [[complex(v) for v in _chords(p)] for p in pieces]
+    x = [path[0] for path in paths]
+    ahead = [1] * P  # index of the vertex each piece heads for
+    xs, hs, dists, rhos = [x], [], [], []
+    while True:
+        dist = offset + np.array(x)[:, None]
+        rho = np.abs(dist).min(1)
+        h, x_next = [0j] * P, list(x)
+        for i, (path, r) in enumerate(zip(paths, rho.tolist())):
+            # a vertex the piece is on already takes no step: no chord is empty
+            while ahead[i] < len(path) and path[ahead[i]] == x[i]:
+                ahead[i] += 1
+            if ahead[i] == len(path):
+                continue
+            if not r > 0:
+                raise StepFailure(f"continuation meets a pole at {pieces[i].pole + x[i]}")
+            d = path[ahead[i]] - x[i]
+            reach = min(STEP_RATIO * r, reach_z[i])
+            if abs(d) <= reach:
+                h[i], x_next[i] = d, path[ahead[i]]
+                ahead[i] += 1
+            else:
+                h[i] = d * (reach / abs(d))
+                x_next[i] = x[i] + h[i]
+                if x_next[i] == x[i]:
+                    raise StepFailure(f"continuation stalls at {pieces[i].pole + x[i]}: a "
+                                      f"step of {reach:.1e} does not move it")
+        if not any(h):  # every piece is at the end of its path
+            break
+        hs.append(h)
+        dists.append(dist)
+        rhos.append(rho)
+        x = x_next
+        xs.append(x)
+    H = np.array(hs, dtype=complex).reshape(-1, P)
+    return (np.array(xs, dtype=complex), H, np.array(dists).reshape((-1,) + offset.shape),
+            np.array(rhos).reshape(-1, P), (H != 0).sum(0))
 
 
 def _step_integrals(T, x, h, z, real):
@@ -298,16 +367,8 @@ def _chords(piece):
 
 
 def _segment(start, end, value, via=()):
-    """Straight piece from ``start`` through the points ``via`` to ``end``.
-
-    A point equal to the one before it is dropped, so no chord is empty.
-    """
-    points = [start]
-    for p in (*via, end):
-        if p != points[-1]:
-            points.append(p)
-    return Piece(start, 0.0, end - start, 0.0, 0.0, value,
-                 via=tuple(p - start for p in points[1:-1]))
+    """Straight piece from ``start`` through the points ``via`` to ``end``."""
+    return Piece(start, 0.0, end - start, 0.0, 0.0, value, via=tuple(p - start for p in via))
 
 
 def _loop(fs, j, base_point, value):

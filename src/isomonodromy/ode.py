@@ -33,8 +33,8 @@ def counting():
 
     A solve is one call of an integrator; its steps are its lockstep Taylor
     steps, its nfev its order updates, one batched product each, and its
-    piece_steps the pieces (paths or segments) each step advanced, summed
-    over the steps.
+    piece_steps the pieces (paths or segments, or the runs a long path is
+    cut into) each step advanced, summed over the steps.
     """
     work = Work()
     token = _open.set(_open.get() + (work,))

@@ -517,6 +517,12 @@ def _malformed_reports():
     variant("failed stage with error", lambda r: r["stages"].append(
         {"name": "y", "status": "failed", "error": "StepFailure: x"}))
     variant("extra keys", lambda r: r.update(extra=1))
+    work = {"solves": 1, "steps": 4, "nfev": 232, "piece_steps": 52}
+    variant("stage with its work", lambda r: r["stages"][0].update(work=dict(work)))
+    variant("stage work a list", lambda r: r["stages"][0].update(work=[]))
+    for key in work:
+        variant(f"stage work without {key}", lambda r, k=key: r["stages"][0].update(
+            work={w: v for w, v in work.items() if w != k}))
     for route in ("stokes_formula", "stokes_oracle"):
         variant(f"{route} with its invariant",
                 lambda r, k=route: r["results"].update({k: {"monodromy_invariant": 1e-12}}))
@@ -715,3 +721,24 @@ def test_report_shape_is_pinned(tmp_path, cmd, problem):
         report = json.loads(report.read_text())
         assert [(s["name"], s["status"]) for s in report["stages"]] == stages
         assert _key_paths(report["results"]) == keys
+        # an ok stage, and only an ok one, records its work as ode.counting() counts it
+        for s in report["stages"]:
+            assert sorted(s.get("work", ())) == (
+                ["nfev", "piece_steps", "solves", "steps"] if s["status"] == "ok" else []), s
+            assert all(type(v) is int and v >= 0 for v in s.get("work", {}).values()), s
+
+
+def test_cli_stokes_reports_the_depth_of_its_connection_stage(tmp_path):
+    """sample2x2's connection is one carry of at most CUT_STEPS lockstep steps; the formula
+    assembles it with no solve, and the oracle makes one uncut carry."""
+    from isomonodromy.continuation import CUT_STEPS
+
+    spec = str(ROOT / "problems" / "sample2x2.json")
+    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "stokes_report.json").read_text())
+    work = {s["name"]: s["work"] for s in report["stages"]}
+    assert work["connection"]["solves"] == 1 and work["connection"]["steps"] <= CUT_STEPS
+    assert work["stokes_formula"] == dict.fromkeys(work["connection"], 0)
+    assert work["stokes_oracle"]["solves"] == 1
+    assert work["stokes_oracle"]["steps"] > CUT_STEPS

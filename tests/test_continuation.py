@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,19 +283,23 @@ def _gamma_shifted_case():
     return SystemPair(A, sp.u), tau
 
 
-# Taylor steps and order updates of one formula pair on draw_system(rng(0), n), as measured
-FORMULA_WORK = {2: (16, 801), 3: (16, 838), 4: (18, 973), 5: (22, 1213), 6: (20, 1069)}
+# order updates and piece-steps of one formula pair on draw_system(rng(0), n), as measured
+FORMULA_WORK = {2: (232, 52), 3: (232, 106), 4: (232, 145), 5: (232, 193), 6: (232, 232)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "gamma"])
 def test_stokes_pipeline_solve_count(n):
-    """The formula route makes 1 solve at every n, gamma-shifted or not, within 25 % of the
-    measured steps and order updates.
+    """The formula route makes 1 solve of at most CUT_STEPS lockstep steps at every n,
+    gamma-shifted or not, within 25 % of the measured order updates and with exactly the
+    measured piece-steps.
 
-    A loop's 16 chords are the floor of the steps.  Two carries, the
+    A piece longer than CUT_STEPS planned steps is cut into runs that ride
+    in the same batch, so the longest piece no longer sets the steps; the
+    runs take the planned steps of the uncut carry, which took 16-22 steps
+    and 801-1,213 order updates on the same pairs.  Two carries, the
     ascents waiting for the descents, took 23-39 steps and 1,139-2,136
-    order updates on the same pairs; five carries, with the deep point two
-    pole spreads plus one below the poles, took 31-59 and 1,487-3,010.
+    order updates; five carries, with the deep point two pole spreads plus
+    one below the poles, took 31-59 and 1,487-3,010.
     """
     if n == "gamma":
         sp, tau = _gamma_shifted_case()
@@ -303,10 +308,10 @@ def test_stokes_pipeline_solve_count(n):
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
         stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
-    assert work.solves == 1
+    assert work.solves == 1 and work.steps <= continuation.CUT_STEPS
     if n != "gamma":
-        steps, nfev = FORMULA_WORK[n]
-        assert work.steps <= 1.25 * steps and work.nfev <= 1.25 * nfev
+        nfev, piece_steps = FORMULA_WORK[n]
+        assert work.nfev <= 1.25 * nfev and work.piece_steps == piece_steps
 
 
 def _segment_route_connection(fs, cut, tol):
@@ -577,13 +582,15 @@ def test_taylor_mixed_batch_of_n_pieces():
 
 
 def test_taylor_work_is_reported():
-    """One solve per carry, one step per chord of a loop, one nfev per order update."""
+    """One solve per carry, one piece-step per chord of a loop, at most CUT_STEPS lockstep
+    steps, one nfev per order update."""
     fs, cut = _sweep_fs()
     base = continuation._anti_cut_point(fs, 0, cut)
     with ode.counting() as work:
         continuation.carry(fs, [continuation._loop(fs, 0, base, np.eye(fs.n, dtype=complex))])
     # every chord is shorter than STEP_RATIO times its distance from u_0
-    assert (work.solves, work.steps) == (1, continuation.CHORDS)
+    assert (work.solves, work.piece_steps) == (1, continuation.CHORDS)
+    assert work.steps <= continuation.CUT_STEPS
     chord = 2 * math.sin(math.pi / continuation.CHORDS)  # over the distance from u_0
     least = math.ceil(math.log(continuation.TAYLOR_EPS) / math.log(chord))
     assert work.nfev >= work.steps * least
@@ -615,9 +622,83 @@ def test_twelve_chords_keep_the_accuracy(monkeypatch):
     monkeypatch.setattr(continuation, "CHORDS", 12)
     with ode.counting() as work:
         [twelve] = continuation.carry(fs, [piece])
-    assert work.steps == 24
+    assert work.piece_steps == 24 and work.steps <= continuation.CUT_STEPS
     assert np.max(np.abs(twelve - sixteen)) <= 1e-12 * np.max(np.abs(sixteen))
     _assert_matches_dense(fs, [piece])
+
+
+def _uncut(fs, pieces, monkeypatch):
+    """The end blocks of one carry of ``pieces`` with no piece cut, and its work."""
+    with monkeypatch.context() as m:
+        m.setattr(continuation, "CUT_STEPS", 10 ** 6)
+        with ode.counting() as work:
+            ends = continuation.carry(fs, pieces)
+    return ends, work
+
+
+def test_a_long_descent_is_carried_in_runs(monkeypatch):
+    """A descent of more than 3 CUT_STEPS planned steps at n = 6, cut into runs.
+
+    Psi_1 goes from the base point of u_1, half a loop radius below it, down
+    its anti-cut ray and across to the deep point.  The runs take exactly
+    the planned steps of the uncut carry, in CUT_STEPS lockstep steps, and
+    their product Phi_K ... Phi_2 Y_1 matches the uncut end and the
+    reference.
+    """
+    fs, cut = _sweep_fs(6)
+    low = [u - continuation._depth_frame(fs, cut) * cut.direction() for u in fs.u]
+    base = continuation._anti_cut_point(fs, 1, cut)
+    psi = selected_solution(fs, 1, 40).selected_value(base, cut)
+    pieces = [continuation._segment(base, low[0], psi, via=(low[1],))]
+    with ode.counting() as work:
+        [end] = continuation.carry(fs, pieces)
+    [whole], uncut = _uncut(fs, pieces, monkeypatch)
+    assert work.piece_steps == uncut.piece_steps > 3 * continuation.CUT_STEPS
+    assert work.steps == continuation.CUT_STEPS < uncut.steps
+    assert np.max(np.abs(end - whole)) <= 1e-13 * np.max(np.abs(whole))
+    _assert_matches_dense(fs, pieces)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_a_loop_at_large_A_is_carried_in_runs(k, monkeypatch):
+    """The identity once round u_k of a scale-0.9 system at n = 6, its 16 chords in runs.
+
+    Seed 1009 holds the largest max|S| of the large-A sweep, 8.0e12.
+    """
+    sp, tau = draw_system(np.random.default_rng(1009), 6, scale=0.9, min_gap=0.35)
+    fs, cut = build_fuchsian(sp), CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
+    pieces = [continuation._loop(fs, k, continuation._anti_cut_point(fs, k, cut),
+                                 np.eye(fs.n, dtype=complex))]
+    with ode.counting() as work:
+        [end] = continuation.carry(fs, pieces)
+    [whole], uncut = _uncut(fs, pieces, monkeypatch)
+    assert (work.steps, work.piece_steps) == (continuation.CUT_STEPS, uncut.piece_steps)
+    assert np.max(np.abs(end - whole)) <= 1e-13 * np.max(np.abs(whole))
+    _assert_matches_dense(fs, pieces)
+
+
+@pytest.mark.parametrize("leg_first", [True, False])
+def test_a_sampled_batch_of_two_widths_is_refused(leg_first):
+    """A batch with samples holds blocks of one width: a sampled leg of width 1 beside a
+    sample-free identity block of width n is a ValueError naming the widths, either way."""
+    fs, cut = _sweep_fs()
+    leg = _leg(fs, cut, 1, 4.0, [5.0, 8.0])
+    block = continuation._segment(continuation._anti_cut_point(fs, 3, cut),
+                                  fs.u[3] - 1.5 * cut.direction(), np.eye(fs.n, dtype=complex))
+    pieces, widths = ([leg, block], [1, fs.n]) if leg_first else ([block, leg], [fs.n, 1])
+    with pytest.raises(ValueError, match=re.escape(f"widths {widths}")):
+        continuation.carry(fs, pieces)
+
+
+def test_the_plan_refuses_a_path_through_a_pole_before_any_step():
+    """Every piece is planned before the first step: a path through a pole is refused,
+    although the other piece's block is not finite and the first step would refuse it."""
+    fs, _ = _sweep_fs()
+    through = continuation._segment(fs.u[0] - 0.5, fs.u[0] + 0.5, np.eye(fs.n, dtype=complex))
+    bad = continuation._segment(fs.u[1] - 0.5, fs.u[1] - 0.6, np.full(fs.n, np.inf + 0j))
+    with ode.counting() as work, pytest.raises(continuation.StepFailure, match="meets a pole"):
+        continuation.carry(fs, [bad, through])
+    assert work.solves == 0
 
 
 def _leg(fs, cut, k, length, radii, phase=0.3):
@@ -711,6 +792,19 @@ def test_twelve_nodes_or_a_wider_z_span_keep_the_accuracy(monkeypatch):
     monkeypatch.setattr(continuation, "Z_SPAN", 32.0)
     with pytest.raises(AssertionError):
         _assert_matches_dense(fs, [oscillating])
+
+
+def test_a_repeated_vertex_takes_no_step():
+    """A polyline that repeats a vertex ends where the same polyline without the repeat
+    ends, bit for bit: planning skips a vertex the piece is on already, where a step of
+    h = 0 would leave a lone piece at that vertex."""
+    fs = build_fuchsian(SystemPair(np.array([[0.3, 0.2], [0.4, -0.25]]), [0.0, 1.0]))
+    plain = continuation.Piece(0.0, -0.5, -0.5, 0.0, 0.0, np.array([1.0, 0.5 + 0j]),
+                               via=(-0.75,))
+    [want] = continuation.carry(fs, [plain])
+    for via in ((-0.75, -0.75), (-0.5, -0.75), (-0.75, -1.0)):
+        [got] = continuation.carry(fs, [plain._replace(via=via)])
+        assert np.array_equal(got, want), via
 
 
 def test_taylor_carry_refuses_a_piece_that_starts_on_a_pole():

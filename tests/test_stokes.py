@@ -462,19 +462,20 @@ def test_formula_oracle_agree_to_2e8_over_the_n6_sweep():
 
 @pytest.mark.parametrize("seed", [1000, 1009, 1017])
 def test_large_A_formula_oracle_difference_is_pinned(seed):
-    """At scale 0.9, n = 3..6, the formula and the oracle agree within 3e-8 of max|S|, and
-    within 1e-10 of it on S_nu alone.
+    """At scale 0.9, n = 3..6, the formula and the oracle agree within 2e-8 of max|S|, and
+    within 3e-12 of it on S_nu alone.
 
-    The worst of the 12 systems reads 1.2e-8 (S_{nu+mu}, seed 1009, n = 6),
-    and 3.1e-12 on S_nu.  With the deep point two pole spreads plus one
-    below the poles instead of half a spread the pair read 2.9e-7 there:
-    the long detour amplified it.  Composing the transition matrices of
-    the ascents from that deep point read 3.2e-10 on S_nu (seed 1009, n = 5).
+    The worst of the 12 systems reads 9.1e-9 (S_{nu+mu}, seed 1009, n = 6),
+    and 2.0e-12 on S_nu (seed 1000, n = 6); carried uncut, 1.6e-8 and
+    2.0e-12.  With the deep point two pole spreads plus one below the
+    poles instead of half a spread the pair read 2.9e-7 there: the long
+    detour amplified it.  Composing the transition matrices of the ascents
+    from that deep point read 3.2e-10 on S_nu (seed 1009, n = 5).
     """
     for n in range(3, 7):
         diff, size, nu = _sweep_difference(seed, n, scale=0.9)
-        assert diff <= 3e-8 * size, n
-        assert nu <= 1e-10 * size, n
+        assert diff <= 2e-8 * size, n
+        assert nu <= 3e-12 * size, n
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=4, max_value=6))

@@ -33,6 +33,7 @@ _EXPORTS = {
     "jordan_reduce_Bj": "frobenius",
     "levelt_at_confluence": "frobenius",
     "selected_solution": "frobenius",
+    "selected_solutions": "frobenius",
     "singular_solution": "frobenius",
     "FormalSolution": "laplace",
     "asymptotic_coeffs": "laplace",

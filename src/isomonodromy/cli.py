@@ -61,7 +61,7 @@ from .frobenius import (
     build_fuchsian,
     levelt_at_confluence,
     levelt_exponents,
-    selected_solution,
+    selected_solutions,
 )
 from .ode import Work, counting
 
@@ -519,7 +519,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
         # off the coalescence locus: cross-check against the local series
         if len(_group_partition(system.u)[0]) == system.n:
             fs = build_fuchsian(system)
-            sols = [selected_solution(fs, k, spec.order) for k in range(system.n)]
+            sols = selected_solutions(fs, spec.order)
             assembled = assemble_formal(sols, min(spec.formal_order, spec.order - 2))
             out["method"] = "recursion+asymptotic-coefficients"
             out["asymptotic_vs_recursion_max_diff"] = max(

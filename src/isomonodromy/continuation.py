@@ -46,7 +46,7 @@ from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
     build_fuchsian,
-    selected_solution,
+    selected_solutions,
     shift_exponents,
     singular_solution,
 )
@@ -107,10 +107,15 @@ def carry(fs: FuchsianSystem, pieces):
     identity, each through exactly its planned points, and the piece's end
     is the ordered product Phi_K ... Phi_2 Y_1 of its runs' ends, the
     system being linear.  So such a batch takes at most CUT_STEPS lockstep
-    steps however long its pieces are.  A batch with samples is never cut:
-    a later run's integrals would need the product of the runs before it
-    inside every step.  Every piece of such a batch has one width, that of
-    the batch's integrals.
+    steps however long its pieces are.  A batch with samples is never cut,
+    for its cost alone: by linearity a run that carries the identity gives
+    J_r = int e^{zx} Phi_r dx, and the piece's integral is sum_r J_r Y_r,
+    Y_r the solution at the start of run r, applied after the carry.  Cut
+    that way, the oracle's n = 6 batch took 4 steps instead of 40 and 232
+    order updates instead of 1,918, but its integrals grew n-fold wider
+    (28.5 to 43.5 ms per pass of perfbench's seed-1 oracle sweep), and the
+    pass went from 131.7 to 126.5 ms, within its noise (2-core shared VM).
+    Every piece of such a batch has one width, that of the batch's integrals.
 
     The runs are one (n, sum w) matrix, run r in w_r columns of it.  At
     lam0 the Taylor terms T_m = Y_m h^m of the solution obey
@@ -472,7 +477,7 @@ def monodromy_matrix(fs: FuchsianSystem, k: int, cut: CutPlane, N=40):
     alpha_k c_kj.  Raises :class:`BasisSingular` when the selected
     solutions fail to form a fundamental system at the base point.
     """
-    sols = [selected_solution(fs, m, N) for m in range(fs.n)]
+    sols = selected_solutions(fs, N)
     [(_, _, Psi, Phi)] = continue_basis(fs, cut, sols, (k,))
     cond = np.linalg.cond(Psi)
     if not np.isfinite(cond) or cond > 1e12:
@@ -530,7 +535,7 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     prov = np.full((n, n), "monodromy-projection", dtype=object)
     np.fill_diagonal(prov, "diagonal-by-class")
     resid = np.zeros((n, n))
-    sols = [selected_solution(fs, m, N) for m in range(n)]
+    sols = selected_solutions(fs, N)
     for j in range(n):
         degenerate_row = (
             classes[j] == "negative_integer" and singular_solution(fs, j, N).zero

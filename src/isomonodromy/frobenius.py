@@ -22,6 +22,18 @@ row k, where D_k = 0, solved rather than divided.  A series Psi = phi +
 L ln x adds the source L - D L/x to phi's step.  The divisors l+sigma and
 l+sigma+w_k vanish only at the resonant order, which the exponent-0 series
 pin through one chain (:func:`_chain`) from the kernel seeds of w.
+
+That step has one implementation, over a column axis: the state of a
+recursion is x of shape (orders, n, K), column i a series at its own pole
+k_i, with its own shift sigma_i, gaps 1/D and source (:class:`_Columns`).
+An order is one (n, n) @ (n, K) product for every column, the sigma term
+and the gap scaling, then every column's row k_i solved at once by one
+gather and one scatter on the entries x[l, k_i, i].  The divisors and the
+float range are checked once per recursion, on their (orders, K) tables.
+:func:`selected_solutions` runs the non-natural poles of a system as the
+columns of one recursion, :func:`analytic_basis` and
+:func:`singular_solution` their kernel seeds; a natural pole's three
+coupled phases and :func:`selected_solution` run the same step with K = 1.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,63 +103,93 @@ def build_fuchsian(system: SystemPair) -> FuchsianSystem:
 
 
 # ---------------------------------------------------------------------------
-# series recursions at a single pole
+# series recursions, one column per series
 # ---------------------------------------------------------------------------
 
 # a recursion divisor below this is an unresolved resonance
 _ZERO_DIVISOR = 1e-300
 
 
-def _gaps(fs: FuchsianSystem, k: int):
-    """1/D_r = 1/(u_r - u_k), r != k, and 0 for r = k; a gap below COALESCE_TOL
-    raises :class:`ResonanceAmbiguity`: the local series needs distinct poles."""
-    D = fs.u - fs.u[k]
-    D[k] = math.inf
-    m = int(np.argmin(np.abs(D)))
-    if abs(D[m]) < COALESCE_TOL:
-        raise ResonanceAmbiguity(f"poles u_{k} and u_{m} coincide: the local series at u_{k} "
-                                 "needs distinct poles")
-    return 1.0 / D
+class _Columns(NamedTuple):
+    """The columns of one stacked recursion: column i is a series at the pole k[i].
 
-
-def _rows(fs, k, inv, prev, l, shift, source=None):
-    """``(c_l, rhs_k)``: rows r != k of order l from order l-1, and row k's right side.
-
-    D_r s c_l = (s - 1 + (A+I)) c_{l-1} + source_{l-1} - D source_l, s = l + shift,
-    ``source[l]`` the coefficient of x^(l+shift) in L; c_l[k] = 0 and row k reads
-    (s + w_k) c_l[k] = rhs_k.  A vanishing s raises :class:`ResonanceAmbiguity`.
+    ``w[:, i]`` is row k[i] of A+I, ``inv[:, i]`` holds 1/D_r = 1/(u_r - u_k[i])
+    with 0 at r = k[i], and ``at`` indexes the entries (k[i], i) of an (n, K)
+    order.
     """
-    s = l + shift
-    if abs(s) < _ZERO_DIVISOR:
-        raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s = {s})")
-    r = fs.A_plus_I @ prev + (s - 1) * prev
+
+    k: np.ndarray
+    w: np.ndarray
+    inv: np.ndarray
+    at: tuple
+
+
+def _columns(fs: FuchsianSystem, poles) -> _Columns:
+    """The columns of a recursion at ``poles``; a gap below COALESCE_TOL raises
+    :class:`ResonanceAmbiguity` naming the first such pole: the local series
+    needs distinct poles."""
+    k = np.asarray(poles, dtype=int)
+    at = (k, np.arange(k.size))
+    D = fs.u[:, None] - fs.u[k]
+    D[at] = math.inf
+    m = np.argmin(np.abs(D), axis=0)
+    near = np.abs(D[m, at[1]]) < COALESCE_TOL
+    if near.any():
+        i = int(np.argmax(near))
+        raise ResonanceAmbiguity(f"poles u_{k[i]} and u_{m[i]} coincide: the local series at "
+                                 f"u_{k[i]} needs distinct poles")
+    return _Columns(k, fs.A_plus_I[k].T, 1.0 / D, at)
+
+
+def _rows(fs, col, prev, l, s, out, source=None):
+    """Rows r != k_i of order l of every column i into ``out`` from order l-1, ``prev``;
+    returns the right sides of rows k_i.
+
+    D_r s c_l = (s - 1 + (A+I)) c_{l-1} + source_{l-1} - D source_l, with s the
+    (K,) divisors l + shift_i and ``source[l]`` the coefficients of
+    x^(l+shift) in L; c_l[k_i] = 0 and row k_i reads (s + w_{k_i}) c_l[k_i] =
+    rhs_i.  The divisors are checked by the caller.
+    """
+    r = fs.A @ prev + s * prev  # (s - 1 + (A+I)) prev
     if source is None:
-        c = r * inv / s  # row k is 0: inv[k] = 0
-        return c, -(fs.A_plus_I[k] @ c)
-    c = ((r + source[l - 1]) * inv - source[l]) / s
-    c[k] = 0.0
-    return c, -(fs.A_plus_I[k] @ c) - source[l, k]
+        np.divide(r * col.inv, s, out=out)  # rows k_i are 0: inv[k_i, i] = 0
+        return -np.add.reduce(col.w * out)
+    np.divide((r + source[l - 1]) * col.inv - source[l], s, out=out)
+    out[col.at] = 0.0
+    return -np.add.reduce(col.w * out) - source[l][col.at]
 
 
-def _propagate(fs, k, inv, x, orders, shift=0, source=None):
-    """Fill x[l], l in ``orders``, from x[l-1]: :func:`_rows`, then row k solved;
-    its divisor s + w_k vanishes only at the resonant order, where it raises.
+def _propagate(fs, col, x, orders, shift=0, source=None):
+    """Fill x[l], l in ``orders``, from x[l-1] for every column at once: :func:`_rows`,
+    then the rows k_i solved, one gather and one scatter on the entries x[l, k_i, i].
 
-    The orders run with numpy's overflow and invalid-value warnings off and
-    are checked once: a series that leaves the float range raises
+    x has shape (orders, n, K); column i is the series at pole k[i] of ``col``
+    (:func:`_columns`) with shift[i] (a scalar shift is shared) and its slice
+    of ``source``.  Before the first order, the tables of the divisors s and
+    s + w_{k_i}, (orders, K), are checked once: one below _ZERO_DIVISOR
+    raises :class:`ResonanceAmbiguity` naming the pole and the order.  The
+    orders run with numpy's overflow and invalid-value warnings off and are
+    checked once after: a series that leaves the float range raises
     :class:`IllConditioned` naming the pole and its first such order.
     """
-    lead = shift + fs.A_plus_I[k, k]
+    s = np.asarray(orders)[:, None] + shift
+    lead = s + fs.A_plus_I[col.k, col.k]
+    hit = (np.abs(s) < _ZERO_DIVISOR) | (np.abs(lead) < _ZERO_DIVISOR)
+    if hit.any():
+        i = int(np.argmax(hit.any(0)))
+        o = int(np.argmax(hit[:, i]))
+        name = "s" if abs(s[o, i]) < _ZERO_DIVISOR else "s + w_k"
+        raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {col.k[i]}, order "
+                                 f"{orders[o]} ({name} = 0)")
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in orders:
-            x[l], rhs_k = _rows(fs, k, inv, x[l - 1], l, shift, source)
-            if abs(l + lead) < _ZERO_DIVISOR:
-                raise ResonanceAmbiguity(f"vanishing recursion divisor at pole {k} (s + w_k = 0)")
-            x[l, k] = rhs_k / (l + lead)
+        for l, s_l, lead_l in zip(orders, s, lead):
+            c = x[l]
+            c[col.at] = _rows(fs, col, x[l - 1], l, s_l, c, source) / lead_l
     bad = ~np.isfinite(x).all(1)
     if bad.any():
-        raise IllConditioned(f"the local series at pole {k} leaves the float range "
-                             f"at order {int(np.argmax(bad))}")
+        i = int(np.argmax(bad.any(0)))
+        raise IllConditioned(f"the local series at pole {col.k[i]} leaves the float range "
+                             f"at order {int(np.argmax(bad[:, i]))}")
     return x
 
 
@@ -165,35 +208,38 @@ def _kernel_seeds(w, k):
     return seeds
 
 
-def _chain(fs, k, inv, seed, rho, source=None):
-    """Exponent-0 recursion from ``seed`` up to the resonant order rho.
+def _chain(fs, col, seeds, rho, source=None):
+    """Exponent-0 recursion from the columns of ``seeds`` (n, K) up to the resonant order rho.
 
-    Returns ``(phi, obstruction)``: orders 0..rho, phi_rho[k] pinned to zero,
-    and -rho rhs_k of order rho (row k's divisor rho + w_k vanishes there),
-    which must vanish for order rho to be solvable.
+    Returns ``(phi, obstruction)``: orders 0..rho, phi_rho[k_i] pinned to
+    zero, and -rho rhs_i of order rho (row k_i's divisor rho + w_{k_i}
+    vanishes there), which must vanish for order rho to be solvable.
     """
-    phi = np.zeros((rho + 1, fs.n), dtype=complex)
-    phi[0] = seed
-    _propagate(fs, k, inv, phi, range(1, rho), 0, source)
-    phi[rho], rhs_k = _rows(fs, k, inv, phi[rho - 1], rho, 0, source)
-    return phi, -rho * rhs_k
+    phi = np.zeros((rho + 1,) + seeds.shape, dtype=complex)
+    phi[0] = seeds
+    _propagate(fs, col, phi, range(1, rho), 0, source)
+    return phi, -rho * _rows(fs, col, phi[rho - 1], rho, rho, phi[rho], source)
 
 
-def _exponent0_series(fs, k, inv, seed, N, rho, source=None):
-    """Exponent-0 series of orders 0..N from ``seed``, pinned at the resonant order.
+def _exponent0_series(fs, col, seeds, N, rho, source=None):
+    """Exponent-0 series of orders 0..N from the columns of ``seeds``, pinned at the
+    resonant order.
 
-    Returns ``(phi, obstruction)``, the obstruction of :func:`_chain` relative to
-    the coefficients up to order rho and that order's right side, rho phi_rho
-    and source_rho[k] (0 without a resonant order 1 <= rho <= N).
+    Returns ``(phi, obstruction)``, phi of shape (N + 1, n, K) and each column's
+    obstruction of :func:`_chain` relative to its coefficients up to order rho
+    and that order's right side, rho phi_rho and source_rho[k_i] (0 without a
+    resonant order 1 <= rho <= N).
     """
-    phi = np.zeros((N + 1, fs.n), dtype=complex)
-    phi[0] = seed
+    phi = np.zeros((N + 1,) + seeds.shape, dtype=complex)
+    phi[0] = seeds
     if not 1 <= rho <= N:
-        return _propagate(fs, k, inv, phi, range(1, N + 1), 0, source), 0.0
-    phi[:rho + 1], obstruction = _chain(fs, k, inv, seed, rho, source)
-    scale = max(1.0, float(np.max(np.abs(phi[:rho]))), rho * float(np.max(np.abs(phi[rho]))),
-                0.0 if source is None else abs(source[rho, k]))
-    return _propagate(fs, k, inv, phi, range(rho + 1, N + 1), 0, source), abs(obstruction) / scale
+        return _propagate(fs, col, phi, range(1, N + 1), 0, source), np.zeros(col.k.size)
+    phi[:rho + 1], obstruction = _chain(fs, col, seeds, rho, source)
+    scale = np.maximum(np.abs(phi[:rho]).max((0, 1)), rho * np.abs(phi[rho]).max(0))
+    if source is not None:
+        scale = np.maximum(scale, np.abs(source[rho][col.at]))
+    return (_propagate(fs, col, phi, range(rho + 1, N + 1), 0, source),
+            np.abs(obstruction) / np.maximum(scale, 1.0))
 
 
 def horner(coeffs, x):
@@ -305,53 +351,71 @@ class LocalSolution:
         return base * np.exp(self.rho * (np.log(abs(x)) + 1j * a))
 
 
-def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
-    """Normalized selected vector solution Psi_k as a truncated series.
+def selected_solutions(fs: FuchsianSystem, N: int = 40) -> list:
+    """Normalized selected vector solutions Psi_k, k = 0..n-1, as truncated series.
 
     Classes noninteger / negative_integer fill ``b`` with the psi_k series
-    (leading coefficient f_k e_k).  Class natural fills ``d`` with the
-    analytic series fixed by the singular companion's normalization, plus
-    ``b`` with the companion's pole part; a ``zero`` flag marks the
-    degenerate case Psi_k == 0 (tolerance-based verdict).
+    (leading coefficient f_k e_k), all of them in one stacked recursion.
+    Class natural fills ``d`` with the analytic series fixed by the singular
+    companion's normalization, plus ``b`` with the companion's pole part; a
+    ``zero`` flag marks the degenerate case Psi_k == 0 (tolerance-based
+    verdict).
     """
+    return _selected(fs, np.arange(fs.n), N)
+
+
+def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
+    """Selected solution Psi_k at the one pole u_k, as :func:`selected_solutions` builds it."""
+    return _selected(fs, np.array([k]), N)[0]
+
+
+def _selected(fs, poles, N):
+    """The selected solutions at ``poles``, in that order: the non-natural ones as the
+    columns of one recursion, each natural one by :func:`_natural_series`."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    n = fs.n
-    lp = fs.lambda_prime[k]
-    klass = fs.integer_class(k)
+    sols = []
+    for k in poles:
+        lp, klass = fs.lambda_prime[k], fs.integer_class(k)
+        sols.append(LocalSolution(k=int(k), klass=klass, lambda_prime_k=lp, pole=fs.u[k],
+                                  f_k=leading_factor(lp, klass), radius=fs.validity_radius(k)))
+    plain = [sol for sol in sols if sol.klass != "natural"]
+    if plain:
+        col = _columns(fs, [sol.k for sol in plain])
+        b = np.zeros((N + 1, fs.n, len(plain)), dtype=complex)
+        b[0][col.at] = [sol.f_k for sol in plain]
+        _propagate(fs, col, b, range(1, N + 1), -fs.lambda_prime[col.k] - 1)
+        for sol, bi in zip(plain, np.moveaxis(b, -1, 0).copy()):
+            sol.b = bi
+    for sol in sols:
+        if sol.klass == "natural":
+            _natural_series(fs, sol, N)
+    return sols
+
+
+def _natural_series(fs, sol, N):
+    """Class natural at pole k: the coupled pole/log recursion of ``sol``, one column."""
+    n, k = fs.n, sol.k
+    col = _columns(fs, [k])
     w = fs.A_plus_I[k]
-    rho = -lp - 1
-    fk = leading_factor(lp, klass)
-    sol = LocalSolution(k=k, klass=klass, lambda_prime_k=lp, pole=fs.u[k], f_k=fk,
-                        radius=fs.validity_radius(k))
-
-    inv = _gaps(fs, k)
-    if klass != "natural":
-        sol.b = np.zeros((N + 1, n), dtype=complex)
-        sol.b[0, k] = fk
-        _propagate(fs, k, inv, sol.b, range(1, N + 1), rho)
-        return sol
-
-    # class natural: coupled pole/log recursion
-    Nk = nearest_integer(lp)  # rho = -(Nk + 1)
+    Nk = nearest_integer(sol.lambda_prime_k)  # rho = -(Nk + 1)
     order_b = N + Nk + 1
-    b = np.zeros((order_b + 1, n), dtype=complex)
-    b[0, k] = fk
-    _propagate(fs, k, inv, b, range(1, Nk + 1), rho)
+    b = np.zeros((order_b + 1, n, 1), dtype=complex)
+    b[0, k] = sol.f_k
+    _propagate(fs, col, b, range(1, Nk + 1), sol.rho)
     # order Nk+1 (s = 0) fixes d_0 and the pole-part continuation jointly:
     # its rows r != k give d_0[r], w . d_0 = 0 gives d_0[k]
-    d = np.zeros((N + 1, n), dtype=complex)
-    d[0] = (fs.A_plus_I @ b[Nk] - b[Nk]) * inv
+    d = np.zeros((N + 1, n, 1), dtype=complex)
+    d[0] = (fs.A_plus_I @ b[Nk] - b[Nk]) * col.inv
     d[0, k] = -(w @ d[0]) / w[k]
-    _propagate(fs, k, inv, d, range(1, N + 1))
+    _propagate(fs, col, d, range(1, N + 1))
     b[Nk + 1, k] = -d[0, k] / w[k]  # kernel freedom pinned: off-k components zero
     # the log part Psi_k = sum d_l x^l feeds the pole part from order Nk+1 on
-    source = np.vstack([np.zeros((Nk + 1, n)), d])
-    _propagate(fs, k, inv, b, range(Nk + 2, order_b + 1), rho, source)
-    sol.b = b[: N + 1].copy()
-    sol.d = d
-    sol.zero, sol.zero_verdict = _zero_verdict(fs, k, d)
-    return sol
+    source = np.concatenate([np.zeros((Nk + 1, n, 1)), d])
+    _propagate(fs, col, b, range(Nk + 2, order_b + 1), sol.rho, source)
+    sol.b = b[: N + 1, :, 0].copy()
+    sol.d = d[:, :, 0].copy()
+    sol.zero, sol.zero_verdict = _zero_verdict(fs, k, sol.d)
 
 
 def _zero_verdict(fs, k, d):
@@ -373,31 +437,28 @@ def _zero_verdict(fs, k, d):
 def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     """Basis of solutions analytic at u_k with exponent 0.
 
-    Returns a list of (N+1) x n coefficient arrays.  For
-    lambda'_k in Z_- the continuation past the resonant order keeps only
-    seeds whose obstruction functional vanishes; the kernel component of
-    the resonant solve is pinned to zero.
+    Returns a list of (N+1) x n coefficient arrays, one stacked recursion over
+    the kernel seeds.  For lambda'_k in Z_- the continuation past the resonant
+    order keeps only seeds whose obstruction functional vanishes; the kernel
+    component of the resonant solve is pinned to zero.
     """
     w = fs.A_plus_I[k]
-    inv = _gaps(fs, k)
     rho = 0
     if fs.integer_class(k) == "negative_integer":
         rho = -1 - nearest_integer(fs.lambda_prime[k])
     seeds = _kernel_seeds(w, k)
+    col = _columns(fs, [k] * len(seeds))
     if rho >= 1:
         # restrict seeds to the null space of the obstruction functional
-        obs = np.array([_chain(fs, k, inv, s, rho)[1] for s in seeds])
+        obs = _chain(fs, col, seeds.T, rho)[1]
         if float(np.max(np.abs(obs))) > 1e-12:
             # orthonormal basis of the null space of the 1 x m functional
             m = len(seeds)
             Q, _ = np.linalg.qr(np.column_stack([obs.conj(), np.eye(m)]))
             seeds = Q[:, 1:m].T @ seeds
-    out = []
-    for s in seeds:
-        phi, obstruction = _exponent0_series(fs, k, inv, s, N, rho)
-        if obstruction <= 1e-9:
-            out.append(phi)
-    return out
+            col = _columns(fs, [k] * len(seeds))
+    phi, obstruction = _exponent0_series(fs, col, seeds.T, N, rho)
+    return [p for p, o in zip(np.moveaxis(phi, -1, 0).copy(), obstruction) if o <= 1e-9]
 
 
 def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
@@ -417,11 +478,11 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     # negative integer: fix the log coefficient at the selected solution
     n = fs.n
     rho = -1 - nearest_integer(sel.lambda_prime_k)
-    inv = _gaps(fs, k)
+    col = _columns(fs, [k])
     w = fs.A_plus_I[k]
     # Psi_k = sum_l b_l x^(l+rho), as coefficients of x^l: the source of phi
-    shifted = np.zeros((N + 1, n), dtype=complex)
-    shifted[rho:] = sel.b[: max(N + 1 - rho, 0)]
+    shifted = np.zeros((N + 1, n, 1), dtype=complex)
+    shifted[rho:, :, 0] = sel.b[: max(N + 1 - rho, 0)]
     zero = False
     verdict = ""
     if rho == 0:
@@ -433,10 +494,15 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
             # min-norm solution of w . phi_0 = -f_k
             seed = w.conj() * (-sel.f_k / (w @ w.conj()))
     else:
-        # affine propagation phi_l(y) to the resonant order; seed in ker(w .)
+        # affine propagation phi_l(y) to the resonant order; seed in ker(w .).
+        # One stacked chain: column 0 from 0 with the log source gives c0, the
+        # others from the kernel seeds without it give the functional L
         seeds = _kernel_seeds(w, k)
-        _, c0 = _chain(fs, k, inv, np.zeros(n, dtype=complex), rho, shifted)
-        L = np.array([_chain(fs, k, inv, s, rho)[1] for s in seeds])
+        source = np.zeros((N + 1, n, len(seeds) + 1), dtype=complex)
+        source[..., :1] = shifted
+        starts = np.column_stack([np.zeros(n), seeds.T])
+        obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)[1]
+        c0, L = obs[0], obs[1:]
         if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
             if abs(c0) > 1e-10:
                 zero = True
@@ -452,14 +518,16 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
         radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
     )
     if not zero:
-        sol.phi, obstruction = _exponent0_series(fs, k, inv, seed, N, rho, shifted)
-        if obstruction > 1e-8:
+        phi, obstruction = _exponent0_series(fs, col, seed[:, None], N, rho, shifted)
+        if obstruction[0] > 1e-8:
             raise ResonanceAmbiguity(
-                f"inconsistent resonant solve at pole {k}, order {rho} (residual {obstruction:.2e})"
+                f"inconsistent resonant solve at pole {k}, order {rho} "
+                f"(residual {obstruction[0]:.2e})"
             )
+        sol.phi = phi[:, :, 0].copy()
         # the regular completion may shift by any solution analytic at u_k:
         # the exponent-0 survivors plus the selected solution itself
-        sol.analytic_completion = [shifted] + analytic_basis(fs, k, N)
+        sol.analytic_completion = [shifted[:, :, 0]] + analytic_basis(fs, k, N)
     return sol
 
 

@@ -22,7 +22,7 @@ from .model import (
     OverlapEmpty,
     sector_bounds,
 )
-from .frobenius import build_fuchsian, selected_solution
+from .frobenius import build_fuchsian, selected_solutions
 from .continuation import connection_products
 from .laplace import ColumnSpec, laplace_columns
 
@@ -177,7 +177,7 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     (:func:`_fit`).
     """
     fs = build_fuchsian(system)
-    sols = [selected_solution(fs, k, N) for k in range(fs.n)]
+    sols = selected_solutions(fs, N)
     theta0, ladder0, specs0 = _matching(system, geometry, 0)
     theta1, ladder1, specs1 = _matching(system, geometry, 1)
     cols = laplace_columns(fs, geometry, specs0 + specs1, sols=sols, tol=tol)

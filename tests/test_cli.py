@@ -190,14 +190,18 @@ def test_cli_stokes_overflowing_exponent_is_a_typed_failure(tmp_path, a00):
 @pytest.mark.parametrize("entry, value, errors", [
     ((0, 0), 1e200, {"connection": "BadGamma",
                      "formal_coefficients": "IllConditioned: the formal recursion"}),
-    ((0, 1), 1e12, {"connection": "IllConditioned: the local series at pole 0",
-                    "formal_coefficients": "IllConditioned: the local series at pole 0"}),
+    ((0, 1), 1e12, {"connection": "IllConditioned: the local series at pole 0 leaves the float "
+                                   "range at order 30",
+                    "formal_coefficients": "IllConditioned: the local series at pole 0 leaves the "
+                                           "float range at order 30"}),
 ])
 def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value, errors):
     """A formal recursion or a local series past the float range: exit 3 with a report.
 
     RuntimeWarnings are errors under pytest, so a numpy overflow warning
-    before the typed failure would end the command with exit 1 instead.
+    before the typed failure would end the command with exit 1 instead.  The
+    series of both poles run as one stacked recursion, and the failure still
+    names the pole and the first order past the float range.
     """
     from isomonodromy.cli import NUMERICAL_ERRORS
 

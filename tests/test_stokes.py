@@ -154,6 +154,31 @@ def test_gamma_shift_keeps_the_pair_on_both_routes():
     assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-12 * np.max(np.abs(pairs[1]))
 
 
+def test_relabelling_permutes_the_pair_on_both_routes():
+    """(u, A) -> (Pu, P A P^T) relabels the poles and gives S -> P S P^T on each route.
+
+    With (Pu)_i = u_p[i], the relabelled pair is S[p[i], p[j]], within 1e-11
+    max(1, max|S|) at n = 2..6 for the formula and for the oracle.  The
+    unpermuted pair misses it (the control).
+    """
+    rng = np.random.default_rng(0)
+    for n in range(2, 7):
+        system, tau = draw_system(rng, n, min_gap=0.35)
+        p = rng.permutation(n)
+        if (p == np.arange(n)).all():
+            p = p[::-1]
+        moved = SystemPair(system.A[np.ix_(p, p)], system.u[p])
+        geo = DeformationGeometry(system.u, 1e-3, tau)
+        geo_moved = DeformationGeometry(moved.u, 1e-3, tau)
+        for route, kwargs in ((stokes_pipeline, {"tol": 1e-12}), (stokes_pair_direct, {})):
+            pair = route(system, geo, **kwargs)
+            S = np.stack([pair.S_nu, pair.S_nu_plus_mu])
+            scale = max(1.0, float(np.max(np.abs(S))))
+            relabelled = route(moved, geo_moved, **kwargs)
+            assert _pair_distance(relabelled, S[:, p][:, :, p]) <= 1e-11 * scale, (n, route)
+            assert _pair_distance(relabelled, S) > 1e-2 * scale, (n, route)
+
+
 def test_formula_diagonal_identity():
     n = 3
     o = Ordering(u_c=np.array([0.0, 1.0, 2.0 + 0.7j], dtype=complex), tau=TAU)
@@ -246,22 +271,24 @@ def test_direct_oracle_upper_triangular_system(geometry_2x2):
 def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2):
     """Both matchings of the pair reuse one local series per pole and share one carry.
 
-    The pair is the fit of each matching's half of one batch of 4n columns.
-    A matching carried alone agrees to rounding: the order count of a step
-    is set by the batch, so the last bits of its sum differ.
+    The series of both poles come from one stacked call.  The pair is the fit
+    of each matching's half of one batch of 4n columns.  A matching carried
+    alone agrees to rounding: the order count of a step is set by the batch,
+    so the last bits of its sum differ.
     """
     built = []
-    original = stokes.selected_solution
+    original = stokes.selected_solutions
 
-    def counted(fs, k, *args, **kwargs):
-        built.append(k)
-        return original(fs, k, *args, **kwargs)
+    def counted(*args, **kwargs):
+        sols = original(*args, **kwargs)
+        built.append([sol.k for sol in sols])
+        return sols
 
-    monkeypatch.setattr(stokes, "selected_solution", counted)
+    monkeypatch.setattr(stokes, "selected_solutions", counted)
     pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
-    assert sorted(built) == [0, 1]
+    assert built == [[0, 1]]
     fs = build_fuchsian(system_2x2)
-    sols = [original(fs, k, 40) for k in range(fs.n)]
+    sols = original(fs, 40)
     matchings = [stokes._matching(system_2x2, geometry_2x2, h) for h in (0, 1)]
     cols = laplace.laplace_columns(fs, geometry_2x2, matchings[0][2] + matchings[1][2], sols,
                                    1e-13)

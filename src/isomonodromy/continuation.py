@@ -16,19 +16,15 @@ All transport of both Stokes routes runs on one batched Taylor carry
 c e^{i omega s}, s in [0, 1], or a polyline, carrying an (n, w) block
 and, for the oracle's Laplace legs (:mod:`.laplace`), the integrals of
 e^{z x} times that block for each of its samples z.  Every piece's Taylor
-steps along its chords are planned first, before any order is summed.
-In a batch without samples a piece of more than CUT_STEPS planned steps
-is then cut into runs of CUT_STEPS steps: the first run carries its
-block, every later one the identity, and the piece's end is the product
-of the runs' transition matrices applied to the first run's end, the
-system being linear.  The runs step in lockstep, applying the rank-one
-residues to the columns of every run that still moves at once; a run
-whose steps are done leaves the batch.  The integrals are Gauss-Legendre
-sums over each step's Taylor polynomial, taken by moments of the rule.
-The formula route carries no samples, so it makes one Taylor carry of at
-most CUT_STEPS lockstep steps at any n: every column's descent beside
-every ascent and every pole loop, cut into runs.  The oracle makes one
-uncut carry per Stokes pair.
+steps are planned first and cut into runs of at most CUT_STEPS, every run
+after the first carrying the identity; the runs step in lockstep, a run
+leaving the batch once its steps are done, and the piece's end is the
+product of their transition matrices, the system being linear.  With
+samples each run is carried once more, from its own start, for its
+integrals: Gauss-Legendre sums over each step's Taylor polynomial, taken
+by moments of the rule.  So the formula route makes one carry of at most
+CUT_STEPS lockstep steps at any n, and the oracle one of at most
+2 CUT_STEPS per Stokes pair.
 """
 
 from __future__ import annotations
@@ -54,15 +50,15 @@ from .frobenius import (
 DEFAULT_TOL = 1e-10
 # Taylor carry: step length over the distance to the nearest pole, chords per
 # curved piece, negligible term relative to its block, the order limits and
-# the orders whose terms are kept before they are summed (without samples)
+# the orders whose terms are kept before they are summed and integrated
 STEP_RATIO = 0.5
 CHORDS = 16
 TAYLOR_EPS = 1e-16
 MAX_ORDER = 400
 TAIL_ORDERS = 4
 ORDER_BLOCK = 16
-# lockstep steps of a batch without samples: a piece of more planned steps is
-# cut into runs of CUT_STEPS, every run after the first carrying the identity
+# lockstep steps of a pass: a piece of more planned steps is cut into runs of
+# CUT_STEPS, every run after the first carrying the identity
 CUT_STEPS = 4
 # Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
 # Gauss-Legendre panels of NODES nodes on the step.  That is at most 8
@@ -96,26 +92,18 @@ class Piece(NamedTuple):
 def carry(fs: FuchsianSystem, pieces):
     """Continue every piece's block, with its Laplace integrals, by Taylor steps along its chords.
 
-    First every piece's steps are planned, before any order is summed
-    (:func:`_plan`): from its current point along the current chord of its
-    polyline (:func:`_chords`) by h = min(rest of the chord, STEP_RATIO rho,
-    Z_SPAN / max|z|), rho its distance to the nearest pole and z its
-    samples (no z cap without samples), so its terms fall at least as fast
-    as STEP_RATIO^m times a power of m.  In a batch without samples a piece
-    of more than CUT_STEPS planned steps is then cut into runs of at most
-    CUT_STEPS of them: the first run carries ``y0``, every later one the
-    identity, each through exactly its planned points, and the piece's end
-    is the ordered product Phi_K ... Phi_2 Y_1 of its runs' ends, the
-    system being linear.  So such a batch takes at most CUT_STEPS lockstep
-    steps however long its pieces are.  A batch with samples is never cut,
-    for its cost alone: by linearity a run that carries the identity gives
-    J_r = int e^{zx} Phi_r dx, and the piece's integral is sum_r J_r Y_r,
-    Y_r the solution at the start of run r, applied after the carry.  Cut
-    that way, the oracle's n = 6 batch took 4 steps instead of 40 and 232
-    order updates instead of 1,918, but its integrals grew n-fold wider
-    (28.5 to 43.5 ms per pass of perfbench's seed-1 oracle sweep), and the
-    pass went from 131.7 to 126.5 ms, within its noise (2-core shared VM).
-    Every piece of such a batch has one width, that of the batch's integrals.
+    First every piece's steps are planned (:func:`_plan`): from its current
+    point along the current chord of its polyline (:func:`_chords`) by
+    h = min(rest of the chord, STEP_RATIO rho, Z_SPAN / max|z|), rho its
+    distance to the nearest pole and z its samples, so its terms fall at
+    least as fast as STEP_RATIO^m times a power of m.  A piece is then cut
+    into runs of at most CUT_STEPS planned steps: the first carries ``y0``,
+    every later one the identity, and the piece's end is the ordered
+    product Phi_K ... Phi_2 Y_1 of its runs' ends, the system being linear.
+    With samples every run is carried again for its integrals, from its
+    start Phi_{r-1} ... Phi_2 Y_1 in its piece's width (a batch with samples
+    has one width), and the piece's integral is the sum of its runs'.  So a
+    batch takes at most CUT_STEPS lockstep steps, twice that with samples.
 
     The runs are one (n, sum w) matrix, run r in w_r columns of it.  At
     lam0 the Taylor terms T_m = Y_m h^m of the solution obey
@@ -132,25 +120,22 @@ def carry(fs: FuchsianSystem, pieces):
 
     The Laplace integral J_p,i of e^{z_p,i x} Y_p dx gains, per step, the
     integral over the step's polynomial Y_p(x0 + s h) = sum_m T_m s^m,
-    s in [0, 1], by one composite Gauss-Legendre rule of PANELS panels of
-    NODES nodes: e^{z x0} h sum_j w_j e^{z h s_j} Y_p(s_j), at most
-    Z_SPAN / PANELS = 8 in |z h| per panel (:func:`_step_integrals`, which
-    :mod:`.laplace` also uses for a local series summed as one step).  A
-    curved piece is integrated along its chords; no pole lies between them
-    and the arc, so by Cauchy's theorem that is the integral along the arc.
-    The oracle's batches hold straight legs only: :mod:`.laplace` sums its
-    hairpin circles from the local series.
+    s in [0, 1], by a composite Gauss-Legendre rule of PANELS panels of
+    NODES nodes, at most Z_SPAN / PANELS = 8 in |z h| per panel: node
+    weights once per step (:func:`_node_weights`), then the terms by their
+    moments (:func:`_fold`) every ORDER_BLOCK orders, as they are summed.
+    A curved piece is integrated along its chords, which by Cauchy's
+    theorem is the integral along the arc: no pole lies between them.
 
     Reports one solve, one step per lockstep step, one nfev per order and
     the runs each step moved, as piece_steps (the planned steps of all
-    pieces, cut or not), to :func:`.ode.counting`.  Raises
-    :class:`ValueError` for a batch with samples whose blocks differ in
-    width; :class:`StepFailure`, from the plan, for a piece that meets a
-    pole or that a step leaves where it was (x + h == x, as on a path
-    through a pole); and :class:`StepFailure` for a block at the start of
-    a step, a Taylor term, an end block or an integral that is not finite,
-    or a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
-    a piece without samples and ``(Y_p(1), J_p)`` of one with samples,
+    pieces, twice with samples), to :func:`.ode.counting`.  Raises
+    :class:`ValueError` for a batch with samples of two widths;
+    :class:`StepFailure`, from the plan, for a piece that meets a pole or
+    that a step leaves where it was (x + h == x, as on a path through a
+    pole), and for a block, Taylor term or integral that is not finite or
+    a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of a
+    piece without samples and ``(Y_p(1), J_p)`` of one with samples,
     J_p[i] the integral for z_p,i.
     """
     if not pieces:
@@ -173,89 +158,97 @@ def carry(fs: FuchsianSystem, pieces):
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
     X, H, dists, rhos, planned = _plan(pieces, offset, reach_z)
     # run r takes the planned steps start[r]:start[r] + length[r] of piece owner[r]
-    cut = max(1, int(planned.max())) if nz else CUT_STEPS
     owner, start = np.array([(p, s) for p in range(P)
-                             for s in range(0, max(planned[p], 1), cut)]).T
-    length = np.minimum(planned[owner] - start, cut)
+                             for s in range(0, max(planned[p], 1), CUT_STEPS)]).T
+    length = np.minimum(planned[owner] - start, CUT_STEPS)
     one = np.eye(n, dtype=complex)
     runs = [blocks[p].reshape(n, -1) if s == 0 else one for p, s in zip(owner, start)]
-    run_widths = np.array([r.shape[1] for r in runs])
-    # run r is columns first[r]:first[r] + run_widths[r] of the batch
-    first = np.cumsum(run_widths) - run_widths
-    Y = np.concatenate(runs, axis=1)
-    J = np.zeros((P, nz, n, widths[0] if nz else 0), dtype=complex)
+    # the integrals of each run, from the second pass
+    J = np.zeros((owner.size, nz, n, widths[0] if nz else 0), dtype=complex)
     # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
     # item of a list costs less than indexing an array, and the order loop does
     # it each order; it grows by ORDER_BLOCK orders past the ones a step asks for
     shifted = []
-    # the Taylor terms of a step: all of them for the integrals, else folded
-    # into their sum every ORDER_BLOCK orders
-    rows = MAX_ORDER + 1 if nz else ORDER_BLOCK + 2
-    buf = np.empty(rows * Y.size, dtype=complex)
-    terms, width = [], 0
+    # the Taylor terms of a step, folded into their sum (and their integrals)
+    # every ORDER_BLOCK orders
+    rows = ORDER_BLOCK + 2
     steps = nfev = piece_steps = 0
-    for k in range(int(length.max())):
-        at = np.minimum(start + k, len(H) - 1)
-        h = np.where(k < length, H[at, owner], 0)
-        move = np.flatnonzero(h)
-        size = np.abs(Y).max(0)
-        if not np.isfinite(size).all():
-            raise StepFailure(f"continuation of {P} piece(s) is not finite")
-        # the step runs on the columns of the runs that move
-        step = at[move], owner[move]
-        hm, wm, dist = h[move], run_widths[move], dists[step]
-        cols = np.repeat(h != 0, run_widths)
-        floor = np.repeat(TAYLOR_EPS * np.maximum.reduceat(size, first)[move], wm)
-        # h / (lam0 - u), row k of run r over lam0_r - u_k, on each of its columns
-        scale = np.repeat((hm[:, None] / dist).T, wm, axis=1)
-        ratio = float(np.max(np.abs(hm) / rhos[step]))
-        hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
-        # term m in row m - done of the step's view of the buffer, rows
-        # below done summed into total
-        T = buf[:rows * scale.size].reshape(rows, n, -1)
-        if scale.size != width:
-            # the rows of T as views, made again only when the batch narrows:
-            # 401 of them with samples cost about as much as they save per step
-            terms, width = list(T), scale.size
-        T[0] = Y[:, cols]
-        total, done, lo = 0, 0, 0
-        while True:
-            if hi > len(shifted):
-                orders = np.arange(len(shifted), min(MAX_ORDER, hi + ORDER_BLOCK))[:, None, None]
-                shifted += list((-fs.A_plus_I - orders * np.eye(n)) / (orders + 1))
-            for m in range(lo, hi):
-                if m + 1 - done == rows:
-                    total = total + T[:rows - 2].sum(0)
-                    T[:2] = T[rows - 2:]
-                    done += rows - 2
-                nxt = terms[m + 1 - done]
-                np.matmul(shifted[m], terms[m - done], out=nxt)
-                np.multiply(nxt, scale, out=nxt)
-            if np.all(np.abs(T[hi - 1 - done:hi + 1 - done]).max(1) <= floor):
-                break
-            if not np.isfinite(T[hi - done]).all():
+    for second in range(1 + bool(nz)):
+        run_widths = np.array([r.shape[1] for r in runs])
+        # run r is columns first[r]:first[r] + run_widths[r] of the batch
+        first = np.cumsum(run_widths) - run_widths
+        Y = np.concatenate(runs, axis=1)
+        buf = np.empty(rows * Y.size, dtype=complex)
+        terms, width = [], 0
+        for k in range(int(length.max())):
+            at = np.minimum(start + k, len(H) - 1)
+            h = np.where(k < length, H[at, owner], 0)
+            move = np.flatnonzero(h)
+            size = np.abs(Y).max(0)
+            if not np.isfinite(size).all():
                 raise StepFailure(f"continuation of {P} piece(s) is not finite")
-            if hi == MAX_ORDER:
-                raise StepFailure(f"Taylor step of {move.size} piece(s) did not converge "
-                                  f"in {MAX_ORDER} orders")
-            lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
-        T = T[:hi + 1 - done]
-        if nz:
-            Tp = T.reshape(hi + 1, n, move.size, -1).transpose(0, 2, 1, 3)
-            J[move] += _step_integrals(Tp, X[step], hm, z[move], real[move])
-        Y[:, cols] = total + T.sum(0)
-        steps += 1
-        nfev += hi
-        piece_steps += move.size
-    if not (np.isfinite(Y).all() and np.isfinite(J).all()):
-        raise StepFailure(f"continuation of {P} piece(s) ends not finite")
+            # the step runs on the columns of the runs that move
+            step = at[move], owner[move]
+            hm, wm, dist = h[move], run_widths[move], dists[step]
+            cols = np.repeat(h != 0, run_widths)
+            floor = np.repeat(TAYLOR_EPS * np.maximum.reduceat(size, first)[move], wm)
+            # h / (lam0 - u), row k of run r over lam0_r - u_k, on each of its columns
+            scale = np.repeat((hm[:, None] / dist).T, wm, axis=1)
+            ratio = float(np.max(np.abs(hm) / rhos[step]))
+            hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
+            # term m in row m - done of the step's view of the buffer, rows
+            # below done summed into total
+            T = buf[:rows * scale.size].reshape(rows, n, -1)
+            if scale.size != width:
+                # the rows of T as views, made again only when the batch narrows
+                terms, width = list(T), scale.size
+            T[0] = Y[:, cols]
+            if second:
+                weights = _node_weights(X[step], hm, z[owner[move]], real[owner[move]])
+                by_run = T.reshape(rows, n, move.size, -1)
+            total, integral, done, lo = 0, 0, 0, 0
+            while True:
+                if hi > len(shifted):
+                    orders = np.arange(len(shifted), min(MAX_ORDER, hi + ORDER_BLOCK))[:, None, None]
+                    shifted += list((-fs.A_plus_I - orders * np.eye(n)) / (orders + 1))
+                for m in range(lo, hi):
+                    if m + 1 - done == rows:
+                        total = total + T[:rows - 2].sum(0)
+                        if second:
+                            integral = integral + _fold(by_run[:rows - 2], weights, done)
+                        T[:2] = T[rows - 2:]
+                        done += rows - 2
+                    nxt = terms[m + 1 - done]
+                    np.matmul(shifted[m], terms[m - done], out=nxt)
+                    np.multiply(nxt, scale, out=nxt)
+                if np.all(np.abs(T[hi - 1 - done:hi + 1 - done]).max(1) <= floor):
+                    break
+                if not np.isfinite(T[hi - done]).all():
+                    raise StepFailure(f"continuation of {P} piece(s) is not finite")
+                if hi == MAX_ORDER:
+                    raise StepFailure(f"Taylor step of {move.size} piece(s) did not converge "
+                                      f"in {MAX_ORDER} orders")
+                lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
+            T = T[:hi + 1 - done]
+            if second:
+                J[move] += integral + _fold(by_run[:hi + 1 - done], weights, done)
+            Y[:, cols] = total + T.sum(0)
+            steps += 1
+            nfev += hi
+            piece_steps += move.size
+        if not (np.isfinite(Y).all() and np.isfinite(J).all()):
+            raise StepFailure(f"continuation of {P} piece(s) ends not finite")
+        if not second:
+            # Phi_K ... Phi_2 Y_1, each later run's end applied to the one
+            # before, which is where that run starts
+            ends = []
+            for r, (f, w, s) in enumerate(zip(first, run_widths, start)):
+                if s:
+                    runs[r] = ends.pop()
+                ends.append(Y[:, f:f + w] @ runs[r] if s else Y[:, f:f + w])
     tally(steps, nfev, piece_steps)
-    ends = []
-    for f, w, s in zip(first, run_widths, start):
-        # Phi_K ... Phi_2 Y_1, each later run's end applied to the one before
-        y = Y[:, f:f + w]
-        ends.append(y if s == 0 else y @ ends.pop())
     ends = [y.reshape(b.shape) for y, b in zip(ends, blocks)]
+    J = np.add.reduceat(J, np.flatnonzero(start == 0))
     return [(y, j[:p.z.size].reshape((p.z.size,) + b.shape)) if p.z.size else y
             for p, y, j, b in zip(pieces, ends, J, blocks)]
 
@@ -313,31 +306,34 @@ def _plan(pieces, offset, reach_z):
             np.array(rhos).reshape(-1, P), (H != 0).sum(0))
 
 
-def _step_integrals(T, x, h, z, real):
-    """Laplace integrals over one Taylor step of every piece, by the rule ``_QUADRATURE``.
+def _node_weights(x, h, z, real):
+    """h w_j e^{z (x + h s_j)} at the nodes s_j of ``_QUADRATURE``, as real pairs (nodes, 2 P nz).
 
-    ``T`` holds the terms T_m of each piece's step polynomial
-    Y_p(x_p + s h_p) = sum_m T_m s^m, shape (orders, P, n, w), from x_p by
-    h_p; ``z`` the samples (P, nz), and ``real`` False on padding.
-    Returns e^{z x} h sum_j w_j e^{z h s_j} Y_p(s_j), shape (P, nz, n, w).
-
-    The rule runs by moments, so no polynomial is evaluated at the nodes:
-    mu_m = h sum_j w_j e^{z (x + h s_j)} s_j^m is one real product with the
-    power table, and the integral is sum_m mu_m T_m, one product per piece.
-    Node s_j = left_q + t_j of panel q splits its exponential as
-    e^{z (x + h left_q)} e^{z h t_j}: PANELS + NODES of them per sample.
+    Piece p steps from x_p by h_p; ``z`` holds its samples (P, nz), ``real``
+    False on padding.  Node s_j = left_q + t_j of panel q splits its
+    exponential as e^{z (x + h left_q)} e^{z h t_j}: PANELS + NODES of them.
     """
-    left, local, weights, powers = _QUADRATURE
-    M, P = T.shape[:2]
+    left, local, weights, _ = _QUADRATURE
     zh = z * h[:, None]
-    # h w_j e^{z (x + h s_j)} at every node, nodes first: (PANELS, NODES, P, nz)
     panel = (real * h[:, None]) * np.exp(z * x[:, None] + zh * left[:, None, None])
     w = panel[:, None] * (weights[:, None, None] * np.exp(zh * local[:, None, None]))
-    # moments as real pairs: (M, nodes) times (nodes, 2 P nz)
-    mu = (powers[:M] @ w.reshape(left.size * local.size, -1).view(float)).view(complex)
+    return w.reshape(left.size * local.size, -1).view(float)
+
+
+def _fold(T, weights, m0):
+    """Integrals of the terms T_m, m >= m0, of Y_p(x_p + s h_p) = sum_m T_m s^m, (P, nz, n, w).
+
+    ``T`` has shape (orders, n, P, w), ``weights`` is the step's
+    :func:`_node_weights`.  The rule runs by moments, so no polynomial is
+    evaluated at the nodes: mu_m = h sum_j w_j e^{z (x + h s_j)} s_j^m is one
+    real product with the power table, and the integral sum_m mu_m T_m one
+    product per piece.
+    """
+    M, n, P, w = T.shape
+    mu = (_QUADRATURE[3][m0:m0 + M] @ weights).view(complex)
     mu = np.ascontiguousarray(mu.reshape(M, P, -1).transpose(1, 2, 0))
-    terms = np.ascontiguousarray(T.transpose(1, 0, 2, 3)).reshape(P, M, -1)
-    return (mu @ terms).reshape((P, z.shape[1]) + T.shape[2:])
+    terms = np.ascontiguousarray(T.transpose(2, 0, 1, 3)).reshape(P, M, -1)
+    return (mu @ terms).reshape(P, -1, n, w)
 
 
 def _composite_gauss(panels, nodes):
@@ -538,7 +534,7 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     sols = selected_solutions(fs, N)
     for j in range(n):
         degenerate_row = (
-            classes[j] == "negative_integer" and singular_solution(fs, j, N).zero
+            classes[j] == "negative_integer" and singular_solution(fs, j, N, sols[j]).zero
         )
         for k in range(n):
             if j == k:

@@ -461,7 +461,7 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     return [p for p, o in zip(np.moveaxis(phi, -1, 0).copy(), obstruction) if o <= 1e-9]
 
 
-def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
+def singular_solution(fs: FuchsianSystem, k: int, N: int = 40, sel=None) -> LocalSolution:
     """Singular companion solution at u_k with uniquely fixed singular part.
 
     * noninteger: alias of :func:`selected_solution`;
@@ -469,9 +469,12 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
     * negative_integer: Psi_k ln(x) + phi with phi a pinned regular
       completion; the ``zero`` flag marks the exceptional case (possible
       for lambda'_k <= -2) where no singular solution exists.
+
+    ``sel``, if given, is Psi_k's series to N orders, as already built.
     """
     klass = fs.integer_class(k)
-    sel = selected_solution(fs, k, N)
+    if sel is None:
+        sel = selected_solution(fs, k, N)
     if klass != "negative_integer":
         return sel
 

@@ -25,9 +25,9 @@ Taylor step, integrated by the carry's rule.
 Columns are computed in batches (:func:`laplace_columns`): the contour
 direction runs once per label and ray, validation and the series start
 per column, and the legs of every column in the batch go through one
-:func:`.continuation.carry`, where a leg leaves the batch once its path
-is done.  The oracle's batch is the 4n columns of both matchings of a
-Stokes pair, one leg each.
+:func:`.continuation.carry`, cut into runs of CUT_STEPS steps that are
+carried once for their starts and once for their integrals.  The
+oracle's batch is the 4n legs of both matchings of a Stokes pair.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -60,7 +60,7 @@ from .frobenius import (
     cgamma,
     horner,
 )
-from .continuation import Piece, Z_SPAN, _step_integrals, carry
+from .continuation import Piece, Z_SPAN, _fold, _node_weights, carry
 
 logger = logging.getLogger(__name__)
 
@@ -381,8 +381,8 @@ def _plan(fs, spec, d, sol, tol):
     # T_m = c_m (t0 e^{id})^m, integrated by the carry's own rule
     t0, tail = _start(series, Z_SPAN / z_max, tol)
     T = coeffs * (t0 * e_d) ** np.arange(len(coeffs))[:, None]
-    near = _step_integrals(T[:, None, :, None], np.zeros(1), np.array([t0 * e_d]),
-                           z_values[None], np.ones((1, z_values.size), dtype=bool))[0, ..., 0]
+    weights = _node_weights(np.zeros(1), np.array([t0 * e_d]), z_values[None], True)
+    near = _fold(T[:, :, None, None], weights, 0)[0, ..., 0]
     return _Plan([leg(t0, T.sum(0))], (1.0,), residue + near, float(np.max(np.abs(near))),
                  tail, d)
 

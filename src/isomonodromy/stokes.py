@@ -172,9 +172,9 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
     Both matchings share one Fuchsian system and one set of local series,
-    and their 4n Laplace columns go through one carry
-    (:func:`laplace_columns`); each matching is then fitted on its own
-    (:func:`_fit`).
+    and their 4n Laplace columns go through one carry of at most
+    2 CUT_STEPS lockstep steps (:func:`laplace_columns`); each matching is
+    then fitted on its own (:func:`_fit`).
     """
     fs = build_fuchsian(system)
     sols = selected_solutions(fs, N)

@@ -407,6 +407,28 @@ def test_connection_branch_consistency(system_2x2):
         assert np.max(np.abs(c2 - c_ref)) < 1e-7
 
 
+def test_negative_integer_rows_make_one_series_build(monkeypatch):
+    """Poles 0 and 2 of negative-integer class: the singular solutions that decide their
+    degenerate rows start from the stacked selected series, so the coefficients make one
+    selected-series build, of all three poles; each row used to build its pole again."""
+    from isomonodromy import frobenius
+
+    A = np.array([[-2.0, 0.4, 0.3], [0.5, 0.37, 0.2], [0.1, 0.6, -3.0]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.5 + 1.5j]))
+    assert [fs.integer_class(k) for k in range(3)] == ["negative_integer", "noninteger",
+                                                       "negative_integer"]
+    built, selected = [], frobenius._selected
+
+    def counted(fs, poles, N):
+        built.append(list(poles))
+        return selected(fs, poles, N)
+
+    monkeypatch.setattr(frobenius, "_selected", counted)
+    conn = connection_coefficients(fs, CutPlane(eta=0.3), tol=1e-12)
+    assert built == [[0, 1, 2]]
+    assert (conn.provenance == "monodromy-projection").sum() == 6
+
+
 def test_connection_invariant_under_regular_completion():
     """c_jk does not depend on the completion chosen for Psi_j^{sing}.
 
@@ -677,6 +699,32 @@ def test_a_loop_at_large_A_is_carried_in_runs(k, monkeypatch):
     _assert_matches_dense(fs, pieces)
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_sampled_legs_are_carried_in_runs(n, monkeypatch):
+    """A Laplace leg at every pole, each of more than 3 CUT_STEPS planned steps, cut into runs.
+
+    The first pass carries the runs and the second every run again from its
+    start with its integrals, so the batch takes 2 CUT_STEPS lockstep steps
+    and each run its planned steps twice, as the uncut carry does.  Every
+    end and every integral matches the uncut carry's within 1e-13 of its size.
+    """
+    fs, cut = _sweep_fs(n)
+    pieces = [_leg(fs, cut, k, 12.0, [6.0, 14.0, 28.0]) for k in range(n)]
+    for piece in pieces:
+        with ode.counting() as alone:
+            continuation.carry(fs, [piece])
+        assert alone.piece_steps > 2 * 3 * continuation.CUT_STEPS
+    with ode.counting() as work:
+        ends = continuation.carry(fs, pieces)
+    whole, uncut = _uncut(fs, pieces, monkeypatch)
+    assert work.steps == 2 * continuation.CUT_STEPS < uncut.steps
+    assert work.piece_steps == uncut.piece_steps
+    for (end, J), (end_whole, J_whole) in zip(ends, whole):
+        assert np.max(np.abs(end - end_whole)) <= 1e-13 * np.max(np.abs(end_whole))
+        for j, j_whole in zip(J, J_whole):
+            assert np.max(np.abs(j - j_whole)) <= 1e-13 * np.max(np.abs(j_whole))
+
+
 @pytest.mark.parametrize("leg_first", [True, False])
 def test_a_sampled_batch_of_two_widths_is_refused(leg_first):
     """A batch with samples holds blocks of one width: a sampled leg of width 1 beside a
@@ -757,14 +805,19 @@ def test_sampled_mixed_batch():
 
 
 def test_sampled_leg_where_the_z_cap_binds():
-    """|z| = 160 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less."""
+    """|z| = 160 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less.
+
+    The planned steps are read from piece_steps, which counts them twice
+    with samples, once per pass; the lockstep steps are those of the runs.
+    """
     fs, cut = _sweep_fs()
     piece = _leg(fs, cut, 1, 3.0, [160.0], phase=1.52)
     with ode.counting() as capped:
         continuation.carry(fs, [piece])
     with ode.counting() as free:
         continuation.carry(fs, [piece._replace(z=piece.z[:0])])
-    assert capped.steps >= math.ceil(3.0 * 160.0 / continuation.Z_SPAN) > free.steps
+    planned = capped.piece_steps // 2
+    assert planned >= math.ceil(3.0 * 160.0 / continuation.Z_SPAN) > free.piece_steps
     _assert_matches_dense(fs, [piece])
 
 
@@ -851,7 +904,8 @@ def test_step_integrals_match_mpmath(zh):
     h = polar(rng.uniform(0.05, 0.5, P), P)
     x = polar(rng.uniform(0.1, 1.0, P), P)
     z = polar(zh / np.abs(h)[:, None], (P, nz))
-    got = continuation._step_integrals(T, x, h, z, np.ones((P, nz), dtype=bool))
+    weights = continuation._node_weights(x, h, z, np.ones((P, nz), dtype=bool))
+    got = continuation._fold(T.transpose(0, 2, 1, 3), weights, 0)
     s_grid = np.linspace(0.0, 1.0, 1001)
     with mpmath.workdps(30):
         for p in range(P):

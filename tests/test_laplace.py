@@ -514,6 +514,25 @@ def test_quadrature_divergence_outside_halfplane(system_2x2, diag_geo):
         _column(fs, 0, 0, diag_geo, _ray([50.0], theta), theta)
 
 
+@pytest.mark.parametrize("re, diverges", [(-5e-12, True), (-1e-10, False)])
+def test_quadrature_divergence_edge(system_2x2, re, diverges):
+    """|z| = 10 along d = 0: Re(z e^{id}) must be below -1e-12 |z| = -1e-11.
+
+    -5e-12 is inside that margin and raises; -1e-10 is past it and plans a
+    column.  A margin of 1e-12 / |z| = 1e-13 would let -5e-12 through.
+    """
+    fs = build_fuchsian(system_2x2)
+    z = complex(re, math.sqrt(100.0 - re * re))
+    assert abs(abs(z) - 10.0) < 1e-15 and (z * cmath.exp(0j)).real == re
+    spec = laplace.ColumnSpec(0, 0, np.array([z]), cmath.phase(z))
+    sol = selected_solution(fs, 0, 40)
+    if diverges:
+        with pytest.raises(QuadratureDivergence):
+            laplace._plan(fs, spec, 0.0, sol, 1e-12)
+    else:
+        assert len(laplace._plan(fs, spec, 0.0, sol, 1e-12).pieces) == 1
+
+
 # ---------------------------------------------------------------------------
 # asymptotic coefficients and fit
 # ---------------------------------------------------------------------------

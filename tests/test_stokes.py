@@ -392,20 +392,23 @@ def test_oracle_pair_makes_one_solve(coalescing_geometry, vanishing_A_uc):
 
 # Taylor steps, order updates and piece-steps of one oracle pair on
 # draw_system(rng(0), n), as measured
-ORACLE_PAIR_WORK = {2: (20, 1122, 120), 3: (25, 1396, 199), 4: (31, 1626, 320),
-                    5: (36, 1862, 442), 6: (34, 1790, 524)}
+ORACLE_PAIR_WORK = {2: (8, 464, 240), 3: (8, 464, 398), 4: (8, 464, 640),
+                    5: (8, 464, 884), 6: (8, 492, 1048)}
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_PAIR_WORK))
 def test_oracle_pair_work_is_pinned(n):
     """One Taylor carry per pair, with exactly the measured steps and piece-steps.
 
-    The counts are deterministic, so this is the oracle's work gate.
-    Carrying each hairpin's circle as a piece of its own, at Z_SPAN = 16,
-    took 21-42 steps and 256-1,065 piece-steps here.  Order updates stay
-    within 25 % of the measured ones.  DOP853 took 235-619 steps and
-    2,836-7,492 right-hand sides on the same pairs, and two carries, one per
-    matching, took 42-82 steps and 2,184-3,658 order updates.
+    The counts are deterministic, so this is the oracle's work gate.  The
+    legs are cut into runs of CUT_STEPS, carried once for their starts and
+    once more for their integrals: 2 CUT_STEPS lockstep steps, and every
+    planned step counted twice in piece_steps.  Order updates stay within
+    25 % of the measured ones.  Uncut, the pair took 20-36 steps and
+    1,122-1,862 order updates here (120-524 piece-steps, once each); with
+    each hairpin's circle a piece of its own, at Z_SPAN = 16, 21-42 steps.
+    DOP853 took 235-619 steps and 2,836-7,492 right-hand sides on the same
+    pairs.
     """
     sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
@@ -418,39 +421,42 @@ def test_oracle_pair_work_is_pinned(n):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_finished_pieces_leave_the_batch(monkeypatch, n):
-    """An oracle pair's piece-steps are the sum of its pieces' steps, each carried alone.
+    """An oracle pair's integrals run once per planned step of each piece, on moving runs only.
 
-    A piece steps in the batch as it would alone, so the batch takes as
-    many steps as its longest piece, and the step integrals run on the
-    moving pieces only: a piece whose path is done costs nothing more.
-    Carrying every piece to the batch's last step would count pieces times
-    steps: 24 x 34 = 816 piece-steps at n = 6, not 524.
+    A run steps in the batch as it would alone, so the pair's piece-steps
+    are the sum of its pieces' carried one by one, and the batch takes as
+    many lockstep steps as its longest piece alone.  The node weights of
+    the rule are taken once per step of the second pass, for the runs that
+    move: half the piece-steps.  A run whose steps are done costs nothing
+    more: at n = 6 the 142 runs integrate 524 run-steps, not 4 x 142 = 568.
     """
     sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     batches, integrated = [], []
-    carry, step_integrals = laplace.carry, continuation._step_integrals
+    carry, node_weights = laplace.carry, continuation._node_weights
 
     def recorded(fs, pieces):
         batches.append((fs, pieces))
         return carry(fs, pieces)
 
-    def counted(T, *args):
-        integrated.append(T.shape[1])
-        return step_integrals(T, *args)
+    def counted(x, *args):
+        integrated.append(x.size)
+        return node_weights(x, *args)
 
     monkeypatch.setattr(laplace, "carry", recorded)
-    monkeypatch.setattr(continuation, "_step_integrals", counted)
+    monkeypatch.setattr(continuation, "_node_weights", counted)
     with ode.counting() as work:
         stokes_pair_direct(sp, DeformationGeometry(sp.u, 1e-3, tau))
-    assert sum(integrated) == work.piece_steps
+    assert 2 * sum(integrated) == work.piece_steps
+    assert len(integrated) == continuation.CUT_STEPS
+    assert sum(integrated) < integrated[0] * len(integrated)
     [(fs, pieces)] = batches
     alone = []
     for piece in pieces:
         with ode.counting() as one:
             continuation.carry(fs, [piece])
-        alone.append(one.steps)
-    assert work.piece_steps == sum(alone) < len(pieces) * work.steps
-    assert work.steps == max(alone)
+        alone.append(one)
+    assert work.piece_steps == sum(one.piece_steps for one in alone)
+    assert work.steps == max(one.steps for one in alone)
 
 
 def _sweep_difference(seed, n=6, scale=0.3):

@@ -143,6 +143,47 @@ class SystemPair:
         return np.diag(self.A)
 
 
+def angular_distance_mod_pi(a, b):
+    """Distance between two directions regarded mod pi."""
+    d = (a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def _ray_classes(u, epsilon0):
+    """The Stokes rays of Lambda(u) and their classes mod pi, in one pass over the pairs.
+
+    Returns ``(rays, skipped, classes)``: the first two as
+    :func:`stokes_ray_directions` returns them, ``classes`` the sorted tuple
+    of (rep, bound).  A rep is its class's first ray mod pi in row-major
+    order; a bound is the largest asin(2 epsilon0 / |u_j - u_k|) over the
+    class, the exact rotation of a cross-group ray over the polydisc of
+    radius epsilon0 (pi once the ratio reaches 1).
+    """
+    u = _as_complex_vector(u)
+    rays, skipped, reps, bounds = {}, [], [], []
+    for j in range(u.size):
+        for k in range(u.size):
+            if j == k:
+                continue
+            d = u[j] - u[k]
+            a = abs(d)
+            if a < COALESCE_TOL:
+                skipped.append((j, k))
+                continue
+            # atan2 is cmath.phase without its OverflowError on a subnormal angle
+            th = rays[(j, k)] = (1.5 * math.pi - math.atan2(d.imag, d.real)) % TWO_PI
+            q = 2.0 * epsilon0 / a
+            rot = math.pi if q >= 1.0 else math.asin(q)
+            for i, r in enumerate(reps):
+                if angular_distance_mod_pi(th, r) < ANGLE_TOL:
+                    bounds[i] = max(bounds[i], rot)
+                    break
+            else:
+                reps.append(th % math.pi)
+                bounds.append(rot)
+    return rays, skipped, tuple(sorted(zip(reps, bounds)))
+
+
 def stokes_ray_directions(u):
     """Directions of the Stokes rays of Lambda(u) in the z-plane.
 
@@ -153,43 +194,7 @@ def stokes_ray_directions(u):
     Returns ``(rays, skipped)`` where ``rays`` maps 0-based pairs (j, k) to
     theta and ``skipped`` lists the coalesced pairs that were omitted.
     """
-    u = _as_complex_vector(u)
-    n = u.size
-    rays = {}
-    skipped = []
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            d = u[j] - u[k]
-            if abs(d) < COALESCE_TOL:
-                skipped.append((j, k))
-                continue
-            # atan2 is cmath.phase without its OverflowError on a subnormal angle
-            rays[(j, k)] = (1.5 * math.pi - math.atan2(d.imag, d.real)) % TWO_PI
-    return rays, skipped
-
-
-def _mod_pi_classes(directions):
-    """Cluster ray directions mod pi; returns sorted class representatives in [0, pi)."""
-    reps = []
-    for th in directions:
-        r = th % math.pi
-        matched = False
-        for i, s in enumerate(reps):
-            d = abs(r - s)
-            if min(d, math.pi - d) < ANGLE_TOL:
-                matched = True
-                break
-        if not matched:
-            reps.append(r)
-    return sorted(reps)
-
-
-def angular_distance_mod_pi(a, b):
-    """Distance between two directions regarded mod pi."""
-    d = (a - b) % math.pi
-    return min(d, math.pi - d)
+    return _ray_classes(u, 0.0)[:2]
 
 
 @dataclass(frozen=True)
@@ -213,18 +218,10 @@ class RayLabels:
         return self.basic[i] + k * math.pi
 
 
-def label_rays(u_c, tau):
-    """Count and label the basic Stokes rays of Lambda(u^c) around tau.
-
-    Returns the :class:`RayLabels`: mu is the number of ray classes mod pi,
-    and the origin nu = 0 is the largest ray direction below tau.
-
-    Raises :class:`NonAdmissibleError` if tau lies on a ray mod pi.
-    """
-    rays, _ = stokes_ray_directions(u_c)
-    if not rays:
+def _labels(reps, tau):
+    """The :class:`RayLabels` of the sorted class reps in [0, pi) around tau."""
+    if not reps:
         raise ValueError("all coordinates of u^c coincide; no Stokes rays exist")
-    reps = _mod_pi_classes(rays.values())
     for r in reps:
         if angular_distance_mod_pi(tau, r) < ANGLE_TOL:
             # suggest the midpoint of the widest gap between ray classes
@@ -238,6 +235,17 @@ def label_rays(u_c, tau):
     # representative of each class in (tau - pi, tau)
     basic = sorted(r + math.pi * math.floor((tau - r) / math.pi) for r in reps)
     return RayLabels(tau=float(tau), mu=len(reps), basic=tuple(basic))
+
+
+def label_rays(u_c, tau):
+    """Count and label the basic Stokes rays of Lambda(u^c) around tau.
+
+    Returns the :class:`RayLabels`: mu is the number of ray classes mod pi,
+    and the origin nu = 0 is the largest ray direction below tau.
+
+    Raises :class:`NonAdmissibleError` if tau lies on a ray mod pi.
+    """
+    return _labels([rep for rep, _ in _ray_classes(u_c, 0.0)[2]], tau)
 
 
 def _group_partition(u_c):
@@ -262,7 +270,10 @@ class DeformationGeometry:
 
     Holds the group partition of u^c, the polydisc radius epsilon0, the
     admissible direction tau at u^c (eta = 3 pi/2 - tau in the lambda-plane)
-    and the labelled Stokes rays of Lambda(u^c).  ``in_group`` is the
+    and the labelled Stokes rays of Lambda(u^c).  ``rotation`` holds the
+    ray classes mod pi of u^c with their rotation bounds over the polydisc
+    (:func:`_ray_classes`, built once per geometry), which ``labels``,
+    :func:`sector_bounds` and :meth:`validate` read.  ``in_group`` is the
     (n, n) mask of the pairs j != k that coalesce at u^c, and ``ordering``
     the dominance :class:`Ordering` at u^c that the Stokes formula reads.
     """
@@ -273,23 +284,32 @@ class DeformationGeometry:
     groups: tuple = field(default=None)
     group_values: tuple = field(default=None)
     labels: RayLabels = field(default=None)
+    rotation: tuple = field(default=None)
     in_group: np.ndarray = field(default=None)
     ordering: Ordering = field(default=None)
 
     def __init__(self, u_c, epsilon0, tau):
-        u_c = _as_complex_vector(u_c)
+        u_c, epsilon0, tau = _as_complex_vector(u_c), float(epsilon0), float(tau)
+        if not np.isfinite(u_c).all():
+            raise ValueError("u_c must be finite")
+        if not 0.0 < epsilon0 < math.inf:
+            raise ValueError(f"epsilon0 must be finite and positive; got {epsilon0}")
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite; got {tau}")
         groups, values = _group_partition(u_c)
         if len(groups) < 2:
             raise ValueError("u^c must have at least two distinct coordinates")
-        labels = label_rays(u_c, tau)
+        _, _, rotation = _ray_classes(u_c, epsilon0)
+        labels = _labels([rep for rep, _ in rotation], tau)
         member = np.array([[i in g for i in range(u_c.size)] for g in groups])
         in_group = (member.T @ member) & ~np.eye(u_c.size, dtype=bool)
         object.__setattr__(self, "u_c", u_c)
-        object.__setattr__(self, "epsilon0", float(epsilon0))
-        object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "epsilon0", epsilon0)
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "group_values", tuple(values))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "in_group", in_group)
         object.__setattr__(self, "ordering", Ordering(u_c, tau))
         dmax = self.max_epsilon0()
@@ -326,43 +346,12 @@ class DeformationGeometry:
                 best = min(best, abs(d + rho * e) / 2.0)
         return best
 
-    def ray_rotation_bound(self, j, k):
-        """Max rotation of the (j,k) Stokes-ray direction over the polydisc.
-
-        Exact bound asin(2 eps0 / |u_j^c - u_k^c|) for a cross-group pair:
-        u_j - u_k ranges over the disc of radius 2 eps0 centred at the
-        separation of the group values.
-        """
-        d = abs(self.u_c[j] - self.u_c[k])
-        if d < COALESCE_TOL:
-            raise ValueError(f"pair ({j},{k}) coalesces at u^c; its ray has no u^c direction")
-        r = 2.0 * self.epsilon0 / d
-        if r >= 1.0:
-            return math.pi  # degenerate; epsilon0 validation will reject this
-        return math.asin(r)
-
-    def class_rotation_bounds(self):
-        """Rotation bound per ray class mod pi: list of (class rep, bound)."""
-        rays, _ = stokes_ray_directions(self.u_c)
-        reps = _mod_pi_classes(rays.values())
-        bounds = [0.0] * len(reps)
-        for (j, k), th in rays.items():
-            rot = self.ray_rotation_bound(j, k)
-            for i, r in enumerate(reps):
-                if angular_distance_mod_pi(th, r) < ANGLE_TOL:
-                    bounds[i] = max(bounds[i], rot)
-                    break
-        return list(zip(reps, bounds))
-
     def validate(self):
         """Check that no cross-group ray can attain direction tau mod pi.
 
         Returns the minimal angular margin (positive means valid).
         """
-        margin = math.inf
-        for rep, bound in self.class_rotation_bounds():
-            margin = min(margin, angular_distance_mod_pi(self.tau, rep) - bound)
-        return margin
+        return min(angular_distance_mod_pi(self.tau, rep) - bound for rep, bound in self.rotation)
 
 
 @dataclass(frozen=True)
@@ -409,10 +398,9 @@ def sector_bounds(label, geometry, shrink=False):
         )
     h = label // mu
     tau = geometry.tau
-    cls = geometry.class_rotation_bounds()
     # rays live in windows (tau+(m-1)pi, tau+m pi) and never leave them
     lo, hi = lo0, hi0
-    for rep, bound in cls:
+    for rep, bound in geometry.rotation:
         for m in (h - 1, h + 1):
             p = rep + math.pi * math.floor((tau + m * math.pi - rep) / math.pi)
             if tau + (m - 1) * math.pi < p < tau + m * math.pi:

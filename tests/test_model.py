@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isomonodromy import model
 from isomonodromy.model import (
     ANGLE_TOL,
     CutPlane,
@@ -20,6 +21,7 @@ from isomonodromy.model import (
     sector_bounds,
     stokes_ray_directions,
 )
+from isomonodromy.stokes import stokes_pair_direct, stokes_pipeline
 
 PI = math.pi
 
@@ -122,6 +124,66 @@ def test_label_rays_rejects_ray_direction():
     label_rays([0.0, 1.0], exc.value.suggestion)
 
 
+def test_suggested_tau_bisects_the_widest_gap():
+    """u = (0, 1, i) has classes 0, pi/2 and 3 pi/4 mod pi: gaps pi/2, pi/4, pi/4.
+
+    The suggestion must lie half the widest gap, pi/4, from its nearest
+    class; reps[i] - gaps[i]/2 would put it on the class at 3 pi/4.
+    """
+    u = [0.0, 1.0, 1.0j]
+    with pytest.raises(NonAdmissibleError) as exc:
+        label_rays(u, 0.0)
+    s = exc.value.suggestion
+    assert min(angular_distance_mod_pi(s, r) for r in (0.0, PI / 2, 3 * PI / 4)) == \
+        pytest.approx(PI / 4, abs=1e-12)
+    assert label_rays(u, s).mu == 3
+
+
+@pytest.mark.parametrize("u", [[1.5j, 1.8797085536676895e-15 - 2j],
+                               [1.8797085536676895e-15 - 2j, 1.5j]])
+def test_classes_merge_across_the_mod_pi_wrap(u):
+    """Collinear vertical poles: the two rays read 0.0 and a few ulp below pi, one class mod pi.
+
+    Both orders of the poles: the class rep is whichever ray comes first, so
+    each side of the wrap is matched against the other.
+    """
+    lo, hi = sorted(stokes_ray_directions(u)[0].values())
+    assert lo == 0.0 and 0.0 < PI - hi < 1e-15
+    assert label_rays(u, 0.7).mu == 1
+    geo = DeformationGeometry(u, 0.1, 0.7)
+    assert len(geo.rotation) == 1 and geo.mu == 1
+
+
+@pytest.mark.parametrize("u_c, epsilon0, tau, name", [
+    ([0.0, 1.0], math.nan, PI / 4, "epsilon0"),
+    ([0.0, 1.0], math.inf, PI / 4, "epsilon0"),
+    ([0.0, 1.0], -0.05, PI / 4, "epsilon0"),
+    ([0.0, 1.0], 0.0, PI / 4, "epsilon0"),
+    ([0.0, 1.0], 0.08, math.inf, "tau"),
+    ([0.0, 1.0], 0.08, math.nan, "tau"),
+    ([0.0, complex(math.nan, 0.0)], 0.08, PI / 4, "u_c"),
+    ([0.0, complex(0.0, math.inf)], 0.08, PI / 4, "u_c"),
+])
+def test_geometry_rejects_out_of_range_values(u_c, epsilon0, tau, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        DeformationGeometry(u_c, epsilon0, tau)
+
+
+def test_ray_geometry_is_built_once_per_geometry(monkeypatch, system_2x2):
+    """One pass over the pairs per geometry; the Stokes routes, sectors and validate() reuse it."""
+    calls = []
+    build = model._ray_classes
+    monkeypatch.setattr(model, "_ray_classes", lambda *args: calls.append(args) or build(*args))
+    geo = DeformationGeometry(system_2x2.u, 1e-3, PI / 4)
+    assert len(calls) == 1
+    stokes_pair_direct(system_2x2, geo)
+    stokes_pipeline(system_2x2, geo)
+    for h in (-1, 0, 1, 2):
+        sector_bounds(h * geo.mu, geo, shrink=True)
+    geo.validate()
+    assert len(calls) == 1
+
+
 def test_sector_bounds_at_uc(geometry_2x2):
     lo, hi = sector_bounds(0, geometry_2x2)
     assert lo == pytest.approx(-3 * PI / 2)
@@ -139,7 +201,7 @@ def test_sector_shrinkage_conservative(geometry_2x2):
     lo_s, hi_s = sector_bounds(0, geo, shrink=True)
     assert lo <= lo_s < hi_s <= hi
     assert hi_s - lo_s > PI  # opening stays > pi
-    bound = geo.ray_rotation_bound(0, 1)
+    (_, bound), = geo.rotation
     assert bound <= 2 * math.asin(2 * geo.epsilon0 / abs(geo.u_c[0] - geo.u_c[1]))
     base = (1.5 * PI - cmath.phase(geo.u_c[0] - geo.u_c[1])) % (2 * PI)
     worst = 0.0

@@ -9,12 +9,20 @@ dual Fuchsian system:
   of the analytic selected series (the log part reduces to a half-line);
 * lambda'_k negative int: half-line integral of the analytic Psi_k.
 
-Every column is a local-series start near u_k plus one leg u_k + t e^{id},
-t from the start out to t_max, for all samples z_1 ... z_m of a ray at
-once.  The start lies where the series tail is below ``tol``
-(:func:`_start`).  The leg is a :class:`.continuation.Piece` with the
-samples, and the Taylor carry :func:`.continuation.carry` returns
-J_i = int e^{z_i x} Psi_k dx, x = t e^{id}, summed over the Taylor
+Every column is a local-series start near u_k plus one leg from it, for
+all samples z_1 ... z_m of a ray arg z = theta at once.  The start lies
+where the series tail is below ``tol`` (:func:`_start`).  The leg leaves
+u_k in the direction d of the label's eta-window, and may bend at
+R e^{id} onto the steepest-descent ray arg x = pi - theta (:func:`_leg`),
+R above the pole hull max_j |u_j - u_k|: the wedge between the bent and
+the straight leg then lies outside the disc of radius R about u_k, since
+the angle phi between d and pi - theta has cos phi > 0, so it holds no
+pole and the integral does not change.  A leg stays straight unless the
+bend saves more than one far step, as near steepest descent.  The leg
+is a :class:`.continuation.Piece` (a polyline when bent) with the
+samples, and the Taylor carry
+:func:`.continuation.carry` returns
+J_i = int e^{z_i x} Psi_k dx along it, summed over the Taylor
 polynomial of every step: the same rank-one transport the formula route
 uses, with no dense output.  A hairpin's small circle lies inside the
 convergence disc of the series, so its integral is the series integrated
@@ -23,8 +31,9 @@ u_k (the integer classes) the series out to the start is itself one
 Taylor step, integrated by the carry's rule.
 
 Columns are computed in batches (:func:`laplace_columns`): the contour
-direction runs once per label and ray, validation and the series start
-per column, and the legs of every column in the batch go through one
+direction runs once per label and ray, validation, the series starts and
+the hairpin circles in one pass over the batch (:func:`_plan`), and the
+legs of every column in the batch go through one
 :func:`.continuation.carry`, cut into runs of CUT_STEPS steps that are
 carried once for their starts and once for their integrals.  The
 oracle's batch is the 4n legs of both matchings of a Stokes pair.
@@ -55,11 +64,7 @@ from .model import (
     check_vanishing,
     nearest_integer,
 )
-from .frobenius import (
-    FuchsianSystem,
-    cgamma,
-    horner,
-)
+from .frobenius import FuchsianSystem, cgamma
 from .continuation import Piece, Z_SPAN, _fold, _node_weights, carry
 
 logger = logging.getLogger(__name__)
@@ -67,6 +72,8 @@ logger = logging.getLogger(__name__)
 # stated relative error of every carried J, added to a column's error
 # estimate (the Taylor carry itself runs to continuation.TAYLOR_EPS)
 CARRY_TOL = 1e-12
+# a leg ends where e^{z x} |x|^g, g the power growth of Psi_k, is e^-TAIL
+TAIL = 42.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +203,10 @@ def _direction_for(labels, h, theta, u):
 
 
 def _t_max(rate, power_growth):
-    """Leg length R at which e^{-rate R} R^power_growth is about e^-42."""
-    R = 42.0 / rate
+    """Leg length R at which e^{-rate R} R^power_growth is about e^-TAIL."""
+    R = TAIL / rate
     for _ in range(3):
-        R = (42.0 + power_growth * math.log(max(R, 1.0))) / rate
+        R = (TAIL + power_growth * math.log(max(R, 1.0))) / rate
     return R
 
 
@@ -210,7 +217,8 @@ def _start(coeffs, cap, tol):
     terms |c_N| t^N and |c_{N-1}| t^{N-1} of the series is at most
     tol / 2 times its size max|c_0| (the largest |c_l| if c_0 = 0);
     ``tail`` is their sum there over that size, the truncation error of
-    the start value relative to Psi_k.
+    the start value relative to Psi_k.  ``cap`` may be an array, one cap
+    per column of the pole; t and ``tail`` are then arrays too.
     """
     size = np.abs(coeffs).max(1)
     scale = size[0] or size.max()
@@ -218,7 +226,7 @@ def _start(coeffs, cap, tol):
     t = cap
     for m in (N - 1, N):
         if m and size[m]:
-            t = min(t, (0.5 * tol * scale / size[m]) ** (1.0 / m))
+            t = np.minimum(t, (0.5 * tol * scale / size[m]) ** (1.0 / m))
     return t, (size[N - 1] * t ** (N - 1) + size[N] * t ** N) / scale
 
 
@@ -261,15 +269,15 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
 
     ``sols[k]`` is the selected-solution series of pole k.  The contour
     direction d depends on the label and the ray only, so
-    :func:`_direction_for` runs once per (h, arg); validation and the
-    series start run per column (:func:`_plan`).  The pieces of every
-    column go through one :func:`.continuation.carry`, and each column is
-    its plan's ``base`` plus its ``weights`` times the integrals J its
-    pieces return.
+    :func:`_direction_for` runs once per (h, arg); every column is then
+    validated and its contour started in one pass over the batch
+    (:func:`_plan`).  The pieces of every column go through one
+    :func:`.continuation.carry`, and each column is its plan's ``base``
+    plus its ``weights`` times the integrals J its pieces return.
     """
     rays = {(h, arg): _direction_for(geometry.labels, h, arg, fs.u)
             for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
-    plans = [_plan(fs, spec, rays[spec.h, float(spec.arg)], sols[spec.k], tol) for spec in specs]
+    plans = _plan(fs, specs, [rays[spec.h, float(spec.arg)] for spec in specs], sols, tol)
     ends = iter(carry(fs, [p for plan in plans for p in plan.pieces]))
     columns = []
     for spec, plan in zip(specs, plans):
@@ -284,35 +292,46 @@ def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
 
 
 def _circle(b, lp, r, d, z):
-    """int e^{z x} psi(x) x^(-lp-1) dx once round |x| = r, from arg d - 2 pi to arg d.
+    """int e^{z x} psi(x) x^(-lp-1) dx once round |x| = r, from arg d - 2 pi to arg d, per column.
 
-    psi(x) = sum_l b_l x^l.  Term by term, with e^{z x} = sum_j (z x)^j / j!,
-    the power x^(s-1), s = l + j - lp, integrates to x0^s (1 - e^{-2 pi i s}) / s,
+    A stack of P columns: psi(x) = sum_l b[p, l] x^l, b of shape
+    (P, N + 1, n), with the column's own lp, r, d (P,) and samples z
+    (P, nz).  Term by term, with e^{z x} = sum_j (z x)^j / j!, the power
+    x^(s-1), s = l + j - lp, integrates to x0^s (1 - e^{-2 pi i s}) / s,
     x0 = r e^{id}: that is m^s 2i sin(pi s) / s, m = r e^{i(d - pi)} the
     midpoint of the circle.  sin(pi s) is (-1)^(l+j-K) sin(pi (K - lp)) for
     the integer K nearest to lp, so it keeps its relative accuracy near an
     integer lp and its phase at high orders.  The integrals at all samples
     are one (nz, N + 1) matrix, sum_j (z m)^j / j! times the factor of order
     l + j, applied to the coefficients b_l m^l; the series of e^{z x} runs
-    until its terms fall below 1e-17.  Returns shape (nz, n).
+    until its terms fall below 1e-17, to its own order J_p in each column
+    (the terms past it are 0), and the columns are one stacked product.
+    Returns shape (P, nz, n).
     """
-    w = float(np.max(np.abs(z))) * r
-    J, term = 0, 1.0
-    while term > 1e-17 or J < w:
-        J += 1
-        term *= w / J
-    N = len(b) - 1
-    nearest = round(lp.real)
-    q = np.arange(N + J + 1)
-    factor = 2j * cmath.sin(math.pi * (nearest - lp)) * (-1.0) ** (q - nearest) / (q - lp)
-    mid = -r * cmath.exp(1j * d)
-    # (z m)^j / j!, j = 0..J
-    powers = np.ones((z.size, J + 1), dtype=complex)
-    powers[:, 1:] = np.outer(z * mid, 1 / q[1:J + 1])
-    powers = np.cumprod(powers, axis=1)
-    hankel = np.lib.stride_tricks.sliding_window_view(factor, N + 1)
-    scaled = b * (mid ** np.arange(N + 1))[:, None]
-    return cmath.exp(-lp * (math.log(r) + 1j * (d - math.pi))) * (powers @ hankel @ scaled)
+    N1 = b.shape[1]
+    J = []
+    for w in (np.abs(z).max(1) * r).tolist():
+        j, term = 0, 1.0
+        while term > 1e-17 or j < w:
+            j += 1
+            term *= w / j
+        J.append(j)
+    top = max(J)
+    nearest = np.round(lp.real)
+    q = np.arange(N1 + top)
+    sign = 1.0 - 2.0 * ((q - nearest[:, None]) % 2)  # (-1)^(q - K)
+    sine = np.array([2j * cmath.sin(math.pi * (K - l)) for K, l in zip(nearest, lp)])
+    factor = sine[:, None] * sign / (q - lp[:, None])
+    mid = -r * np.array([cmath.exp(1j * x) for x in d])
+    # (z m)^j / j!, j = 0..J_p
+    powers = np.ones(z.shape + (top + 1,), dtype=complex)
+    powers[..., 1:] = (z * mid[:, None])[..., None] * (1 / q[1:top + 1])
+    powers = np.where(q[:top + 1] <= np.array(J)[:, None, None], np.cumprod(powers, axis=-1), 0)
+    hankel = np.lib.stride_tricks.sliding_window_view(factor, N1, axis=-1)
+    scaled = b * (mid[:, None] ** np.arange(N1))[..., None]
+    prefactor = np.array([cmath.exp(-l * (math.log(x) + 1j * (a - math.pi)))
+                          for l, x, a in zip(lp, r, d)])
+    return prefactor[:, None, None] * (powers @ hankel @ scaled)
 
 
 class _Plan(NamedTuple):
@@ -332,59 +351,155 @@ class _Plan(NamedTuple):
     eta: float
 
 
-def _plan(fs, spec, d, sol, tol):
-    """Validate one column and start its contour of direction ``d`` from the local series ``sol``."""
-    z_values = np.asarray(spec.z, dtype=complex)
-    k = spec.k
-    if np.max(np.abs(np.exp(1j * np.angle(z_values)) - cmath.exp(1j * spec.arg))) > 1e-9:
+def _plan(fs, specs, directions, sols, tol):
+    """Validate every column of a batch and start its contour, in one pass over the batch.
+
+    Column p runs in direction ``directions[p]`` from the local series
+    ``sols[k]`` of its pole k.  The ray check, sigma = z e^{id} and its
+    half-plane check, and the leg's rates are taken as arrays over the
+    batch (the samples padded to one length), the hairpins' starts and
+    circles in one stacked pass (:func:`_hairpins`); the integer classes
+    take their series step per column (:func:`_series_step`), and every
+    leg is built by :func:`_leg`.
+    """
+    sizes = np.array([np.size(spec.z) for spec in specs])
+    z = np.zeros((len(specs), sizes.max()), dtype=complex)
+    for p, spec in enumerate(specs):
+        z[p, :sizes[p]] = spec.z
+    real = np.arange(z.shape[1]) < sizes[:, None]
+    arg = [float(spec.arg) for spec in specs]
+    off_ray = np.abs(np.exp(1j * np.angle(z)) - np.exp(1j * np.array(arg))[:, None])
+    if np.max(off_ray, where=real, initial=0.0) > 1e-9:
         raise ValueError("all z samples must lie on the ray of the given argument")
-    lp = fs.lambda_prime[k]
-    klass = fs.integer_class(k)
-    e_d = cmath.exp(1j * d)
-    sigma = z_values * e_d
-    if np.max(sigma.real) >= -1e-12 * np.max(np.abs(z_values)):
+    sigma = z * np.array([cmath.exp(1j * d) for d in directions])[:, None]
+    z_abs = np.abs(z)
+    z_max = z_abs.max(1)
+    worst = np.max(sigma.real, axis=1, where=real, initial=-np.inf)
+    bad = np.flatnonzero(worst >= -1e-12 * z_max)
+    if bad.size:
+        p = bad[0]
         raise QuadratureDivergence(
-            f"Re(z e^(i d)) = {np.max(sigma.real):.3e} not negative: z outside "
-            f"the convergence half-plane of direction {d:.4f}"
+            f"Re(z e^(i d)) = {worst[p]:.3e} not negative: z outside "
+            f"the convergence half-plane of direction {directions[p]:.4f}"
         )
-    z_max = float(np.max(np.abs(z_values)))
-    t_max = _t_max(float(np.min(-sigma.real)), max(0.0, float((-lp - 1).real)))
+    rate = np.min(-sigma.real, axis=1, where=real, initial=np.inf)
+    near = np.min(z_abs, axis=1, where=real, initial=np.inf)
+    hairpin = [p for p, spec in enumerate(specs) if fs.integer_class(spec.k) == "noninteger"]
+    starts = dict(zip(hairpin, _hairpins([sols[specs[p].k] for p in hairpin],
+                                         np.array(directions, dtype=float)[hairpin], z[hairpin],
+                                         real[hairpin], z_max[hairpin], tol)))
+    growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
+    hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
+    plans = []
+    for p, (spec, d, theta, rate_p, near_p, far) in enumerate(
+            zip(specs, directions, arg, rate.tolist(), near.tolist(), z_max.tolist())):
+        zp = np.asarray(spec.z, dtype=complex)
+        start, value, weight, base, size, tail = (
+            starts[p] if p in starts
+            else _series_step(fs, sols[spec.k], zp, far, cmath.exp(1j * d), tol))
+        pieces = [] if start is None else [
+            _leg(fs.u[spec.k], start, d, theta, value, zp, rate_p, near_p, far,
+                 growth[spec.k], hull[spec.k])]
+        plans.append(_Plan(pieces, (weight,) * len(pieces), base, size, tail, d))
+    return plans
 
-    def leg(start, psi):
-        return Piece(fs.u[k], start * e_d, (max(t_max, 2 * start) - start) * e_d, 0.0, 0.0,
-                     psi, z_values)
 
-    if klass == "noninteger":
-        # hairpin: the circle |x| = r from arg d - 2 pi to arg d, in closed form
-        # from the series, then the leg on the branch of arg d, weighted by the
-        # jump of Psi_k across it
-        cap = max(min(0.5 * sol.radius, 2.0 / z_max), 1e-3 * sol.radius)
-        r, tail = _start(sol.b, cap, tol)
-        circle = _circle(sol.b, sol.lambda_prime_k, r, d, z_values)
-        psi = horner(sol.b, r * e_d) * cmath.exp(sol.rho * (math.log(r) + 1j * d))
+def _hairpins(sols, d, z, real, z_max, tol):
+    """The hairpin columns' starts: ``(start, value, weight, base, size, tail)`` each.
+
+    The circle |x| = r from arg d - 2 pi to arg d is summed in closed form
+    from the series (:func:`_circle`, all columns in one stacked product),
+    then the leg on the branch of arg d, weighted by the jump of Psi_k
+    across it, starts at r with the value Psi_k(r e^{id}).  r is the series
+    start (:func:`_start`) below min(radius / 2, 2 / max|z|), and at least
+    radius / 1000.
+    """
+    if not sols:
+        return []
+    radius = np.array([sol.radius for sol in sols])
+    r = np.maximum(np.minimum(0.5 * radius, 2.0 / z_max), 1e-3 * radius)
+    tail = np.empty(len(sols))
+    poles = np.array([sol.k for sol in sols])
+    for k, sol in {sol.k: sol for sol in sols}.items():
+        at = poles == k
+        r[at], tail[at] = _start(sol.b, r[at], tol)
+    b = np.zeros((len(sols), max(len(sol.b) for sol in sols), sols[0].b.shape[1]), dtype=complex)
+    for i, sol in enumerate(sols):
+        b[i, :len(sol.b)] = sol.b
+    lp = np.array([sol.lambda_prime_k for sol in sols])
+    circle = _circle(b, lp, r, d, z)
+    base = circle / (2j * math.pi)
+    size = np.max(np.abs(circle), axis=(1, 2), where=real[:, :, None], initial=0.0).tolist()
+    # psi_k(r e^{id}) of every column, times r^rho e^{i rho d} below
+    powers = np.ones(b.shape[:2], dtype=complex)
+    powers[:, 1:] = (r * np.array([cmath.exp(1j * x) for x in d]))[:, None]
+    psi = (np.cumprod(powers, axis=-1)[:, None] @ b)[:, 0]
+    out = []
+    for i, (sol, start, arg) in enumerate(zip(sols, r.tolist(), d.tolist())):
+        value = psi[i] * cmath.exp(sol.rho * (math.log(start) + 1j * arg))
         jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-        return _Plan([leg(r, psi)], (jump / (2j * math.pi),), circle / (2j * math.pi),
-                     float(np.max(np.abs(circle))), tail, d)
-    if klass == "natural":
-        Nk = int(round(lp.real))
-        # residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1), reduced by e^{-z u_k}
-        residue = sum(np.outer(z_values ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
+        out.append((start, value, jump / (2j * math.pi), base[i, :real[i].sum()], size[i],
+                    tail[i]))
+    return out
+
+
+def _series_step(fs, sol, z, z_max, e_d, tol):
+    """An integer-class column near u_k: ``(start, value, weight, base, size, tail)``.
+
+    Psi_k is analytic at u_k: its series on [0, t0] is one Taylor step,
+    T_m = c_m (t0 e^{id})^m, integrated by the carry's own rule, and the
+    natural class adds the residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1),
+    reduced by e^{-z u_k}.  ``start`` is None where Psi_k is 0 (the natural
+    class with a zero analytic part), and the column is the residue alone.
+    """
+    if sol.klass == "natural":
+        Nk = int(round(sol.lambda_prime_k.real))
+        residue = sum(np.outer(z ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
                       for l in range(Nk + 1))
         if sol.zero:
-            return _Plan([], (), residue, 0.0, 0.0, d)
+            return None, None, 1.0, residue, 0.0, 0.0
         series = coeffs = sol.d
     else:
         # Psi_k = psi_k(x) x^rho with integer rho >= 0
         residue, series = 0.0, sol.b
         coeffs = np.vstack([np.zeros((int(round(sol.rho.real)), fs.n)), sol.b])
-    # Psi_k is analytic at u_k: its series on [0, t0] is one Taylor step,
-    # T_m = c_m (t0 e^{id})^m, integrated by the carry's own rule
     t0, tail = _start(series, Z_SPAN / z_max, tol)
     T = coeffs * (t0 * e_d) ** np.arange(len(coeffs))[:, None]
-    weights = _node_weights(np.zeros(1), np.array([t0 * e_d]), z_values[None], True)
+    weights = _node_weights(np.zeros(1), np.array([t0 * e_d]), z[None], True)
     near = _fold(T[:, :, None, None], weights, 0)[0, ..., 0]
-    return _Plan([leg(t0, T.sum(0))], (1.0,), residue + near, float(np.max(np.abs(near))),
-                 tail, d)
+    return t0, T.sum(0), 1.0, residue + near, float(np.max(np.abs(near))), tail
+
+
+def _leg(pole, start, d, theta, value, z, rate, near, far, growth, hull):
+    """The leg of a column, from start e^{id}: straight along d, or bent past the pole hull.
+
+    The straight leg ends at t_max (:func:`_t_max`, ``rate`` = min
+    Re(-z e^{id}) over the samples), and at least twice as far out as it
+    starts.  The bent leg runs along d to the corner R e^{id},
+    R = max(2 hull, 2 start), ``hull`` the largest distance from u_k to a
+    pole, then along the steepest-descent ray -e^{-i theta} until the
+    nearest sample, |z| = ``near``, meets the same tail rule there: every
+    sample's e^{z x} falls by |z| per unit of it.  The wedge between the two
+    legs lies outside the disc of radius R about u_k, since the angle phi
+    between d and pi - theta has cos phi > 0 (the convergence half-plane),
+    so it holds no pole, and by Cauchy's theorem both legs give the same
+    integral on the same branch of Psi_k.  The bent leg is taken where it
+    is shorter by more than one step out there, Z_SPAN / max|z| (``far``),
+    since its corner may cost a step: where d lies far from pi - theta.
+    """
+    e_d = cmath.exp(1j * d)
+    straight = max(_t_max(rate, growth), 2 * start) - start
+    R = max(2 * hull, 2 * start)
+    corner, descent = R * e_d, -cmath.exp(-1j * theta)
+    # Re(z x) = -|z| (R cos phi + s) at s along the descent ray
+    lead = -R * math.cos(theta + d)
+    s = TAIL / near - lead
+    for _ in range(3):
+        s = (TAIL + growth * math.log(max(abs(corner + s * descent), 1.0))) / near - lead
+    if 0 < s and R - start + s + Z_SPAN / far < straight:
+        return Piece(pole, start * e_d, corner + s * descent - start * e_d, 0.0, 0.0, value, z,
+                     (corner,))
+    return Piece(pole, start * e_d, straight * e_d, 0.0, 0.0, value, z)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ def _ray_classes(u, epsilon0):
     radius epsilon0 (pi once the ratio reaches 1).
     """
     u = _as_complex_vector(u)
+    if not np.isfinite(u).all():
+        raise ValueError(f"u must be finite; got {u}")
     rays, skipped, reps, bounds = {}, [], [], []
     for j in range(u.size):
         for k in range(u.size):
@@ -334,16 +336,17 @@ class DeformationGeometry:
     def max_epsilon0(self):
         """min over group pairs of the half-distance between their cut half-lines."""
         e = cmath.exp(1j * self.eta)
+        conj = e.conjugate()
+        # Python complex scalars: the arithmetic of numpy's scalars, at less cost
+        vals = [complex(v) for v in self.group_values]
         best = math.inf
-        vals = self.group_values
-        for a in range(len(vals)):
-            for b in range(len(vals)):
-                if a == b:
-                    continue
-                d = vals[a] - vals[b]
-                # distance from -d to the half-line {rho * e, rho >= 0}
-                rho = max(0.0, (-d * np.conj(e)).real)
-                best = min(best, abs(d + rho * e) / 2.0)
+        for a, va in enumerate(vals):
+            for b, vb in enumerate(vals):
+                if a != b:
+                    d = va - vb
+                    # distance from -d to the half-line {rho * e, rho >= 0}
+                    rho = max(0.0, (-d * conj).real)
+                    best = min(best, abs(d + rho * e) / 2.0)
         return best
 
     def validate(self):

@@ -169,6 +169,50 @@ def test_geometry_rejects_out_of_range_values(u_c, epsilon0, tau, name):
         DeformationGeometry(u_c, epsilon0, tau)
 
 
+@pytest.mark.parametrize("u", [[0.0, math.nan, 1.0], [0.0, complex(0.0, math.inf), 1.0]])
+def test_ray_directions_reject_a_non_finite_u(u):
+    """A NaN or infinite pole is refused by name, not turned into NaN rays."""
+    with pytest.raises(ValueError, match="^u must be finite"):
+        stokes_ray_directions(u)
+
+
+@pytest.mark.parametrize("u", [[0.0, math.nan, 1.0], [0.0, complex(0.0, math.inf), 1.0]])
+def test_label_rays_reject_a_non_finite_u(u):
+    """Refused by name, not a bare error from rounding a NaN ray."""
+    with pytest.raises(ValueError, match="^u must be finite"):
+        label_rays(u, 0.7)
+
+
+def _max_epsilon0_loop(geo):
+    """The half-distance of :meth:`DeformationGeometry.max_epsilon0` on numpy scalars."""
+    e = cmath.exp(1j * geo.eta)
+    best = math.inf
+    vals = geo.group_values
+    for a in range(len(vals)):
+        for b in range(len(vals)):
+            if a == b:
+                continue
+            d = vals[a] - vals[b]
+            rho = max(0.0, (-d * np.conj(e)).real)
+            best = min(best, abs(d + rho * e) / 2.0)
+    return best
+
+
+def test_max_epsilon0_matches_the_numpy_scalar_loop():
+    """Bit for bit, on random poles in and out of groups and random tau."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        u = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        u[rng.integers(n)] = u[0]  # sometimes a coalesced pair
+        tau = float(rng.uniform(0.0, PI))
+        try:
+            geo = DeformationGeometry(u, 1e-6, tau)
+        except ValueError:  # tau on a ray, or one group
+            continue
+        assert geo.max_epsilon0() == _max_epsilon0_loop(geo)
+
+
 def test_ray_geometry_is_built_once_per_geometry(monkeypatch, system_2x2):
     """One pass over the pairs per geometry; the Stokes routes, sectors and validate() reuse it."""
     calls = []

@@ -13,7 +13,7 @@ row-major and angles in radians::
       "tol": 1e-10,                  // optional
       "order": 40,                   // optional series order
       "formal_order": 4,             // optional number of F_l
-      "gamma": 0.3,                  // optional, checked; else 0 unless an exponent is integer
+      "gamma": 0.3,                  // optional, checked; else shift_exponents picks it
       "paths": [[[0,0],[1,0],[0.2,0]], ...]   // deform: per-path waypoints (at least
                                               // one, each a full u vector), from u on
     }
@@ -370,8 +370,9 @@ def _common_options(fn):
     fn = click.option("--order", type=int, default=None,
                       help="override series truncation order")(fn)
     fn = click.option("--gamma", type=float, default=None,
-                      help="override the exponent shift A -> A - gamma I, on any "
-                           "system; checked like the automatic choice")(fn)
+                      help="override the formula route's exponent shift A -> A - gamma I "
+                           "on any system; checked like the automatic choice "
+                           "(frobenius.shift_exponents), which the oracle always takes")(fn)
     return fn
 
 

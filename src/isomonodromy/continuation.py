@@ -41,10 +41,10 @@ from .ode import tally
 from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
 from .frobenius import (
     FuchsianSystem,
+    _log_seed,
     build_fuchsian,
     selected_solutions,
     shift_exponents,
-    singular_solution,
 )
 
 DEFAULT_TOL = 1e-10
@@ -533,15 +533,14 @@ def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
     resid = np.zeros((n, n))
     sols = selected_solutions(fs, N)
     for j in range(n):
-        degenerate_row = (
-            classes[j] == "negative_integer" and singular_solution(fs, j, N, sols[j]).zero
-        )
+        # a negative-integer pole with no singular solution: its zero flag
+        degenerate = classes[j] == "negative_integer" and _log_seed(fs, j, sols[j], N)[0] is None
         for k in range(n):
             if j == k:
                 continue
             if geometry is not None and geometry.in_group[j, k]:
                 prov[j, k] = "zero-by-coalescence"
-            elif degenerate_row or sols[k].zero:
+            elif degenerate or sols[k].zero:
                 prov[j, k] = "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"
     rows = [j for j in range(n) if projected[j].any()]
@@ -568,13 +567,13 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
     """Products alpha_k c_jk of the system shifted by gamma, with its connection data.
 
     The shift is ``gamma`` if given, else the one
-    :func:`.frobenius.shift_exponents` picks: 0 unless a diagonal entry or
-    an eigenvalue of A is an integer, where the selected solutions are not
-    fundamental.  Every shift, an explicit 0 included, is checked against
-    the same one spectrum of A (BadGamma).  Y -> z^{-gamma} Y maps the
-    system of A onto that of A - gamma I and leaves the Stokes matrices as
-    they are, so the pair is assembled from these products with the
-    shifted exponents ``conn.lambda_prime``.
+    :func:`.frobenius.shift_exponents` picks for both routes: 0 unless a
+    diagonal entry of A lies within SHIFT_MARGIN of an integer, where the
+    products lose accuracy, or an eigenvalue is an integer.  A given shift,
+    0 included, is checked against the same one spectrum of A (BadGamma).
+    Y -> z^{-gamma} Y maps the system of A onto that of A - gamma I and
+    leaves the Stokes matrices as they are, so the pair is assembled from
+    these products with the shifted exponents ``conn.lambda_prime``.
 
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """

@@ -47,11 +47,13 @@ import numpy as np
 
 from .model import (
     COALESCE_TOL,
+    INTEGER_TOL,
     IllConditioned,
     SystemPair,
     _group_partition,
     check_vanishing,
     exponent_class,
+    integer_distance,
     nearest_integer,
 )
 
@@ -468,7 +470,8 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40, sel=None) -> Loca
     * natural: pole part psi_k/(x)^(lambda'_k+1) plus log part Psi_k;
     * negative_integer: Psi_k ln(x) + phi with phi a pinned regular
       completion; the ``zero`` flag marks the exceptional case (possible
-      for lambda'_k <= -2) where no singular solution exists.
+      for lambda'_k <= -2) where no singular solution exists
+      (:func:`_log_seed`).
 
     ``sel``, if given, is Psi_k's series to N orders, as already built.
     """
@@ -478,50 +481,15 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40, sel=None) -> Loca
     if klass != "negative_integer":
         return sel
 
-    # negative integer: fix the log coefficient at the selected solution
-    n = fs.n
-    rho = -1 - nearest_integer(sel.lambda_prime_k)
-    col = _columns(fs, [k])
-    w = fs.A_plus_I[k]
-    # Psi_k = sum_l b_l x^(l+rho), as coefficients of x^l: the source of phi
-    shifted = np.zeros((N + 1, n, 1), dtype=complex)
-    shifted[rho:, :, 0] = sel.b[: max(N + 1 - rho, 0)]
-    zero = False
-    verdict = ""
-    if rho == 0:
-        if np.linalg.norm(w) < 1e-13:
-            zero = True
-            verdict = "numerical (B_k = 0: pole absent)"
-        else:
-            # order 0 demands -B_k phi_0 = -b_0, i.e. e_k (w . phi_0) = -f_k e_k;
-            # min-norm solution of w . phi_0 = -f_k
-            seed = w.conj() * (-sel.f_k / (w @ w.conj()))
-    else:
-        # affine propagation phi_l(y) to the resonant order; seed in ker(w .).
-        # One stacked chain: column 0 from 0 with the log source gives c0, the
-        # others from the kernel seeds without it give the functional L
-        seeds = _kernel_seeds(w, k)
-        source = np.zeros((N + 1, n, len(seeds) + 1), dtype=complex)
-        source[..., :1] = shifted
-        starts = np.column_stack([np.zeros(n), seeds.T])
-        obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)[1]
-        c0, L = obs[0], obs[1:]
-        if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
-            if abs(c0) > 1e-10:
-                zero = True
-                verdict = "numerical (log obstruction unreachable: trivial local monodromy)"
-            y = np.zeros(len(seeds), dtype=complex)
-        else:
-            # min-norm solution of L . y = -c0
-            y = -c0 * L.conj() / (L @ L.conj())
-        seed = y @ seeds
-
+    seed, shifted, verdict = _log_seed(fs, k, sel, N)
     sol = LocalSolution(
         k=k, klass=klass, lambda_prime_k=sel.lambda_prime_k, pole=sel.pole, f_k=sel.f_k,
-        radius=sel.radius, b=sel.b, zero=zero, zero_verdict=verdict,
+        radius=sel.radius, b=sel.b, zero=seed is None, zero_verdict=verdict,
     )
-    if not zero:
-        phi, obstruction = _exponent0_series(fs, col, seed[:, None], N, rho, shifted)
+    if seed is not None:
+        rho = -1 - nearest_integer(sel.lambda_prime_k)
+        phi, obstruction = _exponent0_series(fs, _columns(fs, [k]), seed[:, None], N, rho,
+                                             shifted)
         if obstruction[0] > 1e-8:
             raise ResonanceAmbiguity(
                 f"inconsistent resonant solve at pole {k}, order {rho} "
@@ -534,16 +502,53 @@ def singular_solution(fs: FuchsianSystem, k: int, N: int = 40, sel=None) -> Loca
     return sol
 
 
+def _log_seed(fs, k, sel, N):
+    """Order 0 of the regular completion phi of Psi_k ln(x) + phi at a negative-integer pole u_k.
+
+    Returns ``(seed, source, verdict)``: ``source`` holds Psi_k, rho = -lambda'_k - 1, as
+    the coefficients of x^l that feed phi's recursion, ``seed`` the min-norm phi_0 that
+    makes order rho solvable, or None where no singular solution exists (the ``zero``
+    flag), and ``verdict`` why: B_k = 0 at rho = 0, or an obstruction c0 of the log source
+    that the functional L of the kernel seeds cannot cancel (one stacked :func:`_chain`).
+    """
+    n = fs.n
+    rho = -1 - nearest_integer(sel.lambda_prime_k)
+    w = fs.A_plus_I[k]
+    shifted = np.zeros((N + 1, n, 1), dtype=complex)
+    shifted[rho:, :, 0] = sel.b[: max(N + 1 - rho, 0)]
+    if rho == 0:
+        if np.linalg.norm(w) < 1e-13:
+            return None, shifted, "numerical (B_k = 0: pole absent)"
+        # order 0 demands -B_k phi_0 = -b_0, i.e. e_k (w . phi_0) = -f_k e_k;
+        # min-norm solution of w . phi_0 = -f_k
+        return w.conj() * (-sel.f_k / (w @ w.conj())), shifted, ""
+    # affine propagation phi_l(y) to the resonant order; seed in ker(w .).
+    # One stacked chain: column 0 from 0 with the log source gives c0, the
+    # others from the kernel seeds without it give the functional L
+    seeds = _kernel_seeds(w, k)
+    source = np.zeros((N + 1, n, len(seeds) + 1), dtype=complex)
+    source[..., :1] = shifted
+    starts = np.column_stack([np.zeros(n), seeds.T])
+    obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)[1]
+    c0, L = obs[0], obs[1:]
+    if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
+        if abs(c0) > 1e-10:
+            return None, shifted, "numerical (log obstruction unreachable: trivial local monodromy)"
+        return np.zeros(n, dtype=complex), shifted, ""
+    # min-norm solution of L . y = -c0
+    return (-c0 * L.conj() / (L @ L.conj())) @ seeds, shifted, ""
+
+
 # ---------------------------------------------------------------------------
 # Levelt data at the confluence point
 # ---------------------------------------------------------------------------
 
 
 class NotReducible(np.linalg.LinAlgError):
-    """Requested explicit reduction branch does not apply."""
+    """A residue's reduction leaves a residual above its bound."""
 
 
-def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
+def jordan_reduce_Bj(fs: FuchsianSystem, j):
     """Holomorphic reduction of the rank-one residue B_j = -e_j w^T, w = row j of A+I.
 
     Returns ``(G, T, branch)`` with G^-1 B_j G = T and G e_j = e_j:
@@ -553,7 +558,7 @@ def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
     * ``"jordan"`` for lambda'_j = -1: the rank-1 nilpotent branch T = E_jm,
       m the largest |w_m|, m != j (plus -w_j E_jj, below INTEGER_TOL);
     * ``"zero"`` for lambda'_j = -1 with w = 0 (norm below 1e-13): B_j = 0,
-      G = I, nothing to reduce (:class:`NotReducible` when ``strict``).
+      G = I, nothing to reduce.
 
     Raises :class:`NotReducible` when the residual |w G + T_j| exceeds
     1e-10 max(1, max|w|).
@@ -568,8 +573,6 @@ def jordan_reduce_Bj(fs: FuchsianSystem, j, strict=False):
         G[j] = -w / w[j]
         G[j, j] = 1.0
     elif np.linalg.norm(w) < 1e-13:
-        if strict:
-            raise NotReducible(f"B_{j} vanishes identically: nothing to reduce")
         branch = "zero"
     else:
         branch = "jordan"
@@ -689,11 +692,6 @@ def _spectrum(system: SystemPair):
     return np.concatenate([system.lambda_prime, np.linalg.eigvals(system.A)])
 
 
-def _first_integer(values):
-    """The first of ``values`` that is an integer within tolerance, or None."""
-    return next((x for x in values if nearest_integer(x) is not None), None)
-
-
 def gamma_shift(system: SystemPair, gamma: float) -> SystemPair:
     """Gauge shift A -> A - gamma I moving exponents off the integers.
 
@@ -703,25 +701,32 @@ def gamma_shift(system: SystemPair, gamma: float) -> SystemPair:
     return shift_exponents(system, gamma)[1]
 
 
-# gamma candidates of :func:`shift_exponents`, tried in this order
-_GAMMA_CANDIDATES = (0.3, 0.23, 0.41, 0.17, 0.37, 0.29)
+# a diagonal entry of A nearer an integer than this makes shift_exponents shift
+SHIFT_MARGIN = 1e-2
 
 
 def shift_exponents(system: SystemPair, gamma=None):
     """``(gamma, system shifted by gamma)`` from one spectrum of A.
 
-    ``gamma`` None picks the shift the connection route takes: 0.0 when no
-    diagonal entry and no eigenvalue of A is an integer, else the first
-    candidate that clears them all.  A given one, 0 included, is checked as
-    :func:`gamma_shift` describes (BadGamma).
+    ``gamma`` None picks the shift both Stokes routes take: 0.0 while every diagonal
+    entry lies SHIFT_MARGIN or more from the integers and no eigenvalue of A is an
+    integer (INTEGER_TOL), both by :func:`.model.integer_distance`; else the midpoint of
+    the widest gap between the fractional parts of Re of the n diagonal entries and the
+    n eigenvalues, which leaves every shifted value 1/(4n) or more from the integers.
+    Every shift is checked as :func:`gamma_shift` describes (BadGamma); the picked one
+    fails only where a value is too large for the shift to move it in floating point.
     """
     values = _spectrum(system)
+    n = system.n
     if gamma is None:
-        gamma = next((g for g in (0.0,) + _GAMMA_CANDIDATES
-                      if _first_integer(values - g) is None), None)
-        if gamma is None:
-            raise BadGamma(f"no candidate gamma {_GAMMA_CANDIDATES} clears the integer conditions")
-    bad = _first_integer(values - gamma)
-    if bad is not None:
-        raise BadGamma(f"shifted diagonal entry or eigenvalue {bad} is integer within tolerance")
-    return float(gamma), SystemPair(system.A - gamma * np.eye(system.n), system.u)
+        gamma = 0.0
+        if (integer_distance(values) < np.repeat([SHIFT_MARGIN, INTEGER_TOL], n)).any():
+            fractions = np.sort(values.real % 1.0)
+            gaps = np.diff(fractions, append=fractions[0] + 1.0)
+            i = int(np.argmax(gaps))
+            gamma = (fractions[i] + 0.5 * gaps[i]) % 1.0
+    bad = np.flatnonzero(integer_distance(values - gamma) < INTEGER_TOL)
+    if bad.size:
+        raise BadGamma(f"shifted diagonal entry or eigenvalue {values[bad[0]] - gamma} is "
+                       f"integer within tolerance")
+    return float(gamma), SystemPair(system.A - gamma * np.eye(n), system.u)

@@ -1,13 +1,12 @@
-"""Laplace transform of local solutions along hairpin and half-line contours.
+"""Laplace transform of local solutions along hairpin contours.
 
 Columns of the sectorial fundamental solutions of dY/dz = (Lambda + A/z) Y
-are produced as contour integrals of the selected/singular solutions of the
-dual Fuchsian system:
-
-* lambda'_k not integer:  (1/2 pi i) * hairpin around u_k of e^{z lam} Psi_k;
-* lambda'_k natural:      residue of the pole part plus a half-line integral
-  of the analytic selected series (the log part reduces to a half-line);
-* lambda'_k negative int: half-line integral of the analytic Psi_k.
+are (1/2 pi i) times the integral of e^{z lam} Psi_k along a hairpin
+around u_k, Psi_k the selected solution of the dual Fuchsian system.
+That is the one column kind: it needs lambda'_k noninteger, and both
+Stokes routes shift a system whose diagonal comes near an integer first
+(:func:`.frobenius.shift_exponents`), which leaves the Stokes matrices as
+they are.
 
 Every column is a local-series start near u_k plus one leg from it, for
 all samples z_1 ... z_m of a ray arg z = theta at once.  The start lies
@@ -20,15 +19,12 @@ the angle phi between d and pi - theta has cos phi > 0, so it holds no
 pole and the integral does not change.  A leg stays straight unless the
 bend saves more than one far step, as near steepest descent.  The leg
 is a :class:`.continuation.Piece` (a polyline when bent) with the
-samples, and the Taylor carry
-:func:`.continuation.carry` returns
+samples, and the Taylor carry :func:`.continuation.carry` returns
 J_i = int e^{z_i x} Psi_k dx along it, summed over the Taylor
 polynomial of every step: the same rank-one transport the formula route
-uses, with no dense output.  A hairpin's small circle lies inside the
+uses, with no dense output.  The hairpin's small circle lies inside the
 convergence disc of the series, so its integral is the series integrated
-term by term (:func:`_circle`), with no carry.  Where Psi_k is analytic at
-u_k (the integer classes) the series out to the start is itself one
-Taylor step, integrated by the carry's rule.
+term by term (:func:`_circle`), with no carry.
 
 Columns are computed in batches (:func:`laplace_columns`): the contour
 direction runs once per label and ray, validation, the series starts and
@@ -65,7 +61,7 @@ from .model import (
     nearest_integer,
 )
 from .frobenius import FuchsianSystem, cgamma
-from .continuation import Piece, Z_SPAN, _fold, _node_weights, carry
+from .continuation import Piece, Z_SPAN, carry
 
 logger = logging.getLogger(__name__)
 
@@ -215,13 +211,13 @@ def _start(coeffs, cap, tol):
 
     t is the largest radius up to ``cap`` at which each of the last two
     terms |c_N| t^N and |c_{N-1}| t^{N-1} of the series is at most
-    tol / 2 times its size max|c_0| (the largest |c_l| if c_0 = 0);
-    ``tail`` is their sum there over that size, the truncation error of
-    the start value relative to Psi_k.  ``cap`` may be an array, one cap
-    per column of the pole; t and ``tail`` are then arrays too.
+    tol / 2 times its size max|c_0|; ``tail`` is their sum there over that
+    size, the truncation error of the start value relative to Psi_k.
+    ``cap`` holds one cap per column of the pole, and t and ``tail`` one
+    value each.
     """
     size = np.abs(coeffs).max(1)
-    scale = size[0] or size.max()
+    scale = size[0]
     N = len(size) - 1
     t = cap
     for m in (N - 1, N):
@@ -267,23 +263,22 @@ class ColumnSpec:
 def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
-    ``sols[k]`` is the selected-solution series of pole k.  The contour
-    direction d depends on the label and the ray only, so
+    ``sols[k]`` is the selected-solution series of pole k, and every pole
+    of ``specs`` must have a noninteger exponent (:func:`_plan`).  The
+    contour direction d depends on the label and the ray only, so
     :func:`_direction_for` runs once per (h, arg); every column is then
-    validated and its contour started in one pass over the batch
-    (:func:`_plan`).  The pieces of every column go through one
+    validated and its hairpin started in one pass over the batch
+    (:func:`_plan`).  The legs of every column go through one
     :func:`.continuation.carry`, and each column is its plan's ``base``
-    plus its ``weights`` times the integrals J its pieces return.
+    plus its ``weight`` times the integral J its leg returns.
     """
     rays = {(h, arg): _direction_for(geometry.labels, h, arg, fs.u)
             for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
     plans = _plan(fs, specs, [rays[spec.h, float(spec.arg)] for spec in specs], sols, tol)
-    ends = iter(carry(fs, [p for plan in plans for p in plan.pieces]))
     columns = []
-    for spec, plan in zip(specs, plans):
-        Js = [next(ends)[1] for _ in plan.pieces]
-        reduced = plan.base + sum(w * J for w, J in zip(plan.weights, Js))
-        size = plan.size + sum(float(np.max(np.abs(J))) for J in Js)
+    for spec, plan, (_, J) in zip(specs, plans, carry(fs, [plan.leg for plan in plans])):
+        reduced = plan.base + plan.weight * J
+        size = plan.size + float(np.max(np.abs(J)))
         error = (plan.tail + CARRY_TOL) * size / max(float(np.max(np.abs(reduced))), 1e-300)
         columns.append(LaplaceColumn(k=spec.k, label=spec.h * geometry.labels.mu,
                                      z=np.asarray(spec.z, dtype=complex), reduced=reduced,
@@ -335,33 +330,41 @@ def _circle(b, lp, r, d, z):
 
 
 class _Plan(NamedTuple):
-    """A column before its carry: base + sum_i weights[i] J_i over its pieces.
+    """A column before its carry: base + weight J, J the integral along its leg.
 
-    ``base`` holds what the local series gives in closed form: the hairpin's
-    circle, or the series step and residue of the integer classes.  ``size``
-    is max|J| of that circle or series step (0 without one) and ``tail`` the
-    series truncation at the start, relative (:func:`_start`).
+    ``base`` is the hairpin's circle, summed from the local series in closed
+    form, ``weight`` the jump of Psi_k across the leg over 2 pi i, ``size``
+    max|J| of the circle and ``tail`` the series truncation at the start,
+    relative (:func:`_start`).
     """
 
-    pieces: list
-    weights: tuple
-    base: object
+    leg: Piece
+    weight: complex
+    base: np.ndarray
     size: float
     tail: float
     eta: float
 
 
 def _plan(fs, specs, directions, sols, tol):
-    """Validate every column of a batch and start its contour, in one pass over the batch.
+    """Validate every column of a batch and start its hairpin, in one pass over the batch.
 
     Column p runs in direction ``directions[p]`` from the local series
-    ``sols[k]`` of its pole k.  The ray check, sigma = z e^{id} and its
-    half-plane check, and the leg's rates are taken as arrays over the
-    batch (the samples padded to one length), the hairpins' starts and
-    circles in one stacked pass (:func:`_hairpins`); the integer classes
-    take their series step per column (:func:`_series_step`), and every
-    leg is built by :func:`_leg`.
+    ``sols[k]`` of its pole k.  A pole whose exponent lambda'_k is an
+    integer raises ValueError naming it: its column would need another
+    contour, and both Stokes routes shift such a system first
+    (:func:`.frobenius.shift_exponents`).  The ray check, sigma = z e^{id}
+    and its half-plane check, and the leg's rates are taken as arrays over
+    the batch (the samples padded to one length), the starts and circles in
+    one stacked pass (:func:`_hairpins`).  Each leg (:func:`_leg`), on the
+    branch of arg d, starts at r with the value Psi_k(r e^{id}) and is
+    weighted by the jump of Psi_k across it over 2 pi i.
     """
+    integer = [spec.k for spec in specs if fs.integer_class(spec.k) != "noninteger"]
+    if integer:
+        k = integer[0]
+        raise ValueError(f"pole {k} has the integer exponent lambda'_{k} = "
+                         f"{fs.lambda_prime[k]}: a Laplace column needs a noninteger one")
     sizes = np.array([np.size(spec.z) for spec in specs])
     z = np.zeros((len(specs), sizes.max()), dtype=complex)
     for p, spec in enumerate(specs):
@@ -384,38 +387,32 @@ def _plan(fs, specs, directions, sols, tol):
         )
     rate = np.min(-sigma.real, axis=1, where=real, initial=np.inf)
     near = np.min(z_abs, axis=1, where=real, initial=np.inf)
-    hairpin = [p for p, spec in enumerate(specs) if fs.integer_class(spec.k) == "noninteger"]
-    starts = dict(zip(hairpin, _hairpins([sols[specs[p].k] for p in hairpin],
-                                         np.array(directions, dtype=float)[hairpin], z[hairpin],
-                                         real[hairpin], z_max[hairpin], tol)))
+    hairpins = [sols[spec.k] for spec in specs]
+    r, tail, circle, psi = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
+    base = circle / (2j * math.pi)
+    size = np.max(np.abs(circle), axis=(1, 2), where=real[:, :, None], initial=0.0).tolist()
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
     plans = []
-    for p, (spec, d, theta, rate_p, near_p, far) in enumerate(
-            zip(specs, directions, arg, rate.tolist(), near.tolist(), z_max.tolist())):
-        zp = np.asarray(spec.z, dtype=complex)
-        start, value, weight, base, size, tail = (
-            starts[p] if p in starts
-            else _series_step(fs, sols[spec.k], zp, far, cmath.exp(1j * d), tol))
-        pieces = [] if start is None else [
-            _leg(fs.u[spec.k], start, d, theta, value, zp, rate_p, near_p, far,
-                 growth[spec.k], hull[spec.k])]
-        plans.append(_Plan(pieces, (weight,) * len(pieces), base, size, tail, d))
+    for p, (spec, sol, d, theta, start, rate_p, near_p, far) in enumerate(zip(
+            specs, hairpins, directions, arg, r.tolist(), rate.tolist(), near.tolist(),
+            z_max.tolist())):
+        value = psi[p] * cmath.exp(sol.rho * (math.log(start) + 1j * d))
+        jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
+        leg = _leg(fs.u[spec.k], start, d, theta, value, np.asarray(spec.z, dtype=complex),
+                   rate_p, near_p, far, growth[spec.k], hull[spec.k])
+        plans.append(_Plan(leg, jump / (2j * math.pi), base[p, :sizes[p]], size[p], tail[p], d))
     return plans
 
 
-def _hairpins(sols, d, z, real, z_max, tol):
-    """The hairpin columns' starts: ``(start, value, weight, base, size, tail)`` each.
+def _hairpins(sols, d, z, z_max, tol):
+    """The hairpins' starts r, their series tails there, circles and psi_k(r e^{id}).
 
     The circle |x| = r from arg d - 2 pi to arg d is summed in closed form
-    from the series (:func:`_circle`, all columns in one stacked product),
-    then the leg on the branch of arg d, weighted by the jump of Psi_k
-    across it, starts at r with the value Psi_k(r e^{id}).  r is the series
-    start (:func:`_start`) below min(radius / 2, 2 / max|z|), and at least
-    radius / 1000.
+    from the series (:func:`_circle`, all columns in one stacked product,
+    shape (P, nz, n)).  r is the series start (:func:`_start`) below
+    min(radius / 2, 2 / max|z|), and at least radius / 1000.
     """
-    if not sols:
-        return []
     radius = np.array([sol.radius for sol in sols])
     r = np.maximum(np.minimum(0.5 * radius, 2.0 / z_max), 1e-3 * radius)
     tail = np.empty(len(sols))
@@ -427,47 +424,10 @@ def _hairpins(sols, d, z, real, z_max, tol):
     for i, sol in enumerate(sols):
         b[i, :len(sol.b)] = sol.b
     lp = np.array([sol.lambda_prime_k for sol in sols])
-    circle = _circle(b, lp, r, d, z)
-    base = circle / (2j * math.pi)
-    size = np.max(np.abs(circle), axis=(1, 2), where=real[:, :, None], initial=0.0).tolist()
-    # psi_k(r e^{id}) of every column, times r^rho e^{i rho d} below
     powers = np.ones(b.shape[:2], dtype=complex)
     powers[:, 1:] = (r * np.array([cmath.exp(1j * x) for x in d]))[:, None]
     psi = (np.cumprod(powers, axis=-1)[:, None] @ b)[:, 0]
-    out = []
-    for i, (sol, start, arg) in enumerate(zip(sols, r.tolist(), d.tolist())):
-        value = psi[i] * cmath.exp(sol.rho * (math.log(start) + 1j * arg))
-        jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-        out.append((start, value, jump / (2j * math.pi), base[i, :real[i].sum()], size[i],
-                    tail[i]))
-    return out
-
-
-def _series_step(fs, sol, z, z_max, e_d, tol):
-    """An integer-class column near u_k: ``(start, value, weight, base, size, tail)``.
-
-    Psi_k is analytic at u_k: its series on [0, t0] is one Taylor step,
-    T_m = c_m (t0 e^{id})^m, integrated by the carry's own rule, and the
-    natural class adds the residue of e^{z lam} psi_k(lam)/(lam-u_k)^(Nk+1),
-    reduced by e^{-z u_k}.  ``start`` is None where Psi_k is 0 (the natural
-    class with a zero analytic part), and the column is the residue alone.
-    """
-    if sol.klass == "natural":
-        Nk = int(round(sol.lambda_prime_k.real))
-        residue = sum(np.outer(z ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
-                      for l in range(Nk + 1))
-        if sol.zero:
-            return None, None, 1.0, residue, 0.0, 0.0
-        series = coeffs = sol.d
-    else:
-        # Psi_k = psi_k(x) x^rho with integer rho >= 0
-        residue, series = 0.0, sol.b
-        coeffs = np.vstack([np.zeros((int(round(sol.rho.real)), fs.n)), sol.b])
-    t0, tail = _start(series, Z_SPAN / z_max, tol)
-    T = coeffs * (t0 * e_d) ** np.arange(len(coeffs))[:, None]
-    weights = _node_weights(np.zeros(1), np.array([t0 * e_d]), z[None], True)
-    near = _fold(T[:, :, None, None], weights, 0)[0, ..., 0]
-    return t0, T.sum(0), 1.0, residue + near, float(np.max(np.abs(near))), tail
+    return r, tail, _circle(b, lp, r, d, z), psi
 
 
 def _leg(pole, start, d, theta, value, z, rate, near, far, growth, hull):

@@ -30,7 +30,12 @@ def nearest_integer(x):
     """The integer within INTEGER_TOL of the complex number x, or None."""
     x = complex(x)
     r = round(x.real)
-    return r if abs(x.imag) < INTEGER_TOL and abs(x.real - r) < INTEGER_TOL else None
+    return r if max(abs(x.imag), abs(x.real - r)) < INTEGER_TOL else None
+
+
+def integer_distance(x):
+    """max(|Im x|, |Re x - round(Re x)|) of every entry of x, as :func:`nearest_integer` tests."""
+    return np.maximum(np.abs(np.imag(x)), np.abs(np.real(x) - np.round(np.real(x))))
 
 
 def exponent_class(x):
@@ -320,10 +325,6 @@ class DeformationGeometry:
                 f"epsilon0={epsilon0} is not smaller than the minimal half-distance "
                 f"{dmax:.6g} between the parallel cut lines of the groups"
             )
-
-    @property
-    def n(self):
-        return self.u_c.size
 
     @property
     def eta(self):

@@ -3,7 +3,8 @@
 The closed formula fills the pair S_nu, S_{nu+mu} from the products
 alpha_k c_jk and the dominance ordering at the coalescence point; the
 oracle recomputes them by matching Laplace-transformed fundamental
-solutions of adjacent sectors on a common ray.
+solutions of adjacent sectors on a common ray.  Both routes run on the
+system that :func:`.frobenius.shift_exponents` shifts off the integers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import (
     OverlapEmpty,
     sector_bounds,
 )
-from .frobenius import build_fuchsian, selected_solutions
+from .frobenius import build_fuchsian, selected_solutions, shift_exponents
 from .continuation import connection_products
 from .laplace import ColumnSpec, laplace_columns
 
@@ -171,12 +172,17 @@ def _fit(system, theta, ladder, cols):
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     """Oracle Stokes pair (S_nu, S_{nu+mu}) from matchings at h = 0 and h = 1.
 
-    Both matchings share one Fuchsian system and one set of local series,
-    and their 4n Laplace columns go through one carry of at most
-    2 CUT_STEPS lockstep steps (:func:`laplace_columns`); each matching is
-    then fitted on its own (:func:`_fit`).
+    The matchings run on the system shifted by the gamma that
+    :func:`.frobenius.shift_exponents` picks, recorded as
+    ``diagnostics["gamma"]``: Y -> z^{-gamma} Y leaves the pair as it is,
+    and every exponent of the shifted system is noninteger, so each column
+    is a hairpin.  Both matchings share one Fuchsian system and one set of
+    local series, and their 4n Laplace columns go through one carry of at
+    most 2 CUT_STEPS lockstep steps (:func:`laplace_columns`); each
+    matching is then fitted on its own (:func:`_fit`).
     """
-    fs = build_fuchsian(system)
+    gamma, shifted = shift_exponents(system)
+    fs = build_fuchsian(shifted)
     sols = selected_solutions(fs, N)
     theta0, ladder0, specs0 = _matching(system, geometry, 0)
     theta1, ladder1, specs1 = _matching(system, geometry, 1)
@@ -184,7 +190,7 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     S0, d0 = _fit(system, theta0, ladder0, cols[:len(specs0)])
     S1, d1 = _fit(system, theta1, ladder1, cols[len(specs0):])
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",
-                      diagnostics={"h0": d0, "h1": d1})
+                      diagnostics={"h0": d0, "h1": d1, "gamma": gamma})
 
 
 def monodromy_invariant_residual(pair, A):

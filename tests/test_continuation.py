@@ -9,7 +9,8 @@ from scipy.integrate import solve_ivp
 import isomonodromy.continuation as continuation
 from isomonodromy import ode
 from conftest import dense_rhs, draw_system
-from isomonodromy.model import CutPlane, DeformationGeometry, SystemPair, is_in_cell
+from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SystemPair,
+                               is_in_cell)
 from isomonodromy.frobenius import (
     analytic_basis,
     build_fuchsian,
@@ -427,6 +428,50 @@ def test_negative_integer_rows_make_one_series_build(monkeypatch):
     conn = connection_coefficients(fs, CutPlane(eta=0.3), tol=1e-12)
     assert built == [[0, 1, 2]]
     assert (conn.provenance == "monodromy-projection").sum() == 6
+
+
+def test_zero_flag_needs_no_regular_completion(monkeypatch):
+    """A negative-integer row's zero flag comes from the log seed alone (frobenius._log_seed).
+
+    connection_coefficients runs neither analytic_basis (with its QR) nor
+    _exponent0_series, which only the singular solution's regular
+    completion needs.  Each flag agrees with singular_solution's: poles 0
+    and 2 of the first system (A_00 = -2, A_22 = -3) have a singular
+    solution, and the exceptional lambda'_0 = -2 of the second, with trivial
+    local monodromy, does not, so its row is zero-by-degenerate-singular.
+    """
+    from isomonodromy import frobenius
+
+    systems = [SystemPair(np.array(A, dtype=complex), u) for A, u in (
+        ([[-2.0, 0.4, 0.3], [0.5, 0.37, 0.2], [0.1, 0.6, -3.0]], [0.0, 1.0, 0.5 + 1.5j]),
+        ([[-2.0, 0.0], [0.0, 0.37]], [0.0, 1.0]))]
+    calls = []
+    for name in ("analytic_basis", "_exponent0_series"):
+        monkeypatch.setattr(frobenius, name, lambda *args, name=name: calls.append(name))
+    conns = [connection_coefficients(build_fuchsian(sp), CutPlane(eta=0.3), tol=1e-12)
+             for sp in systems]
+    assert calls == []
+    monkeypatch.undo()
+    for sp, conn in zip(systems, conns):
+        fs = build_fuchsian(sp)
+        for j in range(sp.n):
+            if fs.integer_class(j) == "negative_integer":
+                zero = singular_solution(fs, j, 40).zero
+                degenerate = conn.provenance[j] == "zero-by-degenerate-singular"
+                assert degenerate.sum() == (sp.n - 1 if zero else 0)
+    assert [c.provenance[0, 1] for c in conns] == ["monodromy-projection",
+                                                   "zero-by-degenerate-singular"]
+
+
+def test_projection_residual_past_its_limit_is_a_typed_failure(system_2x2):
+    """A series truncated at N = 6 leaves the carried Psi_j a mix of Psi_j and solutions
+    analytic at u_j, so the loop difference is no longer proportional to it: a projection
+    residual of 1.4e-6, past max(100 tol, 1e-7), is an IllConditioned naming the entry.
+    At N = 8 it reads 6.1e-8 and passes."""
+    fs = build_fuchsian(system_2x2)
+    with pytest.raises(IllConditioned, match=r"projection residual .* for c\[0,1\]"):
+        connection_coefficients(fs, CutPlane(eta=2.35), N=6)
+    assert connection_coefficients(fs, CutPlane(eta=2.35), N=8).residuals.max() < 1e-7
 
 
 def test_connection_invariant_under_regular_completion():

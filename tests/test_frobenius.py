@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rhs, residue
-from isomonodromy.model import CutPlane, IllConditioned, SingularF1, SystemPair
+from isomonodromy.model import (CutPlane, IllConditioned, SingularF1, SystemPair,
+                               integer_distance)
 from isomonodromy.frobenius import (
     BadGamma,
     analytic_basis,
@@ -57,6 +58,14 @@ def test_selected_diagonal_noninteger():
     sol = selected_solution(fs, 0, N=10)
     assert sol.b[0] == pytest.approx([math.gamma(1.5), 0.0])
     assert np.max(np.abs(sol.b[1:])) == 0.0
+
+
+def test_selected_solutions_need_an_order(system_2x2):
+    """A truncation order N below 1 is a ValueError, before any recursion; N = 1 runs."""
+    fs = build_fuchsian(system_2x2)
+    with pytest.raises(ValueError, match="N >= 1 required"):
+        selected_solutions(fs, 0)
+    assert selected_solution(fs, 1, 1).b.shape == (2, 2)
 
 
 def test_selected_diagonal_negative_integer():
@@ -385,11 +394,12 @@ def test_gamma_shift_rejects_bad_gamma():
 
 
 def test_pick_gamma_takes_one_spectrum(monkeypatch):
-    """spec(A - gamma I) = spec(A) - gamma: one eigvals serves every candidate, here past 0
-    (1 is on the diagonal) and the first two (0.3 and 0.23 meet it), and one more makes the
-    shift.  With no integer in the spectrum the same one call gives 0.0, and 0 is checked
-    like any shift.  A connection_products call with the automatic shift takes exactly one
-    eigvals too, and an explicit shift is still checked."""
+    """spec(A - gamma I) = spec(A) - gamma: one eigvals serves the whole choice.  Here 1 is on
+    the diagonal, and the fractional parts 0, 0.23 and 0.3 of the diagonal and the spectrum
+    leave their widest gap, (0.3, 1), around 0.65: the shift.  With no integer in the spectrum
+    the same one call gives 0.0, and 0 is checked like any explicit shift.  A
+    connection_products call with the automatic shift takes exactly one eigvals too, and an
+    explicit shift is still checked."""
     from isomonodromy.continuation import connection_products
 
     calls = []
@@ -398,17 +408,17 @@ def test_pick_gamma_takes_one_spectrum(monkeypatch):
     A = np.array([[0.3, 0.5, 0.0], [0.0, 0.23, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     sp = SystemPair(A, [0.0, 1.0, 2.0])
     g, shifted = shift_exponents(sp)
-    assert g == 0.41
+    assert g == pytest.approx(0.65, abs=1e-15)
     assert len(calls) == 1
-    assert np.array_equal(shifted.A, sp.A - 0.41 * np.eye(3))
-    assert np.array_equal(gamma_shift(sp, 0.41).A, shifted.A)
+    assert np.array_equal(shifted.A, sp.A - g * np.eye(3))
+    assert np.array_equal(gamma_shift(sp, g).A, shifted.A)
     assert len(calls) == 2
     with pytest.raises(BadGamma):
         gamma_shift(sp, 0.23)
     cut = CutPlane(eta=1.25 * math.pi)
     calls.clear()
     _, conn = connection_products(sp, cut)
-    assert conn.gamma == 0.41
+    assert conn.gamma == g
     assert len(calls) == 1
     with pytest.raises(BadGamma):
         connection_products(sp, cut, gamma=0.23)
@@ -418,6 +428,49 @@ def test_pick_gamma_takes_one_spectrum(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(BadGamma):
         gamma_shift(SystemPair(np.diag([1.0, 0.5]), [0.0, 1.0]), 0.0)
+
+
+def test_shift_rule_margins():
+    """gamma stays 0 while every diagonal entry is at least SHIFT_MARGIN from the integers,
+    in the box distance max(|Im|, |Re - round Re|), and no eigenvalue is an integer within
+    INTEGER_TOL; an eigenvalue 1e-6 off an integer does not shift."""
+    from isomonodromy.frobenius import SHIFT_MARGIN
+
+    def gamma(a00, b=0.0):
+        return shift_exponents(SystemPair(np.array([[a00, b], [0.2, 0.5]]), [0.0, 1.0]))[0]
+
+    assert gamma(1 + 1.001 * SHIFT_MARGIN) == 0.0
+    assert gamma(-2 - 1.001 * SHIFT_MARGIN + 0.5j * SHIFT_MARGIN) == 0.0
+    assert gamma(3 + 1j * 1.001 * SHIFT_MARGIN) == 0.0
+    for a00 in (1 + 0.999 * SHIFT_MARGIN, -2 + 1e-9, 0.0, 4 + 0.5j * SHIFT_MARGIN):
+        assert gamma(a00) != 0.0, a00
+    # eigenvalues 1 + 1e-6 and 0.45 (or exactly 1) on a diagonal far from the integers
+    P = np.array([[1.0, 0.3], [0.4, 1.0]])
+    for ev, shifts in ((1 + 1e-6, False), (1.0, True)):
+        A = P @ np.diag([ev, 0.45]) @ np.linalg.inv(P)
+        assert min(integer_distance(np.diag(A))) > 5 * SHIFT_MARGIN
+        assert (shift_exponents(SystemPair(A, [0.0, 1.0]))[0] != 0.0) == shifts, ev
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=2, max_value=6))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_widest_gap_clears_every_value(seed, n):
+    """Diagonal entries put on or near integers: the widest gap's midpoint leaves all 2n
+    shifted values at least 1/(4n) from the integers, so the shifted system takes no
+    further shift (1/(4n) > SHIFT_MARGIN up to n = 25)."""
+    rng = np.random.default_rng(seed)
+    A = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    near = rng.integers(-3, 4, n) + rng.choice([0.0, 1e-9, -1e-5, 3e-3], n)
+    hit = rng.uniform(size=n) < 0.6
+    np.fill_diagonal(A, np.where(hit, near, np.diag(A)))
+    sp = SystemPair(A, np.arange(n, dtype=complex))
+    g, shifted = shift_exponents(sp)
+    if not hit.any() and min(integer_distance(np.diag(A))) >= 1e-2:
+        return
+    assert 0.0 < g < 1.0
+    values = np.concatenate([shifted.lambda_prime, np.linalg.eigvals(shifted.A)])
+    assert integer_distance(values).min() >= 1 / (4 * n) - 1e-12
+    assert shift_exponents(shifted)[0] == 0.0
 
 
 def test_gamma_shift_preserves_omega(system_2x2):

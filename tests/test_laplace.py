@@ -330,20 +330,29 @@ def test_laplace_column_diagonal_noninteger(diag_geo):
             assert abs(col.reduced[i][1 - k]) < 1e-13
 
 
-def test_laplace_column_diagonal_negative_integer(diag_geo):
-    fs = build_fuchsian(SystemPair(np.diag([-2.0, 0.5]), [0.0, 1.0]))
+@pytest.mark.parametrize("a00", [1.0, -2.0, 1 + 1e-9])
+def test_laplace_column_refuses_an_integer_exponent(system_2x2, diag_geo, a00):
+    """A Laplace column is a hairpin: a pole whose lambda'_k is an integer (within INTEGER_TOL)
+    raises a ValueError that names it, before any carry.  The oracle shifts such a system
+    first (the diag(1, 0.5) and diag(-2, 0.5) pairs of test_stokes.py)."""
+    A = system_2x2.A.copy()
+    A[0, 0] = a00
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
-    z = _ray([7.0], theta)
-    col = _column(fs, 0, 0, diag_geo, z, theta, tol=1e-13)
-    assert abs(col.reduced[0][0] - z[0] ** -2.0) < 1e-14
+    with ode.counting() as work, pytest.raises(ValueError, match="pole 0 has the integer"):
+        _column(fs, 0, 0, diag_geo, _ray([7.0], theta), theta)
+    assert work.solves == 0
 
 
-def test_laplace_column_diagonal_natural(diag_geo):
-    fs = build_fuchsian(SystemPair(np.diag([1.0, 0.5]), [0.0, 1.0]))
+def test_laplace_column_refuses_samples_off_the_ray(system_2x2, diag_geo):
+    """Every sample z must lie on the ray arg z = ``arg`` of its spec."""
+    fs = build_fuchsian(system_2x2)
     theta = TAU - 0.5 * math.pi
-    z = _ray([7.0], theta)
-    col = _column(fs, 0, 0, diag_geo, z, theta, tol=1e-13)
-    assert abs(col.reduced[0][0] - z[0]) < 1e-12
+    z = _ray([7.0, 9.0], theta)
+    z[1] *= cmath.exp(1e-6j)
+    with pytest.raises(ValueError, match="must lie on the ray"):
+        _column(fs, 0, 0, diag_geo, z, theta)
+    _column(fs, 0, 0, diag_geo, z[:1], theta)
 
 
 def test_laplace_column_satisfies_irregular_ode(system_2x2, diag_geo):
@@ -382,7 +391,7 @@ def test_laplace_contour_deformation_invariance(monkeypatch, system_2x2, diag_ge
 # ---------------------------------------------------------------------------
 
 
-def _reference_column(fs, k, z, d, kind):
+def _reference_column(fs, k, z, d):
     """Reduced column k by an independent route: scipy's quad_vec per contour part.
 
     Psi_k is its local series (N = 60) within a = 0.3 of the series radius
@@ -397,39 +406,29 @@ def _reference_column(fs, k, z, d, kind):
     t_max = (60.0 + 4.0 * max(0.0, float((-lp - 1).real))) / float(np.min(-(z * e_d).real))
 
     def series(t):
-        x = t * e_d
-        if kind == "natural":
-            return polyval(x, sol.d)
-        return polyval(x, sol.b) * np.exp(sol.rho * (np.log(t) + 1j * d))
+        return polyval(t * e_d, sol.b) * np.exp(sol.rho * (np.log(t) + 1j * d))
 
     dense = solve_ivp(lambda t, y: (dense_rhs(fs, fs.u[k] + t * e_d) @ y) * e_d,
                       (a, t_max), series(a), method="DOP853", rtol=1e-13, atol=1e-15,
                       dense_output=True).sol
 
-    def quad(f, lo, hi, points=None):
-        return quad_vec(f, lo, hi, epsabs=0.0, epsrel=1e-13, norm="max", points=points)[0]
+    def quad(f, lo, hi):
+        return quad_vec(f, lo, hi, epsabs=0.0, epsrel=1e-13, norm="max")[0]
 
-    if kind in ("hairpin", "coalescing"):
-        leg = quad(lambda t: np.outer(np.exp(z * e_d * t), dense(t)), a, t_max)
+    leg = quad(lambda t: np.outer(np.exp(z * e_d * t), dense(t)), a, t_max)
 
-        def circle(th):
-            x = a * cmath.exp(1j * th)
-            psi = polyval(x, sol.b) * cmath.exp(sol.rho * (math.log(a) + 1j * th))
-            return np.outer(np.exp(z * x) * 1j * x, psi)
+    def circle(th):
+        x = a * cmath.exp(1j * th)
+        psi = polyval(x, sol.b) * cmath.exp(sol.rho * (math.log(a) + 1j * th))
+        return np.outer(np.exp(z * x) * 1j * x, psi)
 
-        jump = 1.0 - cmath.exp(2j * math.pi * lp)
-        return (jump * e_d * leg + quad(circle, d - 2 * math.pi, d)) / (2j * math.pi)
-    leg = e_d * quad(lambda t: np.outer(np.exp(z * e_d * t), series(t) if t <= a else dense(t)),
-                     0.0, t_max, points=[a])
-    if kind == "natural":
-        Nk = int(round(lp.real))
-        leg += sum(np.outer(z ** (Nk - l) / math.factorial(Nk - l), sol.b[l])
-                   for l in range(Nk + 1))
-    return leg
+    jump = 1.0 - cmath.exp(2j * math.pi * lp)
+    return (jump * e_d * leg + quad(circle, d - 2 * math.pi, d)) / (2j * math.pi)
 
 
 def _contour_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
-    """(fs, k, geometry, z, kind) for each column class, and a column inside a coalescing group.
+    """(fs, k, geometry, z, kind) for the hairpins of a 2x2 system, and one inside a coalescing
+    group.
 
     The coalescing case needs a genuine vanishing-family point: the poles of
     its group lie 0.06 apart, so the hairpin at u_0 has a small series zone.
@@ -439,10 +438,6 @@ def _contour_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
     theta = TAU - 0.5 * math.pi
     z = _ray([6.0, 9.0, 14.0], theta)
     cases = [(build_fuchsian(system_2x2), k, diag_geo, z, "hairpin") for k in range(2)]
-    for a00, kind in ((1.0, "natural"), (-2.0, "halfline")):
-        A = system_2x2.A.copy()
-        A[0, 0] = a00
-        cases.append((build_fuchsian(SystemPair(A, [0.0, 1.0])), 0, diag_geo, z, kind))
     geo = coalescing_geometry
     seed = SystemPair(vanishing_A_uc, [0.03, -0.03, 1.0])
     fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
@@ -455,9 +450,7 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
-        assert fs.integer_class(k) == {"natural": "natural",
-                                       "halfline": "negative_integer"}.get(kind, "noninteger")
-        ref = _reference_column(fs, k, z, col.eta_used, kind)
+        ref = _reference_column(fs, k, z, col.eta_used)
         scale = float(np.max(np.abs(ref)))
         assert np.max(np.abs(col.reduced - ref)) <= 1e-10 * scale, kind
 
@@ -472,7 +465,7 @@ def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geome
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
-        ref = _reference_column(fs, k, z, col.eta_used, kind)
+        ref = _reference_column(fs, k, z, col.eta_used)
         dist = np.max(np.abs(col.reduced - ref)) / np.max(np.abs(ref))
         assert 0.0 < col.error and dist <= col.error, kind
 
@@ -531,7 +524,7 @@ def test_quadrature_divergence_edge(system_2x2, re, diverges):
         with pytest.raises(QuadratureDivergence):
             laplace._plan(fs, [spec], [0.0], [sol], 1e-12)
     else:
-        assert len(laplace._plan(fs, [spec], [0.0], [sol], 1e-12)[0].pieces) == 1
+        assert laplace._plan(fs, [spec], [0.0], [sol], 1e-12)[0].leg.z.size == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import isomonodromy.stokes as stokes
 from isomonodromy import continuation, ode
 from isomonodromy.continuation import connection_products
 from isomonodromy.frobenius import build_fuchsian, selected_solution
-from isomonodromy.model import CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair
+from isomonodromy.model import (CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair,
+                               integer_distance)
 from isomonodromy.stokes import (
     MatchingInconsistent,
     Ordering,
@@ -148,10 +149,123 @@ def test_gamma_shift_keeps_the_pair_on_both_routes():
     for gamma in (None, -0.2):
         P, conn = connection_products(SystemPair(A, system.u), CutPlane(eta=geo.eta),
                                       tol=1e-12, geometry=geo, gamma=gamma)
-        assert conn.gamma == (0.3 if gamma is None else gamma)
+        if gamma is None:
+            # the widest gap's midpoint: every shifted exponent 1/(4n) or more off the integers
+            assert integer_distance(conn.lambda_prime).min() >= 1 / (4 * system.n)
+        else:
+            assert conn.gamma == gamma
         pair = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
         pairs.append(np.stack([pair.S_nu, pair.S_nu_plus_mu]))
     assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-12 * np.max(np.abs(pairs[1]))
+
+
+# ---------------------------------------------------------------------------
+# exponents at and near an integer: both routes take one gamma-shift
+# ---------------------------------------------------------------------------
+
+NEAR_INTEGER_DELTAS = [s * d for d in (1e-4, 1e-6, 1e-7, 3e-8, 5e-9) for s in (1, -1)] + [0.0]
+FIT_DELTAS = [s * d for d in (1e-3, 2e-3, 3e-3) for s in (1, -1)]
+
+
+def _with_a00(seed, n, a00):
+    """The sweep system of ``seed`` at n with A_00 set to ``a00``, and its geometry."""
+    sp, tau = draw_system(np.random.default_rng(seed), n, min_gap=0.35)
+    A = sp.A.copy()
+    A[0, 0] = a00
+    return SystemPair(A, sp.u), DeformationGeometry(sp.u, 1e-3, tau)
+
+
+def _near_integer_errors(seed, n, m, deltas=NEAR_INTEGER_DELTAS):
+    """Each route's worst distance over A_00 = m + delta, delta in ``deltas``, from a reference,
+    relative to max(1, max|S|).
+
+    The reference is the degree-5 polynomial in delta through the formula
+    pairs shifted by gamma = 0.3 at delta = +-1, +-2, +-3 x 1e-3: the pair is
+    analytic in A_00 and gamma-invariant, and A_00 - 0.3 stays far from the
+    integers there.
+    """
+    fits = []
+    for delta in FIT_DELTAS:
+        sp, geo = _with_a00(seed, n, m + delta)
+        P, conn = connection_products(sp, CutPlane(eta=geo.eta), tol=1e-12, geometry=geo,
+                                      gamma=0.3)
+        fits.append(_stack(stokes_from_connection(P, geo.ordering, conn.lambda_prime)))
+    coef = np.polyfit(FIT_DELTAS, np.reshape(fits, (len(FIT_DELTAS), -1)), 5)
+    worst = {"formula": 0.0, "oracle": 0.0}
+    for delta in deltas:
+        sp, geo = _with_a00(seed, n, m + delta)
+        ref = (np.vander([delta], 6) @ coef).reshape(2, n, n)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        for pair in (stokes_pipeline(sp, geo, tol=1e-12), stokes_pair_direct(sp, geo)):
+            worst[pair.method] = max(worst[pair.method], _pair_distance(pair, ref) / scale)
+    return worst
+
+
+def _stack(pair):
+    return np.stack([pair.S_nu, pair.S_nu_plus_mu])
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+@pytest.mark.parametrize("seed, n", [(3, 3), (5, 4)])
+def test_near_integer_exponent_on_both_routes(seed, n, m):
+    """lambda'_0 = m + delta for delta = +-1e-4 ... +-5e-9 and 0: each route within 1e-11 of
+    max(1, max|S|) of the reference (:func:`_near_integer_errors`).
+
+    Both routes shift by the widest gap once lambda'_0 is within SHIFT_MARGIN
+    of an integer.  Unshifted, the formula lost accuracy as about 3e-16/delta
+    (6.8e-9 at delta = 3e-8), and the oracle read the integer classes' own
+    contours, up to 8.2e-8 at delta = -3e-8.  Shifted, the worst of these 66
+    cases reads 1.6e-14 (formula) and 9.4e-13 (oracle); m = -2 and 2 run
+    under ``slow``.
+    """
+    worst = _near_integer_errors(seed, n, m)
+    assert max(worst.values()) <= 1e-11, worst
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [-2, 2])
+@pytest.mark.parametrize("seed, n", [(3, 3), (5, 4)])
+def test_near_integer_exponent_on_both_routes_at_two(seed, n, m):
+    """The near-integer gate at m = -2 and 2: 2.1e-13 (formula) and 7.1e-12 (oracle, m = 2 on
+    the seed-3 system), which is the oracle's floor there: A_00 = 2.5 reads 7.7e-12 too."""
+    worst = _near_integer_errors(seed, n, m)
+    assert max(worst.values()) <= 1e-11, worst
+
+
+def test_near_integer_gate_fails_with_the_margin_at_integer_tol(monkeypatch):
+    """The control: with SHIFT_MARGIN set back to INTEGER_TOL, delta = 3e-8 goes unshifted,
+    and the formula misses the gate by 6.8e-9 at m = 1 (seed 5) and the oracle by 8.2e-8 at
+    m = 1, delta = -3e-8 (seed 3)."""
+    from isomonodromy import frobenius
+    from isomonodromy.model import INTEGER_TOL
+
+    monkeypatch.setattr(frobenius, "SHIFT_MARGIN", INTEGER_TOL)
+    assert _near_integer_errors(5, 4, 1, [3e-8])["formula"] > 1e-9
+    assert _near_integer_errors(3, 3, 1, [-3e-8])["oracle"] > 1e-8
+
+
+@pytest.mark.parametrize("seed, n", [(3, 3), (5, 4)])
+def test_exact_integer_exponent_routes_agree(seed, n):
+    """A_00 = -1, 0 and 1 exactly: the oracle runs on the shifted system, every column a
+    hairpin, and agrees with the shifted formula within 1e-12 of max(1, max|S|) (3.6e-13
+    measured).  Both record the same gamma."""
+    for m in (-1.0, 0.0, 1.0):
+        sp, geo = _with_a00(seed, n, m)
+        formula, oracle = stokes_pipeline(sp, geo, tol=1e-12), stokes_pair_direct(sp, geo)
+        assert oracle.diagnostics["gamma"] == formula.diagnostics["connection"].gamma != 0
+        scale = max(1.0, float(np.max(np.abs(_stack(oracle)))))
+        assert _pair_distance(formula, _stack(oracle)) <= 1e-12 * scale, m
+
+
+@pytest.mark.parametrize("a00", [-2.0, 1.0])
+def test_diagonal_integer_exponent_gives_the_identity(geometry_2x2, a00):
+    """A = diag(a00, 0.5) with an integer a00: Y = z^A e^{z Lambda} on every sector, so
+    S = I on both routes within 1e-12, through the shift."""
+    sp = SystemPair(np.diag([a00, 0.5]), [0.0, 1.0])
+    oracle = stokes_pair_direct(sp, geometry_2x2)
+    assert oracle.diagnostics["gamma"] != 0
+    for pair in (stokes_pipeline(sp, geometry_2x2, tol=1e-12), oracle):
+        assert _pair_distance(pair, np.eye(2)[None]) <= 1e-12, pair.method
 
 
 def test_relabelling_permutes_the_pair_on_both_routes():

@@ -26,9 +26,7 @@ _EXPORTS = {
     "label_rays": "model",
     "sector_bounds": "model",
     "stokes_ray_directions": "model",
-    "FuchsianSystem": "frobenius",
     "LocalSolution": "frobenius",
-    "build_fuchsian": "frobenius",
     "gamma_shift": "frobenius",
     "jordan_reduce_Bj": "frobenius",
     "levelt_at_confluence": "frobenius",

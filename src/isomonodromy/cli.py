@@ -58,7 +58,6 @@ from .model import (
 from .frobenius import (
     BadGamma,
     ResonanceAmbiguity,
-    build_fuchsian,
     levelt_at_confluence,
     levelt_exponents,
     selected_solutions,
@@ -357,27 +356,35 @@ def main():
     """Monodromy data of rank-1 irregular systems via Laplace transform."""
 
 
-def _common_options(fn):
-    fn = click.option("--spec", "spec_path", required=True,
-                      type=click.Path(exists=True), help="problem file (JSON)")(fn)
-    fn = click.option("--out", "out_dir", default="out", show_default=True,
-                      help="output directory")(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help="override tol: the projection limit max(100 tol, 1e-7) of "
-                           "stokes and deform, the oracle's series start max(tol/100, 1e-13), "
-                           "deform's drift limit 100 tol, check's 100 min(tol, 1e-12); rays, "
-                           "levelt and the Taylor carry do not read it")(fn)
-    fn = click.option("--order", type=int, default=None,
-                      help="override series truncation order")(fn)
-    fn = click.option("--gamma", type=float, default=None,
-                      help="override the formula route's exponent shift A -> A - gamma I "
-                           "on any system; checked like the automatic choice "
-                           "(frobenius.shift_exponents), which the oracle always takes")(fn)
-    return fn
+# the problem-file values a command line may override, each on the commands that read it
+_OVERRIDES = {
+    "tol": (float, "override tol: the projection limit max(100 tol, 1e-7) of stokes and "
+                   "deform, the oracle's series start max(tol/100, 1e-13), deform's drift "
+                   "limit 100 tol, check's 100 min(tol, 1e-12); the Taylor carry does not "
+                   "read it"),
+    "order": (int, "override series truncation order"),
+    "gamma": (float, "override the formula route's exponent shift A -> A - gamma I on any "
+                     "system; checked like the automatic choice (frobenius.shift_exponents), "
+                     "which the oracle always takes"),
+}
 
 
-def _load(spec_path, tol, order, gamma, then=lambda spec: None):
-    """The problem file with the command-line overrides, and ``then(spec)``.
+def _common_options(*overrides):
+    """--spec, --out and the named ``overrides`` of :data:`_OVERRIDES`."""
+    def apply(fn):
+        fn = click.option("--spec", "spec_path", required=True,
+                          type=click.Path(exists=True), help="problem file (JSON)")(fn)
+        fn = click.option("--out", "out_dir", default="out", show_default=True,
+                          help="output directory")(fn)
+        for name in overrides:
+            kind, text = _OVERRIDES[name]
+            fn = click.option(f"--{name}", type=kind, default=None, help=text)(fn)
+        return fn
+    return apply
+
+
+def _load(spec_path, then=lambda spec: None, **overrides):
+    """The problem file with the command-line ``overrides``, and ``then(spec)``.
 
     The overrides are checked like the file's values.  Every problem-file
     error, including those ``then`` raises, is reported as
@@ -385,7 +392,7 @@ def _load(spec_path, tol, order, gamma, then=lambda spec: None):
     """
     try:
         spec = ProblemSpec.load(spec_path)
-        for name, value in (("tol", tol), ("order", order), ("gamma", gamma)):
+        for name, value in overrides.items():
             if value is not None:
                 setattr(spec, name, value)
         spec.check()
@@ -403,10 +410,10 @@ def _finish(runner, out_dir, name):
 
 
 @main.command()
-@_common_options
-def rays(spec_path, out_dir, tol, order, gamma):
+@_common_options()
+def rays(spec_path, out_dir):
     """Stokes-ray table, sector bounds and crossing-locus samples."""
-    spec, _ = _load(spec_path, tol, order, gamma)
+    spec, _ = _load(spec_path)
     runner = Runner("rays", spec)
     geo = spec.geometry
     od = FsPath(out_dir)
@@ -464,16 +471,16 @@ def _crossing_locus(geo):
 
 
 @main.command()
-@_common_options
+@_common_options("tol", "order", "gamma")
 @click.option("--oracle", type=click.Choice(["on", "off"]), default="on",
               show_default=True, help="run the sectorial-matching oracle")
-def stokes(spec_path, out_dir, tol, order, gamma, oracle):
+def stokes(spec_path, out_dir, oracle, **overrides):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
     from .continuation import connection_products
     from .laplace import assemble_formal, formal_recursion
     from .stokes import monodromy_invariant_residual, stokes_from_connection, stokes_pair_direct
 
-    spec, _ = _load(spec_path, tol, order, gamma)
+    spec, _ = _load(spec_path, **overrides)
     runner = Runner("stokes", spec)
     geo = spec.geometry
     system = spec.system()
@@ -519,8 +526,7 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
         }
         # off the coalescence locus: cross-check against the local series
         if len(_group_partition(system.u)[0]) == system.n:
-            fs = build_fuchsian(system)
-            sols = selected_solutions(fs, spec.order)
+            sols = selected_solutions(system, spec.order)
             assembled = assemble_formal(sols, min(spec.formal_order, spec.order - 2))
             out["method"] = "recursion+asymptotic-coefficients"
             out["asymptotic_vs_recursion_max_diff"] = max(
@@ -553,13 +559,13 @@ def stokes(spec_path, out_dir, tol, order, gamma, oracle):
 
 
 @main.command()
-@_common_options
-def deform(spec_path, out_dir, tol, order, gamma):
+@_common_options("tol", "order", "gamma")
+def deform(spec_path, out_dir, **overrides):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
     from .stokes import _assemble, stokes_from_connection
 
-    spec, _ = _load(spec_path, tol, order, gamma, _require_paths)
+    spec, _ = _load(spec_path, _require_paths, **overrides)
     runner = Runner("deform", spec)
     geo = spec.geometry
     in_group = geo.in_group
@@ -632,7 +638,7 @@ def _parse_free(values, spec):
     """
     out = {}
     n, N = spec.u.size, _levelt_order(spec)
-    fs_c = build_fuchsian(SystemPair(spec.A, spec.u_c))
+    fs_c = SystemPair(spec.A, spec.u_c)
     gaps = [levelt_exponents(fs_c, g)[1] for g in spec.geometry.groups if len(g) > 1]
     for item in values:
         try:
@@ -651,14 +657,14 @@ def _parse_free(values, spec):
 
 
 @main.command()
-@_common_options
+@_common_options("order")
 @click.option("--free", "free_items", multiple=True,
               help="value for a resonant free parameter, as 'l,i,j=re[:im]'")
-def levelt(spec_path, out_dir, tol, order, gamma, free_items):
+def levelt(spec_path, out_dir, free_items, **overrides):
     """Levelt exponents, resonance structure and free parameters at u_c."""
-    spec, free_values = _load(spec_path, tol, order, gamma, lambda sp: _parse_free(free_items, sp))
+    spec, free_values = _load(spec_path, lambda sp: _parse_free(free_items, sp), **overrides)
     runner = Runner("levelt", spec)
-    fs_c = build_fuchsian(SystemPair(spec.A, spec.u_c))
+    fs_c = SystemPair(spec.A, spec.u_c)
     runner.file({"groups": []})
 
     def run_group(group):
@@ -692,14 +698,14 @@ def _check_step(step):
 
 
 @main.command()
-@_common_options
+@_common_options("tol")
 @click.option("--step", type=float, default=1e-3, show_default=True,
               help="finite-difference step for the integrability residual")
-def check(spec_path, out_dir, tol, order, gamma, step):
+def check(spec_path, out_dir, step, **overrides):
     """Integrability residual and vanishing-condition checks."""
     from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
 
-    spec, _ = _load(spec_path, tol, order, gamma, lambda _: _check_step(step))
+    spec, _ = _load(spec_path, lambda _: _check_step(step), **overrides)
     runner = Runner("check", spec)
     system = spec.system()
 
@@ -713,7 +719,7 @@ def check(spec_path, out_dir, tol, order, gamma, step):
             "method": "central-differences+transport"}}
 
     def vanishing():
-        _, consistency = schlesinger_rhs(build_fuchsian(system))
+        _, consistency = schlesinger_rhs(system)
         return {"vanishing": {
             "schlesinger_consistency": consistency,
             "pairs": vanishing_check(system, groups=spec.geometry.groups),

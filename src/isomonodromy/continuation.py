@@ -38,14 +38,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import tally
-from .model import BasisSingular, CutPlane, IllConditioned, StepFailure
-from .frobenius import (
-    FuchsianSystem,
-    _log_seed,
-    build_fuchsian,
-    selected_solutions,
-    shift_exponents,
-)
+from .model import BasisSingular, CutPlane, IllConditioned, StepFailure, SystemPair
+from .frobenius import _log_seed, selected_solutions, shift_exponents
 
 DEFAULT_TOL = 1e-10
 # Taylor carry: step length over the distance to the nearest pole, chords per
@@ -89,7 +83,7 @@ class Piece(NamedTuple):
     via: tuple = ()
 
 
-def carry(fs: FuchsianSystem, pieces):
+def carry(fs: SystemPair, pieces):
     """Continue every piece's block, with its Laplace integrals, by Taylor steps along its chords.
 
     First every piece's steps are planned (:func:`_plan`): from its current
@@ -416,7 +410,7 @@ def _depth_frame(fs, cut: CutPlane):
     return max(depths) - min(depths) + 0.5 * spread
 
 
-def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
+def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
     """Carry the selected-solution basis to the anti-cut base point of poles, and loop there.
 
     One :func:`carry` holds three kinds of piece.  Each Psi_k (series data
@@ -465,7 +459,7 @@ def continue_basis(fs: FuchsianSystem, cut: CutPlane, sols, poles):
     return out
 
 
-def monodromy_matrix(fs: FuchsianSystem, k: int, cut: CutPlane, N=40):
+def monodromy_matrix(fs: SystemPair, k: int, cut: CutPlane, N=40):
     """Monodromy M_k of the selected-solution basis around a small loop at u_k.
 
     Expresses gamma_k Psi = Psi M_k: identity except row k, whose diagonal
@@ -509,7 +503,7 @@ class ConnectionData:
     gamma: float = 0.0
 
 
-def connection_coefficients(fs: FuchsianSystem, cut: CutPlane, tol=DEFAULT_TOL,
+def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL,
                             N=40, geometry=None):
     """Extract the full matrix of connection coefficients at fixed u.
 
@@ -578,7 +572,7 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
     g, shifted = shift_exponents(system, gamma)
-    conn = connection_coefficients(build_fuchsian(shifted), cut, tol=tol, N=N, geometry=geometry)
+    conn = connection_coefficients(shifted, cut, tol=tol, N=N, geometry=geometry)
     conn.gamma = g
     P = conn.C * conn.alpha
     np.fill_diagonal(P, 0)

@@ -26,7 +26,6 @@ import numpy as np
 from .ode import tally
 from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, SystemPair,
                     check_vanishing)
-from .frobenius import FuchsianSystem, build_fuchsian
 from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
 from .laplace import f1
@@ -85,7 +84,7 @@ def _residue_commutators(w):
     return C
 
 
-def schlesinger_rhs(fs: FuchsianSystem):
+def schlesinger_rhs(fs: SystemPair):
     """Non-normalized Schlesinger right-hand sides d B_k / d u_i.
 
     Returns ``(derivs, consistency)`` where ``derivs[(i, k)]`` is the
@@ -97,7 +96,7 @@ def schlesinger_rhs(fs: FuchsianSystem):
     """
     n = fs.n
     m = np.arange(n)
-    om = _omegas(f1(SystemPair(fs.A, fs.u)))
+    om = _omegas(f1(fs))
     gap = fs.u[:, None] - fs.u[None, :]
     near = np.abs(gap) < COALESCE_TOL
     pole = _residue_commutators(fs.A_plus_I) / np.where(near, 1, gap)[..., None, None]
@@ -395,7 +394,7 @@ def vanishing_check(system, groups):
     ||[B_i, B_j]||, with a verdict per the equivalence
     |A_ij| -> 0  <=>  [B_i, B_j] -> 0.  At gap 0 both ratios are None.
     """
-    comm = _residue_commutators(build_fuchsian(system).A_plus_I)
+    comm = _residue_commutators(system.A_plus_I)
     u = system.u
     scale = max(1.0, float(np.max(np.abs(system.A))))
     ratio_bound = 1e3 * scale

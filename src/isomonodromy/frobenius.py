@@ -1,4 +1,6 @@
-"""Fuchsian system B_k = -E_k(A+I) and local Frobenius series at its poles.
+"""Local Frobenius series at the poles of the Fuchsian system B_k = -E_k(A+I).
+
+Every function takes the :class:`.model.SystemPair`, whose ``A_plus_I`` holds the residues.
 
 At each pole u_k the dual system (Lambda - lam) dPsi/dlam = (A+I) Psi has
 exponents 0 (n-1 fold) and -lambda'_k - 1.  The arithmetic class of
@@ -52,7 +54,6 @@ from .model import (
     SystemPair,
     _group_partition,
     check_vanishing,
-    exponent_class,
     integer_distance,
     nearest_integer,
 )
@@ -66,42 +67,9 @@ class BadGamma(ValueError):
     """The requested gamma does not clear the integer spectrum conditions."""
 
 
-@dataclass(frozen=True)
-class FuchsianSystem:
-    """Residues B_k = -E_k(A+I) at pole locations u.
-
-    Each B_k has rank one: its only nonzero row is row k of -(A+I), so
-    ``A_plus_I`` holds every residue once, as its row k.
-    """
-
-    u: np.ndarray
-    lambda_prime: np.ndarray
-    A: np.ndarray
-    A_plus_I: np.ndarray
-
-    @property
-    def n(self):
-        return self.u.size
-
-    def min_gap(self, k):
-        gaps = [abs(self.u[k] - self.u[m]) for m in range(self.n) if m != k]
-        return min(gaps) if gaps else math.inf
-
-    def validity_radius(self, k):
-        """Radius within which the local series at u_k is trusted."""
-        return 0.75 * self.min_gap(k)
-
-    def integer_class(self, k):
-        return exponent_class(self.lambda_prime[k])
-
-
-def build_fuchsian(system: SystemPair) -> FuchsianSystem:
-    """The Fuchsian system of ``system``, its residues held as the rows of A+I."""
-    A = system.A
-    return FuchsianSystem(
-        u=system.u.copy(), lambda_prime=system.lambda_prime.copy(), A=A.copy(),
-        A_plus_I=A + np.eye(system.n),
-    )
+def build_fuchsian(system: SystemPair) -> SystemPair:
+    """``system`` itself: a :class:`.model.SystemPair` holds its residues in ``A_plus_I``."""
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +94,7 @@ class _Columns(NamedTuple):
     at: tuple
 
 
-def _columns(fs: FuchsianSystem, poles) -> _Columns:
+def _columns(fs: SystemPair, poles) -> _Columns:
     """The columns of a recursion at ``poles``; a gap below COALESCE_TOL raises
     :class:`ResonanceAmbiguity` naming the first such pole: the local series
     needs distinct poles."""
@@ -353,7 +321,7 @@ class LocalSolution:
         return base * np.exp(self.rho * (np.log(abs(x)) + 1j * a))
 
 
-def selected_solutions(fs: FuchsianSystem, N: int = 40) -> list:
+def selected_solutions(fs: SystemPair, N: int = 40) -> list:
     """Normalized selected vector solutions Psi_k, k = 0..n-1, as truncated series.
 
     Classes noninteger / negative_integer fill ``b`` with the psi_k series
@@ -366,7 +334,7 @@ def selected_solutions(fs: FuchsianSystem, N: int = 40) -> list:
     return _selected(fs, np.arange(fs.n), N)
 
 
-def selected_solution(fs: FuchsianSystem, k: int, N: int = 40) -> LocalSolution:
+def selected_solution(fs: SystemPair, k: int, N: int = 40) -> LocalSolution:
     """Selected solution Psi_k at the one pole u_k, as :func:`selected_solutions` builds it."""
     return _selected(fs, np.array([k]), N)[0]
 
@@ -436,7 +404,7 @@ def _zero_verdict(fs, k, d):
     return True, "numerical" + ("" if nxt < 1e-12 else " (forward bound inconclusive)")
 
 
-def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
+def analytic_basis(fs: SystemPair, k: int, N: int = 40):
     """Basis of solutions analytic at u_k with exponent 0.
 
     Returns a list of (N+1) x n coefficient arrays, one stacked recursion over
@@ -463,7 +431,7 @@ def analytic_basis(fs: FuchsianSystem, k: int, N: int = 40):
     return [p for p, o in zip(np.moveaxis(phi, -1, 0).copy(), obstruction) if o <= 1e-9]
 
 
-def singular_solution(fs: FuchsianSystem, k: int, N: int = 40, sel=None) -> LocalSolution:
+def singular_solution(fs: SystemPair, k: int, N: int = 40, sel=None) -> LocalSolution:
     """Singular companion solution at u_k with uniquely fixed singular part.
 
     * noninteger: alias of :func:`selected_solution`;
@@ -548,7 +516,7 @@ class NotReducible(np.linalg.LinAlgError):
     """A residue's reduction leaves a residual above its bound."""
 
 
-def jordan_reduce_Bj(fs: FuchsianSystem, j):
+def jordan_reduce_Bj(fs: SystemPair, j):
     """Holomorphic reduction of the rank-one residue B_j = -e_j w^T, w = row j of A+I.
 
     Returns ``(G, T, branch)`` with G^-1 B_j G = T and G e_j = e_j:
@@ -602,7 +570,7 @@ class LeveltData:
     partial_nonresonance: bool
 
 
-def levelt_exponents(fs_uc: FuchsianSystem, group):
+def levelt_exponents(fs_uc: SystemPair, group):
     """``(T, K)``: Levelt exponents at the merged pole of ``group``, T_j = -(A+I)_jj on
     the group (:func:`jordan_reduce_Bj`) and 0 off it, and K_ij = T_i - T_j where that
     is an integer, else 0; (l, i, j) with K_ij = l >= 1 is a resonant position."""
@@ -612,11 +580,11 @@ def levelt_exponents(fs_uc: FuchsianSystem, group):
     return T, np.array([[nearest_integer(a - b) or 0 for b in T] for a in T])
 
 
-def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
+def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
                          free_values=None) -> LeveltData:
     """Levelt exponents and resonant structure at a merged pole.
 
-    ``fs_uc`` must be the Fuchsian system evaluated at u = u^c, ``group``
+    ``fs_uc`` must be the pair at u = u^c, ``group``
     one of its coalescence groups (:func:`.model._group_partition`),
     merging at lambda_alpha, that passes :func:`.model.check_vanishing`.
     Each group residue is reduced by :func:`jordan_reduce_Bj`; a nilpotent
@@ -643,9 +611,9 @@ def levelt_at_confluence(fs_uc: FuchsianSystem, group, N: int = 20,
                 "reduction does not apply to this group"
             )
         G = G @ Gj
-    # the other groups' merged residues G^-1 B_i G, B_i = -e_i w_i^T, w_i = row i of A+I
+    # each other group's merged residue sum_i G^-1 B_i G, B_i = -e_i (row i of A+I): one product
     Ginv = np.linalg.inv(G)
-    others = [(v, -sum(np.outer(Ginv[:, i], fs_uc.A_plus_I[i] @ G) for i in g))
+    others = [(v, -(Ginv[:, list(g)] @ (fs_uc.A_plus_I[list(g)] @ G)))
               for g, v in zip(groups, values) if g != group]
     Dm = [None] + [sum((((-1) ** (m + 1)) / (lam_alpha - lam_beta) ** m * Db
                         for lam_beta, Db in others), np.zeros((n, n), dtype=complex))

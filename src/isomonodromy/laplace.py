@@ -55,12 +55,13 @@ from .model import (
     IllConditioned,
     QuadratureDivergence,
     SingularF1,
+    SystemPair,
     VANISH_TOL,
     angular_distance_mod_pi,
     check_vanishing,
     nearest_integer,
 )
-from .frobenius import FuchsianSystem, cgamma
+from .frobenius import cgamma
 from .continuation import Piece, Z_SPAN, carry
 
 logger = logging.getLogger(__name__)
@@ -260,7 +261,7 @@ class ColumnSpec:
     arg: float
 
 
-def laplace_columns(fs: FuchsianSystem, geometry, specs, sols, tol=1e-12):
+def laplace_columns(fs: SystemPair, geometry, specs, sols, tol=1e-12):
     """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
 
     ``sols[k]`` is the selected-solution series of pole k, and every pole

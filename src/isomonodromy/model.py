@@ -1,9 +1,9 @@
 """System definitions, deformation-space geometry and Stokes-ray bookkeeping.
 
 Everything downstream consumes the objects defined here: the matrix pair
-(A, Lambda=diag(u)), the polydisc around a coalescence point with its group
-structure, the cut lambda-plane, and the labelled Stokes rays / sectors in
-the z-plane.
+(A, Lambda=diag(u)) with the residues -E_k(A+I) of its Laplace-dual system,
+the polydisc around a coalescence point with its group structure, the cut
+lambda-plane, and the labelled Stokes rays / sectors in the z-plane.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def nearest_integer(x):
-    """The integer within INTEGER_TOL of the complex number x, or None."""
+    """round(Re x) if :func:`integer_distance` puts x within INTEGER_TOL of it, else None."""
     x = complex(x)
-    r = round(x.real)
-    return r if max(abs(x.imag), abs(x.real - r)) < INTEGER_TOL else None
+    return round(x.real) if integer_distance(x) < INTEGER_TOL else None
 
 
 def integer_distance(x):
-    """max(|Im x|, |Re x - round(Re x)|) of every entry of x, as :func:`nearest_integer` tests."""
-    return np.maximum(np.abs(np.imag(x)), np.abs(np.real(x) - np.round(np.real(x))))
+    """max(|Im x|, |Re x - round(Re x)|) of a number x, or of every entry of an array x."""
+    return np.maximum(abs(x.imag), abs(x.real - np.rint(x.real)))
 
 
 def exponent_class(x):
@@ -111,7 +110,7 @@ def _as_complex_vector(u):
 
 
 def _as_complex_matrix(A):
-    M = np.asarray(A, dtype=complex)
+    M = np.array(A, dtype=complex, order="C")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return M
@@ -121,31 +120,45 @@ def _as_complex_matrix(A):
 class SystemPair:
     """The matrix A together with the eigenvalue point u of Lambda=diag(u).
 
-    ``lambda_prime`` is the diagonal of A; it is constant along
+    The pair keeps its own copies of A and u and builds two arrays from them
+    once: ``lambda_prime``, the diagonal of A, which is constant along
     isomonodromic deformations and controls every local exponent in the
-    Laplace-dual Fuchsian system.
+    Laplace-dual Fuchsian system, and ``A_plus_I`` = A + I, whose row k,
+    negated, is the only nonzero row of that system's rank-one residue
+    B_k = -E_k(A+I) at u_k.
     """
 
     A: np.ndarray
     u: np.ndarray
+    lambda_prime: np.ndarray
+    A_plus_I: np.ndarray
 
     def __init__(self, A, u):
         A = _as_complex_matrix(A)
-        u = _as_complex_vector(u)
+        u = _as_complex_vector(u).copy()
         if A.shape[0] != u.size:
             raise ValueError(
                 f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]}, u has {u.size} entries"
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "lambda_prime", np.diag(A).copy())
+        object.__setattr__(self, "A_plus_I", A + np.eye(u.size))
 
     @property
     def n(self):
         return self.u.size
 
-    @property
-    def lambda_prime(self):
-        return np.diag(self.A)
+    def min_gap(self, k):
+        gaps = [abs(self.u[k] - self.u[m]) for m in range(self.n) if m != k]
+        return min(gaps) if gaps else math.inf
+
+    def validity_radius(self, k):
+        """Radius within which the local series at u_k is trusted."""
+        return 0.75 * self.min_gap(k)
+
+    def integer_class(self, k):
+        return exponent_class(self.lambda_prime[k])
 
 
 def angular_distance_mod_pi(a, b):

@@ -23,7 +23,7 @@ from .model import (
     OverlapEmpty,
     sector_bounds,
 )
-from .frobenius import build_fuchsian, selected_solutions, shift_exponents
+from .frobenius import selected_solutions, shift_exponents
 from .continuation import connection_products
 from .laplace import ColumnSpec, laplace_columns
 
@@ -176,17 +176,16 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     :func:`.frobenius.shift_exponents` picks, recorded as
     ``diagnostics["gamma"]``: Y -> z^{-gamma} Y leaves the pair as it is,
     and every exponent of the shifted system is noninteger, so each column
-    is a hairpin.  Both matchings share one Fuchsian system and one set of
+    is a hairpin.  Both matchings share one shifted system and one set of
     local series, and their 4n Laplace columns go through one carry of at
     most 2 CUT_STEPS lockstep steps (:func:`laplace_columns`); each
     matching is then fitted on its own (:func:`_fit`).
     """
     gamma, shifted = shift_exponents(system)
-    fs = build_fuchsian(shifted)
-    sols = selected_solutions(fs, N)
+    sols = selected_solutions(shifted, N)
     theta0, ladder0, specs0 = _matching(system, geometry, 0)
     theta1, ladder1, specs1 = _matching(system, geometry, 1)
-    cols = laplace_columns(fs, geometry, specs0 + specs1, sols=sols, tol=tol)
+    cols = laplace_columns(shifted, geometry, specs0 + specs1, sols=sols, tol=tol)
     S0, d0 = _fit(system, theta0, ladder0, cols[:len(specs0)])
     S1, d1 = _fit(system, theta1, ladder1, cols[len(specs0):])
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",

@@ -95,8 +95,10 @@ MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments)
 }
 
 
-@pytest.mark.parametrize("cmd", ["rays", "stokes"])
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+# rays takes no override, so the cases with command-line arguments run on stokes only
+@pytest.mark.parametrize("case, cmd", [(case, cmd) for case in sorted(MALFORMED)
+                                        for cmd in ["rays", "stokes"]
+                                        if cmd == "stokes" or not MALFORMED[case][1]])
 def test_cli_malformed_problem_exits_2(tmp_path, case, cmd):
     """Non-finite numbers and out-of-range settings are problem-file errors, not crashes."""
     edit, args = MALFORMED[case]
@@ -333,6 +335,22 @@ def test_cli_deform_has_no_oracle_option(tmp_path):
     )
     assert result.exit_code == 2
     assert "No such option '--oracle'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd, option, value", [
+    ("rays", "--tol", "1e-9"), ("rays", "--order", "30"), ("rays", "--gamma", "0.1"),
+    ("levelt", "--tol", "1e-9"), ("levelt", "--gamma", "0.1"),
+    ("check", "--order", "30"), ("check", "--gamma", "0.1"),
+])
+def test_cli_unread_override_is_a_usage_error(tmp_path, cmd, option, value):
+    """Each command takes only the overrides it reads: rays none, levelt --order, check --tol."""
+    path = _write(tmp_path, SAMPLE)
+    result = CliRunner().invoke(
+        main, [cmd, "--spec", path, "--out", str(tmp_path / "out"), option, value]
+    )
+    assert result.exit_code == 2
+    assert f"No such option '{option}'" in result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -664,7 +664,7 @@ def _rowwise_error(got, want):
 
 
 def _series_cases():
-    """(FuchsianSystem, k) for random systems n = 2..6 and every exponent class at u_k."""
+    """(SystemPair, k) for random systems n = 2..6 and every exponent class at u_k."""
     rng = np.random.default_rng(5)
     cases = []
     for n in range(2, 7):

@@ -352,3 +352,18 @@ def test_system_pair_validation():
     sp = SystemPair(np.diag([0.5, -2.0, 1.0]), [0.0, 1.0, 2.0])
     assert [exponent_class(lp) for lp in sp.lambda_prime] == [
         "noninteger", "negative_integer", "natural"]
+
+
+def test_system_pair_keeps_its_own_copies():
+    """Changing the caller's A or u after SystemPair(A, u) moves neither A, its diagonal
+    nor A+I."""
+    A = np.array([[0.5, 2.0], [3.0, 1 / 3]], dtype=complex)
+    u = np.array([0.0, 1.0], dtype=complex)
+    sp = SystemPair(A, u)
+    A[0, 0], A[1, 0], u[1] = 7.0, -1.0, 5.0
+    assert np.array_equal(sp.A, [[0.5, 2.0], [3.0, 1 / 3]])
+    assert np.array_equal(sp.A_plus_I, sp.A + np.eye(2))
+    assert np.array_equal(sp.lambda_prime, [0.5, 1 / 3])
+    assert np.array_equal(sp.u, [0.0, 1.0])
+    assert [sp.integer_class(k) for k in range(2)] == ["noninteger", "noninteger"]
+    assert sp.min_gap(0) == sp.validity_radius(0) / 0.75 == 1.0

@@ -223,8 +223,11 @@ REPORT_SCHEMA = {
         "results": {
             "type": "object",
             "properties": {
-                route: {"type": "object", "required": ["monodromy_invariant"]}
-                for route in ("stokes_formula", "stokes_oracle")
+                "stokes_formula": {"type": "object", "required": ["monodromy_invariant"]},
+                # and each matching's |z| ladder, spread and contour directions d
+                "stokes_oracle": {"type": "object", "required": ["monodromy_invariant"] + [
+                    f"{key}_{h}" for h in ("h0", "h1")
+                    for key in ("ladder", "z_spread", "directions")]},
             },
         },
     },
@@ -546,7 +549,7 @@ def stokes(spec_path, out_dir, oracle, **overrides):
             "stokes_oracle": _stokes_json(
                 op, monodromy_invariant=monodromy_invariant_residual(op, system.A),
                 **{f"{key}_{h}": op.diagnostics[h][key]
-                   for h in ("h0", "h1") for key in ("ladder", "z_spread")}),
+                   for h in ("h0", "h1") for key in ("ladder", "z_spread", "directions")}),
             "formula_oracle_max_diff": float(np.max(np.abs(
                 np.stack([op.S_nu, op.S_nu_plus_mu]) - np.stack([pair.S_nu, pair.S_nu_plus_mu])))),
         }

@@ -12,19 +12,20 @@ whole row j of connection coefficients (:func:`connection_coefficients`)
 through gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.
 
 All transport of both Stokes routes runs on one batched Taylor carry
-(:func:`carry`).  Each :class:`Piece` is a path lam = pole + a + b s +
-c e^{i omega s}, s in [0, 1], or a polyline, carrying an (n, w) block
-and, for the oracle's Laplace legs (:mod:`.laplace`), the integrals of
-e^{z x} times that block for each of its samples z.  Every piece's Taylor
-steps are planned first and cut into runs of at most CUT_STEPS, every run
-after the first carrying the identity; the runs step in lockstep, a run
-leaving the batch once its steps are done, and the piece's end is the
-product of their transition matrices, the system being linear.  With
-samples each run is carried once more, from its own start, for its
-integrals: Gauss-Legendre sums over each step's Taylor polynomial, taken
-by moments of the rule.  So the formula route makes one carry of at most
-CUT_STEPS lockstep steps at any n, and the oracle one of at most
-2 CUT_STEPS per Stokes pair.
+(:func:`carry`).  Each :class:`Piece` is a polyline about its pole, a
+loop the CHORDS-gon inscribed in its circle, carrying an (n, w) block;
+for the oracle's Laplace legs (:mod:`.laplace`) the carry returns the
+integrals of e^{z x} times that block for each of its samples z instead.
+Every piece's Taylor steps are planned first and cut into runs of at
+most CUT_STEPS, every run after the first carrying the identity; the
+runs step in lockstep, a run leaving the batch once its steps are done,
+and the piece's end is the product of their transition matrices, the
+system being linear.  With samples a first pass carries only the runs
+that a later run starts from, and a second every run from its own start
+for its integrals: Gauss-Legendre sums over each step's Taylor
+polynomial, taken by moments of the rule.  So the formula route makes
+one carry of at most CUT_STEPS lockstep steps at any n, and the oracle
+one of at most 2 CUT_STEPS per Stokes pair.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .frobenius import _log_seed, selected_solutions, shift_exponents
 
 DEFAULT_TOL = 1e-10
 # Taylor carry: step length over the distance to the nearest pole, chords per
-# curved piece, negligible term relative to its block, the order limits and
+# loop, negligible term relative to its block, the order limits and
 # the orders whose terms are kept before they are summed and integrated
 STEP_RATIO = 0.5
 CHORDS = 16
@@ -63,12 +64,10 @@ NODES = 24
 
 
 class Piece(NamedTuple):
-    """A path lam = pole + x(s), x(s) = a + b s + c e^{i omega s}, s from 0 to 1.
+    """A polyline lam = pole + x from x = a through the offsets ``via`` to a + b.
 
-    ``y0`` is the value at s = 0: an (n,) vector or an (n, w) block of
-    columns.  A straight leg has c = 0, a circle a = b = 0; a straight
-    piece with offsets ``via`` is the polyline from a through them to
-    a + b.  For each sample in ``z`` :func:`carry` also returns the Laplace
+    ``y0`` is the value at x = a: an (n,) vector or an (n, w) block of
+    columns.  For each sample in ``z`` :func:`carry` returns the Laplace
     integral of e^{z x} Y dx along the piece (the oracle's legs in
     :mod:`.laplace`).
     """
@@ -76,31 +75,30 @@ class Piece(NamedTuple):
     pole: complex
     a: complex
     b: complex
-    c: complex
-    omega: float
     y0: np.ndarray
     z: np.ndarray = np.zeros(0, dtype=complex)
     via: tuple = ()
 
 
 def carry(fs: SystemPair, pieces):
-    """Continue every piece's block, with its Laplace integrals, by Taylor steps along its chords.
+    """Continue every piece's block by Taylor steps along its chords, or integrate it.
 
     First every piece's steps are planned (:func:`_plan`): from its current
-    point along the current chord of its polyline (:func:`_chords`) by
+    point along the current chord of its polyline by
     h = min(rest of the chord, STEP_RATIO rho, Z_SPAN / max|z|), rho its
     distance to the nearest pole and z its samples, so its terms fall at
     least as fast as STEP_RATIO^m times a power of m.  A piece is then cut
     into runs of at most CUT_STEPS planned steps: the first carries ``y0``,
     every later one the identity, and the piece's end is the ordered
     product Phi_K ... Phi_2 Y_1 of its runs' ends, the system being linear.
-    With samples every run is carried again for its integrals, from its
-    start Phi_{r-1} ... Phi_2 Y_1 in its piece's width (a batch with samples
-    has one width), and the piece's integral is the sum of its runs'.  So a
-    batch takes at most CUT_STEPS lockstep steps, twice that with samples.
+    With samples the first pass carries only the runs that a later run
+    starts from, and a second every run from its start Phi_{r-1} ... Y_1,
+    in its piece's width (a batch with samples has one width), for its
+    integrals, which sum to the piece's.  So a batch takes at most
+    CUT_STEPS lockstep steps, twice that with samples.
 
-    The runs are one (n, sum w) matrix, run r in w_r columns of it.  At
-    lam0 the Taylor terms T_m = Y_m h^m of the solution obey
+    The runs of a pass are one (n, sum w) matrix, run r in w_r columns of
+    it.  At lam0 the Taylor terms T_m = Y_m h^m of the solution obey
     T_{m+1} = (M - m I) T_m h / ((m + 1)(lam0 - u)), M = -(A+I), row k
     divided by lam0 - u_k: per order, one product of the shared
     (M - m I) / (m + 1) with the whole batch, then row k of run r scaled
@@ -118,19 +116,16 @@ def carry(fs: SystemPair, pieces):
     NODES nodes, at most Z_SPAN / PANELS = 8 in |z h| per panel: node
     weights once per step (:func:`_node_weights`), then the terms by their
     moments (:func:`_fold`) every ORDER_BLOCK orders, as they are summed.
-    A curved piece is integrated along its chords, which by Cauchy's
-    theorem is the integral along the arc: no pole lies between them.
 
     Reports one solve, one step per lockstep step, one nfev per order and
-    the runs each step moved, as piece_steps (the planned steps of all
-    pieces, twice with samples), to :func:`.ode.counting`.  Raises
-    :class:`ValueError` for a batch with samples of two widths;
+    the runs each step moved, as piece_steps, to :func:`.ode.counting`.
+    Raises :class:`ValueError` for a batch with samples of two widths;
     :class:`StepFailure`, from the plan, for a piece that meets a pole or
     that a step leaves where it was (x + h == x, as on a path through a
     pole), and for a block, Taylor term or integral that is not finite or
-    a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of a
-    piece without samples and ``(Y_p(1), J_p)`` of one with samples,
-    J_p[i] the integral for z_p,i.
+    a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
+    every piece of a batch without samples, and the integrals J_p of every
+    piece of a batch with samples, J_p[i] the one for z_p,i.
     """
     if not pieces:
         return []
@@ -155,8 +150,12 @@ def carry(fs: SystemPair, pieces):
     owner, start = np.array([(p, s) for p in range(P)
                              for s in range(0, max(planned[p], 1), CUT_STEPS)]).T
     length = np.minimum(planned[owner] - start, CUT_STEPS)
+    # later[r]: run r + 1 goes on from the end of run r, and starts from the
+    # identity until the first pass has given that end
+    later = np.append(owner[1:] == owner[:-1], False)
     one = np.eye(n, dtype=complex)
-    runs = [blocks[p].reshape(n, -1) if s == 0 else one for p, s in zip(owner, start)]
+    starts = [blocks[p].reshape(n, -1) if s == 0 else one for p, s in zip(owner, start)]
+    ends = [None] * owner.size
     # the integrals of each run, from the second pass
     J = np.zeros((owner.size, nz, n, widths[0] if nz else 0), dtype=complex)
     # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
@@ -167,22 +166,27 @@ def carry(fs: SystemPair, pieces):
     # every ORDER_BLOCK orders
     rows = ORDER_BLOCK + 2
     steps = nfev = piece_steps = 0
-    for second in range(1 + bool(nz)):
-        run_widths = np.array([r.shape[1] for r in runs])
-        # run r is columns first[r]:first[r] + run_widths[r] of the batch
+    every = np.ones_like(later)
+    for carried, second in [(later, False), (every, True)] if nz else [(every, False)]:
+        sel = np.flatnonzero(carried)
+        if not sel.size:
+            continue
+        run_owner, run_start, run_length = owner[sel], start[sel], length[sel]
+        run_widths = np.array([starts[r].shape[1] for r in sel])
+        # run sel[i] is columns first[i]:first[i] + run_widths[i] of the batch
         first = np.cumsum(run_widths) - run_widths
-        Y = np.concatenate(runs, axis=1)
+        Y = np.concatenate([starts[r] for r in sel], axis=1)
         buf = np.empty(rows * Y.size, dtype=complex)
         terms, width = [], 0
-        for k in range(int(length.max())):
-            at = np.minimum(start + k, len(H) - 1)
-            h = np.where(k < length, H[at, owner], 0)
+        for k in range(int(run_length.max())):
+            at = np.minimum(run_start + k, len(H) - 1)
+            h = np.where(k < run_length, H[at, run_owner], 0)
             move = np.flatnonzero(h)
             size = np.abs(Y).max(0)
             if not np.isfinite(size).all():
                 raise StepFailure(f"continuation of {P} piece(s) is not finite")
             # the step runs on the columns of the runs that move
-            step = at[move], owner[move]
+            step = at[move], run_owner[move]
             hm, wm, dist = h[move], run_widths[move], dists[step]
             cols = np.repeat(h != 0, run_widths)
             floor = np.repeat(TAYLOR_EPS * np.maximum.reduceat(size, first)[move], wm)
@@ -198,7 +202,7 @@ def carry(fs: SystemPair, pieces):
                 terms, width = list(T), scale.size
             T[0] = Y[:, cols]
             if second:
-                weights = _node_weights(X[step], hm, z[owner[move]], real[owner[move]])
+                weights = _node_weights(X[step], hm, z[step[1]], real[step[1]])
                 by_run = T.reshape(rows, n, move.size, -1)
             total, integral, done, lo = 0, 0, 0, 0
             while True:
@@ -225,7 +229,7 @@ def carry(fs: SystemPair, pieces):
                 lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
             T = T[:hi + 1 - done]
             if second:
-                J[move] += integral + _fold(by_run[:hi + 1 - done], weights, done)
+                J[sel[move]] += integral + _fold(by_run[:hi + 1 - done], weights, done)
             Y[:, cols] = total + T.sum(0)
             steps += 1
             nfev += hi
@@ -233,27 +237,25 @@ def carry(fs: SystemPair, pieces):
         if not (np.isfinite(Y).all() and np.isfinite(J).all()):
             raise StepFailure(f"continuation of {P} piece(s) ends not finite")
         if not second:
-            # Phi_K ... Phi_2 Y_1, each later run's end applied to the one
-            # before, which is where that run starts
-            ends = []
-            for r, (f, w, s) in enumerate(zip(first, run_widths, start)):
-                if s:
-                    runs[r] = ends.pop()
-                ends.append(Y[:, f:f + w] @ runs[r] if s else Y[:, f:f + w])
+            # run r ends at its Phi applied to its start, y0 carried for a first run
+            for r, f, w in zip(sel, first, run_widths):
+                ends[r] = Y[:, f:f + w] @ starts[r] if start[r] else Y[:, f:f + w]
+                if later[r]:
+                    starts[r + 1] = ends[r]
     tally(steps, nfev, piece_steps)
-    ends = [y.reshape(b.shape) for y, b in zip(ends, blocks)]
+    if not nz:
+        return [ends[r].reshape(b.shape) for r, b in zip(np.flatnonzero(~later), blocks)]
     J = np.add.reduceat(J, np.flatnonzero(start == 0))
-    return [(y, j[:p.z.size].reshape((p.z.size,) + b.shape)) if p.z.size else y
-            for p, y, j, b in zip(pieces, ends, J, blocks)]
+    return [j[:p.z.size].reshape((p.z.size,) + b.shape) for p, j, b in zip(pieces, J, blocks)]
 
 
 def _plan(pieces, offset, reach_z):
     """Every piece's Taylor steps, planned in lockstep before any order is summed.
 
-    A piece steps from its current point x along the current chord of
-    :func:`_chords` by the rule of :func:`carry`, skipping a vertex it is
-    on already; ``offset`` holds pole - u_k per piece and ``reach_z`` its
-    z cap.  Returns the points x (S + 1, P), the steps h (S, P), 0 once a
+    A piece steps from its current point x along the current chord of its
+    polyline a, via..., a + b by the rule of :func:`carry`, skipping a
+    vertex it is on already; ``offset`` holds pole - u_k per piece and
+    ``reach_z`` its z cap.  Returns the points x (S + 1, P), the steps h (S, P), 0 once a
     piece is at the end of its path, and at the start of each step
     lam - u (S, P, n) and rho (S, P), with the number of planned steps of
     each piece.  Raises :class:`StepFailure` for a piece that meets a pole
@@ -261,7 +263,7 @@ def _plan(pieces, offset, reach_z):
     """
     P = len(pieces)
     # Python scalars: their arithmetic is numpy's scalar arithmetic, at less cost
-    paths = [[complex(v) for v in _chords(p)] for p in pieces]
+    paths = [[complex(v) for v in (p.a, *p.via, p.a + p.b)] for p in pieces]
     x = [path[0] for path in paths]
     ahead = [1] * P  # index of the vertex each piece heads for
     xs, hs, dists, rhos = [x], [], [], []
@@ -349,26 +351,16 @@ def _composite_gauss(panels, nodes):
 _QUADRATURE = _composite_gauss(PANELS, NODES)
 
 
-def _chords(piece):
-    """The polyline a piece is carried along, as offsets x from its pole.
-
-    A straight piece is its ends and its ``via`` vertices between them; a
-    curved one is CHORDS chords whose vertices x(j / CHORDS) lie on the path.
-    """
-    if piece.c == 0:
-        return [piece.a, *piece.via, piece.a + piece.b]
-    s = np.linspace(0.0, 1.0, CHORDS + 1)
-    return list(piece.a + piece.b * s + piece.c * np.exp(1j * piece.omega * s))
-
-
 def _segment(start, end, value, via=()):
     """Straight piece from ``start`` through the points ``via`` to ``end``."""
-    return Piece(start, 0.0, end - start, 0.0, 0.0, value, via=tuple(p - start for p in via))
+    return Piece(start, 0.0, end - start, value, via=tuple(p - start for p in via))
 
 
 def _loop(fs, j, base_point, value):
-    """Positive circle piece around u_j through the base point."""
-    return Piece(fs.u[j], 0.0, 0.0, base_point - fs.u[j], 2 * math.pi, value)
+    """Positive loop round u_j: the CHORDS-gon inscribed in the circle, from and to the base point."""
+    x = base_point - fs.u[j]
+    turn = np.exp(2j * math.pi * np.arange(1, CHORDS) / CHORDS)
+    return Piece(fs.u[j], x, 0.0, value, via=tuple(x * turn))
 
 
 # ---------------------------------------------------------------------------

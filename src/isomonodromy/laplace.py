@@ -11,27 +11,27 @@ they are.
 Every column is a local-series start near u_k plus one leg from it, for
 all samples z_1 ... z_m of a ray arg z = theta at once.  The start lies
 where the series tail is below ``tol`` (:func:`_start`).  The leg leaves
-u_k in the direction d of the label's eta-window, and may bend at
+u_k in the direction d at the centre of the label's eta-window (cut to
+the convergence half-plane, :func:`_direction_for`), and may bend at
 R e^{id} onto the steepest-descent ray arg x = pi - theta (:func:`_leg`),
 R above the pole hull max_j |u_j - u_k|: the wedge between the bent and
 the straight leg then lies outside the disc of radius R about u_k, since
 the angle phi between d and pi - theta has cos phi > 0, so it holds no
 pole and the integral does not change.  A leg stays straight unless the
 bend saves more than one far step, as near steepest descent.  The leg
-is a :class:`.continuation.Piece` (a polyline when bent) with the
-samples, and the Taylor carry :func:`.continuation.carry` returns
-J_i = int e^{z_i x} Psi_k dx along it, summed over the Taylor
-polynomial of every step: the same rank-one transport the formula route
-uses, with no dense output.  The hairpin's small circle lies inside the
-convergence disc of the series, so its integral is the series integrated
-term by term (:func:`_circle`), with no carry.
+is a :class:`.continuation.Piece` with the samples, and the Taylor carry
+:func:`.continuation.carry` returns J_i = int e^{z_i x} Psi_k dx along
+it, summed over the Taylor polynomial of every step: the same rank-one
+transport the formula route uses, with no dense output.  The hairpin's
+small circle lies inside the convergence disc of the series, so its
+integral is the series integrated term by term (:func:`_circle`).
 
 Columns are computed in batches (:func:`laplace_columns`): the contour
 direction runs once per label and ray, validation, the series starts and
 the hairpin circles in one pass over the batch (:func:`_plan`), and the
 legs of every column in the batch go through one
-:func:`.continuation.carry`, cut into runs of CUT_STEPS steps that are
-carried once for their starts and once for their integrals.  The
+:func:`.continuation.carry`, cut into runs of CUT_STEPS steps, carried
+once for the starts of the later runs and once for their integrals.  The
 oracle's batch is the 4n legs of both matchings of a Stokes pair.
 
 All returned column values are *reduced*: the exponential prefactor
@@ -164,10 +164,12 @@ def formal_recursion(system, L):
 def _direction_for(labels, h, theta, u):
     """The contour direction d for computing Y at label h*mu and arg z = theta.
 
-    d must lie in the label's eta-window (eta_{m+1}, eta_m), inside the
-    convergence half-plane (pi/2 - theta, 3 pi/2 - theta), and away from
-    inter-pole directions mod pi.  If 128 nudges through the window find no
-    clear direction, the last one is used and logged as a WARNING.
+    d lies in the label's eta-window (eta_{m+1}, eta_m) and inside the
+    convergence half-plane (pi/2 - theta, 3 pi/2 - theta): at the centre of
+    the interval (lo, hi) they share, as far as it can be from its edges,
+    which are inter-pole directions or the half-plane's edge.  A d on an
+    inter-pole direction mod pi is nudged along the interval; if 128 nudges
+    find no clear direction, the last one is used and logged as a WARNING.
     """
     m = h * labels.mu
     eta_hi = 1.5 * math.pi - labels.tau_nu(m)      # eta_m
@@ -178,24 +180,23 @@ def _direction_for(labels, h, theta, u):
         raise QuadratureDivergence(
             f"arg z = {theta:.4f} outside the sector of label {m}"
         )
-    pad = 0.05 * (hi - lo)
-    lo2, hi2 = lo + pad, hi - pad
-    d = min(max(math.pi - theta, lo2), hi2)
+    d = 0.5 * (lo + hi)
     # nudge off inter-pole directions so the cuts miss the poles
     bad = [cmath.phase(a - b) for i, a in enumerate(u) for b in u[i + 1:]
            if abs(a - b) > COALESCE_TOL]
-    step = (hi2 - lo2) / 64.0
+    # an odd count of steps: from the centre no nudge lands on an edge
+    step = (hi - lo) / 65.0
 
     def blocked(x):
         return any(angular_distance_mod_pi(x, bb) < 16 * ANGLE_TOL for bb in bad)
 
     tries = 0
     while blocked(d) and tries < 128:
-        d = lo2 + ((d - lo2 + step) % (hi2 - lo2))
+        d = lo + ((d - lo + step) % (hi - lo))
         tries += 1
     if blocked(d):
         logger.warning("_direction_for: no direction in (%.10f, %.10f) clear of the "
-                       "inter-pole directions after 128 nudges; using %.10f", lo2, hi2, d)
+                       "inter-pole directions after 128 nudges; using %.10f", lo, hi, d)
     return d
 
 
@@ -277,7 +278,7 @@ def laplace_columns(fs: SystemPair, geometry, specs, sols, tol=1e-12):
             for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
     plans = _plan(fs, specs, [rays[spec.h, float(spec.arg)] for spec in specs], sols, tol)
     columns = []
-    for spec, plan, (_, J) in zip(specs, plans, carry(fs, [plan.leg for plan in plans])):
+    for spec, plan, J in zip(specs, plans, carry(fs, [plan.leg for plan in plans])):
         reduced = plan.base + plan.weight * J
         size = plan.size + float(np.max(np.abs(J)))
         error = (plan.tail + CARRY_TOL) * size / max(float(np.max(np.abs(reduced))), 1e-300)
@@ -458,9 +459,8 @@ def _leg(pole, start, d, theta, value, z, rate, near, far, growth, hull):
     for _ in range(3):
         s = (TAIL + growth * math.log(max(abs(corner + s * descent), 1.0))) / near - lead
     if 0 < s and R - start + s + Z_SPAN / far < straight:
-        return Piece(pole, start * e_d, corner + s * descent - start * e_d, 0.0, 0.0, value, z,
-                     (corner,))
-    return Piece(pole, start * e_d, straight * e_d, 0.0, 0.0, value, z)
+        return Piece(pole, start * e_d, corner + s * descent - start * e_d, value, z, (corner,))
+    return Piece(pole, start * e_d, straight * e_d, value, z)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,8 @@ class SystemPair:
     isomonodromic deformations and controls every local exponent in the
     Laplace-dual Fuchsian system, and ``A_plus_I`` = A + I, whose row k,
     negated, is the only nonzero row of that system's rank-one residue
-    B_k = -E_k(A+I) at u_k.
+    B_k = -E_k(A+I) at u_k.  All four are read-only, so that no in-place
+    edit can split them: a changed system is a new pair.
     """
 
     A: np.ndarray
@@ -140,10 +141,10 @@ class SystemPair:
             raise ValueError(
                 f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]}, u has {u.size} entries"
             )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "lambda_prime", np.diag(A).copy())
-        object.__setattr__(self, "A_plus_I", A + np.eye(u.size))
+        for name, value in (("A", A), ("u", u), ("lambda_prime", np.diag(A).copy()),
+                            ("A_plus_I", A + np.eye(u.size))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):

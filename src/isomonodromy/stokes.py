@@ -144,7 +144,9 @@ def _fit(system, theta, ladder, cols):
     """The Stokes matrix of one matching from its 2n columns: ``(S, diagnostics)``.
 
     Solves Y_h S = Y_{h+1} at each |z| of the ladder and checks
-    z-independence against CONSISTENCY_TOL.
+    z-independence against CONSISTENCY_TOL.  The diagnostics hold the
+    ladder, the ray, the spread and the contour directions d of labels h
+    and h + 1.
     """
     n = len(cols) // 2
     cols_a, cols_b = cols[:n], cols[n:]
@@ -166,7 +168,8 @@ def _fit(system, theta, ladder, cols):
             f"{spread / scale:.2e}) across |z| ladder {ladder}"
         )
     S = np.mean(fits, axis=0)
-    return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread}
+    return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread,
+               "directions": [cols_a[0].eta_used, cols_b[0].eta_used]}
 
 
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40):

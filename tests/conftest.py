@@ -21,6 +21,34 @@ def dense_rhs(fs, lam):
     return -fs.A_plus_I / (lam - fs.u)[..., None]
 
 
+def dense_piece(fs, piece):
+    """End block of one carry piece and its Laplace integrals, by scipy's DOP853 on dense residues.
+
+    One solve per chord of the piece's polyline, at rtol = 1e-13 and
+    atol = 1e-20.  Returns ``(Y(1), J)``.
+    """
+    from scipy.integrate import solve_ivp
+
+    y0 = np.asarray(piece.y0, dtype=complex)
+    state = np.zeros((1 + piece.z.size,) + y0.shape, dtype=complex)
+    state[0] = y0
+    vertices = [piece.a, *piece.via, piece.a + piece.b]
+    for x0, dx in zip(vertices, np.diff(vertices)):
+
+        def rhs(s, y, x0=x0, dx=dx):
+            x = x0 + dx * s
+            y = y.reshape(state.shape)
+            dy = np.empty_like(y)
+            dy[0] = dense_rhs(fs, piece.pole + x) @ y[0] * dx
+            dy[1:] = np.multiply.outer(np.exp(piece.z * x) * dx, y[0])
+            return dy.ravel()
+
+        sol = solve_ivp(rhs, (0.0, 1.0), state.ravel(), method="DOP853", rtol=1e-13, atol=1e-20)
+        assert sol.success
+        state = sol.y[:, -1].reshape(state.shape)
+    return state[0], state[1:]
+
+
 @pytest.fixture
 def system_2x2():
     """The workhorse 2x2 system with noninteger exponents."""

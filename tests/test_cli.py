@@ -545,12 +545,19 @@ def _malformed_reports():
     for key in work:
         variant(f"stage work without {key}", lambda r, k=key: r["stages"][0].update(
             work={w: v for w, v in work.items() if w != k}))
-    for route in ("stokes_formula", "stokes_oracle"):
-        variant(f"{route} with its invariant",
-                lambda r, k=route: r["results"].update({k: {"monodromy_invariant": 1e-12}}))
-        variant(f"{route} without its invariant",
-                lambda r, k=route: r["results"].update({k: {"method": "formula"}}))
+    # the oracle's diagnostics of each matching
+    matching = {f"{key}_{h}": value for h in ("h0", "h1") for key, value in (
+        ("ladder", [1.0]), ("z_spread", 0.0), ("directions", [2.0, 3.0]))}
+    for route, keys in (("stokes_formula", {}), ("stokes_oracle", matching)):
+        variant(f"{route} with its invariant", lambda r, k=route, keys=keys: r["results"].update(
+            {k: {"monodromy_invariant": 1e-12, **keys}}))
+        variant(f"{route} without its invariant", lambda r, k=route, keys=keys: r[
+            "results"].update({k: {"method": "formula", **keys}}))
         variant(f"{route} a list", lambda r, k=route: r["results"].update({k: []}))
+    for key in matching:
+        variant(f"stokes_oracle without {key}", lambda r, k=key: r["results"].update(
+            {"stokes_oracle": {"monodromy_invariant": 1e-12,
+                               **{m: v for m, v in matching.items() if m != k}}}))
     cases.append(("not an object", []))
     return cases
 
@@ -686,8 +693,9 @@ _STOKES = sorted(
     + _block("formal", ["F", "asymptotic_vs_recursion_max_diff", "free_positions", "method"])
     + ["formula_oracle_max_diff", "gamma_shift_used"] + _RAY_LABELS
     + _block("stokes_formula", _PAIR + ["monodromy_invariant", "structural_zero_pairs"])
-    + _block("stokes_oracle", _PAIR + ["ladder_h0", "ladder_h1", "monodromy_invariant",
-                                       "z_spread_h0", "z_spread_h1"]))
+    + _block("stokes_oracle", _PAIR + ["directions_h0", "directions_h1", "ladder_h0",
+                                       "ladder_h1", "monodromy_invariant", "z_spread_h0",
+                                       "z_spread_h1"]))
 _SINGLETON = ["group", "note"]
 _LEVELT = ["R_norms.2", "T_diagonal", "free_parameter_count", "free_parameters", "group",
            "kappa", "method", "partial_nonresonance"]

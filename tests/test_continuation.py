@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 import isomonodromy.continuation as continuation
 from isomonodromy import ode
-from conftest import dense_rhs, draw_system
+from conftest import dense_piece, dense_rhs, draw_system
 from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SystemPair,
                                is_in_cell)
 from isomonodromy.frobenius import (
@@ -578,43 +578,25 @@ def test_connection_samples_start_at_the_problems_u(system_2x2, geometry_2x2):
 # ---------------------------------------------------------------------------
 
 
-def _dense_piece(fs, piece):
-    """End block of one piece and its Laplace integrals, by scipy's DOP853 on dense residues.
-
-    rtol = 1e-13, atol = 1e-20.  Returns Y(1) for a piece without samples,
-    ``(Y(1), J)`` for one with samples, as :func:`continuation.carry` does.
-    """
-    y0 = np.asarray(piece.y0, dtype=complex)
-    state = np.zeros((1 + piece.z.size,) + y0.shape, dtype=complex)
-    state[0] = y0
-
-    def rhs(s, y):
-        e = piece.c * cmath.exp(1j * piece.omega * s)
-        x, dx = piece.a + piece.b * s + e, piece.b + 1j * piece.omega * e
-        y = y.reshape(state.shape)
-        dy = np.empty_like(y)
-        dy[0] = dense_rhs(fs, piece.pole + x) @ y[0] * dx
-        dy[1:] = np.multiply.outer(np.exp(piece.z * x) * dx, y[0])
-        return dy.ravel()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), state.ravel(), method="DOP853", rtol=1e-13, atol=1e-20)
-    assert sol.success
-    end = sol.y[:, -1].reshape(state.shape)
-    return (end[0], end[1:]) if piece.z.size else end[0]
-
-
 def _sweep_fs(n=4):
     sp, tau = draw_system(np.random.default_rng(2), n, min_gap=0.35)
     return build_fuchsian(sp), CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
 
 
 def _assert_matches_dense(fs, pieces, bound=1e-11):
-    """Y(1) of every piece, and each of its integrals J, within ``bound`` relative of the reference."""
-    for piece, end in zip(pieces, continuation.carry(fs, pieces)):
-        ref = _dense_piece(fs, piece)
-        pairs = [(end[0], ref[0]), *zip(end[1], ref[1])] if piece.z.size else [(end, ref)]
-        for got, want in pairs:
+    """Y(1) of every piece, or each of its integrals J in a batch with samples, within ``bound``
+    relative of the reference."""
+    sampled = any(piece.z.size for piece in pieces)
+    for piece, out in zip(pieces, continuation.carry(fs, pieces)):
+        end, J = dense_piece(fs, piece)
+        for got, want in zip(out, J) if sampled else [(out, end)]:
             assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def _two_passes(planned):
+    """Piece-steps of a piece of ``planned`` steps with samples: every run in the second pass,
+    and in the first every run but its last, of (planned - 1) % CUT_STEPS + 1 steps."""
+    return 2 * planned - ((planned - 1) % continuation.CUT_STEPS + 1)
 
 
 def test_taylor_leg_from_an_anti_cut_base_point():
@@ -628,9 +610,16 @@ def test_taylor_leg_from_an_anti_cut_base_point():
 
 
 def test_taylor_loop_piece():
+    """The loop is the CHORDS-gon inscribed in its circle, closed exactly at the base point,
+    and its end matches the reference along those chords."""
     fs, cut = _sweep_fs()
     base = continuation._anti_cut_point(fs, 2, cut)
-    _assert_matches_dense(fs, [continuation._loop(fs, 2, base, np.eye(fs.n, dtype=complex))])
+    piece = continuation._loop(fs, 2, base, np.eye(fs.n, dtype=complex))
+    vertices = np.array([piece.a, *piece.via, piece.a + piece.b])
+    assert vertices.size == continuation.CHORDS + 1 and vertices[-1] == base - fs.u[2]
+    assert np.allclose(np.abs(vertices), abs(base - fs.u[2]), rtol=1e-15, atol=0)
+    assert np.allclose(np.angle(vertices[1:] / vertices[:-1]), 2 * math.pi / continuation.CHORDS)
+    _assert_matches_dense(fs, [piece])
 
 
 def test_taylor_mixed_batch_of_n_pieces():
@@ -684,9 +673,11 @@ def test_twelve_chords_keep_the_accuracy(monkeypatch):
     """
     fs, cut = _sweep_fs()
     base = continuation._anti_cut_point(fs, 1, cut)
-    piece = continuation._loop(fs, 1, base, np.eye(fs.n, dtype=complex))
-    [sixteen] = continuation.carry(fs, [piece])
+    one = np.eye(fs.n, dtype=complex)
+    [sixteen] = continuation.carry(fs, [continuation._loop(fs, 1, base, one)])
     monkeypatch.setattr(continuation, "CHORDS", 12)
+    piece = continuation._loop(fs, 1, base, one)
+    assert len(piece.via) == 11
     with ode.counting() as work:
         [twelve] = continuation.carry(fs, [piece])
     assert work.piece_steps == 24 and work.steps <= continuation.CUT_STEPS
@@ -748,26 +739,44 @@ def test_a_loop_at_large_A_is_carried_in_runs(k, monkeypatch):
 def test_sampled_legs_are_carried_in_runs(n, monkeypatch):
     """A Laplace leg at every pole, each of more than 3 CUT_STEPS planned steps, cut into runs.
 
-    The first pass carries the runs and the second every run again from its
-    start with its integrals, so the batch takes 2 CUT_STEPS lockstep steps
-    and each run its planned steps twice, as the uncut carry does.  Every
-    end and every integral matches the uncut carry's within 1e-13 of its size.
+    The first pass carries the runs that a later run starts from, every run
+    but the last of its leg, and the second every run again from its start
+    with its integrals, so the batch takes 2 CUT_STEPS lockstep steps.  The
+    uncut carry has one run per leg and no first pass: it takes each planned
+    step once.  Every integral matches the uncut carry's within 1e-13 of
+    its size.
     """
     fs, cut = _sweep_fs(n)
     pieces = [_leg(fs, cut, k, 12.0, [6.0, 14.0, 28.0]) for k in range(n)]
-    for piece in pieces:
-        with ode.counting() as alone:
-            continuation.carry(fs, [piece])
-        assert alone.piece_steps > 2 * 3 * continuation.CUT_STEPS
+    planned = [_uncut(fs, [piece], monkeypatch)[1].piece_steps for piece in pieces]
+    assert min(planned) > 3 * continuation.CUT_STEPS
     with ode.counting() as work:
         ends = continuation.carry(fs, pieces)
     whole, uncut = _uncut(fs, pieces, monkeypatch)
     assert work.steps == 2 * continuation.CUT_STEPS < uncut.steps
-    assert work.piece_steps == uncut.piece_steps
-    for (end, J), (end_whole, J_whole) in zip(ends, whole):
-        assert np.max(np.abs(end - end_whole)) <= 1e-13 * np.max(np.abs(end_whole))
+    assert uncut.piece_steps == sum(planned)
+    assert work.piece_steps == sum(_two_passes(p) for p in planned)
+    for J, J_whole in zip(ends, whole):
+        assert J.shape == J_whole.shape == (3, fs.n)
         for j, j_whole in zip(J, J_whole):
             assert np.max(np.abs(j - j_whole)) <= 1e-13 * np.max(np.abs(j_whole))
+
+
+def test_a_sampled_batch_of_one_run_per_leg_makes_no_first_pass(monkeypatch):
+    """Legs of at most CUT_STEPS planned steps each are one run apiece: no run starts from
+    another's end, so the batch makes its second pass only, each planned step once, and its
+    integrals are bit for bit those of the uncut carry."""
+    fs, cut = _sweep_fs()
+    pieces = [_leg(fs, cut, k, 0.1, [6.0, 9.0]) for k in range(fs.n)]
+    planned = [_uncut(fs, [piece], monkeypatch)[1].piece_steps for piece in pieces]
+    assert 0 < max(planned) <= continuation.CUT_STEPS
+    with ode.counting() as work:
+        ends = continuation.carry(fs, pieces)
+    assert (work.solves, work.steps, work.piece_steps) == (1, max(planned), sum(planned))
+    whole, _ = _uncut(fs, pieces, monkeypatch)
+    for J, J_whole in zip(ends, whole):
+        assert np.array_equal(J, J_whole)
+    _assert_matches_dense(fs, pieces)
 
 
 @pytest.mark.parametrize("leg_first", [True, False])
@@ -804,7 +813,7 @@ def _leg(fs, cut, k, length, radii, phase=0.3):
     e_d = -cut.direction()
     psi = selected_solution(fs, k, 40).selected_value(base, cut)
     z = -np.asarray(radii) * cmath.exp(1j * phase) / e_d
-    return continuation.Piece(fs.u[k], base - fs.u[k], length * e_d, 0.0, 0.0, psi, z)
+    return continuation.Piece(fs.u[k], base - fs.u[k], length * e_d, psi, z)
 
 
 def test_sampled_hairpin_leg():
@@ -822,14 +831,20 @@ def test_sampled_group_disc_circle(coalescing_geometry, vanishing_A_uc):
     fs = build_fuchsian(radial_family(seed, geo.u_c, [1.0], tol=1e-12)[0].system())
     w0 = fs.u[0] - geo.group_values[0]
     theta = geo.tau - 0.5 * math.pi
-    circle = continuation.Piece(fs.u[0], -w0, 0.0, 1.2 * geo.epsilon0 * cmath.exp(2.0j),
-                                -2 * math.pi, np.array([1.0, -0.5j, 0.25]),
-                                np.array([12.0, 18.0]) * cmath.exp(1j * theta))
+    # the clockwise CHORDS-gon inscribed in it, from arg 2
+    x = -w0 + 1.2 * geo.epsilon0 * np.exp(2.0j - 2j * math.pi * np.arange(17) / 16)
+    circle = continuation.Piece(fs.u[0], x[0], 0.0, np.array([1.0, -0.5j, 0.25]),
+                                np.array([12.0, 18.0]) * cmath.exp(1j * theta), tuple(x[1:-1]))
     _assert_matches_dense(fs, [circle])
 
 
-def test_sampled_mixed_batch():
-    """Legs of three and two samples, a loop of one and a junction without any, in one batch."""
+def test_sampled_mixed_batch(monkeypatch):
+    """Legs of three and two samples, a loop of one and a junction without any, in one batch.
+
+    A batch with samples returns the integrals of every piece, none for the
+    junction.  Each piece steps as it would alone, the junction with no z
+    cap: the batch's piece-steps are the sum of its pieces' two passes.
+    """
     fs, cut = _sweep_fs()
     junction = continuation._segment(continuation._anti_cut_point(fs, 3, cut),
                                      fs.u[3] - 1.5 * cut.direction(),
@@ -841,27 +856,23 @@ def test_sampled_mixed_batch():
     with ode.counting() as work:
         ends = continuation.carry(fs, pieces)
     assert work.solves == 1
-    assert [type(end) for end in ends] == [tuple, tuple, tuple, np.ndarray]
-    assert [end[1].shape for end in ends[:3]] == [(3, fs.n), (2, fs.n), (1, fs.n)]
+    assert [end.shape for end in ends] == [(3, fs.n), (2, fs.n), (1, fs.n), (0, fs.n)]
     _assert_matches_dense(fs, pieces)
-    # a piece without samples takes no z cap: its end is its lone carry's, to rounding
-    [alone] = continuation.carry(fs, [junction])
-    assert np.max(np.abs(ends[3] - alone)) <= 1e-14 * np.max(np.abs(alone))
+    planned = [_uncut(fs, [piece], monkeypatch)[1].piece_steps for piece in pieces]
+    assert work.piece_steps == sum(_two_passes(p) for p in planned)
 
 
-def test_sampled_leg_where_the_z_cap_binds():
+def test_sampled_leg_where_the_z_cap_binds(monkeypatch):
     """|z| = 160 on an oscillating leg of length 3: every step is Z_SPAN / |z| long, or less.
 
-    The planned steps are read from piece_steps, which counts them twice
-    with samples, once per pass; the lockstep steps are those of the runs.
+    The planned steps are read from the piece_steps of the uncut carry,
+    which has no first pass and takes each planned step once.
     """
     fs, cut = _sweep_fs()
     piece = _leg(fs, cut, 1, 3.0, [160.0], phase=1.52)
-    with ode.counting() as capped:
-        continuation.carry(fs, [piece])
+    planned = _uncut(fs, [piece], monkeypatch)[1].piece_steps
     with ode.counting() as free:
         continuation.carry(fs, [piece._replace(z=piece.z[:0])])
-    planned = capped.piece_steps // 2
     assert planned >= math.ceil(3.0 * 160.0 / continuation.Z_SPAN) > free.piece_steps
     _assert_matches_dense(fs, [piece])
 
@@ -897,8 +908,7 @@ def test_a_repeated_vertex_takes_no_step():
     ends, bit for bit: planning skips a vertex the piece is on already, where a step of
     h = 0 would leave a lone piece at that vertex."""
     fs = build_fuchsian(SystemPair(np.array([[0.3, 0.2], [0.4, -0.25]]), [0.0, 1.0]))
-    plain = continuation.Piece(0.0, -0.5, -0.5, 0.0, 0.0, np.array([1.0, 0.5 + 0j]),
-                               via=(-0.75,))
+    plain = continuation.Piece(0.0, -0.5, -0.5, np.array([1.0, 0.5 + 0j]), via=(-0.75,))
     [want] = continuation.carry(fs, [plain])
     for via in ((-0.75, -0.75), (-0.5, -0.75), (-0.75, -1.0)):
         [got] = continuation.carry(fs, [plain._replace(via=via)])

@@ -9,8 +9,9 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad_vec, solve_ivp
 
+import isomonodromy.continuation as continuation
 import isomonodromy.laplace as laplace
-from conftest import dense_rhs, draw_system
+from conftest import dense_piece, dense_rhs, draw_system
 from isomonodromy import ode
 from isomonodromy.cli import ProblemSpec
 from isomonodromy.model import DeformationGeometry, SystemPair, _group_partition
@@ -483,6 +484,49 @@ def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescin
         assert work.solves == 1, kind
 
 
+def _window(labels, h, theta):
+    """The eta-window of label h mu cut to the convergence half-plane of arg z = theta."""
+    m = h * labels.mu
+    return (max(1.5 * math.pi - labels.tau_nu(m + 1), 0.5 * math.pi - theta),
+            min(1.5 * math.pi - labels.tau_nu(m), 1.5 * math.pi - theta))
+
+
+def _clamped(labels, h, theta, u):
+    """The earlier contour direction: pi - theta clamped 5 % inside the window."""
+    lo, hi = _window(labels, h, theta)
+    pad = 0.05 * (hi - lo)
+    return min(max(math.pi - theta, lo + pad), hi - pad)
+
+
+def test_an_unblocked_direction_is_the_centre_of_its_window():
+    """Both labels of both matchings on 15 sweep systems take d at the centre of the window,
+    inside the convergence half-plane, as far as it can be from the inter-pole directions at
+    its edges.  The control: the earlier rule, pi - theta clamped 5 % inside the window (which
+    left legs grazing poles), gives another d."""
+    from isomonodromy.stokes import _matching_ray
+
+    cases = []
+    for seed in range(3):
+        for n in range(2, 7):
+            system, tau = draw_system(np.random.default_rng(seed), n, min_gap=0.35)
+            geo = DeformationGeometry(system.u, 1e-3, tau)
+            for h in (0, 1):
+                theta = _matching_ray(geo, h)
+                cases += [(geo.labels, label, theta, system.u) for label in (h, h + 1)]
+
+    def centred(direction_for):
+        for labels, h, theta, u in cases:
+            lo, hi = _window(labels, h, theta)
+            d = direction_for(labels, h, theta, u)
+            assert 0.5 * math.pi - theta <= lo < d < hi <= 1.5 * math.pi - theta
+            if d != 0.5 * (lo + hi):
+                return False
+        return True
+
+    assert centred(laplace._direction_for)
+    assert not centred(_clamped)
+
+
 def test_direction_nudge_budget_warns(caplog):
     """A window narrower than the pole-direction margin exhausts the nudges and logs it."""
     from isomonodromy.model import RayLabels
@@ -698,37 +742,6 @@ def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_ge
             assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)
 
 
-def _carry_dense_reference(fs, pieces):
-    """The batched carry with the dense residue matrices sum_k B_k/(lam - u_k) per piece.
-
-    scipy's DOP853 at rtol = 1e-13, atol = 1e-20 on the state of every
-    block and its integrals.
-    """
-    P, n = len(pieces), fs.n
-    m = max(p.z.size for p in pieces)
-    pole, a, b, c, omega = np.array([p[:5] for p in pieces], dtype=complex).T
-    z = np.zeros((P, 1 + m), dtype=complex)
-    weight = np.zeros((P, 1 + m))
-    y0 = np.zeros((P, 1 + m, n), dtype=complex)
-    for i, p in enumerate(pieces):
-        z[i, 1:1 + p.z.size] = p.z
-        weight[i, :1 + p.z.size] = 1.0
-        y0[i, 0] = p.y0
-
-    def rhs(s, y):
-        psi = y.reshape(P, 1 + m, n)[:, 0]
-        e = c * np.exp(1j * omega * s)
-        x = a + b * s + e
-        dx = (b + 1j * omega * e)[:, None]
-        dy = (np.exp(z * x[:, None]) * (weight * dx))[:, :, None] * psi[:, None]
-        dy[:, 0] = np.einsum("pij,pj->pi", dense_rhs(fs, (pole + x)[:, None]), dy[:, 0])
-        return dy.ravel()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-20)
-    y = sol.y[:, -1].reshape(P, 1 + m, n)
-    return [(y[i, 0], y[i, 1:1 + p.z.size]) for i, p in enumerate(pieces)]
-
-
 def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
                                          coalescing_geometry, vanishing_A_uc):
     """The carried values match those of the dense residue matrices."""
@@ -745,15 +758,13 @@ def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
                                           vanishing_A_uc):
         laplace.laplace_columns(fs, geo, specs, _sols(fs), tol=1e-13)
     monkeypatch.undo()
-    # hairpin circles are summed from the series: no curved piece in a Laplace batch
-    assert batches and all(p.c == 0 for _, pieces, _ in batches for p in pieces)
+    # hairpin circles are summed from the series: a Laplace batch holds legs only, each
+    # straight or bent once
+    assert batches and all(len(p.via) <= 1 for _, pieces, _ in batches for p in pieces)
     for fs, pieces, out in batches:
-        ref = _carry_dense_reference(fs, pieces)
-        for p, end, (psi_ref, J_ref) in zip(pieces, out, ref):
-            psi, J = end if p.z.size else (end, J_ref)
-            assert np.max(np.abs(psi - psi_ref)) <= 1e-10 * np.max(np.abs(psi_ref))
-            if J_ref.size:
-                assert np.max(np.abs(J - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))
+        for J, piece in zip(out, pieces):
+            J_ref = dense_piece(fs, piece)[1]
+            assert np.max(np.abs(J - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))
 
 
 @pytest.mark.parametrize("lp", [0.3 + 0.2j, 1 - 1e-6, 2 + 1e-7])
@@ -782,9 +793,9 @@ def test_closed_form_circle_matches_the_two_piece_hairpin(monkeypatch, diag_geo,
     col = _column(fs, 0, 0, diag_geo, _ray([6.0, 9.0, 14.0], theta), theta, tol=1e-13)
     monkeypatch.undo()
     [leg] = legs
-    circle = leg._replace(a=0.0, b=0.0, c=leg.a, omega=2 * math.pi,
-                          y0=leg.y0 * cmath.exp(2j * math.pi * (lp + 1)))
-    (_, J_circle), (_, J_leg) = laplace.carry(fs, [circle, leg])
+    circle = continuation._loop(fs, 0, leg.pole + leg.a,
+                                leg.y0 * cmath.exp(2j * math.pi * (lp + 1)))._replace(z=leg.z)
+    J_circle, J_leg = laplace.carry(fs, [circle, leg])
     ref = (J_circle + (1.0 - cmath.exp(2j * math.pi * lp)) * J_leg) / (2j * math.pi)
     assert np.max(np.abs(col.reduced - ref)) <= 1e-12 * np.max(np.abs(col.reduced))
 

@@ -367,3 +367,13 @@ def test_system_pair_keeps_its_own_copies():
     assert np.array_equal(sp.u, [0.0, 1.0])
     assert [sp.integer_class(k) for k in range(2)] == ["noninteger", "noninteger"]
     assert sp.min_gap(0) == sp.validity_radius(0) / 0.75 == 1.0
+
+
+@pytest.mark.parametrize("name", ["A", "u", "lambda_prime", "A_plus_I"])
+def test_system_pair_is_read_only(name):
+    """An in-place edit of the pair's arrays raises, so A, its diagonal and A+I cannot split:
+    ``sp.A[0, 0] = 5`` would leave A_plus_I[0, 0] at 1.5."""
+    sp = SystemPair([[0.5, 2.0], [3.0, 0.25]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(sp, name)[0] = 5.0
+    assert sp.A_plus_I[0, 0] == 1.5 and sp.lambda_prime[0] == 0.5

@@ -418,6 +418,18 @@ def test_direct_oracle_diagonal_identity(geometry_2x2):
     assert pair.diagnostics["h0"]["z_spread"] < 1e-10
 
 
+def test_oracle_diagnostics_record_each_matchings_directions():
+    """Each matching's diagnostics carry the contour directions d of its two labels, the ones
+    :func:`laplace._direction_for` gives on its ray."""
+    sp, tau = draw_system(np.random.default_rng(1), 4, min_gap=0.35)
+    geo = DeformationGeometry(sp.u, 1e-3, tau)
+    pair = stokes_pair_direct(sp, geo)
+    for h in (0, 1):
+        diag = pair.diagnostics[f"h{h}"]
+        assert diag["directions"] == [
+            laplace._direction_for(geo.labels, label, diag["theta"], sp.u) for label in (h, h + 1)]
+
+
 def test_direct_oracle_upper_triangular_system(geometry_2x2):
     """Upper-triangular A: one nontrivial entry; formula and oracle agree."""
     sp = SystemPair(np.array([[0.5, 1.3], [0.0, 0.25]], dtype=complex), [0.0, 1.0])
@@ -554,8 +566,8 @@ def test_oracle_pair_makes_one_solve(coalescing_geometry, vanishing_A_uc):
 
 # Taylor steps, order updates and piece-steps of one oracle pair on
 # draw_system(rng(0), n), as measured
-ORACLE_PAIR_WORK = {2: (8, 464, 240), 3: (8, 464, 398), 4: (8, 464, 540),
-                    5: (8, 464, 716), 6: (8, 492, 864)}
+ORACLE_PAIR_WORK = {2: (8, 464, 156), 3: (8, 464, 296), 4: (8, 464, 432),
+                    5: (8, 464, 591), 6: (8, 488, 725)}
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_PAIR_WORK))
@@ -563,12 +575,15 @@ def test_oracle_pair_work_is_pinned(n):
     """One Taylor carry per pair, with exactly the measured steps and piece-steps.
 
     The counts are deterministic, so this is the oracle's work gate.  The
-    legs are cut into runs of CUT_STEPS, carried once for their starts and
-    once more for their integrals: 2 CUT_STEPS lockstep steps, and every
-    planned step counted twice in piece_steps.  Order updates stay within
-    25 % of the measured ones.  At n = 4-6 every leg bends onto the
-    steepest-descent ray past the pole hull; straight, they took
-    640/884/1,048 piece-steps there (at n = 2 and 3 no leg bends).  Uncut
+    legs are cut into runs of CUT_STEPS; the runs that a later run starts
+    from are carried once for those starts, and every run once more for its
+    integrals: 2 CUT_STEPS lockstep steps.  Order updates stay within 25 %
+    of the measured ones.  Every leg leaves its pole at the centre of its
+    window; clamped 5 % inside an edge of the window, toward pi - theta, and
+    carried twice, every run, the legs took 240/398/540/716/864
+    piece-steps.  At n = 4-6 every leg bends onto the steepest-descent ray
+    past the pole hull; straight, they took 640/884/1,048 piece-steps there
+    with that clamp (at n = 2 and 3 no leg bent).  Uncut
     and straight, the pair took 20-36 steps and 1,122-1,862 order updates
     here (120-524 piece-steps, once each); with each hairpin's circle a
     piece of its own, at Z_SPAN = 16, 21-42 steps.  DOP853 took 235-619
@@ -591,8 +606,10 @@ def test_finished_pieces_leave_the_batch(monkeypatch, n):
     are the sum of its pieces' carried one by one, and the batch takes as
     many lockstep steps as its longest piece alone.  The node weights of
     the rule are taken once per step of the second pass, for the runs that
-    move: half the piece-steps.  A run whose steps are done costs nothing
-    more: at n = 6 the 117 runs integrate 432 run-steps, not 4 x 117 = 468.
+    move: once per planned step, the same count for the batch as for its
+    pieces alone.  The first pass takes the rest of the piece-steps.  A run
+    whose steps are done costs nothing more: at n = 6 the 108 runs
+    integrate 389 run-steps, not 4 x 108 = 432.
     """
     sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     batches, integrated = [], []
@@ -610,15 +627,16 @@ def test_finished_pieces_leave_the_batch(monkeypatch, n):
     monkeypatch.setattr(continuation, "_node_weights", counted)
     with ode.counting() as work:
         stokes_pair_direct(sp, DeformationGeometry(sp.u, 1e-3, tau))
-    assert 2 * sum(integrated) == work.piece_steps
     assert len(integrated) == continuation.CUT_STEPS
     assert sum(integrated) < integrated[0] * len(integrated)
+    batch, integrated[:] = sum(integrated), []
     [(fs, pieces)] = batches
     alone = []
     for piece in pieces:
         with ode.counting() as one:
             continuation.carry(fs, [piece])
         alone.append(one)
+    assert batch == sum(integrated) < work.piece_steps
     assert work.piece_steps == sum(one.piece_steps for one in alone)
     assert work.steps == max(one.steps for one in alone)
 

@@ -9,14 +9,15 @@ row-major and angles in radians::
       "u": [[0,0],[1,0]],
       "u_c": [[0,0],[1,0]],          // optional, defaults to u
       "epsilon0": 0.1,
-      "tau": 0.7853981633974483,     // or "eta"
+      "tau": 0.7853981633974483,
       "tol": 1e-10,                  // optional
       "order": 40,                   // optional series order
       "formal_order": 4,             // optional number of F_l
-      "gamma": 0.3,                  // optional, checked; else shift_exponents picks it
       "paths": [[[0,0],[1,0],[0.2,0]], ...]   // deform: per-path waypoints (at least
                                               // one, each a full u vector), from u on
     }
+
+Any other key is an error; schema_version, order and formal_order are JSON integers.
 
 Reports are deterministic JSON (sorted keys, no timestamps); every numeric
 result carries a method tag and an error estimate.  Exit codes: 0 ok,
@@ -70,6 +71,8 @@ from .ode import Work, counting
 # them.
 
 SCHEMA_VERSION = 1
+SPEC_KEYS = ("schema_version", "A", "u", "u_c", "epsilon0", "tau", "tol", "order",
+             "formal_order", "paths")
 
 NUMERICAL_ERRORS = (
     StepFailure,
@@ -124,28 +127,26 @@ class ProblemSpec:
     def __init__(self, data):
         if not isinstance(data, dict):
             raise SpecError("a problem file holds one JSON object")
+        unknown = sorted(set(data) - set(SPEC_KEYS))
+        if unknown:
+            raise SpecError(f"unknown key(s) {', '.join(map(repr, unknown))}; a problem file "
+                            f"holds only {', '.join(SPEC_KEYS)}")
+        for key in ("schema_version", "order", "formal_order"):
+            if key in data and type(data[key]) is not int:
+                raise SpecError(f"{key} must be a JSON integer; got {data[key]!r}")
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise SpecError(f"schema_version must be {SCHEMA_VERSION}; got "
+                            f"{data.get('schema_version')!r}")
         try:
-            if int(data.get("schema_version", -1)) != SCHEMA_VERSION:
-                raise SpecError(
-                    f"schema_version must be {SCHEMA_VERSION}; got {data.get('schema_version')!r}"
-                )
             self.A = _mat(data["A"])
             self.u = _vec(data["u"])
             self.u_c = _vec(data["u_c"]) if "u_c" in data else self.u.copy()
             self.epsilon0 = float(data["epsilon0"])
-            if "tau" in data:
-                self.tau = float(data["tau"])
-            elif "eta" in data:
-                self.tau = 1.5 * math.pi - float(data["eta"])
-            else:
-                raise SpecError("one of 'tau' or 'eta' is required")
+            self.tau = float(data["tau"])
             self.tol = float(data.get("tol", 1e-10))
-            self.order = int(data.get("order", 40))
-            self.formal_order = int(data.get("formal_order", 4))
-            self.gamma = None if data.get("gamma") is None else float(data["gamma"])
-            self.paths = [
-                [_vec(pt) for pt in path] for path in data.get("paths", [])
-            ]
+            self.order = data.get("order", 40)
+            self.formal_order = data.get("formal_order", 4)
+            self.paths = [[_vec(pt) for pt in path] for path in data.get("paths", [])]
         except SpecError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -175,8 +176,7 @@ class ProblemSpec:
         and formal_order >= 1.
         """
         numbers = [("A", self.A), ("u", self.u), ("u_c", self.u_c), ("epsilon0", self.epsilon0),
-                   ("tau/eta", self.tau), ("tol", self.tol),
-                   ("gamma", 0.0 if self.gamma is None else self.gamma)]
+                   ("tau", self.tau), ("tol", self.tol)]
         for name, value in numbers + [("paths", pt) for path in self.paths for pt in path]:
             if not np.all(np.isfinite(value)):
                 raise SpecError(f"{name} must be finite")
@@ -366,9 +366,6 @@ _OVERRIDES = {
                    "limit 100 tol, check's 100 min(tol, 1e-12); the Taylor carry does not "
                    "read it"),
     "order": (int, "override series truncation order"),
-    "gamma": (float, "override the formula route's exponent shift A -> A - gamma I on any "
-                     "system; checked like the automatic choice (frobenius.shift_exponents), "
-                     "which the oracle always takes"),
 }
 
 
@@ -474,7 +471,7 @@ def _crossing_locus(geo):
 
 
 @main.command()
-@_common_options("tol", "order", "gamma")
+@_common_options("tol", "order")
 @click.option("--oracle", type=click.Choice(["on", "off"]), default="on",
               show_default=True, help="run the sectorial-matching oracle")
 def stokes(spec_path, out_dir, oracle, **overrides):
@@ -500,8 +497,7 @@ def stokes(spec_path, out_dir, oracle, **overrides):
 
     def connection():
         nonlocal P, conn
-        P, conn = connection_products(system, cut, tol=spec.tol, N=spec.order,
-                                      geometry=geo, gamma=spec.gamma)
+        P, conn = connection_products(system, cut, tol=spec.tol, N=spec.order, geometry=geo)
         return {"gamma_shift_used": bool(conn.gamma), "connection": {
             "C": mat_json(conn.C),
             "alpha": vec_json(conn.alpha),
@@ -562,7 +558,7 @@ def stokes(spec_path, out_dir, oracle, **overrides):
 
 
 @main.command()
-@_common_options("tol", "order", "gamma")
+@_common_options("tol", "order")
 def deform(spec_path, out_dir, **overrides):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
@@ -582,8 +578,7 @@ def deform(spec_path, out_dir, **overrides):
         decay_rows = []
         # one extraction without structural zeros: the u_c ordering
         # skips the in-group pairs, and the reported C zeroes them
-        samples = connection_samples(spec.system(), path, cut, tol=spec.tol,
-                                     N=spec.order, gamma=spec.gamma)
+        samples = connection_samples(spec.system(), path, cut, tol=spec.tol, N=spec.order)
         for i, (state, P, conn) in enumerate(samples):
             sp = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
             conns.append(np.where(in_group, 0.0, conn.C))
@@ -695,24 +690,18 @@ def levelt(spec_path, out_dir, free_items, **overrides):
     _finish(runner, out_dir, "levelt_report.json")
 
 
-def _check_step(step):
-    if not (math.isfinite(step) and step > 0):
-        raise SpecError(f"--step must be finite and > 0; got {step}")
-
-
 @main.command()
 @_common_options("tol")
-@click.option("--step", type=float, default=1e-3, show_default=True,
-              help="finite-difference step for the integrability residual")
-def check(spec_path, out_dir, step, **overrides):
-    """Integrability residual and vanishing-condition checks."""
+def check(spec_path, out_dir, **overrides):
+    """Integrability residual (steps 1e-3 and 5e-4) and vanishing-condition checks."""
     from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
 
-    spec, _ = _load(spec_path, lambda _: _check_step(step), **overrides)
+    spec, _ = _load(spec_path, **overrides)
     runner = Runner("check", spec)
     system = spec.system()
 
     def integrability():
+        step = 1e-3
         r1 = integrability_residual(system, step=step, tol=min(spec.tol, 1e-12))
         r2 = integrability_residual(system, step=step / 2, tol=min(spec.tol, 1e-12))
         return {"integrability": {

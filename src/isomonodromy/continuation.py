@@ -500,19 +500,25 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL,
     """Extract the full matrix of connection coefficients at fixed u.
 
     The selected-solution basis is carried to a base point near each u_j
-    and around one small positive loop there (:func:`continue_basis`);
-    each column of the loop difference is
-    projected onto Psi_j: gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
+    and around one small positive loop there (:func:`continue_basis`); each
+    column of the loop difference is projected onto Psi_j:
+    gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
     from the arithmetic class.  Entries across a coalescing pair of
     ``geometry`` (if given) are structural zeros, tagged
     ``"zero-by-coalescence"``.  ``tol`` sets only the projection limit:
-    :class:`IllConditioned` is raised if a projection residual, relative to
-    the continued solution, exceeds max(100 tol, 1e-7).  The Taylor carry
-    does not read it.
+    :class:`IllConditioned`, naming the pole, is raised if a projection
+    residual, relative to the continued solution, exceeds max(100 tol, 1e-7)
+    or is not finite, or if alpha_k leaves the float range.  The Taylor
+    carry does not read it.
     """
     n = fs.n
     classes = [fs.integer_class(m) for m in range(n)]
-    alpha = np.array([alpha_factor(fs.lambda_prime[m], classes[m]) for m in range(n)])
+    alpha = np.empty(n, dtype=complex)
+    for m in range(n):
+        try:
+            alpha[m] = alpha_factor(fs.lambda_prime[m], classes[m])
+        except OverflowError:
+            raise IllConditioned(f"alpha_k leaves the float range at pole {m}") from None
     C = np.diag([1.0 if c == "noninteger" else 0.0 for c in classes]).astype(complex)
     prov = np.full((n, n), "monodromy-projection", dtype=object)
     np.fill_diagonal(prov, "diagonal-by-class")
@@ -531,39 +537,39 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL,
     projected = prov == "monodromy-projection"
     rows = [j for j in range(n) if projected[j].any()]
     for j, _, Psi, Phi in continue_basis(fs, cut, sols, rows):
-        diff = Phi @ Psi - Psi
         psi_j = Psi[:, j]
-        c = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha[j]
-        r = np.linalg.norm(diff - alpha[j] * np.outer(psi_j, c), axis=0)
-        scale = np.maximum(np.linalg.norm(Psi, axis=0), 1.0)
-        resid[j] = np.where(projected[j], r / scale, 0.0)
-        k = int(np.argmax(resid[j]))
-        if resid[j, k] > max(100 * tol, 1e-7):
-            raise IllConditioned(
-                f"projection residual {resid[j, k]:.2e} for c[{j},{k}] "
-                f"(condition of target {np.linalg.norm(psi_j):.2e})"
-            )
+        # numpy's warnings off and one check after: a residual that is not finite fails it
+        with np.errstate(all="ignore"):
+            diff = Phi @ Psi - Psi
+            c = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha[j]
+            r = np.linalg.norm(diff - alpha[j] * np.outer(psi_j, c), axis=0)
+            scale = np.maximum(np.linalg.norm(Psi, axis=0), 1.0)
+            resid[j] = np.where(projected[j], r / scale, 0.0)
+            k = int(np.argmax(resid[j]))  # a nan, if there is one
+            target = np.linalg.norm(psi_j)
+        if not resid[j, k] <= max(100 * tol, 1e-7):
+            raise IllConditioned(f"projection residual {resid[j, k]:.2e} for c[{j},{k}] at pole "
+                                 f"{j} (condition of target {target:.2e})")
         C[j, projected[j]] = c[projected[j]]
     return ConnectionData(C=C, alpha=alpha, lambda_prime=fs.lambda_prime, eta=cut.eta,
                           provenance=prov, residuals=resid)
 
 
-def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40,
-                        geometry=None, gamma=None):
+def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40, geometry=None):
     """Products alpha_k c_jk of the system shifted by gamma, with its connection data.
 
-    The shift is ``gamma`` if given, else the one
-    :func:`.frobenius.shift_exponents` picks for both routes: 0 unless a
-    diagonal entry of A lies within SHIFT_MARGIN of an integer, where the
-    products lose accuracy, or an eigenvalue is an integer.  A given shift,
-    0 included, is checked against the same one spectrum of A (BadGamma).
-    Y -> z^{-gamma} Y maps the system of A onto that of A - gamma I and
-    leaves the Stokes matrices as they are, so the pair is assembled from
-    these products with the shifted exponents ``conn.lambda_prime``.
+    The shift is the one :func:`.frobenius.shift_exponents` picks for both
+    routes: 0 unless a diagonal entry of A lies within SHIFT_MARGIN of an
+    integer, where the products lose accuracy, or an eigenvalue is an
+    integer.  Y -> z^{-gamma} Y maps the system of A onto that of
+    A - gamma I and leaves the Stokes matrices as they are, so the pair is
+    assembled from these products with the shifted exponents
+    ``conn.lambda_prime``.  A caller who wants another shift passes
+    :func:`.frobenius.gamma_shift` of the system.
 
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
-    g, shifted = shift_exponents(system, gamma)
+    g, shifted = shift_exponents(system)
     conn = connection_coefficients(shifted, cut, tol=tol, N=N, geometry=geometry)
     conn.gamma = g
     P = conn.C * conn.alpha

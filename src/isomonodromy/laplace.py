@@ -481,8 +481,12 @@ def asymptotic_coeffs(sol, L):
     n = sol.b.shape[1]
     out = np.zeros((L, n), dtype=complex)
     if sol.klass == "noninteger":
-        for l in range(1, L + 1):
-            out[l - 1] = sol.b[l] / cgamma(lp + 1 - l)
+        try:
+            for l in range(1, L + 1):
+                out[l - 1] = sol.b[l] / cgamma(lp + 1 - l)
+        except OverflowError:
+            raise IllConditioned(f"Gamma(lambda'_k + 1 - l) leaves the float range at pole "
+                                 f"{sol.k} (lambda'_k = {lp})") from None
         return out
     r = int(round(lp.real))
     if sol.klass == "natural":

@@ -77,21 +77,35 @@ def _nan_in_A(prob):
     return {**prob, "A": A}
 
 
-MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments)
-    "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, []),
-    "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, []),
-    "NaN in A": (_nan_in_A, []),
-    "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, []),
-    "tau NaN": (lambda p: {**p, "tau": math.nan}, []),
-    "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, []),
-    "path empty": (lambda p: {**p, "paths": [[]]}, []),
-    "order 0": (lambda p: {**p, "order": 0}, []),
-    "order 2": (lambda p: {**p, "order": 2}, []),
-    "formal_order 0": (lambda p: {**p, "formal_order": 0}, []),
-    "tol negative": (lambda p: {**p, "tol": -1}, []),
-    "not an object": (lambda p: [p], []),
-    "--tol negative": (lambda p: p, ["--tol", "-1"]),
-    "--order 2": (lambda p: p, ["--order", "2"]),
+def _without_tau(prob, **extra):
+    return {**{k: v for k, v in prob.items() if k != "tau"}, **extra}
+
+
+MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments, text the error names)
+    "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, [], "epsilon0"),
+    "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, [], "epsilon0"),
+    "NaN in A": (_nan_in_A, [], "A must be finite"),
+    "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, [], "u must be finite"),
+    "tau NaN": (lambda p: {**p, "tau": math.nan}, [], "tau"),
+    "tau missing": (_without_tau, [], "tau"),
+    "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, [], "paths"),
+    "path empty": (lambda p: {**p, "paths": [[]]}, [], "path"),
+    "order 0": (lambda p: {**p, "order": 0}, [], "order"),
+    "order 2": (lambda p: {**p, "order": 2}, [], "order"),
+    "order 40.9": (lambda p: {**p, "order": 40.9}, [], "order must be a JSON integer"),
+    "formal_order 0": (lambda p: {**p, "formal_order": 0}, [], "formal_order"),
+    "formal_order true": (lambda p: {**p, "formal_order": True}, [],
+                          "formal_order must be a JSON integer"),
+    "schema_version 1.7": (lambda p: {**p, "schema_version": 1.7}, [],
+                           "schema_version must be a JSON integer"),
+    "tol negative": (lambda p: {**p, "tol": -1}, [], "tol"),
+    "not an object": (lambda p: [p], [], "object"),
+    # the closed key set: the removed gamma and eta (an alias of tau), and a misspelling
+    "gamma key": (lambda p: {**p, "gamma": 0.3}, [], "'gamma'"),
+    "eta key": (lambda p: _without_tau(p, eta=1.5 * math.pi - p["tau"]), [], "'eta'"),
+    "unknown key": (lambda p: {**p, "formal_ordr": 2}, [], "'formal_ordr'"),
+    "--tol negative": (lambda p: p, ["--tol", "-1"], "tol"),
+    "--order 2": (lambda p: p, ["--order", "2"], "order"),
 }
 
 
@@ -100,12 +114,14 @@ MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments)
                                         for cmd in ["rays", "stokes"]
                                         if cmd == "stokes" or not MALFORMED[case][1]])
 def test_cli_malformed_problem_exits_2(tmp_path, case, cmd):
-    """Non-finite numbers and out-of-range settings are problem-file errors, not crashes."""
-    edit, args = MALFORMED[case]
+    """Non-finite numbers, out-of-range settings, non-integer counts and keys outside the
+    format are problem-file errors that name what is wrong, not crashes."""
+    edit, args, named = MALFORMED[case]
     path = _write(tmp_path, edit(SAMPLE))
     result = CliRunner().invoke(main, [cmd, "--spec", path, "--out", str(tmp_path / "out")] + args)
     assert result.exit_code == 2, result.output
     assert "problem file error" in result.output
+    assert named in result.output, result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -139,33 +155,61 @@ def test_cli_stokes_deterministic(tmp_path):
     assert S[1][0] == [0.0, 0.0]  # triangular zero below the diagonal
 
 
-def _stokes_report(tmp_path, name, *args):
-    out = tmp_path / name
-    spec = str(ROOT / "problems" / "sample2x2.json")
-    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(out),
-                                       "--oracle", "off", *args])
-    return result, json.loads((out / "stokes_report.json").read_text())
+def test_cli_stokes_on_a_shifted_problem_keeps_the_pair(tmp_path):
+    """A problem file holding A - 0.3 I gives sample2x2's pair on both routes, with no shift of
+    its own (7.5e-13 formula, 7.8e-13 oracle measured): Y -> z^{-gamma} Y leaves the pair."""
+    prob = json.loads((ROOT / "problems" / "sample2x2.json").read_text())
+    for i in range(2):
+        prob["A"][i][i][0] -= 0.3
+    reports = []
+    for name, spec in (("shifted", _write(tmp_path, prob)),
+                       ("plain", str(ROOT / "problems" / "sample2x2.json"))):
+        out = tmp_path / name
+        result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads((out / "stokes_report.json").read_text()))
+    for report in reports:
+        assert report["results"]["gamma_shift_used"] is False
+        assert report["results"]["connection"]["gamma"] == 0.0
+    for route in ("stokes_formula", "stokes_oracle"):
+        shifted, plain = (np.array([[[complex(*z) for z in row] for row in r["results"][route][key]]
+                                    for key in ("S_nu", "S_nu_plus_mu")]) for r in reports)
+        assert np.max(np.abs(shifted - plain)) < 1e-11, route
 
 
-def test_cli_stokes_gamma_applies_to_every_system(tmp_path):
-    """sample2x2 needs no shift, and --gamma 0.3 still shifts it: the same pair, shifted."""
-    result, shifted = _stokes_report(tmp_path, "shifted", "--gamma", "0.3")
-    assert result.exit_code == 0, result.output
-    _, plain = _stokes_report(tmp_path, "plain")
-    assert shifted["results"]["gamma_shift_used"] is True
-    assert shifted["results"]["connection"]["gamma"] == 0.3
-    assert plain["results"]["gamma_shift_used"] is False
-    pairs = [np.array([[[complex(*z) for z in row] for row in r["results"]["stokes_formula"][key]]
-                       for key in ("S_nu", "S_nu_plus_mu")]) for r in (shifted, plain)]
-    assert np.max(np.abs(pairs[0] - pairs[1])) < 1e-10
+def _stokes_on_a00(tmp_path, a00):
+    """stokes with the oracle on SAMPLE with A_00 = a00: exit code and failed stages' errors."""
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][0][0] = [a00.real, a00.imag]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
+    return result, {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
 
 
-def test_cli_stokes_gamma_on_an_integer_is_a_failed_connection(tmp_path):
-    """--gamma 0.5 puts lambda'_0 = 0.5 on the integer 0: BadGamma, exit 3."""
-    result, report = _stokes_report(tmp_path, "out", "--gamma", "0.5")
-    assert result.exit_code == 3
-    [stage] = [s for s in report["stages"] if s["name"] == "connection"]
-    assert stage["status"] == "failed" and stage["error"].startswith("BadGamma")
+@pytest.mark.parametrize("a00, errors", [
+    (0.5 + 120j, {"connection": "IllConditioned: alpha_k leaves the float range at pole 0"}),
+    (0.5 - 300j, {"connection": "StepFailure",
+                  "formal_coefficients": "IllConditioned: Gamma(lambda'_k + 1 - l) leaves the "
+                                         "float range at pole 0"}),
+    (0.5 + 60j, {"connection": "IllConditioned: projection residual inf for c[0,1] at pole 0"}),
+    (0.5 + 100j, {"connection": "IllConditioned: projection residual nan for c[0,1] at pole 0"}),
+    (0.5 - 150j, {"connection": "IllConditioned: projection residual nan for c[0,1] at pole 0"}),
+])
+def test_cli_stokes_large_imaginary_exponent_is_a_typed_failure(tmp_path, a00, errors):
+    """A large |Im lambda'_0| ends in a typed failure with a report, exit 3.
+
+    e^{-2 pi i lambda'_0} of alpha_0 overflows from Im lambda'_0 = 113, and
+    the reflection of Gamma in the asymptotic coefficients at Im = -300;
+    below those the projection overflows.  RuntimeWarnings are errors under
+    pytest, so a numpy overflow warning first would end the run with exit 1.
+    """
+    result, failed = _stokes_on_a00(tmp_path, a00)
+    assert result.exit_code == 3, result.output
+    assert failed.keys() == errors.keys()
+    for name, error in failed.items():
+        assert error.startswith(errors[name]), error
 
 
 @pytest.mark.parametrize("a00", [200.0, 200.5, -200.0])
@@ -175,18 +219,12 @@ def test_cli_stokes_overflowing_exponent_is_a_typed_failure(tmp_path, a00):
     The connection stage fails on the shifted exponent, formal_coefficients
     on the unshifted one; each names the error.
     """
-    prob = json.loads(json.dumps(SAMPLE))
-    prob["A"][0][0] = [a00, 0.0]
-    out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
-                                       "--out", str(out)])
+    result, failed = _stokes_on_a00(tmp_path, a00)
     assert result.exit_code == 3, result.output
-    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
-    failed = [s for s in stages if s["status"] == "failed"]
-    assert [s["name"] for s in failed] == ["connection", "formal_coefficients"]
-    for stage in failed:
-        assert stage["error"].startswith("IllConditioned: leading factor f_k"), stage
-        assert "lambda'_k" in stage["error"]
+    assert list(failed) == ["connection", "formal_coefficients"]
+    for error in failed.values():
+        assert error.startswith("IllConditioned: leading factor f_k"), error
+        assert "lambda'_k" in error
 
 
 @pytest.mark.parametrize("entry, value, errors", [
@@ -203,7 +241,9 @@ def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value
     RuntimeWarnings are errors under pytest, so a numpy overflow warning
     before the typed failure would end the command with exit 1 instead.  The
     series of both poles run as one stacked recursion, and the failure still
-    names the pole and the first order past the float range.
+    names the pole and the first order past the float range.  No shift moves
+    A_00 = 1e200 off the integers in floating point: the connection stage
+    fails with BadGamma.
     """
     from isomonodromy.cli import NUMERICAL_ERRORS
 
@@ -341,10 +381,12 @@ def test_cli_deform_has_no_oracle_option(tmp_path):
 @pytest.mark.parametrize("cmd, option, value", [
     ("rays", "--tol", "1e-9"), ("rays", "--order", "30"), ("rays", "--gamma", "0.1"),
     ("levelt", "--tol", "1e-9"), ("levelt", "--gamma", "0.1"),
-    ("check", "--order", "30"), ("check", "--gamma", "0.1"),
+    ("check", "--order", "30"), ("check", "--gamma", "0.1"), ("check", "--step", "1e-3"),
+    ("stokes", "--gamma", "0.3"), ("deform", "--gamma", "-0.2"),
 ])
 def test_cli_unread_override_is_a_usage_error(tmp_path, cmd, option, value):
-    """Each command takes only the overrides it reads: rays none, levelt --order, check --tol."""
+    """Each command takes only the overrides it reads: rays none, levelt --order, check --tol,
+    stokes and deform --tol and --order.  No command takes --gamma or --step."""
     path = _write(tmp_path, SAMPLE)
     result = CliRunner().invoke(
         main, [cmd, "--spec", path, "--out", str(tmp_path / "out"), option, value]
@@ -646,17 +688,19 @@ def test_cli_levelt_violated_vanishing_is_a_failed_stage(tmp_path):
 
 @pytest.mark.parametrize("step", ["0", "-1e-3"])
 def test_cli_check_rejects_a_nonpositive_step(tmp_path, step):
+    """check has no --step (every run takes 1e-3): any value is a usage error."""
     path = _write(tmp_path, SAMPLE)
     result = CliRunner().invoke(main, ["check", "--spec", path, "--out", str(tmp_path / "out"),
                                        "--step", step])
     assert result.exit_code == 2, result.output
-    assert "--step must be finite and > 0" in result.output
+    assert "No such option '--step'" in result.output
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("step", ["inf", "nan"])
 def test_cli_check_rejects_a_nonfinite_step(tmp_path, step):
-    """In a fresh process with a timeout: an integrator given a non-finite step never returns."""
+    """In a fresh process with a timeout: a non-finite --step is a usage error too, before any
+    integrator sees it."""
     path = _write(tmp_path, SAMPLE)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -664,7 +708,8 @@ def test_cli_check_rejects_a_nonfinite_step(tmp_path, step):
                            "--out", str(tmp_path / "out"), "--step", step],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
-    assert "--step must be finite and > 0" in proc.stderr
+    assert "No such option '--step'" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _key_paths(value, prefix=""):

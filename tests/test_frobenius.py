@@ -398,8 +398,7 @@ def test_pick_gamma_takes_one_spectrum(monkeypatch):
     the diagonal, and the fractional parts 0, 0.23 and 0.3 of the diagonal and the spectrum
     leave their widest gap, (0.3, 1), around 0.65: the shift.  With no integer in the spectrum
     the same one call gives 0.0, and 0 is checked like any explicit shift.  A
-    connection_products call with the automatic shift takes exactly one eigvals too, and an
-    explicit shift is still checked."""
+    connection_products call takes exactly one eigvals too."""
     from isomonodromy.continuation import connection_products
 
     calls = []
@@ -420,8 +419,6 @@ def test_pick_gamma_takes_one_spectrum(monkeypatch):
     _, conn = connection_products(sp, cut)
     assert conn.gamma == g
     assert len(calls) == 1
-    with pytest.raises(BadGamma):
-        connection_products(sp, cut, gamma=0.23)
     calls.clear()
     plain = SystemPair(np.array([[0.5, 0.2], [0.1, 0.33]], dtype=complex), [0.0, 1.0])
     assert shift_exponents(plain)[0] == 0.0

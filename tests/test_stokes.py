@@ -10,7 +10,7 @@ import isomonodromy.laplace as laplace
 import isomonodromy.stokes as stokes
 from isomonodromy import continuation, ode
 from isomonodromy.continuation import connection_products
-from isomonodromy.frobenius import build_fuchsian, selected_solution
+from isomonodromy.frobenius import build_fuchsian, gamma_shift, selected_solution
 from isomonodromy.model import (CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair,
                                integer_distance)
 from isomonodromy.stokes import (
@@ -77,16 +77,17 @@ def test_formula_matches_the_pairwise_reference():
 def test_shift_relations_match_the_pairwise_reference(seed):
     """The shifted products and exponents are those the double loop over pairs gives.
 
-    With gamma = 0.3 every off-diagonal product is alpha'_k c'_jk of the
+    On the system shifted by gamma = 0.3 (:func:`gamma_shift`), which takes
+    no further shift, every off-diagonal product is alpha'_k c'_jk of the
     shifted system on both sides of the ordering (no factor e^{-2 pi i gamma}
     maps it back), lambda' moves by -gamma, and the assembled pair is the
     entry-by-entry formula in the shifted exponents.
     """
     system, tau = draw_system(np.random.default_rng(seed), 3, min_gap=0.35)
     cut = CutPlane(eta=1.5 * math.pi - tau)
-    P, conn = connection_products(system, cut, tol=1e-12, gamma=0.3)
+    P, conn = connection_products(gamma_shift(system, 0.3), cut, tol=1e-12)
     n, u = system.n, system.u
-    assert conn.gamma == 0.3
+    assert conn.gamma == 0.0
     assert np.array_equal(conn.lambda_prime, system.lambda_prime - 0.3)
     lp = conn.lambda_prime
     ref = np.zeros((n, n), dtype=complex)
@@ -116,27 +117,29 @@ def test_gamma_shift_keeps_the_pair_on_both_routes():
     """A -> A - gamma I moves lambda' by -gamma and leaves the Stokes pair as it is.
 
     Y -> z^{-gamma} Y maps the system of A onto that of A - gamma I.  At
-    n = 2..6 and gamma = 0.3, -0.2 the oracle on the shifted system and the
-    formula assembled from the shifted products and exponents both equal
-    the unshifted oracle pair.  The same products assembled with the
-    unshifted exponents miss it (the control).  On a system with integer
-    diagonal entries the automatic shift and gamma = -0.2 give one pair.
+    n = 2..6 and gamma = 0.3, -0.2 (:func:`gamma_shift`, after which neither
+    route shifts again) the oracle on the shifted system and the formula
+    assembled from its products and exponents both equal the unshifted
+    oracle pair.  The same products assembled with the unshifted exponents
+    miss it (the control).  On a system with integer diagonal entries the
+    automatic shift and gamma = -0.2 give one pair.
     """
     rng = np.random.default_rng(0)
     cases = [draw_system(rng, n, min_gap=0.35) for n in range(2, 7)]
     for system, tau in cases:
-        n = system.n
         geo = DeformationGeometry(system.u, 1e-3, tau)
         ref = stokes_pair_direct(system, geo)
         S = np.stack([ref.S_nu, ref.S_nu_plus_mu])
         scale = max(1.0, float(np.max(np.abs(S))))
         for gamma in (0.3, -0.2):
-            shifted = SystemPair(system.A - gamma * np.eye(n), system.u)
-            assert _pair_distance(stokes_pair_direct(shifted, geo), S) <= 1e-11 * scale
-            P, conn = connection_products(system, CutPlane(eta=geo.eta), tol=1e-12,
-                                          geometry=geo, gamma=gamma)
-            assert conn.gamma == gamma
-            assert np.array_equal(conn.lambda_prime, shifted.lambda_prime)
+            shifted = gamma_shift(system, gamma)
+            oracle = stokes_pair_direct(shifted, geo)
+            assert oracle.diagnostics["gamma"] == 0.0
+            assert _pair_distance(oracle, S) <= 1e-11 * scale
+            P, conn = connection_products(shifted, CutPlane(eta=geo.eta), tol=1e-12,
+                                          geometry=geo)
+            assert conn.gamma == 0.0
+            assert np.array_equal(conn.lambda_prime, system.lambda_prime - gamma)
             formula = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
             assert _pair_distance(formula, S) <= 1e-11 * scale
             control = stokes_from_connection(P, geo.ordering, system.lambda_prime)
@@ -146,14 +149,14 @@ def test_gamma_shift_keeps_the_pair_on_both_routes():
     A = system.A.copy()
     np.fill_diagonal(A, [1, 0, -2])
     pairs = []
-    for gamma in (None, -0.2):
-        P, conn = connection_products(SystemPair(A, system.u), CutPlane(eta=geo.eta),
-                                      tol=1e-12, geometry=geo, gamma=gamma)
-        if gamma is None:
+    integral = SystemPair(A, system.u)
+    for sp in (integral, gamma_shift(integral, -0.2)):
+        P, conn = connection_products(sp, CutPlane(eta=geo.eta), tol=1e-12, geometry=geo)
+        if sp is integral:
             # the widest gap's midpoint: every shifted exponent 1/(4n) or more off the integers
             assert integer_distance(conn.lambda_prime).min() >= 1 / (4 * system.n)
         else:
-            assert conn.gamma == gamma
+            assert conn.gamma == 0.0
         pair = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
         pairs.append(np.stack([pair.S_nu, pair.S_nu_plus_mu]))
     assert np.max(np.abs(pairs[0] - pairs[1])) <= 1e-12 * np.max(np.abs(pairs[1]))
@@ -180,15 +183,15 @@ def _near_integer_errors(seed, n, m, deltas=NEAR_INTEGER_DELTAS):
     relative to max(1, max|S|).
 
     The reference is the degree-5 polynomial in delta through the formula
-    pairs shifted by gamma = 0.3 at delta = +-1, +-2, +-3 x 1e-3: the pair is
-    analytic in A_00 and gamma-invariant, and A_00 - 0.3 stays far from the
-    integers there.
+    pairs of the systems shifted by gamma = 0.3 (:func:`gamma_shift`) at
+    delta = +-1, +-2, +-3 x 1e-3: the pair is analytic in A_00 and
+    gamma-invariant, and A_00 - 0.3 stays far from the integers there.
     """
     fits = []
     for delta in FIT_DELTAS:
         sp, geo = _with_a00(seed, n, m + delta)
-        P, conn = connection_products(sp, CutPlane(eta=geo.eta), tol=1e-12, geometry=geo,
-                                      gamma=0.3)
+        P, conn = connection_products(gamma_shift(sp, 0.3), CutPlane(eta=geo.eta), tol=1e-12,
+                                      geometry=geo)
         fits.append(_stack(stokes_from_connection(P, geo.ordering, conn.lambda_prime)))
     coef = np.polyfit(FIT_DELTAS, np.reshape(fits, (len(FIT_DELTAS), -1)), 5)
     worst = {"formula": 0.0, "oracle": 0.0}
@@ -247,8 +250,9 @@ def test_near_integer_gate_fails_with_the_margin_at_integer_tol(monkeypatch):
 @pytest.mark.parametrize("seed, n", [(3, 3), (5, 4)])
 def test_exact_integer_exponent_routes_agree(seed, n):
     """A_00 = -1, 0 and 1 exactly: the oracle runs on the shifted system, every column a
-    hairpin, and agrees with the shifted formula within 1e-12 of max(1, max|S|) (3.6e-13
-    measured).  Both record the same gamma."""
+    hairpin, and agrees with the shifted formula within 1e-12 of max(1, max|S|).  The worst
+    case reads 8.93e-13, at A_00 = -1 on the seed-3 system (n = 3); the seed-5 system
+    (n = 4) reads 3.61e-13 there.  Both record the same gamma."""
     for m in (-1.0, 0.0, 1.0):
         sp, geo = _with_a00(seed, n, m)
         formula, oracle = stokes_pipeline(sp, geo, tol=1e-12), stokes_pair_direct(sp, geo)

@@ -177,6 +177,14 @@ def test_cli_stokes_on_a_shifted_problem_keeps_the_pair(tmp_path):
         assert np.max(np.abs(shifted - plain)) < 1e-11, route
 
 
+def test_cli_stokes_gamma_on_an_integer_is_a_failed_connection(tmp_path):
+    """A_00 = 1e17 is an integer that no shift below 1 moves in floating point: the picked
+    gamma leaves lambda'_0 on the integer, so the connection stage fails with BadGamma, exit 3."""
+    result, failed = _stokes_on_a00(tmp_path, 1e17)
+    assert result.exit_code == 3, result.output
+    assert failed["connection"].startswith("BadGamma"), failed
+
+
 def _stokes_on_a00(tmp_path, a00):
     """stokes with the oracle on SAMPLE with A_00 = a00: exit code and failed stages' errors."""
     prob = json.loads(json.dumps(SAMPLE))

@@ -17,7 +17,9 @@ row-major and angles in radians::
                                               // one, each a full u vector), from u on
     }
 
-Any other key is an error; schema_version, order and formal_order are JSON integers.
+Any other key is an error; every number is a JSON number, and schema_version,
+order and formal_order are JSON integers.  The file alone sets every value a
+command reads: no command takes an option that overrides one.
 
 Reports are deterministic JSON (sorted keys, no timestamps); every numeric
 result carries a method tag and an error estimate.  Exit codes: 0 ok,
@@ -98,18 +100,22 @@ def _pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _cplx(pair):
+def _num(x, name):
+    """The JSON number ``x`` of field ``name`` as a float: a boolean, a string or an integer
+    past the float range is an error."""
+    if type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max):
+        return float(x)
+    raise SpecError(f"{name}: expected a JSON number in the float range, got {x!r:.40}")
+
+
+def _cplx(pair, name):
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise SpecError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+        raise SpecError(f"{name}: expected [re, im] pair, got {pair!r}")
+    return complex(_num(pair[0], name), _num(pair[1], name))
 
 
-def _vec(vals):
-    return np.array([_cplx(p) for p in vals], dtype=complex)
-
-
-def _mat(rows):
-    return np.array([[_cplx(p) for p in row] for row in rows], dtype=complex)
+def _vec(vals, name):
+    return np.array([_cplx(p, name) for p in vals], dtype=complex)
 
 
 def mat_json(M):
@@ -122,7 +128,8 @@ def vec_json(v):
 
 
 class ProblemSpec:
-    """Validated problem definition (see :meth:`check` for the value rules)."""
+    """A validated problem: every number finite, epsilon0 > 0, tol > 0, order >= 3, and
+    formal_order >= 1."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -138,15 +145,15 @@ class ProblemSpec:
             raise SpecError(f"schema_version must be {SCHEMA_VERSION}; got "
                             f"{data.get('schema_version')!r}")
         try:
-            self.A = _mat(data["A"])
-            self.u = _vec(data["u"])
-            self.u_c = _vec(data["u_c"]) if "u_c" in data else self.u.copy()
-            self.epsilon0 = float(data["epsilon0"])
-            self.tau = float(data["tau"])
-            self.tol = float(data.get("tol", 1e-10))
+            self.A = np.array([_vec(row, "A") for row in data["A"]], dtype=complex)
+            self.u = _vec(data["u"], "u")
+            self.u_c = _vec(data["u_c"], "u_c") if "u_c" in data else self.u.copy()
+            self.epsilon0 = _num(data["epsilon0"], "epsilon0")
+            self.tau = _num(data["tau"], "tau")
+            self.tol = _num(data.get("tol", 1e-10), "tol")
             self.order = data.get("order", 40)
             self.formal_order = data.get("formal_order", 4)
-            self.paths = [[_vec(pt) for pt in path] for path in data.get("paths", [])]
+            self.paths = [[_vec(pt, "paths") for pt in path] for path in data.get("paths", [])]
         except SpecError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -158,23 +165,6 @@ class ProblemSpec:
             raise SpecError("u_c must have the same length as u")
         if any(not path or any(pt.size != n for pt in path) for path in self.paths):
             raise SpecError("every path needs at least one waypoint, each a full u vector")
-        self.check()
-        try:
-            self.geometry = DeformationGeometry(self.u_c, self.epsilon0, self.tau)
-        except NonAdmissibleError as exc:
-            raise SpecError(
-                f"tau is not admissible at u_c: {exc}; nearest admissible "
-                f"suggestion: {exc.suggestion}"
-            ) from exc
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-
-    def check(self):
-        """Raise SpecError unless the values are in range.
-
-        Every number must be finite, with epsilon0 > 0, tol > 0, order >= 3
-        and formal_order >= 1.
-        """
         numbers = [("A", self.A), ("u", self.u), ("u_c", self.u_c), ("epsilon0", self.epsilon0),
                    ("tau", self.tau), ("tol", self.tol)]
         for name, value in numbers + [("paths", pt) for path in self.paths for pt in path]:
@@ -185,6 +175,15 @@ class ProblemSpec:
                          ("formal_order >= 1", self.formal_order >= 1)):
             if not ok:
                 raise SpecError(f"{rule} is required")
+        try:
+            self.geometry = DeformationGeometry(self.u_c, self.epsilon0, self.tau)
+        except NonAdmissibleError as exc:
+            raise SpecError(
+                f"tau is not admissible at u_c: {exc}; nearest admissible "
+                f"suggestion: {exc.suggestion}"
+            ) from exc
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
 
     @classmethod
     def load(cls, path):
@@ -359,43 +358,22 @@ def main():
     """Monodromy data of rank-1 irregular systems via Laplace transform."""
 
 
-# the problem-file values a command line may override, each on the commands that read it
-_OVERRIDES = {
-    "tol": (float, "override tol: the projection limit max(100 tol, 1e-7) of stokes and "
-                   "deform, the oracle's series start max(tol/100, 1e-13), deform's drift "
-                   "limit 100 tol, check's 100 min(tol, 1e-12); the Taylor carry does not "
-                   "read it"),
-    "order": (int, "override series truncation order"),
-}
+def _common_options(fn):
+    """--spec and --out, the options of every command."""
+    fn = click.option("--spec", "spec_path", required=True,
+                      type=click.Path(exists=True), help="problem file (JSON)")(fn)
+    return click.option("--out", "out_dir", default="out", show_default=True,
+                        help="output directory")(fn)
 
 
-def _common_options(*overrides):
-    """--spec, --out and the named ``overrides`` of :data:`_OVERRIDES`."""
-    def apply(fn):
-        fn = click.option("--spec", "spec_path", required=True,
-                          type=click.Path(exists=True), help="problem file (JSON)")(fn)
-        fn = click.option("--out", "out_dir", default="out", show_default=True,
-                          help="output directory")(fn)
-        for name in overrides:
-            kind, text = _OVERRIDES[name]
-            fn = click.option(f"--{name}", type=kind, default=None, help=text)(fn)
-        return fn
-    return apply
+def _load(spec_path, then=lambda spec: None):
+    """The problem file, and ``then(spec)``.
 
-
-def _load(spec_path, then=lambda spec: None, **overrides):
-    """The problem file with the command-line ``overrides``, and ``then(spec)``.
-
-    The overrides are checked like the file's values.  Every problem-file
-    error, including those ``then`` raises, is reported as
-    ``problem file error`` with exit code 2.
+    Every problem-file error, including those ``then`` raises, is reported
+    as ``problem file error`` with exit code 2.
     """
     try:
         spec = ProblemSpec.load(spec_path)
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(spec, name, value)
-        spec.check()
         return spec, then(spec)
     except SpecError as exc:
         click.echo(f"problem file error: {exc}", err=True)
@@ -410,7 +388,7 @@ def _finish(runner, out_dir, name):
 
 
 @main.command()
-@_common_options()
+@_common_options
 def rays(spec_path, out_dir):
     """Stokes-ray table, sector bounds and crossing-locus samples."""
     spec, _ = _load(spec_path)
@@ -471,16 +449,16 @@ def _crossing_locus(geo):
 
 
 @main.command()
-@_common_options("tol", "order")
+@_common_options
 @click.option("--oracle", type=click.Choice(["on", "off"]), default="on",
               show_default=True, help="run the sectorial-matching oracle")
-def stokes(spec_path, out_dir, oracle, **overrides):
+def stokes(spec_path, out_dir, oracle):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
     from .continuation import connection_products
     from .laplace import assemble_formal, formal_recursion
     from .stokes import monodromy_invariant_residual, stokes_from_connection, stokes_pair_direct
 
-    spec, _ = _load(spec_path, **overrides)
+    spec, _ = _load(spec_path)
     runner = Runner("stokes", spec)
     geo = spec.geometry
     system = spec.system()
@@ -505,6 +483,7 @@ def stokes(spec_path, out_dir, oracle, **overrides):
             "gamma": conn.gamma,
             "provenance": [[str(t) for t in row] for row in conn.provenance],
             "max_projection_residual": float(np.max(conn.residuals)),
+            "in_group_product": conn.in_group_product,
             "method": "monodromy-projection",
         }}
 
@@ -558,13 +537,13 @@ def stokes(spec_path, out_dir, oracle, **overrides):
 
 
 @main.command()
-@_common_options("tol", "order")
-def deform(spec_path, out_dir, **overrides):
+@_common_options
+def deform(spec_path, out_dir):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
     from .stokes import _assemble, stokes_from_connection
 
-    spec, _ = _load(spec_path, _require_paths, **overrides)
+    spec, _ = _load(spec_path, _require_paths)
     runner = Runner("deform", spec)
     geo = spec.geometry
     in_group = geo.in_group
@@ -576,19 +555,18 @@ def deform(spec_path, out_dir, **overrides):
         stokeses = []
         cells = []
         decay_rows = []
-        # one extraction without structural zeros: the u_c ordering
-        # skips the in-group pairs, and the reported C zeroes them
-        samples = connection_samples(spec.system(), path, cut, tol=spec.tol, N=spec.order)
+        samples = connection_samples(spec.system(), path, cut, tol=spec.tol, N=spec.order,
+                                     geometry=geo)
         for i, (state, P, conn) in enumerate(samples):
             sp = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
-            conns.append(np.where(in_group, 0.0, conn.C))
+            conns.append(conn)
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
             cells.append(bool(is_in_cell(state.u, geo)[0]))
             ingroup_max = 0.0
             if in_group.any():
                 # structural zeros are vacuous here: measure the in-group
-                # entries of the assembled S_nu and S_{nu+mu}^-1 with the
-                # ordering at the instant u
+                # entries of the assembled S_nu and S_{nu+mu}^-1 from P's
+                # measured products with the ordering at the instant u
                 S, Sinv = _assemble(P, Ordering(state.u, geo.tau), conn.lambda_prime)
                 ingroup_max = float(max(np.max(np.abs(S[in_group])),
                                         np.max(np.abs(Sinv[in_group]))))
@@ -600,7 +578,8 @@ def deform(spec_path, out_dir, **overrides):
                        ["sample", "i", "j", "gap", "abs_A_ij", "abs_A_ji",
                         "ingroup_stokes_max"],
                        decay_rows)
-        cvar = float(np.max(np.abs(np.stack(conns) - conns[0])))
+        Cs = np.stack([c.C for c in conns])
+        cvar = float(np.max(np.abs(Cs - Cs[0])))
         svar = float(np.max(np.abs(np.stack(stokeses) - stokeses[0])))
         return {"paths": [{
             "path": p_idx,
@@ -609,6 +588,7 @@ def deform(spec_path, out_dir, **overrides):
             "c_max_variation": cvar,
             "stokes_max_variation": svar,
             "ingroup_stokes_max": max((r[6] for r in decay_rows), default=None),
+            "in_group_product": max(c.in_group_product for c in conns) if in_group.any() else None,
             "diag_drift": state.diag_drift,
             "spectrum_drift": state.spectrum_drift,
         }]}
@@ -655,12 +635,12 @@ def _parse_free(values, spec):
 
 
 @main.command()
-@_common_options("order")
+@_common_options
 @click.option("--free", "free_items", multiple=True,
               help="value for a resonant free parameter, as 'l,i,j=re[:im]'")
-def levelt(spec_path, out_dir, free_items, **overrides):
+def levelt(spec_path, out_dir, free_items):
     """Levelt exponents, resonance structure and free parameters at u_c."""
-    spec, free_values = _load(spec_path, lambda sp: _parse_free(free_items, sp), **overrides)
+    spec, free_values = _load(spec_path, lambda sp: _parse_free(free_items, sp))
     runner = Runner("levelt", spec)
     fs_c = SystemPair(spec.A, spec.u_c)
     runner.file({"groups": []})
@@ -691,12 +671,12 @@ def levelt(spec_path, out_dir, free_items, **overrides):
 
 
 @main.command()
-@_common_options("tol")
-def check(spec_path, out_dir, **overrides):
+@_common_options
+def check(spec_path, out_dir):
     """Integrability residual (steps 1e-3 and 5e-4) and vanishing-condition checks."""
     from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
 
-    spec, _ = _load(spec_path, **overrides)
+    spec, _ = _load(spec_path)
     runner = Runner("check", spec)
     system = spec.system()
 

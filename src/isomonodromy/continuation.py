@@ -39,10 +39,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import tally
-from .model import BasisSingular, CutPlane, IllConditioned, StepFailure, SystemPair
+from .model import (BasisSingular, CutPlane, IllConditioned, Ordering, SingularF1,
+                    StepFailure, SystemPair)
 from .frobenius import _log_seed, selected_solutions, shift_exponents
 
 DEFAULT_TOL = 1e-10
+# largest in-group |alpha_k c_jk| / max(1, max|P|) connection_products accepts: it
+# reads up to 1.7e-9 on the isomonodromic family and 2.5 delta at A_01 + delta
+IN_GROUP_LIMIT = 1e-7
 # Taylor carry: step length over the distance to the nearest pole, chords per
 # loop, negligible term relative to its block, the order limits and
 # the orders whose terms are kept before they are summed and integrated
@@ -483,7 +487,8 @@ class ConnectionData:
 
     ``C``, ``alpha`` and ``lambda_prime`` belong to one system: the shifted
     one A - gamma I when :func:`connection_products` shifted, ``gamma``
-    recording the shift (0 when it did not).
+    recording the shift (0 when it did not), ``in_group_product`` its
+    in-group check (None without a coalescing geometry).
     """
 
     C: np.ndarray
@@ -493,19 +498,19 @@ class ConnectionData:
     provenance: np.ndarray
     residuals: np.ndarray
     gamma: float = 0.0
+    in_group_product: float | None = None
 
 
-def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL,
-                            N=40, geometry=None):
+def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40):
     """Extract the full matrix of connection coefficients at fixed u.
 
     The selected-solution basis is carried to a base point near each u_j
     and around one small positive loop there (:func:`continue_basis`); each
     column of the loop difference is projected onto Psi_j:
     gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
-    from the arithmetic class.  Entries across a coalescing pair of
-    ``geometry`` (if given) are structural zeros, tagged
-    ``"zero-by-coalescence"``.  ``tol`` sets only the projection limit:
+    from the arithmetic class; every other entry is projected, in-group ones
+    too (:func:`connection_products` applies the in-group rule), unless its
+    pole or solution is degenerate.  ``tol`` sets only the projection limit:
     :class:`IllConditioned`, naming the pole, is raised if a projection
     residual, relative to the continued solution, exceeds max(100 tol, 1e-7)
     or is not finite, or if alpha_k leaves the float range.  The Taylor
@@ -527,13 +532,8 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL,
     for j in range(n):
         # a negative-integer pole with no singular solution: its zero flag
         degenerate = classes[j] == "negative_integer" and _log_seed(fs, j, sols[j], N)[0] is None
-        for k in range(n):
-            if j == k:
-                continue
-            if geometry is not None and geometry.in_group[j, k]:
-                prov[j, k] = "zero-by-coalescence"
-            elif degenerate or sols[k].zero:
-                prov[j, k] = "zero-by-degenerate-singular"
+        prov[j, [k != j and (degenerate or sols[k].zero) for k in range(n)]] = \
+            "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"
     rows = [j for j in range(n) if projected[j].any()]
     for j, _, Psi, Phi in continue_basis(fs, cut, sols, rows):
@@ -567,11 +567,31 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40, geometry=N
     ``conn.lambda_prime``.  A caller who wants another shift passes
     :func:`.frobenius.gamma_shift` of the system.
 
+    The in-group rule lives here alone: on the isomonodromic family the c_jk
+    of a pair coalescing at the u^c of ``geometry`` vanish (the paper's
+    Theorem 30agosto2020-5), so C's in-group entries are set to 0, tagged
+    ``"zero-by-coalescence"``, once checked: :class:`SingularF1`, naming
+    (j, k), when the largest in-group product over max(1, max|P|), kept as
+    ``conn.in_group_product``, exceeds IN_GROUP_LIMIT, and NonAdmissibleError
+    at a tie of the ordering at u.  P keeps the measured products.
+
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
     g, shifted = shift_exponents(system)
-    conn = connection_coefficients(shifted, cut, tol=tol, N=N, geometry=geometry)
+    conn = connection_coefficients(shifted, cut, tol=tol, N=N)
     conn.gamma = g
     P = conn.C * conn.alpha
     np.fill_diagonal(P, 0)
+    if geometry is not None and geometry.in_group.any():
+        Ordering(system.u, geometry.tau)  # NonAdmissibleError at a tie
+        in_group = geometry.in_group
+        scale = max(1.0, float(np.max(np.abs(P))))
+        j, k = np.argwhere(in_group)[np.argmax(np.abs(P[in_group]))]
+        conn.in_group_product = float(abs(P[j, k])) / scale
+        if not conn.in_group_product <= IN_GROUP_LIMIT:
+            raise SingularF1(f"vanishing conditions violated: in-group product alpha_k c_jk at "
+                             f"(j, k) = ({j}, {k}) is {abs(P[j, k]):.2e}, above the bound "
+                             f"IN_GROUP_LIMIT max(1, max|P|) = {IN_GROUP_LIMIT * scale:.2e}")
+        conn.C[in_group] = 0.0
+        conn.provenance[in_group] = "zero-by-coalescence"
     return P, conn

@@ -342,18 +342,20 @@ def transport(state: DeformationState, target_u, tol=1e-10,
                             spectrum_drift=max(state.spectrum_drift, float(spec_drift)))
 
 
-def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40):
+def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None):
     """Connection data along a deformation path, one sample at a time.
 
     The A of ``system`` is Schlesinger-transported (:func:`transport`) from its
     u to every sample of ``u_samples`` in turn, the first included, and the
     products are re-extracted at each by :func:`.continuation.connection_products`,
-    shifted as it picks, both at ``tol``.  Yields ``(state, P, conn)`` per sample.
+    shifted as it picks, both at ``tol``; with a coalescing ``geometry`` each
+    sample's in-group c_jk are checked and set to 0 there.  Yields
+    ``(state, P, conn)`` per sample.
     """
     state = DeformationState(u=system.u, A=system.A.copy())
     for u in u_samples:
         state = transport(state, u, tol=tol)
-        P, conn = connection_products(state.system(), cut, tol=tol, N=N)
+        P, conn = connection_products(state.system(), cut, tol=tol, N=N, geometry=geometry)
         yield state, P, conn
 
 

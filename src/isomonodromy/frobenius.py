@@ -431,7 +431,7 @@ def analytic_basis(fs: SystemPair, k: int, N: int = 40):
     return [p for p, o in zip(np.moveaxis(phi, -1, 0).copy(), obstruction) if o <= 1e-9]
 
 
-def singular_solution(fs: SystemPair, k: int, N: int = 40, sel=None) -> LocalSolution:
+def singular_solution(fs: SystemPair, k: int, N: int = 40) -> LocalSolution:
     """Singular companion solution at u_k with uniquely fixed singular part.
 
     * noninteger: alias of :func:`selected_solution`;
@@ -440,12 +440,9 @@ def singular_solution(fs: SystemPair, k: int, N: int = 40, sel=None) -> LocalSol
       completion; the ``zero`` flag marks the exceptional case (possible
       for lambda'_k <= -2) where no singular solution exists
       (:func:`_log_seed`).
-
-    ``sel``, if given, is Psi_k's series to N orders, as already built.
     """
     klass = fs.integer_class(k)
-    if sel is None:
-        sel = selected_solution(fs, k, N)
+    sel = selected_solution(fs, k, N)
     if klass != "negative_integer":
         return sel
 

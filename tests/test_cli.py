@@ -81,44 +81,54 @@ def _without_tau(prob, **extra):
     return {**{k: v for k, v in prob.items() if k != "tau"}, **extra}
 
 
-MALFORMED = {  # case: (problem file from SAMPLE, extra command-line arguments, text the error names)
-    "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, [], "epsilon0"),
-    "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, [], "epsilon0"),
-    "NaN in A": (_nan_in_A, [], "A must be finite"),
-    "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, [], "u must be finite"),
-    "tau NaN": (lambda p: {**p, "tau": math.nan}, [], "tau"),
-    "tau missing": (_without_tau, [], "tau"),
-    "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, [], "paths"),
-    "path empty": (lambda p: {**p, "paths": [[]]}, [], "path"),
-    "order 0": (lambda p: {**p, "order": 0}, [], "order"),
-    "order 2": (lambda p: {**p, "order": 2}, [], "order"),
-    "order 40.9": (lambda p: {**p, "order": 40.9}, [], "order must be a JSON integer"),
-    "formal_order 0": (lambda p: {**p, "formal_order": 0}, [], "formal_order"),
-    "formal_order true": (lambda p: {**p, "formal_order": True}, [],
+def _a00_string(prob):
+    A = json.loads(json.dumps(prob["A"]))
+    A[0][0] = ["0.5", 0]
+    return {**prob, "A": A}
+
+
+MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
+    "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, "epsilon0"),
+    "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, "epsilon0"),
+    "NaN in A": (_nan_in_A, "A must be finite"),
+    "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, "u must be finite"),
+    "tau NaN": (lambda p: {**p, "tau": math.nan}, "tau"),
+    "tau missing": (_without_tau, "tau"),
+    "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, "paths"),
+    "path empty": (lambda p: {**p, "paths": [[]]}, "path"),
+    "order 0": (lambda p: {**p, "order": 0}, "order"),
+    "order 2": (lambda p: {**p, "order": 2}, "order"),
+    "order 40.9": (lambda p: {**p, "order": 40.9}, "order must be a JSON integer"),
+    "formal_order 0": (lambda p: {**p, "formal_order": 0}, "formal_order"),
+    "formal_order true": (lambda p: {**p, "formal_order": True},
                           "formal_order must be a JSON integer"),
-    "schema_version 1.7": (lambda p: {**p, "schema_version": 1.7}, [],
+    "schema_version 1.7": (lambda p: {**p, "schema_version": 1.7},
                            "schema_version must be a JSON integer"),
-    "tol negative": (lambda p: {**p, "tol": -1}, [], "tol"),
-    "not an object": (lambda p: [p], [], "object"),
+    "tol negative": (lambda p: {**p, "tol": -1}, "tol"),
+    "not an object": (lambda p: [p], "object"),
     # the closed key set: the removed gamma and eta (an alias of tau), and a misspelling
-    "gamma key": (lambda p: {**p, "gamma": 0.3}, [], "'gamma'"),
-    "eta key": (lambda p: _without_tau(p, eta=1.5 * math.pi - p["tau"]), [], "'eta'"),
-    "unknown key": (lambda p: {**p, "formal_ordr": 2}, [], "'formal_ordr'"),
-    "--tol negative": (lambda p: p, ["--tol", "-1"], "tol"),
-    "--order 2": (lambda p: p, ["--order", "2"], "order"),
+    "gamma key": (lambda p: {**p, "gamma": 0.3}, "'gamma'"),
+    "eta key": (lambda p: _without_tau(p, eta=1.5 * math.pi - p["tau"]), "'eta'"),
+    "unknown key": (lambda p: {**p, "formal_ordr": 2}, "'formal_ordr'"),
+    # numbers are JSON numbers: no boolean or string stands for one
+    "tol true": (lambda p: {**p, "tol": True}, "tol: expected a JSON number"),
+    "epsilon0 string": (lambda p: {**p, "epsilon0": "0.08"}, "epsilon0: expected a JSON number"),
+    "tau string": (lambda p: {**p, "tau": str(p["tau"])}, "tau: expected a JSON number"),
+    "A entry string": (_a00_string, "A: expected a JSON number"),
+    "u entry false": (lambda p: {**p, "u": [[False, 0.0], p["u"][1]]},
+                      "u: expected a JSON number"),
+    "tol past the float range": (lambda p: {**p, "tol": 10 ** 400}, "tol: expected a JSON number"),
 }
 
 
-# rays takes no override, so the cases with command-line arguments run on stokes only
 @pytest.mark.parametrize("case, cmd", [(case, cmd) for case in sorted(MALFORMED)
-                                        for cmd in ["rays", "stokes"]
-                                        if cmd == "stokes" or not MALFORMED[case][1]])
+                                        for cmd in ["rays", "stokes"]])
 def test_cli_malformed_problem_exits_2(tmp_path, case, cmd):
-    """Non-finite numbers, out-of-range settings, non-integer counts and keys outside the
-    format are problem-file errors that name what is wrong, not crashes."""
-    edit, args, named = MALFORMED[case]
+    """Non-finite numbers, out-of-range settings, non-numbers, non-integer counts and keys
+    outside the format are problem-file errors that name what is wrong, not crashes."""
+    edit, named = MALFORMED[case]
     path = _write(tmp_path, edit(SAMPLE))
-    result = CliRunner().invoke(main, [cmd, "--spec", path, "--out", str(tmp_path / "out")] + args)
+    result = CliRunner().invoke(main, [cmd, "--spec", path, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "problem file error" in result.output
     assert named in result.output, result.output
@@ -183,6 +193,21 @@ def test_cli_stokes_gamma_on_an_integer_is_a_failed_connection(tmp_path):
     result, failed = _stokes_on_a00(tmp_path, 1e17)
     assert result.exit_code == 3, result.output
     assert failed["connection"].startswith("BadGamma"), failed
+
+
+@pytest.mark.parametrize("cmd, stage", [("stokes", "connection"), ("deform", "path_0")])
+def test_cli_off_the_family_is_a_failed_stage(tmp_path, cmd, stage):
+    """coalescing3x3 with A_01 = 0.2 and A_10 = 0.1 is off the isomonodromic family: its
+    in-group products (0.57 of max|P|) fail the check, exit 3, where its formula pair was
+    off by O(1) at exit 0."""
+    prob = json.loads((ROOT / "problems" / "coalescing3x3.json").read_text())
+    prob["A"][0][1], prob["A"][1][0] = [0.2, 0.0], [0.1, 0.0]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [cmd, "--spec", _write(tmp_path, prob), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = {s["name"]: s for s in json.loads((out / f"{cmd}_report.json").read_text())["stages"]}
+    assert stages[stage]["error"].startswith("SingularF1"), stages
+    assert "(j, k) = (0, 1)" in stages[stage]["error"]
 
 
 def _stokes_on_a00(tmp_path, a00):
@@ -388,13 +413,15 @@ def test_cli_deform_has_no_oracle_option(tmp_path):
 
 @pytest.mark.parametrize("cmd, option, value", [
     ("rays", "--tol", "1e-9"), ("rays", "--order", "30"), ("rays", "--gamma", "0.1"),
-    ("levelt", "--tol", "1e-9"), ("levelt", "--gamma", "0.1"),
-    ("check", "--order", "30"), ("check", "--gamma", "0.1"), ("check", "--step", "1e-3"),
-    ("stokes", "--gamma", "0.3"), ("deform", "--gamma", "-0.2"),
+    ("levelt", "--tol", "1e-9"), ("levelt", "--order", "30"), ("levelt", "--gamma", "0.1"),
+    ("check", "--tol", "1e-9"), ("check", "--order", "30"), ("check", "--gamma", "0.1"),
+    ("check", "--step", "1e-3"),
+    ("stokes", "--tol", "1e-9"), ("stokes", "--order", "30"), ("stokes", "--gamma", "0.3"),
+    ("deform", "--tol", "1e-9"), ("deform", "--order", "30"), ("deform", "--gamma", "-0.2"),
 ])
 def test_cli_unread_override_is_a_usage_error(tmp_path, cmd, option, value):
-    """Each command takes only the overrides it reads: rays none, levelt --order, check --tol,
-    stokes and deform --tol and --order.  No command takes --gamma or --step."""
+    """The problem file alone sets a run: no command takes --tol, --order, --gamma or
+    --step."""
     path = _write(tmp_path, SAMPLE)
     result = CliRunner().invoke(
         main, [cmd, "--spec", path, "--out", str(tmp_path / "out"), option, value]
@@ -741,8 +768,8 @@ _RAY_LABELS = _block("ray_labels", ["eta", "mu", "nu", "nu_offset", "tau", "tau_
                                     "tau_nu.0", "tau_nu.1", "tau_nu.2"])
 _PAIR = ["S_nu", "S_nu_plus_mu", "method", "nu"]
 _STOKES = sorted(
-    _block("connection", ["C", "alpha", "eta", "gamma", "max_projection_residual", "method",
-                          "provenance"])
+    _block("connection", ["C", "alpha", "eta", "gamma", "in_group_product",
+                          "max_projection_residual", "method", "provenance"])
     + _block("formal", ["F", "asymptotic_vs_recursion_max_diff", "free_positions", "method"])
     + ["formula_oracle_max_diff", "gamma_shift_used"] + _RAY_LABELS
     + _block("stokes_formula", _PAIR + ["monodromy_invariant", "structural_zero_pairs"])
@@ -784,8 +811,8 @@ REPORT_SHAPES = {
                                   sorted(["epsilon0_margin"] + _VANISHING + _PAIR_ROW)),
     ("deform", "sample2x2"): (2, None, None),
     ("deform", "coalescing3x3"): (0, [("path_0", "ok")], _block("paths[0]", [
-        "c_max_variation", "diag_drift", "in_cell", "ingroup_stokes_max", "path", "samples",
-        "spectrum_drift", "stokes_max_variation"])),
+        "c_max_variation", "diag_drift", "in_cell", "in_group_product", "ingroup_stokes_max",
+        "path", "samples", "spectrum_drift", "stokes_max_variation"])),
     ("deform", "resonant_group"): (2, None, None),
 }
 

@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 import isomonodromy.continuation as continuation
 from isomonodromy import ode
 from conftest import dense_piece, dense_rhs, draw_system
-from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SystemPair,
-                               is_in_cell)
+from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SingularF1,
+                               SystemPair, is_in_cell)
 from isomonodromy.frobenius import (
     analytic_basis,
     build_fuchsian,
@@ -514,35 +514,70 @@ def test_connection_invariant_under_regular_completion():
     assert abs(c_a - conn.C[0, 1]) < 1e-7
 
 
+def _family_member(geometry, vanishing_A_uc):
+    """The t = 1 state of the radial family through u = (0.02, -0.02, 1): on the branch."""
+    from isomonodromy.deformation import radial_family
+
+    seed = SystemPair(vanishing_A_uc, [0.02, -0.02, 1.0])
+    return radial_family(seed, geometry.u_c, [1.0], tol=1e-12)[0].system()
+
+
 def test_connection_products_structural_zero(coalescing_geometry, vanishing_A_uc):
-    sp = SystemPair(vanishing_A_uc, [0.02, -0.02, 1.0])
-    cut = CutPlane(eta=coalescing_geometry.eta)
-    P, conn = connection_products(sp, cut, tol=1e-11, geometry=coalescing_geometry)
-    assert conn.provenance[0][1] == "zero-by-coalescence"
-    assert P[0, 1] == 0.0 and P[1, 0] == 0.0
+    """With a coalescing geometry C's in-group entries are 0, tagged, and checked; P keeps
+    the measured products, bit for bit those of the extraction without a geometry."""
+    geo = coalescing_geometry
+    sp = _family_member(geo, vanishing_A_uc)
+    cut = CutPlane(eta=geo.eta)
+    P, conn = connection_products(sp, cut, tol=1e-11, geometry=geo)
+    P_bare, conn_bare = connection_products(sp, cut, tol=1e-11)
+    assert np.array_equal(P, P_bare)
+    assert np.all(conn.C[geo.in_group] == 0.0)
+    assert np.all(conn.provenance[geo.in_group] == "zero-by-coalescence")
+    assert np.array_equal(conn.C[~geo.in_group], conn_bare.C[~geo.in_group])
+    assert "zero-by-coalescence" not in conn_bare.provenance
+    assert 0 < conn.in_group_product < 1e-8 and conn_bare.in_group_product is None
+    assert 0 < abs(P[0, 1]) < 1e-8 and 0 < abs(P[1, 0]) < 1e-8
 
 
 def test_connection_products_mask_only_in_group(coalescing_geometry, vanishing_A_uc):
-    """The coalescence mask zeroes the in-group products and nothing else.
+    """The in-group rule changes C's in-group entries and no Stokes pair.
 
-    Outside the groups the masked and unmasked products are bit-identical,
-    and the u^c ordering skips the in-group pairs, so both give the same
-    Stokes pair: one unmasked extraction serves both uses.
+    P is bit-identical with and without the geometry, and the u^c ordering
+    skips the in-group pairs, so the pair does not read the in-group products.
     """
     geo = coalescing_geometry
-    sp = SystemPair(vanishing_A_uc, [0.02, -0.02, 1.0])
+    sp = _family_member(geo, vanishing_A_uc)
     cut = CutPlane(eta=geo.eta)
-    P_mask, conn = connection_products(sp, cut, tol=1e-11, geometry=geo)
-    P_full, _ = connection_products(sp, cut, tol=1e-11)
-    in_group = geo.in_group
-    assert in_group.any()
-    assert np.all(P_mask[in_group] == 0.0)
-    assert np.array_equal(P_mask[~in_group], P_full[~in_group])
+    P, conn = connection_products(sp, cut, tol=1e-11, geometry=geo)
+    P_bare, conn_bare = connection_products(sp, cut, tol=1e-11)
+    assert np.array_equal(P, P_bare)
+    changed = conn.C != conn_bare.C
+    assert changed.any() and np.all(geo.in_group[changed])
+    assert np.array_equal(conn.provenance != conn_bare.provenance, geo.in_group)
     ordering = Ordering(u_c=geo.u_c, tau=geo.tau)
-    S_mask = stokes_from_connection(P_mask, ordering, conn.lambda_prime)
-    S_full = stokes_from_connection(P_full, ordering, conn.lambda_prime)
+    masked = P.copy()
+    masked[geo.in_group] = 0.0
+    S_mask = stokes_from_connection(masked, ordering, conn.lambda_prime)
+    S_full = stokes_from_connection(P, ordering, conn.lambda_prime)
     assert np.array_equal(S_mask.S_nu, S_full.S_nu)
     assert np.array_equal(S_mask.S_nu_plus_mu, S_full.S_nu_plus_mu)
+
+
+def test_connection_products_off_the_family_is_a_typed_error(coalescing_geometry,
+                                                             vanishing_A_uc):
+    """A_01 of the family's t = 1 state moved by 1e-3 leaves the branch whose in-group c_jk
+    vanish: the in-group product (2.1e-3 of max(1, max|P|) measured) fails the check by name."""
+    geo = coalescing_geometry
+    sp = _family_member(geo, vanishing_A_uc)
+    A = sp.A.copy()
+    A[0, 1] += 1e-3
+    off = SystemPair(A, sp.u)
+    cut = CutPlane(eta=geo.eta)
+    with pytest.raises(SingularF1, match=r"\(j, k\) = \((0, 1|1, 0)\)"):
+        connection_products(off, cut, tol=1e-11, geometry=geo)
+    # without a geometry no rule applies
+    P, conn = connection_products(off, cut, tol=1e-11)
+    assert np.max(np.abs(P[geo.in_group])) > continuation.IN_GROUP_LIMIT * np.max(np.abs(P))
 
 
 def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):

@@ -47,7 +47,6 @@ from .model import (
     IllConditioned,
     MatchingInconsistent,
     NonAdmissibleError,
-    Ordering,
     OverlapEmpty,
     QuadratureDivergence,
     SingularF1,
@@ -541,7 +540,7 @@ def stokes(spec_path, out_dir, oracle):
 def deform(spec_path, out_dir):
     """Constancy of connection coefficients and Stokes entries along paths."""
     from .deformation import connection_samples
-    from .stokes import _assemble, stokes_from_connection
+    from .stokes import stokes_from_connection
 
     spec, _ = _load(spec_path, _require_paths)
     runner = Runner("deform", spec)
@@ -562,21 +561,13 @@ def deform(spec_path, out_dir):
             conns.append(conn)
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
             cells.append(bool(is_in_cell(state.u, geo)[0]))
-            ingroup_max = 0.0
-            if in_group.any():
-                # structural zeros are vacuous here: measure the in-group
-                # entries of the assembled S_nu and S_{nu+mu}^-1 from P's
-                # measured products with the ordering at the instant u
-                S, Sinv = _assemble(P, Ordering(state.u, geo.tau), conn.lambda_prime)
-                ingroup_max = float(max(np.max(np.abs(S[in_group])),
-                                        np.max(np.abs(Sinv[in_group]))))
             decay_rows += [(i, a + 1, b + 1, float(abs(state.u[a] - state.u[b])),
-                            float(abs(state.A[a, b])), float(abs(state.A[b, a])), ingroup_max)
+                            float(abs(state.A[a, b])), float(abs(state.A[b, a])),
+                            conn.in_group_product)
                            for a, b in zip(*np.nonzero(np.triu(in_group)))]
         if decay_rows:
             _write_csv(FsPath(out_dir) / f"decay_path{p_idx}.csv",
-                       ["sample", "i", "j", "gap", "abs_A_ij", "abs_A_ji",
-                        "ingroup_stokes_max"],
+                       ["sample", "i", "j", "gap", "abs_A_ij", "abs_A_ji", "in_group_product"],
                        decay_rows)
         Cs = np.stack([c.C for c in conns])
         cvar = float(np.max(np.abs(Cs - Cs[0])))
@@ -587,7 +578,6 @@ def deform(spec_path, out_dir):
             "in_cell": cells,
             "c_max_variation": cvar,
             "stokes_max_variation": svar,
-            "ingroup_stokes_max": max((r[6] for r in decay_rows), default=None),
             "in_group_product": max(c.in_group_product for c in conns) if in_group.any() else None,
             "diag_drift": state.diag_drift,
             "spectrum_drift": state.spectrum_drift,
@@ -674,7 +664,7 @@ def levelt(spec_path, out_dir, free_items):
 @_common_options
 def check(spec_path, out_dir):
     """Integrability residual (steps 1e-3 and 5e-4) and vanishing-condition checks."""
-    from .deformation import integrability_residual, schlesinger_rhs, vanishing_check
+    from .deformation import integrability_residual, vanishing_check
 
     spec, _ = _load(spec_path)
     runner = Runner("check", spec)
@@ -691,9 +681,7 @@ def check(spec_path, out_dir):
             "method": "central-differences+transport"}}
 
     def vanishing():
-        _, consistency = schlesinger_rhs(system)
         return {"vanishing": {
-            "schlesinger_consistency": consistency,
             "pairs": vanishing_check(system, groups=spec.geometry.groups),
             "method": "direct-evaluation",
         }}

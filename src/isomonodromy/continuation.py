@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +48,8 @@ DEFAULT_TOL = 1e-10
 # largest in-group |alpha_k c_jk| / max(1, max|P|) connection_products accepts: it
 # reads up to 1.7e-9 on the isomonodromic family and 2.5 delta at A_01 + delta
 IN_GROUP_LIMIT = 1e-7
+# largest |Im lambda'_k| whose e^(2 pi |Im lambda'_k|) stays in the float range: 112.97
+IM_EXPONENT_LIMIT = math.log(sys.float_info.max) / (2 * math.pi)
 # Taylor carry: step length over the distance to the nearest pole, chords per
 # loop, negligible term relative to its block, the order limits and
 # the orders whose terms are kept before they are summed and integrated
@@ -513,17 +516,21 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
     pole or solution is degenerate.  ``tol`` sets only the projection limit:
     :class:`IllConditioned`, naming the pole, is raised if a projection
     residual, relative to the continued solution, exceeds max(100 tol, 1e-7)
-    or is not finite, or if alpha_k leaves the float range.  The Taylor
-    carry does not read it.
+    or is not finite.  The Taylor carry does not read it.  Before any
+    carry, a pole with 2 pi |Im lambda'_k| past log of the largest float
+    raises :class:`IllConditioned` naming it: e^{-2 pi i lambda'_k} of
+    alpha_k, or the e^{2 pi i lambda'_k} of the Stokes formula, leaves the
+    float range there.
     """
     n = fs.n
+    im = np.abs(fs.lambda_prime.imag)
+    if im.max() > IM_EXPONENT_LIMIT:
+        m = int(np.argmax(im))
+        raise IllConditioned(f"Im lambda'_k = {fs.lambda_prime[m].imag:.6g} at pole {m}: "
+                             f"e^(2 pi |Im lambda'_k|) leaves the float range above "
+                             f"|Im lambda'_k| = {IM_EXPONENT_LIMIT:.2f}")
     classes = [fs.integer_class(m) for m in range(n)]
-    alpha = np.empty(n, dtype=complex)
-    for m in range(n):
-        try:
-            alpha[m] = alpha_factor(fs.lambda_prime[m], classes[m])
-        except OverflowError:
-            raise IllConditioned(f"alpha_k leaves the float range at pole {m}") from None
+    alpha = np.array([alpha_factor(fs.lambda_prime[m], classes[m]) for m in range(n)])
     C = np.diag([1.0 if c == "noninteger" else 0.0 for c in classes]).astype(complex)
     prov = np.full((n, n), "monodromy-projection", dtype=object)
     np.fill_diagonal(prov, "diagonal-by-class")

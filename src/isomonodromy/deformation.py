@@ -87,12 +87,12 @@ def _residue_commutators(w):
 def schlesinger_rhs(fs: SystemPair):
     """Non-normalized Schlesinger right-hand sides d B_k / d u_i.
 
-    Returns ``(derivs, consistency)`` where ``derivs[(i, k)]`` is the
-    matrix-valued derivative and ``consistency`` is the max norm of
-    sum_k derivs[(i, k)] - [omega_i, sum_k B_k] over i (an identity of the
-    system; should be at machine precision).  A pair closer than
-    COALESCE_TOL lies on the coalescence locus and its term
-    [B_i, B_k] / (u_i - u_k) is taken as 0, as in the reduced flow.
+    Returns ``derivs``, where ``derivs[(i, k)]`` is the matrix-valued
+    derivative.  The pole terms [B_i, B_k] / (u_i - u_k) off the diagonal
+    set the diagonal ones, d B_i / d u_i = -sum_{k != i} of them, so
+    sum_k d B_k / d u_i = [omega_i, sum_k B_k] holds by construction.  A
+    pair closer than COALESCE_TOL lies on the coalescence locus and its
+    term is taken as 0, as in the reduced flow.
     """
     n = fs.n
     m = np.arange(n)
@@ -105,9 +105,7 @@ def schlesinger_rhs(fs: SystemPair):
     B = np.zeros((n, n, n), dtype=complex)
     B[m, m] = -fs.A_plus_I
     derivs = pole + om[:, None] @ B[None] - B[None] @ om[:, None]
-    Bsum = B.sum(0)
-    worst = float(np.max(np.abs(derivs.sum(1) - (om @ Bsum - Bsum @ om))))
-    return {(i, k): derivs[i, k] for i in range(n) for k in range(n)}, worst
+    return {(i, k): derivs[i, k] for i in range(n) for k in range(n)}
 
 
 @dataclass

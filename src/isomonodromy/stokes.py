@@ -51,19 +51,13 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime):
     identity diagonal, zeros elsewhere (in-group entries are structural
     zeros).  S_{nu+mu} is returned as the inverse of the assembled matrix.
     """
-    S, Sinv = _assemble(products, ordering, lambda_prime)
-    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
-                      method="formula")
-
-
-def _assemble(products, ordering, lambda_prime):
-    """The assembled S_nu and S_{nu+mu}^-1 of :func:`stokes_from_connection`."""
     P = np.asarray(products, dtype=complex)
     lp = np.asarray(lambda_prime, dtype=complex)
     one = np.eye(lp.size, dtype=complex)
     S = one + np.where(ordering.sign < 0, np.exp(2j * math.pi * lp) * P, 0)
     Sinv = one - np.where(ordering.sign > 0, np.exp(2j * math.pi * (lp - lp[:, None])) * P, 0)
-    return S, Sinv
+    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
+                      method="formula")
 
 
 def _unit_triangular_inverse(Sinv, order):

@@ -52,23 +52,14 @@ def test_omega_rejects_violated_vanishing():
 
 def test_schlesinger_rhs_diagonal_zero():
     fs = build_fuchsian(SystemPair(np.diag([0.5, -0.3]), [0.0, 1.0]))
-    derivs, cons = schlesinger_rhs(fs)
+    derivs = schlesinger_rhs(fs)
     assert all(np.max(np.abs(D)) < 1e-15 for D in derivs.values())
-    assert cons < 1e-15
-
-
-def test_schlesinger_rhs_consistency_identity():
-    rng = np.random.default_rng(9)
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 0.6 + 0.9j]))
-    _, cons = schlesinger_rhs(fs)
-    assert cons < 1e-12
 
 
 def test_schlesinger_rhs_finite_difference_oracle(system_2x2):
     """d B_2/d u_1 compared against a short-transport finite difference."""
     fs = build_fuchsian(system_2x2)
-    derivs, _ = schlesinger_rhs(fs)
+    derivs = schlesinger_rhs(fs)
     h = 1e-5
     states = []
     for s in (+h, -h):
@@ -451,9 +442,8 @@ def test_schlesinger_rhs_on_the_locus_is_finite_and_quiet(vanishing_A_uc):
     """The in-group pair's [B_0, B_1]/(u_0 - u_1) is skipped: no 0/0, no warning."""
     fs = build_fuchsian(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
     with np.errstate(all="raise"):
-        derivs, cons = schlesinger_rhs(fs)
+        derivs = schlesinger_rhs(fs)
     assert all(np.isfinite(d).all() for d in derivs.values())
-    assert cons < 1e-14
 
 
 def _schlesinger_rhs_loop(fs):
@@ -477,7 +467,7 @@ def test_schlesinger_rhs_matches_the_dense_loop(n, vanishing_A_uc):
     cases = [system, SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0])]
     for sp in cases:
         fs = build_fuchsian(sp)
-        derivs, _ = schlesinger_rhs(fs)
+        derivs = schlesinger_rhs(fs)
         ref = _schlesinger_rhs_loop(fs)
         assert derivs.keys() == ref.keys()
         scale = max(np.max(np.abs(D)) for D in ref.values())

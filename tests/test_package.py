@@ -154,15 +154,26 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     ("rays", "sample2x2"), ("stokes", "sample2x2"), ("deform", "coalescing3x3"),
     ("levelt", "resonant_group"), ("check", "sample2x2")])
 def test_commands_run_with_scipy_blocked(tmp_path, cmd, spec):
-    """Each README command exits 0 in a fresh process that cannot import scipy."""
+    """Each README command exits 0 in a fresh process that cannot import scipy and turns every
+    RuntimeWarning into an error, and writes the report an in-process run writes, byte for
+    byte."""
+    from click.testing import CliRunner
+
+    from isomonodromy.cli import main
+
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     code = 'import sys; sys.modules["scipy"] = None; from isomonodromy.cli import main; main()'
-    proc = subprocess.run([sys.executable, "-c", code, cmd, "--spec", f"problems/{spec}.json",
-                           "--out", str(tmp_path)], cwd=ROOT, env=env, capture_output=True,
+    args = [cmd, "--spec", str(ROOT / "problems" / f"{spec}.json"), "--out"]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args,
+                           str(tmp_path / "fresh")], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / f"{cmd}_report.json").is_file()
+    result = CliRunner().invoke(main, [*args, str(tmp_path / "in_process")])
+    assert result.exit_code == 0, result.output
+    report = f"{cmd}_report.json"
+    assert (tmp_path / "fresh" / report).read_bytes() == \
+        (tmp_path / "in_process" / report).read_bytes()
 
 
 def _call_sites(path, name):

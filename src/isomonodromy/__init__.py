@@ -23,7 +23,6 @@ _EXPORTS = {
     "Ordering": "model",
     "SystemPair": "model",
     "is_in_cell": "model",
-    "label_rays": "model",
     "sector_bounds": "model",
     "stokes_ray_directions": "model",
     "LocalSolution": "frobenius",
@@ -42,7 +41,6 @@ _EXPORTS = {
     "monodromy_matrix": "continuation",
     "StokesPair": "stokes",
     "stokes_from_connection": "stokes",
-    "stokes_generate": "stokes",
     "stokes_pipeline": "stokes",
     "stokes_pair_direct": "stokes",
     "DeformationState": "deformation",

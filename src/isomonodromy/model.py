@@ -241,8 +241,6 @@ class RayLabels:
 
 def _labels(reps, tau):
     """The :class:`RayLabels` of the sorted class reps in [0, pi) around tau."""
-    if not reps:
-        raise ValueError("all coordinates of u^c coincide; no Stokes rays exist")
     for r in reps:
         if angular_distance_mod_pi(tau, r) < ANGLE_TOL:
             # suggest the midpoint of the widest gap between ray classes
@@ -256,17 +254,6 @@ def _labels(reps, tau):
     # representative of each class in (tau - pi, tau)
     basic = sorted(r + math.pi * math.floor((tau - r) / math.pi) for r in reps)
     return RayLabels(tau=float(tau), mu=len(reps), basic=tuple(basic))
-
-
-def label_rays(u_c, tau):
-    """Count and label the basic Stokes rays of Lambda(u^c) around tau.
-
-    Returns the :class:`RayLabels`: mu is the number of ray classes mod pi,
-    and the origin nu = 0 is the largest ray direction below tau.
-
-    Raises :class:`NonAdmissibleError` if tau lies on a ray mod pi.
-    """
-    return _labels([rep for rep, _ in _ray_classes(u_c, 0.0)[2]], tau)
 
 
 def _group_partition(u_c):

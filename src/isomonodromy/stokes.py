@@ -206,16 +206,3 @@ def monodromy_invariant_residual(pair, A):
         i = int(np.argmin([abs(g - target) for g in got]))
         worst = max(worst, abs(got.pop(i) - target))
     return float(worst / (np.linalg.norm(pair.S_nu, 2) * np.linalg.norm(pair.S_nu_plus_mu, 2)))
-
-
-def stokes_generate(S_nu, S_nu_plus_mu, lambda_prime, h_values):
-    """All S_{nu+h mu} from the pair via S_{m+2 mu} = e^{-2 pi i B} S_m e^{2 pi i B}."""
-    lp = np.asarray(lambda_prime, dtype=complex)
-    phase = np.exp(2j * math.pi * lp)
-    out = {}
-    for h in h_values:
-        base = np.asarray(S_nu if h % 2 == 0 else S_nu_plus_mu, dtype=complex)
-        q = h // 2
-        # conjugation by e^{2 pi i B} is entrywise scaling
-        out[h] = base * np.outer(phase ** (-q), phase ** q)
-    return out

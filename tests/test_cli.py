@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isomonodromy.cli import ProblemSpec, SpecError, _crossing_locus, main, validate_report
+from isomonodromy.cli import ProblemSpec, SpecError, _crossing_locus, main
 from isomonodromy.model import is_in_cell
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,7 +143,6 @@ def test_cli_rays_outputs(tmp_path):
         result = CliRunner().invoke(main, ["rays", "--spec", spec, "--out", str(out)])
         assert result.exit_code == 0, result.output
         report = json.loads((out / "rays_report.json").read_text())
-        validate_report(report)
         r = report["results"]
         assert r["mu"] == 1 and len(r["basic_rays"]) == r["mu"], problem
         assert r["epsilon0_margin"] > 0, problem
@@ -166,7 +165,6 @@ def test_cli_stokes_deterministic(tmp_path):
         outs.append((out / "stokes_report.json").read_bytes())
     assert outs[0] == outs[1]  # bit-identical reports
     report = json.loads(outs[0])
-    validate_report(report)
     assert report["results"]["formal"]["asymptotic_vs_recursion_max_diff"] < 1e-8
     S = report["results"]["stokes_formula"]["S_nu"]
     assert S[1][0] == [0.0, 0.0]  # triangular zero below the diagonal
@@ -401,7 +399,6 @@ def test_cli_deform_exit_3_on_guarded_path(tmp_path):
     result = CliRunner().invoke(main, ["deform", "--spec", path, "--out", str(out)])
     assert result.exit_code == 3
     report = json.loads((out / "deform_report.json").read_text())
-    validate_report(report)  # partial report still schema-valid
     assert any(s["status"] == "failed" for s in report["stages"])
 
 
@@ -499,7 +496,6 @@ def test_cli_stokes_resonant_partial_report(tmp_path):
     )
     assert result.exit_code == 3
     report = json.loads((out / "stokes_report.json").read_text())
-    validate_report(report)
     statuses = {s["name"]: s["status"] for s in report["stages"]}
     assert statuses["connection"] == "failed"
     assert statuses["formal_coefficients"] == "ok"
@@ -520,27 +516,40 @@ def test_cli_levelt_free_value_flag(tmp_path):
     assert report["results"]["groups"][0]["free_parameter_count"] == 1
 
 
-# A with a resonant position off the group {1, 2} of resonant_group's u_c: the merged
-# residue's exponents are T = (-2, -1.37, 0), so T_3 - T_1 = 2
-_FREE_A = {"2,3,1=0.5": [[[1.0, 0.0], [0.0, 0.0], [0.4, 0.0]],
-                         [[0.0, 0.0], [0.37, 0.0], [-0.3, 0.0]],
-                         [[0.6, 0.0], [0.7, 0.0], [0.25, 0.0]]]}
+# items on copies of resonant_group.json: 2,3,1 is resonant off the group {1, 2} of u_c
+# (the merged residue's exponents are T = (-2, -1.37, 0), so T_3 - T_1 = 2), and 2,2,3 at a
+# merged pole of three members with resonances at l = 2 and l = 4
+_FREE_PROBLEMS = {
+    "2,3,1=0.5": {"A": [[[1.0, 0.0], [0.0, 0.0], [0.4, 0.0]],
+                        [[0.0, 0.0], [0.37, 0.0], [-0.3, 0.0]],
+                        [[0.6, 0.0], [0.7, 0.0], [0.25, 0.0]]]},
+    "2,2,3=nan": {
+        "A": [[[x, 0.0] for x in row] for row in [[0.5, 0, 0, 0.4], [0, 2.5, 0, -0.3],
+                                                  [0, 0, 4.5, 0.2], [0.6, 0.7, 0.5, 0.25]]],
+        "u": [[0.0, 0.0]] * 3 + [[1.0, 0.0]], "u_c": [[0.0, 0.0]] * 3 + [[1.0, 0.0]]},
+}
 
 
 @pytest.mark.parametrize("item, code", [
     ("2,7,2=0.5", 2),  # index outside 1..n
     ("2,0,2=0.5", 2),  # index outside 1..n (0 is not 1-based)
     ("9,1,2=0.5", 2),  # A_22 - A_11 = 2, not 9
+    ("2,1,2=nan", 2),  # a non-finite value at the resonant position
+    ("2,1,2=inf", 2),
+    ("2,1,2=1e400", 2),  # past the float range
+    ("2,1,2=0.5:nan", 2),
+    ("2,2,3=nan", 2),  # the doubly resonant copy, whose report would hold the NaN
     ("2,1,2=0.5", 0),  # the one resonant position of resonant_group
-    ("2,3,1=0.5", 0),  # the off-group position of _FREE_A, which levelt reports
+    ("2,3,1=0.5", 0),  # the off-group position, which levelt reports
 ])
 def test_cli_levelt_free_items_are_checked(tmp_path, monkeypatch, item, code):
-    """An item that names no position levelt reports as free is a problem-file error, before
-    any stage; one that does is reported and its value lands in G."""
+    """An item that names no position levelt reports as free, or gives it a non-finite value,
+    is a problem-file error, before any stage; one that does is reported and its value lands
+    in G."""
     from isomonodromy import cli
 
     prob = json.loads((ROOT / "problems" / "resonant_group.json").read_text())
-    prob["A"] = _FREE_A.get(item, prob["A"])
+    prob.update(_FREE_PROBLEMS.get(item, {}))
     runs = []
 
     def levelt_at_confluence(*args, **kwargs):
@@ -637,93 +646,6 @@ def test_shipped_sample_problems_parse():
         ProblemSpec.load(str(root / name))
 
 
-def _good_report():
-    return {
-        "schema_version": 1,
-        "command": "rays",
-        "metadata": {"tolerance": 1e-10, "series_order": 40, "seed": 0, "versions": {}},
-        "stages": [{"name": "rays", "status": "ok"}, {"name": "x", "status": "skipped"}],
-        "results": {},
-    }
-
-
-def _malformed_reports():
-    """(label, report) pairs, each breaking one statement of REPORT_SCHEMA, or none."""
-    cases = [("good", _good_report())]
-
-    def variant(label, edit):
-        report = json.loads(json.dumps(_good_report()))
-        edit(report)
-        cases.append((label, report))
-
-    for key in ("schema_version", "command", "metadata", "stages", "results"):
-        variant(f"missing {key}", lambda r, k=key: r.pop(k))
-    for key in ("tolerance", "series_order", "seed", "versions"):
-        variant(f"missing metadata.{key}", lambda r, k=key: r["metadata"].pop(k))
-    variant("version 2", lambda r: r.update(schema_version=2))
-    variant("version 1.0", lambda r: r.update(schema_version=1.0))
-    variant("version true", lambda r: r.update(schema_version=True))
-    variant("command not a string", lambda r: r.update(command=3))
-    variant("metadata a list", lambda r: r.update(metadata=[]))
-    variant("stages an object", lambda r: r.update(stages={}))
-    variant("results a list", lambda r: r.update(results=[]))
-    variant("stage not an object", lambda r: r["stages"].append("ok"))
-    variant("stage without status", lambda r: r["stages"][0].pop("status"))
-    variant("stage without name", lambda r: r["stages"][0].pop("name"))
-    variant("stage status unknown", lambda r: r["stages"][0].update(status="done"))
-    variant("failed stage with error", lambda r: r["stages"].append(
-        {"name": "y", "status": "failed", "error": "StepFailure: x"}))
-    variant("extra keys", lambda r: r.update(extra=1))
-    work = {"solves": 1, "steps": 4, "nfev": 232, "piece_steps": 52}
-    variant("stage with its work", lambda r: r["stages"][0].update(work=dict(work)))
-    variant("stage work a list", lambda r: r["stages"][0].update(work=[]))
-    for key in work:
-        variant(f"stage work without {key}", lambda r, k=key: r["stages"][0].update(
-            work={w: v for w, v in work.items() if w != k}))
-    # the oracle's diagnostics of each matching
-    matching = {f"{key}_{h}": value for h in ("h0", "h1") for key, value in (
-        ("ladder", [1.0]), ("z_spread", 0.0), ("directions", [2.0, 3.0]))}
-    for route, keys in (("stokes_formula", {}), ("stokes_oracle", matching)):
-        variant(f"{route} with its invariant", lambda r, k=route, keys=keys: r["results"].update(
-            {k: {"monodromy_invariant": 1e-12, **keys}}))
-        variant(f"{route} without its invariant", lambda r, k=route, keys=keys: r[
-            "results"].update({k: {"method": "formula", **keys}}))
-        variant(f"{route} a list", lambda r, k=route: r["results"].update({k: []}))
-    for key in matching:
-        variant(f"stokes_oracle without {key}", lambda r, k=key: r["results"].update(
-            {"stokes_oracle": {"monodromy_invariant": 1e-12,
-                               **{m: v for m, v in matching.items() if m != k}}}))
-    cases.append(("not an object", []))
-    return cases
-
-
-def test_validate_report_agrees_with_jsonschema():
-    import jsonschema
-
-    from isomonodromy.cli import REPORT_SCHEMA
-
-    reference = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
-    verdicts = set()
-    for label, report in _malformed_reports():
-        try:
-            validate_report(report)
-            ok = True
-        except ValueError:
-            ok = False
-        assert ok == reference.is_valid(report), label
-        verdicts.add(ok)
-    assert verdicts == {True, False}
-
-
-def test_validate_report_rejects_unsupported_schema_keywords(monkeypatch):
-    import isomonodromy.cli as cli
-
-    schema = dict(cli.REPORT_SCHEMA, minProperties=1)
-    monkeypatch.setattr(cli, "REPORT_SCHEMA", schema)
-    with pytest.raises(ValueError, match="unsupported"):
-        validate_report(_good_report())
-
-
 def _strict_json(text):
     """json.loads that rejects NaN, Infinity and -Infinity."""
     def reject(constant):
@@ -743,7 +665,7 @@ def test_cli_reports_are_strict_json(tmp_path, cmd, problem):
     report = tmp_path / f"{cmd}_report.json"
     assert report.exists() == (result.exit_code != 2)  # 2: deform without paths
     if report.exists():
-        validate_report(_strict_json(report.read_text()))
+        _strict_json(report.read_text())
 
 
 def test_cli_rays_crossing_locus_hits_lie_on_tau(tmp_path):
@@ -774,7 +696,6 @@ def test_cli_levelt_violated_vanishing_is_a_failed_stage(tmp_path):
     result = CliRunner().invoke(main, ["levelt", "--spec", spec, "--out", str(out)])
     assert result.exit_code == 3, result.output
     report = json.loads((out / "levelt_report.json").read_text())
-    validate_report(report)
     [stage] = [s for s in report["stages"] if s["name"] == "group_0"]
     assert stage["status"] == "failed" and stage["error"].startswith("SingularF1")
 
@@ -851,8 +772,9 @@ REPORT_SHAPES = {
 
 @pytest.mark.parametrize("cmd, problem", sorted(REPORT_SHAPES))
 def test_report_shape_is_pinned(tmp_path, cmd, problem):
-    """Exit code, ordered stage records and results key paths of each command on each
-    shipped problem."""
+    """Exit code, the five top-level keys, schema version, command name, metadata keys,
+    ordered stage records and results key paths of each command on each shipped problem;
+    no check of the report's shape runs in ``cli`` itself."""
     code, stages, keys = REPORT_SHAPES[cmd, problem]
     spec = str(ROOT / "problems" / f"{problem}.json")
     result = CliRunner().invoke(main, [cmd, "--spec", spec, "--out", str(tmp_path)])
@@ -861,6 +783,9 @@ def test_report_shape_is_pinned(tmp_path, cmd, problem):
     assert report.exists() == (stages is not None)
     if report.exists():
         report = json.loads(report.read_text())
+        assert sorted(report) == ["command", "metadata", "results", "schema_version", "stages"]
+        assert (report["schema_version"], report["command"]) == (1, cmd)
+        assert sorted(report["metadata"]) == ["seed", "series_order", "tolerance", "versions"]
         assert [(s["name"], s["status"]) for s in report["stages"]] == stages
         assert _key_paths(report["results"]) == keys
         # an ok stage, and only an ok one, records its work as ode.counting() counts it

@@ -17,7 +17,6 @@ from isomonodromy.model import (
     angular_distance_mod_pi,
     exponent_class,
     is_in_cell,
-    label_rays,
     sector_bounds,
     stokes_ray_directions,
 )
@@ -74,7 +73,7 @@ def test_rays_come_in_antipodal_pairs(u):
 
 
 def test_label_rays_single_pair():
-    labels = label_rays([0.0, 1.0], PI / 4)
+    labels = DeformationGeometry([0.0, 1.0], 1e-3, PI / 4).labels
     mu = labels.mu
     assert mu == 1
     assert labels.tau_nu(0) == pytest.approx(-PI / 2)
@@ -85,12 +84,12 @@ def test_label_rays_single_pair():
 
 
 def test_label_rays_coalesced_pair_generates_no_ray():
-    assert label_rays([0.0, 1.0, 1.0], PI / 4).mu == 1
+    assert DeformationGeometry([0.0, 1.0, 1.0], 1e-3, PI / 4).labels.mu == 1
 
 
 def test_label_rays_three_distinct_points():
     # derived by enumerating all six rays and counting classes mod pi
-    labels = label_rays([0.0, 1.0, 1.0j], 0.1)
+    labels = DeformationGeometry([0.0, 1.0, 1.0j], 1e-3, 0.1).labels
     assert labels.mu == 3
     rays, _ = stokes_ray_directions([0.0, 1.0, 1.0j])
     classes = {round((th % PI), 6) for th in rays.values()}
@@ -113,15 +112,15 @@ def test_label_rays_mu_invariant_under_window():
         count = sum(1 for r in all_rays if start <= r < start + PI
                     or start <= r + 2 * PI < start + PI)
         assert count == len(classes)
-    assert label_rays(u, 0.05).mu == len(classes)
+    assert DeformationGeometry(u, 1e-3, 0.05).labels.mu == len(classes)
 
 
 def test_label_rays_rejects_ray_direction():
     with pytest.raises(NonAdmissibleError) as exc:
-        label_rays([0.0, 1.0], PI / 2)
+        DeformationGeometry([0.0, 1.0], 1e-3, PI / 2)
     assert exc.value.suggestion is not None
     # the suggestion itself must be admissible
-    label_rays([0.0, 1.0], exc.value.suggestion)
+    DeformationGeometry([0.0, 1.0], 1e-3, exc.value.suggestion)
 
 
 def test_suggested_tau_bisects_the_widest_gap():
@@ -132,11 +131,11 @@ def test_suggested_tau_bisects_the_widest_gap():
     """
     u = [0.0, 1.0, 1.0j]
     with pytest.raises(NonAdmissibleError) as exc:
-        label_rays(u, 0.0)
+        DeformationGeometry(u, 1e-3, 0.0)
     s = exc.value.suggestion
     assert min(angular_distance_mod_pi(s, r) for r in (0.0, PI / 2, 3 * PI / 4)) == \
         pytest.approx(PI / 4, abs=1e-12)
-    assert label_rays(u, s).mu == 3
+    assert DeformationGeometry(u, 1e-3, s).labels.mu == 3
 
 
 @pytest.mark.parametrize("u", [[1.5j, 1.8797085536676895e-15 - 2j],
@@ -149,7 +148,6 @@ def test_classes_merge_across_the_mod_pi_wrap(u):
     """
     lo, hi = sorted(stokes_ray_directions(u)[0].values())
     assert lo == 0.0 and 0.0 < PI - hi < 1e-15
-    assert label_rays(u, 0.7).mu == 1
     geo = DeformationGeometry(u, 0.1, 0.7)
     assert len(geo.rotation) == 1 and geo.mu == 1
 
@@ -174,13 +172,6 @@ def test_ray_directions_reject_a_non_finite_u(u):
     """A NaN or infinite pole is refused by name, not turned into NaN rays."""
     with pytest.raises(ValueError, match="^u must be finite"):
         stokes_ray_directions(u)
-
-
-@pytest.mark.parametrize("u", [[0.0, math.nan, 1.0], [0.0, complex(0.0, math.inf), 1.0]])
-def test_label_rays_reject_a_non_finite_u(u):
-    """Refused by name, not a bare error from rounding a NaN ray."""
-    with pytest.raises(ValueError, match="^u must be finite"):
-        label_rays(u, 0.7)
 
 
 def _max_epsilon0_loop(geo):

@@ -46,9 +46,10 @@ def test_every_exported_name_resolves():
 
 def test_removed_entry_points_are_not_exported():
     """The oracle's one entry point is stokes_pair_direct; columns come in batches; the
-    Fuchsian residues live in SystemPair.A_plus_I, so no separate type or conversion is exported."""
+    Fuchsian residues live in SystemPair.A_plus_I, so no separate type or conversion is exported;
+    ray labels come from DeformationGeometry, and no family of Stokes matrices is generated."""
     for name in ("stokes_direct", "laplace_column", "asymptotic_fit", "FuchsianSystem",
-                 "build_fuchsian"):
+                 "build_fuchsian", "label_rays", "stokes_generate"):
         assert name not in isomonodromy.__all__
         with pytest.raises(AttributeError):
             getattr(isomonodromy, name)

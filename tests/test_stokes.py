@@ -19,7 +19,6 @@ from isomonodromy.stokes import (
     default_ladder,
     monodromy_invariant_residual,
     stokes_from_connection,
-    stokes_generate,
     stokes_pair_direct,
     stokes_pipeline,
 )
@@ -495,29 +494,12 @@ def test_direct_oracle_matching_inconsistent_detection(monkeypatch, geometry_2x2
         _match(system_2x2, geometry_2x2, 0, tol=1e-13)
 
 
-def test_generate_family_periodicity_for_zero_exponents():
-    S0 = np.array([[1.0, 0.4], [0.0, 1.0]], dtype=complex)
-    S1 = np.array([[1.0, 0.0], [-0.7, 1.0]], dtype=complex)
-    fam = stokes_generate(S0, S1, [0.0, 0.0], [0, 1, 2, 3])
-    assert np.allclose(fam[2], S0)
-    assert np.allclose(fam[3], S1)
-
-
-def test_generate_family_diagonal_conjugation():
-    S0 = np.array([[1.0, 0.4], [0.0, 1.0]], dtype=complex)
-    S1 = np.eye(2, dtype=complex)
-    lp = [0.5, 1.0 / 3.0]
-    fam = stokes_generate(S0, S1, lp, [2])
-    scale = cmath.exp(-2j * math.pi * (lp[0] - lp[1]))
-    assert fam[2][0, 1] == pytest.approx(scale * 0.4)
-
-
 def test_generate_matches_direct_third_sector(system_2x2, geometry_2x2):
     pair = stokes_pair_direct(system_2x2, geometry_2x2, tol=1e-13)
-    fam = stokes_generate(pair.S_nu, pair.S_nu_plus_mu,
-                          system_2x2.lambda_prime, [2])
+    # S_{nu+2 mu} = e^{-2 pi i Lambda'} S_nu e^{2 pi i Lambda'}, an entrywise scaling
+    phase = np.exp(2j * math.pi * system_2x2.lambda_prime)
     S2, _ = _match(system_2x2, geometry_2x2, 2, tol=1e-13)
-    assert np.max(np.abs(fam[2] - S2)) < 1e-8
+    assert np.max(np.abs(pair.S_nu * np.outer(phase ** -1, phase) - S2)) < 1e-8
 
 
 def test_vanishing_at_coalescence_both_paths(coalescing_geometry, vanishing_A_uc):

@@ -62,13 +62,14 @@ from .model import (
     stokes_ray_directions,
 )
 from .frobenius import (
+    MAX_FACTORIAL,
     BadGamma,
     ResonanceAmbiguity,
     levelt_at_confluence,
     levelt_exponents,
     selected_solutions,
 )
-from .ode import counting
+from .ode import MAX_ORDER, counting
 
 # No command loads scipy: the solving modules (continuation, laplace, stokes,
 # deformation) integrate by their own Taylor steps, and the commands that
@@ -131,8 +132,8 @@ def vec_json(v):
 
 
 class ProblemSpec:
-    """A validated problem: every number finite, epsilon0 > 0, tol > 0, order >= 3, and
-    formal_order >= 1."""
+    """A validated problem: every number finite, epsilon0 > 0, tol > 0, 3 <= order <= MAX_ORDER
+    and 1 <= formal_order <= MAX_FACTORIAL."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -173,9 +174,14 @@ class ProblemSpec:
         for name, value in numbers + [("paths", pt) for path in self.paths for pt in path]:
             if not np.all(np.isfinite(value)):
                 raise SpecError(f"{name} must be finite")
+        # a local series is summed where it converges at least as fast as a Taylor step,
+        # which fails past MAX_ORDER orders, so orders past that add nothing; F_l carries
+        # factors of about (l - 1)!, from the recursion and from the Gammas and factorials
+        # of the local-series route, that leave the float range past MAX_FACTORIAL
         for rule, ok in (("epsilon0 > 0", self.epsilon0 > 0), ("tol > 0", self.tol > 0),
-                         ("order >= 3", self.order >= 3),
-                         ("formal_order >= 1", self.formal_order >= 1)):
+                         (f"3 <= order <= {MAX_ORDER}", 3 <= self.order <= MAX_ORDER),
+                         (f"1 <= formal_order <= {MAX_FACTORIAL}",
+                          1 <= self.formal_order <= MAX_FACTORIAL)):
             if not ok:
                 raise SpecError(f"{rule} is required")
         try:

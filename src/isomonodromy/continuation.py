@@ -16,16 +16,18 @@ All transport of both Stokes routes runs on one batched Taylor carry
 loop the CHORDS-gon inscribed in its circle, carrying an (n, w) block;
 for the oracle's Laplace legs (:mod:`.laplace`) the carry returns the
 integrals of e^{z x} times that block for each of its samples z instead.
-Every piece's Taylor steps are planned first and cut into runs of at
-most CUT_STEPS, every run after the first carrying the identity; the
+Every piece's Taylor steps are planned first and cut into runs, every
+run after the first carrying the identity: runs of one planned step in a
+batch without samples, of at most CUT_STEPS in one with samples.  The
 runs step in lockstep, a run leaving the batch once its steps are done,
 and the piece's end is the product of their transition matrices, the
-system being linear.  With samples a first pass carries only the runs
+system being linear, taken by run index across the batch
+(:func:`_compose`).  With samples a first pass carries only the runs
 that a later run starts from, and a second every run from its own start
 for its integrals: Gauss-Legendre sums over each step's Taylor
 polynomial, taken by moments of the rule.  So the formula route makes
-one carry of at most CUT_STEPS lockstep steps at any n, and the oracle
-one of at most 2 CUT_STEPS per Stokes pair.
+one carry of one lockstep step at any n, and the oracle one of at most
+2 CUT_STEPS per Stokes pair.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ode import tally
+from .ode import MAX_ORDER, tally
 from .model import (BasisSingular, CutPlane, IllConditioned, Ordering, SingularF1,
                     StepFailure, SystemPair)
 from .frobenius import _log_seed, selected_solutions, shift_exponents
@@ -51,16 +53,19 @@ IN_GROUP_LIMIT = 1e-7
 # largest |Im lambda'_k| whose e^(2 pi |Im lambda'_k|) stays in the float range: 112.97
 IM_EXPONENT_LIMIT = math.log(sys.float_info.max) / (2 * math.pi)
 # Taylor carry: step length over the distance to the nearest pole, chords per
-# loop, negligible term relative to its block, the order limits and
-# the orders whose terms are kept before they are summed and integrated
+# loop, negligible term relative to its block, the orders added past the
+# untested ones (the limit is ode.MAX_ORDER) and the orders whose terms are
+# kept before they are summed and integrated
 STEP_RATIO = 0.5
 CHORDS = 16
 TAYLOR_EPS = 1e-16
-MAX_ORDER = 400
 TAIL_ORDERS = 4
 ORDER_BLOCK = 16
-# lockstep steps of a pass: a piece of more planned steps is cut into runs of
-# CUT_STEPS, every run after the first carrying the identity
+# lockstep steps of a pass with samples: a piece of more planned steps is cut
+# into runs of CUT_STEPS, every run after the first carrying the identity.  A
+# batch without samples takes runs of one step.  Runs of one step with samples
+# too move the oracle's S_nu on the scale-0.9 sweep systems from 2.3e-12 to
+# 3.9e-12 of max|S| from the formula's
 CUT_STEPS = 4
 # Laplace integrals: |z h| per step at most Z_SPAN, summed by PANELS
 # Gauss-Legendre panels of NODES nodes on the step.  That is at most 8
@@ -95,14 +100,18 @@ def carry(fs: SystemPair, pieces):
     h = min(rest of the chord, STEP_RATIO rho, Z_SPAN / max|z|), rho its
     distance to the nearest pole and z its samples, so its terms fall at
     least as fast as STEP_RATIO^m times a power of m.  A piece is then cut
-    into runs of at most CUT_STEPS planned steps: the first carries ``y0``,
+    into runs: one per planned step in a batch without samples, so that all
+    of them take one lockstep step together, and runs of at most CUT_STEPS
+    planned steps in a batch with samples.  The first run carries ``y0``,
     every later one the identity, and the piece's end is the ordered
-    product Phi_K ... Phi_2 Y_1 of its runs' ends, the system being linear.
-    With samples the first pass carries only the runs that a later run
-    starts from, and a second every run from its start Phi_{r-1} ... Y_1,
-    in its piece's width (a batch with samples has one width), for its
-    integrals, which sum to the piece's.  So a batch takes at most
-    CUT_STEPS lockstep steps, twice that with samples.
+    product Phi_K ... Phi_2 Y_1 of its runs' ends, the system being linear:
+    one stacked product per run index over the whole batch
+    (:func:`_compose`).  With samples the first pass carries only the runs
+    that a later run starts from, and a second every run from its start
+    Phi_{r-1} ... Y_1, in its piece's width (a batch with samples has one
+    width), for its integrals, which sum to the piece's.  So a batch
+    without samples takes one lockstep step, and one with samples at most
+    2 CUT_STEPS.
 
     The runs of a pass are one (n, sum w) matrix, run r in w_r columns of
     it.  At lam0 the Taylor terms T_m = Y_m h^m of the solution obey
@@ -153,16 +162,16 @@ def carry(fs: SystemPair, pieces):
     offset = np.array([p.pole for p in pieces], dtype=complex)[:, None] - fs.u
     reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
     X, H, dists, rhos, planned = _plan(pieces, offset, reach_z)
-    # run r takes the planned steps start[r]:start[r] + length[r] of piece owner[r]
-    owner, start = np.array([(p, s) for p in range(P)
-                             for s in range(0, max(planned[p], 1), CUT_STEPS)]).T
-    length = np.minimum(planned[owner] - start, CUT_STEPS)
-    # later[r]: run r + 1 goes on from the end of run r, and starts from the
-    # identity until the first pass has given that end
+    # run r, the index[r]-th of piece owner[r], takes its planned steps
+    # start[r]:start[r] + length[r]: CUT_STEPS of them with samples, one without
+    cut = CUT_STEPS if nz else 1
+    count = np.maximum(-(-planned // cut), 1)
+    owner = np.repeat(np.arange(P), count)
+    index = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    start = index * cut
+    length = np.minimum(planned[owner] - start, cut)
+    # later[r]: run r + 1 goes on from the end of run r
     later = np.append(owner[1:] == owner[:-1], False)
-    one = np.eye(n, dtype=complex)
-    starts = [blocks[p].reshape(n, -1) if s == 0 else one for p, s in zip(owner, start)]
-    ends = [None] * owner.size
     # the integrals of each run, from the second pass
     J = np.zeros((owner.size, nz, n, widths[0] if nz else 0), dtype=complex)
     # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
@@ -179,10 +188,25 @@ def carry(fs: SystemPair, pieces):
         if not sel.size:
             continue
         run_owner, run_start, run_length = owner[sel], start[sel], length[sel]
-        run_widths = np.array([starts[r].shape[1] for r in sel])
+        run_index = index[sel]
+        head = run_index == 0
+        if second:
+            # every run from its start: its piece's block, or the first pass's end
+            # of the run before it
+            Y = np.empty((sel.size, n, widths[0]), dtype=complex)
+            Y[head] = [blocks[p].reshape(n, -1) for p in run_owner[head]]
+            if not head.all():
+                Y[~head] = ends[run_index[~head] - 1, run_owner[~head]]
+            run_widths = np.full(sel.size, widths[0])
+            Y = Y.transpose(1, 0, 2).reshape(n, -1)
+        else:
+            # a first run from its piece's block, every later run from the identity
+            run_widths = np.where(head, widths[run_owner], n)
+            one = np.eye(n, dtype=complex)
+            Y = np.concatenate([blocks[p].reshape(n, -1) if own else one
+                                for p, own in zip(run_owner.tolist(), head.tolist())], axis=1)
         # run sel[i] is columns first[i]:first[i] + run_widths[i] of the batch
         first = np.cumsum(run_widths) - run_widths
-        Y = np.concatenate([starts[r] for r in sel], axis=1)
         buf = np.empty(rows * Y.size, dtype=complex)
         terms, width = [], 0
         for k in range(int(run_length.max())):
@@ -244,16 +268,39 @@ def carry(fs: SystemPair, pieces):
         if not (np.isfinite(Y).all() and np.isfinite(J).all()):
             raise StepFailure(f"continuation of {P} piece(s) ends not finite")
         if not second:
-            # run r ends at its Phi applied to its start, y0 carried for a first run
-            for r, f, w in zip(sel, first, run_widths):
-                ends[r] = Y[:, f:f + w] @ starts[r] if start[r] else Y[:, f:f + w]
-                if later[r]:
-                    starts[r + 1] = ends[r]
+            ends = _compose(Y, run_widths, run_owner, run_index, P)
     tally(steps, nfev, piece_steps)
     if not nz:
-        return [ends[r].reshape(b.shape) for r, b in zip(np.flatnonzero(~later), blocks)]
+        return [ends[-1, p, :, :w].reshape(b.shape) for p, (b, w) in enumerate(zip(blocks, widths))]
     J = np.add.reduceat(J, np.flatnonzero(start == 0))
     return [j[:p.z.size].reshape((p.z.size,) + b.shape) for p, j, b in zip(pieces, J, blocks)]
+
+
+def _compose(Y, widths, owner, index, P):
+    """Every run's end Phi_i ... Phi_2 Y_1 in its piece, one stacked product per run index.
+
+    The runs of a pass lie side by side in ``Y``, run r in the next
+    ``widths[r]`` columns: the index[r]-th run of piece owner[r], its end
+    Y_1 carried from the piece's block when index[r] is 0, its transition
+    matrix Phi carried from the identity otherwise.  Returns E (K, P, n, w),
+    E[i, p] the end of run i of piece p, in the width w of the widest first
+    run, a narrower block padded with zero columns.  A piece of fewer runs
+    is padded with the identity, so E[-1] holds every piece's end.
+    """
+    n = Y.shape[0]
+    head = index == 0
+    blank = np.repeat(~head, widths)
+    K = int(index.max()) + 1
+    # column c of Y is column within[c] of its run
+    within = np.arange(Y.shape[1]) - np.repeat(np.cumsum(widths) - widths, widths)
+    E = np.zeros((K, P, n, int(widths[head].max())), dtype=complex)
+    E[0, np.repeat(owner[head], widths[head]), :, within[~blank]] = Y[:, ~blank].T
+    Phi = np.empty((K - 1, P, n, n), dtype=complex)
+    Phi[:] = np.eye(n)
+    Phi[index[~head] - 1, owner[~head]] = Y[:, blank].reshape(n, -1, n).transpose(1, 0, 2)
+    for i, phi in enumerate(Phi):
+        np.matmul(phi, E[i], out=E[i + 1])
+    return E
 
 
 def _plan(pieces, offset, reach_z):
@@ -375,24 +422,19 @@ def _loop(fs, j, base_point, value):
 # ---------------------------------------------------------------------------
 
 
-def _anti_cut_point(fs, j, cut: CutPlane):
-    """Base point below u_j on the ray opposite to its cut, clear of other cuts."""
-    return fs.u[j] - 0.5 * _loop_radius(fs, j, cut) * cut.direction()
+def _base_points(fs, cut: CutPlane):
+    """Each pole's base point: below u_j on the ray opposite to its cut, half a loop radius out."""
+    return fs.u - 0.5 * _loop_radii(fs, cut) * cut.direction()
 
 
-def _loop_radius(fs, j, cut: CutPlane):
-    """Loop radius at u_j: clear of other poles and of their cuts."""
-    e = cut.direction()
-    best = math.inf
-    for m in range(fs.n):
-        if m == j:
-            continue
-        best = min(best, abs(fs.u[j] - fs.u[m]))
-        # distance from u_j to the cut ray of pole m
-        z = (fs.u[j] - fs.u[m]) / e
-        d_ray = abs(z.imag) if z.real > 0 else abs(z)
-        best = min(best, d_ray)
-    return 0.3 * best
+def _loop_radii(fs, cut: CutPlane):
+    """Every pole's loop radius: clear of the other poles and of their cuts."""
+    # u_j - u_m turned so that the cut ray of pole m runs along the positive axis
+    d = (fs.u[:, None] - fs.u) / cut.direction()
+    # distance from u_j to the cut ray of pole m, which starts at u_m
+    clear = np.where(d.real > 0, np.abs(d.imag), np.abs(d))
+    np.fill_diagonal(clear, np.inf)
+    return 0.3 * clear.min(1)
 
 
 def _depth_frame(fs, cut: CutPlane):
@@ -403,10 +445,9 @@ def _depth_frame(fs, cut: CutPlane):
     systems the worst formula-oracle difference is 8.7e-9 of max|S| at half
     a spread and 2.9e-7 at two spreads plus one.
     """
-    e = cut.direction()
-    depths = [((p) * np.conj(e)).real for p in fs.u]
-    spread = max(abs(p - q) for p in fs.u for q in fs.u) if fs.n > 1 else 1.0
-    return max(depths) - min(depths) + 0.5 * spread
+    depths = (fs.u * np.conj(cut.direction())).real
+    spread = np.abs(fs.u[:, None] - fs.u).max() if fs.n > 1 else 1.0
+    return depths.max() - depths.min() + 0.5 * spread
 
 
 def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
@@ -419,43 +460,37 @@ def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
     column.  Beside them the identity goes from the deep point across and
     up the anti-cut ray of each u_j in ``poles`` to its base point, and
     once round the positive loop at each u_j from its base point.  The
-    ascent's transition matrix applied to the descended columns gives the
-    basis at the base point, where column j is set to its series value
-    rather than sent through the deep point and back.  With the deep point
-    half a pole spread below the poles (:func:`_depth_frame`) composing the
-    ascent moves S_nu by no more than rounding; from two spreads plus one
-    it lost up to 90x there.
+    ascents' transition matrices applied to the descended columns, one
+    stacked product, give the basis at each base point, where column j is
+    set to its series value rather than sent through the deep point and
+    back.  With the deep point half a pole spread below the poles
+    (:func:`_depth_frame`) composing the ascent moves S_nu by no more than
+    rounding; from two spreads plus one it lost up to 90x there.
 
     The rays opposite to the cuts cross no cut and stay a loop radius away
     from the other poles, and the lateral moves run in the half-plane
     below every pole and cut, so all routes are homotopic in the cut plane.
-    Returns ``[(j, base_j, Psi, Phi)]`` in the order of ``poles``, Phi the
-    transition matrix of the loop: Phi @ Psi is Psi carried round it.
+    Returns the base points (J,), the bases Psi (J, n, n) and the loops'
+    transition matrices Phi (J, n, n) of the J poles, in the order of
+    ``poles``: Phi[i] @ Psi[i] is Psi[i] carried round the loop at poles[i].
     """
-    poles = tuple(poles)
-    if not poles:
-        return []
+    poles = np.asarray(poles, dtype=int)
     n = fs.n
-    e = cut.direction()
-    depth = _depth_frame(fs, cut)
-    low = [fs.u[m] - depth * e for m in range(n)]
-    deep = low[0]
-    bases = [_anti_cut_point(fs, m, cut) for m in range(n)]
-    seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
-    descended = [m for m in range(n) if any(j != m for j in poles)]
+    bases = _base_points(fs, cut)
+    if not poles.size:
+        return bases[:0], np.zeros((0, n, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
+    low = fs.u - _depth_frame(fs, cut) * cut.direction()
+    seeds = np.array([sols[m].selected_value(bases[m], cut) for m in range(n)])
+    descended = [m for m in range(n) if np.any(poles != m)]
     one = np.eye(n, dtype=complex)
-    ends = carry(fs, [_segment(bases[m], deep, seeds[m], via=(low[m],)) for m in descended]
-                 + [_segment(deep, bases[j], one, via=(low[j],)) for j in poles]
+    ends = carry(fs, [_segment(bases[m], low[0], seeds[m], via=(low[m],)) for m in descended]
+                 + [_segment(low[0], bases[j], one, via=(low[j],)) for j in poles]
                  + [_loop(fs, j, bases[j], one) for j in poles])
-    d = len(descended)
-    Psi_deep = np.column_stack(ends[:d])
-    out = []
-    for j, up, Phi in zip(poles, ends[d:], ends[d + len(poles):]):
-        Psi = np.empty((n, n), dtype=complex)
-        Psi[:, descended] = up @ Psi_deep
-        Psi[:, j] = seeds[j]
-        out.append((j, bases[j], Psi, Phi))
-    return out
+    d, J = len(descended), poles.size
+    Psi = np.empty((J, n, n), dtype=complex)
+    Psi[:, :, descended] = np.array(ends[d:d + J]) @ np.column_stack(ends[:d])
+    Psi[np.arange(J), :, poles] = seeds[poles]
+    return bases[poles], Psi, np.array(ends[d + J:])
 
 
 def monodromy_matrix(fs: SystemPair, k: int, cut: CutPlane, N=40):
@@ -467,7 +502,7 @@ def monodromy_matrix(fs: SystemPair, k: int, cut: CutPlane, N=40):
     solutions fail to form a fundamental system at the base point.
     """
     sols = selected_solutions(fs, N)
-    [(_, _, Psi, Phi)] = continue_basis(fs, cut, sols, (k,))
+    _, [Psi], [Phi] = continue_basis(fs, cut, sols, (k,))
     cond = np.linalg.cond(Psi)
     if not np.isfinite(cond) or cond > 1e12:
         raise BasisSingular(
@@ -509,14 +544,15 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
 
     The selected-solution basis is carried to a base point near each u_j
     and around one small positive loop there (:func:`continue_basis`); each
-    column of the loop difference is projected onto Psi_j:
-    gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
+    column of the loop difference is projected onto Psi_j, every row j in
+    one stacked product: gamma_j Psi_k - Psi_k = alpha_j c_jk Psi_j.  Diagonal entries follow
     from the arithmetic class; every other entry is projected, in-group ones
     too (:func:`connection_products` applies the in-group rule), unless its
     pole or solution is degenerate.  ``tol`` sets only the projection limit:
     :class:`IllConditioned`, naming the pole, is raised if a projection
     residual, relative to the continued solution, exceeds max(100 tol, 1e-7)
-    or is not finite.  The Taylor carry does not read it.  Before any
+    or is not finite: the worst (j, k) of the first row with one, a nan
+    first.  The Taylor carry does not read it.  Before any
     carry, a pole with 2 pi |Im lambda'_k| past log of the largest float
     raises :class:`IllConditioned` naming it: e^{-2 pi i lambda'_k} of
     alpha_k, or the e^{2 pi i lambda'_k} of the Stokes formula, leaves the
@@ -542,22 +578,28 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
         prov[j, [k != j and (degenerate or sols[k].zero) for k in range(n)]] = \
             "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"
-    rows = [j for j in range(n) if projected[j].any()]
-    for j, _, Psi, Phi in continue_basis(fs, cut, sols, rows):
-        psi_j = Psi[:, j]
-        # numpy's warnings off and one check after: a residual that is not finite fails it
-        with np.errstate(all="ignore"):
-            diff = Phi @ Psi - Psi
-            c = (psi_j.conj() @ diff) / (psi_j.conj() @ psi_j).real / alpha[j]
-            r = np.linalg.norm(diff - alpha[j] * np.outer(psi_j, c), axis=0)
-            scale = np.maximum(np.linalg.norm(Psi, axis=0), 1.0)
-            resid[j] = np.where(projected[j], r / scale, 0.0)
-            k = int(np.argmax(resid[j]))  # a nan, if there is one
-            target = np.linalg.norm(psi_j)
-        if not resid[j, k] <= max(100 * tol, 1e-7):
-            raise IllConditioned(f"projection residual {resid[j, k]:.2e} for c[{j},{k}] at pole "
-                                 f"{j} (condition of target {target:.2e})")
-        C[j, projected[j]] = c[projected[j]]
+    rows = np.flatnonzero(projected.any(1))
+    _, Psi, Phi = continue_basis(fs, cut, sols, rows)
+    # column j of the basis at the base point of u_j, for each row j
+    psi = Psi[np.arange(rows.size), :, rows]
+    # numpy's warnings off and one check after: a residual that is not finite fails it
+    with np.errstate(all="ignore"):
+        diff = Phi @ Psi - Psi
+        c = ((psi.conj()[:, None] @ diff)[:, 0] / (psi.conj() * psi).sum(1).real[:, None]
+             / alpha[rows, None])
+        r = np.linalg.norm(diff - alpha[rows, None, None] * psi[:, :, None] * c[:, None], axis=1)
+        scale = np.maximum(np.linalg.norm(Psi, axis=1), 1.0)
+        resid[rows] = np.where(projected[rows], r / scale, 0.0)
+        target = np.linalg.norm(psi, axis=1)
+    # the worst residual of each row, a nan if there is one: the first row it fails names it
+    worst = np.argmax(resid[rows], axis=1)
+    failed = np.flatnonzero(~(resid[rows, worst] <= max(100 * tol, 1e-7)))
+    if failed.size:
+        i = failed[0]
+        j, k = rows[i], worst[i]
+        raise IllConditioned(f"projection residual {resid[j, k]:.2e} for c[{j},{k}] at pole "
+                             f"{j} (condition of target {target[i]:.2e})")
+    C[rows] = np.where(projected[rows], c, C[rows])
     return ConnectionData(C=C, alpha=alpha, lambda_prime=fs.lambda_prime, eta=cut.eta,
                           provenance=prov, residuals=resid)
 

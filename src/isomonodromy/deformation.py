@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import tally
+from .ode import MAX_ORDER, tally
 from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, SystemPair,
                     check_vanishing)
-from .continuation import (DEFAULT_TOL, MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
+from .continuation import (DEFAULT_TOL, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
 from .laplace import f1
 

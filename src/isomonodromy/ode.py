@@ -1,4 +1,4 @@
-"""The work counter of the package's two integrators, both Taylor steppers.
+"""The work counter and the order limit of the package's two integrators, both Taylor steppers.
 
 :func:`.continuation.carry` continues the linear Fuchsian system for both
 Stokes routes, and :func:`.deformation._transport_stack` integrates the
@@ -12,6 +12,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+
+# the orders a Taylor step of either integrator sums at most before it fails
+MAX_ORDER = 400
 
 
 @dataclass

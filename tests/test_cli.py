@@ -99,7 +99,10 @@ MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
     "order 0": (lambda p: {**p, "order": 0}, "order"),
     "order 2": (lambda p: {**p, "order": 2}, "order"),
     "order 40.9": (lambda p: {**p, "order": 40.9}, "order must be a JSON integer"),
+    "order 10**12": (lambda p: {**p, "order": 10 ** 12}, "3 <= order <= 400"),
     "formal_order 0": (lambda p: {**p, "formal_order": 0}, "formal_order"),
+    "formal_order 10**12": (lambda p: {**p, "formal_order": 10 ** 12},
+                            "1 <= formal_order <= 170"),
     "formal_order true": (lambda p: {**p, "formal_order": True},
                           "formal_order must be a JSON integer"),
     "schema_version 1.7": (lambda p: {**p, "schema_version": 1.7},
@@ -796,9 +799,10 @@ def test_report_shape_is_pinned(tmp_path, cmd, problem):
 
 
 def test_cli_stokes_reports_the_depth_of_its_connection_stage(tmp_path):
-    """sample2x2's connection is one carry of at most CUT_STEPS lockstep steps; the formula
-    assembles it with no solve, and the oracle makes one carry of two passes over its runs,
-    the second for the integrals, so of more than CUT_STEPS and at most 2 CUT_STEPS."""
+    """sample2x2's connection is one carry of one lockstep step, every planned step a run; the
+    formula assembles it with no solve, and the oracle makes one carry of two passes over its
+    runs of CUT_STEPS, the second for the integrals, so of more than CUT_STEPS and at most
+    2 CUT_STEPS."""
     from isomonodromy.continuation import CUT_STEPS
 
     spec = str(ROOT / "problems" / "sample2x2.json")
@@ -806,7 +810,7 @@ def test_cli_stokes_reports_the_depth_of_its_connection_stage(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "stokes_report.json").read_text())
     work = {s["name"]: s["work"] for s in report["stages"]}
-    assert work["connection"]["solves"] == 1 and work["connection"]["steps"] <= CUT_STEPS
+    assert (work["connection"]["solves"], work["connection"]["steps"]) == (1, 1)
     assert work["stokes_formula"] == dict.fromkeys(work["connection"], 0)
     assert work["stokes_oracle"]["solves"] == 1
     assert CUT_STEPS < work["stokes_oracle"]["steps"] <= 2 * CUT_STEPS

@@ -18,7 +18,8 @@ from isomonodromy.frobenius import (
     shift_exponents,
     singular_solution,
 )
-from isomonodromy.stokes import Ordering, stokes_from_connection, stokes_pipeline
+from isomonodromy.stokes import (Ordering, stokes_from_connection, stokes_pair_direct,
+                                 stokes_pipeline)
 from isomonodromy.continuation import (
     BasisSingular,
     alpha_factor,
@@ -121,7 +122,7 @@ def test_monodromy_eigenvalue_structure(system_2x2):
 def _basis_at_pole(fs, cut, j):
     """Base point of u_j and the selected-solution basis there."""
     sols = [selected_solution(fs, m, 40) for m in range(fs.n)]
-    [(_, base, Psi, _)] = continue_basis(fs, cut, sols, (j,))
+    [base], [Psi], _ = continue_basis(fs, cut, sols, (j,))
     return base, Psi
 
 
@@ -164,7 +165,7 @@ def test_loop_carried_as_the_identity_matches_the_looped_basis(n):
     fs = build_fuchsian(sp)
     cut = CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
     sols = [selected_solution(fs, m, 40) for m in range(n)]
-    for j, base, Psi, Phi in continue_basis(fs, cut, sols, range(n)):
+    for j, base, Psi, Phi in zip(range(n), *continue_basis(fs, cut, sols, range(n))):
         looped = _loop_at_pole(fs, j, Psi, base)
         assert np.max(np.abs(Phi @ Psi - looped)) <= 1e-12 * np.max(np.abs(Psi)), j
 
@@ -184,11 +185,11 @@ def test_ascent_carried_as_the_identity_matches_the_carried_basis(n):
     sols = [selected_solution(fs, m, 40) for m in range(n)]
     depth = continuation._depth_frame(fs, cut)
     low = [fs.u[m] - depth * cut.direction() for m in range(n)]
-    bases = [continuation._anti_cut_point(fs, m, cut) for m in range(n)]
+    bases = continuation._base_points(fs, cut)
     seeds = [sols[m].selected_value(bases[m], cut) for m in range(n)]
     Psi_deep = np.column_stack(continuation.carry(fs, [
         continuation._segment(bases[m], low[0], seeds[m], via=(low[m],)) for m in range(n)]))
-    for j, base, Psi, _ in continue_basis(fs, cut, sols, range(n)):
+    for j, base, Psi in zip(range(n), *continue_basis(fs, cut, sols, range(n))[:2]):
         carried = _polyline(fs, Psi_deep, [low[0], low[j], base])
         carried[:, j] = seeds[j]
         assert np.max(np.abs(Psi - carried)) <= 1e-12 * np.max(np.abs(Psi)), j
@@ -285,22 +286,22 @@ def _gamma_shifted_case():
 
 
 # order updates and piece-steps of one formula pair on draw_system(rng(0), n), as measured
-FORMULA_WORK = {2: (232, 52), 3: (232, 106), 4: (232, 145), 5: (232, 193), 6: (232, 232)}
+FORMULA_WORK = {2: (58, 52), 3: (58, 106), 4: (58, 145), 5: (58, 193), 6: (58, 232)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, "gamma"])
 def test_stokes_pipeline_solve_count(n):
-    """The formula route makes 1 solve of at most CUT_STEPS lockstep steps at every n,
-    gamma-shifted or not, within 25 % of the measured order updates and with exactly the
-    measured piece-steps.
+    """The formula route makes 1 solve of 1 lockstep step at every n, gamma-shifted or not,
+    within 25 % of the measured order updates and with exactly the measured piece-steps.
 
-    A piece longer than CUT_STEPS planned steps is cut into runs that ride
-    in the same batch, so the longest piece no longer sets the steps; the
-    runs take the planned steps of the uncut carry, which took 16-22 steps
-    and 801-1,213 order updates on the same pairs.  Two carries, the
-    ascents waiting for the descents, took 23-39 steps and 1,139-2,136
-    order updates; five carries, with the deep point two pole spreads plus
-    one below the poles, took 31-59 and 1,487-3,010.
+    The batch has no samples, so every planned step is a run that rides in
+    the same lockstep step, and the longest piece no longer sets the steps;
+    the runs take the planned steps of the uncut carry, which took 16-22
+    steps and 801-1,213 order updates on the same pairs.  Runs of CUT_STEPS
+    took 4 steps and 232 order updates; two carries, the ascents waiting
+    for the descents, took 23-39 steps and 1,139-2,136 order updates; five
+    carries, with the deep point two pole spreads plus one below the poles,
+    took 31-59 and 1,487-3,010.
     """
     if n == "gamma":
         sp, tau = _gamma_shifted_case()
@@ -309,7 +310,7 @@ def test_stokes_pipeline_solve_count(n):
         sp, tau = draw_system(np.random.default_rng(0), n, min_gap=0.35)
     with ode.counting() as work:
         stokes_pipeline(sp, DeformationGeometry(sp.u, 1e-3, tau), tol=1e-12)
-    assert work.solves == 1 and work.steps <= continuation.CUT_STEPS
+    assert (work.solves, work.steps) == (1, 1)
     if n != "gamma":
         nfev, piece_steps = FORMULA_WORK[n]
         assert work.nfev <= 1.25 * nfev and work.piece_steps == piece_steps
@@ -344,7 +345,7 @@ def _segment_route_connection(fs, cut, tol):
     n = fs.n
     depth = continuation._depth_frame(fs, cut)
     low = [fs.u[m] - depth * cut.direction() for m in range(n)]
-    bases = [continuation._anti_cut_point(fs, m, cut) for m in range(n)]
+    bases = continuation._base_points(fs, cut)
     seeds = [selected_solution(fs, m, 40).selected_value(bases[m], cut) for m in range(n)]
     Psi_deep = np.column_stack([segment(low[m], low[0], segment(bases[m], low[m], seeds[m]))
                                 for m in range(n)])
@@ -648,7 +649,7 @@ def test_taylor_loop_piece():
     """The loop is the CHORDS-gon inscribed in its circle, closed exactly at the base point,
     and its end matches the reference along those chords."""
     fs, cut = _sweep_fs()
-    base = continuation._anti_cut_point(fs, 2, cut)
+    base = continuation._base_points(fs, cut)[2]
     piece = continuation._loop(fs, 2, base, np.eye(fs.n, dtype=complex))
     vertices = np.array([piece.a, *piece.via, piece.a + piece.b])
     assert vertices.size == continuation.CHORDS + 1 and vertices[-1] == base - fs.u[2]
@@ -663,7 +664,7 @@ def test_taylor_mixed_batch_of_n_pieces():
     rng = np.random.default_rng(9)
     pieces = []
     for k in range(fs.n):
-        base = continuation._anti_cut_point(fs, k, cut)
+        base = continuation._base_points(fs, cut)[k]
         y0 = rng.normal(size=(fs.n, 2)) + 1j * rng.normal(size=(fs.n, 2))
         if k % 2:
             pieces.append(continuation._loop(fs, k, base, y0))
@@ -676,7 +677,7 @@ def test_taylor_work_is_reported():
     """One solve per carry, one piece-step per chord of a loop, at most CUT_STEPS lockstep
     steps, one nfev per order update."""
     fs, cut = _sweep_fs()
-    base = continuation._anti_cut_point(fs, 0, cut)
+    base = continuation._base_points(fs, cut)[0]
     with ode.counting() as work:
         continuation.carry(fs, [continuation._loop(fs, 0, base, np.eye(fs.n, dtype=complex))])
     # every chord is shorter than STEP_RATIO times its distance from u_0
@@ -691,7 +692,7 @@ def test_taylor_work_is_reported():
 def test_loop_of_the_selected_solution_is_its_exponent(k):
     """gamma_k Psi_k = e^{-2 pi i lambda'_k} Psi_k, from the series value at the base point."""
     fs, cut = _sweep_fs()
-    base = continuation._anti_cut_point(fs, k, cut)
+    base = continuation._base_points(fs, cut)[k]
     psi = selected_solution(fs, k, 40).selected_value(base, cut)
     [looped] = continuation.carry(fs, [continuation._loop(fs, k, base, psi)])
     expected = cmath.exp(-2j * math.pi * fs.lambda_prime[k]) * psi
@@ -707,7 +708,7 @@ def test_twelve_chords_keep_the_accuracy(monkeypatch):
     steps instead of one.
     """
     fs, cut = _sweep_fs()
-    base = continuation._anti_cut_point(fs, 1, cut)
+    base = continuation._base_points(fs, cut)[1]
     one = np.eye(fs.n, dtype=complex)
     [sixteen] = continuation.carry(fs, [continuation._loop(fs, 1, base, one)])
     monkeypatch.setattr(continuation, "CHORDS", 12)
@@ -721,7 +722,11 @@ def test_twelve_chords_keep_the_accuracy(monkeypatch):
 
 
 def _uncut(fs, pieces, monkeypatch):
-    """The end blocks of one carry of ``pieces`` with no piece cut, and its work."""
+    """The end blocks of one carry of ``pieces`` with no piece cut, and its work.
+
+    CUT_STEPS cuts a batch with samples only: without samples every planned
+    step is a run whatever it is.
+    """
     with monkeypatch.context() as m:
         m.setattr(continuation, "CUT_STEPS", 10 ** 6)
         with ode.counting() as work:
@@ -730,43 +735,105 @@ def _uncut(fs, pieces, monkeypatch):
 
 
 def test_a_long_descent_is_carried_in_runs(monkeypatch):
-    """A descent of more than 3 CUT_STEPS planned steps at n = 6, cut into runs.
+    """A descent of more than 3 CUT_STEPS planned steps at n = 6, one run per planned step.
 
     Psi_1 goes from the base point of u_1, half a loop radius below it, down
-    its anti-cut ray and across to the deep point.  The runs take exactly
-    the planned steps of the uncut carry, in CUT_STEPS lockstep steps, and
-    their product Phi_K ... Phi_2 Y_1 matches the uncut end and the
-    reference.
+    its anti-cut ray and across to the deep point.  A batch without samples
+    takes every planned step as a run in one lockstep step, so CUT_STEPS
+    does not touch it: the carry with no piece cut takes the same planned
+    steps and ends bit for bit where it does.  The product Phi_K ... Phi_2
+    Y_1 of the runs matches the reference.
     """
     fs, cut = _sweep_fs(6)
-    low = [u - continuation._depth_frame(fs, cut) * cut.direction() for u in fs.u]
-    base = continuation._anti_cut_point(fs, 1, cut)
+    low = fs.u - continuation._depth_frame(fs, cut) * cut.direction()
+    base = continuation._base_points(fs, cut)[1]
     psi = selected_solution(fs, 1, 40).selected_value(base, cut)
     pieces = [continuation._segment(base, low[0], psi, via=(low[1],))]
     with ode.counting() as work:
         [end] = continuation.carry(fs, pieces)
     [whole], uncut = _uncut(fs, pieces, monkeypatch)
     assert work.piece_steps == uncut.piece_steps > 3 * continuation.CUT_STEPS
-    assert work.steps == continuation.CUT_STEPS < uncut.steps
-    assert np.max(np.abs(end - whole)) <= 1e-13 * np.max(np.abs(whole))
+    assert work.steps == uncut.steps == 1
+    assert np.array_equal(end, whole)
     _assert_matches_dense(fs, pieces)
 
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_a_loop_at_large_A_is_carried_in_runs(k, monkeypatch):
-    """The identity once round u_k of a scale-0.9 system at n = 6, its 16 chords in runs.
+    """The identity once round u_k of a scale-0.9 system at n = 6, each of its 16 chords'
+    steps a run: one lockstep step, the planned steps of the carry with no piece cut and its
+    end bit for bit, and the product of the runs against the reference.
 
     Seed 1009 holds the largest max|S| of the large-A sweep, 8.0e12.
     """
     sp, tau = draw_system(np.random.default_rng(1009), 6, scale=0.9, min_gap=0.35)
     fs, cut = build_fuchsian(sp), CutPlane(eta=DeformationGeometry(sp.u, 1e-3, tau).eta)
-    pieces = [continuation._loop(fs, k, continuation._anti_cut_point(fs, k, cut),
+    pieces = [continuation._loop(fs, k, continuation._base_points(fs, cut)[k],
                                  np.eye(fs.n, dtype=complex))]
     with ode.counting() as work:
         [end] = continuation.carry(fs, pieces)
     [whole], uncut = _uncut(fs, pieces, monkeypatch)
-    assert (work.steps, work.piece_steps) == (continuation.CUT_STEPS, uncut.piece_steps)
-    assert np.max(np.abs(end - whole)) <= 1e-13 * np.max(np.abs(whole))
+    assert (work.steps, work.piece_steps) == (1, uncut.piece_steps)
+    assert work.piece_steps >= continuation.CHORDS
+    assert np.array_equal(end, whole)
+    _assert_matches_dense(fs, pieces)
+
+
+def _composed(monkeypatch, carry_out):
+    """Run ``carry_out()`` with every :func:`continuation._compose` call recorded.
+
+    Returns its result and, run by run, ``(piece, end, chain)``: the end
+    composed by run index beside the sequential chain of the per-run loop,
+    a run's block of Y if it is its piece's first run, else that block times
+    the chain of the run before it.
+    """
+    compose, runs = continuation._compose, []
+
+    def recording(Y, widths, owner, index, P):
+        E = compose(Y, widths, owner, index, P)
+        chain = {}
+        for f, w, p, i in zip(np.cumsum(widths) - widths, widths, owner, index):
+            chain[p] = Y[:, f:f + w] if i == 0 else Y[:, f:f + w] @ chain[p]
+            runs.append((p, E[i, p, :, :chain[p].shape[1]], chain[p]))
+        return E
+
+    monkeypatch.setattr(continuation, "_compose", recording)
+    return carry_out(), runs
+
+
+def test_composition_by_index_is_the_chain_bit_for_bit_on_oracle_legs(monkeypatch):
+    """The oracle's first pass over its sampled legs, on the n = 5 sweep system: every run's
+    end from one stacked product per run index is bit for bit the run-by-run chain."""
+    sp, tau = draw_system(np.random.default_rng(0), 5, min_gap=0.35)
+    _, runs = _composed(monkeypatch, lambda: stokes_pair_direct(
+        sp, DeformationGeometry(sp.u, 1e-3, tau)))
+    assert len(runs) > len({p for p, _, _ in runs}) > 1
+    for _, end, chain in runs:
+        assert np.array_equal(end, chain)
+
+
+def test_composition_by_index_on_a_mixed_batch_without_samples(monkeypatch):
+    """A vector descent, an identity loop, an (n, 2) block and a piece of zero length, in one
+    batch without samples: each piece's end, composed by run index with the pieces of fewer
+    runs padded by the identity, is within 1e-13 of the run-by-run chain and matches the
+    reference; the zero-length piece returns its block as it is."""
+    fs, cut = _sweep_fs()
+    bases = continuation._base_points(fs, cut)
+    rng = np.random.default_rng(4)
+    vector = rng.normal(size=fs.n) + 1j * rng.normal(size=fs.n)
+    block = rng.normal(size=(fs.n, 2)) + 1j * rng.normal(size=(fs.n, 2))
+    pieces = [continuation._segment(bases[1], bases[1] - 2.5 * cut.direction(), vector),
+              continuation._loop(fs, 2, bases[2], np.eye(fs.n, dtype=complex)),
+              continuation._segment(bases[0], bases[0] - 0.7 * cut.direction(), block),
+              continuation._segment(bases[3], bases[3], vector)]
+    ends, runs = _composed(monkeypatch, lambda: continuation.carry(fs, pieces))
+    counts = [sum(p == q for q, _, _ in runs) for p in range(len(pieces))]
+    assert counts[3] == 1 and len(set(counts)) == len(pieces)
+    chains = {p: chain for p, _, chain in runs}  # each piece's last run
+    for p, end in enumerate(ends):
+        chain = chains[p]
+        assert np.max(np.abs(end.reshape(chain.shape) - chain)) <= 1e-13 * np.max(np.abs(chain))
+    assert np.array_equal(ends[3], vector)
     _assert_matches_dense(fs, pieces)
 
 
@@ -820,7 +887,7 @@ def test_a_sampled_batch_of_two_widths_is_refused(leg_first):
     sample-free identity block of width n is a ValueError naming the widths, either way."""
     fs, cut = _sweep_fs()
     leg = _leg(fs, cut, 1, 4.0, [5.0, 8.0])
-    block = continuation._segment(continuation._anti_cut_point(fs, 3, cut),
+    block = continuation._segment(continuation._base_points(fs, cut)[3],
                                   fs.u[3] - 1.5 * cut.direction(), np.eye(fs.n, dtype=complex))
     pieces, widths = ([leg, block], [1, fs.n]) if leg_first else ([block, leg], [fs.n, 1])
     with pytest.raises(ValueError, match=re.escape(f"widths {widths}")):
@@ -844,7 +911,7 @@ def _leg(fs, cut, k, length, radii, phase=0.3):
     The samples satisfy z e^{id} = -r e^{i phase} for r in ``radii``, d the
     direction of the leg, so e^{z x} decays along it; the block is Psi_k.
     """
-    base = continuation._anti_cut_point(fs, k, cut)
+    base = continuation._base_points(fs, cut)[k]
     e_d = -cut.direction()
     psi = selected_solution(fs, k, 40).selected_value(base, cut)
     z = -np.asarray(radii) * cmath.exp(1j * phase) / e_d
@@ -881,10 +948,10 @@ def test_sampled_mixed_batch(monkeypatch):
     cap: the batch's piece-steps are the sum of its pieces' two passes.
     """
     fs, cut = _sweep_fs()
-    junction = continuation._segment(continuation._anti_cut_point(fs, 3, cut),
+    junction = continuation._segment(continuation._base_points(fs, cut)[3],
                                      fs.u[3] - 1.5 * cut.direction(),
                                      np.linspace(1.0, 2.0, fs.n) - 1j)
-    loop = continuation._loop(fs, 2, continuation._anti_cut_point(fs, 2, cut),
+    loop = continuation._loop(fs, 2, continuation._base_points(fs, cut)[2],
                               np.linspace(1.0, 2.0, fs.n) + 0.5j)._replace(z=np.array([3 - 4j]))
     pieces = [_leg(fs, cut, 0, 6.0, [6.0, 9.0, 14.0]), _leg(fs, cut, 1, 4.0, [5.0, 8.0]),
               loop, junction]

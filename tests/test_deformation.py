@@ -713,7 +713,8 @@ def _taylor_step_per_order(A, q):
     each kind.  Returns the end matrices, the shortening factors and the
     number of orders.
     """
-    from isomonodromy.continuation import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS
+    from isomonodromy.continuation import STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS
+    from isomonodromy.ode import MAX_ORDER
 
     T = np.empty((MAX_ORDER + 1,) + A.shape, dtype=complex)
     W = np.empty_like(T)

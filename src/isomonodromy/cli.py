@@ -57,7 +57,6 @@ from .model import (
     StepFailure,
     SystemPair,
     _group_partition,
-    is_in_cell,
     sector_bounds,
     stokes_ray_directions,
 )
@@ -489,7 +488,6 @@ def deform(spec_path, out_dir):
     def run_path(p_idx, path):
         conns = []
         stokeses = []
-        cells = []
         decay_rows = []
         samples = connection_samples(spec.system(), path, cut, tol=spec.tol, N=spec.order,
                                      geometry=geo)
@@ -497,7 +495,6 @@ def deform(spec_path, out_dir):
             sp = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
             conns.append(conn)
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
-            cells.append(bool(is_in_cell(state.u, geo)[0]))
             decay_rows += [(i, a + 1, b + 1, float(abs(state.u[a] - state.u[b])),
                             float(abs(state.A[a, b])), float(abs(state.A[b, a])),
                             conn.in_group_product)
@@ -512,7 +509,6 @@ def deform(spec_path, out_dir):
         return {"paths": [{
             "path": p_idx,
             "samples": len(path),
-            "in_cell": cells,
             "c_max_variation": cvar,
             "stokes_max_variation": svar,
             "in_group_product": max(c.in_group_product for c in conns) if in_group.any() else None,

@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ode import MAX_ORDER, tally
-from .model import (BasisSingular, CutPlane, IllConditioned, Ordering, SingularF1,
-                    StepFailure, SystemPair)
+from .model import (BasisSingular, CutPlane, IllConditioned, NonAdmissibleError, SingularF1,
+                    StepFailure, SystemPair, is_in_cell)
 from .frobenius import _log_seed, selected_solutions, shift_exponents
 
 DEFAULT_TOL = 1e-10
@@ -621,8 +621,11 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40, geometry=N
     Theorem 30agosto2020-5), so C's in-group entries are set to 0, tagged
     ``"zero-by-coalescence"``, once checked: :class:`SingularF1`, naming
     (j, k), when the largest in-group product over max(1, max|P|), kept as
-    ``conn.in_group_product``, exceeds IN_GROUP_LIMIT, and NonAdmissibleError
-    at a tie of the ordering at u.  P keeps the measured products.
+    ``conn.in_group_product``, exceeds IN_GROUP_LIMIT.  P keeps the measured
+    products.  With any ``geometry`` the pair is assembled with the signs
+    at u^c, so a u outside their tau-cell raises NonAdmissibleError naming
+    the pair: a tie at u or a crossed cross-group sign
+    (:func:`.model.is_in_cell`; coalescence at u is the locus and allowed).
 
     Returns ``(P, conn)`` with P[j, k] = alpha_k c_jk off the diagonal, 0 on it.
     """
@@ -631,9 +634,13 @@ def connection_products(system, cut: CutPlane, tol=DEFAULT_TOL, N=40, geometry=N
     conn.gamma = g
     P = conn.C * conn.alpha
     np.fill_diagonal(P, 0)
-    if geometry is not None and geometry.in_group.any():
-        Ordering(system.u, geometry.tau)  # NonAdmissibleError at a tie
-        in_group = geometry.in_group
+    if geometry is None:
+        return P, conn
+    for j, k, reason in is_in_cell(system.u, geometry)[1]:
+        if reason != "coalescence":
+            raise NonAdmissibleError(f"u leaves the tau-cell of u^c at pair ({j}, {k}): {reason}")
+    in_group = geometry.in_group
+    if in_group.any():
         scale = max(1.0, float(np.max(np.abs(P))))
         j, k = np.argwhere(in_group)[np.argmax(np.abs(P[in_group]))]
         conn.in_group_product = float(abs(P[j, k])) / scale

@@ -12,14 +12,13 @@ Every column is a local-series start near u_k plus one leg from it, for
 all samples z_1 ... z_m of a ray arg z = theta at once.  The start lies
 where the series tail is below ``tol`` (:func:`_start`).  The leg leaves
 u_k in the direction d at the centre of the label's eta-window (cut to
-the convergence half-plane, :func:`_direction_for`), and may bend at
+the convergence half-plane, :func:`_direction_for`), and bends at
 R e^{id} onto the steepest-descent ray arg x = pi - theta (:func:`_leg`),
-R above the pole hull max_j |u_j - u_k|: the wedge between the bent and
-the straight leg then lies outside the disc of radius R about u_k, since
-the angle phi between d and pi - theta has cos phi > 0, so it holds no
-pole and the integral does not change.  A leg stays straight unless the
-bend saves more than one far step, as near steepest descent.  The leg
-is a :class:`.continuation.Piece` with the samples, and the Taylor carry
+R above the pole hull max_j |u_j - u_k|: the wedge between the bent leg
+and the straight leg along d lies outside the disc of radius R about
+u_k, since the angle phi between d and pi - theta has cos phi > 0, so it
+holds no pole and the integral does not change.  The leg is a
+:class:`.continuation.Piece` with the samples, and the Taylor carry
 :func:`.continuation.carry` returns J_i = int e^{z_i x} Psi_k dx along
 it, summed over the Taylor polynomial of every step: the same rank-one
 transport the formula route uses, with no dense output.  The hairpin's
@@ -62,7 +61,7 @@ from .model import (
     nearest_integer,
 )
 from .frobenius import cgamma
-from .continuation import Piece, Z_SPAN, carry
+from .continuation import Piece, carry
 
 logger = logging.getLogger(__name__)
 
@@ -198,14 +197,6 @@ def _direction_for(labels, h, theta, u):
         logger.warning("_direction_for: no direction in (%.10f, %.10f) clear of the "
                        "inter-pole directions after 128 nudges; using %.10f", lo, hi, d)
     return d
-
-
-def _t_max(rate, power_growth):
-    """Leg length R at which e^{-rate R} R^power_growth is about e^-TAIL."""
-    R = TAIL / rate
-    for _ in range(3):
-        R = (TAIL + power_growth * math.log(max(R, 1.0))) / rate
-    return R
 
 
 def _start(coeffs, cap, tol):
@@ -356,11 +347,12 @@ def _plan(fs, specs, directions, sols, tol):
     integer raises ValueError naming it: its column would need another
     contour, and both Stokes routes shift such a system first
     (:func:`.frobenius.shift_exponents`).  The ray check, sigma = z e^{id}
-    and its half-plane check, and the leg's rates are taken as arrays over
-    the batch (the samples padded to one length), the starts and circles in
-    one stacked pass (:func:`_hairpins`).  Each leg (:func:`_leg`), on the
-    branch of arg d, starts at r with the value Psi_k(r e^{id}) and is
-    weighted by the jump of Psi_k across it over 2 pi i.
+    and its half-plane check, and the nearest sample |z| of each leg are
+    taken as arrays over the batch (the samples padded to one length), the
+    starts and circles in one stacked pass (:func:`_hairpins`).  Each leg
+    (:func:`_leg`), on the branch of arg d, starts at r with the value
+    Psi_k(r e^{id}) and is weighted by the jump of Psi_k across it over
+    2 pi i.
     """
     integer = [spec.k for spec in specs if fs.integer_class(spec.k) != "noninteger"]
     if integer:
@@ -387,7 +379,6 @@ def _plan(fs, specs, directions, sols, tol):
             f"Re(z e^(i d)) = {worst[p]:.3e} not negative: z outside "
             f"the convergence half-plane of direction {directions[p]:.4f}"
         )
-    rate = np.min(-sigma.real, axis=1, where=real, initial=np.inf)
     near = np.min(z_abs, axis=1, where=real, initial=np.inf)
     hairpins = [sols[spec.k] for spec in specs]
     r, tail, circle, psi = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
@@ -396,13 +387,12 @@ def _plan(fs, specs, directions, sols, tol):
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
     plans = []
-    for p, (spec, sol, d, theta, start, rate_p, near_p, far) in enumerate(zip(
-            specs, hairpins, directions, arg, r.tolist(), rate.tolist(), near.tolist(),
-            z_max.tolist())):
+    for p, (spec, sol, d, theta, start, near_p) in enumerate(zip(
+            specs, hairpins, directions, arg, r.tolist(), near.tolist())):
         value = psi[p] * cmath.exp(sol.rho * (math.log(start) + 1j * d))
         jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
         leg = _leg(fs.u[spec.k], start, d, theta, value, np.asarray(spec.z, dtype=complex),
-                   rate_p, near_p, far, growth[spec.k], hull[spec.k])
+                   near_p, growth[spec.k], hull[spec.k])
         plans.append(_Plan(leg, jump / (2j * math.pi), base[p, :sizes[p]], size[p], tail[p], d))
     return plans
 
@@ -432,25 +422,21 @@ def _hairpins(sols, d, z, z_max, tol):
     return r, tail, _circle(b, lp, r, d, z), psi
 
 
-def _leg(pole, start, d, theta, value, z, rate, near, far, growth, hull):
-    """The leg of a column, from start e^{id}: straight along d, or bent past the pole hull.
+def _leg(pole, start, d, theta, value, z, near, growth, hull):
+    """The leg of a column, from start e^{id}: along d, then down the steepest-descent ray.
 
-    The straight leg ends at t_max (:func:`_t_max`, ``rate`` = min
-    Re(-z e^{id}) over the samples), and at least twice as far out as it
-    starts.  The bent leg runs along d to the corner R e^{id},
-    R = max(2 hull, 2 start), ``hull`` the largest distance from u_k to a
-    pole, then along the steepest-descent ray -e^{-i theta} until the
-    nearest sample, |z| = ``near``, meets the same tail rule there: every
-    sample's e^{z x} falls by |z| per unit of it.  The wedge between the two
-    legs lies outside the disc of radius R about u_k, since the angle phi
-    between d and pi - theta has cos phi > 0 (the convergence half-plane),
-    so it holds no pole, and by Cauchy's theorem both legs give the same
-    integral on the same branch of Psi_k.  The bent leg is taken where it
-    is shorter by more than one step out there, Z_SPAN / max|z| (``far``),
-    since its corner may cost a step: where d lies far from pi - theta.
+    The leg runs along d to the corner R e^{id}, R = max(2 hull, 2 start),
+    ``hull`` the largest distance from u_k to a pole, then a length s along
+    the steepest-descent ray -e^{-i theta} until the nearest sample,
+    |z| = ``near``, meets the tail rule there: every sample's e^{z x} falls
+    by |z| per unit of s.  Where the corner is past the tail already, s is
+    0.  The wedge between this leg and the straight leg along d lies
+    outside the disc of radius R about u_k, since the angle phi between d
+    and pi - theta has cos phi > 0 (the convergence half-plane), so it
+    holds no pole, and by Cauchy's theorem both legs give the same integral
+    on the same branch of Psi_k.
     """
     e_d = cmath.exp(1j * d)
-    straight = max(_t_max(rate, growth), 2 * start) - start
     R = max(2 * hull, 2 * start)
     corner, descent = R * e_d, -cmath.exp(-1j * theta)
     # Re(z x) = -|z| (R cos phi + s) at s along the descent ray
@@ -458,9 +444,8 @@ def _leg(pole, start, d, theta, value, z, rate, near, far, growth, hull):
     s = TAIL / near - lead
     for _ in range(3):
         s = (TAIL + growth * math.log(max(abs(corner + s * descent), 1.0))) / near - lead
-    if 0 < s and R - start + s + Z_SPAN / far < straight:
-        return Piece(pole, start * e_d, corner + s * descent - start * e_d, value, z, (corner,))
-    return Piece(pole, start * e_d, straight * e_d, value, z)
+    s = max(s, 0.0)
+    return Piece(pole, start * e_d, corner + s * descent - start * e_d, value, z, (corner,))
 
 
 # ---------------------------------------------------------------------------

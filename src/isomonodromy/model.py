@@ -433,34 +433,37 @@ class Ordering:
     """Dominance order at a point u: j prec k iff Re(e^{i tau}(u_j - u_k)) < 0.
 
     The Stokes formula takes it at u^c (:attr:`DeformationGeometry.ordering`),
-    ``deform``'s in-group measure at the working point u; :func:`is_in_cell`
-    reads its ties.  ``sign`` is the (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)),
-    0 on the diagonal and for coalesced pairs (their Stokes entries are
-    structural zeros); ``order`` is the stable permutation that sorts u by
-    Re(e^{i tau} u).  Raises :class:`NonAdmissibleError` for a tie, a pair
-    whose Stokes ray lies on tau mod pi (:func:`_dominance`).
+    and :func:`is_in_cell` compares the signs at u with it.  ``sign`` is the
+    (n, n) array of the signs of Re(e^{i tau}(u_j - u_k)), 0 on the diagonal
+    and for coalesced pairs (their Stokes entries are structural zeros).
+    Raises :class:`NonAdmissibleError` for a tie, a pair whose Stokes ray
+    lies on tau mod pi (:func:`_dominance`).
     """
 
     def __init__(self, u_c, tau):
-        u = _as_complex_vector(u_c)
-        s, near, tie = _dominance(u, tau)
+        s, near, tie = _dominance(_as_complex_vector(u_c), tau)
         if tie.any():
             j, k = np.argwhere(tie)[0]
             raise NonAdmissibleError(
                 f"ordering tie for pair ({j},{k}): tau={tau} is a Stokes direction at u")
         self.sign = np.where(near, 0, np.sign(s)).astype(int)
-        self.order = np.argsort((cmath.exp(1j * tau) * u).real, kind="stable")
 
 
 def is_in_cell(u, geometry):
-    """Whether u lies in the interior of a tau-cell of the polydisc.
+    """Whether u lies in the interior of the tau-cell of u^c in the polydisc.
 
-    True iff u avoids the coalescence locus and no Stokes ray of Lambda(u)
-    has direction ``geometry.tau`` mod pi.  Returns ``(ok, offenders)``
-    where offenders is a list of ``(j, k, reason)``, j < k, with reason
-    ``"coalescence"`` or ``"ray_on_tau"`` (the ties of :class:`Ordering`).
+    True iff u avoids the coalescence locus, no Stokes ray of Lambda(u) has
+    direction ``geometry.tau`` mod pi, and every cross-group pair keeps its
+    dominance sign at u^c (``geometry.ordering.sign``), so that no Stokes ray
+    has crossed tau on the way from u^c.  Returns ``(ok, offenders)`` where
+    offenders is a list of ``(j, k, reason)``, j < k, with reason
+    ``"coalescence"``, ``"ray_on_tau"`` (the ties of :class:`Ordering`) or
+    ``"crossed"``.
     """
-    _, near, tie = _dominance(_as_complex_vector(u), geometry.tau)
-    offenders = [(j, k, reason) for reason, mask in (("coalescence", near), ("ray_on_tau", tie))
+    s, near, tie = _dominance(_as_complex_vector(u), geometry.tau)
+    sign = geometry.ordering.sign
+    crossed = (sign != 0) & ~near & ~tie & (np.sign(s) != sign)
+    offenders = [(j, k, reason) for reason, mask in (
+                     ("coalescence", near), ("ray_on_tau", tie), ("crossed", crossed))
                  for j, k in np.argwhere(np.triu(mask, 1)).tolist()]
     return (not offenders), offenders

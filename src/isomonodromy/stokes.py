@@ -49,32 +49,21 @@ def stokes_from_connection(products, ordering: Ordering, lambda_prime):
     (S_{nu+mu}^-1)_jk = -e^{2 pi i (lambda'_k - lambda'_j)} alpha_k c_jk
                                                          for j succ k,
     identity diagonal, zeros elsewhere (in-group entries are structural
-    zeros).  S_{nu+mu} is returned as the inverse of the assembled matrix.
+    zeros).  S_{nu+mu} is the inverse of the assembled I + N, N nilpotent
+    (strictly triangular in dominance order): the finite sum
+    sum_{m<n} (-N)^m, in n - 1 Horner steps X <- I - N X.  Every term of
+    an in-group or diagonal entry of N X is a product with an exact 0, so
+    those entries stay exactly 0 and 1.
     """
     P = np.asarray(products, dtype=complex)
     lp = np.asarray(lambda_prime, dtype=complex)
     one = np.eye(lp.size, dtype=complex)
     S = one + np.where(ordering.sign < 0, np.exp(2j * math.pi * lp) * P, 0)
-    Sinv = one - np.where(ordering.sign > 0, np.exp(2j * math.pi * (lp - lp[:, None])) * P, 0)
-    return StokesPair(S_nu=S, S_nu_plus_mu=_unit_triangular_inverse(Sinv, ordering.order),
-                      method="formula")
-
-
-def _unit_triangular_inverse(Sinv, order):
-    """Inverse of the assembled S_{nu+mu}^-1 by unit-triangular substitution.
-
-    In dominance order (the permutation ``order`` of :class:`Ordering`) the
-    matrix is unit lower triangular with identity blocks on the coalescence
-    groups, so the substitution reproduces the in-group structural zeros
-    exactly.
-    """
-    L = Sinv[np.ix_(order, order)]
-    X = np.eye(L.shape[0], dtype=complex)
-    for i in range(1, L.shape[0]):
-        X[i, :i] = -L[i, :i] @ X[:i, :i]
-    out = np.empty_like(X)
-    out[np.ix_(order, order)] = X
-    return out
+    N = np.where(ordering.sign > 0, -np.exp(2j * math.pi * (lp - lp[:, None])) * P, 0)
+    X = one
+    for _ in range(lp.size - 1):
+        X = one - N @ X
+    return StokesPair(S_nu=S, S_nu_plus_mu=X, method="formula")
 
 
 def stokes_pipeline(system, geometry: DeformationGeometry, tol=1e-10, N=40):

@@ -443,6 +443,64 @@ def test_cli_deform_on_the_crossing_locus_exits_3_quickly(tmp_path):
     [stage] = json.loads((tmp_path / "out" / "deform_report.json").read_text())["stages"]
     assert stage["error"].startswith("StepFailure")
 
+
+def _moved(tmp_path, angles, key="u"):
+    """sample2x2 with u_c = (0, 1) and u_1 = e^{ia}: the problem's ``u`` for one angle, or one
+    deform path through all of them.
+
+    The dominance sign of the pair (0, 1), that of Re(e^{i tau}(u_0 - u_1)) = -cos(pi/4 + a)
+    at tau = pi/4, is u_c's at a = 0.5 and the opposite at a = 0.9: the pair's Stokes ray
+    has crossed tau there.
+    """
+    prob = dict(SAMPLE, u_c=SAMPLE["u"])
+    points = [[[0.0, 0.0], [math.cos(a), math.sin(a)]] for a in angles]
+    if key == "u":
+        [prob["u"]] = points
+    else:
+        prob["paths"] = [points]
+    return _write(tmp_path, prob)
+
+
+@pytest.mark.parametrize("oracle", ["on", "off"])
+def test_cli_stokes_past_a_crossed_ray_exits_3(tmp_path, oracle):
+    """A u whose cross-group dominance sign differs from u_c's fails the connection stage.
+
+    The formula assembles the pair with u_c's signs, so there it read 2.8 from the oracle
+    at exit 0, and nothing was flagged with the oracle off.
+    """
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _moved(tmp_path, [0.9]), "--out",
+                                       str(out), "--oracle", oracle])
+    assert result.exit_code == 3, result.output
+    stage = json.loads((out / "stokes_report.json").read_text())["stages"][0]
+    assert (stage["name"], stage["status"]) == ("connection", "failed")
+    assert stage["error"] == ("NonAdmissibleError: u leaves the tau-cell of u^c at pair (0, 1): "
+                              "crossed")
+
+
+def test_cli_deform_through_a_crossed_ray_exits_3(tmp_path):
+    """A path from u_1 = 1 to e^{0.9i} fails where the (0, 1) ray has crossed tau; its
+    Stokes entries read a variation of 4.9 at exit 0 before."""
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["deform", "--spec",
+                                       _moved(tmp_path, [0.0, 0.3, 0.6, 0.9], key="paths"),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    [stage] = json.loads((out / "deform_report.json").read_text())["stages"]
+    assert stage["error"].endswith("at pair (0, 1): crossed")
+
+
+def test_cli_stokes_outside_the_polydisc_on_the_same_side_runs(tmp_path):
+    """u_1 = e^{0.5i} lies outside the polydisc of radius 0.08 but keeps u_c's signs: both
+    routes run and agree within 1e-10 (2.4e-12 measured)."""
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _moved(tmp_path, [0.5]), "--out",
+                                       str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads((out / "stokes_report.json").read_text())["results"]
+    assert results["formula_oracle_max_diff"] < 1e-10
+
+
 def test_cli_deform_has_no_oracle_option(tmp_path):
     """deform never ran the oracle: the option is gone and is a usage error."""
     prob = dict(SAMPLE)
@@ -767,7 +825,7 @@ REPORT_SHAPES = {
                                   sorted(["epsilon0_margin"] + _VANISHING + _PAIR_ROW)),
     ("deform", "sample2x2"): (2, None, None),
     ("deform", "coalescing3x3"): (0, [("path_0", "ok")], _block("paths[0]", [
-        "c_max_variation", "diag_drift", "in_cell", "in_group_product", "path", "samples",
+        "c_max_variation", "diag_drift", "in_group_product", "path", "samples",
         "spectrum_drift", "stokes_max_variation"])),
     ("deform", "resonant_group"): (2, None, None),
 }

@@ -890,7 +890,7 @@ def _columns_with(monkeypatch, fs, geo, specs, sols, swap):
     carry = laplace.carry
 
     def swapped(fs, pieces):
-        return carry(fs, [swap(i, p) if p.via else p for i, p in enumerate(pieces)])
+        return carry(fs, [swap(i, p) for i, p in enumerate(pieces)])
 
     monkeypatch.setattr(laplace, "carry", swapped)
     with ode.counting() as work:
@@ -951,6 +951,40 @@ def test_bent_columns_match_straight_legs(monkeypatch, n):
     control, _ = _columns_with(monkeypatch, fs, geo, specs, sols, inward)
     miss = np.max(np.abs(control[p].reduced - straight[p].reduced))
     assert miss > 1e-2 * np.max(np.abs(straight[p].reduced))
+
+
+@pytest.mark.parametrize("case", ["collinear", "past the tail"])
+def test_legs_that_went_straight_match_straight_legs(system_2x2, case):
+    """The legs a length test once left straight, bent, against ``_straight``'s reference.
+
+    ``collinear``: d = pi - theta, so the corner lies on the steepest-descent
+    ray and the leg is straight in all but its vertex.  ``past the tail``:
+    samples at |z| = 30 and 40, where e^{z x} is below e^-42 at the corner
+    R = 2 already, so the descent length s is 0 and the leg ends at the
+    corner.  Each column agrees with its straight leg's within 1e-10 of
+    max|column| (1e-16 or better measured).
+    """
+    fs = build_fuchsian(system_2x2)
+    theta = TAU - 0.5 * math.pi
+    if case == "collinear":
+        z, d = _ray([6.0, 9.0, 14.0], theta), math.pi - theta
+    else:
+        z, d = _ray([30.0, 40.0], theta), math.pi - theta - 0.3
+    specs = [laplace.ColumnSpec(k, 0, z, theta) for k in range(2)]
+    plans = laplace._plan(fs, specs, [d, d], _sols(fs), 1e-13)
+    for plan in plans:
+        leg = plan.leg
+        [corner] = leg.via
+        if case == "collinear":
+            turn = (leg.a + leg.b - corner) / (corner - leg.a)
+            assert turn.real > 0 and abs(turn.imag) <= 1e-12 * abs(turn)
+        else:
+            assert abs(leg.a + leg.b - corner) <= 1e-15 * abs(corner)
+    bent = laplace.carry(fs, [plan.leg for plan in plans])
+    straight = laplace.carry(fs, [_straight(fs, plan.leg) for plan in plans])
+    for plan, J, ref in zip(plans, bent, straight):
+        a, b = plan.base + plan.weight * J, plan.base + plan.weight * ref
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), case
 
 
 def test_stacked_circles_match_one_at_a_time():

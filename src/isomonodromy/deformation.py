@@ -135,34 +135,36 @@ def _power_sum_drift(A0, A):
     characteristic polynomial that the flow conserves.  Both matrices are
     divided by the Frobenius norm ||A0|| (1 for a zero A0) before the
     powers are taken, so no power overflows.  A0 rides in one stack with
-    the A_p: one product per power.
+    the A_p: one product per power, each written into one (n, P + 1, n, n)
+    stack of powers whose traces are taken at once.
     """
     n = A0.shape[0]
-    X = np.concatenate([A0[None], A]) / (np.linalg.norm(A0) or 1.0)
-    Y = X
-    traces = np.empty((n,) + X.shape[:1], dtype=complex)
-    for k in range(n):
-        traces[k] = Y.trace(0, 1, 2)
-        if k + 1 < n:
-            Y = Y @ X
+    scale = np.linalg.norm(A0) or 1.0
+    powers = np.empty((n, 1 + A.shape[0], n, n), dtype=complex)
+    X = powers[0]
+    np.divide(A0, scale, out=X[0])
+    np.divide(A, scale, out=X[1:])
+    for k in range(1, n):
+        np.matmul(powers[k - 1], X, out=powers[k])
+    traces = powers.trace(0, 2, 3)
     return np.abs(traces[:, 1:] - traces[:, :1]).max(0)
 
 
-def _min_ingroup_gap_on_segment(u0, u1):
-    """Exact min over t in [0, 1] of the pairwise |u_i - u_j| along the segment to each row of u1.
+def _min_ingroup_gap_on_segment(gap0, dgap):
+    """Exact min over t in [0, 1] of the pairwise gaps |gap0 + t dgap| along each segment.
 
-    Each gap g0 + t dg is linear in t, so its modulus is least at
-    t = -Re(g0 / dg) clipped to [0, 1]; a pair with dg = 0 keeps g0.  All
-    rows of a (P, n) ``u1`` broadcast over their (P, n, n) gap matrices;
-    returns the P least gaps (one for an (n,) ``u1``).
+    ``gap0`` (n, n) holds the start's gaps u_j - u_i and ``dgap`` their
+    change du_j - du_i along each segment, (P, n, n) for P segments or
+    (n, n) for one, as :func:`_transport_stack` builds them.  Each gap is
+    linear in t, so its modulus is least at t = -Re(gap0 / dgap) clipped to
+    [0, 1]; a pair with dgap = 0 keeps gap0 whatever t it is given.
+    Returns the P least gaps (one for an (n, n) ``dgap``); the diagonal is
+    no pair.
     """
-    du = u1 - u0
-    g0 = u0[None, :] - u0[:, None]
-    dg = du[..., None, :] - du[..., :, None]
-    t = np.clip(-np.divide(g0, dg, out=np.zeros_like(dg), where=dg != 0).real, 0.0, 1.0)
-    gap = np.abs(g0 + t * dg)
-    k = np.arange(u0.size)
-    gap[..., k, k] = math.inf  # the diagonal is no pair
+    n = gap0.shape[-1]
+    t = np.minimum(np.maximum(-(gap0 / np.where(dgap == 0, 1, dgap)).real, 0.0), 1.0)
+    gap = np.abs(gap0 + t * dgap)
+    gap.reshape(-1, n * n)[:, ::n + 1] = math.inf
     return gap.min((-2, -1))
 
 
@@ -187,58 +189,78 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     STEP_RATIO times the radius they show, T_k by c^k and W_k by c^(k+1)
     (Jorba and Zou, Exp. Math. 14, 2005).
 
-    The per-call checks read the stack at once: the exact least gap of
-    every segment from one broadcast over their (P, n, n) gap matrices
-    (:func:`_min_ingroup_gap_on_segment`), the vanishing conditions only
-    where a pair of u0 is coalesced, and the power sums of A0 and of every
-    end matrix from one stack (:func:`_power_sum_drift`).
+    The per-call checks read the stack at once, and the fixed work of a
+    solve is done once: the gap arrays gap0 and dgap serve both the exact
+    least gap of every segment (:func:`_min_ingroup_gap_on_segment`) and the
+    step plan, one errstate covers every step, the vanishing conditions are
+    checked only where a pair of u0 is coalesced, and the power sums of A0
+    and of every end matrix come from one stack (:func:`_power_sum_drift`).
 
     ``tol`` sets only the drift limit.  Reports one solve to
     :func:`.ode.counting`, one step per lockstep step, one nfev per order
     and, per step, the segments it advanced as piece_steps.  Raises
-    :class:`StepFailure` when a segment comes within ``guard`` (if > 0) of
-    the coalescence locus, a block is not finite or a
-    step has not converged by MAX_ORDER, :class:`SingularF1` for a start on
-    the locus with a nonvanishing in-group A_ij, :class:`DriftExceeded`
-    when the diagonal or the scaled power sums (:func:`_power_sum_drift`,
-    the spectrum's invariants) of a trajectory drift past 100 * tol.
-    Returns the (P, n, n) end matrices and the diagonal and power-sum drifts.
+    :class:`ValueError` before any arithmetic for a ``targets`` row whose
+    length is not n, a ``tol`` that is not finite and positive, or a u0 or
+    target that is not finite; :class:`StepFailure` when a segment comes
+    within ``guard`` (if > 0) of the coalescence locus, a block is not
+    finite or a step has not converged by MAX_ORDER, :class:`SingularF1`
+    for a start on the locus with a nonvanishing in-group A_ij,
+    :class:`DriftExceeded` when the diagonal or the scaled power sums
+    (:func:`_power_sum_drift`, the spectrum's invariants) of a trajectory
+    drift past 100 * tol.  Returns the (P, n, n) end matrices and the
+    diagonal and power-sum drifts.
     """
     P, n = targets.shape
-    if guard > 0:
-        gap = float(_min_ingroup_gap_on_segment(u0, targets).min())
-        if gap < guard:
-            raise StepFailure(
-                f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
-                "stop at a guarded endpoint and extrapolate"
-            )
-    du = targets - u0
-    gap0 = u0[None, :] - u0[:, None]
-    dgap = du[:, None, :] - du[:, :, None]
-    if np.count_nonzero(np.abs(gap0) < COALESCE_TOL) > n:  # a coalesced pair besides the diagonal
-        check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
-    diag0 = np.diag(A0).copy()
-    A = A0[None].repeat(P, 0)
-    t = np.zeros(P)
-    steps = nfev = piece_steps = 0
-    speed = np.abs(dgap)
-    while np.any(t < 1):
-        g = gap0 + t[:, None, None] * dgap
-        dist = np.abs(g)
-        near = dist < COALESCE_TOL
-        with np.errstate(divide="ignore"):
-            reach = np.where(near, 2 * COALESCE_TOL, STEP_RATIO * dist) / speed
-        h = np.minimum(1 - t, reach.min((1, 2)))
-        q = np.where(near, 0, h[:, None, None] * dgap / np.where(near, 1, g))
-        A, c, order = _taylor_step(A, q)
-        if not np.isfinite(A).all():
-            raise StepFailure(f"Schlesinger transport of {P} segment(s) is not finite")
-        t = np.where(c * h == 1 - t, 1.0, t + c * h)
-        steps += 1
-        nfev += order
-        piece_steps += int(np.count_nonzero(h))
+    if n != u0.size:
+        raise ValueError(f"target has length {n}, not the length {u0.size} of u")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol}")
+    # one errstate for the whole solve: a pair that does not move has an infinite
+    # reach, q is divided by the gaps below COALESCE_TOL before those entries are
+    # zeroed, the terms of a converged segment may underflow, and terms past the
+    # float range leave end matrices that are rejected as not finite
+    with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
+        du = targets - u0
+        if not np.isfinite(du).all():
+            bad = ("u" if not np.isfinite(u0).all() else
+                   "target" if not np.isfinite(targets).all() else "target - u")
+            raise ValueError(f"{bad} is not finite")
+        gap0 = u0 - u0[:, None]
+        dgap = du[:, None, :] - du[:, :, None]
+        if guard > 0:
+            gap = float(_min_ingroup_gap_on_segment(gap0, dgap).min())
+            if gap < guard:
+                raise StepFailure(
+                    f"segment approaches the coalescence locus (min gap {gap:.2e} < {guard}); "
+                    "stop at a guarded endpoint and extrapolate"
+                )
+        if np.count_nonzero(np.abs(gap0) < COALESCE_TOL) > n:  # a coalesced pair besides the diagonal
+            check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
+        A = A0[None].repeat(P, 0)
+        t = np.zeros(P)
+        steps = nfev = piece_steps = 0
+        speed = np.abs(dgap)
+        while True:
+            g = gap0 + t[:, None, None] * dgap
+            dist = np.abs(g)
+            near = dist < COALESCE_TOL
+            rest = 1 - t
+            h = np.minimum(rest, (np.where(near, 2 * COALESCE_TOL, STEP_RATIO * dist)
+                                  / speed).min((1, 2)))
+            q = h[:, None, None] * dgap / g
+            np.copyto(q, 0, where=near)
+            A, c, order = _taylor_step(A, q)
+            if not np.isfinite(A).all():
+                raise StepFailure(f"Schlesinger transport of {P} segment(s) is not finite")
+            ch = c * h
+            t = np.where(ch == rest, 1.0, t + ch)
+            steps += 1
+            nfev += order
+            piece_steps += int(np.count_nonzero(h))
+            if t.min() >= 1:
+                break
     tally(steps, nfev, piece_steps)
-    diag_drift = np.max(np.abs(np.diagonal(A, axis1=1, axis2=2) - diag0), axis=1)
+    diag_drift = np.abs(A.diagonal(0, 1, 2) - A0.diagonal()).max(1)
     spec_drift = _power_sum_drift(A0, A)
     if max(diag_drift.max(), spec_drift.max()) > 100 * tol:
         raise DriftExceeded(f"invariant drift too large: diag {diag_drift.max():.2e}, "
@@ -246,20 +268,12 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     return A, diag_drift, spec_drift
 
 
-def _term_buffers(side, stack, K):
-    """The two term layouts of :func:`_taylor_step` for orders 0..K, with the orders that
-    ``side`` and ``stack`` hold copied in."""
-    P, _, n, held = side.shape[:4]
-    grown_side = np.empty((P, 2, n, K + 1, n), dtype=complex)
-    grown_side[:, :, :, :held] = side
-    grown_stack = np.empty((P, 2, K + 1, n, n), dtype=complex)
-    grown_stack[:, :, K + 1 - held:] = stack
-    return grown_side, grown_stack
+def _term_buffers(P, n, K):
+    """The two empty term layouts of :func:`_taylor_step` for P segments of size n, orders 0..K."""
+    return (np.empty((P, 2, n, K + 1, n), dtype=complex),
+            np.empty((P, 2, K + 1, n, n), dtype=complex))
 
 
-# the terms of a converged segment may underflow; terms past the float range
-# leave end matrices that _transport_stack rejects as not finite
-@np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore")
 def _taylor_step(A, q):
     """One Taylor step of the reduced flow for every segment, by the recurrence of :func:`_transport_stack`.
 
@@ -269,20 +283,25 @@ def _taylor_step(A, q):
     Order m's two Cauchy sums, sum_k W_k T_{m-k} and sum_k T_k W_{m-k}, are
     one stacked product: blocks 0..m of W and of T side by side against the
     last m + 1 blocks of T and of W stacked.  The buffers hold the orders
-    the step is expected to reach and double toward MAX_ORDER only when a
-    tail passes them.  Returns the end matrices, the factor c <= 1 each
-    step was shortened by and the number of orders summed.
+    the step is expected to reach and one tail round past them, and double
+    toward MAX_ORDER only when a later tail passes them.  The step runs
+    inside the errstate of its solve, where terms may underflow.  Returns
+    the end matrices, the factor c <= 1 each step was shortened by and the
+    number of orders summed.
     """
     P, n = A.shape[:2]
     size = np.abs(A).max((1, 2))
+    bound = TAYLOR_EPS * size[:, None]
     ratio = float(np.abs(q).max())
     hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio)))
              if ratio > 0 else 2)
     lo, c = 0, np.ones(P)
-    first = np.stack([q * A, A], 1)  # (W_0, T_0)
-    side, stack = _term_buffers(first[:, :, :, None], first[:, :, None], hi)
+    K = min(MAX_ORDER, hi + TAIL_ORDERS)
+    side, stack = _term_buffers(P, n, K)
+    np.multiply(q, A, out=stack[:, 0, K])  # W_0
+    stack[:, 1, K] = A  # T_0
+    side[:, :, :, 0] = stack[:, :, K]
     while True:
-        K = stack.shape[2] - 1
         # W side by side against T stacked, and T against W: one (P, 2) stack of products
         S, R = side.reshape(P, 2, n, -1), stack[:, ::-1].reshape(P, 2, -1, n)
         W = stack[:, 0, K - lo]
@@ -297,16 +316,17 @@ def _taylor_step(A, q):
             side[:, :, :, m + 1] = pair
             W = W1
         last = np.abs(stack[:, 1, K - hi:K - hi + 2]).max((2, 3))  # |T_hi|, |T_{hi-1}|
-        slow = np.any(last > TAYLOR_EPS * size[:, None], 1)
-        if not slow.any():
+        over = last > bound
+        if not over.any():
             return stack[:, 1, K - hi:].sum(1), c, hi  # T_hi down to T_0: smallest terms first
+        slow = over.any(1)
         if hi == MAX_ORDER:
             raise StepFailure(f"Schlesinger step of {P} segment(s) did not converge "
                               f"in {MAX_ORDER} orders")
         # the radius (max|A| / |T_m|)^(1/m) of the last two terms, in units of the step
-        radius = np.min((size[:, None] / last) ** (1 / np.array([hi, hi - 1])), 1)
+        radius = ((size[:, None] / last) ** np.array([1 / hi, 1 / (hi - 1)])).min(1)
         shorten = np.where(slow, np.minimum(1.0, STEP_RATIO * radius), 1.0)
-        if np.any(shorten < 1):
+        if (shorten < 1).any():
             power = shorten[:, None] ** np.arange(hi + 1)
             power = np.stack([power * shorten[:, None], power], 1)  # W_k by c^(k+1), T_k by c^k
             side[:, :, :, :hi + 1] *= power[:, :, None, :, None]
@@ -315,7 +335,11 @@ def _taylor_step(A, q):
             c *= shorten
         lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
         if hi > K:
-            side, stack = _term_buffers(side, stack, min(MAX_ORDER, max(hi, 2 * K)))
+            grown = min(MAX_ORDER, max(hi, 2 * K))
+            new_side, new_stack = _term_buffers(P, n, grown)
+            new_side[:, :, :, :K + 1] = side
+            new_stack[:, :, grown - K:] = stack
+            side, stack, K = new_side, new_stack, grown
 
 
 def transport(state: DeformationState, target_u, tol=1e-10,
@@ -327,11 +351,14 @@ def transport(state: DeformationState, target_u, tol=1e-10,
     power sums that stand for the spectrum.  With ``enforce_guard``, a
     segment whose exact least gap is below NEAR_DELTA_GUARD is rejected
     (sample endpoint limits and extrapolate instead).  Only a target equal
-    to the start is skipped.
+    to the start is skipped; one whose shape is not that of u is a
+    :class:`ValueError`.
     """
     u0 = np.asarray(state.u, dtype=complex)
     u1 = np.asarray(target_u, dtype=complex)
-    if np.array_equal(u0, u1):
+    if u1.shape != u0.shape:
+        raise ValueError(f"target has shape {u1.shape}, not the shape {u0.shape} of u")
+    if (u0 == u1).all():
         return state
     (A1,), (diag_drift,), (spec_drift,) = _transport_stack(
         u0, np.asarray(state.A, dtype=complex), u1[None], tol,
@@ -431,15 +458,20 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     one stacked solve, whose drift limit is 100 ``tol``; F_1 and every
     omega_k of the 2n stencil points and the centre are one stack
     (:func:`_distinct_omegas`).  Returns the max over pairs.  Raises
-    :class:`StepFailure` before any solve when two u_i
+    :class:`ValueError` for a ``step`` that is 0 or not finite and for a u
+    that is not finite, and :class:`StepFailure` before any solve when two u_i
     are closer than COALESCE_TOL: there, on the coalescence locus, the
     reduced flow is singular and no stencil can be centred.  So does a
     stencil segment that comes within NEAR_DELTA_GUARD of the locus, as in
     :func:`transport`; unguarded, the solve crawls towards the singularity
     in ever shorter steps.
     """
+    if not 0 < abs(step) < math.inf:
+        raise ValueError(f"step must be finite and nonzero, not {step}")
     n = system.n
     u0 = np.asarray(system.u, dtype=complex)
+    if not np.isfinite(u0).all():
+        raise ValueError("u is not finite")
     gaps = np.abs(u0[:, None] - u0[None, :]) + np.diag(np.full(n, np.inf))
     i, k = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[i, k] < COALESCE_TOL:
@@ -453,7 +485,6 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     om = _distinct_omegas(np.concatenate([A1, A0[None]]), np.concatenate([targets, u0[None]]))
     d_om = (om[:n] - om[n:2 * n]) / (2 * step)  # d_om[i, k] = d_i omega_k
     om0 = om[2 * n]
-    comm = om0[:, None] @ om0[None, :] - om0[None, :] @ om0[:, None]
     i, k = np.triu_indices(n, 1)
-    return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm[i, k]), initial=0.0))
-
+    comm = om0[i] @ om0[k] - om0[k] @ om0[i]  # [omega_i, omega_k]
+    return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm), initial=0.0))

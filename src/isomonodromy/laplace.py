@@ -131,22 +131,24 @@ def formal_recursion(system, L):
     off = np.where(same, 0, A)
     shift = lp[:, None] - lp[None, :]
     free = sorted((r, i, j) for i, j in np.argwhere(same).tolist()
-                  if 1 <= (r := nearest_integer(lp[j] - lp[i]) or 0) <= L)
-    den = np.where(same, shift, np.inf)  # in-group divisors less k; inf across groups
+                  if i != j and 1 <= (r := nearest_integer(lp[j] - lp[i]) or 0) <= L)
+    orders = np.arange(L + 1)[:, None, None]
+    shifts = shift + orders  # lambda'_i - lambda'_j + k at row k
+    divs = shifts.copy()  # the in-group divisors at row k; a free entry's becomes inf below
     F = np.eye(u.size, dtype=complex)
     Fs, obstructed = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
         for k in range(1, L + 1):
-            F = np.where(same, 0, ((shift + (k - 1)) * F + off @ F) / gap)
+            F = np.where(same, 0, (shifts[k - 1] * F + off @ F) / gap)
             rhs = -(off @ F)
-            div = den + k
+            div = divs[k]
             for r, i, j in free:
                 if r == k:
                     div[i, j] = np.inf  # the free entry stays 0
                     scale = max(1.0, np.max(np.abs(off)) * np.max(np.abs(F)))
                     if abs(rhs[i, j]) > VANISH_TOL * scale:
                         obstructed.append((k, i, j))
-            F = np.where(same, rhs / div, F)
+            np.divide(rhs, div, out=F, where=same)  # the in-group entries of this order's F
             Fs.append(F)
     bad = ~np.isfinite(np.reshape(Fs, (L, u.size ** 2))).all(1)
     if bad.any():

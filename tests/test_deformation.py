@@ -111,18 +111,93 @@ def test_transport_runs_when_numpy_raises_on_every_error():
     assert np.array_equal(strict.A, free.A)
 
 
-def test_stack_runs_when_numpy_raises_on_every_error():
-    """A segment that converges long before its stack-mate sums further orders; no term of it raises."""
+def _stack_with_an_early_converger():
+    """A segment that converges long before its stack-mate sums further orders."""
     from isomonodromy.deformation import _transport_stack
 
     rng = np.random.default_rng(1)
     A = 3.0 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     u = np.array([0.0, 1.0, 1j, 1 + 1j])
     targets = np.stack([u + 1e-7, u + np.array([0.3, -0.2j, 0.1, 0.0])])
-    free, _, _ = _transport_stack(u, A, targets, 1e-6)
-    with np.errstate(all="raise"):
-        strict, _, _ = _transport_stack(u, A, targets, 1e-6)
-    assert np.array_equal(strict, free)
+    stacked, _, _ = _transport_stack(u, A, targets, 1e-6)
+    return [stacked]
+
+
+def _families_item():
+    """One item of the families benchmark: u_0 once round a small circle in 16
+    transports, the integrability residual and 20 formal coefficients."""
+    from conftest import draw_system
+    from isomonodromy.laplace import formal_recursion
+
+    system, _ = draw_system(np.random.default_rng(44), 4)
+    radius = 0.1 * min(abs(a - b) for i, a in enumerate(system.u) for b in system.u[i + 1:])
+    centre = system.u[0] - radius
+    state = DeformationState(u=system.u.copy(), A=system.A.copy())
+    for s in range(1, 17):
+        w = system.u.copy()
+        w[0] = centre + radius * np.exp(2j * np.pi * s / 16) if s < 16 else system.u[0]
+        state = transport(state, w, tol=1e-12)
+    return [state.A, np.array([state.diag_drift, state.spectrum_drift,
+                               integrability_residual(system, tol=1e-12)]),
+            np.array(formal_recursion(system, 20).F)]
+
+
+def _radial_family_from_the_locus(vanishing_A_uc):
+    states = radial_family(SystemPair(vanishing_A_uc, [0.5, -0.5, 2.0]), [0.0, 0.0, 2.0],
+                           [1.0, 0.1, 1e-3, 1e-6])
+    return [s.A for s in states]
+
+
+def test_stack_runs_when_numpy_raises_on_every_error(vanishing_A_uc):
+    """Under errstate(all="raise") the same results, bit for bit: no term of a stack whose
+    segment converges long before its stack-mate, of a families item or of a radial family
+    grown from the locus raises."""
+    for case in (_stack_with_an_early_converger, _families_item,
+                 lambda: _radial_family_from_the_locus(vanishing_A_uc)):
+        free = case()
+        with np.errstate(all="raise"):
+            strict = case()
+        assert [x.tobytes() for x in strict] == [x.tobytes() for x in free]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_transport_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    """A NaN tol used to switch the drift limit off: max(drift) > 100 * nan is False."""
+    sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        transport(DeformationState(sp.u, sp.A), np.array([0.2j, 1.3]), tol=tol)
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+def test_integrability_residual_refuses_a_step_that_is_zero_or_not_finite(step):
+    """step = 0 used to return nan after a RuntimeWarning."""
+    sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
+    with pytest.raises(ValueError, match="step must be finite and nonzero"):
+        integrability_residual(sp, step=step)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_transport_refuses_a_u_or_target_that_is_not_finite(bad):
+    """Each used to reach StepFailure only after numpy's invalid-value warnings."""
+    sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
+    with pytest.raises(ValueError, match="^target is not finite"):
+        transport(DeformationState(sp.u, sp.A), np.array([bad, 1.3]))
+    with pytest.raises(ValueError, match="^u is not finite"):
+        transport(DeformationState(np.array([bad, 1.0]), sp.A), np.array([0.2j, 1.3]))
+    with pytest.raises(ValueError, match="^u is not finite"):
+        transport(DeformationState(np.array([bad, 1.0]), sp.A), np.array([bad, 1.3]))
+    with pytest.raises(ValueError, match="^u is not finite"):
+        integrability_residual(SystemPair(sp.A, [bad, 1.0]))
+    with pytest.raises(ValueError, match="^target - u is not finite"):
+        transport(DeformationState(np.array([1e308, 0.0]), sp.A), np.array([-1e308, 1.3]))
+
+
+@pytest.mark.parametrize("target", [[0.2j, 1.3, 2.0], [0.2j], [[0.2j, 1.3]]])
+def test_transport_refuses_a_target_whose_shape_is_not_that_of_u(target):
+    """A target of the wrong length used to fail with numpy's broadcast error."""
+    sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
+    with pytest.raises(ValueError, match="^target has shape"):
+        transport(DeformationState(sp.u, sp.A), np.array(target))
 
 
 def test_transport_invariants_and_path_independence():
@@ -285,6 +360,12 @@ def test_transport_from_locus_with_vanishing_entries():
     assert st.diag_drift < 1e-10
 
 
+def _segment_gaps(u0, u1):
+    """The start gaps u0_j - u0_i and their changes du_j - du_i along the segment(s) to u1."""
+    du = u1 - u0
+    return u0 - u0[:, None], du[..., None, :] - du[..., :, None]
+
+
 def _gap_loop_reference(u0, u1, samples=33):
     best = math.inf
     for t in np.linspace(0.0, 1.0, samples):
@@ -320,7 +401,7 @@ def test_segment_gap_matches_loop_reference():
             u0, u1 = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
             u1[0] = u0[0] + (u1[-1] - u0[-1])  # u_0 - u_{n-1} stays fixed: dg = 0 for that pair
             with np.errstate(all="raise"):
-                gap = _min_ingroup_gap_on_segment(u0, u1)
+                gap = _min_ingroup_gap_on_segment(*_segment_gaps(u0, u1))
             assert gap == pytest.approx(_exact_gap_reference(u0, u1), rel=1e-12, abs=1e-15)
             assert gap <= _gap_loop_reference(u0, u1) * (1 + 1e-14)
 
@@ -792,9 +873,9 @@ def test_taylor_step_grows_its_buffers_past_the_first_estimate(monkeypatch):
     held = []
     grow = deformation._term_buffers
 
-    def spy(side, stack, K):
+    def spy(P, n, K):
         held.append(K)
-        return grow(side, stack, K)
+        return grow(P, n, K)
 
     monkeypatch.setattr(deformation, "_term_buffers", spy)
     A, q = _step_draw(np.random.default_rng(6), 3, 5, 2.0, 0.3)
@@ -812,7 +893,7 @@ def test_stacked_gap_guard_matches_the_pair_reference():
         targets = rng.uniform(-1, 1, (2 * n, n)) + 1j * rng.uniform(-1, 1, (2 * n, n))
         targets[0] = u0 + 0.3  # a rigid shift: every dg = 0
         with np.errstate(all="raise"):
-            gaps = _min_ingroup_gap_on_segment(u0, targets)
+            gaps = _min_ingroup_gap_on_segment(*_segment_gaps(u0, targets))
         assert gaps.shape == (2 * n,)
         for gap, u1 in zip(gaps, targets):
             assert gap == pytest.approx(_exact_gap_reference(u0, u1), rel=1e-12, abs=1e-15)

@@ -27,7 +27,6 @@ _EXPORTS = {
     "stokes_ray_directions": "model",
     "LocalSolution": "frobenius",
     "gamma_shift": "frobenius",
-    "jordan_reduce_Bj": "frobenius",
     "levelt_at_confluence": "frobenius",
     "selected_solution": "frobenius",
     "selected_solutions": "frobenius",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "DeformationState": "deformation",
     "integrability_residual": "deformation",
     "omega": "deformation",
-    "schlesinger_rhs": "deformation",
     "transport": "deformation",
     "vanishing_check": "deformation",
 }

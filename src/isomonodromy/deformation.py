@@ -11,9 +11,9 @@ characteristic polynomial, and both double as error monitors.  The
 polynomial is watched through the power sums tr(A^k), k = 1..n, which fix
 it by Newton's identities: they are polynomial in A, so unlike the
 eigenvalues they need no eigensolver and stay well conditioned when A is
-far from normal.  The non-normalized Schlesinger right-hand sides, the
-integrability residual and the vanishing checks near the coalescence locus
-live here as well; the last two build [B_i, B_k] from the rank-one residues.
+far from normal.  The integrability residual and the vanishing checks near
+the coalescence locus live here as well; the latter reads each commutator
+[B_i, B_j] off the rows of A+I, as the residues B_k = -E_k(A+I) have rank one.
 """
 
 from __future__ import annotations
@@ -64,48 +64,6 @@ def omega(system, k):
     contribute 0 (:class:`SingularF1` otherwise).
     """
     return _omegas(f1(system))[k]
-
-
-def _residue_commutators(w):
-    """Every [B_i, B_k], stacked (n, n, n, n), of the rank-one residues B_m = -e_m w_m^T.
-
-    With w_m = row m of A+I, [B_i, B_k] = w_i[k] e_i w_k^T - w_k[i] e_k w_i^T.
-    The products run with numpy's overflow warnings off and are checked
-    once: a commutator past the float range raises :class:`IllConditioned`.
-    """
-    n = w.shape[0]
-    i, k = np.ogrid[:n, :n]
-    C = np.zeros((n, n, n, n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        C[i, k, i] = w[:, :, None] * w[None, :, :]
-        C[i, k, k] -= w.T[:, :, None] * w[:, None, :]
-    if not np.isfinite(C).all():
-        raise IllConditioned("the residue commutators [B_i, B_k] leave the float range")
-    return C
-
-
-def schlesinger_rhs(fs: SystemPair):
-    """Non-normalized Schlesinger right-hand sides d B_k / d u_i.
-
-    Returns ``derivs``, where ``derivs[(i, k)]`` is the matrix-valued
-    derivative.  The pole terms [B_i, B_k] / (u_i - u_k) off the diagonal
-    set the diagonal ones, d B_i / d u_i = -sum_{k != i} of them, so
-    sum_k d B_k / d u_i = [omega_i, sum_k B_k] holds by construction.  A
-    pair closer than COALESCE_TOL lies on the coalescence locus and its
-    term is taken as 0, as in the reduced flow.
-    """
-    n = fs.n
-    m = np.arange(n)
-    om = _omegas(f1(fs))
-    gap = fs.u[:, None] - fs.u[None, :]
-    near = np.abs(gap) < COALESCE_TOL
-    pole = _residue_commutators(fs.A_plus_I) / np.where(near, 1, gap)[..., None, None]
-    pole[near] = 0.0
-    pole[m, m] = -pole.sum(1)
-    B = np.zeros((n, n, n), dtype=complex)
-    B[m, m] = -fs.A_plus_I
-    derivs = pole + om[:, None] @ B[None] - B[None] @ om[:, None]
-    return {(i, k): derivs[i, k] for i in range(n) for k in range(n)}
 
 
 @dataclass
@@ -187,7 +145,9 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     decay slower than STEP_RATIO^m (the flow is quadratic, so its radius
     can be shorter than the gaps') shortens its step in place to
     STEP_RATIO times the radius they show, T_k by c^k and W_k by c^(k+1)
-    (Jorba and Zou, Exp. Math. 14, 2005).
+    (Jorba and Zou, Exp. Math. 14, 2005).  A segment that reaches its target
+    leaves the lockstep, so a slow segment does not keep the finished ones
+    in every later step.
 
     The per-call checks read the stack at once, and the fixed work of a
     solve is done once: the gap arrays gap0 and dgap serve both the exact
@@ -236,8 +196,8 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
                 )
         if np.count_nonzero(np.abs(gap0) < COALESCE_TOL) > n:  # a coalesced pair besides the diagonal
             check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions
-        A = A0[None].repeat(P, 0)
-        t = np.zeros(P)
+        end = A = A0[None].repeat(P, 0)
+        live, t = np.arange(P), np.zeros(P)
         steps = nfev = piece_steps = 0
         speed = np.abs(dgap)
         while True:
@@ -259,6 +219,13 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
             piece_steps += int(np.count_nonzero(h))
             if t.min() >= 1:
                 break
+            if t.max() >= 1:  # a segment at its target leaves the lockstep
+                done = t >= 1
+                end[live[done]] = A[done]
+                live, A, t, dgap, speed = (x[~done] for x in (live, A, t, dgap, speed))
+    if live.size < P:
+        end[live] = A
+        A = end
     tally(steps, nfev, piece_steps)
     diag_drift = np.abs(A.diagonal(0, 1, 2) - A0.diagonal()).max(1)
     spec_drift = _power_sum_drift(A0, A)
@@ -351,14 +318,16 @@ def transport(state: DeformationState, target_u, tol=1e-10,
     power sums that stand for the spectrum.  With ``enforce_guard``, a
     segment whose exact least gap is below NEAR_DELTA_GUARD is rejected
     (sample endpoint limits and extrapolate instead).  Only a target equal
-    to the start is skipped; one whose shape is not that of u is a
-    :class:`ValueError`.
+    to the start is skipped; one whose shape is not that of u, and a u that
+    is not finite, are a :class:`ValueError`.
     """
     u0 = np.asarray(state.u, dtype=complex)
     u1 = np.asarray(target_u, dtype=complex)
     if u1.shape != u0.shape:
         raise ValueError(f"target has shape {u1.shape}, not the shape {u0.shape} of u")
     if (u0 == u1).all():
+        if not np.isfinite(u0).all():  # inf == inf: the solve below would refuse this u
+            raise ValueError("u is not finite")
         return state
     (A1,), (diag_drift,), (spec_drift,) = _transport_stack(
         u0, np.asarray(state.A, dtype=complex), u1[None], tol,
@@ -420,15 +389,22 @@ def vanishing_check(system, groups):
     For each pair report |A_ij|, the ratio |A_ij|/|u_i-u_j| and
     ||[B_i, B_j]||, with a verdict per the equivalence
     |A_ij| -> 0  <=>  [B_i, B_j] -> 0.  At gap 0 both ratios are None.
+    With w_m row m of A+I, [B_i, B_j] = w_i[j] e_i w_j^T - w_j[i] e_j w_i^T has
+    the two rows w_i[j] w_j and -w_j[i] w_i, so its max-norm is the larger of
+    theirs; a reported commutator past the float range raises
+    :class:`IllConditioned` naming the pair.
     """
-    comm = _residue_commutators(system.A_plus_I)
+    w = system.A_plus_I
     u = system.u
     scale = max(1.0, float(np.max(np.abs(system.A))))
     ratio_bound = 1e3 * scale
     rows = []
     for i, j in [(i, j) for g in groups for i in g for j in g if i < j]:
         gap = abs(u[i] - u[j])
-        comm_norm = float(np.max(np.abs(comm[i, j])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            comm_norm = float(max(np.abs(w[i, j] * w[j]).max(), np.abs(w[j, i] * w[i]).max()))
+        if not math.isfinite(comm_norm):
+            raise IllConditioned(f"the residue commutator [B_{i}, B_{j}] leaves the float range")
         aij = max(abs(system.A[i, j]), abs(system.A[j, i]))
         ratio = aij / gap if gap > 0 else None
         comm_ratio = comm_norm / gap if gap > 0 else None

@@ -166,8 +166,8 @@ def _propagate(fs, col, x, orders, shift=0, source=None):
 def _kernel_seeds(w, k):
     """Rows e_i - e_m w_i/w_m, i != m: leads of the exponent-0 solutions, spanning ker(w .).
 
-    The pivot m is the largest |w_m|, as in :func:`jordan_reduce_Bj`, so no
-    entry exceeds 1; for w = 0 (norm below 1e-13) the rows are e_i, i != k.
+    The pivot m is the largest |w_m|, so no entry exceeds 1; for w = 0 (norm
+    below 1e-13) the rows are e_i, i != k.
     """
     if np.linalg.norm(w) < 1e-13:
         return np.eye(w.size, dtype=complex)[[i for i in range(w.size) if i != k]]
@@ -509,50 +509,6 @@ def _log_seed(fs, k, sel, N):
 # ---------------------------------------------------------------------------
 
 
-class NotReducible(np.linalg.LinAlgError):
-    """A residue's reduction leaves a residual above its bound."""
-
-
-def jordan_reduce_Bj(fs: SystemPair, j):
-    """Holomorphic reduction of the rank-one residue B_j = -e_j w^T, w = row j of A+I.
-
-    Returns ``(G, T, branch)`` with G^-1 B_j G = T and G e_j = e_j:
-
-    * ``"diagonal"`` for lambda'_j not the integer -1 (:func:`nearest_integer`):
-      row j of G is -w / w_j off the diagonal, T = -w_j E_jj;
-    * ``"jordan"`` for lambda'_j = -1: the rank-1 nilpotent branch T = E_jm,
-      m the largest |w_m|, m != j (plus -w_j E_jj, below INTEGER_TOL);
-    * ``"zero"`` for lambda'_j = -1 with w = 0 (norm below 1e-13): B_j = 0,
-      G = I, nothing to reduce.
-
-    Raises :class:`NotReducible` when the residual |w G + T_j| exceeds
-    1e-10 max(1, max|w|).
-    """
-    n = fs.n
-    w = fs.A_plus_I[j]
-    G = np.eye(n, dtype=complex)
-    T = np.zeros((n, n), dtype=complex)
-    T[j, j] = -w[j]
-    if nearest_integer(fs.lambda_prime[j]) != -1:
-        branch = "diagonal"
-        G[j] = -w / w[j]
-        G[j, j] = 1.0
-    elif np.linalg.norm(w) < 1e-13:
-        branch = "zero"
-    else:
-        branch = "jordan"
-        m = int(np.argmax(np.where(np.arange(n) == j, 0, np.abs(w))))
-        G[m] = -w / w[m]
-        G[m, j] = 0.0
-        G[m, m] = -1.0 / w[m]
-        T[j, m] = 1.0
-    # G e_j = e_j, so G^-1 B_j G = -e_j (w G): only row j can differ from T
-    resid = float(np.max(np.abs(w @ G + T[j])))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-        raise NotReducible(f"reduction residual {resid:.2e} for B_{j}")
-    return G, T, branch
-
-
 @dataclass
 class LeveltData:
     """Levelt normal form data of the merged pole of one coalescence group."""
@@ -569,8 +525,9 @@ class LeveltData:
 
 def levelt_exponents(fs_uc: SystemPair, group):
     """``(T, K)``: Levelt exponents at the merged pole of ``group``, T_j = -(A+I)_jj on
-    the group (:func:`jordan_reduce_Bj`) and 0 off it, and K_ij = T_i - T_j where that
-    is an integer, else 0; (l, i, j) with K_ij = l >= 1 is a resonant position."""
+    the group (the entry of G^-1 B_j G in :func:`levelt_at_confluence`) and 0 off it,
+    and K_ij = T_i - T_j where that is an integer, else 0; (l, i, j) with K_ij = l >= 1
+    is a resonant position."""
     idx = list(group)
     T = np.zeros(fs_uc.n, dtype=complex)
     T[idx] = -np.diag(fs_uc.A_plus_I)[idx]
@@ -584,8 +541,13 @@ def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
     ``fs_uc`` must be the pair at u = u^c, ``group``
     one of its coalescence groups (:func:`.model._group_partition`),
     merging at lambda_alpha, that passes :func:`.model.check_vanishing`.
-    Each group residue is reduced by :func:`jordan_reduce_Bj`; a nilpotent
-    one (lambda'_j = -1) raises :class:`ResonanceAmbiguity`.  Runs the
+    The group residues B_j = -e_j w_j^T, w_j row j of A+I, are reduced at
+    once in closed form: with w~_j the row w_j whose in-group entries and
+    diagonal count as 0, as in :func:`.laplace.f1`, G = I - sum_j e_j w~_j / w_jj
+    gives G^-1 B_j G = -w_jj E_jj, and G - I has no column in the group, so
+    (G - I)^2 = 0 and G^-1 = 2I - G.  A member with lambda'_j = -1 keeps row
+    e_j when w_j is 0 (B_j = 0, norm below 1e-13) and raises
+    :class:`ResonanceAmbiguity` (nilpotent residue) otherwise.  Runs the
     recursion for the normal-form series G_l; the resonant positions of
     :func:`levelt_exponents` are reported as free parameters (defaulted to
     0, or to the entries of ``free_values``), and the obstruction matrices
@@ -598,19 +560,20 @@ def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
         raise ValueError(f"{group} is not a coalescence group of u^c: {groups}")
     lam_alpha = fs_uc.u[group[0]]
     check_vanishing(fs_uc.A, fs_uc.u)
-    # simultaneous reduction of the group residues (diagonalizable branch)
+    w = fs_uc.A_plus_I
     G = np.eye(n, dtype=complex)
     for j in group:
-        Gj, _, branch = jordan_reduce_Bj(fs_uc, j)
-        if branch == "jordan":
+        if nearest_integer(fs_uc.lambda_prime[j]) != -1:
+            G[j] = -w[j] / w[j, j]
+        elif np.linalg.norm(w[j]) >= 1e-13:
             raise ResonanceAmbiguity(
                 f"lambda'_{j} = -1 with nilpotent residue: the diagonal Levelt "
                 "reduction does not apply to this group"
             )
-        G = G @ Gj
+    G[np.ix_(group, group)] = np.eye(len(group))
     # each other group's merged residue sum_i G^-1 B_i G, B_i = -e_i (row i of A+I): one product
-    Ginv = np.linalg.inv(G)
-    others = [(v, -(Ginv[:, list(g)] @ (fs_uc.A_plus_I[list(g)] @ G)))
+    Ginv = 2 * np.eye(n) - G
+    others = [(v, -(Ginv[:, list(g)] @ (w[list(g)] @ G)))
               for g, v in zip(groups, values) if g != group]
     Dm = [None] + [sum((((-1) ** (m + 1)) / (lam_alpha - lam_beta) ** m * Db
                         for lam_beta, Db in others), np.zeros((n, n), dtype=complex))

@@ -338,13 +338,15 @@ def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value
 
 
 def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):
-    """check with A_00 = 1e200: the residue commutators leave the float range, exit 3.
+    """check on coalescing3x3 with A_00 = A_10 = 1e200: the in-group commutator
+    [B_0, B_1] has the row A_10 w_0, w_0 = row 0 of A+I, whose entry
+    A_10 (A_00 + 1) is past the float range; the vanishing stage fails with
+    IllConditioned naming the pair, exit 3.
 
-    The vanishing stage names IllConditioned, and no numpy overflow warning
-    (an error under pytest) comes before it.
+    No numpy overflow warning (an error under pytest) comes before it.
     """
-    prob = json.loads(json.dumps(SAMPLE))
-    prob["A"][0][0] = [1e200, 0.0]
+    prob = json.loads((ROOT / "problems" / "coalescing3x3.json").read_text())
+    prob["A"][0][0] = prob["A"][1][0] = [1e200, 0.0]
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["check", "--spec", _write(tmp_path, prob),
                                        "--out", str(out)])
@@ -353,7 +355,8 @@ def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):
     failed = {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
     assert failed.keys() == {"integrability", "vanishing"}
     assert failed["integrability"].startswith("StepFailure")
-    assert failed["vanishing"].startswith("IllConditioned: the residue commutators")
+    assert failed["vanishing"] == ("IllConditioned: the residue commutator [B_0, B_1] "
+                                   "leaves the float range")
 
 
 def test_cli_stokes_with_oracle(tmp_path):

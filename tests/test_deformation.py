@@ -5,7 +5,7 @@ import pytest
 
 from conftest import residue
 from isomonodromy.model import DriftExceeded, SystemPair
-from isomonodromy.frobenius import build_fuchsian, jordan_reduce_Bj
+from isomonodromy.frobenius import build_fuchsian
 from isomonodromy.laplace import SingularF1, f1
 from isomonodromy.deformation import (
     DeformationState,
@@ -13,7 +13,6 @@ from isomonodromy.deformation import (
     integrability_residual,
     omega,
     radial_family,
-    schlesinger_rhs,
     transport,
     vanishing_check,
 )
@@ -48,28 +47,6 @@ def test_omega_rejects_violated_vanishing():
     A = np.array([[0.2, 0.5], [0.1, 0.9]], dtype=complex)
     with pytest.raises(SingularF1):
         omega(SystemPair(A, [0.0, 0.0]), 0)
-
-
-def test_schlesinger_rhs_diagonal_zero():
-    fs = build_fuchsian(SystemPair(np.diag([0.5, -0.3]), [0.0, 1.0]))
-    derivs = schlesinger_rhs(fs)
-    assert all(np.max(np.abs(D)) < 1e-15 for D in derivs.values())
-
-
-def test_schlesinger_rhs_finite_difference_oracle(system_2x2):
-    """d B_2/d u_1 compared against a short-transport finite difference."""
-    fs = build_fuchsian(system_2x2)
-    derivs = schlesinger_rhs(fs)
-    h = 1e-5
-    states = []
-    for s in (+h, -h):
-        u = system_2x2.u.copy()
-        u[0] += s
-        st = transport(DeformationState(u=system_2x2.u, A=system_2x2.A.copy()),
-                       u, tol=1e-13)
-        states.append(build_fuchsian(st.system()))
-    fd = (residue(states[0], 1) - residue(states[1], 1)) / (2 * h)
-    assert np.max(np.abs(fd - derivs[(0, 1)])) < 1e-7
 
 
 def test_transport_diagonal_identity():
@@ -160,6 +137,69 @@ def test_stack_runs_when_numpy_raises_on_every_error(vanishing_A_uc):
         assert [x.tobytes() for x in strict] == [x.tobytes() for x in free]
 
 
+def _lockstep_keeping_every_segment(u0, A0, targets, taylor_step):
+    """The transport loop in which a finished segment stays, stepping on with h = 0 and q = 0.
+
+    Returns the end matrices, the diagonal and power-sum drifts and the
+    (steps, nfev, piece_steps) the solve counts.
+    """
+    from isomonodromy.continuation import STEP_RATIO
+    from isomonodromy.deformation import _power_sum_drift
+    from isomonodromy.model import COALESCE_TOL
+
+    du = targets - u0
+    gap0 = u0 - u0[:, None]
+    dgap = du[:, None, :] - du[:, :, None]
+    speed = np.abs(dgap)
+    A, t = A0[None].repeat(len(targets), 0), np.zeros(len(targets))
+    steps = nfev = piece_steps = 0
+    with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
+        while t.min() < 1:
+            g = gap0 + t[:, None, None] * dgap
+            dist = np.abs(g)
+            near = dist < COALESCE_TOL
+            rest = 1 - t
+            h = np.minimum(rest, (np.where(near, 2 * COALESCE_TOL, STEP_RATIO * dist)
+                                  / speed).min((1, 2)))
+            q = h[:, None, None] * dgap / g
+            np.copyto(q, 0, where=near)
+            A, c, order = taylor_step(A, q)
+            ch = c * h
+            t = np.where(ch == rest, 1.0, t + ch)
+            steps, nfev, piece_steps = steps + 1, nfev + order, piece_steps + np.count_nonzero(h)
+    diag = np.abs(A.diagonal(0, 1, 2) - A0.diagonal()).max(1)
+    return A, diag, _power_sum_drift(A0, A), (steps, nfev, piece_steps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_finished_segment_leaves_the_lockstep(n, monkeypatch):
+    """Each Taylor step gets only the segments still short of their targets, so the stack
+    narrows as they finish; ends, drifts and work equal, bit for bit, those of the loop
+    that keeps every segment to the last step."""
+    from isomonodromy import deformation, ode
+
+    rng = np.random.default_rng(450 + n)
+    u0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    A0 = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    du = rng.uniform(-1, 1, (2 * n, n)) + 1j * rng.uniform(-1, 1, (2 * n, n))
+    targets = u0 + du * rng.uniform(0, 0.6, (2 * n, 1)) / np.abs(du).max(1, keepdims=True)
+    taylor_step = deformation._taylor_step
+    ref = _lockstep_keeping_every_segment(u0, A0, targets, taylor_step)
+    widths = []
+
+    def spy(A, q):
+        widths.append(len(A))
+        return taylor_step(A, q)
+
+    monkeypatch.setattr(deformation, "_taylor_step", spy)
+    with ode.counting() as work:
+        out = deformation._transport_stack(u0, A0, targets, 1.0)
+    assert widths[0] == 2 * n and widths[-1] < 2 * n
+    assert widths == sorted(widths, reverse=True)
+    assert [x.tobytes() for x in out] == [x.tobytes() for x in ref[:3]]
+    assert (work.steps, work.nfev, work.piece_steps) == ref[3]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
 def test_transport_refuses_a_tol_that_is_not_finite_and_positive(tol):
     """A NaN tol used to switch the drift limit off: max(drift) > 100 * nan is False."""
@@ -176,9 +216,10 @@ def test_integrability_residual_refuses_a_step_that_is_zero_or_not_finite(step):
         integrability_residual(sp, step=step)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_transport_refuses_a_u_or_target_that_is_not_finite(bad):
-    """Each used to reach StepFailure only after numpy's invalid-value warnings."""
+    """Each used to reach StepFailure only after numpy's invalid-value warnings; a start at
+    +-inf repeated by the target used to pass, as inf == inf."""
     sp = SystemPair(np.array([[0.5, 0.2], [0.1, -0.3]], dtype=complex), [0.0, 1.0])
     with pytest.raises(ValueError, match="^target is not finite"):
         transport(DeformationState(sp.u, sp.A), np.array([bad, 1.3]))
@@ -186,6 +227,8 @@ def test_transport_refuses_a_u_or_target_that_is_not_finite(bad):
         transport(DeformationState(np.array([bad, 1.0]), sp.A), np.array([0.2j, 1.3]))
     with pytest.raises(ValueError, match="^u is not finite"):
         transport(DeformationState(np.array([bad, 1.0]), sp.A), np.array([bad, 1.3]))
+    with pytest.raises(ValueError, match="^u is not finite"):
+        transport(DeformationState(np.array([bad, 1.0]), sp.A), np.array([bad, 1.0]))
     with pytest.raises(ValueError, match="^u is not finite"):
         integrability_residual(SystemPair(sp.A, [bad, 1.0]))
     with pytest.raises(ValueError, match="^target - u is not finite"):
@@ -296,51 +339,6 @@ def test_integrability_negative_control():
 
     assert resid_fixed(1e-3) > 1e-2
     assert abs(resid_fixed(1e-3) / resid_fixed(5e-4) - 1.0) < 0.05
-
-
-def test_jordan_reduce_diagonalizable(system_2x2):
-    fs = build_fuchsian(system_2x2)
-    G, T, branch = jordan_reduce_Bj(fs, 0)
-    assert branch == "diagonal"
-    assert np.allclose(np.diag(T), [-1.5, 0.0])
-    # footnote columns: (e_0, e_1 - (A_01/(lambda'_0+1)) e_0)
-    assert np.allclose(G[:, 0], [1.0, 0.0])
-    assert np.allclose(G[:, 1], [-2.0 / 1.5, 1.0])
-
-
-def test_jordan_reduce_diagonal_A_is_identity():
-    fs = build_fuchsian(SystemPair(np.diag([0.5, -0.3]), [0.0, 1.0]))
-    G, T, branch = jordan_reduce_Bj(fs, 0)
-    assert np.allclose(G, np.eye(2))
-
-
-def test_jordan_reduce_nilpotent_branch():
-    A = np.array([[-1.0, 0.8], [0.3, 0.4]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
-    G, T, branch = jordan_reduce_Bj(fs, 0)
-    assert branch == "jordan"
-    J = np.linalg.solve(G, residue(fs, 0) @ G)
-    assert np.max(np.abs(J - T)) < 1e-12
-    assert T[0, 1] == 1.0 and np.count_nonzero(T) == 1
-
-
-def test_jordan_reduce_zero_row_branch():
-    A = np.array([[-1.0, 0.0], [0.3, 0.4]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
-    G, T, branch = jordan_reduce_Bj(fs, 0)
-    assert branch == "zero"
-    assert np.array_equal(G, np.eye(2)) and not T.any()
-
-
-def test_jordan_simultaneous_reduction_at_uc(vanishing_A_uc):
-    """G^(1) G^(2) reduces both group residues at u^c simultaneously."""
-    fs = build_fuchsian(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
-    G0, T0, _ = jordan_reduce_Bj(fs, 0)
-    G1, T1, _ = jordan_reduce_Bj(fs, 1)
-    G = G0 @ G1
-    for j, T in ((0, T0), (1, T1)):
-        R = np.linalg.solve(G, residue(fs, j) @ G)
-        assert np.max(np.abs(R - T)) < 1e-10
 
 
 def test_transport_from_locus_rejects_violated_vanishing():
@@ -517,42 +515,6 @@ def test_integrability_residual_refuses_the_locus(vanishing_A_uc):
         with pytest.raises(StepFailure, match="coalescence locus"):
             integrability_residual(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
     assert work.solves == 0
-
-
-def test_schlesinger_rhs_on_the_locus_is_finite_and_quiet(vanishing_A_uc):
-    """The in-group pair's [B_0, B_1]/(u_0 - u_1) is skipped: no 0/0, no warning."""
-    fs = build_fuchsian(SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0]))
-    with np.errstate(all="raise"):
-        derivs = schlesinger_rhs(fs)
-    assert all(np.isfinite(d).all() for d in derivs.values())
-
-
-def _schlesinger_rhs_loop(fs):
-    """d B_k / d u_i pair by pair from dense residues: [B_i, B_k]/(u_i - u_k) + [omega_i, B_k]."""
-    n = fs.n
-    om = [omega(SystemPair(fs.A, fs.u), i) for i in range(n)]
-    B = [residue(fs, k) for k in range(n)]
-    coalesced = np.abs(fs.u[:, None] - fs.u[None, :]) < 1e-12
-    pole = {(i, k): 0 if coalesced[i, k] else (B[i] @ B[k] - B[k] @ B[i]) / (fs.u[i] - fs.u[k])
-            for i in range(n) for k in range(n)}
-    return {(i, k): (pole[(i, k)] if i != k else -sum(pole[(i, m)] for m in range(n)))
-            + om[i] @ B[k] - B[k] @ om[i] for i in range(n) for k in range(n)}
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_schlesinger_rhs_matches_the_dense_loop(n, vanishing_A_uc):
-    """The rank-one commutators give the dense loop's derivatives, off and on the locus."""
-    from conftest import draw_system
-
-    system, _ = draw_system(np.random.default_rng(30 + n), n)
-    cases = [system, SystemPair(vanishing_A_uc, [0.0, 0.0, 1.0])]
-    for sp in cases:
-        fs = build_fuchsian(sp)
-        derivs = schlesinger_rhs(fs)
-        ref = _schlesinger_rhs_loop(fs)
-        assert derivs.keys() == ref.keys()
-        scale = max(np.max(np.abs(D)) for D in ref.values())
-        assert max(np.max(np.abs(derivs[key] - ref[key])) for key in ref) <= 1e-15 * scale
 
 
 def _residual_per_stencil_reference(system, step=1e-3, tol=1e-12):

@@ -297,19 +297,40 @@ def test_levelt_normal_form_satisfies_ode():
     assert resid < 1e-9
 
 
-def test_levelt_exponent_commutation():
-    A = np.array(
-        [[0.5, 0.0, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex
-    )
-    fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
-    from isomonodromy.frobenius import jordan_reduce_Bj
+def test_levelt_reduces_the_group_residues_in_closed_form(vanishing_A_uc):
+    """G has row -w~_j / w_jj with 1 on the diagonal at each member j (w~_j: row j of A+I
+    with its in-group entries taken as 0) and row e_r elsewhere, 2I - G is its exact
+    inverse, and G^-1 B_j G = -w_jj E_jj; for a diagonal A, G = I."""
+    four = np.array([[0.4, 0.0, 0.0, 0.3], [0.0, 0.7, 0.0, -0.2], [0.0, 0.0, 1.1, 0.5],
+                     [0.6, 0.1, -0.4, 0.25]], dtype=complex)
+    for A, u, group in ((vanishing_A_uc, [0.0, 0.0, 1.0], (0, 1)),
+                        (four, [0.0, 0.0, 0.0, 1.0], (0, 1, 2))):
+        fs = build_fuchsian(SystemPair(A, u))
+        n, w = fs.n, fs.A_plus_I
+        G = levelt_at_confluence(fs, group, N=8).G
+        expected = np.eye(n, dtype=complex)
+        for j in group:
+            expected[j] = -w[j] / w[j, j]
+            expected[j, list(group)] = 0.0
+            expected[j, j] = 1.0
+        assert np.array_equal(G, expected)
+        assert np.array_equal(G @ (2 * np.eye(n) - G), np.eye(n))
+        for j in group:
+            E = np.zeros((n, n))
+            E[j, j] = 1.0
+            assert np.max(np.abs(np.linalg.solve(G, residue(fs, j) @ G) + w[j, j] * E)) < 1e-14
+    diagonal = build_fuchsian(SystemPair(np.diag([0.5, -0.3, 0.2]), [0.0, 0.0, 1.0]))
+    assert np.array_equal(levelt_at_confluence(diagonal, (0, 1), N=8).G, np.eye(3))
 
-    Ts = []
-    for j in (0, 1):
-        _, T, branch = jordan_reduce_Bj(fs, j)
-        assert branch == "diagonal"
-        Ts.append(T)
-    assert np.max(np.abs(Ts[0] @ Ts[1] - Ts[1] @ Ts[0])) == 0.0
+
+def test_levelt_keeps_a_zero_residue_member():
+    """lambda'_0 = -1 with row 0 of A+I zero: B_0 = 0, so row 0 of G stays e_0."""
+    A = np.array([[-1.0, 0.0, 0.0], [0.0, 0.3, -0.35], [0.6, 0.5, 0.21]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
+    data = levelt_at_confluence(fs, (0, 1), N=8)
+    assert np.array_equal(data.G[0], [1.0, 0.0, 0.0])
+    assert np.max(np.abs(data.G[1] - [0.0, 1.0, 0.35 / 1.3])) < 1e-16
+    assert np.allclose(np.diag(data.T), [0.0, -1.3, 0.0])
 
 
 def test_levelt_rejects_violated_vanishing():

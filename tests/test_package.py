@@ -47,9 +47,12 @@ def test_every_exported_name_resolves():
 def test_removed_entry_points_are_not_exported():
     """The oracle's one entry point is stokes_pair_direct; columns come in batches; the
     Fuchsian residues live in SystemPair.A_plus_I, so no separate type or conversion is exported;
-    ray labels come from DeformationGeometry, and no family of Stokes matrices is generated."""
+    ray labels come from DeformationGeometry, and no family of Stokes matrices is generated;
+    levelt_at_confluence reduces a group's residues in closed form, and the reduced flow that
+    transport integrates is the one deformation equation."""
     for name in ("stokes_direct", "laplace_column", "asymptotic_fit", "FuchsianSystem",
-                 "build_fuchsian", "label_rays", "stokes_generate"):
+                 "build_fuchsian", "label_rays", "stokes_generate", "jordan_reduce_Bj",
+                 "schlesinger_rhs"):
         assert name not in isomonodromy.__all__
         with pytest.raises(AttributeError):
             getattr(isomonodromy, name)

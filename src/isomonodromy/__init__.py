@@ -30,10 +30,8 @@ _EXPORTS = {
     "levelt_at_confluence": "frobenius",
     "selected_solution": "frobenius",
     "selected_solutions": "frobenius",
-    "singular_solution": "frobenius",
     "FormalSolution": "laplace",
     "asymptotic_coeffs": "laplace",
-    "f1": "laplace",
     "formal_recursion": "laplace",
     "ConnectionData": "continuation",
     "connection_coefficients": "continuation",
@@ -44,7 +42,6 @@ _EXPORTS = {
     "stokes_pair_direct": "stokes",
     "DeformationState": "deformation",
     "integrability_residual": "deformation",
-    "omega": "deformation",
     "transport": "deformation",
     "vanishing_check": "deformation",
 }

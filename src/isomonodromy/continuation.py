@@ -44,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from .ode import MAX_ORDER, tally
 from .model import (BasisSingular, CutPlane, IllConditioned, NonAdmissibleError, SingularF1,
                     StepFailure, SystemPair, is_in_cell)
-from .frobenius import _log_seed, selected_solutions, shift_exponents
+from .frobenius import _has_singular_solution, selected_solutions, shift_exponents
 
 DEFAULT_TOL = 1e-10
 # largest in-group |alpha_k c_jk| / max(1, max|P|) connection_products accepts: it
@@ -573,8 +573,7 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
     resid = np.zeros((n, n))
     sols = selected_solutions(fs, N)
     for j in range(n):
-        # a negative-integer pole with no singular solution: its zero flag
-        degenerate = classes[j] == "negative_integer" and _log_seed(fs, j, sols[j], N)[0] is None
+        degenerate = classes[j] == "negative_integer" and not _has_singular_solution(fs, sols[j])
         prov[j, [k != j and (degenerate or sols[k].zero) for k in range(n)]] = \
             "zero-by-degenerate-singular"
     projected = prov == "monodromy-projection"

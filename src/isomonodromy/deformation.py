@@ -28,7 +28,6 @@ from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, Sy
                     check_vanishing)
 from .continuation import (DEFAULT_TOL, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
                            connection_products)
-from .laplace import f1
 
 NEAR_DELTA_GUARD = 1e-4
 
@@ -47,23 +46,12 @@ def _distinct_omegas(A, u):
     """Every omega_k at each point (A_p, u_p) of a stack whose u_p have no coalesced pair.
 
     There F_1 is A_ij / (u_j - u_i) off the diagonal, with no vanishing
-    check to make, and omega_k does not read the diagonal of F_1: the
-    (P, n, n, n) stack equals :func:`omega` point by point, bit for bit.
+    check to make, and omega_k = [F_1, E_k] does not read the diagonal of F_1.
     """
     gap = u[:, None, :] - u[:, :, None]
     k = np.arange(u.shape[1])
     gap[:, k, k] = 1.0
     return _omegas(A / gap)
-
-
-def omega(system, k):
-    """Deformation coefficient omega_k = [F_1, E_k] with F_1 from :func:`f1`.
-
-    Entry (i, j) is A_ij (delta_ik - delta_jk)/(u_i - u_j); only row k and
-    column k are populated.  Coalesced pairs require vanishing A_ij and
-    contribute 0 (:class:`SingularF1` otherwise).
-    """
-    return _omegas(f1(system))[k]
 
 
 @dataclass

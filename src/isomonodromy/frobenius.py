@@ -22,8 +22,10 @@ next (:func:`_propagate`), as :func:`.continuation.carry` does:
 
 row k, where D_k = 0, solved rather than divided.  A series Psi = phi +
 L ln x adds the source L - D L/x to phi's step.  The divisors l+sigma and
-l+sigma+w_k vanish only at the resonant order, which the exponent-0 series
-pin through one chain (:func:`_chain`) from the kernel seeds of w.
+l+sigma+w_k vanish only at the resonant order.  Whether a negative-integer
+pole has a singular solution Psi_k ln x + phi is decided there, by one chain
+(:func:`_chain`) from the kernel seeds of w (:func:`_has_singular_solution`);
+the connection coefficients read only that verdict.
 
 That step has one implementation, over a column axis: the state of a
 recursion is x of shape (orders, n, K), column i a series at its own pole
@@ -33,16 +35,16 @@ and the gap scaling, then every column's row k_i solved at once by one
 gather and one scatter on the entries x[l, k_i, i].  The divisors and the
 float range are checked once per recursion, on their (orders, K) tables.
 :func:`selected_solutions` runs the non-natural poles of a system as the
-columns of one recursion, :func:`analytic_basis` and
-:func:`singular_solution` their kernel seeds; a natural pole's three
-coupled phases and :func:`selected_solution` run the same step with K = 1.
+columns of one recursion, and :func:`_has_singular_solution` its chains;
+a natural pole's three coupled phases and :func:`selected_solution` run
+the same step with K = 1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -163,14 +165,13 @@ def _propagate(fs, col, x, orders, shift=0, source=None):
     return x
 
 
-def _kernel_seeds(w, k):
+def _kernel_seeds(w):
     """Rows e_i - e_m w_i/w_m, i != m: leads of the exponent-0 solutions, spanning ker(w .).
 
-    The pivot m is the largest |w_m|, so no entry exceeds 1; for w = 0 (norm
-    below 1e-13) the rows are e_i, i != k.
+    The pivot m is the largest |w_m|, so no entry exceeds 1.  w is row k of A+I at a
+    negative-integer pole with rho >= 1, where w_k = lambda'_k + 1 lies near -rho: w is
+    not 0.
     """
-    if np.linalg.norm(w) < 1e-13:
-        return np.eye(w.size, dtype=complex)[[i for i in range(w.size) if i != k]]
     m = int(np.argmax(np.abs(w)))
     idx = [i for i in range(w.size) if i != m]
     seeds = np.eye(w.size, dtype=complex)[idx]
@@ -179,37 +180,13 @@ def _kernel_seeds(w, k):
 
 
 def _chain(fs, col, seeds, rho, source=None):
-    """Exponent-0 recursion from the columns of ``seeds`` (n, K) up to the resonant order rho.
-
-    Returns ``(phi, obstruction)``: orders 0..rho, phi_rho[k_i] pinned to
-    zero, and -rho rhs_i of order rho (row k_i's divisor rho + w_{k_i}
-    vanishes there), which must vanish for order rho to be solvable.
-    """
+    """The obstruction of the exponent-0 recursion from the columns of ``seeds`` (n, K) at
+    the resonant order rho: -rho rhs_i of order rho (row k_i's divisor rho + w_{k_i}
+    vanishes there), which must vanish for order rho to be solvable."""
     phi = np.zeros((rho + 1,) + seeds.shape, dtype=complex)
     phi[0] = seeds
     _propagate(fs, col, phi, range(1, rho), 0, source)
-    return phi, -rho * _rows(fs, col, phi[rho - 1], rho, rho, phi[rho], source)
-
-
-def _exponent0_series(fs, col, seeds, N, rho, source=None):
-    """Exponent-0 series of orders 0..N from the columns of ``seeds``, pinned at the
-    resonant order.
-
-    Returns ``(phi, obstruction)``, phi of shape (N + 1, n, K) and each column's
-    obstruction of :func:`_chain` relative to its coefficients up to order rho
-    and that order's right side, rho phi_rho and source_rho[k_i] (0 without a
-    resonant order 1 <= rho <= N).
-    """
-    phi = np.zeros((N + 1,) + seeds.shape, dtype=complex)
-    phi[0] = seeds
-    if not 1 <= rho <= N:
-        return _propagate(fs, col, phi, range(1, N + 1), 0, source), np.zeros(col.k.size)
-    phi[:rho + 1], obstruction = _chain(fs, col, seeds, rho, source)
-    scale = np.maximum(np.abs(phi[:rho]).max((0, 1)), rho * np.abs(phi[rho]).max(0))
-    if source is not None:
-        scale = np.maximum(scale, np.abs(source[rho][col.at]))
-    return (_propagate(fs, col, phi, range(rho + 1, N + 1), 0, source),
-            np.abs(obstruction) / np.maximum(scale, 1.0))
+    return -rho * _rows(fs, col, phi[rho - 1], rho, rho, phi[rho], source)
 
 
 def horner(coeffs, x):
@@ -279,14 +256,13 @@ def leading_factor(lambda_prime_k, klass):
 
 @dataclass
 class LocalSolution:
-    """Truncated Frobenius data of a selected or singular solution at u_k.
+    """Truncated Frobenius data of the selected solution at u_k.
 
     ``b`` is the (N+1) x n array of coefficients of the psi_k factor
     (classes noninteger / negative_integer: selected solution is
     psi_k(x) x^(-lambda'_k-1); class natural: pole part of the singular
-    companion).  ``d`` is the analytic selected series for class natural.
-    ``phi`` is the pinned regular completion of a log-singular solution
-    (classes negative_integer and natural).
+    companion).  ``d`` is the analytic selected series for class natural,
+    and ``zero`` marks it as zero: max|d| at most 1e-12.
     """
 
     k: int
@@ -297,10 +273,7 @@ class LocalSolution:
     radius: float
     b: np.ndarray = None
     d: np.ndarray = None
-    phi: np.ndarray = None
     zero: bool = False
-    zero_verdict: str = ""
-    analytic_completion: list = field(default_factory=list)
 
     @property
     def rho(self):
@@ -328,8 +301,7 @@ def selected_solutions(fs: SystemPair, N: int = 40) -> list:
     (leading coefficient f_k e_k), all of them in one stacked recursion.
     Class natural fills ``d`` with the analytic series fixed by the singular
     companion's normalization, plus ``b`` with the companion's pole part; a
-    ``zero`` flag marks the degenerate case Psi_k == 0 (tolerance-based
-    verdict).
+    ``zero`` flag marks the degenerate case Psi_k == 0 (max|d| at most 1e-12).
     """
     return _selected(fs, np.arange(fs.n), N)
 
@@ -385,123 +357,32 @@ def _natural_series(fs, sol, N):
     _propagate(fs, col, b, range(Nk + 2, order_b + 1), sol.rho, source)
     sol.b = b[: N + 1, :, 0].copy()
     sol.d = d[:, :, 0].copy()
-    sol.zero, sol.zero_verdict = _zero_verdict(fs, k, sol.d)
+    sol.zero = bool(np.max(np.abs(sol.d)) <= 1e-12)
 
 
-def _zero_verdict(fs, k, d):
-    """Verdict that the analytic selected series vanishes: its peak is below 1e-12."""
-    if float(np.max(np.abs(d))) > 1e-12:
-        return False, ""
-    g = fs.min_gap(k)
-    # ||B_m|| is the norm of its one nonzero row, row m of A+I
-    norms = np.linalg.norm(fs.A_plus_I, axis=1)
-    K = sum(norms[m] for m in range(fs.n) if m != k)
-    normB = norms[k]
-    N = d.shape[0] - 1
-    # one-step forward bound on the weighted tail of the recursion
-    weighted = sum(float(np.linalg.norm(c)) * g ** l for l, c in enumerate(d))
-    nxt = (K / g) * weighted / max(N + 1 - normB, 1.0)
-    return True, "numerical" + ("" if nxt < 1e-12 else " (forward bound inconclusive)")
+def _has_singular_solution(fs, sol):
+    """Whether Psi_k ln(x) + phi, phi regular, solves the system at the negative-integer
+    pole of ``sol``, rho = -lambda'_k - 1.
 
-
-def analytic_basis(fs: SystemPair, k: int, N: int = 40):
-    """Basis of solutions analytic at u_k with exponent 0.
-
-    Returns a list of (N+1) x n coefficient arrays, one stacked recursion over
-    the kernel seeds.  For lambda'_k in Z_- the continuation past the resonant
-    order keeps only seeds whose obstruction functional vanishes; the kernel
-    component of the resonant solve is pinned to zero.
+    At rho = 0 it does unless B_k = 0 (row k of A+I of norm below 1e-13).  Past that,
+    phi's recursion must solve row k at order rho, where the log source enters as b_0 =
+    f_k e_k: the obstruction c0 that the source leaves there must be cancelled by the
+    functional L of the kernel seeds (one stacked :func:`_chain`).  None exists where L
+    vanishes, below 1e-12 max(1, |c0|), and |c0| exceeds 1e-10: trivial local monodromy.
     """
+    n, k = fs.n, sol.k
+    rho = -1 - nearest_integer(sol.lambda_prime_k)
     w = fs.A_plus_I[k]
-    rho = 0
-    if fs.integer_class(k) == "negative_integer":
-        rho = -1 - nearest_integer(fs.lambda_prime[k])
-    seeds = _kernel_seeds(w, k)
-    col = _columns(fs, [k] * len(seeds))
-    if rho >= 1:
-        # restrict seeds to the null space of the obstruction functional
-        obs = _chain(fs, col, seeds.T, rho)[1]
-        if float(np.max(np.abs(obs))) > 1e-12:
-            # orthonormal basis of the null space of the 1 x m functional
-            m = len(seeds)
-            Q, _ = np.linalg.qr(np.column_stack([obs.conj(), np.eye(m)]))
-            seeds = Q[:, 1:m].T @ seeds
-            col = _columns(fs, [k] * len(seeds))
-    phi, obstruction = _exponent0_series(fs, col, seeds.T, N, rho)
-    return [p for p, o in zip(np.moveaxis(phi, -1, 0).copy(), obstruction) if o <= 1e-9]
-
-
-def singular_solution(fs: SystemPair, k: int, N: int = 40) -> LocalSolution:
-    """Singular companion solution at u_k with uniquely fixed singular part.
-
-    * noninteger: alias of :func:`selected_solution`;
-    * natural: pole part psi_k/(x)^(lambda'_k+1) plus log part Psi_k;
-    * negative_integer: Psi_k ln(x) + phi with phi a pinned regular
-      completion; the ``zero`` flag marks the exceptional case (possible
-      for lambda'_k <= -2) where no singular solution exists
-      (:func:`_log_seed`).
-    """
-    klass = fs.integer_class(k)
-    sel = selected_solution(fs, k, N)
-    if klass != "negative_integer":
-        return sel
-
-    seed, shifted, verdict = _log_seed(fs, k, sel, N)
-    sol = LocalSolution(
-        k=k, klass=klass, lambda_prime_k=sel.lambda_prime_k, pole=sel.pole, f_k=sel.f_k,
-        radius=sel.radius, b=sel.b, zero=seed is None, zero_verdict=verdict,
-    )
-    if seed is not None:
-        rho = -1 - nearest_integer(sel.lambda_prime_k)
-        phi, obstruction = _exponent0_series(fs, _columns(fs, [k]), seed[:, None], N, rho,
-                                             shifted)
-        if obstruction[0] > 1e-8:
-            raise ResonanceAmbiguity(
-                f"inconsistent resonant solve at pole {k}, order {rho} "
-                f"(residual {obstruction[0]:.2e})"
-            )
-        sol.phi = phi[:, :, 0].copy()
-        # the regular completion may shift by any solution analytic at u_k:
-        # the exponent-0 survivors plus the selected solution itself
-        sol.analytic_completion = [shifted[:, :, 0]] + analytic_basis(fs, k, N)
-    return sol
-
-
-def _log_seed(fs, k, sel, N):
-    """Order 0 of the regular completion phi of Psi_k ln(x) + phi at a negative-integer pole u_k.
-
-    Returns ``(seed, source, verdict)``: ``source`` holds Psi_k, rho = -lambda'_k - 1, as
-    the coefficients of x^l that feed phi's recursion, ``seed`` the min-norm phi_0 that
-    makes order rho solvable, or None where no singular solution exists (the ``zero``
-    flag), and ``verdict`` why: B_k = 0 at rho = 0, or an obstruction c0 of the log source
-    that the functional L of the kernel seeds cannot cancel (one stacked :func:`_chain`).
-    """
-    n = fs.n
-    rho = -1 - nearest_integer(sel.lambda_prime_k)
-    w = fs.A_plus_I[k]
-    shifted = np.zeros((N + 1, n, 1), dtype=complex)
-    shifted[rho:, :, 0] = sel.b[: max(N + 1 - rho, 0)]
     if rho == 0:
-        if np.linalg.norm(w) < 1e-13:
-            return None, shifted, "numerical (B_k = 0: pole absent)"
-        # order 0 demands -B_k phi_0 = -b_0, i.e. e_k (w . phi_0) = -f_k e_k;
-        # min-norm solution of w . phi_0 = -f_k
-        return w.conj() * (-sel.f_k / (w @ w.conj())), shifted, ""
-    # affine propagation phi_l(y) to the resonant order; seed in ker(w .).
-    # One stacked chain: column 0 from 0 with the log source gives c0, the
-    # others from the kernel seeds without it give the functional L
-    seeds = _kernel_seeds(w, k)
-    source = np.zeros((N + 1, n, len(seeds) + 1), dtype=complex)
-    source[..., :1] = shifted
+        return bool(np.linalg.norm(w) >= 1e-13)
+    # column 0 from 0 with the log source gives c0, the others from the kernel seeds L
+    seeds = _kernel_seeds(w)
+    source = np.zeros((rho + 1, n, len(seeds) + 1), dtype=complex)
+    source[rho, :, 0] = sol.b[0]
     starts = np.column_stack([np.zeros(n), seeds.T])
-    obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)[1]
+    obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)
     c0, L = obs[0], obs[1:]
-    if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
-        if abs(c0) > 1e-10:
-            return None, shifted, "numerical (log obstruction unreachable: trivial local monodromy)"
-        return np.zeros(n, dtype=complex), shifted, ""
-    # min-norm solution of L . y = -c0
-    return (-c0 * L.conj() / (L @ L.conj())) @ seeds, shifted, ""
+    return not (float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)) and abs(c0) > 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +424,9 @@ def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
     merging at lambda_alpha, that passes :func:`.model.check_vanishing`.
     The group residues B_j = -e_j w_j^T, w_j row j of A+I, are reduced at
     once in closed form: with w~_j the row w_j whose in-group entries and
-    diagonal count as 0, as in :func:`.laplace.f1`, G = I - sum_j e_j w~_j / w_jj
-    gives G^-1 B_j G = -w_jj E_jj, and G - I has no column in the group, so
-    (G - I)^2 = 0 and G^-1 = 2I - G.  A member with lambda'_j = -1 keeps row
+    diagonal count as 0, G = I - sum_j e_j w~_j / w_jj gives G^-1 B_j G =
+    -w_jj E_jj, and G - I has no column in the group, so (G - I)^2 = 0 and
+    G^-1 = 2I - G.  A member with lambda'_j = -1 keeps row
     e_j when w_j is 0 (B_j = 0, norm below 1e-13) and raises
     :class:`ResonanceAmbiguity` (nilpotent residue) otherwise.  Runs the
     recursion for the normal-form series G_l; the resonant positions of

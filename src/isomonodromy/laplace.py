@@ -53,7 +53,7 @@ from .model import (
     COALESCE_TOL,
     IllConditioned,
     QuadratureDivergence,
-    SingularF1,
+    SingularF1,  # re-exported: the moved errors stay importable from here
     SystemPair,
     VANISH_TOL,
     angular_distance_mod_pi,
@@ -75,24 +75,6 @@ TAIL = 42.0
 # ---------------------------------------------------------------------------
 # formal solution recursion
 # ---------------------------------------------------------------------------
-
-
-def f1(system):
-    """Leading formal coefficient: (F_1)_ij = A_ij/(u_j-u_i), diagonal closed up.
-
-    Off the coalescence locus this is the k = 1 step of :func:`formal_recursion`.
-    Coalesced pairs (gap below COALESCE_TOL) require |A_ij| below VANISH_TOL
-    max(1, max|A|) (:func:`.model.check_vanishing`) and get the quotient 0: the quotient
-    matrix of the deformation equations, not the formal F_1, whose in-group
-    entries at u^c are not 0.  Raises :class:`SingularF1` otherwise.
-    """
-    A = np.asarray(system.A, dtype=complex)
-    u = np.asarray(system.u, dtype=complex)
-    near = check_vanishing(A, u)
-    off = A - np.diag(np.diag(A))
-    F = np.where(near, 0, off) / np.where(near, 1, u[None, :] - u[:, None])
-    np.fill_diagonal(F, -np.einsum("ij,ji->i", off, F))
-    return F
 
 
 @dataclass
@@ -214,10 +196,13 @@ def _start(coeffs, cap, tol):
     size = np.abs(coeffs).max(1)
     scale = size[0]
     N = len(size) - 1
+    bound = 0.5 * tol * scale
     t = cap
     for m in (N - 1, N):
-        if m and size[m]:
-            t = np.minimum(t, (0.5 * tol * scale / size[m]) ** (1.0 / m))
+        # |c_m| t^m = bound at t = (bound / |c_m|)^(1/m); a |c_m| at most bound / max float
+        # (0 or subnormal) sets no radius, as that quotient leaves the float range
+        if m and size[m] > bound / np.finfo(float).max:
+            t = np.minimum(t, (bound / size[m]) ** (1.0 / m))
     return t, (size[N - 1] * t ** (N - 1) + size[N] * t ** N) / scale
 
 

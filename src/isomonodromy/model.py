@@ -304,6 +304,10 @@ class DeformationGeometry:
             raise ValueError(f"epsilon0 must be finite and positive; got {epsilon0}")
         if not math.isfinite(tau):
             raise ValueError(f"tau must be finite; got {tau}")
+        if math.ulp(tau) > ANGLE_TOL:
+            raise ValueError(f"tau={tau} is too far from 0: its float spacing "
+                             f"{math.ulp(tau):.3g} exceeds ANGLE_TOL = {ANGLE_TOL:g}, so no "
+                             f"ray test resolves it")
         groups, values = _group_partition(u_c)
         if len(groups) < 2:
             raise ValueError("u^c must have at least two distinct coordinates")
@@ -373,12 +377,20 @@ class CutPlane:
         return cmath.exp(1j * self.eta)
 
     def arg_from(self, lam, pole):
-        """arg(lam - pole) in the branch window (eta - 2 pi, eta)."""
+        """arg(lam - pole) in the branch window [eta - 2 pi, eta).
+
+        One turn is taken as one step of 2 pi; the turns past it are taken
+        together, so the cost does not grow with |eta|.
+        """
         a = cmath.phase(lam - pole)  # (-pi, pi]
-        while a >= self.eta:
+        if a >= self.eta:
             a -= TWO_PI
-        while a < self.eta - TWO_PI:
+            if a >= self.eta:
+                a += TWO_PI * (math.ceil((self.eta - a) / TWO_PI) - 1)
+        elif a < self.eta - TWO_PI:
             a += TWO_PI
+            if a < self.eta - TWO_PI:
+                a += TWO_PI * (math.ceil((self.eta - a) / TWO_PI) - 1)
         return a
 
 

@@ -21,6 +21,18 @@ def dense_rhs(fs, lam):
     return -fs.A_plus_I / (lam - fs.u)[..., None]
 
 
+def omega(system, k):
+    """omega_k = [F_1, E_k] entry by entry at distinct u, F_1 = A_ij / (u_j - u_i) off the
+    diagonal: column k holds F_1's entries, row k their negatives, and (k, k) is 0."""
+    A, u = system.A, system.u
+    W = np.zeros_like(A)
+    for i in range(system.n):
+        if i != k:
+            W[i, k] = A[i, k] / (u[k] - u[i])
+            W[k, i] = -(A[k, i] / (u[i] - u[k]))
+    return W
+
+
 def dense_piece(fs, piece):
     """End block of one carry piece and its Laplace integrals, by scipy's DOP853 on dense residues.
 

@@ -94,6 +94,9 @@ MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
     "u infinite": (lambda p: {**p, "u": [[0.0, 0.0], [math.inf, 0.0]]}, "u must be finite"),
     "tau NaN": (lambda p: {**p, "tau": math.nan}, "tau"),
     "tau missing": (_without_tau, "tau"),
+    # a tau whose float spacing no ray test resolves
+    "tau 1e9": (lambda p: {**p, "tau": 1e9}, "float spacing 1.19e-07 exceeds ANGLE_TOL"),
+    "tau -1e17": (lambda p: {**p, "tau": -1e17}, "float spacing 16 exceeds ANGLE_TOL"),
     "path point NaN": (lambda p: {**p, "paths": [[[[0.0, 0.0], [math.nan, 0.0]]]]}, "paths"),
     "path empty": (lambda p: {**p, "paths": [[]]}, "path"),
     "order 0": (lambda p: {**p, "order": 0}, "order"),
@@ -254,6 +257,19 @@ def _stokes_on_a00(tmp_path, a00):
                                        "--out", str(out)])
     stages = json.loads((out / "stokes_report.json").read_text())["stages"]
     return result, {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
+
+
+def test_cli_stokes_on_a_subnormal_coefficient_runs(tmp_path):
+    """A_10 = -5e-324 leaves subnormal series coefficients, which set no hairpin start: no
+    overflow warning (an error under the test settings), and the routes agree within 1e-12."""
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][1][0] = [-5e-324, 0.0]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads((out / "stokes_report.json").read_text())["results"]
+    assert results["formula_oracle_max_diff"] < 1e-12
 
 
 _IM_LIMIT = ("at pole 0: e^(2 pi |Im lambda'_k|) leaves the float range above "

@@ -9,15 +9,10 @@ from scipy.integrate import solve_ivp
 import isomonodromy.continuation as continuation
 from isomonodromy import ode
 from conftest import dense_piece, dense_rhs, draw_system
+from test_frobenius import _dense_analytic, _dense_singular_phi, _pole_singular_phi
 from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SingularF1,
                                SystemPair, is_in_cell)
-from isomonodromy.frobenius import (
-    analytic_basis,
-    build_fuchsian,
-    selected_solution,
-    shift_exponents,
-    singular_solution,
-)
+from isomonodromy.frobenius import build_fuchsian, selected_solution, shift_exponents
 from isomonodromy.stokes import (Ordering, stokes_from_connection, stokes_pair_direct,
                                  stokes_pipeline)
 from isomonodromy.continuation import (
@@ -380,7 +375,7 @@ def test_connection_series_matching_oracle(system_2x2):
     conn = connection_coefficients(fs, cut, tol=1e-13)
     # continue Psi_2 to points near u_1 and fit against (Psi_1^{sing}, analytic basis)
     sol1 = selected_solution(fs, 0, 40)
-    basis1 = analytic_basis(fs, 0, N=40)
+    basis1 = _dense_analytic(fs, 0, 40)
     base, Psi = _basis_at_pole(fs, cut, 0)
     v = Psi[:, 1]
     samples = [base, fs.u[0] + 0.8 * (base - fs.u[0]), fs.u[0] + 1.3 * (base - fs.u[0])]
@@ -431,37 +426,36 @@ def test_negative_integer_rows_make_one_series_build(monkeypatch):
     assert (conn.provenance == "monodromy-projection").sum() == 6
 
 
-def test_zero_flag_needs_no_regular_completion(monkeypatch):
-    """A negative-integer row's zero flag comes from the log seed alone (frobenius._log_seed).
-
-    connection_coefficients runs neither analytic_basis (with its QR) nor
-    _exponent0_series, which only the singular solution's regular
-    completion needs.  Each flag agrees with singular_solution's: poles 0
-    and 2 of the first system (A_00 = -2, A_22 = -3) have a singular
-    solution, and the exceptional lambda'_0 = -2 of the second, with trivial
-    local monodromy, does not, so its row is zero-by-degenerate-singular.
+def test_zero_flag_needs_no_regular_completion():
+    """A negative-integer row's zero flag says whether a singular solution exists, and
+    agrees with the test-local per-pole reference: poles 0 and 2 of the first system
+    (A_00 = -2, A_22 = -3) have a singular solution, and the exceptional lambda'_0 = -2
+    of the second, with trivial local monodromy, does not, so its row is
+    zero-by-degenerate-singular.
     """
-    from isomonodromy import frobenius
-
     systems = [SystemPair(np.array(A, dtype=complex), u) for A, u in (
         ([[-2.0, 0.4, 0.3], [0.5, 0.37, 0.2], [0.1, 0.6, -3.0]], [0.0, 1.0, 0.5 + 1.5j]),
         ([[-2.0, 0.0], [0.0, 0.37]], [0.0, 1.0]))]
-    calls = []
-    for name in ("analytic_basis", "_exponent0_series"):
-        monkeypatch.setattr(frobenius, name, lambda *args, name=name: calls.append(name))
     conns = [connection_coefficients(build_fuchsian(sp), CutPlane(eta=0.3), tol=1e-12)
              for sp in systems]
-    assert calls == []
-    monkeypatch.undo()
     for sp, conn in zip(systems, conns):
         fs = build_fuchsian(sp)
         for j in range(sp.n):
             if fs.integer_class(j) == "negative_integer":
-                zero = singular_solution(fs, j, 40).zero
+                zero = _pole_singular_phi(fs, j, 40)[0]
                 degenerate = conn.provenance[j] == "zero-by-degenerate-singular"
                 assert degenerate.sum() == (sp.n - 1 if zero else 0)
     assert [c.provenance[0, 1] for c in conns] == ["monodromy-projection",
                                                    "zero-by-degenerate-singular"]
+
+
+def test_a_resonant_order_past_the_series_order_decides_its_row():
+    """lambda'_0 = -45 puts the resonant order rho = 44 past the series' N + 1 = 41 orders:
+    the singular-solution test reads only orders 0..rho of its chain, so row 0 is projected
+    (it indexed the log source past its end, an IndexError)."""
+    A = np.array([[-45.0, 0.3], [0.2, 0.37]], dtype=complex)
+    conn = connection_coefficients(SystemPair(A, [0.0, 1.0]), CutPlane(eta=2.35))
+    assert conn.provenance[0, 1] == "monodromy-projection"
 
 
 def test_projection_residual_past_its_limit_is_a_typed_failure(system_2x2):
@@ -487,9 +481,13 @@ def test_connection_invariant_under_regular_completion():
     fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
     cut = CutPlane(eta=ETA)
     conn = connection_coefficients(fs, cut, tol=1e-13)
-    sng = singular_solution(fs, 0, N=40)
-    assert not sng.zero
+    phi = _dense_singular_phi(fs, 0, 40)
     sel0 = selected_solution(fs, 0, 40)
+    # the regular completion may shift by any solution analytic at u_0: Psi_0 = x b(x)
+    # itself, and the exponent-0 survivors
+    shifted = np.zeros_like(phi)
+    shifted[1:] = sel0.b[:-1]
+    completions = [shifted] + _dense_analytic(fs, 0, 40)
     base, Psi = _basis_at_pole(fs, cut, 0)
     v = Psi[:, 1]
     x = base - fs.u[0]
@@ -501,16 +499,12 @@ def test_connection_invariant_under_regular_completion():
             * cmath.log(x)
             + sum(phi[l] * x ** l for l in range(phi.shape[0]))
         )
-        cols = [f_sing] + [
-            sum(b[l] * x ** l for l in range(b.shape[0]))
-            for b in sng.analytic_completion
-        ]
+        cols = [f_sing] + [sum(b[l] * x ** l for l in range(b.shape[0])) for b in completions]
         coeffs, res, *_ = np.linalg.lstsq(np.column_stack(cols), v, rcond=None)
         return coeffs[0]
 
-    c_a = fit_c(sng.phi)
-    completion2 = sng.phi + 0.7 * sng.analytic_completion[0][: sng.phi.shape[0]]
-    c_b = fit_c(completion2)
+    c_a = fit_c(phi)
+    c_b = fit_c(phi + 0.7 * completions[0])
     assert abs(c_a - c_b) < 1e-8
     assert abs(c_a - conn.C[0, 1]) < 1e-7
 

@@ -3,50 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import residue
-from isomonodromy.model import DriftExceeded, SystemPair
+from conftest import omega, residue
+from isomonodromy.model import DriftExceeded, SingularF1, SystemPair
 from isomonodromy.frobenius import build_fuchsian
-from isomonodromy.laplace import SingularF1, f1
 from isomonodromy.deformation import (
     DeformationState,
     StepFailure,
     integrability_residual,
-    omega,
     radial_family,
     transport,
     vanishing_check,
 )
-
-
-def test_omega_diagonal_is_zero():
-    sp = SystemPair(np.diag([0.5, -0.3]), [0.0, 1.0])
-    assert np.max(np.abs(omega(sp, 0))) == 0.0
-
-
-def test_omega_matches_commutator_with_E_k(system_2x2):
-    """omega_k must equal [F_1, E_k] computed by matrix algebra."""
-    F1 = f1(system_2x2)
-    n = system_2x2.n
-    for k in range(n):
-        Ek = np.zeros((n, n))
-        Ek[k, k] = 1.0
-        assert np.allclose(omega(system_2x2, k), F1 @ Ek - Ek @ F1)
-    # worked entry values: (omega_1)_{12} = A_12/(u_1-u_2) = -2,
-    # (omega_1)_{21} = -A_21/(u_2-u_1) = -3
-    om = omega(system_2x2, 0)
-    assert om[0, 1] == pytest.approx(-2.0)
-    assert om[1, 0] == pytest.approx(-3.0)
-
-
-def test_omega_sum_vanishes(system_2x2):
-    total = sum(omega(system_2x2, k) for k in range(2))
-    assert np.max(np.abs(total)) < 1e-14
-
-
-def test_omega_rejects_violated_vanishing():
-    A = np.array([[0.2, 0.5], [0.1, 0.9]], dtype=complex)
-    with pytest.raises(SingularF1):
-        omega(SystemPair(A, [0.0, 0.0]), 0)
 
 
 def test_transport_diagonal_identity():
@@ -636,7 +603,8 @@ def test_radial_family_matches_the_reference(coalescing_geometry, vanishing_A_uc
 
 
 def test_radial_family_rejects_violated_vanishing(coalescing_geometry, vanishing_A_uc):
-    """An in-group entry above VANISH_TOL max(1, max|A|) at u^c raises SingularF1, as f1 does."""
+    """An in-group entry above VANISH_TOL max(1, max|A|) at u^c raises SingularF1, as
+    formal_recursion does."""
     A = vanishing_A_uc.copy()
     A[0, 1] = 1e-6
     with pytest.raises(SingularF1):
@@ -863,7 +831,8 @@ def test_stacked_gap_guard_matches_the_pair_reference():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_stacked_stencil_omegas_equal_omega_point_by_point(n):
-    """The stencil's omega stack is :func:`omega` at each point, bit for bit."""
+    """The stencil's omega stack is the entrywise omega_k = [F_1, E_k] at each point, bit
+    for bit."""
     from conftest import draw_system
     from isomonodromy.deformation import _distinct_omegas, _transport_stack
 

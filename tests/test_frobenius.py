@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_rhs, residue
+from conftest import dense_rhs, omega, residue
 from isomonodromy.model import (CutPlane, IllConditioned, SingularF1, SystemPair,
                                integer_distance)
 from isomonodromy.frobenius import (
     BadGamma,
-    analytic_basis,
     build_fuchsian,
     gamma_shift,
     leading_factor,
@@ -20,7 +19,6 @@ from isomonodromy.frobenius import (
     selected_solution,
     selected_solutions,
     shift_exponents,
-    singular_solution,
 )
 
 
@@ -177,64 +175,32 @@ def test_natural_exponent_within_integer_tol_is_the_integer_series():
 
 
 def test_singular_diagonal_natural_zero():
+    """lambda'_0 = 0 on a diagonal A: the selected solution is zero, and its singular
+    companion e_k / (lam - u_k) has residue Gamma(1) = 1 and no log part."""
     fs = build_fuchsian(SystemPair(np.diag([0.0, 0.5]), [0.0, 1.0]))
-    sol = singular_solution(fs, 0, N=10)
-    # Psi_k^{sing} = e_k/(lam-u_k): residue Gamma(1) = 1, log part vanishes
+    sol = selected_solution(fs, 0, N=10)
     assert sol.b[0] == pytest.approx([1.0, 0.0])
-    assert sol.zero  # selected solution identically zero
-    assert "numerical" in sol.zero_verdict
-
-
-def test_singular_noninteger_is_selected(system_2x2):
-    fs = build_fuchsian(system_2x2)
-    a = selected_solution(fs, 0, N=10)
-    b = singular_solution(fs, 0, N=10)
-    assert np.allclose(a.b, b.b)
-    assert not b.zero
-
-
-def test_singular_negative_integer_log_structure():
-    A = np.array([[-2.0, 0.9], [0.55, 0.27]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.1]))
-    sol = singular_solution(fs, 0, N=25)
-    assert not sol.zero
-    sel = selected_solution(fs, 0, N=25)
-
-    def value(xx, phi):
-        psi = sum(sel.b[l] * xx ** (l + 1) for l in range(sel.b.shape[0]))
-        reg = sum(phi[l] * xx ** l for l in range(phi.shape[0]))
-        return psi * cmath.log(xx) + reg
-
-    x = 0.1 * cmath.exp(-0.3j)
-    h = 1e-6
-    dv = (value(x + h, sol.phi) - value(x - h, sol.phi)) / (2 * h)
-    resid = np.max(np.abs(dv - dense_rhs(fs, fs.u[0] + x) @ value(x, sol.phi)))
-    assert resid < 1e-8
+    assert sol.zero
 
 
 def test_exceptional_case_no_singular_solution():
-    """lambda'_k = -2 with trivial local monodromy: Psi^sing must vanish.
+    """lambda'_0 = -2: with the couplings off no singular solution exists at u_0, so row 0
+    of C is zero-by-degenerate-singular; with them on one does, and row 0 is projected.
 
-    Constructed 2x2 instance: with the off-diagonal couplings zeroed the
-    local solution basis at u_0 is {e_0 x, e_1 (x-u)^...}: all solutions
-    analytic at u_0, so no singular solution exists.  Verified
-    independently by computing the full local basis numerically.
+    With the couplings zeroed the local solution basis at u_0 is {e_0 x,
+    e_1 (x-u)^...}: every solution is analytic at u_0, as the trivial
+    monodromy of the full basis around u_0 checks independently.
     """
-    A = np.array([[-2.0, 0.0], [0.0, 0.37]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
-    sol = singular_solution(fs, 0, N=20)
-    assert sol.zero
-    # independent check: monodromy of the full basis around u_0 is trivial
-    from isomonodromy.continuation import monodromy_matrix
+    from isomonodromy.continuation import connection_coefficients, monodromy_matrix
 
-    M = monodromy_matrix(fs, 0, CutPlane(eta=2.35))
-    assert np.max(np.abs(M - np.eye(2))) < 1e-9
-
-
-def test_generic_negative_integer_has_singular_solution():
-    A = np.array([[-2.0, 0.9], [0.55, 0.37]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
-    assert not singular_solution(fs, 0, N=20).zero
+    cut = CutPlane(eta=2.35)
+    for coupling, tag in ((0.0, "zero-by-degenerate-singular"), (1.0, "monodromy-projection")):
+        A = np.array([[-2.0, 0.9 * coupling], [0.55 * coupling, 0.37]], dtype=complex)
+        fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
+        assert connection_coefficients(fs, cut).provenance[0, 1] == tag
+        if not coupling:
+            M = monodromy_matrix(fs, 0, cut)
+            assert np.max(np.abs(M - np.eye(2))) < 1e-9
 
 
 def test_linear_independence_within_group():
@@ -343,18 +309,17 @@ def test_levelt_rejects_violated_vanishing():
 
 
 def test_levelt_and_f1_share_one_vanishing_test():
-    """levelt_at_confluence and f1 judge an in-group entry by one limit, VANISH_TOL max(1, max|A|):
-    5e-9 is below it at max|A| = 60, 1e-8 above it."""
-    from isomonodromy.laplace import f1, formal_recursion
+    """levelt_at_confluence and the formal recursion of F_1 judge an in-group entry by one
+    limit, VANISH_TOL max(1, max|A|): 5e-9 is below it at max|A| = 60, 1e-8 above it."""
+    from isomonodromy.laplace import formal_recursion
 
     u = [0.0, 0.0, 1.0]
     A = np.array([[0.3, 5e-9, 45], [0, 0.7, -35], [60, 50, 0.21]], dtype=complex)
-    f1(SystemPair(A, u))
     formal_recursion(SystemPair(A, u), 4)
     levelt_at_confluence(build_fuchsian(SystemPair(A, u)), (0, 1), N=8)
     A[0, 1] = 1e-8
     with pytest.raises(SingularF1, match=r"\|A\[0,1\]\| = 1.00e-08"):
-        f1(SystemPair(A, u))
+        formal_recursion(SystemPair(A, u), 1)
     with pytest.raises(SingularF1, match=r"\|A\[0,1\]\| = 1.00e-08"):
         levelt_at_confluence(build_fuchsian(SystemPair(A, u)), (0, 1), N=8)
 
@@ -492,8 +457,6 @@ def test_widest_gap_clears_every_value(seed, n):
 
 
 def test_gamma_shift_preserves_omega(system_2x2):
-    from isomonodromy.deformation import omega
-
     shifted = gamma_shift(system_2x2, 0.21)
     for k in range(2):
         assert np.allclose(omega(system_2x2, k), omega(shifted, k))
@@ -531,21 +494,6 @@ def test_leading_factor_out_of_range_is_typed():
                       (200.5, "noninteger"), (-200.3, "noninteger")):
         with pytest.raises(IllConditioned, match="lambda'_k"):
             leading_factor(complex(lp), klass)
-
-
-def test_analytic_basis_solves_ode(system_2x2):
-    fs = build_fuchsian(system_2x2)
-    basis = analytic_basis(fs, 0, N=25)
-    assert len(basis) == 1
-    phi = basis[0]
-    x = 0.1 * cmath.exp(0.7j)
-
-    def val(xx):
-        return sum(phi[l] * xx ** l for l in range(phi.shape[0]))
-
-    h = 1e-6
-    dv = (val(x + h) - val(x - h)) / (2 * h)
-    assert np.max(np.abs(dv - dense_rhs(fs, fs.u[0] + x) @ val(x))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +647,7 @@ def _series_cases():
 
 
 def test_rank_one_series_matches_dense_reference():
-    """Selected, analytic and singular series agree with the dense recursion."""
+    """Selected series agree with the dense recursion, in every exponent class."""
     N = 30
     for fs, k in _series_cases():
         b, d = _dense_selected(fs, k, N)
@@ -707,15 +655,6 @@ def test_rank_one_series_matches_dense_reference():
         assert _rowwise_error(sol.b, b) < 1e-12
         if d is not None:
             assert _rowwise_error(sol.d, d) < 1e-12
-        basis = analytic_basis(fs, k, N=N)
-        ref = _dense_analytic(fs, k, N)
-        assert len(basis) == len(ref)
-        for got, want in zip(basis, ref):
-            assert _rowwise_error(got, want) < 1e-12
-        if fs.integer_class(k) == "negative_integer":
-            sing = singular_solution(fs, k, N=N)
-            assert not sing.zero
-            assert _rowwise_error(sing.phi, _dense_singular_phi(fs, k, N)) < 1e-12
 
 
 def test_resonant_obstruction_is_the_dense_w_dot_rhs():
@@ -735,30 +674,8 @@ def test_resonant_obstruction_is_the_dense_w_dot_rhs():
         for seed, source in [(s, None) for s in seeds] + [(0 * seeds[0], shifted)]:
             want = _dense_obstruction(fs, k, C, seed, rho, source)
             columns = None if source is None else source[..., None]
-            got = _chain(fs, _columns(fs, [k]), seed[:, None], rho, columns)[1][0]
+            got = _chain(fs, _columns(fs, [k]), seed[:, None], rho, columns)[0]
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
-
-
-@pytest.mark.parametrize("lp", [-1.0, -1.0 + 1e-10, -2.0, -3.0])
-def test_analytic_basis_solves_every_order_near_minus_one(lp):
-    """Each exponent-0 series solves (l I - B_k) phi_l = sum_p C_p phi_{l-1-p} at every
-    order, the resonant one and order 0 included, with bounded coefficients.
-
-    The convolution with the Taylor coefficients C_p is the dense reference's,
-    independent of the two-term step that computes the series."""
-    A = np.array([[lp, 0.5, 0.2], [0.3, 0.37, 0.1], [0.2, 0.1, 0.61]], dtype=complex)
-    fs = build_fuchsian(SystemPair(A, [0.0, 1.0, 2.0j]))
-    N = 30
-    w, C = fs.A_plus_I[0], _dense_coeffs(fs, 0, N)
-    basis = analytic_basis(fs, 0, N=N)
-    assert basis
-    for phi in basis:
-        scale = max(1.0, float(np.max(np.abs(phi))))
-        assert scale < 10
-        for l in range(N + 1):
-            lhs = l * phi[l] + np.eye(3)[0] * (w @ phi[l])
-            rhs = _dense_rhs(C, phi, l) if l else 0.0
-            assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale, l
 
 
 def test_rank_one_solve_and_its_divisor_guard():
@@ -788,10 +705,9 @@ def test_local_series_refuses_coinciding_poles():
 
     A = np.array([[0.5, 0.0, 0.4], [0.0, 0.87, -0.3], [0.6, 0.7, 0.25]], dtype=complex)
     fs = build_fuchsian(SystemPair(A, [0.0, 0.0, 1.0]))
-    for f in (selected_solution, singular_solution, analytic_basis):
-        with pytest.raises(ResonanceAmbiguity, match="u_0 and u_1 coincide: the local series at "
-                                                     "u_0 needs distinct poles"):
-            f(fs, 0, N=8)
+    with pytest.raises(ResonanceAmbiguity, match="u_0 and u_1 coincide: the local series at "
+                                                 "u_0 needs distinct poles"):
+        selected_solution(fs, 0, N=8)
 
 
 def test_series_recursion_makes_no_dense_solve(monkeypatch):
@@ -807,8 +723,6 @@ def test_series_recursion_makes_no_dense_solve(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for fs, k in _series_cases():
         selected_solution(fs, k, N=30)
-        analytic_basis(fs, k, N=30)
-        singular_solution(fs, k, N=30)
     assert calls == {"solve": 0, "det": 0}
 
 
@@ -864,7 +778,7 @@ def _pole_exponent0(fs, k, inv, seed, N, rho, source=None):
 
 def _pole_selected(fs, k, N):
     """The selected solution at u_k by a recursion of its own, one order at a time."""
-    from isomonodromy.frobenius import LocalSolution, _zero_verdict
+    from isomonodromy.frobenius import LocalSolution
     from isomonodromy.model import nearest_integer
 
     n, lp, klass, w = fs.n, fs.lambda_prime[k], fs.integer_class(k), fs.A_plus_I[k]
@@ -889,31 +803,8 @@ def _pole_selected(fs, k, N):
     source = np.vstack([np.zeros((Nk + 1, n)), d])
     _pole_propagate(fs, k, inv, b, range(Nk + 2, N + Nk + 2), rho, source)
     sol.b, sol.d = b[: N + 1].copy(), d
-    sol.zero, sol.zero_verdict = _zero_verdict(fs, k, d)
+    sol.zero = bool(np.max(np.abs(d)) <= 1e-12)
     return sol
-
-
-def _pole_analytic(fs, k, N):
-    """The exponent-0 basis at u_k, one recursion per kernel seed."""
-    from isomonodromy.frobenius import _kernel_seeds
-    from isomonodromy.model import nearest_integer
-
-    inv, rho = _pole_gaps(fs, k), 0
-    if fs.integer_class(k) == "negative_integer":
-        rho = -1 - nearest_integer(fs.lambda_prime[k])
-    seeds = _kernel_seeds(fs.A_plus_I[k], k)
-    if rho >= 1:
-        obs = np.array([_pole_chain(fs, k, inv, s, rho)[1] for s in seeds])
-        if float(np.max(np.abs(obs))) > 1e-12:
-            m = len(seeds)
-            Q, _ = np.linalg.qr(np.column_stack([obs.conj(), np.eye(m)]))
-            seeds = Q[:, 1:m].T @ seeds
-    out = []
-    for s in seeds:
-        phi, obstruction = _pole_exponent0(fs, k, inv, s, N, rho)
-        if obstruction <= 1e-9:
-            out.append(phi)
-    return out
 
 
 def _pole_singular_phi(fs, k, N):
@@ -931,7 +822,7 @@ def _pole_singular_phi(fs, k, N):
             return True, None
         seed = w.conj() * (-sel.f_k / (w @ w.conj()))
     else:
-        seeds = _kernel_seeds(w, k)
+        seeds = _kernel_seeds(w)
         _, c0 = _pole_chain(fs, k, inv, np.zeros(n, dtype=complex), rho, shifted)
         L = np.array([_pole_chain(fs, k, inv, s, rho)[1] for s in seeds])
         if float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)):
@@ -964,25 +855,16 @@ def _class_cases():
     return cases
 
 
-def _assert_close(got, want, what, radius=1.0):
-    """|got_l - want_l| radius^l within 1e-14 of the largest |want_l| radius^l (both zero
-    where want is zero)."""
-    weight = radius ** np.arange(len(want))[:, None]
-    scale = float(np.max(np.abs(want) * weight))
-    assert np.max(np.abs(got - want) * weight) <= 1e-14 * scale, (what, scale)
+def _assert_close(got, want, what):
+    """max|got - want| within 1e-14 of max|want| (both zero where want is zero)."""
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale, (what, scale)
 
 
 def test_stacked_series_equal_the_per_pole_recursion():
-    """Every selected solution, exponent-0 basis and log-singular completion of the
-    stacked recursion equals the one a recursion of its own gives, within 1e-14 of
-    max|b|, at n = 2..6 over the three exponent classes and a zero selected solution.
-
-    The exponent-0 bases are compared as they are evaluated, their coefficients
-    weighted by radius^l at the validity radius: a basis vector at a negative-integer
-    pole may decay faster than 1/(min gap)^l, the rate at which either recursion
-    amplifies its rounding, so its late coefficients are rounding in both (their
-    unweighted difference reads 1.6e-8 on one such vector here).
-    """
+    """Every selected solution of the stacked recursion equals the one a recursion of its
+    own gives, within 1e-14 of max|b|, at n = 2..6 over the three exponent classes and a
+    zero selected solution."""
     classes, zeros = set(), 0
     for fs in _class_cases():
         sols = selected_solutions(fs, N=30)
@@ -995,15 +877,6 @@ def test_stacked_series_equal_the_per_pole_recursion():
             _assert_close(sol.b, want.b, ("b", k))
             if sol.klass == "natural":
                 _assert_close(sol.d, want.d, ("d", k))
-            basis, ref = analytic_basis(fs, k, N=30), _pole_analytic(fs, k, 30)
-            assert len(basis) == len(ref)
-            for got, phi in zip(basis, ref):
-                _assert_close(got, phi, ("analytic", k), sol.radius)
-            if sol.klass == "negative_integer":
-                sing, (zero, phi) = singular_solution(fs, k, N=30), _pole_singular_phi(fs, k, 30)
-                assert sing.zero == zero
-                if not zero:
-                    _assert_close(sing.phi, phi, ("phi", k))
     assert classes == {"noninteger", "negative_integer", "natural"}
     assert zeros >= 5
 

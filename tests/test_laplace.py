@@ -24,82 +24,13 @@ from isomonodromy.frobenius import (
 )
 from isomonodromy.laplace import (
     QuadratureDivergence,
-    SingularF1,
     asymptotic_coeffs,
     assemble_formal,
-    f1,
     formal_recursion,
 )
 
 TAU = math.pi / 4
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_f1_diagonal_is_zero():
-    sp = SystemPair(np.diag([0.5, -0.3]), [0.0, 1.0])
-    assert np.max(np.abs(f1(sp))) == 0.0
-
-
-def test_f1_worked_example(system_2x2):
-    F1 = f1(system_2x2)
-    assert np.allclose(F1, [[6.0, 2.0], [-3.0, -6.0]])
-
-
-def test_f1_coalescing_limit():
-    # A_ij proportional to u_i - u_j: quotient tends to -c as the gap shrinks
-    c = 0.7
-    for d in (1e-4, 1e-6, 1e-8):
-        A = np.array([[0.2, c * d], [-c * d, 0.9]], dtype=complex)
-        F1 = f1(SystemPair(A, [d, 0.0]))
-        assert F1[0, 1] == pytest.approx(-c)
-    # below the coalescence threshold the entry is the defined limit 0
-    d = 1e-14
-    A = np.array([[0.2, c * d], [-c * d, 0.9]], dtype=complex)
-    assert f1(SystemPair(A, [d, 0.0]))[0, 1] == 0.0
-
-
-def test_f1_detects_violated_vanishing():
-    A = np.array([[0.2, 0.5], [0.1, 0.9]], dtype=complex)
-    with pytest.raises(SingularF1):
-        f1(SystemPair(A, [0.0, 0.0]))
-
-
-def _f1_loop(system):
-    """F_1 entry by entry: the double loop with a per-row sum for the diagonal."""
-    from isomonodromy.model import COALESCE_TOL, VANISH_TOL
-
-    A, u, n = system.A, system.u, system.n
-    F = np.zeros((n, n), dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(u[j] - u[i]) >= COALESCE_TOL:
-                F[i, j] = A[i, j] / (u[j] - u[i])
-            elif i != j and abs(A[i, j]) > VANISH_TOL * scale:
-                raise SingularF1(f"u_{i} = u_{j}")
-    for i in range(n):
-        F[i, i] = -sum(A[i, j] * F[j, i] for j in range(n) if j != i)
-    return F
-
-
-def test_f1_matches_the_entrywise_loop():
-    """The array form of F_1 agrees with the loop, with a coalesced vanishing pair and without."""
-    rng = np.random.default_rng(21)
-    systems = []
-    for n in range(2, 7):
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        systems.append(SystemPair(A, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)))
-    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    A[0, 1], A[1, 0] = 1e-11, 0.0
-    coalesced = [0.3 + 0.1j, 0.3 + 0.1j, 1.0, -0.5j]
-    systems.append(SystemPair(A, coalesced))
-    for sp in systems:
-        ref = _f1_loop(sp)
-        assert np.max(np.abs(f1(sp) - ref)) <= 1e-14 * np.max(np.abs(ref))
-    A[1, 0] = 0.5  # a coupling of the coalesced pair that does not vanish
-    for build in (f1, _f1_loop):
-        with pytest.raises(SingularF1, match="u_1 = u_0"):
-            build(SystemPair(A, coalesced))
 
 
 class _FC:
@@ -643,7 +574,7 @@ def test_asymptotic_fit_generic(system_2x2, diag_geo):
     cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced
             for k in range(2)]
     F, resid = _asymptotic_fit(z, cols, fs.lambda_prime, 6, theta)
-    assert np.max(np.abs(F[0] - f1(system_2x2))) < 1e-4
+    assert np.max(np.abs(F[0] - formal_recursion(system_2x2, 1).F[0])) < 1e-4
 
 
 def test_asymptotic_fit_negative_control(system_2x2, diag_geo):

@@ -337,6 +337,60 @@ def test_cut_plane_branch_window():
     assert b == pytest.approx(2.0 - 2 * PI)
 
 
+def _arg_by_turns(eta, a):
+    """The reduction arg_from replaced: one 2 pi turn at a time, and the turns taken."""
+    turns = 0
+    while a >= eta:
+        a, turns = a - 2 * PI, turns + 1
+    while a < eta - 2 * PI:
+        a, turns = a + 2 * PI, turns + 1
+    return a, turns
+
+
+def test_arg_from_equals_the_turn_by_turn_reduction():
+    """Where one turn of 2 pi at most brings the phase into [eta - 2 pi, eta), arg_from
+    takes it as that one step, bit for bit; past it, within 4 ulp of the turn-by-turn
+    loop.  The grid holds |eta| <= 3 pi and every window edge: eta at each phase a, at
+    a +- 2 pi, and one float either side of each."""
+    points = ([cmath.rect(1.0, t) for t in np.linspace(-PI, PI, 49)]
+              + [1.0, -1.0, complex(-1.0, -0.0), 1j, -1j, complex(0.3, -0.0)])
+    one_step = 0
+    for z in points:
+        a = cmath.phase(z)
+        edges = [e for x in (a, a + 2 * PI, a - 2 * PI)
+                 for e in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))]
+        for eta in edges + np.linspace(-3 * PI, 3 * PI, 61).tolist():
+            if abs(eta) > 3 * PI:
+                continue
+            got = CutPlane(eta=eta).arg_from(complex(z), 0j)
+            want, turns = _arg_by_turns(eta, a)
+            if turns <= 1:
+                one_step += 1
+                assert got.hex() == want.hex(), (a, eta)
+            else:
+                assert abs(got - want) <= 4 * math.ulp(want), (a, eta)
+    assert one_step > 1000
+
+
+def test_arg_from_takes_every_turn_at_once():
+    """A large |eta| costs one step: eta = 1e17, whose float spacing exceeds 2 pi, returns,
+    and eta = 1e6 lands in the window within its float spacing."""
+    for eta in (1e17, -1e17, 1e300):
+        assert math.isfinite(CutPlane(eta=eta).arg_from(1j, 0j))
+    for eta in (1e6, -1e6):
+        a = CutPlane(eta=eta).arg_from(-1 - 1j, 0j)
+        assert eta - 2 * PI - 1e-9 <= a < eta + 1e-9
+        assert abs(math.remainder(a - cmath.phase(-1 - 1j), 2 * PI)) < 1e-9
+
+
+def test_geometry_refuses_a_tau_no_ray_test_resolves():
+    """A tau whose float spacing exceeds ANGLE_TOL (|tau| from 2^23 up) is refused."""
+    DeformationGeometry([0.0, 1.0], 1e-3, 2.0 ** 23 - 0.2)
+    for tau in (2.0 ** 23, 1e9, -1e17):
+        with pytest.raises(ValueError, match="float spacing .* exceeds ANGLE_TOL"):
+            DeformationGeometry([0.0, 1.0], 1e-3, tau)
+
+
 def test_system_pair_validation():
     with pytest.raises(ValueError):
         SystemPair(np.eye(3), [0.0, 1.0])

@@ -49,13 +49,20 @@ def test_removed_entry_points_are_not_exported():
     Fuchsian residues live in SystemPair.A_plus_I, so no separate type or conversion is exported;
     ray labels come from DeformationGeometry, and no family of Stokes matrices is generated;
     levelt_at_confluence reduces a group's residues in closed form, and the reduced flow that
-    transport integrates is the one deformation equation."""
+    transport integrates is the one deformation equation; the connection coefficients need
+    only whether a singular solution exists, and transport builds its omega_k from A alone."""
     for name in ("stokes_direct", "laplace_column", "asymptotic_fit", "FuchsianSystem",
                  "build_fuchsian", "label_rays", "stokes_generate", "jordan_reduce_Bj",
-                 "schlesinger_rhs"):
+                 "schlesinger_rhs", "singular_solution", "f1", "omega"):
         assert name not in isomonodromy.__all__
         with pytest.raises(AttributeError):
             getattr(isomonodromy, name)
+
+
+def test_deformation_does_not_load_laplace():
+    """Schlesinger transport and the commands built on it (``check``) need no Laplace module."""
+    code = "import json, sys, isomonodromy.deformation; print(json.dumps(sorted(sys.modules)))"
+    assert "isomonodromy.laplace" not in _fresh(code)
 
 
 def test_exports_are_not_cached_in_the_package(monkeypatch):

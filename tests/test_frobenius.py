@@ -184,8 +184,8 @@ def test_singular_diagonal_natural_zero():
 
 
 def test_exceptional_case_no_singular_solution():
-    """lambda'_0 = -2: with the couplings off no singular solution exists at u_0, so row 0
-    of C is zero-by-degenerate-singular; with them on one does, and row 0 is projected.
+    """lambda'_0 = -2 with the couplings off: no singular solution exists at u_0, so
+    row 0 of C is zero-by-degenerate-singular.
 
     With the couplings zeroed the local solution basis at u_0 is {e_0 x,
     e_1 (x-u)^...}: every solution is analytic at u_0, as the trivial
@@ -194,13 +194,24 @@ def test_exceptional_case_no_singular_solution():
     from isomonodromy.continuation import connection_coefficients, monodromy_matrix
 
     cut = CutPlane(eta=2.35)
-    for coupling, tag in ((0.0, "zero-by-degenerate-singular"), (1.0, "monodromy-projection")):
-        A = np.array([[-2.0, 0.9 * coupling], [0.55 * coupling, 0.37]], dtype=complex)
-        fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
-        assert connection_coefficients(fs, cut).provenance[0, 1] == tag
-        if not coupling:
-            M = monodromy_matrix(fs, 0, cut)
-            assert np.max(np.abs(M - np.eye(2))) < 1e-9
+    A = np.array([[-2.0, 0.0], [0.0, 0.37]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
+    assert connection_coefficients(fs, cut).provenance[0, 1] == "zero-by-degenerate-singular"
+    M = monodromy_matrix(fs, 0, cut)
+    assert np.max(np.abs(M - np.eye(2))) < 1e-9
+
+
+def test_generic_negative_integer_has_singular_solution():
+    """lambda'_0 = -2 with the couplings on: a singular solution exists at u_0, so row 0
+    of C is the monodromy projection and the local monodromy is not trivial."""
+    from isomonodromy.continuation import connection_coefficients, monodromy_matrix
+
+    cut = CutPlane(eta=2.35)
+    A = np.array([[-2.0, 0.9], [0.55, 0.37]], dtype=complex)
+    fs = build_fuchsian(SystemPair(A, [0.0, 1.0]))
+    assert connection_coefficients(fs, cut).provenance[0, 1] == "monodromy-projection"
+    M = monodromy_matrix(fs, 0, cut)
+    assert np.max(np.abs(M - np.eye(2))) > 1e-3
 
 
 def test_linear_independence_within_group():

@@ -44,6 +44,8 @@ import numpy as np
 
 from . import __version__
 from .model import (
+    MAX_FACTORIAL,
+    BadGamma,
     BasisSingular,
     CutPlane,
     DeformationGeometry,
@@ -53,6 +55,7 @@ from .model import (
     NonAdmissibleError,
     OverlapEmpty,
     QuadratureDivergence,
+    ResonanceAmbiguity,
     SingularF1,
     StepFailure,
     SystemPair,
@@ -60,20 +63,11 @@ from .model import (
     sector_bounds,
     stokes_ray_directions,
 )
-from .frobenius import (
-    MAX_FACTORIAL,
-    BadGamma,
-    ResonanceAmbiguity,
-    levelt_at_confluence,
-    levelt_exponents,
-    selected_solutions,
-)
 from .ode import MAX_ORDER, counting
 
-# No command loads scipy: the solving modules (continuation, laplace, stokes,
-# deformation) integrate by their own Taylor steps, and the commands that
-# solve import them in their bodies, so ``rays`` and ``levelt`` load none of
-# them.
+# No command loads scipy, and each imports the layer it runs in its body: ``rays``
+# loads model and ode alone, ``check`` adds deformation, ``levelt`` frobenius, and
+# ``stokes`` and ``deform`` the Fuchsian layer (frobenius, continuation, laplace, stokes).
 
 SCHEMA_VERSION = 1
 SPEC_KEYS = ("schema_version", "A", "u", "u_c", "epsilon0", "tau", "tol", "order",
@@ -390,6 +384,7 @@ def _crossing_locus(geo):
 def stokes(spec_path, out_dir, oracle):
     """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
     from .continuation import connection_products
+    from .frobenius import selected_solutions
     from .laplace import assemble_formal, formal_recursion
     from .stokes import monodromy_invariant_residual, stokes_from_connection, stokes_pair_direct
 
@@ -475,7 +470,8 @@ def stokes(spec_path, out_dir, oracle):
 @_common_options
 def deform(spec_path, out_dir):
     """Constancy of connection coefficients and Stokes entries along paths."""
-    from .deformation import connection_samples
+    from .continuation import connection_products
+    from .deformation import DeformationState, transport
     from .stokes import stokes_from_connection
 
     spec, _ = _load(spec_path, _require_paths)
@@ -489,9 +485,11 @@ def deform(spec_path, out_dir):
         conns = []
         stokeses = []
         decay_rows = []
-        samples = connection_samples(spec.system(), path, cut, tol=spec.tol, N=spec.order,
-                                     geometry=geo)
-        for i, (state, P, conn) in enumerate(samples):
+        state = DeformationState(u=spec.u, A=spec.A.copy())
+        for i, u in enumerate(path):
+            state = transport(state, u, tol=spec.tol)
+            P, conn = connection_products(state.system(), cut, tol=spec.tol, N=spec.order,
+                                          geometry=geo)
             sp = stokes_from_connection(P, geo.ordering, conn.lambda_prime)
             conns.append(conn)
             stokeses.append(np.stack([sp.S_nu, sp.S_nu_plus_mu]))
@@ -537,6 +535,7 @@ def _parse_free(values, spec):
     Each item names a position that ``levelt`` reports as free: a resonant position
     of :func:`.frobenius.levelt_exponents` at a merged pole of u_c, l up to its order.
     """
+    from .frobenius import levelt_exponents
     out = {}
     n, N = spec.u.size, _levelt_order(spec)
     fs_c = SystemPair(spec.A, spec.u_c)
@@ -565,6 +564,7 @@ def _parse_free(values, spec):
               help="value for a resonant free parameter, as 'l,i,j=re[:im]'")
 def levelt(spec_path, out_dir, free_items):
     """Levelt exponents, resonance structure and free parameters at u_c."""
+    from .frobenius import levelt_at_confluence
     spec, free_values = _load(spec_path, lambda sp: _parse_free(free_items, sp))
     runner = Runner("levelt", spec)
     fs_c = SystemPair(spec.A, spec.u_c)

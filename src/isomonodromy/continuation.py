@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ode import MAX_ORDER, tally
+from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally
 from .model import (BasisSingular, CutPlane, IllConditioned, NonAdmissibleError, SingularF1,
                     StepFailure, SystemPair, is_in_cell)
 from .frobenius import _has_singular_solution, selected_solutions, shift_exponents
@@ -52,14 +52,9 @@ DEFAULT_TOL = 1e-10
 IN_GROUP_LIMIT = 1e-7
 # largest |Im lambda'_k| whose e^(2 pi |Im lambda'_k|) stays in the float range: 112.97
 IM_EXPONENT_LIMIT = math.log(sys.float_info.max) / (2 * math.pi)
-# Taylor carry: step length over the distance to the nearest pole, chords per
-# loop, negligible term relative to its block, the orders added past the
-# untested ones (the limit is ode.MAX_ORDER) and the orders whose terms are
-# kept before they are summed and integrated
-STEP_RATIO = 0.5
+# Taylor carry, past the step policy of ode: chords per loop, and the orders
+# whose terms are kept before they are summed and integrated
 CHORDS = 16
-TAYLOR_EPS = 1e-16
-TAIL_ORDERS = 4
 ORDER_BLOCK = 16
 # lockstep steps of a pass with samples: a piece of more planned steps is cut
 # into runs of CUT_STEPS, every run after the first carrying the identity.  A
@@ -108,10 +103,9 @@ def carry(fs: SystemPair, pieces):
     one stacked product per run index over the whole batch
     (:func:`_compose`).  With samples the first pass carries only the runs
     that a later run starts from, and a second every run from its start
-    Phi_{r-1} ... Y_1, in its piece's width (a batch with samples has one
-    width), for its integrals, which sum to the piece's.  So a batch
-    without samples takes one lockstep step, and one with samples at most
-    2 CUT_STEPS.
+    Phi_{r-1} ... Y_1, in the one width of a batch with samples, for its
+    integrals, which sum to the piece's.  So a batch without samples takes
+    one lockstep step, and one with samples at most 2 CUT_STEPS.
 
     The runs of a pass are one (n, sum w) matrix, run r in w_r columns of
     it.  At lam0 the Taylor terms T_m = Y_m h^m of the solution obey
@@ -135,32 +129,22 @@ def carry(fs: SystemPair, pieces):
 
     Reports one solve, one step per lockstep step, one nfev per order and
     the runs each step moved, as piece_steps, to :func:`.ode.counting`.
-    Raises :class:`ValueError` for a batch with samples of two widths;
-    :class:`StepFailure`, from the plan, for a piece that meets a pole or
-    that a step leaves where it was (x + h == x, as on a path through a
-    pole), and for a block, Taylor term or integral that is not finite or
-    a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
+    Raises :class:`ValueError` before any step for a batch of another shape
+    (:func:`_batch_shape`); :class:`StepFailure`, from the plan, for a
+    piece that meets a pole or that a step leaves where it was (x + h == x,
+    as on a path through a pole), and for a block, Taylor term or integral
+    that is not finite or a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
     every piece of a batch without samples, and the integrals J_p of every
     piece of a batch with samples, J_p[i] the one for z_p,i.
     """
-    if not pieces:
-        return []
     n, P = fs.n, len(pieces)
     blocks = [np.asarray(p.y0, dtype=complex) for p in pieces]
     widths = np.array([b.size // n for b in blocks])
-    # samples padded to nz per piece, the padding with quadrature weight 0
-    sizes = np.array([p.z.size for p in pieces])
-    nz = int(sizes.max())
-    if nz and np.any(widths != widths[0]):
-        raise ValueError(f"a batch with samples needs blocks of one width, got widths "
-                         f"{widths.tolist()}")
-    z = np.zeros((P, nz), dtype=complex)
-    for i, p in enumerate(pieces):
-        z[i, :p.z.size] = p.z
-    real = np.arange(nz) < sizes[:, None]
+    nz, w = _batch_shape([p.z.size for p in pieces], widths.tolist())
+    z = np.array([p.z for p in pieces], dtype=complex).reshape(P, nz)
     # lam - u_k = (pole - u_k) + x: exactly x on a loop at u_k
     offset = np.array([p.pole for p in pieces], dtype=complex)[:, None] - fs.u
-    reach_z = [Z_SPAN / np.abs(p.z).max() if p.z.size else math.inf for p in pieces]
+    reach_z = (Z_SPAN / np.abs(z).max(1)).tolist() if nz else [math.inf] * P
     X, H, dists, rhos, planned = _plan(pieces, offset, reach_z)
     # run r, the index[r]-th of piece owner[r], takes its planned steps
     # start[r]:start[r] + length[r]: CUT_STEPS of them with samples, one without
@@ -173,7 +157,7 @@ def carry(fs: SystemPair, pieces):
     # later[r]: run r + 1 goes on from the end of run r
     later = np.append(owner[1:] == owner[:-1], False)
     # the integrals of each run, from the second pass
-    J = np.zeros((owner.size, nz, n, widths[0] if nz else 0), dtype=complex)
+    J = np.zeros((owner.size, nz, n, w), dtype=complex)
     # (M - m I) / (m + 1) for the orders m reached so far, in a list: taking an
     # item of a list costs less than indexing an array, and the order loop does
     # it each order; it grows by ORDER_BLOCK orders past the ones a step asks for
@@ -193,11 +177,11 @@ def carry(fs: SystemPair, pieces):
         if second:
             # every run from its start: its piece's block, or the first pass's end
             # of the run before it
-            Y = np.empty((sel.size, n, widths[0]), dtype=complex)
+            Y = np.empty((sel.size, n, w), dtype=complex)
             Y[head] = [blocks[p].reshape(n, -1) for p in run_owner[head]]
             if not head.all():
                 Y[~head] = ends[run_index[~head] - 1, run_owner[~head]]
-            run_widths = np.full(sel.size, widths[0])
+            run_widths = np.full(sel.size, w)
             Y = Y.transpose(1, 0, 2).reshape(n, -1)
         else:
             # a first run from its piece's block, every later run from the identity
@@ -233,7 +217,7 @@ def carry(fs: SystemPair, pieces):
                 terms, width = list(T), scale.size
             T[0] = Y[:, cols]
             if second:
-                weights = _node_weights(X[step], hm, z[step[1]], real[step[1]])
+                weights = _node_weights(X[step], hm, z[step[1]])
                 by_run = T.reshape(rows, n, move.size, -1)
             total, integral, done, lo = 0, 0, 0, 0
             while True:
@@ -273,7 +257,18 @@ def carry(fs: SystemPair, pieces):
     if not nz:
         return [ends[-1, p, :, :w].reshape(b.shape) for p, (b, w) in enumerate(zip(blocks, widths))]
     J = np.add.reduceat(J, np.flatnonzero(start == 0))
-    return [j[:p.z.size].reshape((p.z.size,) + b.shape) for p, j, b in zip(pieces, J, blocks)]
+    return [j.reshape((nz,) + b.shape) for j, b in zip(J, blocks)]
+
+
+def _batch_shape(counts, widths):
+    """``(samples, width)`` of the first piece of a batch whose pieces hold ``counts`` samples
+    in blocks of ``widths`` columns: a ValueError for no piece, or where a piece has samples
+    and another has another count or width."""
+    if not counts or (max(counts) and len(set(zip(counts, widths))) > 1):
+        raise ValueError(f"a batch needs a piece, and a batch with samples one sample count "
+                         f"and one block width in every piece; got samples {counts} and "
+                         f"widths {widths}")
+    return counts[0], widths[0]
 
 
 def _compose(Y, widths, owner, index, P):
@@ -356,16 +351,16 @@ def _plan(pieces, offset, reach_z):
             np.array(rhos).reshape(-1, P), (H != 0).sum(0))
 
 
-def _node_weights(x, h, z, real):
+def _node_weights(x, h, z):
     """h w_j e^{z (x + h s_j)} at the nodes s_j of ``_QUADRATURE``, as real pairs (nodes, 2 P nz).
 
-    Piece p steps from x_p by h_p; ``z`` holds its samples (P, nz), ``real``
-    False on padding.  Node s_j = left_q + t_j of panel q splits its
-    exponential as e^{z (x + h left_q)} e^{z h t_j}: PANELS + NODES of them.
+    Piece p steps from x_p by h_p; ``z`` holds its samples (P, nz).  Node
+    s_j = left_q + t_j of panel q splits its exponential as
+    e^{z (x + h left_q)} e^{z h t_j}: PANELS + NODES of them.
     """
     left, local, weights, _ = _QUADRATURE
     zh = z * h[:, None]
-    panel = (real * h[:, None]) * np.exp(z * x[:, None] + zh * left[:, None, None])
+    panel = h[:, None] * np.exp(z * x[:, None] + zh * left[:, None, None])
     w = panel[:, None] * (weights[:, None, None] * np.exp(zh * local[:, None, None]))
     return w.reshape(left.size * local.size, -1).view(float)
 
@@ -479,8 +474,8 @@ def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
     bases = _base_points(fs, cut)
     if not poles.size:
         return bases[:0], np.zeros((0, n, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
-    low = fs.u - _depth_frame(fs, cut) * cut.direction()
     seeds = np.array([sols[m].selected_value(bases[m], cut) for m in range(n)])
+    low = fs.u - _depth_frame(fs, cut) * cut.direction()
     descended = [m for m in range(n) if np.any(poles != m)]
     one = np.eye(n, dtype=complex)
     ends = carry(fs, [_segment(bases[m], low[0], seeds[m], via=(low[m],)) for m in descended]

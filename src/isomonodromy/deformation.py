@@ -6,14 +6,15 @@ in one stacked solve (a lone segment is a stack of one; the integrability
 residual's 2n stencil points are one stack).  Along a segment the flow is
 one commutator, quadratic in A and rational in t, so it is integrated by
 Taylor steps whose terms follow by Cauchy products, as the linear carry of
-:mod:`.continuation` does.  The flow conserves the diagonal of A and its
-characteristic polynomial, and both double as error monitors.  The
-polynomial is watched through the power sums tr(A^k), k = 1..n, which fix
-it by Newton's identities: they are polynomial in A, so unlike the
-eigenvalues they need no eigensolver and stay well conditioned when A is
-far from normal.  The integrability residual and the vanishing checks near
-the coalescence locus live here as well; the latter reads each commutator
-[B_i, B_j] off the rows of A+I, as the residues B_k = -E_k(A+I) have rank one.
+:mod:`.continuation` does, under the same step policy (:mod:`.ode`).  The
+flow conserves the diagonal of A and its characteristic polynomial, and
+both double as error monitors.  The polynomial is watched through the
+power sums tr(A^k), k = 1..n, which fix it by Newton's identities: they
+are polynomial in A, so unlike the eigenvalues they need no eigensolver
+and stay well conditioned when A is far from normal.  The integrability
+residual and the vanishing checks near the coalescence locus live here as
+well; the latter reads each commutator [B_i, B_j] off the rows of A+I, as
+the residues B_k = -E_k(A+I) have rank one.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import MAX_ORDER, tally
+from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally
 from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, SystemPair,
                     check_vanishing)
-from .continuation import (DEFAULT_TOL, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS,
-                           connection_products)
 
 NEAR_DELTA_GUARD = 1e-4
 
@@ -322,23 +321,6 @@ def transport(state: DeformationState, target_u, tol=1e-10,
         NEAR_DELTA_GUARD if enforce_guard else 0.0)
     return DeformationState(u=u1, A=A1, diag_drift=max(state.diag_drift, float(diag_drift)),
                             spectrum_drift=max(state.spectrum_drift, float(spec_drift)))
-
-
-def connection_samples(system, u_samples, cut, tol=DEFAULT_TOL, N=40, geometry=None):
-    """Connection data along a deformation path, one sample at a time.
-
-    The A of ``system`` is Schlesinger-transported (:func:`transport`) from its
-    u to every sample of ``u_samples`` in turn, the first included, and the
-    products are re-extracted at each by :func:`.continuation.connection_products`,
-    shifted as it picks, both at ``tol``; with a coalescing ``geometry`` each
-    sample's in-group c_jk are checked and set to 0 there.  Yields
-    ``(state, P, conn)`` per sample.
-    """
-    state = DeformationState(u=system.u, A=system.A.copy())
-    for u in u_samples:
-        state = transport(state, u, tol=tol)
-        P, conn = connection_products(state.system(), cut, tol=tol, N=N, geometry=geometry)
-        yield state, P, conn
 
 
 def radial_family(system, u_c, t_values, tol=1e-11):

@@ -52,21 +52,16 @@ import numpy as np
 from .model import (
     COALESCE_TOL,
     INTEGER_TOL,
+    MAX_FACTORIAL,
+    BadGamma,  # re-exported, as is ResonanceAmbiguity: both are still read from here
     IllConditioned,
+    ResonanceAmbiguity,
     SystemPair,
     _group_partition,
     check_vanishing,
     integer_distance,
     nearest_integer,
 )
-
-
-class ResonanceAmbiguity(ArithmeticError):
-    """A local exponent recursion hit an unresolved zero divisor."""
-
-
-class BadGamma(ValueError):
-    """The requested gamma does not clear the integer spectrum conditions."""
 
 
 def build_fuchsian(system: SystemPair) -> SystemPair:
@@ -201,8 +196,6 @@ def horner(coeffs, x):
     return np.cumprod(powers, axis=-1) @ coeffs
 
 
-# m! is a finite float up to this m
-MAX_FACTORIAL = 170
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma in powers of 1/z
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
@@ -281,11 +274,16 @@ class LocalSolution:
         return -self.lambda_prime_k - 1
 
     def selected_value(self, lam, cut):
-        """Value of the selected solution Psi_k on the branch of ``cut``."""
+        """Value of the selected solution Psi_k on the branch of ``cut``; IllConditioned,
+        before the series is summed, where its last power x^N leaves the float range."""
         x = lam - self.pole
+        if self.klass == "natural" and self.zero:
+            return np.zeros(self.b.shape[1], dtype=complex)
+        N = len(self.b) - 1
+        if abs(x) > 1 and N * math.log(abs(x)) > math.log(np.finfo(float).max):
+            raise IllConditioned(f"the local series at pole {self.k} is summed at |x| = "
+                                 f"{abs(x):.2e}, where x^{N} leaves the float range")
         if self.klass == "natural":
-            if self.zero:
-                return np.zeros(self.b.shape[1], dtype=complex)
             return horner(self.d, x)
         base = horner(self.b, x)
         if self.klass == "negative_integer":

@@ -61,12 +61,12 @@ from .model import (
     nearest_integer,
 )
 from .frobenius import cgamma
-from .continuation import Piece, carry
+from .continuation import Piece, _batch_shape, carry
 
 logger = logging.getLogger(__name__)
 
 # stated relative error of every carried J, added to a column's error
-# estimate (the Taylor carry itself runs to continuation.TAYLOR_EPS)
+# estimate (the Taylor carry itself runs to ode.TAYLOR_EPS)
 CARRY_TOL = 1e-12
 # a leg ends where e^{z x} |x|^g, g the power growth of Psi_k, is e^-TAIL
 TAIL = 42.0
@@ -333,32 +333,29 @@ def _plan(fs, specs, directions, sols, tol):
     ``sols[k]`` of its pole k.  A pole whose exponent lambda'_k is an
     integer raises ValueError naming it: its column would need another
     contour, and both Stokes routes shift such a system first
-    (:func:`.frobenius.shift_exponents`).  The ray check, sigma = z e^{id}
+    (:func:`.frobenius.shift_exponents`).  Its columns have one sample count
+    (:func:`.continuation._batch_shape`), so the ray check, sigma = z e^{id}
     and its half-plane check, and the nearest sample |z| of each leg are
-    taken as arrays over the batch (the samples padded to one length), the
-    starts and circles in one stacked pass (:func:`_hairpins`).  Each leg
-    (:func:`_leg`), on the branch of arg d, starts at r with the value
-    Psi_k(r e^{id}) and is weighted by the jump of Psi_k across it over
-    2 pi i.
+    taken as arrays over the batch, the starts and circles in one stacked
+    pass (:func:`_hairpins`).  Each leg (:func:`_leg`), on the branch of
+    arg d, starts at r with the value Psi_k(r e^{id}) and is weighted by
+    the jump of Psi_k across it over 2 pi i.
     """
     integer = [spec.k for spec in specs if fs.integer_class(spec.k) != "noninteger"]
     if integer:
         k = integer[0]
         raise ValueError(f"pole {k} has the integer exponent lambda'_{k} = "
                          f"{fs.lambda_prime[k]}: a Laplace column needs a noninteger one")
-    sizes = np.array([np.size(spec.z) for spec in specs])
-    z = np.zeros((len(specs), sizes.max()), dtype=complex)
-    for p, spec in enumerate(specs):
-        z[p, :sizes[p]] = spec.z
-    real = np.arange(z.shape[1]) < sizes[:, None]
+    _batch_shape([np.size(spec.z) for spec in specs], [1] * len(specs))
+    z = np.array([spec.z for spec in specs], dtype=complex)
     arg = [float(spec.arg) for spec in specs]
     off_ray = np.abs(np.exp(1j * np.angle(z)) - np.exp(1j * np.array(arg))[:, None])
-    if np.max(off_ray, where=real, initial=0.0) > 1e-9:
+    if off_ray.max() > 1e-9:
         raise ValueError("all z samples must lie on the ray of the given argument")
     sigma = z * np.array([cmath.exp(1j * d) for d in directions])[:, None]
     z_abs = np.abs(z)
     z_max = z_abs.max(1)
-    worst = np.max(sigma.real, axis=1, where=real, initial=-np.inf)
+    worst = sigma.real.max(1)
     bad = np.flatnonzero(worst >= -1e-12 * z_max)
     if bad.size:
         p = bad[0]
@@ -366,11 +363,11 @@ def _plan(fs, specs, directions, sols, tol):
             f"Re(z e^(i d)) = {worst[p]:.3e} not negative: z outside "
             f"the convergence half-plane of direction {directions[p]:.4f}"
         )
-    near = np.min(z_abs, axis=1, where=real, initial=np.inf)
+    near = z_abs.min(1)
     hairpins = [sols[spec.k] for spec in specs]
     r, tail, circle, psi = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
     base = circle / (2j * math.pi)
-    size = np.max(np.abs(circle), axis=(1, 2), where=real[:, :, None], initial=0.0).tolist()
+    size = np.abs(circle).max((1, 2)).tolist()
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
     plans = []
@@ -378,9 +375,9 @@ def _plan(fs, specs, directions, sols, tol):
             specs, hairpins, directions, arg, r.tolist(), near.tolist())):
         value = psi[p] * cmath.exp(sol.rho * (math.log(start) + 1j * d))
         jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-        leg = _leg(fs.u[spec.k], start, d, theta, value, np.asarray(spec.z, dtype=complex),
-                   near_p, growth[spec.k], hull[spec.k])
-        plans.append(_Plan(leg, jump / (2j * math.pi), base[p, :sizes[p]], size[p], tail[p], d))
+        leg = _leg(fs.u[spec.k], start, d, theta, value, z[p], near_p, growth[spec.k],
+                   hull[spec.k])
+        plans.append(_Plan(leg, jump / (2j * math.pi), base[p], size[p], tail[p], d))
     return plans
 
 
@@ -399,9 +396,7 @@ def _hairpins(sols, d, z, z_max, tol):
     for k, sol in {sol.k: sol for sol in sols}.items():
         at = poles == k
         r[at], tail[at] = _start(sol.b, r[at], tol)
-    b = np.zeros((len(sols), max(len(sol.b) for sol in sols), sols[0].b.shape[1]), dtype=complex)
-    for i, sol in enumerate(sols):
-        b[i, :len(sol.b)] = sol.b
+    b = np.array([sol.b for sol in sols])
     lp = np.array([sol.lambda_prime_k for sol in sols])
     powers = np.ones(b.shape[:2], dtype=complex)
     powers[:, 1:] = (r * np.array([cmath.exp(1j * x) for x in d]))[:, None]

@@ -22,6 +22,8 @@ COALESCE_TOL = 1e-12
 VANISH_TOL = 1e-10
 # |x - round(x)| below this declares x an integer (exponent class dispatch).
 INTEGER_TOL = 1e-8
+# m! is a finite float up to this m
+MAX_FACTORIAL = 170
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,9 +69,8 @@ class NonAdmissibleError(ValueError):
         self.suggestion = suggestion
 
 
-# Typed numerical failures, raised by the solving modules and re-exported
-# there; defined here so the command line can catch them without loading
-# the integrators.
+# Every typed numerical failure, defined here so the command line catches them all
+# without loading the modules that raise them and re-export them.
 
 
 class StepFailure(RuntimeError):
@@ -102,6 +103,14 @@ class OverlapEmpty(RuntimeError):
 
 class MatchingInconsistent(RuntimeError):
     """The fitted Stokes matrix varies with |z| beyond tolerance."""
+
+
+class ResonanceAmbiguity(ArithmeticError):
+    """A local exponent recursion hit an unresolved zero divisor."""
+
+
+class BadGamma(ValueError):
+    """The requested gamma does not clear the integer spectrum conditions."""
 
 
 def _as_complex_vector(u):

@@ -1,4 +1,4 @@
-"""The work counter and the order limit of the package's two integrators, both Taylor steppers.
+"""The work counter and the step policy of the package's two integrators, both Taylor steppers.
 
 :func:`.continuation.carry` continues the linear Fuchsian system for both
 Stokes routes, and :func:`.deformation._transport_stack` integrates the
@@ -13,7 +13,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-# the orders a Taylor step of either integrator sums at most before it fails
+# the step policy: a step's length over the distance to the nearest singularity,
+# the negligible term relative to the solution, the orders added past the
+# untested ones, and the orders a step sums at most before it fails
+STEP_RATIO = 0.5
+TAYLOR_EPS = 1e-16
+TAIL_ORDERS = 4
 MAX_ORDER = 400
 
 

@@ -353,6 +353,27 @@ def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value
         assert error.split(":")[0] in names
 
 
+@pytest.mark.parametrize("u1", [1e17, 1e200, 1e308])
+def test_cli_stokes_at_a_large_u_is_a_typed_failure(tmp_path, u1):
+    """sample2x2 with u = u_c = (0, u1): the series of pole 0 would be summed at its base
+    point, half a loop radius from it, where x^40 leaves the float range.  The connection
+    stage fails with IllConditioned naming the pole before that arithmetic,
+    formal_coefficients runs, and the run exits 3 with no numpy overflow warning (an error
+    under pytest) on the way; at 1e308 the refusal also comes before the continuation's
+    deep point, which would lie past the float range."""
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["u"] = prob["u_c"] = [[0.0, 0.0], [u1, 0.0]]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
+                                       "--oracle", "on", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
+    assert [s["status"] for s in stages] == ["failed", "skipped", "ok", "skipped"]
+    assert stages[0]["error"].startswith("IllConditioned: the local series at pole 0 is summed "
+                                         "at |x| = 1.06e+"), stages[0]["error"]
+    assert stages[0]["error"].endswith("where x^40 leaves the float range")
+
+
 def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):
     """check on coalescing3x3 with A_00 = A_10 = 1e200: the in-group commutator
     [B_0, B_1] has the row A_10 w_0, w_0 = row 0 of A+I, whose entry
@@ -424,6 +445,27 @@ def test_cli_deform_exit_3_on_guarded_path(tmp_path):
     assert any(s["status"] == "failed" for s in report["stages"])
 
 
+
+def test_cli_deform_reaches_the_first_waypoint_by_transport_from_u(tmp_path):
+    """A path starts at the problem's u and reaches its first waypoint by transport.
+
+    coalescing3x3's path without its first waypoint, u itself, beside the
+    whole path: the decay rows (gap, |A_01|, |A_10|, in-group product) of
+    the shorter path are those of the longer one from its second sample on,
+    bit for bit, and the longer one's first sample holds the problem's A.
+    """
+    prob = json.loads((ROOT / "problems" / "coalescing3x3.json").read_text())
+    [whole] = prob["paths"]
+    prob["paths"] = [whole[1:], whole]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["deform", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    short, full = ([row[1:] for row in csv.reader(open(out / f"decay_path{p}.csv"))][1:]
+                   for p in (0, 1))
+    assert len(short) == 2 and short == full[1:]
+    a01 = complex(*prob["A"][0][1])
+    assert float(full[0][3]) == abs(a01) != float(short[0][3])
 
 def _crossing_path(tmp_path, offset):
     """coalescing3x3 with one path from u to the first crossing-locus hit, turned by ``offset``."""
@@ -626,18 +668,18 @@ def test_cli_levelt_free_items_are_checked(tmp_path, monkeypatch, item, code):
     """An item that names no position levelt reports as free, or gives it a non-finite value,
     is a problem-file error, before any stage; one that does is reported and its value lands
     in G."""
-    from isomonodromy import cli
+    from isomonodromy import frobenius
 
     prob = json.loads((ROOT / "problems" / "resonant_group.json").read_text())
     prob.update(_FREE_PROBLEMS.get(item, {}))
     runs = []
 
     def levelt_at_confluence(*args, **kwargs):
-        runs.append(cli_levelt(*args, **kwargs))
+        runs.append(levelt(*args, **kwargs))
         return runs[-1]
 
-    cli_levelt = cli.levelt_at_confluence
-    monkeypatch.setattr(cli, "levelt_at_confluence", levelt_at_confluence)
+    levelt = frobenius.levelt_at_confluence
+    monkeypatch.setattr(frobenius, "levelt_at_confluence", levelt_at_confluence)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["levelt", "--spec", _write(tmp_path, prob),
                                        "--out", str(out), "--free", item])

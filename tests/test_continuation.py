@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -12,8 +13,9 @@ from conftest import dense_piece, dense_rhs, draw_system
 from test_frobenius import _dense_analytic, _dense_singular_phi, _pole_singular_phi
 from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned, SingularF1,
                                SystemPair, is_in_cell)
-from isomonodromy.frobenius import build_fuchsian, selected_solution, shift_exponents
-from isomonodromy.stokes import (Ordering, stokes_from_connection, stokes_pair_direct,
+from isomonodromy.frobenius import (build_fuchsian, selected_solution, selected_solutions,
+                                    shift_exponents)
+from isomonodromy.stokes import (Ordering, _matching, stokes_from_connection, stokes_pair_direct,
                                  stokes_pipeline)
 from isomonodromy.continuation import (
     BasisSingular,
@@ -23,7 +25,8 @@ from isomonodromy.continuation import (
     continue_basis,
     monodromy_matrix,
 )
-from isomonodromy.deformation import connection_samples
+from isomonodromy.deformation import DeformationState, transport
+from isomonodromy.laplace import laplace_columns
 
 ETA = 1.5 * math.pi - math.pi / 4
 
@@ -576,26 +579,39 @@ def test_connection_products_off_the_family_is_a_typed_error(coalescing_geometry
 
 
 def test_verify_connection_constancy_one_cell(system_2x2, geometry_2x2):
+    """A transported to each sample of a path inside one tau-cell, in turn: the connection
+    coefficients extracted there stay within 1e-7 of the first sample's."""
     samples = [
         np.array([0.0, 1.0], complex),
         np.array([0.02 + 0.02j, 1.0], complex),
         np.array([0.02 + 0.02j, 1.0 - 0.04j], complex),
     ]
     cut = CutPlane(eta=geometry_2x2.eta)
-    stack = np.stack([conn.C for _, _, conn in connection_samples(
-        system_2x2, samples, cut, tol=1e-13)])
+    state, Cs = DeformationState(u=system_2x2.u, A=system_2x2.A.copy()), []
+    for u in samples:
+        state = transport(state, u, tol=1e-13)
+        Cs.append(connection_products(state.system(), cut, tol=1e-13)[1].C)
+    stack = np.stack(Cs)
     assert np.max(np.abs(stack - stack[0])) < 1e-7
     assert all(is_in_cell(u, geometry_2x2)[0] for u in samples)
 
 
 def test_connection_samples_start_at_the_problems_u(system_2x2, geometry_2x2):
-    """A path that does not start at u is reached by transport from u: the same samples as
-    the path that does, bit for bit."""
+    """Samples along a path transported from the problem's u, each waypoint reached by
+    transport, the first too: a path that does not start at u gives the samples of the path
+    that does, bit for bit (``isomono deform`` samples its paths so)."""
     u1 = np.array([0.02 + 0.02j, 1.0], complex)
     u2 = np.array([0.02 + 0.02j, 1.0 - 0.04j], complex)
     cut = CutPlane(eta=geometry_2x2.eta)
-    off = list(connection_samples(system_2x2, [u1, u2], cut, tol=1e-13))
-    on = list(connection_samples(system_2x2, [system_2x2.u, u1, u2], cut, tol=1e-13))
+
+    def samples(path):
+        state, out = DeformationState(u=system_2x2.u, A=system_2x2.A.copy()), []
+        for u in path:
+            state = transport(state, u, tol=1e-13)
+            out.append((state, *connection_products(state.system(), cut, tol=1e-13)))
+        return out
+
+    off, on = samples([u1, u2]), samples([system_2x2.u, u1, u2])
     assert len(off) == 2
     for (s_off, P_off, c_off), (s_on, P_on, c_on) in zip(off, on[1:]):
         assert np.array_equal(s_off.u, s_on.u) and np.array_equal(s_off.A, s_on.A)
@@ -678,7 +694,7 @@ def test_taylor_work_is_reported():
     assert (work.solves, work.piece_steps) == (1, continuation.CHORDS)
     assert work.steps <= continuation.CUT_STEPS
     chord = 2 * math.sin(math.pi / continuation.CHORDS)  # over the distance from u_0
-    least = math.ceil(math.log(continuation.TAYLOR_EPS) / math.log(chord))
+    least = math.ceil(math.log(ode.TAYLOR_EPS) / math.log(chord))
     assert work.nfev >= work.steps * least
 
 
@@ -935,27 +951,53 @@ def test_sampled_group_disc_circle(coalescing_geometry, vanishing_A_uc):
 
 
 def test_sampled_mixed_batch(monkeypatch):
-    """Legs of three and two samples, a loop of one and a junction without any, in one batch.
+    """Two legs of different lengths and a loop, each with three samples, in one batch.
 
-    A batch with samples returns the integrals of every piece, none for the
-    junction.  Each piece steps as it would alone, the junction with no z
-    cap: the batch's piece-steps are the sum of its pieces' two passes.
+    A batch with samples returns the integrals of every piece.  Each piece
+    steps as it would alone: the batch's piece-steps are the sum of its
+    pieces' two passes.
     """
+    fs, cut = _sweep_fs()
+    loop = continuation._loop(fs, 2, continuation._base_points(fs, cut)[2],
+                              np.linspace(1.0, 2.0, fs.n) + 0.5j)
+    loop = loop._replace(z=np.array([3 - 4j, 1 + 2j, -2 - 1j]))
+    pieces = [_leg(fs, cut, 0, 6.0, [6.0, 9.0, 14.0]), _leg(fs, cut, 1, 4.0, [5.0, 8.0, 11.0]),
+              loop]
+    with ode.counting() as work:
+        ends = continuation.carry(fs, pieces)
+    assert work.solves == 1
+    assert [end.shape for end in ends] == [(3, fs.n)] * 3
+    _assert_matches_dense(fs, pieces)
+    planned = [_uncut(fs, [piece], monkeypatch)[1].piece_steps for piece in pieces]
+    assert work.piece_steps == sum(_two_passes(p) for p in planned)
+
+
+def test_a_batch_of_two_sample_counts_or_of_no_piece_is_refused_before_any_solve():
+    """A batch holds a piece, and in a batch with samples every piece has the same sample
+    count: legs of three and of two samples, a leg beside a junction without samples, and an
+    empty batch are each a ValueError naming the rule before any solve, through carry and
+    through laplace_columns."""
     fs, cut = _sweep_fs()
     junction = continuation._segment(continuation._base_points(fs, cut)[3],
                                      fs.u[3] - 1.5 * cut.direction(),
                                      np.linspace(1.0, 2.0, fs.n) - 1j)
-    loop = continuation._loop(fs, 2, continuation._base_points(fs, cut)[2],
-                              np.linspace(1.0, 2.0, fs.n) + 0.5j)._replace(z=np.array([3 - 4j]))
-    pieces = [_leg(fs, cut, 0, 6.0, [6.0, 9.0, 14.0]), _leg(fs, cut, 1, 4.0, [5.0, 8.0]),
-              loop, junction]
-    with ode.counting() as work:
-        ends = continuation.carry(fs, pieces)
-    assert work.solves == 1
-    assert [end.shape for end in ends] == [(3, fs.n), (2, fs.n), (1, fs.n), (0, fs.n)]
-    _assert_matches_dense(fs, pieces)
-    planned = [_uncut(fs, [piece], monkeypatch)[1].piece_steps for piece in pieces]
-    assert work.piece_steps == sum(_two_passes(p) for p in planned)
+    three, two = _leg(fs, cut, 0, 6.0, [6.0, 9.0, 14.0]), _leg(fs, cut, 1, 4.0, [5.0, 8.0])
+    sp, tau = draw_system(np.random.default_rng(0), 3, min_gap=0.35)
+    geo = DeformationGeometry(sp.u, 1e-3, tau)
+    specs = _matching(sp, geo, 0)[2]
+    short, bare = (dataclasses.replace(specs[1], z=specs[1].z[:m]) for m in (2, 0))
+    sols = selected_solutions(sp, 40)
+    for refused in (lambda: continuation.carry(fs, [three, two]),
+                    lambda: continuation.carry(fs, [three, junction]),
+                    lambda: continuation.carry(fs, [junction, three]),
+                    lambda: continuation.carry(fs, []),
+                    lambda: laplace_columns(sp, geo, [specs[0], short], sols),
+                    lambda: laplace_columns(sp, geo, [specs[0], bare], sols),
+                    lambda: laplace_columns(sp, geo, [], sols)):
+        with ode.counting() as work, pytest.raises(
+                ValueError, match="a batch with samples one sample count and one block width"):
+            refused()
+        assert work.solves == 0
 
 
 def test_sampled_leg_where_the_z_cap_binds(monkeypatch):
@@ -991,7 +1033,8 @@ def test_twelve_nodes_or_a_wider_z_span_keep_the_accuracy(monkeypatch):
         monkeypatch.setattr(continuation, "_QUADRATURE",
                             continuation._composite_gauss(continuation.PANELS, nodes))
         monkeypatch.setattr(continuation, "Z_SPAN", z_span)
-        _assert_matches_dense(fs, pieces)
+        for piece in pieces:  # one sample count per batch
+            _assert_matches_dense(fs, [piece])
     monkeypatch.setattr(continuation, "_QUADRATURE",
                         continuation._composite_gauss(continuation.PANELS, 6))
     monkeypatch.setattr(continuation, "Z_SPAN", 32.0)
@@ -1055,7 +1098,7 @@ def test_step_integrals_match_mpmath(zh):
     h = polar(rng.uniform(0.05, 0.5, P), P)
     x = polar(rng.uniform(0.1, 1.0, P), P)
     z = polar(zh / np.abs(h)[:, None], (P, nz))
-    weights = continuation._node_weights(x, h, z, np.ones((P, nz), dtype=bool))
+    weights = continuation._node_weights(x, h, z)
     got = continuation._fold(T.transpose(0, 2, 1, 3), weights, 0)
     s_grid = np.linspace(0.0, 1.0, 1001)
     with mpmath.workdps(30):

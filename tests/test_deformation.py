@@ -110,7 +110,7 @@ def _lockstep_keeping_every_segment(u0, A0, targets, taylor_step):
     Returns the end matrices, the diagonal and power-sum drifts and the
     (steps, nfev, piece_steps) the solve counts.
     """
-    from isomonodromy.continuation import STEP_RATIO
+    from isomonodromy.ode import STEP_RATIO
     from isomonodromy.deformation import _power_sum_drift
     from isomonodromy.model import COALESCE_TOL
 
@@ -613,7 +613,7 @@ def test_radial_family_rejects_violated_vanishing(coalescing_geometry, vanishing
 
 def _steps_the_gaps_allow(u0, u1):
     """Steps of a segment whose every step is STEP_RATIO of the nearest gap's reach."""
-    from isomonodromy.continuation import STEP_RATIO
+    from isomonodromy.ode import STEP_RATIO
 
     i, j = np.triu_indices(u0.size, 1)
     gap0, dgap = u0[j] - u0[i], (u1 - u0)[j] - (u1 - u0)[i]
@@ -724,7 +724,7 @@ def _taylor_step_per_order(A, q):
     each kind.  Returns the end matrices, the shortening factors and the
     number of orders.
     """
-    from isomonodromy.continuation import STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS
+    from isomonodromy.ode import STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS
     from isomonodromy.ode import MAX_ORDER
 
     T = np.empty((MAX_ORDER + 1,) + A.shape, dtype=complex)

@@ -542,6 +542,27 @@ def test_asymptotic_coeffs_natural_low_order():
     assert np.allclose(out[1], -sol.d[0])  # (-1)^{2-1} 0! d_0
 
 
+def test_asymptotic_coeffs_of_a_zero_natural_solution():
+    """A natural pole whose selected solution is zero: its column past order r is exactly 0.
+
+    On A = [[0, 1e-15], [2e-15, 0.5]] at u = (0, 1), pole 0 is natural
+    (lambda'_0 = 0 = r) and its analytic series d, at most 1.4e-14, is
+    below the zero rule's 1e-12: ``zero`` is set, and its f_l, l > r, are
+    0, not (-1)^(l-r) (l-r-1)! d_{l-r-1}, which is not 0.  The assembled F_l
+    agree with the recursion within 1e-14 (7.5e-15 measured at L = 3, the
+    recursion's own column 0, of the size of A's coupling).
+    """
+    sp = SystemPair(np.array([[0.0, 1e-15], [2e-15, 0.5]]), [0.0, 1.0])
+    sols = selected_solutions(build_fuchsian(sp), 40)
+    sol = sols[0]
+    assert (sol.klass, sol.zero) == ("natural", True)
+    assert 0 < np.max(np.abs(sol.d)) <= 1e-12
+    out = asymptotic_coeffs(sol, 3)
+    assert np.all(out == 0)
+    for Fa, Fb in zip(formal_recursion(sp, 3).F, assemble_formal(sols, 3)):
+        assert np.max(np.abs(Fa - Fb)) < 1e-14
+
+
 def test_assembled_formal_matches_recursion_all_classes():
     A = np.array(
         [[1.0, 0.4, -0.3], [0.2, -2.0, 0.6], [0.5, -0.25, 0.37 + 0.1j]],
@@ -762,7 +783,8 @@ def test_circle_matches_mpmath(system_2x2, lp):
 
 
 def test_one_direction_per_label_and_ray(monkeypatch, system_2x2, diag_geo):
-    """Ten columns on three (label, ray) pairs ask for three contour directions."""
+    """Ten columns on three (label, ray) pairs, each with two samples, ask for three contour
+    directions."""
     from isomonodromy.stokes import _matching_ray
 
     calls = []
@@ -776,8 +798,8 @@ def test_one_direction_per_label_and_ray(monkeypatch, system_2x2, diag_geo):
     fs = build_fuchsian(system_2x2)
     theta = _matching_ray(diag_geo, 0)
     specs = [laplace.ColumnSpec(k, h, _ray(r, theta), theta)
-             for r in ([6.0, 9.0], [14.0]) for h in (0, 1) for k in range(fs.n)]
-    specs += [laplace.ColumnSpec(k, 0, _ray([7.0], theta - 0.1), theta - 0.1)
+             for r in ([6.0, 9.0], [14.0, 20.0]) for h in (0, 1) for k in range(fs.n)]
+    specs += [laplace.ColumnSpec(k, 0, _ray([7.0, 11.0], theta - 0.1), theta - 0.1)
               for k in range(fs.n)]
     laplace.laplace_columns(fs, diag_geo, specs, _sols(fs), tol=1e-13)
     assert sorted(calls) == sorted({(0, theta), (1, theta), (0, theta - 0.1)})

@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 
 import isomonodromy
-from isomonodromy import continuation, deformation, laplace, model, stokes
+from isomonodromy import continuation, deformation, frobenius, laplace, model, stokes
 
 ROOT = Path(__file__).resolve().parents[1]
 
 MOVED_ERRORS = {
     continuation: ("StepFailure", "BasisSingular", "IllConditioned"),
     deformation: ("DriftExceeded",),
+    frobenius: ("ResonanceAmbiguity", "BadGamma"),
     laplace: ("SingularF1", "QuadratureDivergence"),
     stokes: ("OverlapEmpty", "MatchingInconsistent"),
 }
@@ -60,9 +61,33 @@ def test_removed_entry_points_are_not_exported():
 
 
 def test_deformation_does_not_load_laplace():
-    """Schlesinger transport and the commands built on it (``check``) need no Laplace module."""
+    """Schlesinger transport and the commands built on it (``check``) need no Laplace module,
+    and none of the Fuchsian layer: deformation imports model and ode alone."""
     code = "import json, sys, isomonodromy.deformation; print(json.dumps(sorted(sys.modules)))"
-    assert "isomonodromy.laplace" not in _fresh(code)
+    loaded = _fresh(code)
+    for module in ("isomonodromy.laplace", "isomonodromy.continuation", "isomonodromy.frobenius",
+                   "numpy.polynomial"):
+        assert module not in loaded, module
+
+
+@pytest.mark.parametrize("cmd, spec, layer", [
+    ("rays", "sample2x2", []), ("check", "sample2x2", ["deformation"]),
+    ("levelt", "resonant_group", ["frobenius"])])
+def test_each_command_loads_only_the_layer_it_runs(tmp_path, cmd, spec, layer):
+    """In a fresh process that imports the command line and runs one command on a shipped
+    problem, ``rays`` loads the package, cli, model and ode alone; ``check`` adds
+    deformation, and ``levelt`` frobenius."""
+    code = f"""
+import contextlib, io, json, sys
+import isomonodromy.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main.main(args=[{cmd!r}, "--spec", "problems/{spec}.json", "--out", {str(tmp_path)!r}],
+                  standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "isomonodromy")))
+"""
+    modules = ["cli", "model", "ode"] + layer
+    assert _fresh(code) == ["isomonodromy"] + sorted(f"isomonodromy.{m}" for m in modules)
+    assert (tmp_path / f"{cmd}_report.json").is_file()
 
 
 def test_exports_are_not_cached_in_the_package(monkeypatch):

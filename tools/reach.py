@@ -14,14 +14,19 @@ The traffic is:
   check;
 * ``tests/test_acceptance.py`` under pytest.
 
-Lines are traced with ``sys.settrace`` (standard library only).  The output
-lists, per file and function, the first line of every statement that no event
-reached.  A ``raise`` is not listed, nor is any statement of a block that ends
-in one, nor an ``if`` without ``else`` whose block ends in one (the guards that
-lead to it); docstrings and ``global`` statements run no code and are not
-listed either.  A function that never ran is listed as
-``not called``.  Nothing in the output depends on time or on the machine, so
-two runs print the same lines.
+Lines are traced with ``sys.settrace`` (standard library only).  A statement
+is unreached when no event reached any of its lines.  A ``raise`` is not
+counted, nor is any statement of a block that ends in one, nor an ``if``
+without ``else`` whose block ends in one (the guards that lead to it);
+docstrings and ``global`` statements run no code and are not counted either.
+
+An unreached statement that stays is listed in ``ALLOWED`` by its function and
+its text (the first line of the statement, stripped), or as ``not called`` for
+a function that never ran, with the reason it stays.  The output lists, per
+file and function, the first line of every unreached statement that is not
+allowed, and every entry of ``ALLOWED`` that matches no unreached statement as
+stale; the exit status is 1 if it lists anything.  Nothing in the output
+depends on time or on the machine, so two runs print the same lines.
 """
 
 import ast
@@ -39,6 +44,92 @@ SEEDS = (0, 1, 2)
 
 for path in (ROOT / "src", ROOT / "perfbench"):
     sys.path.insert(0, str(path))
+
+# (reason, function, statement texts): the unreached statements that stay
+ALLOWED = [
+    ("the lazy `isomonodromy.<name>` export: the traffic imports submodules directly; a "
+     "library user's path, reached by tier 1 (test_package.py, the README library sketch)",
+     "__init__.__getattr__",
+     ['return getattr(importlib.import_module(f"{__name__}.{module}"), name)']),
+    ("the `levelt --free` items, an option the traffic does not pass: input-reachable, "
+     "reached by tier 1 (test_cli_levelt_free_value_flag)",
+     "cli._parse_free",
+     ['pos, _, val = item.partition("=")', 'l, i, j = (int(x) for x in pos.split(","))',
+      're_s, _, im_s = val.partition(":")', "value = complex(float(re_s), float(im_s or 0.0))",
+      "out[(l, i - 1, j - 1)] = value"]),
+    ("a first pass with no run to carry, where every leg fits one run (every sampled leg of "
+     "the traffic spans several): reached by tier 1",
+     "continuation.carry", ["continue"]),
+    ("a system whose every row is degenerate or diagonal: a library path that tier 1 reaches "
+     "(test_connection_without_projected_entries)",
+     "continuation.continue_basis",
+     ["return bases[:0], np.zeros((0, n, n), dtype=complex), np.zeros((0, n, n), dtype=complex)"]),
+    ("a segment that starts on the coalescence locus (input-reachable through transport), "
+     "and a finished segment leaving the lockstep (the traffic's stencils finish together): "
+     "reached by tier 1 (test_a_finished_segment_leaves_the_lockstep)",
+     "deformation._transport_stack",
+     ["check_vanishing(A0, u0)  # SingularF1 for a start that violates the vanishing conditions",
+      "done = t >= 1", "end[live[done]] = A[done]",
+      "live, A, t, dgap, speed = (x[~done] for x in (live, A, t, dgap, speed))",
+      "end[live] = A", "A = end"]),
+    ("the step shortening and the term-buffer growth: an input-reachable guard that tier 1 "
+     "reaches",
+     "deformation._taylor_step",
+     ["power = shorten[:, None] ** np.arange(hi + 1)",
+      "power = np.stack([power * shorten[:, None], power], 1)  # W_k by c^(k+1), T_k by c^k",
+      "side[:, :, :, :hi + 1] *= power[:, :, None, :, None]",
+      "stack[:, :, K - hi:] *= power[:, :, ::-1, None, None]",
+      "q = q * shorten[:, None, None]", "c *= shorten",
+      "grown = min(MAX_ORDER, max(hi, 2 * K))",
+      "new_side, new_stack = _term_buffers(P, n, grown)",
+      "new_side[:, :, :, :K + 1] = side", "new_stack[:, :, grown - K:] = stack",
+      "side, stack, K = new_side, new_stack, grown"]),
+    ("the singular-solution test at rho >= 1: a library path that tier 1 calls on unshifted "
+     "integer systems; the acceptance criteria reach only rho = 0, and the commands shift "
+     "every integer exponent",
+     "frobenius._has_singular_solution",
+     ["seeds = _kernel_seeds(w)",
+      "source = np.zeros((rho + 1, n, len(seeds) + 1), dtype=complex)",
+      "source[rho, :, 0] = sol.b[0]", "starts = np.column_stack([np.zeros(n), seeds.T])",
+      "obs = _chain(fs, _columns(fs, [k] * (len(seeds) + 1)), starts, rho, source)",
+      "c0, L = obs[0], obs[1:]",
+      "return not (float(np.max(np.abs(L))) < 1e-12 * max(1.0, abs(c0)) and abs(c0) > 1e-10)"]),
+    ("the kernel seeds and the chain of the singular-solution test at rho >= 1: reached by "
+     "tier 1, as above",
+     "frobenius._kernel_seeds", ["not called"]),
+    ("as above", "frobenius._chain", ["not called"]),
+    ("the nan at a pole of Gamma: a guard that tier 1 reaches (test_cgamma_against_mpmath)",
+     "frobenius.cgamma", ["return complex(math.nan, math.nan)"]),
+    ("a Gamma past the float range, which leads to the IllConditioned below it: a guard that "
+     "tier 1 reaches (test_leading_factor_out_of_range_is_typed)",
+     "frobenius.leading_factor", ["pass"]),
+    ("a natural pole whose selected solution is zero: a library path that tier 1 reaches",
+     "frobenius.LocalSolution.selected_value",
+     ["return np.zeros(self.b.shape[1], dtype=complex)"]),
+    ("the non-zero gamma pick, for a diagonal entry of A within SHIFT_MARGIN of an integer: "
+     "an input-reachable guard that tier 1 reaches",
+     "frobenius.shift_exponents",
+     ["fractions = np.sort(values.real % 1.0)",
+      "gaps = np.diff(fractions, append=fractions[0] + 1.0)", "i = int(np.argmax(gaps))",
+      "gamma = (fractions[i] + 0.5 * gaps[i]) % 1.0"]),
+    ("the nudges off a window centre that a pole blocks, and their warning: an "
+     "input-reachable guard that tier 1 reaches",
+     "laplace._direction_for",
+     ["d = lo + ((d - lo + step) % (hi - lo))", "tries += 1",
+      'logger.warning("_direction_for: no direction in (%.10f, %.10f) clear of the "']),
+    ("a natural pole whose selected solution is zero, past order r: reached by tier 1 "
+     "(test_asymptotic_coeffs_of_a_zero_natural_solution)",
+     "laplace.asymptotic_coeffs", ["out[l - 1] = 0.0"]),
+    ("the constructor of a raised error, an artifact of the tool: it leaves out the raise, "
+     "not the class",
+     "model.NonAdmissibleError.__init__", ["not called"]),
+    ("the turns of an angle outside its branch window: the traffic's phases lie in their "
+     "windows already; a problem file's tau reaches them, as do tier 1's test_arg_from_*",
+     "model.CutPlane.arg_from",
+     ["a -= TWO_PI", "if a >= self.eta:",
+      "a += TWO_PI * (math.ceil((self.eta - a) / TWO_PI) - 1)", "a += TWO_PI",
+      "if a < self.eta - TWO_PI:"]),
+]
 
 _hits = set()
 _files = {str(path) for path in PACKAGE.glob("*.py")}
@@ -146,21 +237,27 @@ def _functions(tree):
 
 
 def report():
-    lines = []
+    """The unreached statements that ``ALLOWED`` does not list, per function, and its stale
+    entries."""
+    allowed = {(func, text) for _, func, texts in ALLOWED for text in texts}
+    used, lines = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
         hit = {line for name, line in _hits if name == str(path)}
         for name, func in _functions(ast.parse("\n".join(source))):
             stmts = []
             _statements(func.body, stmts)
-            if not stmts:
-                continue
-            missed = [s for s in stmts if not hit.intersection(_own_lines(s))]
-            if len(missed) == len(stmts):
-                lines.append(f"{path.stem}.{name}: not called")
-            elif missed:
-                lines.append(f"{path.stem}.{name}:")
-                lines += [f"    {s.lineno}: {source[s.lineno - 1].strip()}" for s in missed]
+            missed = [(s.lineno, source[s.lineno - 1].strip()) for s in stmts
+                      if not hit.intersection(_own_lines(s))]
+            name = f"{path.stem}.{name}"
+            if missed and len(missed) == len(stmts):
+                missed = [(func.lineno, "not called")]
+            used |= {(name, text) for _, text in missed}
+            missed = [(line, text) for line, text in missed if (name, text) not in allowed]
+            if missed:
+                lines.append(f"{name}:")
+                lines += [f"    {line}: {text}" for line, text in missed]
+    lines += [f"stale: {func}: {text}" for func, text in sorted(allowed - used)]
     return lines
 
 
@@ -173,8 +270,11 @@ def main():
         run_acceptance()
     finally:
         sys.settrace(None)
-    print("\n".join(report()) or "every statement was reached")
+    lines = report()
+    if lines:
+        print("\n".join(lines))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally
+from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally, untested_orders
 from .model import (BasisSingular, CutPlane, IllConditioned, NonAdmissibleError, SingularF1,
                     StepFailure, SystemPair, is_in_cell)
 from .frobenius import _has_singular_solution, selected_solutions, shift_exponents
@@ -134,8 +134,8 @@ def carry(fs: SystemPair, pieces):
     piece that meets a pole or that a step leaves where it was (x + h == x,
     as on a path through a pole), and for a block, Taylor term or integral
     that is not finite or a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
-    every piece of a batch without samples, and the integrals J_p of every
-    piece of a batch with samples, J_p[i] the one for z_p,i.
+    every piece of a batch without samples, and the integrals of a batch with
+    samples as one (P, nz) + block array J, J[p, i] the one for z_p,i.
     """
     n, P = fs.n, len(pieces)
     blocks = [np.asarray(p.y0, dtype=complex) for p in pieces]
@@ -207,8 +207,7 @@ def carry(fs: SystemPair, pieces):
             floor = np.repeat(TAYLOR_EPS * np.maximum.reduceat(size, first)[move], wm)
             # h / (lam0 - u), row k of run r over lam0_r - u_k, on each of its columns
             scale = np.repeat((hm[:, None] / dist).T, wm, axis=1)
-            ratio = float(np.max(np.abs(hm) / rhos[step]))
-            hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio))))
+            hi = untested_orders(float(np.max(np.abs(hm) / rhos[step])))
             # term m in row m - done of the step's view of the buffer, rows
             # below done summed into total
             T = buf[:rows * scale.size].reshape(rows, n, -1)
@@ -256,8 +255,7 @@ def carry(fs: SystemPair, pieces):
     tally(steps, nfev, piece_steps)
     if not nz:
         return [ends[-1, p, :, :w].reshape(b.shape) for p, (b, w) in enumerate(zip(blocks, widths))]
-    J = np.add.reduceat(J, np.flatnonzero(start == 0))
-    return [j.reshape((nz,) + b.shape) for j, b in zip(J, blocks)]
+    return np.add.reduceat(J, np.flatnonzero(start == 0)).reshape((P, nz) + blocks[0].shape)
 
 
 def _batch_shape(counts, widths):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally
+from .ode import (MAX_ORDER, MAX_STEPS, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally,
+                  untested_orders)
 from .model import (COALESCE_TOL, DriftExceeded, IllConditioned, StepFailure, SystemPair,
                     check_vanishing)
 
@@ -150,7 +151,8 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     length is not n, a ``tol`` that is not finite and positive, or a u0 or
     target that is not finite; :class:`StepFailure` when a segment comes
     within ``guard`` (if > 0) of the coalescence locus, a block is not
-    finite or a step has not converged by MAX_ORDER, :class:`SingularF1`
+    finite, a step has not converged by MAX_ORDER or a solve has taken
+    MAX_STEPS steps (naming t and the step), :class:`SingularF1`
     for a start on the locus with a nonvanishing in-group A_ij,
     :class:`DriftExceeded` when the diagonal or the scaled power sums
     (:func:`_power_sum_drift`, the spectrum's invariants) of a trajectory
@@ -206,6 +208,9 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
             piece_steps += int(np.count_nonzero(h))
             if t.min() >= 1:
                 break
+            if steps == MAX_STEPS:
+                raise StepFailure(f"Schlesinger transport short of its target after {MAX_STEPS} "
+                                  f"steps: t = {t.min():.3e}, by steps of {ch[t.argmin()]:.1e}")
             if t.max() >= 1:  # a segment at its target leaves the lockstep
                 done = t >= 1
                 end[live[done]] = A[done]
@@ -246,9 +251,7 @@ def _taylor_step(A, q):
     P, n = A.shape[:2]
     size = np.abs(A).max((1, 2))
     bound = TAYLOR_EPS * size[:, None]
-    ratio = float(np.abs(q).max())
-    hi = min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS) / math.log(ratio)))
-             if ratio > 0 else 2)
+    hi = untested_orders(float(np.abs(q).max()))
     lo, c = 0, np.ones(P)
     K = min(MAX_ORDER, hi + TAIL_ORDERS)
     side, stack = _term_buffers(P, n, K)

@@ -273,16 +273,20 @@ class LocalSolution:
         """Exponent of the branched factor, -lambda'_k - 1."""
         return -self.lambda_prime_k - 1
 
+    def check_radius(self, r):
+        """IllConditioned where x^N, the series' last power at |x| = r, leaves the float range."""
+        N = len(self.b) - 1
+        if r > 1 and N * math.log(r) > math.log(np.finfo(float).max):
+            raise IllConditioned(f"the local series at pole {self.k} is summed at |x| = "
+                                 f"{r:.2e}, where x^{N} leaves the float range")
+
     def selected_value(self, lam, cut):
-        """Value of the selected solution Psi_k on the branch of ``cut``; IllConditioned,
-        before the series is summed, where its last power x^N leaves the float range."""
+        """Value of the selected solution Psi_k on the branch of ``cut``; IllConditioned
+        before the series is summed where x^N leaves the float range (:meth:`check_radius`)."""
         x = lam - self.pole
         if self.klass == "natural" and self.zero:
             return np.zeros(self.b.shape[1], dtype=complex)
-        N = len(self.b) - 1
-        if abs(x) > 1 and N * math.log(abs(x)) > math.log(np.finfo(float).max):
-            raise IllConditioned(f"the local series at pole {self.k} is summed at |x| = "
-                                 f"{abs(x):.2e}, where x^{N} leaves the float range")
+        self.check_radius(abs(x))
         if self.klass == "natural":
             return horner(self.d, x)
         base = horner(self.b, x)

@@ -25,13 +25,13 @@ transport the formula route uses, with no dense output.  The hairpin's
 small circle lies inside the convergence disc of the series, so its
 integral is the series integrated term by term (:func:`_circle`).
 
-Columns are computed in batches (:func:`laplace_columns`): the contour
-direction runs once per label and ray, validation, the series starts and
-the hairpin circles in one pass over the batch (:func:`_plan`), and the
-legs of every column in the batch go through one
-:func:`.continuation.carry`, cut into runs of CUT_STEPS steps, carried
-once for the starts of the later runs and once for their integrals.  The
-oracle's batch is the 4n legs of both matchings of a Stokes pair.
+Columns are computed in batches, one stack of arrays from plan to fit
+(:func:`laplace_columns`): the contour direction runs once per label and
+ray, validation, the series starts and the hairpin circles in one pass
+(:func:`_plan`), and the legs go through one :func:`.continuation.carry`,
+cut into runs of CUT_STEPS steps, which returns their integrals as one
+array.  The oracle's batch is the 4n legs of both matchings of a Stokes
+pair.
 
 All returned column values are *reduced*: the exponential prefactor
 e^{z u_k} is factored out so that quadrature never overflows; callers that
@@ -183,17 +183,17 @@ def _direction_for(labels, h, theta, u):
     return d
 
 
-def _start(coeffs, cap, tol):
-    """Where the carry takes over from a local series: ``(t, tail)``.
+def _start(sol, cap, tol):
+    """Where the carry takes over from the local series ``sol``: ``(t, tail)``.
 
     t is the largest radius up to ``cap`` at which each of the last two
     terms |c_N| t^N and |c_{N-1}| t^{N-1} of the series is at most
     tol / 2 times its size max|c_0|; ``tail`` is their sum there over that
     size, the truncation error of the start value relative to Psi_k.
-    ``cap`` holds one cap per column of the pole, and t and ``tail`` one
-    value each.
+    ``cap`` holds one cap per column of the pole, t and ``tail`` one value
+    each; a t^N past the float range is IllConditioned (``check_radius``).
     """
-    size = np.abs(coeffs).max(1)
+    size = np.abs(sol.b).max(1)
     scale = size[0]
     N = len(size) - 1
     bound = 0.5 * tol * scale
@@ -203,27 +203,24 @@ def _start(coeffs, cap, tol):
         # (0 or subnormal) sets no radius, as that quotient leaves the float range
         if m and size[m] > bound / np.finfo(float).max:
             t = np.minimum(t, (bound / size[m]) ** (1.0 / m))
+    sol.check_radius(float(np.max(t)))
     return t, (size[N - 1] * t ** (N - 1) + size[N] * t ** N) / scale
 
 
-@dataclass
-class LaplaceColumn:
-    """Sampled reduced column of a sectorial solution.
+class LaplaceColumns(NamedTuple):
+    """The sampled reduced columns of a batch, a stack per field, column p at index p.
 
-    ``reduced[i]`` equals Y_k(z_i) e^{-z_i u_k}; multiply by e^{z u_k} for
-    the raw column.  ``error`` is relative to the reduced scale: each
-    integral J of the column counts as off by the series tail at its start
-    (:func:`_start`) plus the stated carry bound CARRY_TOL, relative to
-    max|J|.  CARRY_TOL is not an error estimate: the Taylor carry reads
-    1e-11 or better against an independent solve.
+    ``reduced[p, i]`` (P, nz, n) is Y_k(z_i) e^{-z_i u_k}, k and z those of
+    spec p: multiply by e^{z u_k} for the raw column.  ``eta`` (P,) is the
+    contour direction d.  ``error`` (P,) is relative to the reduced scale: each
+    integral J counts as off by the series tail at its start (:func:`_start`)
+    plus the stated carry bound CARRY_TOL, relative to max|J|.  CARRY_TOL is
+    no estimate: the carry reads 1e-11 or better against an independent solve.
     """
 
-    k: int
-    label: int
-    z: np.ndarray
     reduced: np.ndarray
-    eta_used: float
-    error: float
+    error: np.ndarray
+    eta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,29 +238,25 @@ class ColumnSpec:
 
 
 def laplace_columns(fs: SystemPair, geometry, specs, sols, tol=1e-12):
-    """The columns of every :class:`ColumnSpec` in ``specs``, carried together.
+    """The :class:`LaplaceColumns` of every :class:`ColumnSpec` in ``specs``, carried together.
 
     ``sols[k]`` is the selected-solution series of pole k, and every pole
     of ``specs`` must have a noninteger exponent (:func:`_plan`).  The
     contour direction d depends on the label and the ray only, so
     :func:`_direction_for` runs once per (h, arg); every column is then
     validated and its hairpin started in one pass over the batch
-    (:func:`_plan`).  The legs of every column go through one
-    :func:`.continuation.carry`, and each column is its plan's ``base``
-    plus its ``weight`` times the integral J its leg returns.
+    (:func:`_plan`).  One :func:`.continuation.carry` returns the integrals
+    J of every leg as one stack, and the columns are base + weight J.
     """
     rays = {(h, arg): _direction_for(geometry.labels, h, arg, fs.u)
             for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
-    plans = _plan(fs, specs, [rays[spec.h, float(spec.arg)] for spec in specs], sols, tol)
-    columns = []
-    for spec, plan, J in zip(specs, plans, carry(fs, [plan.leg for plan in plans])):
-        reduced = plan.base + plan.weight * J
-        size = plan.size + float(np.max(np.abs(J)))
-        error = (plan.tail + CARRY_TOL) * size / max(float(np.max(np.abs(reduced))), 1e-300)
-        columns.append(LaplaceColumn(k=spec.k, label=spec.h * geometry.labels.mu,
-                                     z=np.asarray(spec.z, dtype=complex), reduced=reduced,
-                                     eta_used=plan.eta, error=error))
-    return columns
+    eta = [rays[spec.h, float(spec.arg)] for spec in specs]
+    legs, weight, base, size, tail = _plan(fs, specs, eta, sols, tol)
+    J = carry(fs, legs)
+    reduced = base + weight[:, None, None] * J
+    size = size + np.abs(J).max((1, 2))
+    error = (tail + CARRY_TOL) * size / np.maximum(np.abs(reduced).max((1, 2)), 1e-300)
+    return LaplaceColumns(reduced=reduced, error=error, eta=np.array(eta))
 
 
 def _circle(b, lp, r, d, z):
@@ -309,23 +302,6 @@ def _circle(b, lp, r, d, z):
     return prefactor[:, None, None] * (powers @ hankel @ scaled)
 
 
-class _Plan(NamedTuple):
-    """A column before its carry: base + weight J, J the integral along its leg.
-
-    ``base`` is the hairpin's circle, summed from the local series in closed
-    form, ``weight`` the jump of Psi_k across the leg over 2 pi i, ``size``
-    max|J| of the circle and ``tail`` the series truncation at the start,
-    relative (:func:`_start`).
-    """
-
-    leg: Piece
-    weight: complex
-    base: np.ndarray
-    size: float
-    tail: float
-    eta: float
-
-
 def _plan(fs, specs, directions, sols, tol):
     """Validate every column of a batch and start its hairpin, in one pass over the batch.
 
@@ -339,7 +315,9 @@ def _plan(fs, specs, directions, sols, tol):
     taken as arrays over the batch, the starts and circles in one stacked
     pass (:func:`_hairpins`).  Each leg (:func:`_leg`), on the branch of
     arg d, starts at r with the value Psi_k(r e^{id}) and is weighted by
-    the jump of Psi_k across it over 2 pi i.
+    the jump of Psi_k across it over 2 pi i.  Returns the legs and the
+    stacks of that ``weight``, the ``base`` (the circle over 2 pi i), its
+    ``size`` max|J| and the series ``tail`` at the start (:func:`_start`).
     """
     integer = [spec.k for spec in specs if fs.integer_class(spec.k) != "noninteger"]
     if integer:
@@ -366,19 +344,15 @@ def _plan(fs, specs, directions, sols, tol):
     near = z_abs.min(1)
     hairpins = [sols[spec.k] for spec in specs]
     r, tail, circle, psi = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
-    base = circle / (2j * math.pi)
-    size = np.abs(circle).max((1, 2)).tolist()
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
-    plans = []
-    for p, (spec, sol, d, theta, start, near_p) in enumerate(zip(
-            specs, hairpins, directions, arg, r.tolist(), near.tolist())):
-        value = psi[p] * cmath.exp(sol.rho * (math.log(start) + 1j * d))
-        jump = 1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)
-        leg = _leg(fs.u[spec.k], start, d, theta, value, z[p], near_p, growth[spec.k],
-                   hull[spec.k])
-        plans.append(_Plan(leg, jump / (2j * math.pi), base[p], size[p], tail[p], d))
-    return plans
+    legs = [_leg(fs.u[spec.k], t, d, theta, psi_p * cmath.exp(sol.rho * (math.log(t) + 1j * d)),
+                 z_p, near_p, growth[spec.k], hull[spec.k])
+            for spec, sol, d, theta, t, psi_p, z_p, near_p in zip(
+                specs, hairpins, directions, arg, r.tolist(), psi, z, near.tolist())]
+    weight = np.array([(1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)) / (2j * math.pi)
+                       for sol in hairpins])
+    return legs, weight, circle / (2j * math.pi), np.abs(circle).max((1, 2)), tail
 
 
 def _hairpins(sols, d, z, z_max, tol):
@@ -395,7 +369,7 @@ def _hairpins(sols, d, z, z_max, tol):
     poles = np.array([sol.k for sol in sols])
     for k, sol in {sol.k: sol for sol in sols}.items():
         at = poles == k
-        r[at], tail[at] = _start(sol.b, r[at], tol)
+        r[at], tail[at] = _start(sol, r[at], tol)
     b = np.array([sol.b for sol in sols])
     lp = np.array([sol.lambda_prime_k for sol in sols])
     powers = np.ones(b.shape[:2], dtype=complex)

@@ -9,6 +9,7 @@ nonlinear Schlesinger flow.  Each reports one solve per call through
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -20,6 +21,14 @@ STEP_RATIO = 0.5
 TAYLOR_EPS = 1e-16
 TAIL_ORDERS = 4
 MAX_ORDER = 400
+# lockstep steps a Schlesinger solve takes at most before it fails: 15 times the 64
+# of the longest solve in the test suite; a stalled 2x2 solve reaches it in 0.6 s
+MAX_STEPS = 1000
+
+
+def untested_orders(ratio):
+    """Orders a Taylor step sums before it tests its tail, its terms falling as ``ratio``^m."""
+    return min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS, ratio)))) if ratio > 0 else 2
 
 
 @dataclass

@@ -123,36 +123,33 @@ def _matching(system, geometry, h):
     return theta, ladder, specs
 
 
-def _fit(system, theta, ladder, cols):
+def _fit(system, matching, reduced, eta):
     """The Stokes matrix of one matching from its 2n columns: ``(S, diagnostics)``.
 
-    Solves Y_h S = Y_{h+1} at each |z| of the ladder and checks
-    z-independence against CONSISTENCY_TOL.  The diagnostics hold the
-    ladder, the ray, the spread and the contour directions d of labels h
-    and h + 1.
+    ``matching`` is its ``(theta, ladder, specs)`` (:func:`_matching`), and
+    ``reduced`` (2n, nz, n) and ``eta`` (2n,) its slice of the
+    :class:`.laplace.LaplaceColumns`.  Y_h S = Y_{h+1} is solved at every |z|
+    of the ladder in one stacked solve, and z-independence checked against
+    CONSISTENCY_TOL.  The diagnostics hold the ladder, the ray, the spread
+    and the contour directions d of labels h and h + 1.
     """
-    n = len(cols) // 2
-    cols_a, cols_b = cols[:n], cols[n:]
-    fits = []
-    for i, zval in enumerate(cols[0].z):
-        Wa = np.column_stack([c.reduced[i] for c in cols_a])
-        Wb = np.column_stack([c.reduced[i] for c in cols_b])
-        M = np.linalg.solve(Wa, Wb)
-        # restore the exponential factors: S = D^-1 M D, D = diag(e^{z u_k})
-        E = np.exp(np.array([zval * (system.u[k] - system.u[j])
-                             for j in range(n) for k in range(n)])).reshape(n, n)
-        fits.append(M * E)
-    fits = np.array(fits)
-    spread = float(np.max(np.abs(fits - fits[0]))) if len(fits) > 1 else 0.0
+    theta, ladder, specs = matching
+    n, u = system.n, system.u
+    W = reduced.transpose(1, 2, 0)  # W[i] = [Y_h | Y_{h+1}] at z_i, reduced
+    M = np.linalg.solve(W[..., :n], W[..., n:])
+    # restore the exponential factors: S = D^-1 M D, D = diag(e^{z u_k})
+    E = np.exp(np.array([[x * (u[k] - u[j]) for j in range(n) for k in range(n)]
+                         for x in specs[0].z]))
+    fits = M * E.reshape(M.shape)
+    spread = float(np.max(np.abs(fits - fits[0])))
     scale = max(1.0, float(np.max(np.abs(fits))))
     if spread > CONSISTENCY_TOL * scale:
         raise MatchingInconsistent(
             f"fitted Stokes matrix varies by {spread:.2e} (relative "
             f"{spread / scale:.2e}) across |z| ladder {ladder}"
         )
-    S = np.mean(fits, axis=0)
-    return S, {"ladder": list(ladder), "theta": theta, "z_spread": spread,
-               "directions": [cols_a[0].eta_used, cols_b[0].eta_used]}
+    return np.mean(fits, axis=0), {"ladder": list(ladder), "theta": theta, "z_spread": spread,
+                                   "directions": eta[::n].tolist()}
 
 
 def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
@@ -165,15 +162,14 @@ def stokes_pair_direct(system, geometry, tol=1e-12, N=40):
     is a hairpin.  Both matchings share one shifted system and one set of
     local series, and their 4n Laplace columns go through one carry of at
     most 2 CUT_STEPS lockstep steps (:func:`laplace_columns`); each
-    matching is then fitted on its own (:func:`_fit`).
+    matching is then fitted on its own half of the stack (:func:`_fit`).
     """
     gamma, shifted = shift_exponents(system)
     sols = selected_solutions(shifted, N)
-    theta0, ladder0, specs0 = _matching(system, geometry, 0)
-    theta1, ladder1, specs1 = _matching(system, geometry, 1)
-    cols = laplace_columns(shifted, geometry, specs0 + specs1, sols=sols, tol=tol)
-    S0, d0 = _fit(system, theta0, ladder0, cols[:len(specs0)])
-    S1, d1 = _fit(system, theta1, ladder1, cols[len(specs0):])
+    matchings = [_matching(system, geometry, h) for h in (0, 1)]
+    cols = laplace_columns(shifted, geometry, matchings[0][2] + matchings[1][2], sols, tol)
+    (S0, d0), (S1, d1) = (_fit(system, matching, reduced, eta) for matching, reduced, eta
+                          in zip(matchings, np.split(cols.reduced, 2), np.split(cols.eta, 2)))
     return StokesPair(S_nu=S0, S_nu_plus_mu=S1, method="oracle",
                       diagnostics={"h0": d0, "h1": d1, "gamma": gamma})
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,26 @@ def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):
     assert failed["integrability"].startswith("StepFailure")
     assert failed["vanishing"] == ("IllConditioned: the residue commutator [B_0, B_1] "
                                    "leaves the float range")
+
+
+def test_cli_check_on_a_stalling_solve_is_a_typed_failure(tmp_path):
+    """check on sample2x2 with A_00 = 0.5 + 1e17i, which hung: its stencil solve's first step
+    is shortened by a factor of 1.9e-13, and the 1e-3 segment would take about 1e14 steps.
+    The solve stops at ode.MAX_STEPS, so the run exits 3 within 5 s (1.2 s measured), the
+    integrability stage failed with a StepFailure and the vanishing stage ok."""
+    prob = json.loads(json.dumps(SAMPLE))
+    prob["A"][0][0] = [0.5, 1e17]
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["check", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 3, result.output
+    stages = {s["name"]: s for s in json.loads((out / "check_report.json").read_text())["stages"]}
+    assert stages["integrability"]["status"] == "failed"
+    assert stages["integrability"]["error"].startswith(
+        "StepFailure: Schlesinger transport short of its target after 1000 steps: t = ")
+    assert stages["vanishing"]["status"] == "ok"
 
 
 def test_cli_stokes_with_oracle(tmp_path):

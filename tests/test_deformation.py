@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import omega, residue
+from isomonodromy import ode
 from isomonodromy.model import DriftExceeded, SingularF1, SystemPair
 from isomonodromy.frobenius import build_fuchsian
 from isomonodromy.deformation import (
@@ -200,6 +201,17 @@ def test_transport_refuses_a_u_or_target_that_is_not_finite(bad):
         integrability_residual(SystemPair(sp.A, [bad, 1.0]))
     with pytest.raises(ValueError, match="^target - u is not finite"):
         transport(DeformationState(np.array([1e308, 0.0]), sp.A), np.array([-1e308, 1.3]))
+
+
+def test_transport_stops_a_stalled_solve_at_the_step_budget():
+    """A_00 = 0.5 + 1e17i on the workhorse system shortens the first Schlesinger step of a
+    1e-3 segment by a factor of 1.9e-13, so the segment would take about 1e14 steps: the
+    solve stops at ode.MAX_STEPS with a StepFailure naming its t and its step."""
+    A = np.array([[0.5 + 1e17j, 2.0], [3.0, 1.0 / 3.0]])
+    with pytest.raises(StepFailure, match=rf"^Schlesinger transport short of its target after "
+                                          rf"{ode.MAX_STEPS} steps: t = 1\.9\d\de-10, by steps "
+                                          rf"of 1\.9e-13$"):
+        transport(DeformationState(np.array([0.0, 1.0]), A), np.array([1e-3, 1.0]))
 
 
 @pytest.mark.parametrize("target", [[0.2j, 1.3, 2.0], [0.2j], [[0.2j, 1.3]]])

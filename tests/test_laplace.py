@@ -243,9 +243,10 @@ def _sols(fs):
 
 
 def _column(fs, k, h, geometry, z, theta, tol=1e-12):
-    """Column k of Y_{nu+h mu} at the samples z of the ray arg theta: a batch of one."""
+    """Column k of Y_{nu+h mu} at the samples z of the ray arg theta: the stacked record of a
+    batch of one."""
     spec = laplace.ColumnSpec(k, h, z, theta)
-    return laplace.laplace_columns(fs, geometry, [spec], _sols(fs), tol)[0]
+    return laplace.laplace_columns(fs, geometry, [spec], _sols(fs), tol)
 
 
 def test_laplace_column_diagonal_noninteger(diag_geo):
@@ -258,8 +259,8 @@ def test_laplace_column_diagonal_noninteger(diag_geo):
         lp = A[k, k]
         for i, zz in enumerate(z):
             expect = cmath.exp(lp * (math.log(abs(zz)) + 1j * theta))
-            assert abs(col.reduced[i][k] - expect) < 1e-12 * abs(expect)
-            assert abs(col.reduced[i][1 - k]) < 1e-13
+            assert abs(col.reduced[0, i, k] - expect) < 1e-12 * abs(expect)
+            assert abs(col.reduced[0, i, 1 - k]) < 1e-13
 
 
 @pytest.mark.parametrize("a00", [1.0, -2.0, 1 + 1e-9])
@@ -295,7 +296,7 @@ def test_laplace_column_satisfies_irregular_ode(system_2x2, diag_geo):
     z = _ray([r - h, r, r + h], theta)
     for k in range(2):
         col = _column(fs, k, 0, diag_geo, z, theta, tol=1e-13)
-        raw = [col.reduced[i] * cmath.exp(z[i] * fs.u[k]) for i in range(3)]
+        raw = [col.reduced[0, i] * cmath.exp(z[i] * fs.u[k]) for i in range(3)]
         dY = (raw[2] - raw[0]) / (z[2] - z[0])
         M = np.diag(fs.u) + system_2x2.A / z[1]
         resid = np.max(np.abs(dY - M @ raw[1]))
@@ -312,7 +313,7 @@ def test_laplace_contour_deformation_invariance(monkeypatch, system_2x2, diag_ge
     for d in (eta - 0.35, eta + 0.3):
         monkeypatch.setattr(laplace, "_direction_for", lambda *args, d=d: d)
         cols.append([_column(fs, k, 0, diag_geo, z, theta, tol=1e-13) for k in range(2)])
-        assert all(col.eta_used == d for col in cols[-1])
+        assert all(col.eta[0] == d for col in cols[-1])
     for a, b in zip(*cols):
         scale = max(1.0, float(np.max(np.abs(a.reduced))))
         assert np.max(np.abs(a.reduced - b.reduced)) < 1e-10 * scale
@@ -382,9 +383,9 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
-        ref = _reference_column(fs, k, z, col.eta_used)
+        ref = _reference_column(fs, k, z, col.eta[0])
         scale = float(np.max(np.abs(ref)))
-        assert np.max(np.abs(col.reduced - ref)) <= 1e-10 * scale, kind
+        assert np.max(np.abs(col.reduced[0] - ref)) <= 1e-10 * scale, kind
 
 
 def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geometry,
@@ -397,9 +398,9 @@ def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geome
     for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
                                                vanishing_A_uc):
         col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
-        ref = _reference_column(fs, k, z, col.eta_used)
-        dist = np.max(np.abs(col.reduced - ref)) / np.max(np.abs(ref))
-        assert 0.0 < col.error and dist <= col.error, kind
+        ref = _reference_column(fs, k, z, col.eta[0])
+        dist = np.max(np.abs(col.reduced[0] - ref)) / np.max(np.abs(ref))
+        assert 0.0 < col.error[0] and dist <= col.error[0], kind
 
 
 def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescing_geometry,
@@ -499,7 +500,8 @@ def test_quadrature_divergence_edge(system_2x2, re, diverges):
         with pytest.raises(QuadratureDivergence):
             laplace._plan(fs, [spec], [0.0], [sol], 1e-12)
     else:
-        assert laplace._plan(fs, [spec], [0.0], [sol], 1e-12)[0].leg.z.size == 1
+        [leg], *_ = laplace._plan(fs, [spec], [0.0], [sol], 1e-12)
+        assert leg.z.size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +583,7 @@ def test_asymptotic_fit_diagonal(diag_geo):
     fs = build_fuchsian(SystemPair(np.diag([0.3, -0.6]), [0.0, 1.0]))
     theta = TAU - 0.5 * math.pi
     z = _ray(np.geomspace(8, 800, 10), theta)
-    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced
+    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced[0]
             for k in range(2)]
     F, resid = _asymptotic_fit(z, cols, fs.lambda_prime, 3, theta)
     assert max(np.max(np.abs(Fl)) for Fl in F) < 1e-8
@@ -592,7 +594,7 @@ def test_asymptotic_fit_generic(system_2x2, diag_geo):
     fs = build_fuchsian(system_2x2)
     theta = TAU - 0.5 * math.pi
     z = _ray(np.geomspace(10, 1000, 16), theta)
-    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced
+    cols = [_column(fs, k, 0, diag_geo, z, theta, tol=1e-13).reduced[0]
             for k in range(2)]
     F, resid = _asymptotic_fit(z, cols, fs.lambda_prime, 6, theta)
     assert np.max(np.abs(F[0] - formal_recursion(system_2x2, 1).F[0])) < 1e-4
@@ -606,7 +608,7 @@ def test_asymptotic_fit_negative_control(system_2x2, diag_geo):
     pair = stokes_pipeline(system_2x2, diag_geo, tol=1e-12)
     theta = TAU + 0.5 * math.pi  # inside sector 1's pinned range, outside S_0
     z = _ray(np.geomspace(8, 50, 12), theta)
-    cols1 = [_column(fs, k, 1, diag_geo, z, theta, tol=1e-12).reduced
+    cols1 = [_column(fs, k, 1, diag_geo, z, theta, tol=1e-12).reduced[0]
              for k in range(2)]
     # Y_0 = Y_1 S_0^{-1} continued outside its own sector
     Sinv = np.linalg.inv(pair.S_nu)
@@ -680,18 +682,19 @@ def _batch_cases(system_2x2, diag_geo, coalescing_geometry, vanishing_A_uc):
 
 def test_batched_columns_match_one_at_a_time(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
-    """One batch of every column agrees with batches of one column, in one carry."""
+    """One batch of every column agrees with batches of one column, in one carry: column p
+    of the stacked record, its values and its direction, against the lone column's."""
     for fs, geo, specs, kind in _batch_cases(system_2x2, diag_geo, coalescing_geometry,
                                              vanishing_A_uc):
         sols = _sols(fs)
         with ode.counting() as work:
             batch = laplace.laplace_columns(fs, geo, specs, sols, tol=1e-13)
         assert work.solves == 1, kind
-        for spec, col in zip(specs, batch):
-            lone = laplace.laplace_columns(fs, geo, [spec], sols, tol=1e-13)[0]
-            scale = float(np.max(np.abs(lone.reduced)))
-            assert np.max(np.abs(col.reduced - lone.reduced)) <= 1e-10 * scale, (kind, spec)
-            assert (col.k, col.label, col.eta_used) == (lone.k, lone.label, lone.eta_used)
+        for p, spec in enumerate(specs):
+            lone = laplace.laplace_columns(fs, geo, [spec], sols, tol=1e-13)
+            scale = float(np.max(np.abs(lone.reduced[0])))
+            assert np.max(np.abs(batch.reduced[p] - lone.reduced[0])) <= 1e-10 * scale, (kind, spec)
+            assert batch.eta[p] == lone.eta[0]
 
 
 def test_carry_applies_rank_one_residues(monkeypatch, system_2x2, diag_geo,
@@ -749,7 +752,7 @@ def test_closed_form_circle_matches_the_two_piece_hairpin(monkeypatch, diag_geo,
                                 leg.y0 * cmath.exp(2j * math.pi * (lp + 1)))._replace(z=leg.z)
     J_circle, J_leg = laplace.carry(fs, [circle, leg])
     ref = (J_circle + (1.0 - cmath.exp(2j * math.pi * lp)) * J_leg) / (2j * math.pi)
-    assert np.max(np.abs(col.reduced - ref)) <= 1e-12 * np.max(np.abs(col.reduced))
+    assert np.max(np.abs(col.reduced[0] - ref)) <= 1e-12 * np.max(np.abs(col.reduced[0]))
 
 
 @pytest.mark.parametrize("lp", [0.3 + 0.2j, 1 - 1e-6, 2 + 1e-7, -0.45 - 1.77j])
@@ -873,8 +876,8 @@ def test_bent_columns_match_straight_legs(monkeypatch, n):
     assert all(p.via for p in pieces)
     straight, straight_work = _columns_with(monkeypatch, fs, geo, specs, sols,
                                             lambda i, leg: _straight(fs, leg))
-    for a, b in zip(bent, straight):
-        assert np.max(np.abs(a.reduced - b.reduced)) <= 1e-10 * np.max(np.abs(b.reduced))
+    for a, b in zip(bent.reduced, straight.reduced):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
     assert bent_work.piece_steps < straight_work.piece_steps
 
     # the control: a corner between the start and a pole that lies on the
@@ -902,8 +905,8 @@ def test_bent_columns_match_straight_legs(monkeypatch, n):
         return leg._replace(b=end - leg.a, via=(corner,))
 
     control, _ = _columns_with(monkeypatch, fs, geo, specs, sols, inward)
-    miss = np.max(np.abs(control[p].reduced - straight[p].reduced))
-    assert miss > 1e-2 * np.max(np.abs(straight[p].reduced))
+    miss = np.max(np.abs(control.reduced[p] - straight.reduced[p]))
+    assert miss > 1e-2 * np.max(np.abs(straight.reduced[p]))
 
 
 @pytest.mark.parametrize("case", ["collinear", "past the tail"])
@@ -924,19 +927,18 @@ def test_legs_that_went_straight_match_straight_legs(system_2x2, case):
     else:
         z, d = _ray([30.0, 40.0], theta), math.pi - theta - 0.3
     specs = [laplace.ColumnSpec(k, 0, z, theta) for k in range(2)]
-    plans = laplace._plan(fs, specs, [d, d], _sols(fs), 1e-13)
-    for plan in plans:
-        leg = plan.leg
+    legs, weight, base, _, _ = laplace._plan(fs, specs, [d, d], _sols(fs), 1e-13)
+    for leg in legs:
         [corner] = leg.via
         if case == "collinear":
             turn = (leg.a + leg.b - corner) / (corner - leg.a)
             assert turn.real > 0 and abs(turn.imag) <= 1e-12 * abs(turn)
         else:
             assert abs(leg.a + leg.b - corner) <= 1e-15 * abs(corner)
-    bent = laplace.carry(fs, [plan.leg for plan in plans])
-    straight = laplace.carry(fs, [_straight(fs, plan.leg) for plan in plans])
-    for plan, J, ref in zip(plans, bent, straight):
-        a, b = plan.base + plan.weight * J, plan.base + plan.weight * ref
+    bent = laplace.carry(fs, legs)
+    straight = laplace.carry(fs, [_straight(fs, leg) for leg in legs])
+    columns = [base + weight[:, None, None] * J for J in (bent, straight)]
+    for a, b in zip(*columns):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), case
 
 

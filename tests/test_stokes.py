@@ -11,8 +11,8 @@ import isomonodromy.stokes as stokes
 from isomonodromy import continuation, ode
 from isomonodromy.continuation import connection_products
 from isomonodromy.frobenius import build_fuchsian, gamma_shift, selected_solution
-from isomonodromy.model import (CutPlane, DeformationGeometry, NonAdmissibleError, SystemPair,
-                               integer_distance)
+from isomonodromy.model import (CutPlane, DeformationGeometry, IllConditioned,
+                               NonAdmissibleError, SystemPair, integer_distance)
 from isomonodromy.stokes import (
     MatchingInconsistent,
     Ordering,
@@ -416,9 +416,9 @@ def _match(system, geometry, h, tol):
     """
     fs = build_fuchsian(system)
     sols = [selected_solution(fs, k, 40) for k in range(fs.n)]
-    theta, ladder, specs = stokes._matching(system, geometry, h)
-    cols = laplace.laplace_columns(fs, geometry, specs, sols, tol)
-    return stokes._fit(system, theta, ladder, cols)
+    matching = stokes._matching(system, geometry, h)
+    cols = laplace.laplace_columns(fs, geometry, matching[2], sols, tol)
+    return stokes._fit(system, matching, cols.reduced, cols.eta)
 
 
 def test_direct_oracle_diagonal_identity(geometry_2x2):
@@ -477,11 +477,32 @@ def test_oracle_pair_shares_one_series_set(monkeypatch, system_2x2, geometry_2x2
     matchings = [stokes._matching(system_2x2, geometry_2x2, h) for h in (0, 1)]
     cols = laplace.laplace_columns(fs, geometry_2x2, matchings[0][2] + matchings[1][2], sols,
                                    1e-13)
-    for (theta, ladder, _), half, S in zip(matchings, (cols[:4], cols[4:]),
-                                           (pair.S_nu, pair.S_nu_plus_mu)):
-        assert np.array_equal(stokes._fit(system_2x2, theta, ladder, half)[0], S)
+    for matching, half, S in zip(matchings, (slice(0, 4), slice(4, 8)),
+                                 (pair.S_nu, pair.S_nu_plus_mu)):
+        S_half, _ = stokes._fit(system_2x2, matching, cols.reduced[half], cols.eta[half])
+        assert np.array_equal(S_half, S)
     S1, _ = _match(system_2x2, geometry_2x2, 1, tol=1e-13)
     assert np.max(np.abs(S1 - pair.S_nu_plus_mu)) <= 1e-13 * np.max(np.abs(S1))
+
+
+@pytest.mark.parametrize("u1", [2e8, 3e8, 1e12, 1e17, 1e200, 1e308])
+def test_oracle_at_a_large_u_is_a_typed_failure(system_2x2, u1):
+    """The oracle as a library call on the workhorse A at u = (0, u1).
+
+    Pole 0's hairpin starts at 2 / max|z| of its ladder, 6.67e7 at u1 = 3e8,
+    where x^40 is past the float range: from 3e8 on the oracle raises
+    IllConditioned naming the pole before the start's series tail and
+    powers are taken, with no overflow warning (an error under pytest) on
+    the way.  At 2e8 the start is 4.4e7, and the pair runs.
+    """
+    sp, geo = SystemPair(system_2x2.A, [0.0, u1]), DeformationGeometry([0.0, u1], 0.08, TAU)
+    if u1 < 3e8:
+        pair = stokes_pair_direct(sp, geo)
+        assert np.isfinite(pair.S_nu).all() and np.isfinite(pair.S_nu_plus_mu).all()
+        return
+    with pytest.raises(IllConditioned, match=r"^the local series at pole 0 is summed at \|x\| = "
+                                             r".*, where x\^40 leaves the float range$"):
+        stokes_pair_direct(sp, geo)
 
 
 def test_direct_oracle_z_independence_fixed_ladder(monkeypatch):

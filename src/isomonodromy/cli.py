@@ -125,8 +125,9 @@ def vec_json(v):
 
 
 class ProblemSpec:
-    """A validated problem: every number finite, epsilon0 > 0, tol > 0, 3 <= order <= MAX_ORDER
-    and 1 <= formal_order <= MAX_FACTORIAL."""
+    """A validated problem: every number finite, and every difference u_j - u_k of u, u_c and
+    a waypoint, epsilon0 > 0, tol > 0, 3 <= order <= MAX_ORDER and
+    1 <= formal_order <= MAX_FACTORIAL."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -167,6 +168,10 @@ class ProblemSpec:
         for name, value in numbers + [("paths", pt) for path in self.paths for pt in path]:
             if not np.all(np.isfinite(value)):
                 raise SpecError(f"{name} must be finite")
+        with np.errstate(over="ignore"):  # u_c's are checked by DeformationGeometry, below
+            for name, x in [("u", self.u)] + [("paths", pt) for path in self.paths for pt in path]:
+                if not np.isfinite(x - x[:, None]).all():
+                    raise SpecError(f"{name}: a difference u_j - u_k leaves the float range")
         # a local series is summed where it converges at least as fast as a Taylor step,
         # which fails past MAX_ORDER orders, so orders past that add nothing; F_l carries
         # factors of about (l - 1)!, from the recursion and from the Gammas and factorials

@@ -44,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from .ode import MAX_ORDER, STEP_RATIO, TAIL_ORDERS, TAYLOR_EPS, tally, untested_orders
 from .model import (BasisSingular, CutPlane, IllConditioned, NonAdmissibleError, SingularF1,
                     StepFailure, SystemPair, is_in_cell)
-from .frobenius import _has_singular_solution, selected_solutions, shift_exponents
+from .frobenius import _has_singular_solution, selected_solutions, selected_values, shift_exponents
 
 DEFAULT_TOL = 1e-10
 # largest in-group |alpha_k c_jk| / max(1, max|P|) connection_products accepts: it
@@ -87,6 +87,7 @@ class Piece(NamedTuple):
     via: tuple = ()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a block, term or integral not finite is refused
 def carry(fs: SystemPair, pieces):
     """Continue every piece's block by Taylor steps along its chords, or integrate it.
 
@@ -443,22 +444,25 @@ def _depth_frame(fs, cut: CutPlane):
     return depths.max() - depths.min() + 0.5 * spread
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused by check_radius, or the caller's checks
 def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
     """Carry the selected-solution basis to the anti-cut base point of poles, and loop there.
 
     One :func:`carry` holds three kinds of piece.  Each Psi_k (series data
     ``sols[k]``) is continued once from its series value at its own base
-    point down the anti-cut ray of u_k and across to the deep point
-    u_0 - D e^{i eta}, unless k is the only requested pole: a polyline per
-    column.  Beside them the identity goes from the deep point across and
-    up the anti-cut ray of each u_j in ``poles`` to its base point, and
-    once round the positive loop at each u_j from its base point.  The
-    ascents' transition matrices applied to the descended columns, one
-    stacked product, give the basis at each base point, where column j is
-    set to its series value rather than sent through the deep point and
-    back.  With the deep point half a pole spread below the poles
-    (:func:`_depth_frame`) composing the ascent moves S_nu by no more than
-    rounding; from two spreads plus one it lost up to 90x there.
+    point (the n values are one :func:`.frobenius.selected_values` call, at
+    radius |base_k - u_k| and argument ``cut.arg_from(base_k, u_k)``) down
+    the anti-cut ray of u_k and across to the deep point u_0 - D e^{i eta},
+    unless k is the only requested pole: a polyline per column.  Beside them
+    the identity goes from the deep point across and up the anti-cut ray of
+    each u_j in ``poles`` to its base point, and once round the positive
+    loop at each u_j from its base point.  The ascents' transition matrices
+    applied to the descended columns, one stacked product, give the basis at
+    each base point, where column j is set to its series value rather than
+    sent through the deep point and back.  With the deep point half a pole
+    spread below the poles (:func:`_depth_frame`) composing the ascent moves
+    S_nu by no more than rounding; from two spreads plus one it lost up to
+    90x there.
 
     The rays opposite to the cuts cross no cut and stay a loop radius away
     from the other poles, and the lateral moves run in the half-plane
@@ -472,7 +476,7 @@ def continue_basis(fs: SystemPair, cut: CutPlane, sols, poles):
     bases = _base_points(fs, cut)
     if not poles.size:
         return bases[:0], np.zeros((0, n, n), dtype=complex), np.zeros((0, n, n), dtype=complex)
-    seeds = np.array([sols[m].selected_value(bases[m], cut) for m in range(n)])
+    seeds = selected_values(sols, np.abs(bases - fs.u), list(map(cut.arg_from, bases, fs.u)))
     low = fs.u - _depth_frame(fs, cut) * cut.direction()
     descended = [m for m in range(n) if np.any(poles != m)]
     one = np.eye(n, dtype=complex)
@@ -546,10 +550,11 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
     residual, relative to the continued solution, exceeds max(100 tol, 1e-7)
     or is not finite: the worst (j, k) of the first row with one, a nan
     first.  The Taylor carry does not read it.  Before any
-    carry, a pole with 2 pi |Im lambda'_k| past log of the largest float
-    raises :class:`IllConditioned` naming it: e^{-2 pi i lambda'_k} of
-    alpha_k, or the e^{2 pi i lambda'_k} of the Stokes formula, leaves the
-    float range there.
+    carry, a pole with 2 pi |Im lambda'_k| past log of the largest float,
+    or 2 pi |Re lambda'_k| past the largest float, raises
+    :class:`IllConditioned` naming it: e^{-2 pi i lambda'_k} of alpha_k, or
+    the e^{2 pi i lambda'_k} of the Stokes formula, leaves the float range
+    there.
     """
     n = fs.n
     im = np.abs(fs.lambda_prime.imag)
@@ -558,6 +563,11 @@ def connection_coefficients(fs: SystemPair, cut: CutPlane, tol=DEFAULT_TOL, N=40
         raise IllConditioned(f"Im lambda'_k = {fs.lambda_prime[m].imag:.6g} at pole {m}: "
                              f"e^(2 pi |Im lambda'_k|) leaves the float range above "
                              f"|Im lambda'_k| = {IM_EXPONENT_LIMIT:.2f}")
+    re = np.abs(fs.lambda_prime.real)
+    if re.max() > sys.float_info.max / (2 * math.pi):
+        m = int(np.argmax(re))
+        raise IllConditioned(f"Re lambda'_k = {fs.lambda_prime[m].real:.6g} at pole {m}: "
+                             f"2 pi lambda'_k leaves the float range")
     classes = [fs.integer_class(m) for m in range(n)]
     alpha = np.array([alpha_factor(fs.lambda_prime[m], classes[m]) for m in range(n)])
     C = np.diag([1.0 if c == "noninteger" else 0.0 for c in classes]).astype(complex)

@@ -79,13 +79,19 @@ def _power_sum_drift(A0, A):
 
     By Newton's identities the power sums tr(A^k), k = 1..n, fix the
     characteristic polynomial that the flow conserves.  Both matrices are
-    divided by the Frobenius norm ||A0|| (1 for a zero A0) before the
-    powers are taken, so no power overflows.  A0 rides in one stack with
-    the A_p: one product per power, each written into one (n, P + 1, n, n)
-    stack of powers whose traces are taken at once.
+    divided by the Frobenius norm ||A0|| (1 for a zero A0; IllConditioned
+    where it leaves the float range) before the powers are taken, so no
+    power overflows.  A0 rides in one stack with the A_p: one product per
+    power, each written into one (n, P + 1, n, n) stack of powers whose
+    traces are taken at once.
     """
     n = A0.shape[0]
-    scale = np.linalg.norm(A0) or 1.0
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(A0) or 1.0
+        if scale == math.inf:  # the sum of squares overflows first
+            scale = math.hypot(*np.abs(A0).ravel())
+    if scale == math.inf:
+        raise IllConditioned("||A|| leaves the float range: the power sums cannot be scaled")
     powers = np.empty((n, 1 + A.shape[0], n, n), dtype=complex)
     X = powers[0]
     np.divide(A0, scale, out=X[0])
@@ -356,6 +362,7 @@ def radial_family(system, u_c, t_values, tol=1e-11):
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a reported value past the float range is refused
 def vanishing_check(system, groups):
     """Vanishing-condition report for the in-group pairs of ``groups`` at the current u.
 
@@ -365,7 +372,7 @@ def vanishing_check(system, groups):
     With w_m row m of A+I, [B_i, B_j] = w_i[j] e_i w_j^T - w_j[i] e_j w_i^T has
     the two rows w_i[j] w_j and -w_j[i] w_i, so its max-norm is the larger of
     theirs; a reported commutator past the float range raises
-    :class:`IllConditioned` naming the pair.
+    :class:`IllConditioned` naming the pair, as does any other reported value.
     """
     w = system.A_plus_I
     u = system.u
@@ -374,13 +381,15 @@ def vanishing_check(system, groups):
     rows = []
     for i, j in [(i, j) for g in groups for i in g for j in g if i < j]:
         gap = abs(u[i] - u[j])
-        with np.errstate(over="ignore", invalid="ignore"):
-            comm_norm = float(max(np.abs(w[i, j] * w[j]).max(), np.abs(w[j, i] * w[i]).max()))
+        comm_norm = float(max(np.abs(w[i, j] * w[j]).max(), np.abs(w[j, i] * w[i]).max()))
         if not math.isfinite(comm_norm):
             raise IllConditioned(f"the residue commutator [B_{i}, B_{j}] leaves the float range")
         aij = max(abs(system.A[i, j]), abs(system.A[j, i]))
         ratio = aij / gap if gap > 0 else None
         comm_ratio = comm_norm / gap if gap > 0 else None
+        if not math.isfinite(max(gap, aij, ratio or 0, comm_ratio or 0)):
+            raise IllConditioned(f"|A_ij|, |u_i - u_j| or a ratio of the vanishing report of "
+                                 f"pair ({i}, {j}) leaves the float range")
         near = gap < 1e-3
         # A_ij = O(u_i - u_j) and [B_i, B_j] = O(u_i - u_j) are equivalent;
         # judged only near the locus, with a generous O-constant
@@ -399,6 +408,7 @@ def vanishing_check(system, groups):
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a residual past the float range is refused
 def integrability_residual(system, step=1e-3, tol=1e-12):
     """Residual of d_i omega_k - d_k omega_i = [omega_i, omega_k] by stencils.
 
@@ -407,20 +417,19 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     one stacked solve, whose drift limit is 100 ``tol``; F_1 and every
     omega_k of the 2n stencil points and the centre are one stack
     (:func:`_distinct_omegas`).  Returns the max over pairs.  Raises
-    :class:`ValueError` for a ``step`` that is 0 or not finite and for a u
-    that is not finite, and :class:`StepFailure` before any solve when two u_i
-    are closer than COALESCE_TOL: there, on the coalescence locus, the
-    reduced flow is singular and no stencil can be centred.  So does a
-    stencil segment that comes within NEAR_DELTA_GUARD of the locus, as in
-    :func:`transport`; unguarded, the solve crawls towards the singularity
-    in ever shorter steps.
+    :class:`ValueError` for a ``step`` that is 0 or not finite (SystemPair
+    refuses a u that is not finite), and :class:`StepFailure` before any
+    solve when two u_i are closer than COALESCE_TOL: there, on the
+    coalescence locus, the reduced flow is singular and no stencil can be
+    centred.  So does a stencil segment that comes within NEAR_DELTA_GUARD
+    of the locus, as in :func:`transport`; unguarded, the solve crawls
+    towards the singularity in ever shorter steps.  A residual past the
+    float range raises :class:`IllConditioned`.
     """
     if not 0 < abs(step) < math.inf:
         raise ValueError(f"step must be finite and nonzero, not {step}")
     n = system.n
     u0 = np.asarray(system.u, dtype=complex)
-    if not np.isfinite(u0).all():
-        raise ValueError("u is not finite")
     gaps = np.abs(u0[:, None] - u0[None, :]) + np.diag(np.full(n, np.inf))
     i, k = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[i, k] < COALESCE_TOL:
@@ -436,4 +445,7 @@ def integrability_residual(system, step=1e-3, tol=1e-12):
     om0 = om[2 * n]
     i, k = np.triu_indices(n, 1)
     comm = om0[i] @ om0[k] - om0[k] @ om0[i]  # [omega_i, omega_k]
-    return float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm), initial=0.0))
+    residual = float(np.max(np.abs(d_om[i, k] - d_om[k, i] - comm), initial=0.0))
+    if not math.isfinite(residual):
+        raise IllConditioned("the integrability residual leaves the float range")
+    return residual

@@ -12,7 +12,7 @@ lambda'_k = A_kk decides the local structure:
                        analytic selected solution may degenerate to zero.
 
 All series are produced by direct recursions in the original coordinates;
-nothing here depends on the branch cut (only evaluation does).  With
+none depends on the branch cut, which :func:`selected_values` reads.  With
 x = lam - u_k and D = u - u_k the system reads (D - x) Psi' = (A+I) Psi,
 so every local series sum_l c_l x^(l+sigma) steps from one order to the
 next (:func:`_propagate`), as :func:`.continuation.carry` does:
@@ -62,6 +62,7 @@ from .model import (
     integer_distance,
     nearest_integer,
 )
+from .ode import MAX_ORDER
 
 
 def build_fuchsian(system: SystemPair) -> SystemPair:
@@ -91,6 +92,7 @@ class _Columns(NamedTuple):
     at: tuple
 
 
+@np.errstate(over="ignore")  # a gap past the float range fails the recursion's check
 def _columns(fs: SystemPair, poles) -> _Columns:
     """The columns of a recursion at ``poles``; a gap below COALESCE_TOL raises
     :class:`ResonanceAmbiguity` naming the first such pole: the local series
@@ -184,18 +186,6 @@ def _chain(fs, col, seeds, rho, source=None):
     return -rho * _rows(fs, col, phi[rho - 1], rho, rho, phi[rho], source)
 
 
-def horner(coeffs, x):
-    """sum_l c_l x^l of a coefficient array, at a scalar x or at every point of an array x.
-
-    One product of the powers x^l, taken as cumulative products, with the
-    (N + 1, n) coefficients.
-    """
-    x = np.asarray(x)
-    powers = np.ones(x.shape + (len(coeffs),), dtype=complex)
-    powers[..., 1:] = x[..., None]
-    return np.cumprod(powers, axis=-1) @ coeffs
-
-
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma in powers of 1/z
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
@@ -255,7 +245,8 @@ class LocalSolution:
     (classes noninteger / negative_integer: selected solution is
     psi_k(x) x^(-lambda'_k-1); class natural: pole part of the singular
     companion).  ``d`` is the analytic selected series for class natural,
-    and ``zero`` marks it as zero: max|d| at most 1e-12.
+    and ``zero`` marks it as zero: max|d| at most 1e-12.  Its values come
+    from :func:`selected_values` alone (:meth:`selected_value` at one point).
     """
 
     k: int
@@ -281,19 +272,43 @@ class LocalSolution:
                                  f"{r:.2e}, where x^{N} leaves the float range")
 
     def selected_value(self, lam, cut):
-        """Value of the selected solution Psi_k on the branch of ``cut``; IllConditioned
-        before the series is summed where x^N leaves the float range (:meth:`check_radius`)."""
-        x = lam - self.pole
-        if self.klass == "natural" and self.zero:
-            return np.zeros(self.b.shape[1], dtype=complex)
-        self.check_radius(abs(x))
-        if self.klass == "natural":
-            return horner(self.d, x)
-        base = horner(self.b, x)
-        if self.klass == "negative_integer":
-            return base * x ** int(round(self.rho.real))
-        a = cut.arg_from(lam, self.pole)
-        return base * np.exp(self.rho * (np.log(abs(x)) + 1j * a))
+        """Psi_k at ``lam`` on the branch of ``cut``: :func:`selected_values` at one point."""
+        return selected_values([self], [abs(lam - self.pole)], [cut.arg_from(lam, self.pole)])[0]
+
+
+def selected_values(sols, r, arg):
+    """Psi_k of each series in ``sols`` at pole + r e^{i arg}, on the branch of that arg: (P, n).
+
+    The one rule that sums a local series at a point, for both Stokes routes.
+    Each column passes :meth:`LocalSolution.check_radius` first; then the
+    powers x^l of x = r e^{i arg}, cumulative products, meet ``d`` at a natural
+    pole and ``b`` at any other in one stacked product, times the branch factor:
+    0 for a zero natural solution, 1 for a natural one, x^rho at a negative-integer
+    pole and e^{rho (ln r + i arg)} at a noninteger one.  A factor or a value past
+    the float range raises :class:`IllConditioned`.
+    """
+    r = np.asarray(r, dtype=float)
+    for sol, r_p in zip(sols, r.tolist()):
+        sol.check_radius(r_p)
+    x = r * np.array([cmath.exp(1j * a) for a in arg])
+    coeffs = np.array([sol.d if sol.klass == "natural" else sol.b for sol in sols])
+    powers = np.ones(coeffs.shape[:2], dtype=complex)
+    powers[:, 1:] = x[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        try:
+            factor = np.array([float(not sol.zero) if sol.klass == "natural"
+                               else x_p ** int(round(sol.rho.real))
+                               if sol.klass == "negative_integer"
+                               else cmath.exp(sol.rho * (math.log(r_p) + 1j * a))
+                               for sol, x_p, r_p, a in zip(sols, x, r.tolist(), arg)])
+        except OverflowError:
+            raise IllConditioned("a branch factor e^(rho (ln r + i arg)) leaves the float "
+                                 "range") from None
+        psi = (np.cumprod(powers, axis=-1)[:, None] @ coeffs)[:, 0] * factor[:, None]
+    if not np.isfinite(psi).all():
+        p = int(np.argmin(np.isfinite(psi).all(1)))
+        raise IllConditioned(f"Psi_{sols[p].k} leaves the float range at |x| = {r[p]:.2e}")
+    return psi
 
 
 def selected_solutions(fs: SystemPair, N: int = 40) -> list:
@@ -316,8 +331,8 @@ def selected_solution(fs: SystemPair, k: int, N: int = 40) -> LocalSolution:
 def _selected(fs, poles, N):
     """The selected solutions at ``poles``, in that order: the non-natural ones as the
     columns of one recursion, each natural one by :func:`_natural_series`."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    if not 1 <= N <= MAX_ORDER:
+        raise ValueError(f"N >= 1 required, and N <= MAX_ORDER = {MAX_ORDER}; got N = {N}")
     sols = []
     for k in poles:
         lp, klass = fs.lambda_prime[k], fs.integer_class(k)
@@ -417,6 +432,7 @@ def levelt_exponents(fs_uc: SystemPair, group):
     return T, np.array([[nearest_integer(a - b) or 0 for b in T] for a in T])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result past the float range is refused
 def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
                          free_values=None) -> LeveltData:
     """Levelt exponents and resonant structure at a merged pole.
@@ -434,7 +450,8 @@ def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
     recursion for the normal-form series G_l; the resonant positions of
     :func:`levelt_exponents` are reported as free parameters (defaulted to
     0, or to the entries of ``free_values``), and the obstruction matrices
-    R_l are computed there.
+    R_l are computed there.  A G, G_l or R_l past the float range raises
+    :class:`IllConditioned` naming the group.
     """
     group = tuple(group)
     n = fs_uc.n
@@ -481,6 +498,8 @@ def levelt_at_confluence(fs_uc: SystemPair, group, N: int = 20,
         Gl.append(Gnew)
         if resonant.any():
             Rl[l] = np.where(resonant, S, 0)
+    if not all(np.isfinite(X).all() for X in [G, *Gl, *Rl.values()]):
+        raise IllConditioned(f"the Levelt recursion of group {group} leaves the float range")
     return LeveltData(
         group=group,
         T=np.diag(T),

@@ -28,7 +28,9 @@ integral is the series integrated term by term (:func:`_circle`).
 Columns are computed in batches, one stack of arrays from plan to fit
 (:func:`laplace_columns`): the contour direction runs once per label and
 ray, validation, the series starts and the hairpin circles in one pass
-(:func:`_plan`), and the legs go through one :func:`.continuation.carry`,
+(:func:`_plan`), the start values in one :func:`.frobenius.selected_values`
+call (this module reads series coefficients only to bound or integrate
+them), and the legs go through one :func:`.continuation.carry`,
 cut into runs of CUT_STEPS steps, which returns their integrals as one
 array.  The oracle's batch is the 4n legs of both matchings of a Stokes
 pair.
@@ -60,7 +62,7 @@ from .model import (
     check_vanishing,
     nearest_integer,
 )
-from .frobenius import cgamma
+from .frobenius import cgamma, selected_values
 from .continuation import Piece, _batch_shape, carry
 
 logger = logging.getLogger(__name__)
@@ -314,8 +316,9 @@ def _plan(fs, specs, directions, sols, tol):
     and its half-plane check, and the nearest sample |z| of each leg are
     taken as arrays over the batch, the starts and circles in one stacked
     pass (:func:`_hairpins`).  Each leg (:func:`_leg`), on the branch of
-    arg d, starts at r with the value Psi_k(r e^{id}) and is weighted by
-    the jump of Psi_k across it over 2 pi i.  Returns the legs and the
+    arg d, starts at r with the value Psi_k(r e^{id}), all of them from one
+    :func:`.frobenius.selected_values` call, and is weighted by the jump of
+    Psi_k across it over 2 pi i.  Returns the legs and the
     stacks of that ``weight``, the ``base`` (the circle over 2 pi i), its
     ``size`` max|J| and the series ``tail`` at the start (:func:`_start`).
     """
@@ -343,20 +346,20 @@ def _plan(fs, specs, directions, sols, tol):
         )
     near = z_abs.min(1)
     hairpins = [sols[spec.k] for spec in specs]
-    r, tail, circle, psi = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
+    r, tail, circle = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
+    psi = selected_values(hairpins, r, directions)
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
-    legs = [_leg(fs.u[spec.k], t, d, theta, psi_p * cmath.exp(sol.rho * (math.log(t) + 1j * d)),
-                 z_p, near_p, growth[spec.k], hull[spec.k])
-            for spec, sol, d, theta, t, psi_p, z_p, near_p in zip(
-                specs, hairpins, directions, arg, r.tolist(), psi, z, near.tolist())]
+    legs = [_leg(fs.u[spec.k], t, d, theta, psi_p, z_p, near_p, growth[spec.k], hull[spec.k])
+            for spec, d, theta, t, psi_p, z_p, near_p in zip(
+                specs, directions, arg, r.tolist(), psi, z, near.tolist())]
     weight = np.array([(1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)) / (2j * math.pi)
                        for sol in hairpins])
     return legs, weight, circle / (2j * math.pi), np.abs(circle).max((1, 2)), tail
 
 
 def _hairpins(sols, d, z, z_max, tol):
-    """The hairpins' starts r, their series tails there, circles and psi_k(r e^{id}).
+    """The hairpins' starts r, their series tails there and their circles.
 
     The circle |x| = r from arg d - 2 pi to arg d is summed in closed form
     from the series (:func:`_circle`, all columns in one stacked product,
@@ -372,10 +375,7 @@ def _hairpins(sols, d, z, z_max, tol):
         r[at], tail[at] = _start(sol, r[at], tol)
     b = np.array([sol.b for sol in sols])
     lp = np.array([sol.lambda_prime_k for sol in sols])
-    powers = np.ones(b.shape[:2], dtype=complex)
-    powers[:, 1:] = (r * np.array([cmath.exp(1j * x) for x in d]))[:, None]
-    psi = (np.cumprod(powers, axis=-1)[:, None] @ b)[:, 0]
-    return r, tail, _circle(b, lp, r, d, z), psi
+    return r, tail, _circle(b, lp, r, d, z)
 
 
 def _leg(pole, start, d, theta, value, z, near, growth, hull):
@@ -419,29 +419,26 @@ def asymptotic_coeffs(sol, L):
     negative integer  f_l = (-1)^(l-lambda') (l-lambda'-1)! b_l.
     """
     lp = sol.lambda_prime_k
-    n = sol.b.shape[1]
-    out = np.zeros((L, n), dtype=complex)
+    out = np.zeros((L, sol.b.shape[1]), dtype=complex)
     if sol.klass == "noninteger":
         try:
-            for l in range(1, L + 1):
-                out[l - 1] = sol.b[l] / cgamma(lp + 1 - l)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+                for l in range(1, L + 1):
+                    out[l - 1] = sol.b[l] / cgamma(lp + 1 - l)
+            if np.isfinite(out).all():
+                return out
         except OverflowError:
-            raise IllConditioned(f"Gamma(lambda'_k + 1 - l) leaves the float range at pole "
-                                 f"{sol.k} (lambda'_k = {lp})") from None
-        return out
+            pass
+        raise IllConditioned(f"Gamma(lambda'_k + 1 - l) leaves the float range at pole "
+                             f"{sol.k} (lambda'_k = {lp})")
     r = int(round(lp.real))
-    if sol.klass == "natural":
-        for l in range(1, L + 1):
-            if l <= r:
-                out[l - 1] = sol.b[l] / math.factorial(r - l)
-            else:
-                if sol.zero:
-                    out[l - 1] = 0.0
-                else:
-                    out[l - 1] = ((-1) ** (l - r)) * math.factorial(l - r - 1) * sol.d[l - r - 1]
-        return out
     for l in range(1, L + 1):
-        out[l - 1] = ((-1) ** (l - r)) * math.factorial(l - r - 1) * sol.b[l]
+        if sol.klass == "negative_integer":
+            out[l - 1] = ((-1) ** (l - r)) * math.factorial(l - r - 1) * sol.b[l]
+        elif l <= r:
+            out[l - 1] = sol.b[l] / math.factorial(r - l)
+        elif not sol.zero:  # a zero natural solution has f_l = 0 past lambda'
+            out[l - 1] = ((-1) ** (l - r)) * math.factorial(l - r - 1) * sol.d[l - r - 1]
     return out
 
 

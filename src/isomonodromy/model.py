@@ -150,6 +150,8 @@ class SystemPair:
             raise ValueError(
                 f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]}, u has {u.size} entries"
             )
+        if not (np.isfinite(A).all() and np.isfinite(u).all()):
+            raise ValueError(f"{'u' if np.isfinite(A).all() else 'A'} is not finite")
         for name, value in (("A", A), ("u", u), ("lambda_prime", np.diag(A).copy()),
                             ("A_plus_I", A + np.eye(u.size))):
             value.flags.writeable = False
@@ -307,8 +309,9 @@ class DeformationGeometry:
 
     def __init__(self, u_c, epsilon0, tau):
         u_c, epsilon0, tau = _as_complex_vector(u_c), float(epsilon0), float(tau)
-        if not np.isfinite(u_c).all():
-            raise ValueError("u_c must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(u_c - u_c[:, None]).all():
+                raise ValueError("u_c must be finite, and so must its differences u_j - u_k")
         if not 0.0 < epsilon0 < math.inf:
             raise ValueError(f"epsilon0 must be finite and positive; got {epsilon0}")
         if not math.isfinite(tau):

@@ -125,6 +125,15 @@ MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
     "u entry false": (lambda p: {**p, "u": [[False, 0.0], p["u"][1]]},
                       "u: expected a JSON number"),
     "tol past the float range": (lambda p: {**p, "tol": 10 ** 400}, "tol: expected a JSON number"),
+    # finite points whose difference u_j - u_k overflows (found by tests/test_fuzz.py)
+    "u difference past the float range": (lambda p: {**p, "u": [[0.0, -1e308], [1.0, 1e308]]},
+                                          "u: a difference u_j - u_k leaves the float range"),
+    "u_c difference past the float range": (
+        lambda p: {**p, "u_c": [[-1e308, 0.0], [1e308, 0.0]]},
+        "u_c must be finite, and so must its differences u_j - u_k"),
+    "path difference past the float range": (
+        lambda p: {**p, "paths": [[[[0.0, -1e308], [1.0, 1e308]]]]},
+        "paths: a difference u_j - u_k leaves the float range"),
 }
 
 
@@ -373,6 +382,65 @@ def test_cli_stokes_at_a_large_u_is_a_typed_failure(tmp_path, u1):
     assert stages[0]["error"].startswith("IllConditioned: the local series at pole 0 is summed "
                                          "at |x| = 1.06e+"), stages[0]["error"]
     assert stages[0]["error"].endswith("where x^40 leaves the float range")
+
+
+# inputs that tests/test_fuzz.py found warning (an error under pytest), mended where the value
+# first leaves the float range: (problem, edits of [re, im] entries, command, exit code,
+# failed stage -> start of its error)
+EDGE_INPUTS = {
+    "check-norm": ("sample2x2", {("A", 1, 0): [1e300, 0.0],
+                                 ("u", 0): [0.0, -3.0234672043681788e16]}, "check", 3,
+                   {"integrability": "DriftExceeded: invariant drift too large: diag 2.18e+245"}),
+    "check-omega": ("sample2x2", {("u", 0): [0.0, 1e308], ("u", 1): [1e308, 0.0],
+                                  ("A", 0, 1): [2.0, 9.047567231561042e92]}, "check", 0, {}),
+    "check-gap": ("resonant_group", {("u", 1): [-1.7976931348623157e308, 0.0]}, "check", 0, {}),
+    "check-ratio": ("coalescing3x3", {("A", 0, 1): [-0.01597393211124391, 1e308]}, "check", 3,
+                    {"integrability": "StepFailure", "vanishing": "IllConditioned: |A_ij|, "
+                     "|u_i - u_j| or a ratio of the vanishing report of pair (0, 1)"}),
+    "levelt": ("coalescing3x3", {("A", 1, 2): [-0.3556777794895197, 6.287838554784802e16]},
+               "levelt", 3, {"group_0": "IllConditioned: the Levelt recursion of group (0, 1)"}),
+    "stokes-gamma": ("sample2x2", {("A", 0, 0): [0.5, -3.5310280151773996e16],
+                                   ("u", 1): [1.0, -3.5310280151773996e16]}, "stokes", 3,
+                     {"connection": "IllConditioned: Im lambda'_k",
+                      "formal_coefficients": "IllConditioned: Gamma(lambda'_k + 1 - l)"}),
+    "stokes-exponent": ("coalescing3x3", {("A", 0, 0): [1e308, 112.0]}, "stokes", 3,
+                        {"connection": "IllConditioned: Re lambda'_k = 1e+308 at pole 0",
+                         "formal_coefficients": "IllConditioned: the formal recursion"}),
+    "stokes-carry": ("coalescing3x3", {("A", 0, 2): [-19125767.684662443, 0.003504753806184138]},
+                     "stokes", 3, {"connection": "StepFailure: continuation of 9 piece(s)"}),
+    "deform-carry": ("coalescing3x3", {("A", 0, 2): [-19125767.684662443, 0.003504753806184138]},
+                     "deform", 3, {"path_0": "StepFailure: continuation of 9 piece(s)"}),
+    "stokes-basis": ("coalescing3x3", {("A", 0, 1): [113.0, -0.008186421542610189],
+                                       ("A", 1, 0): [-0.01483923241692367, 113.0]}, "stokes", 3,
+                     {"connection": "IllConditioned: projection residual nan for c[0,1]"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+def test_cli_edge_inputs_end_typed(tmp_path, case):
+    """Each input warned in numpy before its mend (a traceback under -W error): an overflowing
+    sum of squares in ||A|| of the integrability stage's power sums, a quotient A_ij/(u_j-u_i)
+    of its omegas, a gap or |A_ij| ratio of the vanishing report, the Levelt recursion,
+    Gamma(lambda'_k + 1 - l) underflowing to 0 in the formal stage, 2 pi lambda'_k past the
+    float range in alpha_k (a ValueError of cmath), a Taylor term of the carry, and the basis
+    product of continue_basis.  Now the command exits with its code, the stages listed fail
+    with typed errors and every other stage is ok or skipped."""
+    problem, edits, cmd, code, failed = EDGE_INPUTS[case]
+    prob = json.loads((ROOT / "problems" / f"{problem}.json").read_text())
+    prob.setdefault("paths", [[prob["u"]]])
+    for (key, *at), value in edits.items():
+        node = prob[key]
+        for i in at[:-1]:
+            node = node[i]
+        node[at[-1]] = value
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [cmd, "--spec", _write(tmp_path, prob), "--out", str(out)])
+    assert result.exit_code == code, (result.output, result.exc_info)
+    stages = json.loads((out / f"{cmd}_report.json").read_text())["stages"]
+    errors = {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
+    assert errors.keys() == failed.keys(), errors
+    for name, start in failed.items():
+        assert errors[name].startswith(start), errors[name]
 
 
 def test_cli_check_overflowing_commutators_is_a_typed_failure(tmp_path):

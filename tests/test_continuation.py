@@ -1113,3 +1113,33 @@ def test_step_integrals_match_mpmath(zh):
                     want = mpmath.quad(lambda s: mpmath.exp(zp * (xp + hp * s)) * hp
                                        * mpmath.polyval(coeffs, s), [0, 1])
                     assert abs(got[p, i, k, 0] - complex(want)) <= 1e-14 * bound
+
+
+_RG = np.array([[0.5, 0.0, 0.4], [0.0, 2.5, -0.3], [0.6, 0.7, 0.25]], dtype=complex)
+
+
+def _with(A, entry, value):
+    A = A.copy()
+    A[entry] = value
+    return A
+
+
+@pytest.mark.parametrize("A, u, eta, N, error, match", [
+    (_RG, [-1e308, -1e308j, 1.0], 1.5 * math.pi - 0.35, 40, IllConditioned,
+     r"local series at pole 0 is summed at \|x\| = 1.41e\+307"),
+    (_with(_RG, (2, 0), 0.6 - 6.779177678051755e16j), [113j, 0.0, 1.0], 1.5 * math.pi - 0.35, 24,
+     IllConditioned, r"Psi_0 leaves the float range at \|x\| = 1.69e\+01"),
+    (_with(_RG, (0, 1), -1.1646385523887994e16), [113.0, 0.0, 1.0], 1.5 * math.pi - 0.35, 24,
+     continuation.StepFailure, "continuation of 9 piece"),
+    (np.array([[0.5, 1e-300], [3.0, 1 / 3]]), [-1.7976931348623157e308, 1.0],
+     1.5 * math.pi - 3.9324262620201624e16, 40, IllConditioned, r"summed at \|x\| = inf"),
+    (np.array([[0.5, 2.0], [3.0, 1 / 3]]), [0.0, 1.0], 1.5 * math.pi - math.pi / 4, 10 ** 17,
+     ValueError, "N <= MAX_ORDER = 400; got N = 100000000000000000"),
+], ids=["gap", "sum", "carry", "base-point", "order"])
+def test_connection_coefficients_on_edge_inputs_end_typed(A, u, eta, N, error, match):
+    """Inputs of tests/test_fuzz.py that warned in numpy first: a gap u_j - u_k whose inverse
+    overflows in _columns, a series sum past the float range at a finite x^N, a Taylor term
+    of the carry, a base point past the float range, and an order that would allocate
+    10^17 series orders.  Each now ends in its typed error, with no warning on the way."""
+    with pytest.raises(error, match=match):
+        connection_coefficients(SystemPair(A, u), CutPlane(eta=eta), N=N)

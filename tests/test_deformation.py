@@ -727,6 +727,20 @@ def test_power_sum_drift_reads_a_shift(delta):
         assert drift[1] >= delta / np.linalg.norm(A0)
 
 
+def test_power_sum_drift_scales_a_norm_whose_square_overflows():
+    """||A0|| = 1.6e200 squares past the float range: the drift is still scaled by the norm,
+    and reads a relative shift; a norm past the float range itself is IllConditioned.  No
+    numpy warning comes first."""
+    from isomonodromy.deformation import _power_sum_drift
+    from isomonodromy.model import IllConditioned
+
+    A0 = np.array([[1e200, 3.0], [-2.0, 1.2e200]], dtype=complex)
+    drift = _power_sum_drift(A0, np.stack([A0, A0 * (1 + 1e-9)]))
+    assert drift[0] == 0.0 and 1e-10 < drift[1] < 1e-8
+    with pytest.raises(IllConditioned, match="leaves the float range"):
+        _power_sum_drift(np.full((2, 2), 1.5e308 + 0j), np.zeros((1, 2, 2), dtype=complex))
+
+
 @np.errstate(divide="ignore", under="ignore")
 def _taylor_step_per_order(A, q):
     """The Taylor step by the per-order recurrence, each Cauchy sum a stack of n x n products.

@@ -18,6 +18,7 @@ from isomonodromy.frobenius import (
     levelt_at_confluence,
     selected_solution,
     selected_solutions,
+    selected_values,
     shift_exponents,
 )
 
@@ -488,6 +489,54 @@ def test_gamma_shift_exponent_of_selected_solution():
     v2 = sol.selected_value(lam2, cut)
     slope = (math.log(abs(v2[0])) - math.log(abs(v1[0]))) / (math.log(r2) - math.log(r1))
     assert slope == pytest.approx(float(-(0.0 - g) - 1), abs=1e-4)
+
+
+def _mixed_batch():
+    """One series batch of every class: pole 0 of A = [[0, 1e-15], [2e-15, 0.5]] (natural,
+    zero) and its pole 1 (noninteger), poles 0 (natural) and 1 (negative integer) of
+    [[1, 2], [3, -2]], and pole 1 of [[0.5, 2], [3, 1/3]] (noninteger), all at u = (0, 1)."""
+    systems = [np.array([[0.0, 1e-15], [2e-15, 0.5]]), np.array([[1.0, 2.0], [3.0, -2.0]]),
+               np.array([[0.5, 2.0], [3.0, 1 / 3]])]
+    sols = [selected_solutions(SystemPair(A, [0.0, 1.0]), 30) for A in systems]
+    batch = [sols[0][0], sols[0][1], sols[1][0], sols[1][1], sols[2][1]]
+    assert [(sol.klass, sol.zero) for sol in batch] == [
+        ("natural", True), ("noninteger", False), ("natural", False),
+        ("negative_integer", False), ("noninteger", False)]
+    return batch
+
+
+def test_selected_values_equal_selected_value_in_every_class():
+    """A batch of every class, zero natural included, summed at once equals each series
+    summed alone at its point, bit for bit; the zero natural solution is 0."""
+    batch = _mixed_batch()
+    cut = CutPlane(eta=2.2)
+    lam = [sol.pole + 0.3 * (p + 1) / 5 * cmath.exp(1j * (0.7 + 1.9 * p))
+           for p, sol in enumerate(batch)]
+    r = [abs(x - sol.pole) for x, sol in zip(lam, batch)]
+    arg = [cut.arg_from(x, sol.pole) for x, sol in zip(lam, batch)]
+    values = selected_values(batch, r, arg)
+    assert values.shape == (5, 2)
+    for p, sol in enumerate(batch):
+        assert values[p].tobytes() == sol.selected_value(lam[p], cut).tobytes(), p
+    assert not values[0].any() and values[1:].all()
+
+
+def test_selected_values_past_the_float_range_name_the_pole():
+    """One column of the batch summed where x^N leaves the float range raises the
+    IllConditioned of check_radius, naming its pole, before any sum; a branch factor x^rho
+    past the float range, at a finite x^N, raises IllConditioned too.  No numpy warning
+    comes first."""
+    batch = _mixed_batch()
+    for p, sol in enumerate(batch):
+        r = [0.1] * len(batch)
+        r[p] = 1e17
+        with pytest.raises(IllConditioned, match=rf"local series at pole {sol.k} .* x\^30 "):
+            selected_values(batch, r, [0.5] * len(batch))
+    # x^30 stays in range at |x| = 200, but x^rho, rho = 149.5, does not (e^792)
+    far = selected_solutions(SystemPair(np.array([[-150.5, 1.0], [1.0, 0.5]]), [0.0, 1.0]), 30)
+    assert np.isfinite(selected_values(far[:1], [50.0], [0.3])).all()
+    with pytest.raises(IllConditioned, match=r"a branch factor e\^\(rho \(ln r \+ i arg\)\)"):
+        selected_values(batch[:2] + far[:1], [0.1, 0.1, 200.0], [0.3] * 3)
 
 
 def test_leading_factor_values():

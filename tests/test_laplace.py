@@ -961,3 +961,27 @@ def test_stacked_circles_match_one_at_a_time():
     for i in range(k.size):
         one = laplace._circle(b[i:i + 1], lp[i:i + 1], r[i:i + 1], d[i:i + 1], z[i:i + 1])[0]
         assert np.max(np.abs(stacked[i] - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+def test_both_routes_sum_their_series_by_one_selected_values_call(monkeypatch):
+    """One continue_basis call and one laplace_columns call each sum their local series by one
+    frobenius.selected_values call over the whole batch, and neither calls selected_value."""
+    from isomonodromy import frobenius
+    from isomonodromy.model import CutPlane
+
+    fs, geo, specs, sols = _pair_batch(4)
+    calls = []
+    for module in (continuation, laplace):
+        def counted(batch, r, arg, name=module.__name__, real=module.selected_values):
+            calls.append((name, len(batch)))
+            return real(batch, r, arg)
+
+        monkeypatch.setattr(module, "selected_values", counted)
+
+    def refused(self, lam, cut):
+        raise AssertionError("LocalSolution.selected_value called")
+
+    monkeypatch.setattr(frobenius.LocalSolution, "selected_value", refused)
+    continuation.continue_basis(fs, CutPlane(eta=geo.eta), sols, range(4))
+    laplace.laplace_columns(fs, geo, specs, sols, tol=1e-13)
+    assert calls == [("isomonodromy.continuation", 4), ("isomonodromy.laplace", 16)]

@@ -422,3 +422,15 @@ def test_system_pair_is_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         getattr(sp, name)[0] = 5.0
     assert sp.A_plus_I[0, 0] == 1.5 and sp.lambda_prime[0] == 0.5
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_system_pair_refuses_an_entry_that_is_not_finite(bad):
+    """A or u with an entry that is not finite is a ValueError naming it: before, a library
+    call such as connection_coefficients met it as a numpy warning in its local series."""
+    A = np.array([[0.5, 2.0], [3.0, 1 / 3]], dtype=complex)
+    with pytest.raises(ValueError, match="^u is not finite"):
+        SystemPair(A, [0.0, bad])
+    A[1, 0] = bad
+    with pytest.raises(ValueError, match="^A is not finite"):
+        SystemPair(A, [0.0, 1.0])

@@ -72,6 +72,10 @@ ALLOWED = [
       "done = t >= 1", "end[live[done]] = A[done]",
       "live, A, t, dgap, speed = (x[~done] for x in (live, A, t, dgap, speed))",
       "end[live] = A", "A = end"]),
+    ("a norm of A whose sum of squares overflows: an input-reachable guard that tier 1 reaches "
+     "(test_power_sum_drift_scales_a_norm_whose_square_overflows, check-norm of "
+     "test_cli_edge_inputs_end_typed)",
+     "deformation._power_sum_drift", ["scale = math.hypot(*np.abs(A0).ravel())"]),
     ("the step shortening and the term-buffer growth: an input-reachable guard that tier 1 "
      "reaches",
      "deformation._taylor_step",
@@ -103,9 +107,9 @@ ALLOWED = [
     ("a Gamma past the float range, which leads to the IllConditioned below it: a guard that "
      "tier 1 reaches (test_leading_factor_out_of_range_is_typed)",
      "frobenius.leading_factor", ["pass"]),
-    ("a natural pole whose selected solution is zero: a library path that tier 1 reaches",
-     "frobenius.LocalSolution.selected_value",
-     ["return np.zeros(self.b.shape[1], dtype=complex)"]),
+    ("Psi_k at one point, a library call: both routes sum their batches by selected_values; "
+     "tier 1 reaches it (test_selected_values_equal_selected_value_in_every_class)",
+     "frobenius.LocalSolution.selected_value", ["not called"]),
     ("the non-zero gamma pick, for a diagonal entry of A within SHIFT_MARGIN of an integer: "
      "an input-reachable guard that tier 1 reaches",
      "frobenius.shift_exponents",
@@ -117,9 +121,6 @@ ALLOWED = [
      "laplace._direction_for",
      ["d = lo + ((d - lo + step) % (hi - lo))", "tries += 1",
       'logger.warning("_direction_for: no direction in (%.10f, %.10f) clear of the "']),
-    ("a natural pole whose selected solution is zero, past order r: reached by tier 1 "
-     "(test_asymptotic_coeffs_of_a_zero_natural_solution)",
-     "laplace.asymptotic_coeffs", ["out[l - 1] = 0.0"]),
     ("the constructor of a raised error, an artifact of the tool: it leaves out the raise, "
      "not the class",
      "model.NonAdmissibleError.__init__", ["not called"]),

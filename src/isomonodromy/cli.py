@@ -53,7 +53,6 @@ from .model import (
     IllConditioned,
     MatchingInconsistent,
     NonAdmissibleError,
-    OverlapEmpty,
     QuadratureDivergence,
     ResonanceAmbiguity,
     SingularF1,
@@ -80,7 +79,6 @@ NUMERICAL_ERRORS = (
     BasisSingular,
     QuadratureDivergence,
     SingularF1,
-    OverlapEmpty,
     MatchingInconsistent,
     ResonanceAmbiguity,
     BadGamma,

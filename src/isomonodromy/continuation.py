@@ -133,8 +133,10 @@ def carry(fs: SystemPair, pieces):
     Raises :class:`ValueError` before any step for a batch of another shape
     (:func:`_batch_shape`); :class:`StepFailure`, from the plan, for a
     piece that meets a pole or that a step leaves where it was (x + h == x,
-    as on a path through a pole), and for a block, Taylor term or integral
-    that is not finite or a step not converged by MAX_ORDER.  Returns the end block Y_p(1) of
+    as on a path through a pole), for a Taylor term that is not finite or a
+    step not converged by MAX_ORDER, and for an end block or integral that is
+    not finite, checked once the runs' ends are composed: finite runs can
+    still have a product past the float range.  Returns the end block Y_p(1) of
     every piece of a batch without samples, and the integrals of a batch with
     samples as one (P, nz) + block array J, J[p, i] the one for z_p,i.
     """
@@ -199,8 +201,6 @@ def carry(fs: SystemPair, pieces):
             h = np.where(k < run_length, H[at, run_owner], 0)
             move = np.flatnonzero(h)
             size = np.abs(Y).max(0)
-            if not np.isfinite(size).all():
-                raise StepFailure(f"continuation of {P} piece(s) is not finite")
             # the step runs on the columns of the runs that move
             step = at[move], run_owner[move]
             hm, wm, dist = h[move], run_widths[move], dists[step]
@@ -239,7 +239,7 @@ def carry(fs: SystemPair, pieces):
                 if not np.isfinite(T[hi - done]).all():
                     raise StepFailure(f"continuation of {P} piece(s) is not finite")
                 if hi == MAX_ORDER:
-                    raise StepFailure(f"Taylor step of {move.size} piece(s) did not converge "
+                    raise StepFailure(f"Taylor step of {move.size} run(s) did not converge "
                                       f"in {MAX_ORDER} orders")
                 lo, hi = hi, min(MAX_ORDER, hi + TAIL_ORDERS)
             T = T[:hi + 1 - done]
@@ -249,10 +249,10 @@ def carry(fs: SystemPair, pieces):
             steps += 1
             nfev += hi
             piece_steps += move.size
-        if not (np.isfinite(Y).all() and np.isfinite(J).all()):
-            raise StepFailure(f"continuation of {P} piece(s) ends not finite")
         if not second:
             ends = _compose(Y, run_widths, run_owner, run_index, P)
+        if not np.isfinite(J if second else ends).all():
+            raise StepFailure(f"continuation of {P} piece(s) ends not finite")
     tally(steps, nfev, piece_steps)
     if not nz:
         return [ends[-1, p, :, :w].reshape(b.shape) for p, (b, w) in enumerate(zip(blocks, widths))]

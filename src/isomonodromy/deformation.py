@@ -153,9 +153,9 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     ``tol`` sets only the drift limit.  Reports one solve to
     :func:`.ode.counting`, one step per lockstep step, one nfev per order
     and, per step, the segments it advanced as piece_steps.  Raises
-    :class:`ValueError` before any arithmetic for a ``targets`` row whose
-    length is not n, a ``tol`` that is not finite and positive, or a u0 or
-    target that is not finite; :class:`StepFailure` when a segment comes
+    :class:`ValueError` before any arithmetic for a ``tol`` that is not
+    finite and positive, or a u0 or target that is not finite (its callers
+    give every target the shape of u0); :class:`StepFailure` when a segment comes
     within ``guard`` (if > 0) of the coalescence locus, a block is not
     finite, a step has not converged by MAX_ORDER or a solve has taken
     MAX_STEPS steps (naming t and the step), :class:`SingularF1`
@@ -166,8 +166,6 @@ def _transport_stack(u0, A0, targets, tol, guard=0.0):
     diagonal and power-sum drifts.
     """
     P, n = targets.shape
-    if n != u0.size:
-        raise ValueError(f"target has length {n}, not the length {u0.size} of u")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol}")
     # one errstate for the whole solve: a pair that does not move has an infinite

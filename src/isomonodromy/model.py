@@ -97,10 +97,6 @@ class QuadratureDivergence(RuntimeError):
     """The requested z lies outside the convergence half-plane of the contour."""
 
 
-class OverlapEmpty(RuntimeError):
-    """Conservative sector bounds produced no common matching ray."""
-
-
 class MatchingInconsistent(RuntimeError):
     """The fitted Stokes matrix varies with |z| beyond tolerance."""
 
@@ -295,6 +291,12 @@ class DeformationGeometry:
     :func:`sector_bounds` and :meth:`validate` read.  ``in_group`` is the
     (n, n) mask of the pairs j != k that coalesce at u^c, and ``ordering``
     the dominance :class:`Ordering` at u^c that the Stokes formula reads.
+
+    One rule decides admissibility: ``validate() > 0``, no cross-group
+    Stokes ray reaches tau mod pi anywhere in the polydisc.  The constructor
+    refuses every other epsilon0 with a ValueError naming it and the
+    margin, so an accepted geometry always has a positive margin, and the
+    shrunk sectors of labels h mu and (h + 1) mu overlap around tau + h pi.
     """
 
     u_c: np.ndarray
@@ -336,12 +338,10 @@ class DeformationGeometry:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "in_group", in_group)
         object.__setattr__(self, "ordering", Ordering(u_c, tau))
-        dmax = self.max_epsilon0()
-        if self.epsilon0 >= dmax:
-            raise ValueError(
-                f"epsilon0={epsilon0} is not smaller than the minimal half-distance "
-                f"{dmax:.6g} between the parallel cut lines of the groups"
-            )
+        margin = self.validate()
+        if not margin > 0:
+            raise ValueError(f"epsilon0={epsilon0} is not admissible: a cross-group Stokes ray "
+                             f"reaches tau mod pi in the polydisc (margin {margin:.3g} <= 0)")
 
     @property
     def eta(self):
@@ -351,27 +351,9 @@ class DeformationGeometry:
     def mu(self):
         return self.labels.mu
 
-    def max_epsilon0(self):
-        """min over group pairs of the half-distance between their cut half-lines."""
-        e = cmath.exp(1j * self.eta)
-        conj = e.conjugate()
-        # Python complex scalars: the arithmetic of numpy's scalars, at less cost
-        vals = [complex(v) for v in self.group_values]
-        best = math.inf
-        for a, va in enumerate(vals):
-            for b, vb in enumerate(vals):
-                if a != b:
-                    d = va - vb
-                    # distance from -d to the half-line {rho * e, rho >= 0}
-                    rho = max(0.0, (-d * conj).real)
-                    best = min(best, abs(d + rho * e) / 2.0)
-        return best
-
     def validate(self):
-        """Check that no cross-group ray can attain direction tau mod pi.
-
-        Returns the minimal angular margin (positive means valid).
-        """
+        """The least angular margin between tau mod pi and a cross-group ray over the
+        polydisc: positive on every geometry the constructor accepts."""
         return min(angular_distance_mod_pi(self.tau, rep) - bound for rep, bound in self.rotation)
 
 

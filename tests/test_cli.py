@@ -88,6 +88,12 @@ def _a00_string(prob):
     return {**prob, "A": A}
 
 
+def _a00_not_a_pair(prob):
+    A = json.loads(json.dumps(prob["A"]))
+    A[0][0] = [0.5]
+    return {**prob, "A": A}
+
+
 MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
     "epsilon0 negative": (lambda p: {**p, "epsilon0": -0.1}, "epsilon0"),
     "epsilon0 NaN": (lambda p: {**p, "epsilon0": math.nan}, "epsilon0"),
@@ -122,6 +128,9 @@ MALFORMED = {  # case: (problem file from SAMPLE, text the error names)
     "epsilon0 string": (lambda p: {**p, "epsilon0": "0.08"}, "epsilon0: expected a JSON number"),
     "tau string": (lambda p: {**p, "tau": str(p["tau"])}, "tau: expected a JSON number"),
     "A entry string": (_a00_string, "A: expected a JSON number"),
+    "A entry not a pair": (_a00_not_a_pair, "A: expected [re, im] pair, got [0.5]"),
+    "u_c length": (lambda p: {**p, "u_c": p["u"] + [[2.0, 0.0]]},
+                   "u_c must have the same length as u"),
     "u entry false": (lambda p: {**p, "u": [[False, 0.0], p["u"][1]]},
                       "u: expected a JSON number"),
     "tol past the float range": (lambda p: {**p, "tol": 10 ** 400}, "tol: expected a JSON number"),
@@ -149,6 +158,51 @@ def test_cli_malformed_problem_exits_2(tmp_path, case, cmd):
     assert "problem file error" in result.output
     assert named in result.output, result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_problem_file_that_is_not_json_exits_2(tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text("{not json")
+    result = CliRunner().invoke(main, ["rays", "--spec", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"problem file error: cannot read problem file {path}: Expecting property name" \
+        in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# u = (-1, 1, i y) at tau = 0: the cut half-lines of u_0 and u_2 lie 1 apart, and the Stokes
+# ray of the pair (0, 2) rotates onto tau mod pi exactly at epsilon0 = 1/2
+_BOUNDARY_A = [[0.3, 0.2, 0.1], [0.4, 0.6, 0.2], [0.1, 0.3, 0.45]]
+
+
+def _boundary_problem(tmp_path, y, epsilon0):
+    return _write(tmp_path, {"schema_version": 1, "tau": 0.0, "epsilon0": epsilon0,
+                             "A": [[[x, 0.0] for x in row] for row in _BOUNDARY_A],
+                             "u": [[-1.0, 0.0], [1.0, 0.0], [0.0, y]]})
+
+
+@pytest.mark.parametrize("cmd", ["rays", "check", "stokes"])
+def test_cli_epsilon0_at_a_zero_margin_exits_2(tmp_path, cmd):
+    """y = 0.1 and epsilon0 = 0.49999999999999994, the float below 1/2: validate() reads a
+    margin of 0, so every command refuses the geometry by name, exit 2, before any stage."""
+    path = _boundary_problem(tmp_path, 0.1, 0.49999999999999994)
+    result = CliRunner().invoke(main, [cmd, "--spec", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert ("problem file error: epsilon0=0.49999999999999994 is not admissible: a "
+            "cross-group Stokes ray reaches tau mod pi in the polydisc (margin 0 <= 0)"
+            in result.output), result.output
+
+
+def test_cli_stokes_at_a_rounding_positive_margin_runs(tmp_path):
+    """y = 0.4 and epsilon0 = 0.4999999999999999: the margin reads 2.2e-16, and the
+    rounded bounds of the shrunk sectors cross there.  The oracle matches on their bisector,
+    tau + pi to rounding, and lands within 1e-12 of the formula (5.7e-14 measured)."""
+    path = _boundary_problem(tmp_path, 0.4, 0.4999999999999999)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["stokes", "--spec", path, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads((out / "stokes_report.json").read_text())["results"]
+    assert results["formula_oracle_max_diff"] < 1e-12
 
 
 def test_cli_rays_outputs(tmp_path):
@@ -485,6 +539,24 @@ def test_cli_check_on_a_stalling_solve_is_a_typed_failure(tmp_path):
     assert stages["vanishing"]["status"] == "ok"
 
 
+def test_cli_check_on_a_residual_past_the_float_range_is_a_typed_failure(tmp_path):
+    """A = [[0.5, 1e152], [1e152, 0.5]] at u = (0, 2e-3): the flow is exactly stationary there,
+    so every stencil transport stays finite, but the commutator of the omegas, of size about
+    (1e152 / 2e-3)^2, is not.  The integrability stage fails with IllConditioned, exit 3, and
+    the vanishing stage is ok."""
+    prob = {"schema_version": 1, "epsilon0": 1e-4, "tau": math.pi / 4,
+            "A": [[[0.5, 0.0], [1e152, 0.0]], [[1e152, 0.0], [0.5, 0.0]]],
+            "u": [[0.0, 0.0], [2e-3, 0.0]]}
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["check", "--spec", _write(tmp_path, prob),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    stages = {s["name"]: s for s in json.loads((out / "check_report.json").read_text())["stages"]}
+    assert stages["integrability"]["error"] == ("IllConditioned: the integrability residual "
+                                                "leaves the float range")
+    assert stages["vanishing"]["status"] == "ok"
+
+
 def test_cli_stokes_with_oracle(tmp_path):
     """sample2x2's routes agree within 1e-10 (1.6e-12 measured), and each route's monodromy
     invariant is below 1e-10 (9.6e-13 formula, 1.0e-13 oracle)."""
@@ -781,6 +853,17 @@ def test_cli_levelt_free_items_are_checked(tmp_path, monkeypatch, item, code):
     report = json.loads((out / "levelt_report.json").read_text())
     assert [l, i, j] in report["results"]["groups"][0]["free_parameters"]
     assert [data.G_series[l][i - 1, j - 1] for data in runs] == [0.5]
+
+
+def test_cli_levelt_unparsable_free_item_exits_2(tmp_path):
+    """An item with no l,i,j position is a problem-file error that quotes the parse failure."""
+    spec = str(ROOT / "problems" / "resonant_group.json")
+    result = CliRunner().invoke(main, ["levelt", "--spec", spec, "--out", str(tmp_path / "out"),
+                                       "--free", "1,2=x"])
+    assert result.exit_code == 2, result.output
+    assert ("problem file error: bad --free item '1,2=x': not enough values to unpack "
+            "(expected 3, got 2)" in result.output), result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_stokes_on_the_locus_says_the_local_series_needs_distinct_poles(tmp_path):

@@ -1075,6 +1075,38 @@ def test_taylor_carry_refuses_a_non_finite_end(y0, z):
             continuation.carry(fs, [piece])
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e306])
+def test_taylor_carry_refuses_a_product_of_finite_runs_past_the_float_range(scale):
+    """The piece's runs are finite, and their product overflows to inf (nan at 1e306): the
+    ends are checked once composed, so the carry raises, with no warning."""
+    fs = SystemPair([[3.5, 0.2], [0.3, 0.4]], [0.0, 1.0])
+    piece = continuation.Piece(0.0, -0.9, 0.89, scale * np.ones(2))
+    with pytest.raises(continuation.StepFailure,
+                       match=r"^continuation of 1 piece\(s\) ends not finite$"):
+        continuation.carry(fs, [piece])
+
+
+def test_taylor_carry_refuses_a_step_not_converged_by_max_order():
+    """|A| = 1000 against a step of 0.25 to a pole at distance 0.5: the terms still grow at
+    MAX_ORDER.  The one piece is two runs, and the message counts runs."""
+    fs = SystemPair([[0.3, 1000.0], [1000.0, 0.4]], [0.0, 1.0])
+    piece = continuation.Piece(0.0, -0.5, -0.5, np.eye(2))
+    with pytest.raises(continuation.StepFailure,
+                       match=r"^Taylor step of 2 run\(s\) did not converge in 400 orders$"):
+        continuation.carry(fs, [piece])
+
+
+def test_taylor_carry_refuses_a_stalled_step():
+    """At x = 1e17 a step of STEP_RATIO times the distance 1 to the pole u_1 = 1e17 + i is
+    below half the float spacing 16 of x, so x + h == x."""
+    fs = SystemPair([[0.3, 0.2], [0.4, -0.25]], [0.0, 1e17 + 1j])
+    piece = continuation.Piece(0.0, 1e17 - 64, 128.0, np.eye(2))
+    with pytest.raises(continuation.StepFailure,
+                       match=r"^continuation stalls at \(1e\+17\+0j\): a step of 5.0e-01 "
+                             r"does not move it$"):
+        continuation.carry(fs, [piece])
+
+
 @pytest.mark.parametrize("zh", [1.0, 4.0, 8.0, 16.0, 32.0])
 def test_step_integrals_match_mpmath(zh):
     """One step's integrals by the carry's rule against mpmath.quad at 30 digits.

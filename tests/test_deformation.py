@@ -839,6 +839,20 @@ def test_taylor_step_grows_its_buffers_past_the_first_estimate(monkeypatch):
     assert len(held) >= 2 and held[-1] > held[0]
 
 
+def test_taylor_step_refuses_a_step_not_converged_by_max_order():
+    """A direct call at |q| = 0.95: untested_orders puts the first test at MAX_ORDER, where
+    terms that fall like 0.95^m (1.2e-9 at m = 400) are still far above TAYLOR_EPS.
+    _transport_stack's plan keeps |q| <= STEP_RATIO, which takes 54 orders untested."""
+    from isomonodromy.deformation import _taylor_step
+
+    A = np.array([[[0.5, 0.2], [0.3, 0.4]]], dtype=complex)
+    q = np.array([[[0.0, 0.95], [0.95, 0.0]]], dtype=complex)
+    with pytest.raises(StepFailure,
+                       match=r"^Schlesinger step of 1 segment\(s\) did not converge in 400 "
+                             r"orders$"):
+        _taylor_step(A, q)
+
+
 def test_stacked_gap_guard_matches_the_pair_reference():
     """The least gap of every target from one broadcast equals the pair-by-pair reference, target by target."""
     from isomonodromy.deformation import _min_ingroup_gap_on_segment

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,17 @@ def test_levelt_resonant_group_reports_one_free_parameter():
     assert data.kappa == 2
     assert not data.partial_nonresonance
     assert np.allclose(np.diag(data.T), [-1.5, -3.5, 0.0])
+
+
+@pytest.mark.parametrize("group", [(0,), (1, 2), (0, 1, 2)])
+def test_levelt_refuses_a_group_that_is_not_a_coalescence_group(group):
+    """u^c = (0, 0, 1) has the groups (0, 1) and (2,): a part of one, a union, or a set that
+    is not a group, is refused by name before any recursion."""
+    fs = SystemPair(np.array([[0.5, 0.0, 0.4], [0.0, 2.5, -0.3], [0.6, 0.7, 0.25]]),
+                    [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{group} is not a coalescence group of u^c: [(0, 1), (2,)]")):
+        levelt_at_confluence(fs, group, N=12)
 
 
 def test_levelt_nonresonant_group_all_R_vanish():

@@ -175,7 +175,8 @@ def test_ray_directions_reject_a_non_finite_u(u):
 
 
 def _max_epsilon0_loop(geo):
-    """The half-distance of :meth:`DeformationGeometry.max_epsilon0` on numpy scalars."""
+    """The least half-distance between the cut half-lines of two groups, on numpy scalars:
+    the cut-plane picture of the largest admissible epsilon0."""
     e = cmath.exp(1j * geo.eta)
     best = math.inf
     vals = geo.group_values
@@ -189,9 +190,12 @@ def _max_epsilon0_loop(geo):
     return best
 
 
-def test_max_epsilon0_matches_the_numpy_scalar_loop():
-    """Bit for bit, on random poles in and out of groups and random tau."""
+def test_geometry_admits_epsilon0_up_to_the_cut_half_distance():
+    """The one admissibility rule, validate() > 0, against the cut half-lines: on random poles
+    in and out of groups and random tau, the constructor accepts epsilon0 a relative 1e-9
+    below the least half-distance and refuses it 1e-9 above, naming epsilon0."""
     rng = np.random.default_rng(7)
+    checked = 0
     for _ in range(200):
         n = int(rng.integers(2, 7))
         u = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
@@ -201,7 +205,12 @@ def test_max_epsilon0_matches_the_numpy_scalar_loop():
             geo = DeformationGeometry(u, 1e-6, tau)
         except ValueError:  # tau on a ray, or one group
             continue
-        assert geo.max_epsilon0() == _max_epsilon0_loop(geo)
+        dmax = _max_epsilon0_loop(geo)
+        assert DeformationGeometry(u, dmax * (1 - 1e-9), tau).validate() > 0
+        with pytest.raises(ValueError, match=r"^epsilon0=\S+ is not admissible: .* \(margin "):
+            DeformationGeometry(u, dmax * (1 + 1e-9), tau)
+        checked += 1
+    assert checked > 100
 
 
 def test_ray_geometry_is_built_once_per_geometry(monkeypatch, system_2x2):
@@ -261,6 +270,15 @@ def test_sector_overlap_contains_tau_and_no_rays(coalescing_geometry):
     for th in rays.values():
         for shift in range(-2, 3):
             assert not (lo < th + shift * PI < hi)
+
+
+def test_shrunk_sector_bounds_need_a_multiple_of_mu():
+    """Only a label h mu is pinned to the admissible direction tau + h pi."""
+    geo = DeformationGeometry([0.0, 1.0, 1j], 0.05, 0.35)
+    assert geo.mu == 3
+    with pytest.raises(ValueError,
+                       match="^shrunk bounds need a label that is a multiple of mu=3; got 4$"):
+        sector_bounds(4, geo, shrink=True)
 
 
 def test_is_in_cell_at_uc_fails_by_coalescence(coalescing_geometry):
@@ -422,6 +440,12 @@ def test_system_pair_is_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         getattr(sp, name)[0] = 5.0
     assert sp.A_plus_I[0, 0] == 1.5 and sp.lambda_prime[0] == 0.5
+
+
+@pytest.mark.parametrize("A", [[[0.5, 2.0, 1.0], [3.0, 0.25, 1.0]], [0.5, 2.0]])
+def test_system_pair_refuses_an_A_that_is_not_square(A):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \((2, 3|2,)\)$"):
+        SystemPair(A, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])

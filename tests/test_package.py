@@ -22,7 +22,7 @@ MOVED_ERRORS = {
     deformation: ("DriftExceeded",),
     frobenius: ("ResonanceAmbiguity", "BadGamma"),
     laplace: ("SingularF1", "QuadratureDivergence"),
-    stokes: ("OverlapEmpty", "MatchingInconsistent"),
+    stokes: ("MatchingInconsistent",),
 }
 
 

@@ -233,10 +233,10 @@ class Runner:
                 results[key] = value
 
     def stage(self, name, fn, always=False):
-        """Run ``fn`` and file the entries it returns; a ``fn`` of None, or any
-        stage after a failed one unless ``always``, is recorded as skipped.
-        An ok stage's record carries the work ``fn`` made (:func:`.ode.counting`)."""
-        if fn is None or (self.failed and not always):
+        """Run ``fn`` and file the entries it returns; any stage after a failed
+        one, unless ``always``, is recorded as skipped.  An ok stage's record
+        carries the work ``fn`` made (:func:`.ode.counting`)."""
+        if self.failed and not always:
             self.report["stages"].append({"name": name, "status": "skipped"})
             return
         try:
@@ -382,10 +382,8 @@ def _crossing_locus(geo):
 
 @main.command()
 @_common_options
-@click.option("--oracle", type=click.Choice(["on", "off"]), default="on",
-              show_default=True, help="run the sectorial-matching oracle")
-def stokes(spec_path, out_dir, oracle):
-    """Full pipeline: connection coefficients -> Stokes pair (+ oracle)."""
+def stokes(spec_path, out_dir):
+    """Full pipeline: connection coefficients -> Stokes pair, by the formula and the oracle."""
     from .continuation import connection_products
     from .frobenius import selected_solutions
     from .laplace import assemble_formal, formal_recursion
@@ -465,7 +463,7 @@ def stokes(spec_path, out_dir, oracle):
     runner.stage("connection", connection)
     runner.stage("stokes_formula", formula)
     runner.stage("formal_coefficients", formal_coefficients, always=True)
-    runner.stage("stokes_oracle", oracle_stage if oracle == "on" else None)
+    runner.stage("stokes_oracle", oracle_stage)
     _finish(runner, out_dir, "stokes_report.json")
 
 

@@ -67,9 +67,6 @@ from .continuation import Piece, _batch_shape, carry
 
 logger = logging.getLogger(__name__)
 
-# stated relative error of every carried J, added to a column's error
-# estimate (the Taylor carry itself runs to ode.TAYLOR_EPS)
-CARRY_TOL = 1e-12
 # a leg ends where e^{z x} |x|^g, g the power growth of Psi_k, is e^-TAIL
 TAIL = 42.0
 
@@ -186,19 +183,16 @@ def _direction_for(labels, h, theta, u):
 
 
 def _start(sol, cap, tol):
-    """Where the carry takes over from the local series ``sol``: ``(t, tail)``.
+    """Where the carry takes over from the local series ``sol``: a radius t per column.
 
     t is the largest radius up to ``cap`` at which each of the last two
     terms |c_N| t^N and |c_{N-1}| t^{N-1} of the series is at most
-    tol / 2 times its size max|c_0|; ``tail`` is their sum there over that
-    size, the truncation error of the start value relative to Psi_k.
-    ``cap`` holds one cap per column of the pole, t and ``tail`` one value
-    each; a t^N past the float range is IllConditioned (``check_radius``).
+    tol / 2 times its size max|c_0|.  ``cap`` holds one cap per column of
+    the pole; a t^N past the float range is IllConditioned (``check_radius``).
     """
     size = np.abs(sol.b).max(1)
-    scale = size[0]
     N = len(size) - 1
-    bound = 0.5 * tol * scale
+    bound = 0.5 * tol * size[0]
     t = cap
     for m in (N - 1, N):
         # |c_m| t^m = bound at t = (bound / |c_m|)^(1/m); a |c_m| at most bound / max float
@@ -206,7 +200,7 @@ def _start(sol, cap, tol):
         if m and size[m] > bound / np.finfo(float).max:
             t = np.minimum(t, (bound / size[m]) ** (1.0 / m))
     sol.check_radius(float(np.max(t)))
-    return t, (size[N - 1] * t ** (N - 1) + size[N] * t ** N) / scale
+    return t
 
 
 class LaplaceColumns(NamedTuple):
@@ -214,14 +208,10 @@ class LaplaceColumns(NamedTuple):
 
     ``reduced[p, i]`` (P, nz, n) is Y_k(z_i) e^{-z_i u_k}, k and z those of
     spec p: multiply by e^{z u_k} for the raw column.  ``eta`` (P,) is the
-    contour direction d.  ``error`` (P,) is relative to the reduced scale: each
-    integral J counts as off by the series tail at its start (:func:`_start`)
-    plus the stated carry bound CARRY_TOL, relative to max|J|.  CARRY_TOL is
-    no estimate: the carry reads 1e-11 or better against an independent solve.
+    contour direction d.
     """
 
     reduced: np.ndarray
-    error: np.ndarray
     eta: np.ndarray
 
 
@@ -253,12 +243,9 @@ def laplace_columns(fs: SystemPair, geometry, specs, sols, tol=1e-12):
     rays = {(h, arg): _direction_for(geometry.labels, h, arg, fs.u)
             for h, arg in {(spec.h, float(spec.arg)) for spec in specs}}
     eta = [rays[spec.h, float(spec.arg)] for spec in specs]
-    legs, weight, base, size, tail = _plan(fs, specs, eta, sols, tol)
-    J = carry(fs, legs)
-    reduced = base + weight[:, None, None] * J
-    size = size + np.abs(J).max((1, 2))
-    error = (tail + CARRY_TOL) * size / np.maximum(np.abs(reduced).max((1, 2)), 1e-300)
-    return LaplaceColumns(reduced=reduced, error=error, eta=np.array(eta))
+    legs, weight, base = _plan(fs, specs, eta, sols, tol)
+    reduced = base + weight[:, None, None] * carry(fs, legs)
+    return LaplaceColumns(reduced=reduced, eta=np.array(eta))
 
 
 def _circle(b, lp, r, d, z):
@@ -319,8 +306,7 @@ def _plan(fs, specs, directions, sols, tol):
     arg d, starts at r with the value Psi_k(r e^{id}), all of them from one
     :func:`.frobenius.selected_values` call, and is weighted by the jump of
     Psi_k across it over 2 pi i.  Returns the legs and the
-    stacks of that ``weight``, the ``base`` (the circle over 2 pi i), its
-    ``size`` max|J| and the series ``tail`` at the start (:func:`_start`).
+    stacks of that ``weight`` and of the ``base``, the circle over 2 pi i.
     """
     integer = [spec.k for spec in specs if fs.integer_class(spec.k) != "noninteger"]
     if integer:
@@ -346,7 +332,7 @@ def _plan(fs, specs, directions, sols, tol):
         )
     near = z_abs.min(1)
     hairpins = [sols[spec.k] for spec in specs]
-    r, tail, circle = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
+    r, circle = _hairpins(hairpins, np.array(directions, dtype=float), z, z_max, tol)
     psi = selected_values(hairpins, r, directions)
     growth = np.maximum(0.0, (-fs.lambda_prime - 1).real).tolist()
     hull = np.abs(fs.u[:, None] - fs.u).max(1).tolist()
@@ -355,11 +341,11 @@ def _plan(fs, specs, directions, sols, tol):
                 specs, directions, arg, r.tolist(), psi, z, near.tolist())]
     weight = np.array([(1.0 - cmath.exp(2j * math.pi * sol.lambda_prime_k)) / (2j * math.pi)
                        for sol in hairpins])
-    return legs, weight, circle / (2j * math.pi), np.abs(circle).max((1, 2)), tail
+    return legs, weight, circle / (2j * math.pi)
 
 
 def _hairpins(sols, d, z, z_max, tol):
-    """The hairpins' starts r, their series tails there and their circles.
+    """The hairpins' starts r and their circles.
 
     The circle |x| = r from arg d - 2 pi to arg d is summed in closed form
     from the series (:func:`_circle`, all columns in one stacked product,
@@ -368,14 +354,13 @@ def _hairpins(sols, d, z, z_max, tol):
     """
     radius = np.array([sol.radius for sol in sols])
     r = np.maximum(np.minimum(0.5 * radius, 2.0 / z_max), 1e-3 * radius)
-    tail = np.empty(len(sols))
     poles = np.array([sol.k for sol in sols])
     for k, sol in {sol.k: sol for sol in sols}.items():
         at = poles == k
-        r[at], tail[at] = _start(sol, r[at], tol)
+        r[at] = _start(sol, r[at], tol)
     b = np.array([sol.b for sol in sols])
     lp = np.array([sol.lambda_prime_k for sol in sols])
-    return r, tail, _circle(b, lp, r, d, z)
+    return r, _circle(b, lp, r, d, z)
 
 
 def _leg(pole, start, d, theta, value, z, near, growth, hull):

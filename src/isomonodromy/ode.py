@@ -27,8 +27,9 @@ MAX_STEPS = 1000
 
 
 def untested_orders(ratio):
-    """Orders a Taylor step sums before it tests its tail, its terms falling as ``ratio``^m."""
-    return min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS, ratio)))) if ratio > 0 else 2
+    """Orders a Taylor step sums before it tests its tail, its terms falling as ``ratio``^m;
+    terms that do not fall (``ratio`` >= 1) are tested after 2, so the step shortens at once."""
+    return min(MAX_ORDER, max(2, math.ceil(math.log(TAYLOR_EPS, ratio)))) if 0 < ratio < 1 else 2
 
 
 @dataclass

@@ -228,9 +228,7 @@ def test_cli_stokes_deterministic(tmp_path):
     outs = []
     for name in ("out_a", "out_b"):
         out = tmp_path / name
-        result = CliRunner().invoke(
-            main, ["stokes", "--spec", path, "--out", str(out), "--oracle", "off"]
-        )
+        result = CliRunner().invoke(main, ["stokes", "--spec", path, "--out", str(out)])
         assert result.exit_code == 0, result.output
         outs.append((out / "stokes_report.json").read_bytes())
     assert outs[0] == outs[1]  # bit-identical reports
@@ -406,7 +404,7 @@ def test_cli_stokes_overflowing_series_is_a_typed_failure(tmp_path, entry, value
     prob["A"][entry[0]][entry[1]] = [value, 0.0]
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
-                                       "--oracle", "on", "--out", str(out)])
+                                       "--out", str(out)])
     assert result.exit_code == 3, result.output
     stages = json.loads((out / "stokes_report.json").read_text())["stages"]
     failed = {s["name"]: s["error"] for s in stages if s["status"] == "failed"}
@@ -429,7 +427,7 @@ def test_cli_stokes_at_a_large_u_is_a_typed_failure(tmp_path, u1):
     prob["u"] = prob["u_c"] = [[0.0, 0.0], [u1, 0.0]]
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["stokes", "--spec", _write(tmp_path, prob),
-                                       "--oracle", "on", "--out", str(out)])
+                                       "--out", str(out)])
     assert result.exit_code == 3, result.output
     stages = json.loads((out / "stokes_report.json").read_text())["stages"]
     assert [s["status"] for s in stages] == ["failed", "skipped", "ok", "skipped"]
@@ -683,16 +681,15 @@ def _moved(tmp_path, angles, key="u"):
     return _write(tmp_path, prob)
 
 
-@pytest.mark.parametrize("oracle", ["on", "off"])
-def test_cli_stokes_past_a_crossed_ray_exits_3(tmp_path, oracle):
+def test_cli_stokes_past_a_crossed_ray_exits_3(tmp_path):
     """A u whose cross-group dominance sign differs from u_c's fails the connection stage.
 
     The formula assembles the pair with u_c's signs, so there it read 2.8 from the oracle
-    at exit 0, and nothing was flagged with the oracle off.
+    at exit 0.
     """
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["stokes", "--spec", _moved(tmp_path, [0.9]), "--out",
-                                       str(out), "--oracle", oracle])
+                                       str(out)])
     assert result.exit_code == 3, result.output
     stage = json.loads((out / "stokes_report.json").read_text())["stages"][0]
     assert (stage["name"], stage["status"]) == ("connection", "failed")
@@ -723,30 +720,19 @@ def test_cli_stokes_outside_the_polydisc_on_the_same_side_runs(tmp_path):
     assert results["formula_oracle_max_diff"] < 1e-10
 
 
-def test_cli_deform_has_no_oracle_option(tmp_path):
-    """deform never ran the oracle: the option is gone and is a usage error."""
-    prob = dict(SAMPLE)
-    prob["paths"] = [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.05, 0.0]]]]
-    path = _write(tmp_path, prob)
-    result = CliRunner().invoke(
-        main, ["deform", "--spec", path, "--out", str(tmp_path / "out"), "--oracle", "on"]
-    )
-    assert result.exit_code == 2
-    assert "No such option '--oracle'" in result.output
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("cmd, option, value", [
     ("rays", "--tol", "1e-9"), ("rays", "--order", "30"), ("rays", "--gamma", "0.1"),
     ("levelt", "--tol", "1e-9"), ("levelt", "--order", "30"), ("levelt", "--gamma", "0.1"),
     ("check", "--tol", "1e-9"), ("check", "--order", "30"), ("check", "--gamma", "0.1"),
     ("check", "--step", "1e-3"),
     ("stokes", "--tol", "1e-9"), ("stokes", "--order", "30"), ("stokes", "--gamma", "0.3"),
+    ("stokes", "--oracle", "on"),
     ("deform", "--tol", "1e-9"), ("deform", "--order", "30"), ("deform", "--gamma", "-0.2"),
+    ("deform", "--oracle", "on"),
 ])
 def test_cli_unread_override_is_a_usage_error(tmp_path, cmd, option, value):
     """The problem file alone sets a run: no command takes --tol, --order, --gamma or
-    --step."""
+    --step, and stokes always runs the oracle: no command takes --oracle."""
     path = _write(tmp_path, SAMPLE)
     result = CliRunner().invoke(
         main, [cmd, "--spec", path, "--out", str(tmp_path / "out"), option, value]
@@ -774,9 +760,7 @@ def test_cli_stokes_resonant_partial_report(tmp_path):
     """On the coalescence locus: family notice emitted, exit code 3."""
     path = _write(tmp_path, RESONANT)
     out = tmp_path / "out"
-    result = CliRunner().invoke(
-        main, ["stokes", "--spec", path, "--out", str(out), "--oracle", "off"]
-    )
+    result = CliRunner().invoke(main, ["stokes", "--spec", path, "--out", str(out)])
     assert result.exit_code == 3
     report = json.loads((out / "stokes_report.json").read_text())
     statuses = {s["name"]: s["status"] for s in report["stages"]}
@@ -869,8 +853,7 @@ def test_cli_levelt_unparsable_free_item_exits_2(tmp_path):
 def test_cli_stokes_on_the_locus_says_the_local_series_needs_distinct_poles(tmp_path):
     """resonant_group sits on the locus, where no local series exists at the merged pole."""
     spec = str(ROOT / "problems" / "resonant_group.json")
-    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(tmp_path),
-                                       "--oracle", "off"])
+    result = CliRunner().invoke(main, ["stokes", "--spec", spec, "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     report = json.loads((tmp_path / "stokes_report.json").read_text())
     [stage] = [s for s in report["stages"] if s["name"] == "connection"]

@@ -388,21 +388,6 @@ def test_leg_integrals_match_dense_output_quadrature(system_2x2, diag_geo,
         assert np.max(np.abs(col.reduced[0] - ref)) <= 1e-10 * scale, kind
 
 
-def test_column_error_covers_carried_part(system_2x2, diag_geo, coalescing_geometry,
-                                          vanishing_A_uc):
-    """``error``, the series tail at the start plus the carry's stated bound, covers the column.
-
-    It is positive and at least the distance from the quad_vec reference
-    for every column class.
-    """
-    for fs, k, geo, z, kind in _contour_cases(system_2x2, diag_geo, coalescing_geometry,
-                                               vanishing_A_uc):
-        col = _column(fs, k, 0, geo, z, float(np.angle(z[0])), tol=1e-13)
-        ref = _reference_column(fs, k, z, col.eta[0])
-        dist = np.max(np.abs(col.reduced[0] - ref)) / np.max(np.abs(ref))
-        assert 0.0 < col.error[0] and dist <= col.error[0], kind
-
-
 def test_leg_work_one_solve_without_dense_output(system_2x2, diag_geo, coalescing_geometry,
                                                  vanishing_A_uc):
     """One carry per column of every class, counted as a solve by :func:`isomonodromy.ode.counting`.
@@ -927,7 +912,7 @@ def test_legs_that_went_straight_match_straight_legs(system_2x2, case):
     else:
         z, d = _ray([30.0, 40.0], theta), math.pi - theta - 0.3
     specs = [laplace.ColumnSpec(k, 0, z, theta) for k in range(2)]
-    legs, weight, base, _, _ = laplace._plan(fs, specs, [d, d], _sols(fs), 1e-13)
+    legs, weight, base = laplace._plan(fs, specs, [d, d], _sols(fs), 1e-13)
     for leg in legs:
         [corner] = leg.via
         if case == "collinear":

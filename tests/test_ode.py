@@ -1,4 +1,4 @@
-"""The work counter that both Taylor integrators report to."""
+"""The work counter and the step policy that both Taylor integrators share."""
 
 import numpy as np
 
@@ -21,3 +21,29 @@ def test_counters_nest_and_total_every_tally():
     assert (work.solves, work.steps, work.nfev, work.piece_steps) == (
         inner.solves + 1, inner.steps + 3, inner.nfev + 7, inner.piece_steps + 5)
     assert ode._open.get() == ()
+
+
+def test_untested_orders_at_and_past_a_ratio_of_one():
+    """Terms falling as 0.5^m are tested after 54 orders; terms that do not fall, after 2."""
+    assert ode.untested_orders(0.5) == 54
+    assert ode.untested_orders(1.0) == 2
+    assert ode.untested_orders(2.0) == 2
+
+
+def test_taylor_step_at_a_ratio_of_one_shortens_the_step():
+    """A direct call of the Schlesinger step at max|q| exactly 1: the tail test after 2 orders
+    shortens the step, which ends finite.  Transports plan max|q| <= STEP_RATIO."""
+    from isomonodromy.deformation import _taylor_step
+
+    rng = np.random.default_rng(0)
+    n = 3
+    A = 0.3 * (rng.normal(size=(1, n, n)) + 1j * rng.normal(size=(1, n, n)))
+    q = rng.normal(size=(1, n, n)) + 1j * rng.normal(size=(1, n, n))
+    q[:, np.arange(n), np.arange(n)] = 0
+    q /= np.abs(q).max()
+    q[np.unravel_index(np.abs(q).argmax(), q.shape)] = 1.0
+    assert np.abs(q).max() == 1.0
+    with np.errstate(under="ignore"):
+        end, c, _ = _taylor_step(A, q)
+    assert np.isfinite(end).all()
+    assert 0 < c[0] < 1

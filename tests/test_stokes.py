@@ -695,7 +695,7 @@ def test_large_A_formula_oracle_difference_is_pinned(seed):
     """At scale 0.9, n = 3..6, the formula and the oracle agree within 2e-8 of max|S|, and
     within 3e-12 of it on S_nu alone.
 
-    The worst of the 12 systems reads 3.02e-9 (S_{nu+mu}, seed 1009, n = 6),
+    The worst of the 12 systems reads 2.47e-9 (S_{nu+mu}, seed 1009, n = 6),
     and 2.26e-12 on S_nu (seed 1000, n = 6); carried uncut, 1.6e-8 and
     2.0e-12.  With the deep point two pole spreads plus one below the
     poles instead of half a spread the pair read 2.9e-7 there: the long

@@ -664,16 +664,16 @@ def test_cli_deform_on_the_crossing_locus_exits_3_quickly(tmp_path):
     assert stage["error"].startswith("StepFailure")
 
 
-def _moved(tmp_path, angles, key="u"):
-    """sample2x2 with u_c = (0, 1) and u_1 = e^{ia}: the problem's ``u`` for one angle, or one
-    deform path through all of them.
+def _moved(tmp_path, angles, key="u", radius=1.0):
+    """sample2x2 with u_c = (0, 1) and u_1 = r e^{ia}: the problem's ``u`` for one angle, or
+    one deform path through all of them.
 
-    The dominance sign of the pair (0, 1), that of Re(e^{i tau}(u_0 - u_1)) = -cos(pi/4 + a)
-    at tau = pi/4, is u_c's at a = 0.5 and the opposite at a = 0.9: the pair's Stokes ray
-    has crossed tau there.
+    The dominance sign of the pair (0, 1), that of Re(e^{i tau}(u_0 - u_1)) = -r cos(pi/4 + a)
+    at tau = pi/4, is u_c's at a = 0.5 and the opposite at a = 0.9, whatever r: the pair's
+    Stokes ray has crossed tau there.
     """
     prob = dict(SAMPLE, u_c=SAMPLE["u"])
-    points = [[[0.0, 0.0], [math.cos(a), math.sin(a)]] for a in angles]
+    points = [[[0.0, 0.0], [radius * math.cos(a), radius * math.sin(a)]] for a in angles]
     if key == "u":
         [prob["u"]] = points
     else:
@@ -681,20 +681,24 @@ def _moved(tmp_path, angles, key="u"):
     return _write(tmp_path, prob)
 
 
-def test_cli_stokes_past_a_crossed_ray_exits_3(tmp_path):
-    """A u whose cross-group dominance sign differs from u_c's fails the connection stage.
+@pytest.mark.parametrize("radius", [1.0, 2.0], ids=["on", "off"])
+def test_cli_stokes_past_a_crossed_ray_exits_3(tmp_path, radius):
+    """A u whose cross-group dominance sign differs from u_c's fails the connection stage,
+    with u_1 on the unit circle and off it, and neither route runs.
 
     The formula assembles the pair with u_c's signs, so there it read 2.8 from the oracle
     at exit 0.
     """
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["stokes", "--spec", _moved(tmp_path, [0.9]), "--out",
-                                       str(out)])
+    result = CliRunner().invoke(main, ["stokes", "--spec", _moved(tmp_path, [0.9], radius=radius),
+                                       "--out", str(out)])
     assert result.exit_code == 3, result.output
-    stage = json.loads((out / "stokes_report.json").read_text())["stages"][0]
-    assert (stage["name"], stage["status"]) == ("connection", "failed")
-    assert stage["error"] == ("NonAdmissibleError: u leaves the tau-cell of u^c at pair (0, 1): "
-                              "crossed")
+    stages = json.loads((out / "stokes_report.json").read_text())["stages"]
+    assert (stages[0]["name"], stages[0]["status"]) == ("connection", "failed")
+    assert stages[0]["error"] == ("NonAdmissibleError: u leaves the tau-cell of u^c at pair "
+                                  "(0, 1): crossed")
+    assert {s["name"]: s["status"] for s in stages[1:]} == {
+        "stokes_formula": "skipped", "formal_coefficients": "ok", "stokes_oracle": "skipped"}
 
 
 def test_cli_deform_through_a_crossed_ray_exits_3(tmp_path):
